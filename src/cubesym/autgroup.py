@@ -7,7 +7,7 @@ Composition convention throughout: (sigma o tau)(v) = sigma(tau(v)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import permutations
 from math import factorial
 
@@ -394,17 +394,17 @@ def aq_base(n: int, idx: int) -> AugmentedAff:
 class PermGroup:
     """A set of automorphisms closed under composition, given by generators.
 
-    `structure` names a closed enumeration scheme when one exists; otherwise
-    elements come from generator closure.  `order_known` is trusted when set
-    (it is cross-checked against enumeration in the tests).
+    `model` is the closed form of a structured group; without one, elements
+    come from generator closure.  `order_known` is trusted when set (it is
+    cross-checked against enumeration in the tests).
     """
 
     n_vertices: int
     generators: list[Automorphism]
-    structure: tuple | None = None
     order_known: int | None = None
     source: str = "explicit"
     graph: Graph | None = None
+    model: GroupModel | None = None
     _elements: list[tuple[int, ...]] | None = field(default=None, repr=False)
 
     def order(self, cap: int = DEFAULT_ELEMENT_CAP) -> int:
@@ -424,8 +424,8 @@ class PermGroup:
             if self.order_known is not None and self.order_known > cap:
                 raise SearchBudgetExceeded(
                     f"group of order {self.order_known} above element cap {cap}")
-            if self.structure is not None:
-                elems = _enumerate_structure(self.structure, cap)
+            if self.model is not None:
+                elems = self.model.enumerate(cap)
             else:
                 elems = _closure(self.n_vertices,
                                  [g.images() for g in self.generators], cap)
@@ -437,9 +437,6 @@ class PermGroup:
                 raise AssertionError(
                     f"order mismatch: formula {self.order_known}, enumerated {len(elems)}")
         return self._elements
-
-    def element_auts(self, cap: int = DEFAULT_ELEMENT_CAP) -> list[Automorphism]:
-        return [ExplicitPerm(p) for p in self.elements(cap)]
 
     def orbits(self) -> list[list[int]]:
         """Vertex orbits under the generators (union-find over images)."""
@@ -512,59 +509,6 @@ def _closure(nv: int, gen_images: list[tuple[int, ...]], cap: int) -> list[tuple
     return list(seen)
 
 
-def _enumerate_structure(structure: tuple, cap: int) -> list[tuple[int, ...]]:
-    kind = structure[0]
-    if kind == "hypercube":
-        n = structure[1]
-        total = (1 << n) * factorial(n)
-        if total > cap:
-            raise SearchBudgetExceeded(f"|Aut| = {total} above element cap {cap}")
-        out = []
-        for pi in permutations(range(n)):
-            base = HypercubeAff(n, 0, pi).images()
-            for c in range(1 << n):
-                out.append(tuple(x ^ c for x in base))
-        return out
-    if kind == "folded":
-        n = structure[1]
-        total = (1 << n) * factorial(n + 1)
-        if total > cap:
-            raise SearchBudgetExceeded(f"|Aut| = {total} above element cap {cap}")
-        out = []
-        for pi in permutations(range(n + 1)):
-            base = FoldedAff(n, 0, pi).images()
-            for c in range(1 << n):
-                out.append(tuple(x ^ c for x in base))
-        return out
-    if kind == "augmented":
-        n = structure[1]
-        total = (1 << n) * 8
-        if total > cap:
-            raise SearchBudgetExceeded(f"|Aut| = {total} above element cap {cap}")
-        out = []
-        for idx in range(1, 9):
-            base = AugmentedAff(n, 0, idx).images()
-            for c in range(1 << n):
-                out.append(tuple(x ^ c for x in base))
-        return out
-    if kind == "ltq":
-        n = structure[1]
-        return [LtqTranslation(n, cp).images() for cp in range(1 << (n - 1))]
-    if kind == "product":
-        ga, gb = structure[1], structure[2]
-        total = ga.order(cap) * gb.order(cap)
-        if total > cap:
-            raise SearchBudgetExceeded(f"|Aut| = {total} above element cap {cap}")
-        nb = gb.n_vertices
-        out = []
-        for pa in ga.elements(cap):
-            for pb in gb.elements(cap):
-                out.append(tuple(pa[v // nb] * nb + pb[v % nb]
-                                 for v in range(ga.n_vertices * nb)))
-        return out
-    raise AssertionError(f"unknown structure {kind!r}")
-
-
 def is_automorphism(g: Graph, mapping) -> bool:
     """True iff `mapping` (callable or sequence) is a bijection preserving
     adjacency and non-adjacency."""
@@ -587,14 +531,315 @@ def is_automorphism(g: Graph, mapping) -> bool:
     return True
 
 
-def _searched_factor_group(spec: FamilySpec) -> PermGroup:
-    from .search import search_automorphisms
-
-    return search_automorphisms(build_family(spec))
-
-
 def trivial_group(nv: int, graph: Graph | None = None) -> PermGroup:
-    return PermGroup(nv, [], None, 1, "structured", graph, [tuple(range(nv))])
+    return PermGroup(nv, [], 1, "structured", graph, _elements=[tuple(range(nv))])
+
+
+def _transposition(n: int, i: int, j: int) -> tuple[int, ...]:
+    pi = list(range(n))
+    pi[i], pi[j] = pi[j], pi[i]
+    return tuple(pi)
+
+
+# ---------------------------------------------------------------------------
+# group models
+#
+# One closed form per structured group.  A model answers `order()`,
+# `generators()`, `enumerate(cap)` (image tuples; `PermGroup.elements` has
+# checked the order against `cap`), `pointwise_trivial(words)` and
+# `pointwise_stabilizer(S)` for a sorted nonempty vertex list S.  The AQ_n
+# and LTQ_n models also answer `setwise_stabilizer(S)`, the list of the
+# elements that map S onto itself.
+
+
+def _conjugate(phi, a: int):
+    """The linear map phi moved to fix `a`: v -> a + phi(a + v)."""
+    return replace(phi, c=a ^ phi.apply(a))
+
+
+class _TranslationModel:
+    """A group on n-bit words whose elements are a translation v -> v + c
+    after one of the maps fixing the zero word."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def translations(self) -> range:
+        return range(1 << self.n)
+
+    def order(self) -> int:
+        return len(self.translations()) * self.n_zero_fixing()
+
+    def element(self, c: int, phi: Automorphism) -> Automorphism:
+        return replace(phi, c=c)
+
+    def enumerate(self, cap: int) -> list[tuple[int, ...]]:
+        out = []
+        for phi in self.zero_fixing():
+            base = phi.images()
+            for c in self.translations():
+                out.append(tuple(x ^ c for x in base))
+        return out
+
+
+class _SetwiseSearch:
+    """Setwise stabilizers of a translation model with few zero-fixing maps:
+    an element mapping S onto itself sends min S to some t in S, which fixes
+    its translation once the zero-fixing map is chosen."""
+
+    def setwise_stabilizer(self, S) -> list[Automorphism]:
+        S = frozenset(S)
+        s0 = min(S)
+        allowed = self.translations()
+        out = []
+        for t in S:
+            for phi in self.zero_fixing():
+                c = t ^ phi.apply(s0)
+                if c in allowed:
+                    sigma = self.element(c, phi)
+                    if all(sigma.apply(s) in S for s in S):
+                        out.append(sigma)
+        return out
+
+
+def _translated_columns(S, n: int) -> list[tuple[int, ...]]:
+    """Position columns of the words of S translated by S[0], so that the
+    set contains zero and a fixing automorphism has no translation part."""
+    a = S[0]
+    ws = [a ^ s for s in S]
+    return [tuple((w >> (n - 1 - i)) & 1 for w in ws) for i in range(n)]
+
+
+def _column_classes(cols) -> dict[tuple, list[int]]:
+    classes: dict[tuple, list[int]] = {}
+    for i, col in enumerate(cols):
+        classes.setdefault(col, []).append(i)
+    return classes
+
+
+class HypercubeModel(_TranslationModel):
+    """Aut(Q_n) = Z_2^n x S_n, also the group of Q_n^k for odd k <= n-2."""
+
+    def n_zero_fixing(self) -> int:
+        return factorial(self.n)
+
+    def zero_fixing(self):
+        return (HypercubeAff(self.n, 0, pi) for pi in permutations(range(self.n)))
+
+    def generators(self) -> list[Automorphism]:
+        n = self.n
+        gens = [HypercubeAff(n, 1 << b, tuple(range(n))) for b in range(n)]
+        gens += [HypercubeAff(n, 0, _transposition(n, i, i + 1)) for i in range(n - 1)]
+        return gens
+
+    def pointwise_trivial(self, words) -> bool:
+        """A fixing bit permutation exists iff two position columns agree."""
+        S = sorted(set(words))
+        if not S:
+            return self.n == 0
+        return len(set(_translated_columns(S, self.n))) == self.n
+
+    def pointwise_stabilizer(self, S) -> PermGroup:
+        n, a = self.n, S[0]
+        order = 1
+        gens = []
+        for idx in _column_classes(_translated_columns(S, n)).values():
+            order *= factorial(len(idx))
+            gens += [_conjugate(HypercubeAff(n, 0, _transposition(n, i, j)), a)
+                     for i, j in zip(idx, idx[1:])]
+        return PermGroup(1 << n, gens, order, "structured")
+
+
+def _xor_cols(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(x ^ y for x, y in zip(a, b))
+
+
+def _folded_classes(S, n: int) -> dict[tuple, list[int]]:
+    """Classes of the n+1 columns of the zero-extended translated words; the
+    last column, of the all-ones symbol, is all zeros."""
+    return _column_classes(_translated_columns(S, n) + [(0,) * len(S)])
+
+
+def _folded_shifts(classes: dict[tuple, list[int]]) -> list[tuple]:
+    """Column values E for which c -> c + E maps the classes onto classes of
+    the same size.  E = 0 always qualifies; each other E yields the fixing
+    symbol permutations that move a symbol onto the all-ones word."""
+    return [e for e in classes
+            if all(len(classes.get(_xor_cols(c, e), ())) == len(idx)
+                   for c, idx in classes.items())]
+
+
+class FoldedModel(_TranslationModel):
+    """Aut(FQ_n) = Z_2^n x S_{n+1} (n >= 4), permuting the n positions and
+    the all-ones word as n+1 symbols."""
+
+    def n_zero_fixing(self) -> int:
+        return factorial(self.n + 1)
+
+    def zero_fixing(self):
+        return (FoldedAff(self.n, 0, pi) for pi in permutations(range(self.n + 1)))
+
+    def generators(self) -> list[Automorphism]:
+        n = self.n
+        gens = [FoldedAff(n, 1 << b, tuple(range(n + 1))) for b in range(n)]
+        gens += [FoldedAff(n, 0, _transposition(n + 1, i, i + 1)) for i in range(n)]
+        return gens
+
+    def pointwise_trivial(self, words) -> bool:
+        """A fixing symbol permutation exists iff two extended columns agree
+        or some nonzero column value shifts the column values onto themselves."""
+        S = sorted(set(words))
+        if not S:
+            return False
+        classes = _folded_classes(S, self.n)
+        return len(classes) == self.n + 1 and len(_folded_shifts(classes)) == 1
+
+    def pointwise_stabilizer(self, S) -> PermGroup:
+        n, a = self.n, S[0]
+        classes = _folded_classes(S, n)
+        shifts = _folded_shifts(classes)
+        order = len(shifts)
+        for idx in classes.values():
+            order *= factorial(len(idx))
+        gens = []
+        for e in shifts:
+            if not any(e):
+                for idx in classes.values():
+                    gens += [_conjugate(FoldedAff(n, 0, _transposition(n + 1, i, j)), a)
+                             for i, j in zip(idx, idx[1:])]
+                continue
+            pi = [0] * (n + 1)
+            for c, idx in classes.items():
+                for i, j in zip(idx, classes[_xor_cols(c, e)]):
+                    pi[j] = i  # image coordinate j reads source i
+            gens.append(_conjugate(FoldedAff(n, 0, tuple(pi)), a))
+        return PermGroup(1 << n, gens, order, "structured")
+
+
+class AugmentedModel(_SetwiseSearch, _TranslationModel):
+    """Aut(AQ_n) (n >= 4): translations after the eight base maps."""
+
+    def n_zero_fixing(self) -> int:
+        return 8
+
+    def zero_fixing(self):
+        return [AugmentedAff(self.n, 0, idx) for idx in range(1, 9)]
+
+    def generators(self) -> list[Automorphism]:
+        n = self.n
+        gens = [AugmentedAff(n, 1 << b, 1) for b in range(n)]
+        gens += [AugmentedAff(n, 0, idx) for idx in (2, 3, 5)]
+        return gens
+
+    def _fixing(self, S) -> list[AugmentedAff]:
+        """Base maps fixing every word of S translated by S[0]; the identity first."""
+        moved = [S[0] ^ s for s in S]
+        return [phi for phi in self.zero_fixing() if all(phi.apply(w) == w for w in moved)]
+
+    def pointwise_trivial(self, words) -> bool:
+        S = sorted(set(words))
+        return bool(S) and len(self._fixing(S)) == 1
+
+    def pointwise_stabilizer(self, S) -> PermGroup:
+        a = S[0]
+        keep = self._fixing(S)
+        gens = []
+        for phi in keep[1:]:
+            sigma = _conjugate(phi, a)  # the base maps are not all linear
+            if not all(sigma.apply(s) == s for s in S):
+                sigma = ExplicitPerm(tuple(a ^ phi.apply(a ^ v) for v in range(1 << self.n)))
+            gens.append(sigma)
+        return PermGroup(1 << self.n, gens, len(keep), "structured")
+
+
+class LtqModel(_SetwiseSearch, _TranslationModel):
+    """Aut(LTQ_n) (n >= 4): the 2^(n-1) translations of the first n-1 bits."""
+
+    def translations(self) -> range:
+        return range(0, 1 << self.n, 2)
+
+    def n_zero_fixing(self) -> int:
+        return 1
+
+    def zero_fixing(self):
+        return [LtqTranslation(self.n, 0)]
+
+    def element(self, c: int, phi: Automorphism) -> Automorphism:
+        return LtqTranslation(self.n, c >> 1)
+
+    def generators(self) -> list[Automorphism]:
+        return [LtqTranslation(self.n, 1 << b) for b in range(self.n - 1)]
+
+    def pointwise_trivial(self, words) -> bool:
+        return True  # only the zero translation fixes any vertex
+
+    def pointwise_stabilizer(self, S) -> PermGroup:
+        return trivial_group(1 << self.n)
+
+
+class ProductModel:
+    """Aut(A) x Aut(B) acting blockwise on a Cartesian product, vertex v
+    being (v // |B|, v % |B|); the enhanced cube is Q_{k-1} x FQ_{n-k+1}."""
+
+    def __init__(self, ga: PermGroup, gb: PermGroup):
+        self.ga, self.gb = ga, gb
+
+    def order(self) -> int:
+        return self.ga.order() * self.gb.order()
+
+    def generators(self) -> list[Automorphism]:
+        na, nb = self.ga.n_vertices, self.gb.n_vertices
+        gens: list[Automorphism] = [ProductAut(a, identity_aut(nb)) for a in self.ga.generators]
+        gens += [ProductAut(identity_aut(na), b) for b in self.gb.generators]
+        return gens
+
+    def enumerate(self, cap: int) -> list[tuple[int, ...]]:
+        nb = self.gb.n_vertices
+        nv = self.ga.n_vertices * nb
+        return [tuple(pa[v // nb] * nb + pb[v % nb] for v in range(nv))
+                for pa in self.ga.elements(cap) for pb in self.gb.elements(cap)]
+
+    def _split(self, S) -> tuple[set[int], set[int]]:
+        nb = self.gb.n_vertices
+        return {v // nb for v in S}, {v % nb for v in S}
+
+    def pointwise_trivial(self, words) -> bool:
+        sa, sb = self._split(words)
+        return (pointwise_stabilizer_is_trivial(self.ga, sa)
+                and pointwise_stabilizer_is_trivial(self.gb, sb))
+
+    def pointwise_stabilizer(self, S) -> PermGroup:
+        sa, sb = self._split(S)
+        model = ProductModel(pointwise_stabilizer(self.ga, sa), pointwise_stabilizer(self.gb, sb))
+        return PermGroup(self.ga.n_vertices * self.gb.n_vertices, model.generators(),
+                         model.order(), "structured", model=model)
+
+
+GroupModel = _TranslationModel | ProductModel
+
+
+def _family_model(spec: FamilySpec) -> GroupModel:
+    n = spec.n
+    if spec.kind == HYPERCUBE or (spec.kind == POWER and spec.k % 2 == 1 and spec.k <= n - 2):
+        return HypercubeModel(n)
+    if spec.kind == FOLDED and n >= 4:
+        return FoldedModel(n)
+    if spec.kind == AUGMENTED and n >= 4:
+        return AugmentedModel(n)
+    if spec.kind == LOCALLY_TWISTED and n >= 4:
+        return LtqModel(n)
+    if spec.kind == ENHANCED:
+        from .search import search_automorphisms
+
+        k, ell = spec.k, n - spec.k + 1
+        if k == 1:
+            ga = trivial_group(1)
+        else:
+            ga = structured_group(build_family(FamilySpec(HYPERCUBE, k - 1)))
+        fb = build_family(FamilySpec(FOLDED, ell))
+        gb = structured_group(fb) if ell >= 4 else search_automorphisms(fb)
+        return ProductModel(ga, gb)
+    raise NoStructuredForm(f"no closed form for {spec.name()}")
 
 
 def structured_group(g: Graph) -> PermGroup:
@@ -606,129 +851,22 @@ def structured_group(g: Graph) -> PermGroup:
     spec = g.family
     if spec is None:
         raise NoStructuredForm("no family tag on this graph")
-    n = spec.n
-    if spec.kind == HYPERCUBE or (spec.kind == POWER and spec.k % 2 == 1 and spec.k <= n - 2):
-        gens = [HypercubeAff(n, 1 << b, tuple(range(n))) for b in range(n)]
-        gens += [HypercubeAff(n, 0, _transposition(n, i, i + 1)) for i in range(n - 1)]
-        order = (1 << n) * factorial(n)
-        grp = PermGroup(1 << n, gens, ("hypercube", n), order, "structured", g)
-    elif spec.kind == FOLDED and n >= 4:
-        gens = [FoldedAff(n, 1 << b, tuple(range(n + 1))) for b in range(n)]
-        gens += [FoldedAff(n, 0, _transposition(n + 1, i, i + 1)) for i in range(n)]
-        order = (1 << n) * factorial(n + 1)
-        grp = PermGroup(1 << n, gens, ("folded", n), order, "structured", g)
-    elif spec.kind == AUGMENTED and n >= 4:
-        gens = [AugmentedAff(n, 1 << b, 1) for b in range(n)]
-        gens += [AugmentedAff(n, 0, idx) for idx in (2, 3, 5)]
-        grp = PermGroup(1 << n, gens, ("augmented", n), (1 << n) * 8, "structured", g)
-    elif spec.kind == LOCALLY_TWISTED and n >= 4:
-        gens = [LtqTranslation(n, 1 << b) for b in range(n - 1)]
-        grp = PermGroup(1 << n, gens, ("ltq", n), 1 << (n - 1), "structured", g)
-    elif spec.kind == ENHANCED:
-        k, ell = spec.k, n - spec.k + 1
-        if k == 1:
-            ga = trivial_group(1)
-        else:
-            ga = structured_group(build_family(FamilySpec(HYPERCUBE, k - 1)))
-        if ell >= 4:
-            gb = structured_group(build_family(FamilySpec(FOLDED, ell)))
-        else:
-            gb = _searched_factor_group(FamilySpec(FOLDED, ell))
-        nb = 1 << ell
-        gens: list[Automorphism] = [ProductAut(a, identity_aut(nb)) for a in ga.generators]
-        gens += [ProductAut(identity_aut(1 << (k - 1)), b) for b in gb.generators]
-        order = ga.order() * gb.order()
-        grp = PermGroup(1 << n, gens, ("product", ga, gb), order, "structured", g)
-    else:
-        raise NoStructuredForm(f"no closed form for {spec.name()}")
+    model = _family_model(spec)
+    grp = PermGroup(g.n_vertices, model.generators(), model.order(), "structured", g, model)
     for gen in grp.generators:
         if not is_automorphism(g, gen):
             raise AssertionError(f"structured generator failed for {spec.name()}: {gen}")
     return grp
 
 
-def _transposition(n: int, i: int, j: int) -> tuple[int, ...]:
-    pi = list(range(n))
-    pi[i], pi[j] = pi[j], pi[i]
-    return tuple(pi)
-
-
-def group_order(grp: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> int:
-    return grp.order(cap)
-
-
 # ---------------------------------------------------------------------------
 # stabilizers
 
 
-def _hypercube_stab_columns(words, n: int) -> list[tuple[int, ...]]:
-    ws = sorted(words)
-    return [tuple((w >> (n - 1 - i)) & 1 for w in ws) for i in range(n)]
-
-
-def _folded_stab_columns(words, n: int) -> list[tuple[int, ...]]:
-    """Columns of the zero-extended words; the last column is all zeros."""
-    ws = sorted(words)
-    cols = [tuple((w >> (n - 1 - i)) & 1 for w in ws) for i in range(n)]
-    cols.append(tuple(0 for _ in ws))
-    return cols
-
-
-def _xor_cols(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x ^ y for x, y in zip(a, b))
-
-
-def hypercube_set_is_determining(words, n: int) -> bool:
-    """Only the identity of Z_2^n x S_n fixes every word in `words` pointwise.
-
-    After translating the set to contain zero, the translation part of any
-    fixing automorphism must vanish, and a fixing bit permutation exists iff
-    two position columns agree.
-    """
-    S = sorted(set(words))
-    if not S:
-        return n == 0
-    a = S[0]
-    cols = _hypercube_stab_columns([a ^ s for s in S], n)
-    return len(set(cols)) == n
-
-
-def folded_set_is_determining(words, n: int) -> bool:
-    """Determining test in the folded-cube group (n >= 4).
-
-    Works on the n+1 columns of the zero-extended translated words: a fixing
-    symbol permutation exists iff two columns agree, or some column value E
-    translates the column-value set onto itself (the symbol mapped to the
-    all-ones word contributes the zero column shifted by E).
-    """
-    S = sorted(set(words))
-    if not S:
-        return False
-    a = S[0]
-    cols = _folded_stab_columns([a ^ s for s in S], n)
-    colset = set(cols)
-    if len(colset) != n + 1:
-        return False
-    for e in colset:
-        if any(e):
-            shifted = {_xor_cols(c, e) for c in colset}
-            if shifted == colset:
-                return False
-    return True
-
-
-def augmented_set_is_determining(words, n: int) -> bool:
-    """Determining test in the augmented-cube group (n >= 4)."""
-    S = sorted(set(words))
-    if not S:
-        return False
-    a = S[0]
-    moved = [a ^ s for s in S]
-    for idx in range(2, 9):
-        phi = AugmentedAff(n, 0, idx)
-        if all(phi.apply(w) == w for w in moved):
-            return False
-    return True
+def _filtered_subgroup(grp: PermGroup, elems: list[tuple[int, ...]]) -> PermGroup:
+    nv = grp.n_vertices
+    gens = [ExplicitPerm(p) for p in elems if any(p[v] != v for v in range(nv))]
+    return PermGroup(nv, gens, len(elems), grp.source, grp.graph, _elements=sorted(elems))
 
 
 def pointwise_stabilizer_is_trivial(grp: PermGroup, subset) -> bool:
@@ -736,20 +874,8 @@ def pointwise_stabilizer_is_trivial(grp: PermGroup, subset) -> bool:
     S = sorted(set(subset))
     if not S:
         return grp.is_trivial()
-    st = grp.structure
-    if st is not None and st[0] == "hypercube":
-        return hypercube_set_is_determining(S, st[1])
-    if st is not None and st[0] == "folded":
-        return folded_set_is_determining(S, st[1])
-    if st is not None and st[0] == "augmented":
-        return augmented_set_is_determining(S, st[1])
-    if st is not None and st[0] == "ltq":
-        return True  # only the zero translation fixes any vertex
-    if st is not None and st[0] == "product":
-        ga, gb = st[1], st[2]
-        nb = gb.n_vertices
-        return (pointwise_stabilizer_is_trivial(ga, {v // nb for v in S})
-                and pointwise_stabilizer_is_trivial(gb, {v % nb for v in S}))
+    if grp.model is not None:
+        return grp.model.pointwise_trivial(S)
     for p in grp.elements():
         if all(p[v] == v for v in S) and any(p[v] != v for v in range(grp.n_vertices)):
             return False
@@ -759,103 +885,17 @@ def pointwise_stabilizer_is_trivial(grp: PermGroup, subset) -> bool:
 def pointwise_stabilizer(grp: PermGroup, subset) -> PermGroup:
     """Subgroup fixing every vertex of `subset`.
 
-    Structured groups are solved on their coordinate data; enumerated groups
-    are filtered directly.
+    Structured groups are solved by their model; enumerated groups are
+    filtered directly.
     """
     S = sorted(set(subset))
-    nv = grp.n_vertices
     if not S:
         return grp
-    st = grp.structure
-    if st is not None and st[0] == "hypercube":
-        n = st[1]
-        a = S[0]
-        cols = _hypercube_stab_columns([a ^ s for s in S], n)
-        classes: dict[tuple, list[int]] = {}
-        for i, col in enumerate(cols):
-            classes.setdefault(col, []).append(i)
-        order = 1
-        gens = []
-        for idx in classes.values():
-            order *= factorial(len(idx))
-            for i, j in zip(idx, idx[1:]):
-                pi = _transposition(n, i, j)
-                c = a ^ _permute_positions(a, pi, n)
-                gens.append(HypercubeAff(n, c, pi))
-        return PermGroup(nv, gens, None, order, grp.source, grp.graph)
-    if st is not None and st[0] == "folded":
-        n = st[1]
-        a = S[0]
-        cols = _folded_stab_columns([a ^ s for s in S], n)
-        classes: dict[tuple, list[int]] = {}
-        for i, col in enumerate(cols):
-            classes.setdefault(col, []).append(i)
-        order = 0
-        gens = []
-        zero = tuple(0 for _ in S)
-        values = set(classes)
-        for e in values:
-            shifted = {_xor_cols(c, e) for c in values}
-            if shifted != values:
-                continue
-            if not all(len(classes[_xor_cols(c, e)]) == len(classes[c]) for c in values):
-                continue
-            term = 1
-            for idx in classes.values():
-                term *= factorial(len(idx))
-            order += term
-            if e == zero:
-                for idx in classes.values():
-                    for i, j in zip(idx, idx[1:]):
-                        gens.append(_conjugated_folded(n, a, _transposition(n + 1, i, j)))
-            else:
-                pi = [0] * (n + 1)
-                for c in values:
-                    for i, j in zip(classes[c], classes[_xor_cols(c, e)]):
-                        pi[j] = i  # image coordinate j reads source i
-                gens.append(_conjugated_folded(n, a, tuple(pi)))
-        return PermGroup(nv, gens, None, order, grp.source, grp.graph)
-    if st is not None and st[0] == "augmented":
-        n = st[1]
-        a = S[0]
-        moved = [a ^ s for s in S]
-        keep = [idx for idx in range(1, 9)
-                if all(AugmentedAff(n, 0, idx).apply(w) == w for w in moved)]
-        gens = []
-        for idx in keep:
-            if idx == 1:
-                continue
-            phi = AugmentedAff(n, 0, idx)
-            c = a ^ phi.apply(a)
-            sigma = AugmentedAff(n, c, idx)
-            if all(sigma.apply(s) == s for s in S):
-                gens.append(sigma)
-            else:
-                perm = tuple(a ^ phi.apply(a ^ v) for v in range(nv))
-                gens.append(ExplicitPerm(perm))
-        return PermGroup(nv, gens, None, len(keep), grp.source, grp.graph)
-    if st is not None and st[0] == "ltq":
-        return trivial_group(nv, grp.graph)
-    if st is not None and st[0] == "product":
-        ga, gb = st[1], st[2]
-        nb = gb.n_vertices
-        sa = pointwise_stabilizer(ga, {v // nb for v in S})
-        sb = pointwise_stabilizer(gb, {v % nb for v in S})
-        gens = [ProductAut(x, identity_aut(nb)) for x in sa.generators]
-        gens += [ProductAut(identity_aut(ga.n_vertices), y) for y in sb.generators]
-        return PermGroup(nv, gens, ("product", sa, sb),
-                         sa.order() * sb.order(), grp.source, grp.graph)
-    elems = [p for p in grp.elements() if all(p[v] == v for v in S)]
-    gens = [ExplicitPerm(p) for p in elems if any(p[v] != v for v in range(nv))]
-    out = PermGroup(nv, gens, None, len(elems), grp.source, grp.graph)
-    out._elements = sorted(elems)
-    return out
-
-
-def _conjugated_folded(n: int, a: int, pi: tuple[int, ...]) -> FoldedAff:
-    base = FoldedAff(n, 0, pi)
-    c = a ^ base.apply(a)
-    return FoldedAff(n, c, pi)
+    if grp.model is not None:
+        stab = grp.model.pointwise_stabilizer(S)
+        stab.graph = grp.graph
+        return stab
+    return _filtered_subgroup(grp, [p for p in grp.elements() if all(p[v] == v for v in S)])
 
 
 def setwise_stabilizer(grp: PermGroup, subset, cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
@@ -864,45 +904,11 @@ def setwise_stabilizer(grp: PermGroup, subset, cap: int = DEFAULT_ELEMENT_CAP) -
     nv = grp.n_vertices
     if not S or len(S) == nv:
         return grp
-    st = grp.structure
-    if st is not None and st[0] == "augmented":
-        n = st[1]
-        elems = []
-        for t in S:
-            for idx in range(1, 9):
-                phi = AugmentedAff(n, 0, idx)
-                # sigma = rho_c o phi with sigma(min S ... ) -- anchor on 0:
-                # sigma(s0) = t forces c = t ^ phi(s0)
-                s0 = min(S)
-                c = t ^ phi.apply(s0)
-                sigma = AugmentedAff(n, c, idx)
-                if all(sigma.apply(s) in S for s in S):
-                    elems.append(sigma)
+    if hasattr(grp.model, "setwise_stabilizer"):
+        elems = grp.model.setwise_stabilizer(S)
         gens = [e for e in elems if not e.is_identity()]
-        return PermGroup(nv, gens, None, len(elems), grp.source, grp.graph)
-    if st is not None and st[0] == "ltq":
-        n = st[1]
-        elems = []
-        s0 = min(S)
-        for t in S:
-            d = s0 ^ t
-            if d & 1:
-                continue
-            sigma = LtqTranslation(n, d >> 1)
-            if all(sigma.apply(s) in S for s in S):
-                elems.append(sigma)
-        gens = [e for e in elems if e.c_prime]
-        return PermGroup(nv, gens, None, len(set(e.c_prime for e in elems)),
-                         grp.source, grp.graph)
-    elems = [p for p in grp.elements(cap) if all(p[v] in S for v in S)]
-    gens = [ExplicitPerm(p) for p in elems if any(p[v] != v for v in range(nv))]
-    out = PermGroup(nv, gens, None, len(elems), grp.source, grp.graph)
-    out._elements = sorted(elems)
-    return out
-
-
-def setwise_stabilizer_is_trivial(grp: PermGroup, subset, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
-    return setwise_stabilizer(grp, subset, cap).order(cap) == 1
+        return PermGroup(nv, gens, len(elems), grp.source, grp.graph)
+    return _filtered_subgroup(grp, [p for p in grp.elements(cap) if all(p[v] in S for v in S)])
 
 
 # ---------------------------------------------------------------------------
@@ -950,5 +956,4 @@ def group_to_json(grp: PermGroup) -> dict:
 
 def group_from_json(d: dict) -> PermGroup:
     gens = [automorphism_from_json(g) for g in d["generators"]]
-    return PermGroup(d["n_vertices"], gens, None, d.get("order"),
-                     d.get("source", "explicit"))
+    return PermGroup(d["n_vertices"], gens, d.get("order"), d.get("source", "explicit"))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -62,12 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cache directory (default: $CUBE_SYM_CACHE or "
                              ".cube-symmetry-cache)")
     common.add_argument("--no-cache", action="store_true", help="bypass the result cache")
-    common.add_argument("--threads", type=int, default=os.cpu_count(),
-                        help="solver thread budget, default all cores (results are "
-                             "schedule-independent; the current solvers are "
-                             "single-threaded)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="reserved; all algorithms are deterministic")
     common.add_argument("--max-vertices", type=int, default=None,
                         help="vertex cap override (default 2^20 or "
                              "$CUBE_SYM_MAX_VERTICES)")

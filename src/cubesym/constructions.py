@@ -12,15 +12,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
 
-from .autgroup import (
-    AugmentedAff,
-    augmented_set_is_determining,
-    folded_set_is_determining,
-    hypercube_set_is_determining,
-)
+from .autgroup import AugmentedModel, FoldedModel, HypercubeModel
 from .bitgraph import FamilySpec, Graph, graph_from_edges, hamming_words, word_digit
 from .errors import ParameterOutOfRange
-from .search import search_automorphisms
+from .symmetry import is_asymmetric
 
 
 def _ceil_lg(n: int) -> int:
@@ -245,10 +240,6 @@ def power2_induced(words, n: int) -> Graph:
     return _induced_by_rule(words, lambda u, v: 1 <= hamming_words(u, v, n) <= 2)
 
 
-def _is_asymmetric_words(g: Graph) -> bool:
-    return search_automorphisms(g).order() == 1
-
-
 # ---------------------------------------------------------------------------
 # hypercubes and their even powers
 
@@ -267,7 +258,7 @@ def hypercube_det_set(n: int) -> tuple[int, ...]:
             if ((j - 1) // block) % 2 == 0:
                 w |= 1 << (n - j)
         out.append(w)
-    assert hypercube_set_is_determining(out, n)
+    assert HypercubeModel(n).pointwise_trivial(out)
     assert len(out) == hypercube_det_number(n)
     return tuple(sorted(out))
 
@@ -281,8 +272,8 @@ def hypercube_dist_class(n: int) -> tuple[int, ...]:
     path = [_prefix_ones(i, n) for i in range(n + 1)]
     pendant = path[2] | 1  # flips the last position of the third path vertex
     cls = path + [pendant]
-    assert hypercube_set_is_determining(cls, n)
-    assert _is_asymmetric_words(hypercube_induced(cls, n))
+    assert HypercubeModel(n).pointwise_trivial(cls)
+    assert is_asymmetric(hypercube_induced(cls, n))
     return tuple(sorted(cls))
 
 
@@ -334,7 +325,7 @@ def q2_class_is_asymmetric(n: int) -> bool:
     swap of the two middle path vertices, so T is not a valid class there.
     """
     _, T = _q2_sets(n)
-    return _is_asymmetric_words(power2_induced(T, n))
+    return is_asymmetric(power2_induced(T, n))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +346,7 @@ def fq_det_set(n: int) -> tuple[int, ...]:
         out = _fq_det_even(n)
     else:
         out = _fq_det_odd(n)
-    assert folded_set_is_determining(out, n), n
+    assert FoldedModel(n).pointwise_trivial(out), n
     assert len(out) == folded_det_number(n), n
     return tuple(sorted(out))
 
@@ -519,10 +510,10 @@ def fq_dist_class(n: int) -> tuple[int, ...]:
     else:
         data = fq_dist_structure(n)
         cls = list(data["vertices"])
-        if not _is_asymmetric_words(folded_induced(cls, n)):
+        if not is_asymmetric(folded_induced(cls, n)):
             cls = _fq_break_symmetry(cls, n)
-    assert folded_set_is_determining(cls, n), n
-    assert _is_asymmetric_words(folded_induced(cls, n)), n
+    assert FoldedModel(n).pointwise_trivial(cls), n
+    assert is_asymmetric(folded_induced(cls, n)), n
     return tuple(sorted(cls))
 
 
@@ -543,7 +534,7 @@ def _fq_break_symmetry(cls: list[int], n: int) -> list[int]:
         if deg != 1:
             continue
         trial = cls + [w]
-        if _is_asymmetric_words(folded_induced(trial, n)):
+        if is_asymmetric(folded_induced(trial, n)):
             return trial
     raise AssertionError(f"no single pendant restores asymmetry for n={n}")
 
@@ -578,14 +569,15 @@ def aq_det_witness(n: int) -> tuple[int, ...]:
         out = (0, y)
     else:
         out = (0, 1, 1 << (n - 1))
-    assert augmented_set_is_determining(out, n), n
+    assert AugmentedModel(n).pointwise_trivial(out), n
     return tuple(sorted(out))
 
 
 def aq_no_2subset_is_determining(n: int) -> bool:
     """Exhaustively confirms that no 2-subset of AQ_n (n in {4, 5}) is
     determining (via translation to the zero vertex)."""
-    return not any(augmented_set_is_determining((0, v), n) for v in range(1, 1 << n))
+    model = AugmentedModel(n)
+    return not any(model.pointwise_trivial((0, v)) for v in range(1, 1 << n))
 
 
 def aq_cost_class(n: int) -> tuple[int, ...]:
@@ -593,24 +585,8 @@ def aq_cost_class(n: int) -> tuple[int, ...]:
     if n < 4:
         raise ParameterOutOfRange("aq_cost_class needs n >= 4")
     cls = (0, (1 << (n - 1)) | 1, (1 << (n - 1)) - 2)
-    assert augmented_setwise_is_trivial(cls, n), n
+    assert len(AugmentedModel(n).setwise_stabilizer(cls)) == 1, n
     return cls
-
-
-def augmented_setwise_is_trivial(words, n: int) -> bool:
-    """Exact setwise-stabilizer triviality in the augmented-cube group."""
-    S = frozenset(words)
-    s0 = min(S)
-    for t in S:
-        for idx in range(1, 9):
-            phi = AugmentedAff(n, 0, idx)
-            c = t ^ phi.apply(s0)
-            if c == 0 and idx == 1:
-                continue
-            sigma = AugmentedAff(n, c, idx)
-            if all(sigma.apply(s) in S for s in S):
-                return False
-    return True
 
 
 def aq_no_2subset_cost_class(g: Graph) -> bool:

@@ -16,7 +16,7 @@ from .bitgraph import (
     POWER,
     Graph,
 )
-from .errors import NoStructuredForm, NotTwoDistinguishable
+from .errors import NoStructuredForm, NotTwoDistinguishable, SearchBudgetExceeded
 from .search import search_automorphisms
 from .symmetry import (
     COST_CLASS,
@@ -35,14 +35,12 @@ from .symmetry import (
 PARAMETERS = ("det", "dist", "cost", "aut-order", "transitivity")
 
 
-def automorphism_group(g: Graph, prefer: str = "structured") -> PermGroup:
+def automorphism_group(g: Graph) -> PermGroup:
     """Structured group when the family has one, search otherwise."""
-    if prefer == "structured":
-        try:
-            return structured_group(g)
-        except NoStructuredForm:
-            pass
-    return search_automorphisms(g)
+    try:
+        return structured_group(g)
+    except NoStructuredForm:
+        return search_automorphisms(g)
 
 
 def dist_class_candidates(g: Graph) -> list[tuple[int, ...]]:
@@ -114,8 +112,17 @@ def compute_parameter(g: Graph, parameter: str, grp: PermGroup | None = None) ->
     return report
 
 
+def _is_vertex_set(payload, nv: int) -> bool:
+    return (all(type(v) is int and 0 <= v < nv for v in payload)
+            and len(set(payload)) == len(payload))
+
+
 def verify_witness(g: Graph, record: dict, grp: PermGroup | None = None) -> bool:
-    """Re-check an emitted witness record against the graph's group."""
+    """Re-check an emitted witness record against the graph's group.
+
+    Set payloads must be distinct vertices of the graph, and a coloring must
+    give every vertex a color in 1..d.
+    """
     if grp is None:
         grp = automorphism_group(g)
     witness = record.get("witness")
@@ -124,24 +131,28 @@ def verify_witness(g: Graph, record: dict, grp: PermGroup | None = None) -> bool
     kind = witness["kind"]
     payload = witness["payload"]
     value = record["value"]
+    nv = g.n_vertices
     if kind == "determining_set":
-        return len(payload) == value and is_determining_set(grp, payload)
+        return (len(payload) == value and _is_vertex_set(payload, nv)
+                and is_determining_set(grp, payload))
     if kind == DIST_COLORING:
-        coloring = Coloring(tuple(payload), max(payload))
+        if len(payload) != nv or not all(type(c) is int and c >= 1 for c in payload):
+            return False
+        coloring = Coloring(tuple(payload), max(payload, default=1))
         if coloring.used_colors() != value:
             return False
         try:
             return is_distinguishing(grp, coloring)
-        except Exception:
+        except SearchBudgetExceeded:
             classes = coloring.classes()
             return any(two_class_is_distinguishing(g, grp, c) for c in classes)
     if kind == COST_CLASS:
-        if len(payload) != value:
+        if len(payload) != value or not _is_vertex_set(payload, nv):
             return False
-        coloring = two_coloring(g.n_vertices, payload)
+        coloring = two_coloring(nv, payload)
         try:
             return is_distinguishing(grp, coloring)
-        except Exception:
+        except SearchBudgetExceeded:
             return two_class_is_distinguishing(g, grp, payload)
     return False
 

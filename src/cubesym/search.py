@@ -120,7 +120,7 @@ def search_automorphisms(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
     if n > vertex_cap:
         raise SearchBudgetExceeded(f"{n} vertices above the search cap {vertex_cap}")
     if n == 0:
-        return PermGroup(0, [], None, 1, "searched", g, [()])
+        return PermGroup(0, [], 1, "searched", g, _elements=[()])
     rows = g.rows
 
     gens: list[tuple[int, ...]] = []
@@ -205,4 +205,4 @@ def search_automorphisms(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
         order *= len(orbit)
 
     uniq = sorted(set(gens))
-    return PermGroup(n, [ExplicitPerm(p) for p in uniq], None, order, "searched", g)
+    return PermGroup(n, [ExplicitPerm(p) for p in uniq], order, "searched", g)

@@ -147,7 +147,7 @@ def _is_det_via_masks(masks: list[int], subset_mask: int) -> bool:
 
 def _det_test(grp: PermGroup):
     """Returns a fast subset -> bool determining test for this group."""
-    if grp.structure is not None:
+    if grp.model is not None:
         return lambda s: pointwise_stabilizer_is_trivial(grp, s)
     masks = _maximal_fixed_masks(grp)
 
@@ -231,7 +231,7 @@ def determining_lower_bound_exhaustive(g: Graph, grp: PermGroup, below: int) -> 
 # distinguishing colorings
 
 
-def _preserving_count(grp: PermGroup, coloring: Coloring, cap=None) -> int:
+def _preserving_count(grp: PermGroup, coloring: Coloring) -> int:
     arr = _elements_array(grp)
     colors = np.array(coloring.assignment, dtype=np.int32)
     keep = (colors[arr] == colors[None, :]).all(axis=1)
@@ -267,9 +267,9 @@ def two_class_is_distinguishing(g: Graph, grp: PermGroup, cls) -> bool:
 
 
 def _setwise_trivial(grp: PermGroup, cls) -> bool:
-    """Exact setwise-stabilizer triviality for enumerable or augmented/ltq groups."""
-    st = grp.structure
-    if st is not None and st[0] in ("augmented", "ltq"):
+    """Exact setwise-stabilizer triviality, by the group model's setwise
+    search where it has one (AQ_n, LTQ_n), else on the element table."""
+    if hasattr(grp.model, "setwise_stabilizer"):
         return setwise_stabilizer(grp, cls).order() == 1
     arr = _elements_array(grp)
     member = np.zeros(grp.n_vertices, dtype=bool)

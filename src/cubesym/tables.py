@@ -11,13 +11,8 @@ from __future__ import annotations
 from . import constructions as cons
 from .bitgraph import FamilySpec, build_family
 from .errors import CubeSymError, SearchBudgetExceeded
-from .params import automorphism_group, dist_class_candidates
-from .symmetry import (
-    cost_2dist,
-    determining_number,
-    distinguishing_number,
-    transitivity_report,
-)
+from .params import automorphism_group, compute_parameter
+from .symmetry import distinguishing_number, transitivity_report
 
 TRANSITIVITY_FAMILIES = (
     ("hypercube", lambda n: FamilySpec("hypercube", n)),
@@ -69,21 +64,28 @@ def enhanced_dist_table(n_max: int, n_min: int = 2,
     return {"n_min": n_min, "n_max": n_max, "cells": cells}
 
 
+def _searched(spec: FamilySpec, parameters) -> dict:
+    """Cells computed by the `param` solvers on the family's group."""
+    g = build_family(spec)
+    grp = automorphism_group(g)
+    cells = {}
+    for parameter in parameters:
+        cells[parameter] = compute_parameter(g, parameter, grp)["value"]
+        cells[f"{parameter}_method"] = "searched"
+    return cells
+
+
 def _hypercube_row(n: int) -> dict:
     det = cons.hypercube_det_number(n)
     row = {"det": det, "det_method": "formula+witness" if n >= 2 else "formula"}
     if n >= 2:
         cons.hypercube_det_set(n)  # verifies while constructing
-    if n <= 1:
-        row.update(dist=2 if n == 1 else 1, dist_method="searched")
-    elif n <= 3:
-        row.update(dist=3, dist_method="searched")
+    if n <= 4:
+        row.update(_searched(FamilySpec("hypercube", n),
+                             ("dist", "cost") if n == 4 else ("dist",)))
     else:
-        row.update(dist=2, dist_method="witness" if n >= 5 else "searched")
-    if n == 4:
-        row.update(cost=5, cost_method="searched")
-    elif n >= 5:
-        row.update(cost=[1 + cons._ceil_lg(n), 2 + cons._ceil_lg(n)], cost_method="range")
+        row.update(dist=2, dist_method="witness",
+                   cost=[1 + cons._ceil_lg(n), 2 + cons._ceil_lg(n)], cost_method="range")
     return row
 
 
@@ -100,24 +102,16 @@ def summary_table(n: int) -> dict:
             frow.update(dist=2, dist_method="witness",
                         cost=[fdet, len(cls)], cost_method="range")
         else:
-            frow.update(dist={2: 4, 3: 5}[n], dist_method="searched")
+            frow.update(_searched(FamilySpec("folded", n), ("dist",)))
         rows["folded"] = frow
-    if n >= 2:
-        arow = {}
-        if n >= 6:
-            arow.update(det=2, det_method="witness")
-            cons.aq_det_witness(n)
-        elif n >= 4:
-            arow.update(det=3, det_method="witness")
-            cons.aq_det_witness(n)
-        else:
-            arow.update(det={2: 3, 3: 4}[n], det_method="searched")
-        if n >= 4:
-            cons.aq_cost_class(n)
-            arow.update(dist=2, dist_method="witness", cost=3, cost_method="witness")
-        else:
-            arow.update(dist={2: 4, 3: 3}[n], dist_method="searched")
-        rows["augmented"] = arow
+    if n >= 4:
+        cons.aq_det_witness(n)
+        cons.aq_cost_class(n)
+        rows["augmented"] = {"det": 2 if n >= 6 else 3, "det_method": "witness",
+                             "dist": 2, "dist_method": "witness",
+                             "cost": 3, "cost_method": "witness"}
+    elif n >= 2:
+        rows["augmented"] = _searched(FamilySpec("augmented", n), ("det", "dist"))
     if n >= 3:
         if n >= 4:
             cons.ltq_witnesses(n)
@@ -125,9 +119,8 @@ def summary_table(n: int) -> dict:
                                        "dist": 2, "dist_method": "witness",
                                        "cost": 1, "cost_method": "witness"}
         else:
-            rows["locally-twisted"] = {"det": 2, "det_method": "searched",
-                                       "dist": 2, "dist_method": "searched",
-                                       "cost": 3, "cost_method": "searched"}
+            rows["locally-twisted"] = _searched(FamilySpec("locally_twisted", n),
+                                                ("det", "dist", "cost"))
     if n >= 4:
         s, t = cons.q2_witnesses(n)
         row = {"det": ["<=", len(s)], "det_method": "witness"}
@@ -135,15 +128,8 @@ def summary_table(n: int) -> dict:
             row.update(dist=2, dist_method="witness",
                        cost=["<=", len(t)], cost_method="witness")
         if n <= 6:
-            g = build_family(FamilySpec("power", n, k=2))
-            grp = automorphism_group(g)
-            det, _ = determining_number(g, grp)
-            row.update(det=det, det_method="searched")
-            if "dist" not in row:
-                dist, _ = distinguishing_number(g, grp)
-                cost, _ = cost_2dist(g, grp, dist_value=dist, lower_bound=det)
-                row.update(dist=dist, dist_method="searched",
-                           cost=cost, cost_method="searched")
+            row.update(_searched(FamilySpec("power", n, k=2),
+                                 ("det",) if "dist" in row else ("det", "dist", "cost")))
         rows["hypercube-square"] = row
     if n >= 2:
         for k in range(1, n):

@@ -32,7 +32,7 @@ from itertools import combinations
 import pytest
 
 from cubesym import constructions as cons
-from cubesym.autgroup import folded_set_is_determining, structured_group
+from cubesym.autgroup import FoldedModel, structured_group
 from cubesym.bitgraph import (
     FamilySpec,
     augmented_hypercube,
@@ -65,6 +65,7 @@ from cubesym.symmetry import (
     determining_lower_bound_exhaustive,
     determining_number,
     distinguishing_number,
+    is_asymmetric,
     is_determining_set,
     transitivity_report,
     two_class_is_distinguishing,
@@ -245,9 +246,9 @@ def test_criterion_5_folded_dist_classes():
     bad = []
     for n in range(4, 13):
         cls = cons.fq_dist_class(n)
-        if not folded_set_is_determining(cls, n):
+        if not FoldedModel(n).pointwise_trivial(cls):
             bad.append((n, "not determining"))
-        if not cons._is_asymmetric_words(cons.folded_induced(cls, n)):
+        if not is_asymmetric(cons.folded_induced(cls, n)):
             bad.append((n, "induced subgraph not asymmetric"))
         if n >= 5 and len(cls) > cons.fq_dist_class_size_bound(n):
             bad.append((n, f"size {len(cls)} > bound {cons.fq_dist_class_size_bound(n)}"))

@@ -11,17 +11,17 @@ from cubesym.autgroup import (
     AugmentedAff,
     ExplicitPerm,
     FoldedAff,
+    FoldedModel,
     HypercubeAff,
+    HypercubeModel,
     LtqTranslation,
     aq_base,
     automorphism_from_json,
     automorphism_to_json,
     compose,
-    folded_set_is_determining,
     fq_phi_extend,
     group_from_json,
     group_to_json,
-    hypercube_set_is_determining,
     identity_aut,
     inverse,
     is_automorphism,
@@ -77,6 +77,9 @@ STRUCTURED_ORDERS = [
     ("AQ_5", lambda: augmented_hypercube(5), 256),
     ("LTQ_4", lambda: locally_twisted_hypercube(4), 8),
     ("LTQ_5", lambda: locally_twisted_hypercube(5), 16),
+    ("Q_{4,2}", lambda: enhanced_hypercube(4, 2), 2304),
+    ("Q_{5,2}", lambda: enhanced_hypercube(5, 2), 3840),
+    ("Q_{5,3}", lambda: enhanced_hypercube(5, 3), 9216),
 ]
 
 
@@ -271,7 +274,7 @@ def test_pointwise_subset_of_setwise(corpus_groups):
 
 def test_stabilizer_matches_filtering(corpus_groups):
     # structural solving agrees with direct element filtering
-    for name in ("Q_4", "FQ_4", "AQ_4", "LTQ_4"):
+    for name in ("Q_4", "FQ_4", "AQ_4", "LTQ_4", "Q_{4,2}", "Q_{4,3}"):
         grp = corpus_groups[name]
         elems = grp.elements()
         for S in ([0], [0, 3], [1, 2, 5]):
@@ -285,11 +288,11 @@ def test_stabilizer_matches_filtering(corpus_groups):
 
 
 def test_determining_predicates():
-    assert hypercube_set_is_determining([0b000, 0b110, 0b101], 3)
-    assert not hypercube_set_is_determining([0b0000], 4)
-    assert folded_set_is_determining([int(s, 2) for s in
-                                      ("0000", "1000", "1100", "1110", "1111")], 4)
-    assert not folded_set_is_determining([0, 0b1111], 4)
+    assert HypercubeModel(3).pointwise_trivial([0b000, 0b110, 0b101])
+    assert not HypercubeModel(4).pointwise_trivial([0b0000])
+    assert FoldedModel(4).pointwise_trivial([int(s, 2) for s in
+                                             ("0000", "1000", "1100", "1110", "1111")])
+    assert not FoldedModel(4).pointwise_trivial([0, 0b1111])
 
 
 def test_json_roundtrip():

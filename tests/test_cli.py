@@ -197,3 +197,32 @@ def test_determinism_across_invocations(capsys, tmp_path, monkeypatch):
         rep.pop("elapsed_ms")
         outs.append(json.dumps(rep, sort_keys=True))
     assert outs[0] == outs[1]
+
+
+def _verify_code(capsys, tmp_path, record) -> int:
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(record))
+    code, out = run(capsys, "verify", str(path))
+    assert json.loads(out)["verified"] is (code == 0)
+    return code
+
+
+@pytest.mark.parametrize("payload", [
+    [0, 1, 2, 5, 11, 99],  # 99 is no vertex of Q_5
+    [0, 1, 2, 5, 11, 11],  # a repeated vertex
+])
+def test_verify_rejects_malformed_cost_class(capsys, tmp_path, payload):
+    record = {"parameter": "cost", "value": 6, "params": {"kind": "hypercube", "n": 5},
+              "witness": {"kind": "cost_class", "payload": payload,
+                          "verified_by": "structured"}}
+    assert _verify_code(capsys, tmp_path, record) == 3
+
+
+def test_verify_rejects_partial_coloring(capsys, tmp_path):
+    code, out = run(capsys, "param", "dist", "hypercube", "-n", "5", "--witness",
+                    "--no-cache", "--cache-dir", str(tmp_path / "cache"))
+    assert code == 0
+    record = json.loads(out)
+    assert _verify_code(capsys, tmp_path, record) == 0
+    record["witness"]["payload"] = record["witness"]["payload"][:31]
+    assert _verify_code(capsys, tmp_path, record) == 3

@@ -5,11 +5,7 @@ from itertools import combinations
 import pytest
 
 from cubesym import constructions as cons
-from cubesym.autgroup import (
-    augmented_set_is_determining,
-    folded_set_is_determining,
-    structured_group,
-)
+from cubesym.autgroup import AugmentedModel, FoldedModel, HypercubeModel, structured_group
 from cubesym.bitgraph import (
     augmented_hypercube,
     folded_hypercube,
@@ -22,6 +18,7 @@ from cubesym.errors import ParameterOutOfRange
 from cubesym.params import automorphism_group
 from cubesym.symmetry import (
     _setwise_trivial,
+    is_asymmetric,
     is_determining_set,
 )
 
@@ -236,13 +233,11 @@ def test_fq_necessary_conditions():
     # zero-containing translate, and covers every position with a one
     for n in (4, 6, 9, 12):
         words = cons.fq_det_set(n)
-        from cubesym.autgroup import hypercube_set_is_determining
-
-        assert hypercube_set_is_determining(words, n)
+        assert HypercubeModel(n).pointwise_trivial(words)
         a = min(words)
         moved = [a ^ w for w in words]
         assert 0 in moved
-        assert folded_set_is_determining(moved, n)
+        assert FoldedModel(n).pointwise_trivial(moved)
         union = 0
         for w in moved:
             union |= w
@@ -265,13 +260,13 @@ def test_fq_published_small_panels_are_not_asymmetric():
     # substitutes lex-least verified classes at those two sizes
     panel4 = [int(s, 2) for s in ("1111", "0000", "1000", "1010", "0010",
                                   "0110", "1100")]
-    assert folded_set_is_determining(panel4, 4)
-    assert not cons._is_asymmetric_words(cons.folded_induced(panel4, 4))
+    assert FoldedModel(4).pointwise_trivial(panel4)
+    assert not is_asymmetric(cons.folded_induced(panel4, 4))
     g4 = structured_group(folded_hypercube(4))
     assert not _setwise_trivial(g4, panel4)
     panel5 = [int(s, 2) for s in ("10101", "10001", "11001", "11101", "11111",
                                   "11110", "00000", "01000")]
-    assert not cons._is_asymmetric_words(cons.folded_induced(panel5, 5))
+    assert not is_asymmetric(cons.folded_induced(panel5, 5))
     g5 = structured_group(folded_hypercube(5))
     assert _setwise_trivial(g5, panel5)  # still a valid class, by luck
 
@@ -279,8 +274,8 @@ def test_fq_published_small_panels_are_not_asymmetric():
 def test_fq_dist_class_verified():
     for n in range(4, 13):
         cls = cons.fq_dist_class(n)
-        assert folded_set_is_determining(cls, n)
-        assert cons._is_asymmetric_words(cons.folded_induced(cls, n))
+        assert FoldedModel(n).pointwise_trivial(cls)
+        assert is_asymmetric(cons.folded_induced(cls, n))
 
 
 def test_fq_dist_class_path_properties():
@@ -318,7 +313,7 @@ def test_aq_det_witness():
     assert cons.aq_no_2subset_is_determining(5)
     assert not cons.aq_no_2subset_is_determining(6)
     for n in (4, 5, 6, 7):
-        assert augmented_set_is_determining(cons.aq_det_witness(n), n)
+        assert AugmentedModel(n).pointwise_trivial(cons.aq_det_witness(n))
     assert cons.aq_det_witness(1) == (0,)
     assert cons.aq_det_witness(2) == (0, 1, 2)
     assert len(cons.aq_det_witness(3)) == 4

@@ -1,0 +1,73 @@
+"""Golden CLI outputs: refactors must keep every output byte-identical,
+ignoring `elapsed_ms` at any depth.
+
+The cases cover each structured group model (Q_n and an odd power, FQ_n,
+AQ_n, LTQ_n, the enhanced product) and the searched path (even power,
+Hamming graph).  To rewrite the stored files from the current program, run
+`PYTHONPATH=src python tests/test_golden_cli.py`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from cubesym.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden" / "cli"
+
+CASES = {
+    "export-hypercube-n-4": ["export", "hypercube", "-n", "4"],
+    "export-folded-n-4": ["export", "folded", "-n", "4"],
+    "export-augmented-n-5": ["export", "augmented", "-n", "5"],
+    "export-locally-twisted-n-5": ["export", "locally-twisted", "-n", "5"],
+    "det-enhanced-n-5-k-2": ["param", "det", "enhanced", "-n", "5", "-k", "2", "--witness"],
+    "cost-enhanced-n-5-k-2": ["param", "cost", "enhanced", "-n", "5", "-k", "2", "--witness"],
+    "det-power-n-5-k-3": ["param", "det", "power", "-n", "5", "-k", "3", "--witness"],
+    "dist-power-n-4-k-2": ["param", "dist", "power", "-n", "4", "-k", "2", "--witness"],
+    "dist-hamming-n-2-m-3": ["param", "dist", "hamming", "-n", "2", "-m", "3", "--witness"],
+    "summary-n-4": ["tables", "summary", "--n", "4"],
+    "summary-n-5": ["tables", "summary", "--n", "5"],
+    "transitivity-n-3": ["tables", "transitivity", "--n", "3"],
+    "construct-aq-cost-class-n-5": ["construct", "aq-cost-class", "-n", "5"],
+}
+
+
+def _drop_elapsed(obj):
+    if isinstance(obj, dict):
+        return {k: _drop_elapsed(v) for k, v in obj.items() if k != "elapsed_ms"}
+    if isinstance(obj, list):
+        return [_drop_elapsed(v) for v in obj]
+    return obj
+
+
+def run_case(argv: list[str]) -> dict:
+    """Exit code and parsed stdout of one uncached CLI call."""
+    argv = argv + ["--no-cache"] if argv[0] == "param" else argv
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return {"argv": argv, "exit": code, "output": _drop_elapsed(json.loads(buf.getvalue()))}
+
+
+def _canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    stored = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    assert _canonical(run_case(CASES[name])) == _canonical(stored)
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    for name, argv in sorted(CASES.items()):
+        (GOLDEN_DIR / f"{name}.json").write_text(_canonical(run_case(argv)) + "\n")
+        print(name, file=sys.stderr)
