@@ -542,14 +542,111 @@ def _transposition(n: int, i: int, j: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# determining-set tests
+#
+# A determining test decides whether only the identity fixes a vertex set,
+# one vertex at a time, so that a search can extend a set without starting
+# over.  It answers `det_start()`, the state of the empty set;
+# `det_add(state, v)`, the state with vertex v added; `det_need(state)`, a
+# lower bound on the vertices still to add before the set can be
+# determining; and `det_done(state)`, whether the set is determining.  A
+# vertex added twice leaves the answers unchanged.
+
+
+class _DeterminingFold:
+    """`pointwise_trivial(words)` as the fold of the words through the
+    determining test, so that a search and a one-off check share it."""
+
+    def det_start(self):
+        return None
+
+    def det_need(self, state) -> int:
+        return 0
+
+    def fold(self, words):
+        state = self.det_start()
+        for w in words:
+            state = self.det_add(state, w)
+        return state
+
+    def pointwise_trivial(self, words) -> bool:
+        return self.det_done(self.fold(words))
+
+
+def elements_array(grp: PermGroup):
+    """The element table as a |G| x V numpy array, kept on the group."""
+    import numpy as np
+
+    arr = getattr(grp, "_np_elements", None)
+    if arr is None:
+        arr = np.array(grp.elements(), dtype=np.int32)
+        grp._np_elements = arr
+    return arr
+
+
+def _maximal_fixed_masks(grp: PermGroup) -> list[int]:
+    """Fixed-point bitmasks of the non-identity elements, maximal ones only.
+
+    A subset is determining iff it is contained in none of these masks.
+    """
+    import numpy as np
+
+    cached = getattr(grp, "_max_fixed_masks", None)
+    if cached is not None:
+        return cached
+    arr = elements_array(grp)
+    nv = grp.n_vertices
+    fixed = arr == np.arange(nv, dtype=np.int32)[None, :]
+    ident = fixed.all(axis=1)
+    masks = set()
+    weights = np.uint64(1) << np.arange(nv, dtype=np.uint64) if nv <= 64 else None
+    for row in fixed[~ident]:
+        if weights is not None:
+            m = int((weights[row.nonzero()[0]]).sum())
+        else:
+            m = 0
+            for v in row.nonzero()[0]:
+                m |= 1 << int(v)
+        masks.add(m)
+    maximal = []
+    for m in sorted(masks, key=lambda x: -bin(x).count("1")):
+        if not any(m & ~big == 0 for big in maximal):
+            maximal.append(m)
+    grp._max_fixed_masks = maximal
+    return maximal
+
+
+class _FixedMaskTest(_DeterminingFold):
+    """Determining test of a group without a model, on its element table:
+    the state is the maximal fixed-point masks that still contain the set."""
+
+    def __init__(self, grp: PermGroup):
+        self.grp = grp
+
+    def det_start(self) -> tuple[int, ...]:
+        return tuple(_maximal_fixed_masks(self.grp))
+
+    def det_add(self, masks, v: int) -> tuple[int, ...]:
+        return tuple(m for m in masks if m >> v & 1)
+
+    def det_done(self, masks) -> bool:
+        return not masks
+
+
+def determining_test(grp: PermGroup):
+    """The group's determining test: its model, or the fixed-mask test."""
+    return grp.model if grp.model is not None else _FixedMaskTest(grp)
+
+
+# ---------------------------------------------------------------------------
 # group models
 #
 # One closed form per structured group.  A model answers `order()`,
 # `generators()`, `enumerate(cap)` (image tuples; `PermGroup.elements` has
-# checked the order against `cap`), `pointwise_trivial(words)` and
-# `pointwise_stabilizer(S)` for a sorted nonempty vertex list S.  The AQ_n
-# and LTQ_n models also answer `setwise_stabilizer(S)`, the list of the
-# elements that map S onto itself.
+# checked the order against `cap`), `pointwise_stabilizer(S)` for a sorted
+# nonempty vertex list S, and the determining test above, which gives it
+# `pointwise_trivial(words)`.  The AQ_n and LTQ_n models also answer
+# `setwise_stabilizer(S)`, the list of the elements that map S onto itself.
 
 
 def _conjugate(phi, a: int):
@@ -617,7 +714,27 @@ def _column_classes(cols) -> dict[tuple, list[int]]:
     return classes
 
 
-class HypercubeModel(_TranslationModel):
+class _ColumnRefinement(_DeterminingFold):
+    """Determining state of the cube models: the first word a, the words
+    translated by a, and the classes of positions whose translated columns
+    agree, as bitmasks over the word's bits with singletons dropped.  The
+    classes do not depend on which word is the anchor.  A word splits each
+    class in at most two, so a class of c positions needs ceil(lg c) more."""
+
+    def det_add(self, state, w):
+        if state is None:
+            full = (1 << self.columns) - 1
+            return w, (0,), (full,) if self.columns > 1 else ()
+        a, words, classes = state
+        t = a ^ w
+        return a, words + (t,), tuple(part for m in classes for part in (m & t, m & ~t)
+                                      if part & (part - 1))
+
+    def det_need(self, state) -> int:
+        return max(((m.bit_count() - 1).bit_length() for m in state[2]), default=0)
+
+
+class HypercubeModel(_ColumnRefinement, _TranslationModel):
     """Aut(Q_n) = Z_2^n x S_n, also the group of Q_n^k for odd k <= n-2."""
 
     def n_zero_fixing(self) -> int:
@@ -626,18 +743,19 @@ class HypercubeModel(_TranslationModel):
     def zero_fixing(self):
         return (HypercubeAff(self.n, 0, pi) for pi in permutations(range(self.n)))
 
+    @property
+    def columns(self) -> int:
+        return self.n
+
     def generators(self) -> list[Automorphism]:
         n = self.n
         gens = [HypercubeAff(n, 1 << b, tuple(range(n))) for b in range(n)]
         gens += [HypercubeAff(n, 0, _transposition(n, i, i + 1)) for i in range(n - 1)]
         return gens
 
-    def pointwise_trivial(self, words) -> bool:
+    def det_done(self, state) -> bool:
         """A fixing bit permutation exists iff two position columns agree."""
-        S = sorted(set(words))
-        if not S:
-            return self.n == 0
-        return len(set(_translated_columns(S, self.n))) == self.n
+        return state is not None and not state[2]
 
     def pointwise_stabilizer(self, S) -> PermGroup:
         n, a = self.n, S[0]
@@ -669,7 +787,7 @@ def _folded_shifts(classes: dict[tuple, list[int]]) -> list[tuple]:
                    for c, idx in classes.items())]
 
 
-class FoldedModel(_TranslationModel):
+class FoldedModel(_ColumnRefinement, _TranslationModel):
     """Aut(FQ_n) = Z_2^n x S_{n+1} (n >= 4), permuting the n positions and
     the all-ones word as n+1 symbols."""
 
@@ -679,20 +797,35 @@ class FoldedModel(_TranslationModel):
     def zero_fixing(self):
         return (FoldedAff(self.n, 0, pi) for pi in permutations(range(self.n + 1)))
 
+    @property
+    def columns(self) -> int:
+        return self.n + 1  # bit n, the all-ones symbol's column, stays 0
+
     def generators(self) -> list[Automorphism]:
         n = self.n
         gens = [FoldedAff(n, 1 << b, tuple(range(n + 1))) for b in range(n)]
         gens += [FoldedAff(n, 0, _transposition(n + 1, i, i + 1)) for i in range(n)]
         return gens
 
-    def pointwise_trivial(self, words) -> bool:
+    def det_need(self, state) -> int:
+        """The class bound r, plus one when every completion by r words keeps
+        a shift.  With r more words each class of c columns gets c distinct
+        r-bit tails.  A class of 2^r columns then takes every tail, which any
+        tail shift e preserves; a class of 2 or 2^r - 2 columns is preserved
+        by one nonzero e.  So if no column is alone yet and all classes but
+        at most one such class have 2^r columns, the shift (0, e) survives."""
+        r = super().det_need(state)
+        sizes = [m.bit_count() for m in state[2]]
+        partial = [c for c in sizes if c != 1 << r]
+        keeps_shift = (r > 0 and sum(sizes) == self.columns
+                       and (not partial or partial == [2] or partial == [(1 << r) - 2]))
+        return r + keeps_shift
+
+    def det_done(self, state) -> bool:
         """A fixing symbol permutation exists iff two extended columns agree
         or some nonzero column value shifts the column values onto themselves."""
-        S = sorted(set(words))
-        if not S:
-            return False
-        classes = _folded_classes(S, self.n)
-        return len(classes) == self.n + 1 and len(_folded_shifts(classes)) == 1
+        return (state is not None and not state[2]
+                and len(_folded_shifts(_folded_classes(state[1], self.n))) == 1)
 
     def pointwise_stabilizer(self, S) -> PermGroup:
         n, a = self.n, S[0]
@@ -716,7 +849,7 @@ class FoldedModel(_TranslationModel):
         return PermGroup(1 << n, gens, order, "structured")
 
 
-class AugmentedModel(_SetwiseSearch, _TranslationModel):
+class AugmentedModel(_DeterminingFold, _SetwiseSearch, _TranslationModel):
     """Aut(AQ_n) (n >= 4): translations after the eight base maps."""
 
     def n_zero_fixing(self) -> int:
@@ -731,18 +864,20 @@ class AugmentedModel(_SetwiseSearch, _TranslationModel):
         gens += [AugmentedAff(n, 0, idx) for idx in (2, 3, 5)]
         return gens
 
-    def _fixing(self, S) -> list[AugmentedAff]:
-        """Base maps fixing every word of S translated by S[0]; the identity first."""
-        moved = [S[0] ^ s for s in S]
-        return [phi for phi in self.zero_fixing() if all(phi.apply(w) == w for w in moved)]
+    def det_add(self, state, w):
+        """The first word a, and the base maps fixing every word translated
+        by a, the identity first."""
+        if state is None:
+            return w, tuple(self.zero_fixing())
+        a, maps = state
+        t = a ^ w
+        return a, tuple(phi for phi in maps if phi.apply(t) == t)
 
-    def pointwise_trivial(self, words) -> bool:
-        S = sorted(set(words))
-        return bool(S) and len(self._fixing(S)) == 1
+    def det_done(self, state) -> bool:
+        return state is not None and len(state[1]) == 1
 
     def pointwise_stabilizer(self, S) -> PermGroup:
-        a = S[0]
-        keep = self._fixing(S)
+        a, keep = self.fold(S)
         gens = []
         for phi in keep[1:]:
             sigma = _conjugate(phi, a)  # the base maps are not all linear
@@ -752,7 +887,7 @@ class AugmentedModel(_SetwiseSearch, _TranslationModel):
         return PermGroup(1 << self.n, gens, len(keep), "structured")
 
 
-class LtqModel(_SetwiseSearch, _TranslationModel):
+class LtqModel(_DeterminingFold, _SetwiseSearch, _TranslationModel):
     """Aut(LTQ_n) (n >= 4): the 2^(n-1) translations of the first n-1 bits."""
 
     def translations(self) -> range:
@@ -770,19 +905,24 @@ class LtqModel(_SetwiseSearch, _TranslationModel):
     def generators(self) -> list[Automorphism]:
         return [LtqTranslation(self.n, 1 << b) for b in range(self.n - 1)]
 
-    def pointwise_trivial(self, words) -> bool:
-        return True  # only the zero translation fixes any vertex
+    def det_add(self, state, w) -> bool:
+        return True
+
+    def det_done(self, state) -> bool:
+        return bool(state)  # only the zero translation fixes any vertex
 
     def pointwise_stabilizer(self, S) -> PermGroup:
         return trivial_group(1 << self.n)
 
 
-class ProductModel:
+class ProductModel(_DeterminingFold):
     """Aut(A) x Aut(B) acting blockwise on a Cartesian product, vertex v
-    being (v // |B|, v % |B|); the enhanced cube is Q_{k-1} x FQ_{n-k+1}."""
+    being (v // |B|, v % |B|); the enhanced cube is Q_{k-1} x FQ_{n-k+1}.
+    Its determining state is the pair of factor states."""
 
     def __init__(self, ga: PermGroup, gb: PermGroup):
         self.ga, self.gb = ga, gb
+        self.ta, self.tb = determining_test(ga), determining_test(gb)
 
     def order(self) -> int:
         return self.ga.order() * self.gb.order()
@@ -803,10 +943,18 @@ class ProductModel:
         nb = self.gb.n_vertices
         return {v // nb for v in S}, {v % nb for v in S}
 
-    def pointwise_trivial(self, words) -> bool:
-        sa, sb = self._split(words)
-        return (pointwise_stabilizer_is_trivial(self.ga, sa)
-                and pointwise_stabilizer_is_trivial(self.gb, sb))
+    def det_start(self):
+        return self.ta.det_start(), self.tb.det_start()
+
+    def det_add(self, state, v: int):
+        nb = self.gb.n_vertices
+        return self.ta.det_add(state[0], v // nb), self.tb.det_add(state[1], v % nb)
+
+    def det_need(self, state) -> int:
+        return max(self.ta.det_need(state[0]), self.tb.det_need(state[1]))
+
+    def det_done(self, state) -> bool:
+        return self.ta.det_done(state[0]) and self.tb.det_done(state[1])
 
     def pointwise_stabilizer(self, S) -> PermGroup:
         sa, sb = self._split(S)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -55,6 +56,19 @@ class ResultCache:
         record["tool_version"] = __version__
         text = json.dumps(record, sort_keys=True, indent=2)
         if self.enabled:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            self._path(family, params, parameter).write_text(text, encoding="utf-8")
+            self._write(self._path(family, params, parameter), text)
         return text
+
+    def _write(self, path: Path, text: str):
+        """Write through a temporary file in the same directory and rename
+        it over `path`, so that a reader sees the old record or the new one,
+        never a partial one."""
+        self.directory.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise

@@ -14,13 +14,14 @@ import sys
 from . import __version__
 from .bitgraph import FamilySpec, build_family
 from .cache import ResultCache
-from .errors import CubeSymError, ParameterOutOfRange
+from .errors import CubeSymError, MalformedRecord, ParameterOutOfRange
 from .graphio import to_descriptor, to_edgelist, to_graph6
 from .params import (
     CONSTRUCTION_NAMES,
     PARAMETERS,
     automorphism_group,
     compute_parameter,
+    record_spec,
     run_construction,
     verify_witness,
 )
@@ -203,11 +204,11 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
-        record = json.load(fh)
-    params = record.get("params") or {}
-    spec = FamilySpec(params.get("kind", "hypercube"), params.get("n", 0),
-                      k=params.get("k"), m=params.get("m"))
-    g = build_family(spec)
+        try:
+            record = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecord(f"{args.file} is not JSON: {exc}") from exc
+    g = build_family(record_spec(record))
     if record.get("witness") is None:
         print(_dump({"verified": False, "detail": "record carries no witness"}))
         return 1
@@ -246,7 +247,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ParameterOutOfRange as exc:
+    except (ParameterOutOfRange, MalformedRecord) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CubeSymError as exc:

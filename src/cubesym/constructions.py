@@ -258,8 +258,11 @@ def hypercube_det_set(n: int) -> tuple[int, ...]:
             if ((j - 1) // block) % 2 == 0:
                 w |= 1 << (n - j)
         out.append(w)
-    assert HypercubeModel(n).pointwise_trivial(out)
-    assert len(out) == hypercube_det_number(n)
+    if not HypercubeModel(n).pointwise_trivial(out):
+        raise AssertionError(f"the Q_{n} determining set construction is not determining")
+    if len(out) != hypercube_det_number(n):
+        raise AssertionError(f"the Q_{n} determining set has {len(out)} vertices, "
+                             f"not det = {hypercube_det_number(n)}")
     return tuple(sorted(out))
 
 
@@ -346,8 +349,11 @@ def fq_det_set(n: int) -> tuple[int, ...]:
         out = _fq_det_even(n)
     else:
         out = _fq_det_odd(n)
-    assert FoldedModel(n).pointwise_trivial(out), n
-    assert len(out) == folded_det_number(n), n
+    if not FoldedModel(n).pointwise_trivial(out):
+        raise AssertionError(f"the FQ_{n} determining set construction is not determining")
+    if len(out) != folded_det_number(n):
+        raise AssertionError(f"the FQ_{n} determining set has {len(out)} vertices, "
+                             f"not det = {folded_det_number(n)}")
     return tuple(sorted(out))
 
 

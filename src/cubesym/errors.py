@@ -37,5 +37,9 @@ class SearchBudgetExceeded(CubeSymError):
     """A search exceeded its configured node or element budget."""
 
 
+class MalformedRecord(CubeSymError):
+    """A witness record lacks the shape that `param --witness` emits."""
+
+
 class NotTwoDistinguishable(CubeSymError):
     """Cost of 2-distinguishing requested for a graph with dist > 2."""

@@ -14,9 +14,15 @@ from .bitgraph import (
     HYPERCUBE,
     LOCALLY_TWISTED,
     POWER,
+    FamilySpec,
     Graph,
 )
-from .errors import NoStructuredForm, NotTwoDistinguishable, SearchBudgetExceeded
+from .errors import (
+    MalformedRecord,
+    NoStructuredForm,
+    NotTwoDistinguishable,
+    SearchBudgetExceeded,
+)
 from .search import search_automorphisms
 from .symmetry import (
     COST_CLASS,
@@ -112,6 +118,25 @@ def compute_parameter(g: Graph, parameter: str, grp: PermGroup | None = None) ->
     return report
 
 
+def _require(ok: bool, what: str):
+    if not ok:
+        raise MalformedRecord(f"malformed record: {what}")
+
+
+def record_spec(record) -> FamilySpec:
+    """The family of a witness record, after checking that `params` holds a
+    string `kind`, an integer `n` and integer or absent `k` and `m`."""
+    _require(isinstance(record, dict), "not a JSON object")
+    params = record.get("params")
+    _require(isinstance(params, dict), "no params object")
+    _require(isinstance(params.get("kind"), str), "params.kind is not a string")
+    _require(type(params.get("n")) is int, "params.n is not an integer")
+    for key in ("k", "m"):
+        _require(params.get(key) is None or type(params[key]) is int,
+                 f"params.{key} is not an integer")
+    return FamilySpec(params["kind"], params["n"], k=params.get("k"), m=params.get("m"))
+
+
 def _is_vertex_set(payload, nv: int) -> bool:
     return (all(type(v) is int and 0 <= v < nv for v in payload)
             and len(set(payload)) == len(payload))
@@ -121,13 +146,19 @@ def verify_witness(g: Graph, record: dict, grp: PermGroup | None = None) -> bool
     """Re-check an emitted witness record against the graph's group.
 
     Set payloads must be distinct vertices of the graph, and a coloring must
-    give every vertex a color in 1..d.
+    give every vertex a color in 1..d.  A record without an integer `value`,
+    or whose witness lacks a string `kind` and a list `payload`, raises
+    MalformedRecord.
     """
-    if grp is None:
-        grp = automorphism_group(g)
     witness = record.get("witness")
     if witness is None:
         return False
+    _require(type(record.get("value")) is int, "value is not an integer")
+    _require(isinstance(witness, dict) and isinstance(witness.get("kind"), str),
+             "witness.kind is not a string")
+    _require(isinstance(witness.get("payload"), list), "witness.payload is not a list")
+    if grp is None:
+        grp = automorphism_group(g)
     kind = witness["kind"]
     payload = witness["payload"]
     value = record["value"]

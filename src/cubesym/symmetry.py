@@ -10,6 +10,8 @@ import numpy as np
 
 from .autgroup import (
     PermGroup,
+    elements_array,
+    determining_test,
     pointwise_stabilizer,
     pointwise_stabilizer_is_trivial,
     setwise_stabilizer,
@@ -101,130 +103,86 @@ def is_determining_set(grp: PermGroup, subset) -> bool:
     return pointwise_stabilizer_is_trivial(grp, subset)
 
 
-def _elements_array(grp: PermGroup) -> np.ndarray:
-    arr = getattr(grp, "_np_elements", None)
-    if arr is None:
-        arr = np.array(grp.elements(), dtype=np.int32)
-        grp._np_elements = arr
-    return arr
-
-
-def _maximal_fixed_masks(grp: PermGroup) -> list[int]:
-    """Fixed-point bitmasks of the non-identity elements, maximal ones only.
-
-    A subset is determining iff it is contained in none of these masks.
-    Used for enumerated groups, where per-subset stabilizer filtering would
-    be too slow inside exhaustive scans.
-    """
-    cached = getattr(grp, "_max_fixed_masks", None)
-    if cached is not None:
-        return cached
-    arr = _elements_array(grp)
-    nv = grp.n_vertices
-    fixed = arr == np.arange(nv, dtype=np.int32)[None, :]
-    ident = fixed.all(axis=1)
-    masks = set()
-    weights = np.uint64(1) << np.arange(nv, dtype=np.uint64) if nv <= 64 else None
-    for row in fixed[~ident]:
-        if weights is not None:
-            m = int((weights[row.nonzero()[0]]).sum())
-        else:
-            m = 0
-            for v in row.nonzero()[0]:
-                m |= 1 << int(v)
-        masks.add(m)
-    maximal = []
-    for m in sorted(masks, key=lambda x: -bin(x).count("1")):
-        if not any(m & ~big == 0 for big in maximal):
-            maximal.append(m)
-    grp._max_fixed_masks = maximal
-    return maximal
-
-
-def _is_det_via_masks(masks: list[int], subset_mask: int) -> bool:
-    return all(subset_mask & ~m for m in masks)
-
-
-def _det_test(grp: PermGroup):
-    """Returns a fast subset -> bool determining test for this group."""
-    if grp.model is not None:
-        return lambda s: pointwise_stabilizer_is_trivial(grp, s)
-    masks = _maximal_fixed_masks(grp)
-
-    def test(s):
-        m = 0
-        for v in s:
-            m |= 1 << v
-        return _is_det_via_masks(masks, m)
-
-    return test
-
-
 def _stab0_orbit_reps(grp: PermGroup, v0: int) -> list[int]:
     stab = pointwise_stabilizer(grp, [v0])
     reps = [orb[0] for orb in stab.orbits()]
     return [r for r in reps if r != v0]
 
 
-def determining_number(g: Graph, grp: PermGroup,
-                       max_size: int | None = None) -> tuple[int, Witness]:
-    """Minimum determining set size with a lexicographically least witness.
+def _first_determining(test, state, chosen, pool, start: int, r: int):
+    """Lex-least extension of `chosen` (in `state`) by r vertices of
+    pool[start:] to a determining set, or None.
 
-    Minimality is established with orbit pruning (first vertex anchored to 0
-    when the group is verified vertex-transitive, second vertex restricted to
-    stabilizer-orbit representatives); the witness at the minimal size comes
-    from an unpruned lexicographic scan so ties resolve canonically.
-    """
-    nv = g.n_vertices
-    if grp.is_trivial():
-        return 0, Witness(DETERMINING, (), _verified_tag(grp))
-    test = _det_test(grp)
-    transitive = grp.is_vertex_transitive()
-    limit = max_size if max_size is not None else nv
-    for size in range(1, limit + 1):
-        if _exists_determining(nv, test, size, grp, transitive):
-            return size, Witness(DETERMINING, _lex_min_determining(nv, test, size, transitive),
-                                 _verified_tag(grp))
-    raise SearchBudgetExceeded(f"no determining set up to size {limit}")
+    Depth-first in lex order; a branch is cut as soon as the test's bound
+    says its state needs more vertices than the branch has left."""
+    if r == 0:
+        return chosen if test.det_done(state) else None
+    for i in range(start, len(pool) - r + 1):
+        nxt = test.det_add(state, pool[i])
+        if test.det_need(nxt) < r:
+            found = _first_determining(test, nxt, chosen + (pool[i],), pool, i + 1, r - 1)
+            if found is not None:
+                return found
+    return None
 
 
-def _exists_determining(nv, test, size, grp, transitive) -> bool:
-    if not transitive:
-        return any(test(c) for c in combinations(range(nv), size))
+def _anchored_exists(grp: PermGroup, test, size: int) -> bool:
+    """Whether a vertex-transitive group has a determining set of `size`.
+
+    Some such set contains vertex 0, and an element of Stab(0) moves any
+    second vertex of it to that vertex's orbit representative r.  The other
+    vertices stay arbitrary, so they range over every vertex but 0 and r."""
+    root = test.det_add(test.det_start(), 0)
     if size == 1:
-        return test((0,))
-    reps = _stab0_orbit_reps(grp, 0)
-    rest = [v for v in range(1, nv)]
-    for r in reps:
-        pool = [v for v in rest if v != r]
-        for tail in combinations(pool, size - 2):
-            if test((0, r) + tail):
+        return test.det_done(root)
+    if test.det_need(root) >= size:
+        return False
+    for r in _stab0_orbit_reps(grp, 0):
+        state = test.det_add(root, r)
+        if test.det_need(state) <= size - 2:
+            pool = [v for v in range(1, grp.n_vertices) if v != r]
+            if _first_determining(test, state, (0, r), pool, 0, size - 2) is not None:
                 return True
     return False
 
 
-def _lex_min_determining(nv, test, size, transitive) -> tuple[int, ...]:
-    if transitive:
-        # a minimum witness containing vertex 0 exists and any set containing
-        # 0 precedes any set without it, so the restricted scan stays lex-least
-        for tail in combinations(range(1, nv), size - 1):
-            cand = (0,) + tail
-            if test(cand):
-                return cand
-    for cand in combinations(range(nv), size):
-        if test(cand):
-            return cand
-    raise AssertionError("size was established by the existence scan")
+def _least_determining(grp: PermGroup, limit: int) -> tuple[int, ...] | None:
+    """The lex-least determining set of the least size in 1..limit, or None.
+
+    For a verified vertex-transitive group each size is first settled by the
+    anchored search; at the first size that has a set, the unrestricted lex
+    search returns the least one."""
+    test = determining_test(grp)
+    transitive = grp.is_vertex_transitive()
+    everything = range(grp.n_vertices)
+    for size in range(1, limit + 1):
+        if transitive and not _anchored_exists(grp, test, size):
+            continue
+        found = _first_determining(test, test.det_start(), (), everything, 0, size)
+        if found is not None:
+            return found
+        if transitive:
+            raise AssertionError(f"the anchored search found a determining {size}-set "
+                                 "that the lex search missed")
+    return None
+
+
+def determining_number(g: Graph, grp: PermGroup) -> tuple[int, Witness]:
+    """Minimum determining set size with the lexicographically least witness,
+    re-checked by `is_determining_set`."""
+    if grp.is_trivial():
+        return 0, Witness(DETERMINING, (), _verified_tag(grp))
+    found = _least_determining(grp, g.n_vertices)
+    if found is None:
+        raise SearchBudgetExceeded(f"no determining set up to size {g.n_vertices}")
+    if not is_determining_set(grp, found):
+        raise AssertionError(f"the search returned a set that is not determining: {found}")
+    return len(found), Witness(DETERMINING, found, _verified_tag(grp))
 
 
 def determining_lower_bound_exhaustive(g: Graph, grp: PermGroup, below: int) -> bool:
-    """True iff no determining set of size < `below` exists (pruned exhaustive)."""
-    test = _det_test(grp)
-    transitive = grp.is_vertex_transitive()
-    for size in range(1, below):
-        if _exists_determining(g.n_vertices, test, size, grp, transitive):
-            return False
-    return True
+    """True iff no determining set of size 1..below-1 exists (pruned exhaustive)."""
+    return _least_determining(grp, below - 1) is None
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +190,7 @@ def determining_lower_bound_exhaustive(g: Graph, grp: PermGroup, below: int) -> 
 
 
 def _preserving_count(grp: PermGroup, coloring: Coloring) -> int:
-    arr = _elements_array(grp)
+    arr = elements_array(grp)
     colors = np.array(coloring.assignment, dtype=np.int32)
     keep = (colors[arr] == colors[None, :]).all(axis=1)
     return int(keep.sum())
@@ -271,7 +229,7 @@ def _setwise_trivial(grp: PermGroup, cls) -> bool:
     search where it has one (AQ_n, LTQ_n), else on the element table."""
     if hasattr(grp.model, "setwise_stabilizer"):
         return setwise_stabilizer(grp, cls).order() == 1
-    arr = _elements_array(grp)
+    arr = elements_array(grp)
     member = np.zeros(grp.n_vertices, dtype=bool)
     member[list(cls)] = True
     keep = (member[arr] == member[None, :]).all(axis=1)
@@ -284,7 +242,7 @@ def _greedy_two_class(grp: PermGroup) -> tuple[int, ...] | None:
     Grows the class one vertex at a time, always picking the lex-least vertex
     that minimizes the number of class-preserving group elements.
     """
-    arr = _elements_array(grp)
+    arr = elements_array(grp)
     nv = grp.n_vertices
     member = np.zeros(nv, dtype=bool)
     chosen: list[int] = []
@@ -371,7 +329,7 @@ def distinguishing_number(g: Graph, grp: PermGroup,
 def _distinguishing_d3(g: Graph, grp: PermGroup, tag: str) -> tuple[int, Witness]:
     """dist >= 3 established; find the least d by partition enumeration."""
     nv = grp.n_vertices
-    arr = _elements_array(grp)
+    arr = elements_array(grp)
 
     def preserving(colors) -> int:
         c = np.array(colors, dtype=np.int32)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import constructions as cons
 from .bitgraph import FamilySpec, build_family
-from .errors import CubeSymError, SearchBudgetExceeded
+from .errors import CubeSymError, ParameterOutOfRange, SearchBudgetExceeded
 from .params import automorphism_group, compute_parameter
 from .symmetry import distinguishing_number, transitivity_report
 
@@ -38,10 +38,10 @@ def transitivity_table(n: int, vertex_budget: int = 4096) -> dict:
             grp = automorphism_group(g)
             rep = transitivity_report(g, grp)
             rows[name] = {"status": "ok", "method": grp.source, **rep.to_dict()}
+        except ParameterOutOfRange as exc:  # e.g. enhanced needs n >= 3
+            rows[name] = {"status": "not-applicable", "detail": str(exc)}
         except CubeSymError as exc:
             rows[name] = {"status": "out-of-budget", "detail": str(exc)}
-        except Exception as exc:  # parameter constraints (e.g. enhanced needs n >= 3)
-            rows[name] = {"status": "not-applicable", "detail": str(exc)}
     return {"n": n, "rows": rows}
 
 

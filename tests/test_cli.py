@@ -226,3 +226,52 @@ def test_verify_rejects_partial_coloring(capsys, tmp_path):
     assert _verify_code(capsys, tmp_path, record) == 0
     record["witness"]["payload"] = record["witness"]["payload"][:31]
     assert _verify_code(capsys, tmp_path, record) == 3
+
+
+_DET_RECORD = {"parameter": "det", "value": 4, "params": {"kind": "hypercube", "n": 5},
+               "witness": {"kind": "determining_set", "payload": [0, 1, 6, 10],
+                           "verified_by": "structured"}}
+
+
+def _without(key):
+    record = json.loads(json.dumps(_DET_RECORD))
+    del record[key]
+    return record
+
+
+@pytest.mark.parametrize("record", [
+    {**_DET_RECORD, "witness": {**_DET_RECORD["witness"], "payload": 7}},
+    _without("value"),
+    _without("params"),
+    {**_DET_RECORD, "params": {"kind": "hypercube", "n": "5"}},
+    ["not", "a", "record"],
+])
+def test_verify_rejects_malformed_record(capsys, tmp_path, record):
+    assert _verify_code(capsys, tmp_path, _DET_RECORD) == 0
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(record))
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: malformed record")
+
+
+def test_transitivity_table_labels_parameter_errors(capsys):
+    code, out = run(capsys, "tables", "transitivity", "--n", "2")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows["enhanced-k2"]["status"] == "not-applicable"
+    assert rows["hypercube"]["status"] == "ok"
+
+
+def test_cache_overwrite_is_atomic(tmp_path):
+    from cubesym.cache import ResultCache
+
+    cache = ResultCache(tmp_path / "cache")
+    cache.put("hypercube", {"n": 3}, "det", {"value": 1})
+    text = cache.put("hypercube", {"n": 3}, "det", {"value": 3})
+    files = list((tmp_path / "cache").iterdir())
+    assert len(files) == 1 and files[0].suffix == ".json"
+    assert json.loads(files[0].read_text())["value"] == 3
+    assert cache.get("hypercube", {"n": 3}, "det") == text

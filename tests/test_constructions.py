@@ -358,3 +358,37 @@ def test_enhanced_dist_candidates_verified():
         g = enhanced_hypercube(n, k)
         grp = automorphism_group(g)
         assert any(_setwise_trivial(grp, c) for c in cands), (n, k)
+
+
+def test_det_set_checks_survive_python_O():
+    """The determining-set constructions check themselves with code that
+    `python -O` keeps; a failed check exits 3 from the CLI."""
+    import os
+    import subprocess
+    import sys
+    import textwrap
+    from pathlib import Path
+
+    script = textwrap.dedent("""
+        import sys
+        from cubesym import autgroup, constructions
+        from cubesym.cli import main
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        autgroup.HypercubeModel.pointwise_trivial = lambda self, words: False
+        autgroup.FoldedModel.pointwise_trivial = lambda self, words: False
+        for build, n in ((constructions.hypercube_det_set, 5),
+                         (constructions.fq_det_set, 6), (constructions.fq_det_set, 9)):
+            try:
+                build(n)
+            except AssertionError:
+                continue
+            sys.exit(f"{build.__name__}({n}) passed a failed check")
+        sys.exit(main(["construct", "hypercube-det", "-n", "5"]))
+    """)
+    src = Path(cons.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "internal inconsistency" in proc.stderr

@@ -1,0 +1,120 @@
+"""The pruned determining-set search against plain references: an unpruned
+lex scan, the closed-form determining numbers, the stored witnesses of the
+benchmark's det queries, and element filtering on enumerated groups."""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cubesym import constructions as cons
+from cubesym.bitgraph import FamilySpec, build_family
+from cubesym.params import automorphism_group
+from cubesym.symmetry import determining_number, is_determining_set
+
+
+def _group(kind: str, n: int, k: int | None = None):
+    g = build_family(FamilySpec(kind, n, k=k))
+    return g, automorphism_group(g)
+
+
+def _fixed_point_masks(grp) -> list[int]:
+    """The maximal fixed-point bitmasks of the non-identity elements: a set
+    is determining iff no mask contains it."""
+    full = (1 << grp.n_vertices) - 1
+    masks = {sum(1 << v for v, w in enumerate(p) if v == w) for p in grp.elements()} - {full}
+    return [m for m in masks if not any(m != o and m & ~o == 0 for o in masks)]
+
+
+def _plain_lex_scan(grp, nv: int) -> tuple[int, ...]:
+    """The least size, then the lex-least set, by trying every subset with
+    `is_determining_set`; for a group without a model, with its elements."""
+    if grp.is_trivial():
+        return ()
+    if grp.model is None:
+        masks = _fixed_point_masks(grp)
+
+        def is_determining(cand):
+            return all(sum(1 << v for v in cand) & ~m for m in masks)
+    else:
+        def is_determining(cand):
+            return is_determining_set(grp, cand)
+    for size in range(1, nv + 1):
+        for cand in combinations(range(nv), size):
+            if is_determining(cand):
+                return cand
+    raise AssertionError("the whole vertex set is determining")
+
+
+EXTRA_CASES = {
+    "Q_5": ("hypercube", 5, None), "Q_6": ("hypercube", 6, None),
+    "FQ_5": ("folded", 5, None), "FQ_6": ("folded", 6, None),
+    "AQ_5": ("augmented", 5, None), "LTQ_5": ("locally_twisted", 5, None),
+    "Q_{5,2}": ("enhanced", 5, 2), "Q_{6,3}": ("enhanced", 6, 3),
+    "Q_5^2": ("power", 5, 2),  # searched group
+}
+
+
+def test_search_matches_plain_scan_on_corpus(corpus, corpus_groups):
+    for name, g in corpus.items():
+        grp = corpus_groups[name]
+        value, witness = determining_number(g, grp)
+        want = _plain_lex_scan(grp, g.n_vertices)
+        assert (value, tuple(witness.payload)) == (len(want), want), name
+
+
+@pytest.mark.parametrize("name", sorted(EXTRA_CASES))
+def test_search_matches_plain_scan(name):
+    kind, n, k = EXTRA_CASES[name]
+    g, grp = _group(kind, n, k)
+    value, witness = determining_number(g, grp)
+    want = _plain_lex_scan(grp, g.n_vertices)
+    assert (value, tuple(witness.payload)) == (len(want), want)
+
+
+def test_search_matches_closed_forms():
+    for n in range(2, 13):
+        assert determining_number(*_group("hypercube", n))[0] == cons.hypercube_det_number(n), n
+    for n in range(4, 12):
+        assert determining_number(*_group("folded", n))[0] == cons.folded_det_number(n), n
+
+
+@pytest.mark.parametrize("kind,n,k,witness", [
+    ("hypercube", 7, None, (0, 7, 25, 42)),
+    ("hypercube", 8, None, (0, 15, 51, 85)),
+    ("folded", 6, None, (0, 7, 25, 42)),
+    ("folded", 7, None, (0, 1, 14, 50, 84)),
+    ("enhanced", 7, 3, (0, 1, 2, 12, 52)),
+    ("augmented", 7, None, (0, 69)),
+    ("locally_twisted", 8, None, (0,)),
+])
+def test_det_query_witnesses(kind, n, k, witness):
+    value, got = determining_number(*_group(kind, n, k))
+    assert (value, tuple(got.payload)) == (len(witness), witness)
+
+
+# Structured groups small enough to enumerate; FQ_6's 322,560 elements are
+# left out to keep the test's memory small.
+FOLD_GROUPS = [("hypercube", n, None) for n in (3, 4, 5, 6)] + \
+    [("folded", n, None) for n in (4, 5)] + \
+    [("augmented", n, None) for n in (4, 5, 6)] + \
+    [("enhanced", n, k) for n, k in ((4, 2), (5, 2), (5, 3), (6, 3), (6, 5))]
+
+
+@lru_cache(maxsize=None)
+def _model_and_masks(kind: str, n: int, k: int | None):
+    _, grp = _group(kind, n, k)
+    return grp.model, grp.n_vertices, _fixed_point_masks(grp)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_pointwise_trivial_matches_element_filtering(data):
+    model, nv, masks = _model_and_masks(*data.draw(st.sampled_from(FOLD_GROUPS)))
+    words = data.draw(st.lists(st.integers(0, nv - 1), min_size=1, max_size=7))
+    subset = sum(1 << v for v in set(words))
+    assert model.pointwise_trivial(words) == all(subset & ~m for m in masks)
