@@ -23,12 +23,10 @@ graphs = [hypercube(4), folded_hypercube(4), augmented_hypercube(4),
 print(f"{'graph':8s} {'|Aut|':>6s} {'det':>4s} {'dist':>4s} {'cost':>4s}   witness (determining set)")
 for g in graphs:
     grp = automorphism_group(g)
-    cands = dist_class_candidates(g)
     det, wdet = determining_number(g, grp)
-    dist, _ = distinguishing_number(g, grp, cands)
+    dist, _ = distinguishing_number(g, grp, dist_class_candidates(g))
     try:
-        cost, _ = cost_2dist(g, grp, dist_value=dist, lower_bound=det,
-                             class_candidates=cands)
+        cost, _ = cost_2dist(g, grp, dist_value=dist, lower_bound=det)
         cost_s = str(cost)
     except NotTwoDistinguishable:
         cost_s = "-"
@@ -41,8 +39,7 @@ print("brute-force oracle agreement (independent engines):")
 for g in (augmented_hypercube(4), locally_twisted_hypercube(4)):
     grp = automorphism_group(g)
     det, _ = determining_number(g, grp)
-    cost, _ = cost_2dist(g, grp, dist_value=2, lower_bound=det,
-                         class_candidates=dist_class_candidates(g))
+    cost, _ = cost_2dist(g, grp, dist_value=2, lower_bound=det)
     print(f"  {g.family.name()}: solver det={det} cost={cost}; "
           f"oracle det={oracle_determining_number(g).value} "
           f"cost={oracle_cost(g).value}")

@@ -463,50 +463,34 @@ class PermGroup:
 
 
 def _closure(nv: int, gen_images: list[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
-    """BFS closure of generator image arrays (numpy-batched for larger groups)."""
+    """BFS closure of generator image arrays, a frontier at a time in numpy
+    (uint8 images up to 256 vertices, wider above)."""
+    import numpy as np
+
     ident = tuple(range(nv))
     gens = [g for g in gen_images if g != ident]
     if not gens:
         return [ident]
-    if nv <= 255:
-        import numpy as np
-
-        garr = [np.array(g, dtype=np.uint8) for g in gens]
-        ident_a = np.arange(nv, dtype=np.uint8)
-        seen = {ident_a.tobytes()}
-        frontier = ident_a[None, :]
-        out = [ident_a.tobytes()]
-        while len(frontier):
-            batches = []
-            for g in garr:
-                batches.append(g[frontier])  # (sigma o tau)(v) = sigma(tau(v))
-            fresh = []
-            for batch in batches:
-                for row in batch:
-                    key = row.tobytes()
-                    if key not in seen:
-                        if len(seen) >= cap:
-                            raise SearchBudgetExceeded(
-                                f"group closure exceeded {cap} elements")
-                        seen.add(key)
-                        out.append(key)
-                        fresh.append(row)
-            frontier = np.array(fresh, dtype=np.uint8) if fresh else np.empty((0, nv), np.uint8)
-        return [tuple(b) for b in out]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = tuple(g[x] for x in p)
-                if q not in seen:
+    dtype = np.min_scalar_type(nv - 1)
+    garr = [np.array(g, dtype=dtype) for g in gens]
+    frontier = np.arange(nv, dtype=dtype)[None, :]
+    out = [frontier[0].tobytes()]
+    seen = set(out)
+    while len(frontier):
+        fresh = []
+        for g in garr:
+            for row in g[frontier]:  # (sigma o tau)(v) = sigma(tau(v))
+                key = row.tobytes()
+                if key not in seen:
                     if len(seen) >= cap:
                         raise SearchBudgetExceeded(f"group closure exceeded {cap} elements")
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return list(seen)
+                    seen.add(key)
+                    out.append(key)
+                    fresh.append(row)
+        frontier = np.array(fresh, dtype=dtype) if fresh else np.empty((0, nv), dtype)
+    if dtype == np.uint8:  # bytes iterate as ints
+        return [tuple(key) for key in out]
+    return [tuple(memoryview(key).cast(dtype.char)) for key in out]
 
 
 def is_automorphism(g: Graph, mapping) -> bool:
@@ -1046,7 +1030,7 @@ def pointwise_stabilizer(grp: PermGroup, subset) -> PermGroup:
     return _filtered_subgroup(grp, [p for p in grp.elements() if all(p[v] == v for v in S)])
 
 
-def setwise_stabilizer(grp: PermGroup, subset, cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
+def setwise_stabilizer(grp: PermGroup, subset) -> PermGroup:
     """Subgroup mapping `subset` onto itself."""
     S = frozenset(subset)
     nv = grp.n_vertices
@@ -1056,7 +1040,7 @@ def setwise_stabilizer(grp: PermGroup, subset, cap: int = DEFAULT_ELEMENT_CAP) -
         elems = grp.model.setwise_stabilizer(S)
         gens = [e for e in elems if not e.is_identity()]
         return PermGroup(nv, gens, len(elems), grp.source, grp.graph)
-    return _filtered_subgroup(grp, [p for p in grp.elements(cap) if all(p[v] in S for v in S)])
+    return _filtered_subgroup(grp, [p for p in grp.elements() if all(p[v] in S for v in S)])
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,7 @@ def _cmd_verify(args) -> int:
             record = json.load(fh)
         except json.JSONDecodeError as exc:
             raise MalformedRecord(f"{args.file} is not JSON: {exc}") from exc
-    g = build_family(record_spec(record))
+    g = build_family(record_spec(record), cap=args.max_vertices)
     if record.get("witness") is None:
         print(_dump({"verified": False, "detail": "record carries no witness"}))
         return 1

@@ -275,8 +275,10 @@ def hypercube_dist_class(n: int) -> tuple[int, ...]:
     path = [_prefix_ones(i, n) for i in range(n + 1)]
     pendant = path[2] | 1  # flips the last position of the third path vertex
     cls = path + [pendant]
-    assert HypercubeModel(n).pointwise_trivial(cls)
-    assert is_asymmetric(hypercube_induced(cls, n))
+    if not HypercubeModel(n).pointwise_trivial(cls):
+        raise AssertionError(f"the Q_{n} distinguishing class is not determining")
+    if not is_asymmetric(hypercube_induced(cls, n)):
+        raise AssertionError(f"the Q_{n} distinguishing class induces a symmetric subgraph")
     return tuple(sorted(cls))
 
 
@@ -304,10 +306,12 @@ def q2_witnesses(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     size n + 1 exists, since rho(Q_4^2) = 8.
     """
     S, T = _q2_sets(n)
-    assert q2_det_set_is_determining(n)
-
+    if not q2_det_set_is_determining(n):
+        raise AssertionError(f"the Q_{n}^2 determining set construction is not determining")
     gS = power2_induced(S, n)
-    assert all(gS.has_edge(i, j) == (abs(i - j) <= 2) for i in range(n) for j in range(i + 1, n))
+    if not all(gS.has_edge(i, j) == (abs(i - j) <= 2)
+               for i in range(n) for j in range(i + 1, n)):
+        raise AssertionError(f"the Q_{n}^2 determining set does not induce the square of a path")
     return tuple(S), tuple(sorted(T))
 
 
@@ -518,8 +522,10 @@ def fq_dist_class(n: int) -> tuple[int, ...]:
         cls = list(data["vertices"])
         if not is_asymmetric(folded_induced(cls, n)):
             cls = _fq_break_symmetry(cls, n)
-    assert FoldedModel(n).pointwise_trivial(cls), n
-    assert is_asymmetric(folded_induced(cls, n)), n
+    if not FoldedModel(n).pointwise_trivial(cls):
+        raise AssertionError(f"the FQ_{n} distinguishing class is not determining")
+    if not is_asymmetric(folded_induced(cls, n)):
+        raise AssertionError(f"the FQ_{n} distinguishing class induces a symmetric subgraph")
     return tuple(sorted(cls))
 
 
@@ -575,7 +581,8 @@ def aq_det_witness(n: int) -> tuple[int, ...]:
         out = (0, y)
     else:
         out = (0, 1, 1 << (n - 1))
-    assert AugmentedModel(n).pointwise_trivial(out), n
+    if not AugmentedModel(n).pointwise_trivial(out):
+        raise AssertionError(f"the AQ_{n} determining set construction is not determining")
     return tuple(sorted(out))
 
 
@@ -591,7 +598,8 @@ def aq_cost_class(n: int) -> tuple[int, ...]:
     if n < 4:
         raise ParameterOutOfRange("aq_cost_class needs n >= 4")
     cls = (0, (1 << (n - 1)) | 1, (1 << (n - 1)) - 2)
-    assert len(AugmentedModel(n).setwise_stabilizer(cls)) == 1, n
+    if len(AugmentedModel(n).setwise_stabilizer(cls)) != 1:
+        raise AssertionError(f"the AQ_{n} cost class has a nontrivial setwise stabilizer")
     return cls
 
 

@@ -34,7 +34,6 @@ from .symmetry import (
     is_determining_set,
     is_distinguishing,
     transitivity_report,
-    two_class_is_distinguishing,
     two_coloring,
 )
 
@@ -50,29 +49,28 @@ def automorphism_group(g: Graph) -> PermGroup:
 
 
 def dist_class_candidates(g: Graph) -> list[tuple[int, ...]]:
-    """Constructed 2-distinguishing class candidates for the graph's family."""
+    """Constructed 2-distinguishing class candidates for the graph's family.
+
+    Each construction checks itself; a failed check raises AssertionError."""
     spec = g.family
     if spec is None:
         return []
     n = spec.n
-    try:
-        if spec.kind == HYPERCUBE and n >= 5:
+    if spec.kind == HYPERCUBE and n >= 5:
+        return [cons.hypercube_dist_class(n)]
+    if spec.kind == POWER and spec.k is not None and n > 3:
+        if spec.k % 2 == 1 and spec.k <= n - 2 and n >= 5:
             return [cons.hypercube_dist_class(n)]
-        if spec.kind == POWER and spec.k is not None and n > 3:
-            if spec.k % 2 == 1 and spec.k <= n - 2 and n >= 5:
-                return [cons.hypercube_dist_class(n)]
-            if spec.k == 2 and n >= 5:
-                return [cons.q2_witnesses(n)[1]]
-        if spec.kind == FOLDED and n >= 4:
-            return [cons.fq_dist_class(n)]
-        if spec.kind == ENHANCED and n >= 4:
-            return cons.enhanced_dist_class_candidates(n, spec.k)
-        if spec.kind == AUGMENTED and n >= 4:
-            return [cons.aq_cost_class(n)]
-        if spec.kind == LOCALLY_TWISTED and n >= 4:
-            return [cons.ltq_witnesses(n)[1]]
-    except AssertionError:
-        return []
+        if spec.k == 2 and n >= 5:
+            return [cons.q2_witnesses(n)[1]]
+    if spec.kind == FOLDED and n >= 4:
+        return [cons.fq_dist_class(n)]
+    if spec.kind == ENHANCED and n >= 4:
+        return cons.enhanced_dist_class_candidates(n, spec.k)
+    if spec.kind == AUGMENTED and n >= 4:
+        return [cons.aq_cost_class(n)]
+    if spec.kind == LOCALLY_TWISTED and n >= 4:
+        return [cons.ltq_witnesses(n)[1]]
     return []
 
 
@@ -101,8 +99,7 @@ def compute_parameter(g: Graph, parameter: str, grp: PermGroup | None = None) ->
         dist_value, _ = distinguishing_number(g, grp, dist_class_candidates(g))
         if dist_value != 2:
             raise NotTwoDistinguishable(f"dist = {dist_value}")
-        value, witness = cost_2dist(g, grp, dist_value=2, lower_bound=det_value,
-                                    class_candidates=dist_class_candidates(g))
+        value, witness = cost_2dist(g, grp, dist_value=2, lower_bound=det_value)
         report["value"] = value
         report["witness"] = witness.to_dict()
         report["verified_by"] = witness.verified_by
@@ -146,8 +143,9 @@ def verify_witness(g: Graph, record: dict, grp: PermGroup | None = None) -> bool
     """Re-check an emitted witness record against the graph's group.
 
     Set payloads must be distinct vertices of the graph, and a coloring must
-    give every vertex a color in 1..d.  A record without an integer `value`,
-    or whose witness lacks a string `kind` and a list `payload`, raises
+    give every vertex a color in 1..d.  A coloring that `is_distinguishing`
+    cannot settle is not verified.  A record without an integer `value`, or
+    whose witness lacks a string `kind` and a list `payload`, raises
     MalformedRecord.
     """
     witness = record.get("witness")
@@ -172,20 +170,16 @@ def verify_witness(g: Graph, record: dict, grp: PermGroup | None = None) -> bool
         coloring = Coloring(tuple(payload), max(payload, default=1))
         if coloring.used_colors() != value:
             return False
-        try:
-            return is_distinguishing(grp, coloring)
-        except SearchBudgetExceeded:
-            classes = coloring.classes()
-            return any(two_class_is_distinguishing(g, grp, c) for c in classes)
-    if kind == COST_CLASS:
+    elif kind == COST_CLASS:
         if len(payload) != value or not _is_vertex_set(payload, nv):
             return False
         coloring = two_coloring(nv, payload)
-        try:
-            return is_distinguishing(grp, coloring)
-        except SearchBudgetExceeded:
-            return two_class_is_distinguishing(g, grp, payload)
-    return False
+    else:
+        return False
+    try:
+        return is_distinguishing(grp, coloring)
+    except SearchBudgetExceeded:
+        return False
 
 
 # ---------------------------------------------------------------------------

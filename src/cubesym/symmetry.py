@@ -189,29 +189,32 @@ def determining_lower_bound_exhaustive(g: Graph, grp: PermGroup, below: int) -> 
 # distinguishing colorings
 
 
-def _preserving_count(grp: PermGroup, coloring: Coloring) -> int:
+def _preserving_count(grp: PermGroup, colors) -> int:
+    """Number of group elements that keep every vertex's color, on the
+    element table; `colors` is a numpy array over the vertices, compared in
+    whatever dtype the caller chose."""
     arr = elements_array(grp)
-    colors = np.array(coloring.assignment, dtype=np.int32)
-    keep = (colors[arr] == colors[None, :]).all(axis=1)
-    return int(keep.sum())
+    return int((colors[arr] == colors[None, :]).all(axis=1).sum())
 
 
 def is_distinguishing(grp: PermGroup, coloring: Coloring) -> bool:
-    """True iff no nontrivial element maps every color class onto itself."""
+    """True iff no nontrivial element maps every color class onto itself.
+
+    A group too large to enumerate is settled only when some color class is
+    determining and induces an asymmetric subgraph: an element keeping the
+    coloring maps that class onto itself, so it fixes the class pointwise
+    and is the identity.  Otherwise SearchBudgetExceeded is raised."""
     if len(coloring.assignment) != grp.n_vertices:
         raise ValueError("coloring not total on the vertex set")
     if grp.is_trivial():
         return True
     try:
-        return _preserving_count(grp, coloring) == 1
+        return _preserving_count(grp, np.array(coloring.assignment, dtype=np.int32)) == 1
     except SearchBudgetExceeded:
         pass
-    # large structured group: sound two-coloring route via the induced-subgraph
-    # criterion (a determining class with asymmetric induced subgraph)
-    if coloring.used_colors() == 2 and grp.graph is not None:
-        for cls in coloring.classes():
-            if two_class_is_distinguishing(grp.graph, grp, cls):
-                return True
+    if grp.graph is not None and any(two_class_is_distinguishing(grp.graph, grp, cls)
+                                     for cls in coloring.classes()):
+        return True
     raise SearchBudgetExceeded("group too large for an exact coloring check")
 
 
@@ -229,11 +232,27 @@ def _setwise_trivial(grp: PermGroup, cls) -> bool:
     search where it has one (AQ_n, LTQ_n), else on the element table."""
     if hasattr(grp.model, "setwise_stabilizer"):
         return setwise_stabilizer(grp, cls).order() == 1
-    arr = elements_array(grp)
     member = np.zeros(grp.n_vertices, dtype=bool)
     member[list(cls)] = True
-    keep = (member[arr] == member[None, :]).all(axis=1)
-    return int(keep.sum()) == 1
+    return _preserving_count(grp, member) == 1
+
+
+def _least_class(grp: PermGroup, smallest: int) -> tuple[int, ...] | None:
+    """The lex-least class with a trivial setwise stabilizer among those of
+    the least size from `smallest` up to half the vertices, or None.
+
+    A vertex-transitive group anchors vertex 0: the group maps any class to
+    one containing 0, whose stabilizer is conjugate, and tuples starting with
+    0 come first in lex order."""
+    nv = grp.n_vertices
+    transitive = grp.is_vertex_transitive()
+    for size in range(max(1, smallest), nv // 2 + 1):
+        cands = ((0,) + t for t in combinations(range(1, nv), size - 1)) if transitive \
+            else combinations(range(nv), size)
+        for cand in cands:
+            if _setwise_trivial(grp, cand):
+                return cand
+    return None
 
 
 def _greedy_two_class(grp: PermGroup) -> tuple[int, ...] | None:
@@ -242,7 +261,6 @@ def _greedy_two_class(grp: PermGroup) -> tuple[int, ...] | None:
     Grows the class one vertex at a time, always picking the lex-least vertex
     that minimizes the number of class-preserving group elements.
     """
-    arr = elements_array(grp)
     nv = grp.n_vertices
     member = np.zeros(nv, dtype=bool)
     chosen: list[int] = []
@@ -252,7 +270,7 @@ def _greedy_two_class(grp: PermGroup) -> tuple[int, ...] | None:
             if member[v]:
                 continue
             member[v] = True
-            cnt = int((member[arr] == member[None, :]).all(axis=1).sum())
+            cnt = _preserving_count(grp, member)
             member[v] = False
             if best_count is None or cnt < best_count:
                 best_count, best_v = cnt, v
@@ -260,25 +278,6 @@ def _greedy_two_class(grp: PermGroup) -> tuple[int, ...] | None:
         chosen.append(best_v)
         if best_count == 1:
             return tuple(sorted(chosen))
-    return None
-
-
-def _exhaustive_two_class(g: Graph, grp: PermGroup,
-                          transitive: bool) -> tuple[int, ...] | None:
-    """Lexicographic scan over candidate classes; None means dist > 2 (exact)."""
-    nv = grp.n_vertices
-    half = nv // 2
-    for size in range(1, half + 1):
-        if transitive:
-            pools = combinations(range(1, nv), size - 1)
-            for tail in pools:
-                cand = (0,) + tail
-                if _setwise_trivial(grp, cand):
-                    return cand
-        else:
-            for cand in combinations(range(nv), size):
-                if _setwise_trivial(grp, cand):
-                    return cand
     return None
 
 
@@ -290,54 +289,49 @@ def distinguishing_number(g: Graph, grp: PermGroup,
     """Least d with a distinguishing d-coloring, plus a checked witness.
 
     `class_candidates` are externally constructed 2-class suggestions (from
-    the family witness constructions); each is verified before use.
+    the family witness constructions); each is verified before use.  Then,
+    on an enumerable group, the greedy class, and for at most
+    `_EXHAUSTIVE_2_LIMIT` vertices the exact class scan and d >= 3.
     """
     nv = g.n_vertices
     tag = _verified_tag(grp)
     if grp.is_trivial():
         return 1, Witness(DIST_COLORING, tuple([1] * nv), tag)
 
-    # d = 2: constructed candidates, then greedy, then exhaustive for small V
+    def two(cls) -> tuple[int, Witness]:
+        return 2, Witness(DIST_COLORING, two_coloring(nv, cls).assignment, tag)
+
     for cand in class_candidates:
-        cand = tuple(sorted(cand))
         if two_class_is_distinguishing(g, grp, cand):
-            return 2, Witness(DIST_COLORING, two_coloring(nv, cand).assignment, tag)
-    enumerable = True
+            return two(cand)
     try:
         grp.elements()
     except SearchBudgetExceeded:
-        enumerable = False
-    if enumerable:
-        for cand in class_candidates:
-            if _setwise_trivial(grp, tuple(cand)):
-                return 2, Witness(DIST_COLORING, two_coloring(nv, cand).assignment, tag)
-        cls = _greedy_two_class(grp)
-        if cls is not None and _setwise_trivial(grp, cls):
-            return 2, Witness(DIST_COLORING, two_coloring(nv, cls).assignment, tag)
-        transitive = grp.is_vertex_transitive()
-        if nv <= _EXHAUSTIVE_2_LIMIT:
-            cls = _exhaustive_two_class(g, grp, transitive)
-            if cls is not None:
-                return 2, Witness(DIST_COLORING, two_coloring(nv, cls).assignment, tag)
-            return _distinguishing_d3(g, grp, tag)
+        raise SearchBudgetExceeded(
+            "group too large to settle the distinguishing number") from None
+    for cand in class_candidates:
+        if _setwise_trivial(grp, cand):
+            return two(cand)
+    cls = _greedy_two_class(grp)
+    if cls is not None and _setwise_trivial(grp, cls):
+        return two(cls)
+    if nv > _EXHAUSTIVE_2_LIMIT:
         raise SearchBudgetExceeded(
             "no 2-distinguishing class found and the graph is too large for "
             "an exhaustive scan")
-    raise SearchBudgetExceeded("group too large to settle the distinguishing number")
+    cls = _least_class(grp, 1)
+    if cls is not None:
+        return two(cls)
+    return _distinguishing_d3(grp, tag)
 
 
-def _distinguishing_d3(g: Graph, grp: PermGroup, tag: str) -> tuple[int, Witness]:
+def _distinguishing_d3(grp: PermGroup, tag: str) -> tuple[int, Witness]:
     """dist >= 3 established; find the least d by partition enumeration."""
     nv = grp.n_vertices
-    arr = elements_array(grp)
-
-    def preserving(colors) -> int:
-        c = np.array(colors, dtype=np.int32)
-        return int((c[arr] == c[None, :]).all(axis=1).sum())
-
     for d in range(3, nv + 1):
         for colors in _rgs_partitions(nv, d):
-            if max(colors) == d - 1 and preserving(colors) == 1:
+            if max(colors) == d - 1 and \
+                    _preserving_count(grp, np.array(colors, dtype=np.int32)) == 1:
                 assignment = tuple(c + 1 for c in colors)
                 return d, Witness(DIST_COLORING, assignment, tag)
     raise AssertionError("an all-distinct coloring distinguishes")
@@ -366,31 +360,24 @@ def _rgs_partitions(n: int, d: int):
 
 
 def cost_2dist(g: Graph, grp: PermGroup, dist_value: int | None = None,
-               lower_bound: int = 1,
-               class_candidates=()) -> tuple[int, Witness]:
+               lower_bound: int = 1) -> tuple[int, Witness]:
     """Minimum color-class size over 2-distinguishing colorings.
 
     `lower_bound` is typically the determining number (any class with a
     trivial setwise stabilizer is a determining set, so the cost is never
-    below it).  `class_candidates` is accepted for interface symmetry with
-    the distinguishing solver; the increasing-size scan is already complete,
-    since a minimum class never exceeds half the vertex count.
+    below it).  The class scan is complete, since a minimum class never
+    exceeds half the vertex count.
     """
-    nv = grp.n_vertices
     tag = _verified_tag(grp)
     if dist_value is not None and dist_value > 2:
         raise NotTwoDistinguishable(f"dist = {dist_value}")
     if grp.is_trivial():
         # the empty class already has a trivial setwise stabilizer
         return 0, Witness(COST_CLASS, (), tag)
-    transitive = grp.is_vertex_transitive()
-    for size in range(max(1, lower_bound), nv // 2 + 1):
-        cands = ((0,) + t for t in combinations(range(1, nv), size - 1)) if transitive \
-            else combinations(range(nv), size)
-        for cand in cands:
-            if _setwise_trivial(grp, cand):
-                return size, Witness(COST_CLASS, tuple(cand), tag)
-    raise NotTwoDistinguishable("no color class has a trivial setwise stabilizer")
+    cls = _least_class(grp, lower_bound)
+    if cls is None:
+        raise NotTwoDistinguishable("no color class has a trivial setwise stabilizer")
+    return len(cls), Witness(COST_CLASS, cls, tag)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from . import constructions as cons
 from .bitgraph import FamilySpec, build_family
 from .errors import CubeSymError, ParameterOutOfRange, SearchBudgetExceeded
 from .params import automorphism_group, compute_parameter
-from .symmetry import distinguishing_number, transitivity_report
+from .symmetry import transitivity_report
 
 TRANSITIVITY_FAMILIES = (
     ("hypercube", lambda n: FamilySpec("hypercube", n)),
@@ -57,8 +57,8 @@ def enhanced_dist_table(n_max: int, n_min: int = 2,
         try:
             g = build_family(FamilySpec("enhanced", n, k=k))
             grp = automorphism_group(g)
-            value, witness = distinguishing_number(g, grp, cons.enhanced_dist_class_candidates(n, k))
-            cells[key] = {"value": value, "method": grp.source}
+            cells[key] = {"value": compute_parameter(g, "dist", grp)["value"],
+                          "method": grp.source}
         except SearchBudgetExceeded as exc:
             cells[key] = {"value": None, "method": "out-of-budget", "detail": str(exc)}
     return {"n_min": n_min, "n_max": n_max, "cells": cells}
@@ -105,19 +105,17 @@ def summary_table(n: int) -> dict:
             frow.update(_searched(FamilySpec("folded", n), ("dist",)))
         rows["folded"] = frow
     if n >= 4:
-        cons.aq_det_witness(n)
-        cons.aq_cost_class(n)
-        rows["augmented"] = {"det": 2 if n >= 6 else 3, "det_method": "witness",
+        rows["augmented"] = {"det": len(cons.aq_det_witness(n)), "det_method": "witness",
                              "dist": 2, "dist_method": "witness",
-                             "cost": 3, "cost_method": "witness"}
+                             "cost": len(cons.aq_cost_class(n)), "cost_method": "witness"}
     elif n >= 2:
         rows["augmented"] = _searched(FamilySpec("augmented", n), ("det", "dist"))
     if n >= 3:
         if n >= 4:
-            cons.ltq_witnesses(n)
-            rows["locally-twisted"] = {"det": 1, "det_method": "witness",
+            det_set, cost_class = cons.ltq_witnesses(n)
+            rows["locally-twisted"] = {"det": len(det_set), "det_method": "witness",
                                        "dist": 2, "dist_method": "witness",
-                                       "cost": 1, "cost_method": "witness"}
+                                       "cost": len(cost_class), "cost_method": "witness"}
         else:
             rows["locally-twisted"] = _searched(FamilySpec("locally_twisted", n),
                                                 ("det", "dist", "cost"))

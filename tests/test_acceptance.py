@@ -324,9 +324,8 @@ def test_criterion_7_augmented():
         g = augmented_hypercube(n)
         grp = structured_group(g)
         assert cons.aq_no_2subset_cost_class(g)
-        value, wit = cost_2dist(g, grp, dist_value=2, lower_bound=3,
-                                class_candidates=[cons.aq_cost_class(n)])
-        assert value == 3, (n, value)
+        value, wit = cost_2dist(g, grp, dist_value=2, lower_bound=3)
+        assert value == 3 == len(cons.aq_cost_class(n)), (n, value)
     detail.append("rho(AQ_4..6) = 3 (2-subsets eliminated exhaustively)")
 
     for n in (3, 4):
@@ -347,8 +346,7 @@ def test_criterion_8_locally_twisted():
         grp = automorphism_group(g)
         det, _ = determining_number(g, grp)
         dist, _ = distinguishing_number(g, grp, dist_class_candidates(g))
-        cost, _ = cost_2dist(g, grp, dist_value=dist, lower_bound=det,
-                             class_candidates=dist_class_candidates(g))
+        cost, _ = cost_2dist(g, grp, dist_value=dist, lower_bound=det)
         assert (det, dist, cost) == (wd, wdist, wcost), (n, det, dist, cost)
     for n in (3, 4):
         g = locally_twisted_hypercube(n)
@@ -389,8 +387,7 @@ def test_criterion_9_oracle_cross_validation():
         det, _ = determining_number(g, grp)
         dist, _ = distinguishing_number(g, grp, dist_class_candidates(g))
         try:
-            cost = cost_2dist(g, grp, dist_value=dist, lower_bound=det,
-                              class_candidates=dist_class_candidates(g))[0]
+            cost = cost_2dist(g, grp, dist_value=dist, lower_bound=det)[0]
         except NotTwoDistinguishable:
             cost = None
         odet = oracle_determining_number(g).value

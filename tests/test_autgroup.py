@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 
 from cubesym.autgroup import (
     AugmentedAff,
+    AugmentedModel,
     ExplicitPerm,
     FoldedAff,
     FoldedModel,
     HypercubeAff,
     HypercubeModel,
+    LtqModel,
     LtqTranslation,
+    PermGroup,
     aq_base,
     automorphism_from_json,
     automorphism_to_json,
@@ -162,6 +165,14 @@ def test_group_closure_on_enumeration():
         assert tuple(inv) in elems
         q = sample[7]
         assert tuple(p[q[v]] for v in range(16)) in elems
+
+
+@pytest.mark.parametrize("model", [AugmentedModel(8), LtqModel(9)], ids=["AQ_8", "LTQ_9"])
+def test_closure_matches_model_enumeration_above_255_vertices(model):
+    # a group without a model enumerates by generator closure
+    grp = PermGroup(1 << model.n, model.generators())
+    assert grp.elements() == sorted(model.enumerate(10 ** 6))
+    assert grp.order() == model.order()
 
 
 def test_fq_phi_extend():

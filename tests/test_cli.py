@@ -90,6 +90,29 @@ def test_witness_verify_roundtrip(capsys, tmp_path, monkeypatch):
         assert json.loads(out)["verified"] is True
 
 
+def test_verify_honours_max_vertices(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("CUBE_SYM_CACHE", str(tmp_path / "cache"))
+    code, out = run(capsys, "param", "det", "hypercube", "-n", "5", "--witness")
+    assert code == 0
+    path = tmp_path / "q5.json"
+    path.write_text(out)
+    assert main(["verify", "--max-vertices", "16", str(path)]) == 2
+    assert "SizeGuard" in capsys.readouterr().err
+    assert main(["verify", "--max-vertices", "32", str(path)]) == 0
+
+
+def test_failed_candidate_construction_exits_3(capsys, tmp_path, monkeypatch):
+    from cubesym import constructions
+
+    def broken(n):
+        raise AssertionError(f"the FQ_{n} distinguishing class is not determining")
+
+    monkeypatch.setenv("CUBE_SYM_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setattr(constructions, "fq_dist_class", broken)
+    assert main(["param", "dist", "folded", "-n", "5", "--no-cache"]) == 3
+    assert "internal inconsistency" in capsys.readouterr().err
+
+
 def test_verify_rejects_tampered_witness(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("CUBE_SYM_CACHE", str(tmp_path / "cache"))
     code, out = run(capsys, "param", "det", "augmented", "-n", "4", "--witness",

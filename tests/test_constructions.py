@@ -361,8 +361,9 @@ def test_enhanced_dist_candidates_verified():
 
 
 def test_det_set_checks_survive_python_O():
-    """The determining-set constructions check themselves with code that
-    `python -O` keeps; a failed check exits 3 from the CLI."""
+    """The witness constructions check themselves with code that `python -O`
+    keeps: with one check made to fail, each construction behind it raises,
+    and a failed check exits 3 from the CLI."""
     import os
     import subprocess
     import sys
@@ -371,21 +372,43 @@ def test_det_set_checks_survive_python_O():
 
     script = textwrap.dedent("""
         import sys
-        from cubesym import autgroup, constructions
+        from unittest import mock
+        from cubesym import autgroup, constructions as cons
         from cubesym.cli import main
 
         if not sys.flags.optimize:
             sys.exit("not running under -O")
-        autgroup.HypercubeModel.pointwise_trivial = lambda self, words: False
-        autgroup.FoldedModel.pointwise_trivial = lambda self, words: False
-        for build, n in ((constructions.hypercube_det_set, 5),
-                         (constructions.fq_det_set, 6), (constructions.fq_det_set, 9)):
-            try:
-                build(n)
-            except AssertionError:
-                continue
-            sys.exit(f"{build.__name__}({n}) passed a failed check")
-        sys.exit(main(["construct", "hypercube-det", "-n", "5"]))
+        never = lambda *args: False
+        two_elements = lambda self, S: [None, None]
+        # (owner, name, stand-in, constructions whose check it must fail)
+        checks = [
+            (autgroup.HypercubeModel, "pointwise_trivial", never,
+             [(cons.hypercube_det_set, 5), (cons.hypercube_dist_class, 5)]),
+            (autgroup.FoldedModel, "pointwise_trivial", never,
+             [(cons.fq_det_set, 6), (cons.fq_det_set, 9), (cons.fq_dist_class, 5),
+              (cons.fq_dist_class, 8)]),
+            (autgroup.AugmentedModel, "pointwise_trivial", never,
+             [(cons.aq_det_witness, 5), (cons.aq_det_witness, 6)]),
+            (autgroup.AugmentedModel, "setwise_stabilizer", two_elements,
+             [(cons.aq_cost_class, 5)]),
+            (cons, "is_asymmetric", never,
+             [(cons.hypercube_dist_class, 5), (cons.fq_dist_class, 5)]),
+            (cons, "q2_det_set_is_determining", never, [(cons.q2_witnesses, 5)]),
+            (cons, "power2_induced", cons.hypercube_induced, [(cons.q2_witnesses, 5)]),
+        ]
+        for owner, name, stand_in, builds in checks:
+            with mock.patch.object(owner, name, stand_in):
+                for build, n in builds:
+                    try:
+                        build(n)
+                    except AssertionError:
+                        continue
+                    sys.exit(f"{build.__name__}({n}) passed a failed {name} check")
+        with mock.patch.object(autgroup.HypercubeModel, "pointwise_trivial", never):
+            if main(["construct", "hypercube-det", "-n", "5"]) != 3:
+                sys.exit("construct hypercube-det did not exit 3")
+        with mock.patch.object(autgroup.AugmentedModel, "setwise_stabilizer", two_elements):
+            sys.exit(main(["construct", "aq-cost-class", "-n", "5"]))
     """)
     src = Path(cons.__file__).resolve().parent.parent
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,

@@ -13,8 +13,9 @@ from cubesym.bitgraph import (
     induced_subgraph,
     locally_twisted_hypercube,
 )
-from cubesym.errors import NotTwoDistinguishable
-from cubesym.params import automorphism_group, dist_class_candidates
+from cubesym.constructions import hypercube_dist_class
+from cubesym.errors import NotTwoDistinguishable, SearchBudgetExceeded
+from cubesym.params import automorphism_group, dist_class_candidates, verify_witness
 from cubesym.search import search_automorphisms
 from cubesym.symmetry import (
     Coloring,
@@ -90,6 +91,27 @@ def test_is_distinguishing():
         assert is_distinguishing(grp, two_coloring(1 << n, S))
 
 
+def test_is_distinguishing_above_the_element_cap():
+    # |Aut(Q_8)| = 2^8 * 8! is above the element cap: a coloring is settled
+    # only by a determining class with an asymmetric induced subgraph
+    g = hypercube(8)
+    grp = structured_group(g)
+    cls = set(hypercube_dist_class(8))
+    assert is_distinguishing(grp, Coloring(tuple(1 if v in cls else 2 for v in range(256)), 2))
+    three = tuple(1 if v in cls else 2 + v % 2 for v in range(256))
+    assert is_distinguishing(grp, Coloring(three, 3))
+    # swapping the first two positions fixes the words with x1 = x2, and
+    # also flipping both fixes the others, so neither class settles it
+    halves = [1 if (v >> 7) == (v >> 6 & 1) else 2 for v in range(256)]
+    with pytest.raises(SearchBudgetExceeded):
+        is_distinguishing(grp, Coloring(tuple(halves), 2))
+    record = {"params": {"kind": "hypercube", "n": 8}, "value": 2,
+              "witness": {"kind": "distinguishing_coloring", "payload": halves}}
+    assert verify_witness(g, record, grp) is False
+    record["value"], record["witness"]["payload"] = 3, list(three)
+    assert verify_witness(g, record, grp) is True
+
+
 def test_distinguishing_number_values(corpus, corpus_groups):
     expected = {"Q_3": 3, "Q_4": 2, "Q_4^2": 2, "FQ_3": 5, "FQ_4": 2,
                 "AQ_3": 3, "AQ_4": 2, "LTQ_3": 2, "LTQ_4": 2, "H(3,2)": 3,
@@ -114,8 +136,7 @@ def test_cost_values(corpus, corpus_groups):
     for name, want in expected.items():
         g, grp = corpus[name], corpus_groups[name]
         det = determining_number(g, grp)[0]
-        value, witness = cost_2dist(g, grp, dist_value=2, lower_bound=det,
-                                    class_candidates=dist_class_candidates(g))
+        value, witness = cost_2dist(g, grp, dist_value=2, lower_bound=det)
         assert value == want, name
         assert is_distinguishing(grp, two_coloring(g.n_vertices, witness.payload))
         assert value >= det  # any trivially setwise-stabilized class determines
