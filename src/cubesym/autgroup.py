@@ -134,6 +134,28 @@ class FoldedAff(Automorphism):
         return self.c == 0 and self.pi == tuple(range(self.n + 1))
 
 
+@dataclass(frozen=True)
+class HalvedAff(Automorphism):
+    """Even-power automorphism: a permutation of the n+1 positions of the
+    parity-extended word (v, parity of v), whose image drops its parity bit
+    again, then translation by c.  Position n is the parity bit."""
+
+    n: int
+    c: int
+    pi: tuple[int, ...]  # length n+1, image position i reads source pi[i]
+
+    @property
+    def n_vertices(self) -> int:
+        return 1 << self.n
+
+    def apply(self, v: int) -> int:
+        extended = (v << 1) | (v.bit_count() & 1)
+        return self.c ^ (_permute_positions(extended, self.pi, self.n + 1) >> 1)
+
+    def is_identity(self) -> bool:
+        return self.c == 0 and self.pi == tuple(range(self.n + 1))
+
+
 # the eight automorphisms of an augmented cube that fix the zero vertex,
 # given as patterns on (first bit, middle block of n-3 bits, last two bits);
 # middle ops: keep, complement, reverse, complement-of-reverse
@@ -558,12 +580,19 @@ class _DeterminingFold:
 
 
 def elements_array(grp: PermGroup):
-    """The element table as a |G| x V numpy array, kept on the group."""
+    """The element table as a |G| x V numpy array, kept on the group, in no
+    particular row order; a translation model builds it without tuples."""
     import numpy as np
 
     arr = getattr(grp, "_np_elements", None)
     if arr is None:
-        arr = np.array(grp.elements(), dtype=np.int32)
+        if isinstance(grp.model, _TranslationModel):
+            if grp.order() > DEFAULT_ELEMENT_CAP:
+                raise SearchBudgetExceeded(f"group of order {grp.order()} above element "
+                                           f"cap {DEFAULT_ELEMENT_CAP}")
+            arr = grp.model.table()
+        else:
+            arr = np.array(grp.elements(), dtype=np.int32)
         grp._np_elements = arr
     return arr
 
@@ -654,13 +683,24 @@ class _TranslationModel:
     def element(self, c: int, phi: Automorphism) -> Automorphism:
         return replace(phi, c=c)
 
+    def table(self):
+        """The elements as a |G| x V int32 array: each zero-fixing map's
+        image row XOR each translation.  Two rows agree at the zero word only
+        if their translations do, so the table has `order()` distinct rows
+        when the zero-fixing rows are `n_zero_fixing()` distinct ones that
+        fix zero, which is checked."""
+        import numpy as np
+
+        base = np.array([phi.images() for phi in self.zero_fixing()], dtype=np.int32)
+        if (base[:, 0].any() or len(base) != self.n_zero_fixing()
+                or len(np.unique(base, axis=0)) != len(base)):
+            raise AssertionError(f"{type(self).__name__}: the zero-fixing maps are not "
+                                 f"{self.n_zero_fixing()} distinct maps fixing zero")
+        shifts = np.array(self.translations(), dtype=np.int32)
+        return (base[:, None, :] ^ shifts[None, :, None]).reshape(-1, base.shape[1])
+
     def enumerate(self, cap: int) -> list[tuple[int, ...]]:
-        out = []
-        for phi in self.zero_fixing():
-            base = phi.images()
-            for c in self.translations():
-                out.append(tuple(x ^ c for x in base))
-        return out
+        return [tuple(row) for row in self.table().tolist()]
 
 
 class _SetwiseSearch:
@@ -701,9 +741,14 @@ def _column_classes(cols) -> dict[tuple, list[int]]:
 class _ColumnRefinement(_DeterminingFold):
     """Determining state of the cube models: the first word a, the words
     translated by a, and the classes of positions whose translated columns
-    agree, as bitmasks over the word's bits with singletons dropped.  The
+    agree, as bitmasks over the columns (`column_mask`; the word's own bits
+    unless a model extends the word) with singletons dropped.  The
     classes do not depend on which word is the anchor.  A word splits each
     class in at most two, so a class of c positions needs ceil(lg c) more."""
+
+    def column_mask(self, t: int) -> int:
+        """The columns in which the translated word t has a 1."""
+        return t
 
     def det_add(self, state, w):
         if state is None:
@@ -711,45 +756,89 @@ class _ColumnRefinement(_DeterminingFold):
             return w, (0,), (full,) if self.columns > 1 else ()
         a, words, classes = state
         t = a ^ w
-        return a, words + (t,), tuple(part for m in classes for part in (m & t, m & ~t)
+        ones = self.column_mask(t)
+        return a, words + (t,), tuple(part for m in classes for part in (m & ones, m & ~ones)
                                       if part & (part - 1))
 
     def det_need(self, state) -> int:
         return max(((m.bit_count() - 1).bit_length() for m in state[2]), default=0)
 
 
-class HypercubeModel(_ColumnRefinement, _TranslationModel):
-    """Aut(Q_n) = Z_2^n x S_n, also the group of Q_n^k for odd k <= n-2."""
+class _PositionModel(_ColumnRefinement, _TranslationModel):
+    """A translation model whose zero-fixing maps are the permutations of
+    `columns` word positions, built by `aff(n, c, pi)`.  A set holding zero
+    is fixed by a permutation iff it moves positions only within classes of
+    equal columns, so the set is determining iff its columns are distinct."""
 
     def n_zero_fixing(self) -> int:
-        return factorial(self.n)
+        return factorial(self.columns)
 
     def zero_fixing(self):
-        return (HypercubeAff(self.n, 0, pi) for pi in permutations(range(self.n)))
+        return (self.aff(self.n, 0, pi) for pi in permutations(range(self.columns)))
+
+    def generators(self) -> list[Automorphism]:
+        n, m = self.n, self.columns
+        gens = [self.aff(n, 1 << b, tuple(range(m))) for b in range(n)]
+        gens += [self.aff(n, 0, _transposition(m, i, i + 1)) for i in range(m - 1)]
+        return gens
+
+    def det_done(self, state) -> bool:
+        """A fixing position permutation exists iff two columns agree."""
+        return state is not None and not state[2]
+
+    def pointwise_stabilizer(self, S) -> PermGroup:
+        n, m, a = self.n, self.columns, S[0]
+        order = 1
+        gens = []
+        for idx in self.column_classes(S).values():
+            order *= factorial(len(idx))
+            gens += [_conjugate(self.aff(n, 0, _transposition(m, i, j)), a)
+                     for i, j in zip(idx, idx[1:])]
+        return PermGroup(1 << n, gens, order, "structured")
+
+
+class HypercubeModel(_PositionModel):
+    """Aut(Q_n) = Z_2^n x S_n, also the group of Q_n^k for odd k <= n-2."""
+
+    aff = HypercubeAff
 
     @property
     def columns(self) -> int:
         return self.n
 
-    def generators(self) -> list[Automorphism]:
-        n = self.n
-        gens = [HypercubeAff(n, 1 << b, tuple(range(n))) for b in range(n)]
-        gens += [HypercubeAff(n, 0, _transposition(n, i, i + 1)) for i in range(n - 1)]
-        return gens
+    def column_classes(self, S) -> dict[tuple, list[int]]:
+        return _column_classes(_translated_columns(S, self.n))
 
-    def det_done(self, state) -> bool:
-        """A fixing bit permutation exists iff two position columns agree."""
-        return state is not None and not state[2]
 
-    def pointwise_stabilizer(self, S) -> PermGroup:
-        n, a = self.n, S[0]
-        order = 1
-        gens = []
-        for idx in _column_classes(_translated_columns(S, n)).values():
-            order *= factorial(len(idx))
-            gens += [_conjugate(HypercubeAff(n, 0, _transposition(n, i, j)), a)
-                     for i, j in zip(idx, idx[1:])]
-        return PermGroup(1 << n, gens, order, "structured")
+class HalvedCubeModel(_PositionModel):
+    """Aut(Q_n^k) = Z_2^n x S_{n+1} for even k with 2 <= k <= n-2.
+
+    Write N = n+1 and v^ = (v, parity of v), a word of even weight.  The
+    distance of v^ and w^ is that of v and w rounded up to even, so Q_n^k
+    is the graph on the even words of length N within distance k.  Adjacent
+    words at distance 2 have more common neighbors than those at 4, ..., k,
+    so every automorphism keeps them, and is one of the halved N-cube.  For
+    balls B of radius k and w' = w + e_p + e_q with p, q off w, keep each z
+    of B(0) & B(w') that is in B(w), and move the others, which have z_p =
+    z_q = 1 and d(z, w') = k, to z + e_p + e_q.  That maps B(0) & B(w') one
+    to one into B(0) & B(w), and for |w| = 2 it misses the words of weight
+    k with one bit on w and none on p, q, which exist as k + 3 <= N.  The
+    halved N-cube's group is Z_2^n x S_N for N >= 5 (Brouwer, Cohen &
+    Neumaier, Distance-Regular Graphs, 1989).  Q_3^2 = K_{2,2,2,2} (N = 4)
+    has more automorphisms, and so do the powers with k >= n-1."""
+
+    aff = HalvedAff
+
+    @property
+    def columns(self) -> int:
+        return self.n + 1  # bit n is the parity column
+
+    def column_mask(self, t: int) -> int:
+        return t | (t.bit_count() & 1) << self.n
+
+    def column_classes(self, S) -> dict[tuple, list[int]]:
+        cols = _translated_columns(S, self.n)
+        return _column_classes(cols + [tuple(sum(row) & 1 for row in zip(*cols))])
 
 
 def _xor_cols(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -954,6 +1043,8 @@ def _family_model(spec: FamilySpec) -> GroupModel:
     n = spec.n
     if spec.kind == HYPERCUBE or (spec.kind == POWER and spec.k % 2 == 1 and spec.k <= n - 2):
         return HypercubeModel(n)
+    if spec.kind == POWER and spec.k % 2 == 0 and 2 <= spec.k <= n - 2:
+        return HalvedCubeModel(n)
     if spec.kind == FOLDED and n >= 4:
         return FoldedModel(n)
     if spec.kind == AUGMENTED and n >= 4:
@@ -977,8 +1068,9 @@ def _family_model(spec: FamilySpec) -> GroupModel:
 def structured_group(g: Graph) -> PermGroup:
     """The automorphism group in its closed structural form.
 
-    Raises NoStructuredForm for families without one (even powers, Hamming
-    graphs, and the small-n exceptions); callers fall back on search.
+    Raises NoStructuredForm for families without one (Hamming graphs, the
+    powers with k >= n-1, and the small-n exceptions); callers fall back on
+    search.
     """
     spec = g.family
     if spec is None:

@@ -76,10 +76,10 @@ class TransitivityReport:
     distance_transitive: bool
 
     def __post_init__(self):
-        if self.arc_transitive:
-            assert self.vertex_transitive and self.edge_transitive
-        if self.distance_transitive:
-            assert self.arc_transitive
+        if self.arc_transitive and not (self.vertex_transitive and self.edge_transitive):
+            raise AssertionError("arc-transitive but not vertex- and edge-transitive")
+        if self.distance_transitive and not self.arc_transitive:
+            raise AssertionError("distance-transitive but not arc-transitive")
 
     def to_dict(self) -> dict:
         return {
@@ -192,9 +192,13 @@ def determining_lower_bound_exhaustive(g: Graph, grp: PermGroup, below: int) -> 
 def _preserving_count(grp: PermGroup, colors) -> int:
     """Number of group elements that keep every vertex's color, on the
     element table; `colors` is a numpy array over the vertices, compared in
-    whatever dtype the caller chose."""
+    whatever dtype the caller chose.  Only the vertices outside the most
+    common color are compared: an element that maps every other class into
+    itself maps each of them onto itself, and so the last class too."""
     arr = elements_array(grp)
-    return int((colors[arr] == colors[None, :]).all(axis=1).sum())
+    values, counts = np.unique(colors, return_counts=True)
+    rest = np.flatnonzero(colors != values[counts.argmax()])
+    return int((colors[arr[:, rest]] == colors[rest][None, :]).all(axis=1).sum())
 
 
 def is_distinguishing(grp: PermGroup, coloring: Coloring) -> bool:
@@ -305,7 +309,7 @@ def distinguishing_number(g: Graph, grp: PermGroup,
         if two_class_is_distinguishing(g, grp, cand):
             return two(cand)
     try:
-        grp.elements()
+        elements_array(grp)
     except SearchBudgetExceeded:
         raise SearchBudgetExceeded(
             "group too large to settle the distinguishing number") from None

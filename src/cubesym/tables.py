@@ -2,14 +2,15 @@
 the per-family parameter summary, and the enhanced-cube distinguishing grid.
 
 Each cell is computed at desk scale and tagged with how it was obtained
-(formula, witness, searched) or marked out-of-budget; cells are never copied
+(formula, witness, or the source of the group the solvers ran on:
+structured or searched) or marked out-of-budget; cells are never copied
 from the literature unverified.
 """
 
 from __future__ import annotations
 
 from . import constructions as cons
-from .bitgraph import FamilySpec, build_family
+from .bitgraph import FamilySpec, build_family, vertex_cap
 from .errors import CubeSymError, ParameterOutOfRange, SearchBudgetExceeded
 from .params import automorphism_group, compute_parameter
 from .symmetry import transitivity_report
@@ -64,14 +65,15 @@ def enhanced_dist_table(n_max: int, n_min: int = 2,
     return {"n_min": n_min, "n_max": n_max, "cells": cells}
 
 
-def _searched(spec: FamilySpec, parameters) -> dict:
-    """Cells computed by the `param` solvers on the family's group."""
+def _computed(spec: FamilySpec, parameters) -> dict:
+    """Cells computed by the `param` solvers on the family's group, tagged
+    with the group's source (structured or searched)."""
     g = build_family(spec)
     grp = automorphism_group(g)
     cells = {}
     for parameter in parameters:
         cells[parameter] = compute_parameter(g, parameter, grp)["value"]
-        cells[f"{parameter}_method"] = "searched"
+        cells[f"{parameter}_method"] = grp.source
     return cells
 
 
@@ -81,12 +83,18 @@ def _hypercube_row(n: int) -> dict:
     if n >= 2:
         cons.hypercube_det_set(n)  # verifies while constructing
     if n <= 4:
-        row.update(_searched(FamilySpec("hypercube", n),
+        row.update(_computed(FamilySpec("hypercube", n),
                              ("dist", "cost") if n == 4 else ("dist",)))
     else:
         row.update(dist=2, dist_method="witness",
                    cost=[1 + cons._ceil_lg(n), 2 + cons._ceil_lg(n)], cost_method="range")
     return row
+
+
+# The square of Q_n gets computed cells up to this n (and the vertex cap),
+# and the witnesses' bounds above: det(Q_8^2) takes 0.01 s on its model,
+# det(Q_9^2) about 30 s of lex search.
+SQUARE_MAX_N = 8
 
 
 def summary_table(n: int) -> dict:
@@ -102,14 +110,14 @@ def summary_table(n: int) -> dict:
             frow.update(dist=2, dist_method="witness",
                         cost=[fdet, len(cls)], cost_method="range")
         else:
-            frow.update(_searched(FamilySpec("folded", n), ("dist",)))
+            frow.update(_computed(FamilySpec("folded", n), ("dist",)))
         rows["folded"] = frow
     if n >= 4:
         rows["augmented"] = {"det": len(cons.aq_det_witness(n)), "det_method": "witness",
                              "dist": 2, "dist_method": "witness",
                              "cost": len(cons.aq_cost_class(n)), "cost_method": "witness"}
     elif n >= 2:
-        rows["augmented"] = _searched(FamilySpec("augmented", n), ("det", "dist"))
+        rows["augmented"] = _computed(FamilySpec("augmented", n), ("det", "dist"))
     if n >= 3:
         if n >= 4:
             det_set, cost_class = cons.ltq_witnesses(n)
@@ -117,7 +125,7 @@ def summary_table(n: int) -> dict:
                                        "dist": 2, "dist_method": "witness",
                                        "cost": len(cost_class), "cost_method": "witness"}
         else:
-            rows["locally-twisted"] = _searched(FamilySpec("locally_twisted", n),
+            rows["locally-twisted"] = _computed(FamilySpec("locally_twisted", n),
                                                 ("det", "dist", "cost"))
     if n >= 4:
         s, t = cons.q2_witnesses(n)
@@ -125,8 +133,8 @@ def summary_table(n: int) -> dict:
         if cons.q2_class_is_asymmetric(n):  # T is no class at n = 4
             row.update(dist=2, dist_method="witness",
                        cost=["<=", len(t)], cost_method="witness")
-        if n <= 6:
-            row.update(_searched(FamilySpec("power", n, k=2),
+        if n <= SQUARE_MAX_N and 1 << n <= vertex_cap():
+            row.update(_computed(FamilySpec("power", n, k=2),
                                  ("det",) if "dist" in row else ("det", "dist", "cost")))
         rows["hypercube-square"] = row
     if n >= 2:

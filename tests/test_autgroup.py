@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from cubesym.autgroup import (
     ExplicitPerm,
     FoldedAff,
     FoldedModel,
+    HalvedAff,
+    HalvedCubeModel,
     HypercubeAff,
     HypercubeModel,
     LtqModel,
@@ -22,6 +26,7 @@ from cubesym.autgroup import (
     automorphism_from_json,
     automorphism_to_json,
     compose,
+    elements_array,
     fq_phi_extend,
     group_from_json,
     group_to_json,
@@ -83,6 +88,8 @@ STRUCTURED_ORDERS = [
     ("Q_{4,2}", lambda: enhanced_hypercube(4, 2), 2304),
     ("Q_{5,2}", lambda: enhanced_hypercube(5, 2), 3840),
     ("Q_{5,3}", lambda: enhanced_hypercube(5, 3), 9216),
+    ("Q_4^2", lambda: hypercube_power(4, 2), 1920),
+    ("Q_5^2", lambda: hypercube_power(5, 2), 23040),
 ]
 
 
@@ -107,8 +114,11 @@ def test_structured_generators_are_automorphisms():
 
 
 def test_no_structured_form():
+    # Q_3^2 = K_{2,2,2,2} has order 384, twice the halved-cube count
     with pytest.raises(NoStructuredForm):
-        structured_group(hypercube_power(4, 2))
+        structured_group(hypercube_power(3, 2))
+    with pytest.raises(NoStructuredForm):
+        structured_group(hypercube_power(5, 4))
     with pytest.raises(NoStructuredForm):
         structured_group(hamming_graph(3, 2))
     with pytest.raises(NoStructuredForm):
@@ -128,6 +138,47 @@ def test_power_group_identities():
             else:
                 even = set(search_automorphisms(hypercube_power(n, 2)).elements())
                 assert got == even and got != base
+
+
+@pytest.mark.parametrize("n,k", [(6, 4), (7, 2)])
+def test_halved_cube_order_matches_search(n, k):
+    g = hypercube_power(n, k)
+    grp = structured_group(g)
+    assert isinstance(grp.model, HalvedCubeModel)
+    assert grp.order() == search_automorphisms(g).order() == (1 << n) * factorial(n + 1)
+
+
+@pytest.mark.oracle_suite
+def test_halved_cube_equals_searched_q6_4():
+    # 322,560 elements on each side: a 15 s, 400 MB closure
+    g = hypercube_power(6, 4)
+    assert sorted(structured_group(g).model.enumerate(10 ** 6)) == \
+        search_automorphisms(g).elements()
+
+
+def test_halved_aff_reads_the_parity_position():
+    # swapping position 0 with the parity position of Q_4^2
+    sigma = HalvedAff(4, 0, (4, 1, 2, 3, 0))
+    assert sigma.apply(0b1000) == 0b1000  # extended 10001 -> 10001
+    assert sigma.apply(0b0100) == 0b1100  # extended 01001 -> 11000
+    assert sigma.apply(0b1100) == 0b0100  # extended 11000 -> 01001
+    assert HalvedAff(4, 0b0011, tuple(range(5))).apply(0b0101) == 0b0110
+
+
+@given(st.lists(st.integers(0, 31), min_size=1, max_size=4, unique=True))
+@settings(max_examples=60, deadline=None)
+def test_halved_pointwise_stabilizer_matches_filtering(S):
+    grp = _q5_square()
+    got = pointwise_stabilizer(grp, S)
+    expect = [p for p in grp.elements() if all(p[v] == v for v in S)]
+    assert got.order() == len(expect)
+    assert sorted(got.elements()) == expect
+    assert pointwise_stabilizer_is_trivial(grp, S) == (len(expect) == 1)
+
+
+@lru_cache(maxsize=None)
+def _q5_square():
+    return structured_group(hypercube_power(5, 2))
 
 
 def test_composition_convention_and_properties():
@@ -173,6 +224,18 @@ def test_closure_matches_model_enumeration_above_255_vertices(model):
     grp = PermGroup(1 << model.n, model.generators())
     assert grp.elements() == sorted(model.enumerate(10 ** 6))
     assert grp.order() == model.order()
+
+
+class _RepeatedMapModel(HypercubeModel):
+    def zero_fixing(self):
+        maps = list(super().zero_fixing())
+        return maps[:-1] + maps[:1]  # one map twice, the count kept
+
+
+def test_translation_table_rejects_repeated_zero_fixing_maps():
+    model = _RepeatedMapModel(3)
+    with pytest.raises(AssertionError):
+        elements_array(PermGroup(8, model.generators(), model.order(), model=model))
 
 
 def test_fq_phi_extend():

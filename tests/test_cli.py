@@ -182,8 +182,9 @@ def test_summary_q2_cost_matches_param_cost(capsys, tmp_path, monkeypatch):
     row = json.loads(out)["rows"]["hypercube-square"]
     code, out = run(capsys, "param", "cost", "power", "-n", "4", "-k", "2")
     assert code == 0
-    assert row["cost"] == json.loads(out)["value"] == 8
-    assert row["cost_method"] == "searched"
+    report = json.loads(out)
+    assert row["cost"] == report["value"] == 8
+    assert row["cost_method"] == report["verified_by"] == "structured"
 
 
 def test_exit_codes(capsys, tmp_path, monkeypatch):

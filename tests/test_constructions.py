@@ -363,7 +363,8 @@ def test_enhanced_dist_candidates_verified():
 def test_det_set_checks_survive_python_O():
     """The witness constructions check themselves with code that `python -O`
     keeps: with one check made to fail, each construction behind it raises,
-    and a failed check exits 3 from the CLI."""
+    and a failed check exits 3 from the CLI.  A transitivity report with
+    inconsistent flags raises too."""
     import os
     import subprocess
     import sys
@@ -375,6 +376,7 @@ def test_det_set_checks_survive_python_O():
         from unittest import mock
         from cubesym import autgroup, constructions as cons
         from cubesym.cli import main
+        from cubesym.symmetry import TransitivityReport
 
         if not sys.flags.optimize:
             sys.exit("not running under -O")
@@ -404,6 +406,14 @@ def test_det_set_checks_survive_python_O():
                     except AssertionError:
                         continue
                     sys.exit(f"{build.__name__}({n}) passed a failed {name} check")
+        # arc- without edge-transitivity, distance- without arc-transitivity
+        for flags in [(True, False, True, False), (False, True, True, False),
+                      (True, True, False, True)]:
+            try:
+                TransitivityReport(*flags)
+            except AssertionError:
+                continue
+            sys.exit(f"TransitivityReport{flags} passed its check")
         with mock.patch.object(autgroup.HypercubeModel, "pointwise_trivial", never):
             if main(["construct", "hypercube-det", "-n", "5"]) != 3:
                 sys.exit("construct hypercube-det did not exit 3")

@@ -1,6 +1,7 @@
 """The pruned determining-set search against plain references: an unpruned
-lex scan, the closed-form determining numbers, the stored witnesses of the
-benchmark's det queries, and element filtering on enumerated groups."""
+lex scan, the closed-form determining numbers, the searched group, the
+stored witnesses of the benchmark's det queries and the even powers' pinned
+ones, and element filtering on enumerated groups."""
 
 from __future__ import annotations
 
@@ -14,12 +15,13 @@ from hypothesis import strategies as st
 from cubesym import constructions as cons
 from cubesym.bitgraph import FamilySpec, build_family
 from cubesym.params import automorphism_group
+from cubesym.search import search_automorphisms
 from cubesym.symmetry import determining_number, is_determining_set
 
 
-def _group(kind: str, n: int, k: int | None = None):
+def _group(kind: str, n: int, k: int | None = None, searched: bool = False):
     g = build_family(FamilySpec(kind, n, k=k))
-    return g, automorphism_group(g)
+    return g, search_automorphisms(g) if searched else automorphism_group(g)
 
 
 def _fixed_point_masks(grp) -> list[int]:
@@ -55,8 +57,11 @@ EXTRA_CASES = {
     "FQ_5": ("folded", 5, None), "FQ_6": ("folded", 6, None),
     "AQ_5": ("augmented", 5, None), "LTQ_5": ("locally_twisted", 5, None),
     "Q_{5,2}": ("enhanced", 5, 2), "Q_{6,3}": ("enhanced", 6, 3),
-    "Q_5^2": ("power", 5, 2),  # searched group
+    "Q_5^2": ("power", 5, 2),
 }
+# built by search, so that the fixed-mask test of a group without a model
+# keeps a case
+SEARCHED = {"Q_5^2"}
 
 
 def test_search_matches_plain_scan_on_corpus(corpus, corpus_groups):
@@ -70,7 +75,7 @@ def test_search_matches_plain_scan_on_corpus(corpus, corpus_groups):
 @pytest.mark.parametrize("name", sorted(EXTRA_CASES))
 def test_search_matches_plain_scan(name):
     kind, n, k = EXTRA_CASES[name]
-    g, grp = _group(kind, n, k)
+    g, grp = _group(kind, n, k, searched=name in SEARCHED)
     value, witness = determining_number(g, grp)
     want = _plain_lex_scan(grp, g.n_vertices)
     assert (value, tuple(witness.payload)) == (len(want), want)
@@ -91,10 +96,33 @@ def test_search_matches_closed_forms():
     ("enhanced", 7, 3, (0, 1, 2, 12, 52)),
     ("augmented", 7, None, (0, 69)),
     ("locally_twisted", 8, None, (0,)),
+    # Q_6^2's witness is the searched group's; Q_7^2 (order 5,160,960) and
+    # Q_8^2 have no element table to check against
+    ("power", 6, 2, (0, 7, 25, 42)),
+    ("power", 7, 2, (0, 7, 25, 42)),
+    ("power", 8, 2, (0, 1, 14, 50, 84)),
 ])
 def test_det_query_witnesses(kind, n, k, witness):
     value, got = determining_number(*_group(kind, n, k))
     assert (value, tuple(got.payload)) == (len(witness), witness)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_halved_cube_det_matches_searched_group(n):
+    g = build_family(FamilySpec("power", n, k=2))
+    structured = determining_number(g, automorphism_group(g))
+    searched = determining_number(g, search_automorphisms(g))
+    assert structured[1].verified_by == "structured"
+    assert (structured[0], structured[1].payload) == (searched[0], searched[1].payload)
+
+
+@pytest.mark.oracle_suite
+def test_halved_cube_det_matches_searched_group_q6():
+    # the searched group's fixed-mask test needs its 322,560-element table
+    g = build_family(FamilySpec("power", 6, k=2))
+    structured = determining_number(g, automorphism_group(g))
+    searched = determining_number(g, search_automorphisms(g))
+    assert (structured[0], structured[1].payload) == (searched[0], searched[1].payload)
 
 
 # Structured groups small enough to enumerate; FQ_6's 322,560 elements are
@@ -102,6 +130,7 @@ def test_det_query_witnesses(kind, n, k, witness):
 FOLD_GROUPS = [("hypercube", n, None) for n in (3, 4, 5, 6)] + \
     [("folded", n, None) for n in (4, 5)] + \
     [("augmented", n, None) for n in (4, 5, 6)] + \
+    [("power", n, 2) for n in (4, 5)] + \
     [("enhanced", n, k) for n, k in ((4, 2), (5, 2), (5, 3), (6, 3), (6, 5))]
 
 

@@ -1,9 +1,9 @@
 """Golden CLI outputs: refactors must keep every output byte-identical,
 ignoring `elapsed_ms` at any depth.
 
-The cases cover each structured group model (Q_n and an odd power, FQ_n,
-AQ_n, LTQ_n, the enhanced product) and the searched path (even power,
-Hamming graph).  To rewrite the stored files from the current program, run
+The cases cover each structured group model (Q_n and an odd power, the
+halved cube of an even power, FQ_n, AQ_n, LTQ_n, the enhanced product) and
+the searched path (Hamming graph).  To rewrite the stored files from the current program, run
 `PYTHONPATH=src python tests/test_golden_cli.py`.
 """
 

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
-import pytest
+from functools import lru_cache
 
-from cubesym.autgroup import structured_group
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cubesym.autgroup import elements_array, structured_group
 from cubesym.bitgraph import (
     augmented_hypercube,
     complement,
+    enhanced_hypercube,
     folded_hypercube,
     graph_from_edges,
+    hamming_graph,
     hypercube,
     hypercube_power,
     induced_subgraph,
@@ -19,6 +26,7 @@ from cubesym.params import automorphism_group, dist_class_candidates, verify_wit
 from cubesym.search import search_automorphisms
 from cubesym.symmetry import (
     Coloring,
+    _preserving_count,
     cost_2dist,
     determining_lower_bound_exhaustive,
     determining_number,
@@ -235,3 +243,36 @@ def test_complement_identities_32_vertices():
         d1, _ = distinguishing_number(g, grp, dist_class_candidates(g))
         d2, _ = distinguishing_number(cg, cgrp, dist_class_candidates(g))
         assert d1 == d2
+
+
+COUNT_GROUPS = {
+    "Q_4": lambda: hypercube(4),
+    "FQ_4": lambda: folded_hypercube(4),
+    "H(2,3)": lambda: hamming_graph(3, 2),
+    "Q_{4,2}": lambda: enhanced_hypercube(4, 2),
+    "Q_4^2": lambda: hypercube_power(4, 2),
+}
+
+
+@lru_cache(maxsize=None)
+def _count_group(name):
+    return automorphism_group(COUNT_GROUPS[name]())
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_preserving_count_matches_full_rows(data):
+    """Comparing only the vertices outside the most common color counts the
+    same elements as comparing every vertex."""
+    grp = _count_group(data.draw(st.sampled_from(sorted(COUNT_GROUPS))))
+    nv, d = grp.n_vertices, data.draw(st.integers(2, 4))
+    # a few recolored vertices leave colorings that many elements keep
+    colors = np.full(nv, data.draw(st.integers(1, d)), dtype=np.int32)
+    for v, c in data.draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(1, d)),
+                                   max_size=nv)):
+        colors[v] = c
+    arr = elements_array(grp)
+    full = int((colors[arr] == colors[None, :]).all(axis=1).sum())
+    assert _preserving_count(grp, colors) == full
+    member = colors == 1  # the boolean classes of the two-color callers
+    assert _preserving_count(grp, member) == int((member[arr] == member[None, :]).all(axis=1).sum())
