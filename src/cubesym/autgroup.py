@@ -418,7 +418,10 @@ class PermGroup:
 
     `model` is the closed form of a structured group; without one, elements
     come from generator closure.  `order_known` is trusted when set (it is
-    cross-checked against enumeration in the tests).
+    cross-checked against enumeration in the tests).  `base` is set on a
+    searched group: the vertices b_1, b_2, ... that its search fixed in turn,
+    such that the generators fixing b_1..b_i generate the stabilizer of
+    b_1..b_i (a strong generating set).
     """
 
     n_vertices: int
@@ -427,6 +430,7 @@ class PermGroup:
     source: str = "explicit"
     graph: Graph | None = None
     model: GroupModel | None = None
+    base: tuple[int, ...] | None = None
     _elements: list[tuple[int, ...]] | None = field(default=None, repr=False)
 
     def order(self, cap: int = DEFAULT_ELEMENT_CAP) -> int:
@@ -482,6 +486,32 @@ class PermGroup:
 
     def is_vertex_transitive(self) -> bool:
         return len(self.orbits()) <= 1
+
+
+def _orbit(gen_images: list[tuple[int, ...]], start: int) -> set[int]:
+    orbit = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for p in gen_images:
+                y = p[x]
+                if y not in orbit:
+                    orbit.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return orbit
+
+
+def base_order(gen_images: list[tuple[int, ...]], base) -> int:
+    """|G| as the product, along the base, of the orbit of b_i under the
+    generators fixing b_1..b_{i-1}; exact for a strong generating set whose
+    base has a trivial pointwise stabilizer."""
+    order = 1
+    for i, b in enumerate(base):
+        fixing = [p for p in gen_images if all(p[v] == v for v in base[:i])]
+        order *= len(_orbit(fixing, b))
+    return order
 
 
 def _closure(nv: int, gen_images: list[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
@@ -691,7 +721,7 @@ class _TranslationModel:
         fix zero, which is checked."""
         import numpy as np
 
-        base = np.array([phi.images() for phi in self.zero_fixing()], dtype=np.int32)
+        base = self.zero_fixing_rows()
         if (base[:, 0].any() or len(base) != self.n_zero_fixing()
                 or len(np.unique(base, axis=0)) != len(base)):
             raise AssertionError(f"{type(self).__name__}: the zero-fixing maps are not "
@@ -699,8 +729,31 @@ class _TranslationModel:
         shifts = np.array(self.translations(), dtype=np.int32)
         return (base[:, None, :] ^ shifts[None, :, None]).reshape(-1, base.shape[1])
 
+    def zero_fixing_rows(self):
+        """The image rows of the zero-fixing maps, one `apply` per vertex."""
+        import numpy as np
+
+        return np.array([phi.images() for phi in self.zero_fixing()], dtype=np.int32)
+
     def enumerate(self, cap: int) -> list[tuple[int, ...]]:
         return [tuple(row) for row in self.table().tolist()]
+
+
+class _LinearZeroFixing:
+    """A translation model whose zero-fixing maps are linear over GF(2): the
+    image of a word is the XOR of the images of its bits."""
+
+    def zero_fixing_rows(self):
+        """The image rows, built from the n images of the single bits by
+        doubling: the words with bit b set are those below 2^b XOR bit b."""
+        import numpy as np
+
+        bits = np.array([[phi.apply(1 << b) for b in range(self.n)]
+                         for phi in self.zero_fixing()], dtype=np.int32)
+        rows = np.zeros((len(bits), 1), dtype=np.int32)
+        for b in range(self.n):
+            rows = np.concatenate([rows, rows ^ bits[:, b:b + 1]], axis=1)
+        return rows
 
 
 class _SetwiseSearch:
@@ -764,7 +817,7 @@ class _ColumnRefinement(_DeterminingFold):
         return max(((m.bit_count() - 1).bit_length() for m in state[2]), default=0)
 
 
-class _PositionModel(_ColumnRefinement, _TranslationModel):
+class _PositionModel(_LinearZeroFixing, _ColumnRefinement, _TranslationModel):
     """A translation model whose zero-fixing maps are the permutations of
     `columns` word positions, built by `aff(n, c, pi)`.  A set holding zero
     is fixed by a permutation iff it moves positions only within classes of
@@ -860,7 +913,7 @@ def _folded_shifts(classes: dict[tuple, list[int]]) -> list[tuple]:
                    for c, idx in classes.items())]
 
 
-class FoldedModel(_ColumnRefinement, _TranslationModel):
+class FoldedModel(_LinearZeroFixing, _ColumnRefinement, _TranslationModel):
     """Aut(FQ_n) = Z_2^n x S_{n+1} (n >= 4), permuting the n positions and
     the all-ones word as n+1 symbols."""
 
@@ -1109,8 +1162,10 @@ def pointwise_stabilizer_is_trivial(grp: PermGroup, subset) -> bool:
 def pointwise_stabilizer(grp: PermGroup, subset) -> PermGroup:
     """Subgroup fixing every vertex of `subset`.
 
-    Structured groups are solved by their model; enumerated groups are
-    filtered directly.
+    Structured groups are solved by their model.  A searched group whose
+    base starts with the vertices of `subset` keeps the generators that fix
+    them, which generate the stabilizer; other groups are filtered on their
+    element table.
     """
     S = sorted(set(subset))
     if not S:
@@ -1119,6 +1174,11 @@ def pointwise_stabilizer(grp: PermGroup, subset) -> PermGroup:
         stab = grp.model.pointwise_stabilizer(S)
         stab.graph = grp.graph
         return stab
+    if grp.base is not None and S == sorted(grp.base[:len(S)]):
+        gens = [p for p in grp.generators if all(p.apply(v) == v for v in S)]
+        rest = grp.base[len(S):]
+        return PermGroup(grp.n_vertices, gens, base_order([p.images() for p in gens], rest),
+                         grp.source, grp.graph, base=rest)
     return _filtered_subgroup(grp, [p for p in grp.elements() if all(p[v] == v for v in S)])
 
 

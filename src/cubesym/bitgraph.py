@@ -365,48 +365,36 @@ def build_family(spec: FamilySpec, cap: int | None = None) -> Graph:
     raise ParameterOutOfRange(f"unhandled family kind {spec.kind!r}")
 
 
+def distance_spheres(g: Graph, u: int) -> list[int]:
+    """Bitmasks of the vertices at distance 0, 1, 2, ... from u, by BFS;
+    the vertices that u cannot reach are in none of them."""
+    frontier = seen = 1 << u
+    spheres = []
+    while frontier:
+        spheres.append(frontier)
+        nxt = 0
+        f = frontier
+        while f:
+            low = f & -f
+            nxt |= g.rows[low.bit_length() - 1]
+            f ^= low
+        frontier = nxt & ~seen
+        seen |= frontier
+    return spheres
+
+
 def graph_distance(g: Graph, u: int, v: int) -> int:
     """BFS shortest-path length; raises Unreachable for disconnected pairs."""
     if not 0 <= u < g.n_vertices or not 0 <= v < g.n_vertices:
         raise VertexOutOfRange(f"vertex out of range: {u}, {v}")
-    if u == v:
-        return 0
-    frontier = 1 << u
-    seen = frontier
-    dist = 0
-    target = 1 << v
-    while frontier:
-        dist += 1
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= g.rows[low.bit_length() - 1]
-            f ^= low
-        nxt &= ~seen
-        if nxt & target:
+    for dist, sphere in enumerate(distance_spheres(g, u)):
+        if sphere >> v & 1:
             return dist
-        seen |= nxt
-        frontier = nxt
     raise Unreachable(f"no path from {u} to {v}")
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n_vertices <= 1:
-        return True
-    frontier = 1
-    seen = 1
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= g.rows[low.bit_length() - 1]
-            f ^= low
-        nxt &= ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen == (1 << g.n_vertices) - 1
+    return g.n_vertices <= 1 or sum(distance_spheres(g, 0)) == (1 << g.n_vertices) - 1
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:

@@ -109,7 +109,8 @@ def _stirling2_formula(r: int, m: int) -> int:
         return 1 if r == 0 else 0
     total = sum((-1) ** i * comb(m, i) * (m - i) ** r for i in range(m + 1))
     q, rem = divmod(total, factorial(m))
-    assert rem == 0
+    if rem:
+        raise AssertionError(f"the S({r},{m}) sum is not divisible by {m}!")
     return q
 
 
@@ -119,7 +120,8 @@ def stirling2(r: int, m: int) -> int:
     The recurrence value is cross-checked against the summation formula.
     """
     val = _stirling2_recurrence(r, m)
-    assert val == _stirling2_formula(r, m), (r, m)
+    if val != _stirling2_formula(r, m):
+        raise AssertionError(f"the recurrence and the sum disagree on S({r},{m})")
     return val
 
 
@@ -135,7 +137,9 @@ def _hamming_threshold_closed(r: int, m: int) -> int:
     total += sum((-1) ** i * comb(m - 1, i) * ((m - i) ** (r - 1) + (m - i - 1) ** r)
                  for i in range(m - 1))
     q, rem = divmod(total, factorial(m - 1))
-    assert rem == 0
+    if rem:
+        raise AssertionError(f"the H(m,n) column count sum at r={r}, m={m} is not "
+                             f"divisible by {m - 1}!")
     return q
 
 
@@ -150,7 +154,9 @@ def hamming_det_number(m: int, n: int) -> int:
     while True:
         t = _hamming_threshold(r, m)
         tc = _hamming_threshold_closed(r, m)
-        assert t == tc, (r, m, t, tc)
+        if t != tc:
+            raise AssertionError(f"the H(m,n) column counts at r={r}, m={m} disagree: "
+                                 f"{t} by Stirling numbers, {tc} in closed form")
         if n <= t:
             return r
         r += 1
@@ -381,13 +387,15 @@ def _fq_det_even(n: int) -> list[int]:
     return [0] + words
 
 
-def _fq_det_odd(n: int) -> list[int]:
+def _fq_odd_columns(n: int) -> list[tuple[int, ...]]:
     """Odd n that is not adjacent to a power of two: pair complementary
     column vectors so the column sum lands outside the used columns."""
     m = _ceil_lg(n + 1)
     half = 1 << (m - 1)
     q = n - half
-    assert q % 2 == 1 and 1 <= q <= half - 5, (n, q)
+    if not (q % 2 == 1 and 1 <= q <= half - 5):
+        raise AssertionError(f"the odd FQ_n columns need n = 2^k + q, odd q <= 2^k - 5; "
+                             f"n = {n} has q = {q}")
     width = m - 1
     full = (1 << width) - 1
     c = [None] * (half)  # c[1..half-1]
@@ -399,18 +407,21 @@ def _fq_det_odd(n: int) -> list[int]:
     cols = [(1,) + cvec(c[j]) for j in range(1, half - 1)]
     cols.append((0,) + cvec(c[half - 1]))
     cols += [(0,) + cvec(c[i]) for i in range(1, q + 2)]
-    assert len(cols) == n
-    colsum = [0] * m
-    for col in cols:
-        for s in range(m):
-            colsum[s] ^= col[s]
-    colsum = tuple(colsum)
-    if n % 4 == 1:
-        assert colsum not in cols
-    else:
-        assert any(colsum)
-    words = _words_from_columns(cols, n)
-    return [0] + words
+    return cols
+
+
+def _fq_det_odd(n: int) -> list[int]:
+    """The odd-n determining set: zero and the rows of the paired columns,
+    after checking that there are n columns and where their sum falls."""
+    cols = _fq_odd_columns(n)
+    if len(cols) != n:
+        raise AssertionError(f"the odd FQ_{n} construction has {len(cols)} columns")
+    colsum = tuple(sum(bits) % 2 for bits in zip(*cols))
+    if n % 4 == 1 and colsum in cols:
+        raise AssertionError(f"the odd FQ_{n} column sum is one of the columns")
+    if n % 4 == 3 and not any(colsum):
+        raise AssertionError(f"the odd FQ_{n} column sum is zero")
+    return [0] + _words_from_columns(cols, n)
 
 
 _FQ_CLASS_LITERALS = {
@@ -437,7 +448,8 @@ def _flip_path(frm: int, to: int, n: int, reverse: bool = False) -> list[int]:
         if (cur ^ to) & bit:
             cur ^= bit
             out.append(cur)
-    assert cur == to
+    if cur != to:
+        raise AssertionError(f"flipping the {n} positions of {frm} does not reach {to}")
     return out
 
 
@@ -480,7 +492,8 @@ def fq_dist_structure(n: int) -> dict:
             break
         if collisions == 0 and best is None:
             best = path
-    assert best is not None, n
+    if best is None:
+        raise AssertionError(f"every FQ_{n} path orientation revisits a vertex")
     path = best
     hub = min(enumerate(path), key=lambda t: (hamming_words(t[1], full, n), t[0]))[1]
     branch = []
@@ -490,9 +503,11 @@ def fq_dist_structure(n: int) -> dict:
             branch = _flip_path(hub, full, n, reverse=rev)
             if not seen & set(branch):
                 break
-        assert not seen & set(branch), n
+        if seen & set(branch):
+            raise AssertionError(f"both FQ_{n} branches run into the path")
     vertices = path + branch + [0]
-    assert len(set(vertices)) == len(vertices)
+    if len(set(vertices)) != len(vertices):
+        raise AssertionError(f"the FQ_{n} path, branch and zero share a vertex")
     return {"path": path, "hub": hub, "branch": branch, "vertices": vertices}
 
 

@@ -157,3 +157,46 @@ def oracle_cost(g: Graph) -> OracleResult:
             if not any(_fixes_setwise(p, fs) for p in auts):
                 return OracleResult(size, subset, nodes)
     raise NotTwoDistinguishable("no color class has a trivial setwise stabilizer")
+
+
+def oracle_transitivity(g: Graph) -> dict[str, bool]:
+    """Vertex/edge/arc/distance transitivity from every automorphism and
+    plain orbits of vertices, edges and ordered pairs.  Arc- and
+    distance-transitivity include vertex-transitivity."""
+    n = g.n_vertices
+    auts = enumerate_automorphisms_naive(g)
+    dist = {}
+    for s in range(n):
+        dist[s, s] = 0
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in g.neighbors(x):
+                    if (s, y) not in dist:
+                        dist[s, y] = dist[s, x] + 1
+                        nxt.append(y)
+            frontier = nxt
+
+    def one_orbit(items, image) -> bool:
+        return not items or {image(p, items[0]) for p in auts} == set(items)
+
+    def pair_image(p, pair):
+        return p[pair[0]], p[pair[1]]
+
+    edges = list(g.edges())
+    arcs = edges + [(v, u) for (u, v) in edges]
+    classes: dict[int, list] = {}
+    for u in range(n):
+        for v in range(n):
+            if u != v:
+                classes.setdefault(dist.get((u, v), -1), []).append((u, v))
+    vertex_t = one_orbit(list(range(n)), lambda p, v: p[v])
+    return {
+        "vertex_transitive": vertex_t,
+        "edge_transitive": one_orbit([frozenset(e) for e in edges],
+                                     lambda p, e: frozenset(p[v] for v in e)),
+        "arc_transitive": vertex_t and one_orbit(arcs, pair_image),
+        "distance_transitive": vertex_t and all(one_orbit(c, pair_image)
+                                                for c in classes.values()),
+    }

@@ -9,11 +9,13 @@ subtrees whose refinement trace diverges from the first path are cut.
 
 The group order is |orbit(b1)| * |orbit(b2) under stab(b1)| * ... along the
 first path, which the tests cross-check against full element enumeration.
+The returned group keeps that base (b1, b2, ...), so the stabilizer of a
+base prefix is read off the generators (`autgroup.pointwise_stabilizer`).
 """
 
 from __future__ import annotations
 
-from .autgroup import ExplicitPerm, PermGroup
+from .autgroup import ExplicitPerm, PermGroup, base_order
 from .bitgraph import Graph
 from .errors import SearchBudgetExceeded
 
@@ -186,23 +188,7 @@ def search_automorphisms(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
     start_cells, start_trace = _refine(rows, [list(range(n))], [ (1 << n) - 1 ])
     dfs(start_cells, 0, [])
 
-    # order = product of base-point orbit sizes along the stabilizer chain
-    order = 1
-    base = state["base"]
-    for i, b in enumerate(base):
-        fixing = [p for p in gens if all(p[v] == v for v in base[:i])]
-        orbit = {b}
-        frontier = [b]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for p in fixing:
-                    y = p[x]
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        order *= len(orbit)
-
     uniq = sorted(set(gens))
-    return PermGroup(n, [ExplicitPerm(p) for p in uniq], order, "searched", g)
+    base = tuple(state["base"])
+    return PermGroup(n, [ExplicitPerm(p) for p in uniq], base_order(uniq, base), "searched", g,
+                     base=base)

@@ -16,7 +16,7 @@ from .autgroup import (
     pointwise_stabilizer_is_trivial,
     setwise_stabilizer,
 )
-from .bitgraph import Graph, induced_subgraph
+from .bitgraph import Graph, distance_spheres, induced_subgraph
 from .errors import NotTwoDistinguishable, SearchBudgetExceeded
 from .search import search_automorphisms
 
@@ -410,56 +410,42 @@ def _orbit_of_pairs(gens_images, start):
     return seen
 
 
-def transitivity_report(g: Graph, grp: PermGroup) -> TransitivityReport:
-    """Vertex/edge/arc/distance transitivity via generator orbits."""
-    gens = [gen.images() for gen in grp.generators]
-    vertex_t = grp.is_vertex_transitive()
-
+def _edge_transitive(g: Graph, grp: PermGroup) -> bool:
+    """Whether the orbit of the least edge under the generators is every edge."""
     edges = list(g.edges())
     if not edges:
-        one = g.n_vertices <= 1
-        return TransitivityReport(vertex_t or one, True, vertex_t or one, vertex_t or one)
+        return True
+    gens = [gen.images() for gen in grp.generators]
+    orbit = {(min(e), max(e)) for e in _orbit_of_pairs(gens, edges[0])}
+    return len(orbit) == len(edges)
 
-    arcs = set()
-    for (u, v) in edges:
-        arcs.add((u, v))
-        arcs.add((v, u))
-    arc_orbit = _orbit_of_pairs(gens, min(arcs))
-    arc_t = arc_orbit == arcs
 
-    edge_set = {frozenset(e) for e in edges}
-    e0 = min(edges)
-    edge_orbit = {frozenset((u, v)) for (u, v) in _orbit_of_pairs(gens, e0)}
-    edge_t = edge_orbit == edge_set
+def transitivity_report(g: Graph, grp: PermGroup) -> TransitivityReport:
+    """Vertex/edge/arc/distance transitivity from the orbits of Stab(0).
 
-    # ordered pairs grouped by distance (per-source BFS)
-    nv = g.n_vertices
-    dist_classes: dict[int, set] = {}
-    for s in range(nv):
-        dist = {s: 0}
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for x in frontier:
-                row = g.rows[x]
-                while row:
-                    low = row & -row
-                    y = low.bit_length() - 1
-                    row ^= low
-                    if y not in dist:
-                        dist[y] = d
-                        nxt.append(y)
-            frontier = nxt
-        for t in range(nv):
-            dv = dist.get(t, -1)  # -1 marks unreachable pairs
-            if dv > 0 or dv == -1:
-                dist_classes.setdefault(dv, set()).add((s, t))
-    distance_t = True
-    for cls in dist_classes.values():
-        if _orbit_of_pairs(gens, min(cls)) != cls:
-            distance_t = False
-            break
+    For a vertex-transitive group, the orbit of an ordered pair (u, v) holds
+    the pair (0, x) exactly for the x of one Stab(0)-orbit.  So the group is
+    arc-transitive iff the neighbors of 0 are one such orbit, and
+    distance-transitive iff each distance sphere around 0, and the set of
+    vertices 0 cannot reach, is one.  Arc- and distance-transitivity include
+    vertex-transitivity, so a graph that is not vertex-transitive is neither,
+    even if its arcs form one orbit (an edge plus an isolated vertex).  An
+    arc-transitive group is edge-transitive; otherwise one edge's orbit
+    under the generators decides."""
+    if g.n_vertices == 0:
+        return TransitivityReport(True, True, True, True)
+    if not grp.is_vertex_transitive():
+        return TransitivityReport(False, _edge_transitive(g, grp), False, False)
+    orbit_of = [0] * g.n_vertices
+    for i, orbit in enumerate(pointwise_stabilizer(grp, [0]).orbits()):
+        for v in orbit:
+            orbit_of[v] = i
 
-    return TransitivityReport(vertex_t, edge_t, arc_t, distance_t)
+    def one_orbit(mask: int) -> bool:
+        return len({orbit_of[v] for v in range(mask.bit_length()) if mask >> v & 1}) <= 1
+
+    spheres = distance_spheres(g, 0)
+    unreachable = (1 << g.n_vertices) - 1 - sum(spheres)
+    arc_t = len(spheres) < 2 or one_orbit(spheres[1])
+    distance_t = arc_t and all(one_orbit(m) for m in spheres[2:] + [unreachable])
+    return TransitivityReport(True, arc_t or _edge_transitive(g, grp), arc_t, distance_t)

@@ -27,7 +27,12 @@ TRANSITIVITY_FAMILIES = (
 
 
 def transitivity_table(n: int, vertex_budget: int = 4096) -> dict:
-    """Transitivity flags for each family at a given n, by orbit computation."""
+    """Transitivity flags for each family at a given n, from
+    `transitivity_report` on the family's group (structured or searched).
+
+    A family whose graph has more than `vertex_budget` vertices, or whose
+    group search runs out of budget, is marked out-of-budget; one not
+    defined at this n is marked not-applicable."""
     rows = {}
     for name, make in TRANSITIVITY_FAMILIES:
         try:

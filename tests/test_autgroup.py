@@ -226,6 +226,13 @@ def test_closure_matches_model_enumeration_above_255_vertices(model):
     assert grp.order() == model.order()
 
 
+@pytest.mark.parametrize("model", [HypercubeModel(5), HalvedCubeModel(5), FoldedModel(5)],
+                         ids=["Q_5", "Q_5^2", "FQ_5"])
+def test_linear_zero_fixing_rows_match_images(model):
+    rows = model.zero_fixing_rows()
+    assert rows.tolist() == [list(phi.images()) for phi in model.zero_fixing()]
+
+
 class _RepeatedMapModel(HypercubeModel):
     def zero_fixing(self):
         maps = list(super().zero_fixing())

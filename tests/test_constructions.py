@@ -363,7 +363,9 @@ def test_enhanced_dist_candidates_verified():
 def test_det_set_checks_survive_python_O():
     """The witness constructions check themselves with code that `python -O`
     keeps: with one check made to fail, each construction behind it raises,
-    and a failed check exits 3 from the CLI.  A transitivity report with
+    and a failed check exits 3 from the CLI.  So do the count cross-checks
+    and the folded column, path and branch invariants, each broken by a
+    stand-in or an out-of-range argument.  A transitivity report with
     inconsistent flags raises too."""
     import os
     import subprocess
@@ -373,6 +375,7 @@ def test_det_set_checks_survive_python_O():
 
     script = textwrap.dedent("""
         import sys
+        from contextlib import nullcontext
         from unittest import mock
         from cubesym import autgroup, constructions as cons
         from cubesym.cli import main
@@ -406,6 +409,36 @@ def test_det_set_checks_survive_python_O():
                     except AssertionError:
                         continue
                     sys.exit(f"{build.__name__}({n}) passed a failed {name} check")
+        odd_columns = cons._fq_odd_columns
+        xor = lambda *cols: tuple(sum(bits) % 2 for bits in zip(*cols))
+        # (stand-ins in constructions, calls whose check they must fail)
+        invariants = [
+            ({"factorial": lambda m: 1_000_003},
+             [(cons.stirling2, (3, 2)), (cons.hamming_det_number, (3, 5))]),
+            ({"_stirling2_recurrence": lambda r, m: -1}, [(cons.stirling2, (3, 2))]),
+            ({"_hamming_threshold_closed": lambda r, m: -1}, [(cons.hamming_det_number, (3, 5))]),
+            ({"_fq_odd_columns": lambda n: odd_columns(n)[:-1]}, [(cons._fq_det_odd, (11,))]),
+            ({"_fq_odd_columns": lambda n: odd_columns(n)[:-1] + [xor(*odd_columns(n)[:-1])]},
+             [(cons._fq_det_odd, (11,))]),
+            ({"_fq_odd_columns": lambda n: odd_columns(n)[:-1]
+              + [xor(*odd_columns(n)[:-1], odd_columns(n)[0])]},
+             [(cons._fq_det_odd, (21,))]),
+            ({"_path_flaws": lambda path, n: (1, 0)}, [(cons.fq_dist_structure, (8,))]),
+            ({"_bo_vectors": lambda n: [0, 0b11111111]}, [(cons.fq_dist_structure, (8,))]),
+            # the hub farthest from the all-ones word, so both branches meet the path
+            ({"_bo_vectors": lambda n: [0b11110000, 0b11111111],
+              "hamming_words": lambda u, v, n: -(u ^ v).bit_count()},
+             [(cons.fq_dist_structure, (8,))]),
+        ]
+        out_of_range = [(cons._fq_odd_columns, (8,)), (cons._flip_path, (0, 1 << 4, 4))]
+        for stand_ins, calls in invariants + [({}, out_of_range)]:
+            with mock.patch.multiple(cons, **stand_ins) if stand_ins else nullcontext():
+                for call, args in calls:
+                    try:
+                        call(*args)
+                    except AssertionError:
+                        continue
+                    sys.exit(f"{call.__name__}{args} passed a failed check ({sorted(stand_ins)})")
         # arc- without edge-transitivity, distance- without arc-transitivity
         for flags in [(True, False, True, False), (False, True, True, False),
                       (True, True, False, True)]:

@@ -34,6 +34,9 @@ CASES = {
     "summary-n-4": ["tables", "summary", "--n", "4"],
     "summary-n-5": ["tables", "summary", "--n", "5"],
     "transitivity-n-3": ["tables", "transitivity", "--n", "3"],
+    "transitivity-hamming-n-3-m-3": ["param", "transitivity", "hamming", "-n", "3", "-m", "3"],
+    "transitivity-locally-twisted-n-5": ["param", "transitivity", "locally-twisted", "-n", "5"],
+    "transitivity-augmented-n-5": ["param", "transitivity", "augmented", "-n", "5"],
     "construct-aq-cost-class-n-5": ["construct", "aq-cost-class", "-n", "5"],
 }
 

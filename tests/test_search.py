@@ -11,6 +11,7 @@ from cubesym.bitgraph import (
     hypercube_power,
     locally_twisted_hypercube,
 )
+from cubesym.autgroup import pointwise_stabilizer
 from cubesym.errors import SearchBudgetExceeded
 from cubesym.oracle import enumerate_automorphisms_naive
 from cubesym.search import pinned_refinement_is_discrete, search_automorphisms
@@ -53,6 +54,33 @@ def test_disconnected_and_irregular():
     assert grp.order() == 8
     star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
     assert search_automorphisms(star).order() == 6
+
+
+def _circulant(n: int, jumps):
+    return graph_from_edges(n, {tuple(sorted((v, (v + j) % n))) for v in range(n) for j in jumps})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hamming_graph(3, 3),
+    lambda: hypercube_power(3, 2),
+    lambda: folded_hypercube(3),
+    lambda: augmented_hypercube(3),
+    lambda: _circulant(8, [1, 2]),
+    lambda: _circulant(9, [1, 3]),
+    lambda: _circulant(10, [2, 5]),
+    lambda: graph_from_edges(5, [(0, 1), (2, 3)]),
+])
+def test_base_stabilizers_match_filtering(make):
+    """The found generators that fix a prefix of the search base generate
+    its whole pointwise stabilizer, with the order the base gives."""
+    grp = search_automorphisms(make())
+    elements = grp.elements()
+    for k in range(1, len(grp.base) + 1):
+        prefix = grp.base[:k]
+        stab = pointwise_stabilizer(grp, prefix)
+        assert stab.base == grp.base[k:]
+        want = sorted(p for p in elements if all(p[v] == v for v in prefix))
+        assert stab.elements() == want and stab.order() == len(want)
 
 
 def test_budget_errors():

@@ -22,6 +22,7 @@ from cubesym.bitgraph import (
 )
 from cubesym.constructions import hypercube_dist_class
 from cubesym.errors import NotTwoDistinguishable, SearchBudgetExceeded
+from cubesym.oracle import oracle_transitivity
 from cubesym.params import automorphism_group, dist_class_candidates, verify_witness
 from cubesym.search import search_automorphisms
 from cubesym.symmetry import (
@@ -198,6 +199,45 @@ def test_transitivity_reports(corpus, corpus_groups):
     # the n = 3 locally twisted cube is vertex-transitive (dihedral action)
     rep = transitivity_report(corpus["LTQ_3"], corpus_groups["LTQ_3"])
     assert rep.vertex_transitive and not rep.edge_transitive
+
+
+def test_transitivity_of_an_edge_transitive_graph_plus_an_isolated_vertex():
+    """The arcs of K_2 + K_1 and K_3 + K_1 form one orbit, but arc- and
+    distance-transitivity include vertex-transitivity; 2K_2 has all four."""
+    for g in (graph_from_edges(3, [(0, 1)]), graph_from_edges(4, [(0, 1), (1, 2), (0, 2)])):
+        rep = transitivity_report(g, search_automorphisms(g))
+        assert rep.to_dict() == {"vertex_transitive": False, "edge_transitive": True,
+                                 "arc_transitive": False, "distance_transitive": False}
+    two_k2 = graph_from_edges(4, [(0, 1), (2, 3)])
+    assert all(transitivity_report(two_k2, search_automorphisms(two_k2)).to_dict().values())
+
+
+@pytest.mark.parametrize("name, make", [
+    ("Q_4", lambda: hypercube(4)),
+    ("FQ_3", lambda: folded_hypercube(3)),
+    ("FQ_4", lambda: folded_hypercube(4)),
+    ("AQ_4", lambda: augmented_hypercube(4)),
+    ("LTQ_3", lambda: locally_twisted_hypercube(3)),
+    ("LTQ_4", lambda: locally_twisted_hypercube(4)),
+    ("H(2,3)", lambda: hamming_graph(3, 2)),
+    ("H(3,3)", lambda: hamming_graph(3, 3)),
+    ("Q_{4,2}", lambda: enhanced_hypercube(4, 2)),
+    ("Q_4^2", lambda: hypercube_power(4, 2)),
+])
+def test_transitivity_matches_oracle_on_families(name, make):
+    g = make()
+    assert transitivity_report(g, automorphism_group(g)).to_dict() == oracle_transitivity(g)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_transitivity_matches_oracle_on_random_graphs(data):
+    """Random graphs of at most 8 vertices, disconnected ones included."""
+    n = data.draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = graph_from_edges(n, edges)
+    assert transitivity_report(g, search_automorphisms(g)).to_dict() == oracle_transitivity(g)
 
 
 def test_complement_identities(corpus, corpus_groups):
