@@ -18,6 +18,12 @@ from cubesym.autgroup import aq_base, fq_phi_extend, structured_group
 from cubesym.bitgraph import word_str
 from cubesym.search import search_automorphisms
 
+
+def element_set(grp):
+    """The group's element table as a set of image tuples."""
+    return set(map(tuple, grp.elements().tolist()))
+
+
 print(f"{'graph':8s} {'structured':>10s} {'searched':>9s}  formula")
 rows = [
     ("Q_4", hypercube(4), "2^n n!", (1 << 4) * factorial(4)),
@@ -28,7 +34,7 @@ rows = [
 for name, g, formula, value in rows:
     sg = structured_group(g)
     se = search_automorphisms(g)
-    same = set(sg.elements()) == set(se.elements())
+    same = element_set(sg) == element_set(se)
     print(f"{name:8s} {sg.order():10d} {se.order():9d}  {formula} = {value}"
           f"  identical element sets: {same}")
 
@@ -37,7 +43,7 @@ print("odd powers inherit the cube group; even powers gain the extra symbol:")
 q5 = search_automorphisms(hypercube(5))
 for k in (2, 3):
     gk = search_automorphisms(hypercube_power(5, k))
-    rel = "==" if set(gk.elements()) == set(q5.elements()) else "!="
+    rel = "==" if element_set(gk) == element_set(q5) else "!="
     print(f"  Aut(Q_5^{k}) {rel} Aut(Q_5)   (orders {gk.order()} vs {q5.order()})")
 
 print()

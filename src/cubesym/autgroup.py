@@ -11,6 +11,8 @@ from dataclasses import dataclass, field, replace
 from itertools import permutations
 from math import factorial
 
+import numpy as np
+
 from .bitgraph import (
     AUGMENTED,
     ENHANCED,
@@ -22,12 +24,7 @@ from .bitgraph import (
     Graph,
     build_family,
 )
-from .errors import (
-    DimensionMismatch,
-    NoStructuredForm,
-    ParameterOutOfRange,
-    SearchBudgetExceeded,
-)
+from .errors import NoStructuredForm, ParameterOutOfRange, SearchBudgetExceeded
 
 DEFAULT_ELEMENT_CAP = 2_000_000
 
@@ -284,108 +281,6 @@ def identity_aut(nv: int) -> ExplicitPerm:
     return ExplicitPerm(tuple(range(nv)))
 
 
-def compose(sigma: Automorphism, tau: Automorphism) -> Automorphism:
-    """(sigma o tau)(v) = sigma(tau(v)), kept structural where easy."""
-    if sigma.n_vertices != tau.n_vertices:
-        raise DimensionMismatch("composing automorphisms of different graphs")
-    if isinstance(sigma, HypercubeAff) and isinstance(tau, HypercubeAff):
-        n = sigma.n
-        pi = tuple(tau.pi[sigma.pi[i]] for i in range(n))
-        c = sigma.c ^ _permute_positions(tau.c, sigma.pi, n)
-        return HypercubeAff(n, c, pi)
-    if isinstance(sigma, LtqTranslation) and isinstance(tau, LtqTranslation):
-        return LtqTranslation(sigma.n, sigma.c_prime ^ tau.c_prime)
-    if isinstance(sigma, FoldedAff) and isinstance(tau, FoldedAff):
-        n = sigma.n
-        c = sigma.apply(tau.c)
-        lin = lambda v: c ^ sigma.apply(tau.apply(v))  # noqa: E731
-        return FoldedAff(n, c, _folded_pi_from_linear(lin, n))
-    if isinstance(sigma, AugmentedAff) and isinstance(tau, AugmentedAff):
-        n = sigma.n
-        c = sigma.apply(tau.apply(0))
-        for idx in range(1, 9):
-            cand = AugmentedAff(n, c, idx)
-            if all(cand.apply(p) == sigma.apply(tau.apply(p))
-                   for p in _aq_probes(n)):
-                return cand
-        raise AssertionError("composite escaped the structured form")
-    if isinstance(sigma, ProductAut) and isinstance(tau, ProductAut) \
-            and sigma.b.n_vertices == tau.b.n_vertices:
-        return ProductAut(compose(sigma.a, tau.a), compose(sigma.b, tau.b))
-    return ExplicitPerm(tuple(sigma.apply(tau.apply(v)) for v in range(sigma.n_vertices)))
-
-
-def inverse(sigma: Automorphism) -> Automorphism:
-    if isinstance(sigma, HypercubeAff):
-        n = sigma.n
-        inv_pi = [0] * n
-        for i, src in enumerate(sigma.pi):
-            inv_pi[src] = i
-        inv_pi = tuple(inv_pi)
-        c = _permute_positions(sigma.c, inv_pi, n)
-        return HypercubeAff(n, c, inv_pi)
-    if isinstance(sigma, LtqTranslation):
-        return sigma
-    if isinstance(sigma, FoldedAff):
-        n = sigma.n
-        inv_pi = [0] * (n + 1)
-        for i, src in enumerate(sigma.pi):
-            inv_pi[src] = i
-        base = FoldedAff(n, 0, tuple(inv_pi))
-        # v -> L^{-1}(v + c); probe to renormalise the translation part
-        c = base.apply(sigma.c)
-        return FoldedAff(n, c, tuple(inv_pi))
-    if isinstance(sigma, AugmentedAff):
-        n = sigma.n
-        for idx in range(1, 9):
-            for c in {sigma.apply(0), AugmentedAff(n, 0, idx).apply(sigma.c)} | {
-                    AugmentedAff(n, 0, idx).apply(sigma.apply(0))}:
-                cand = AugmentedAff(n, c, idx)
-                if all(cand.apply(sigma.apply(p)) == p for p in _aq_probes(n)):
-                    return cand
-        perm = sigma.images()
-        inv = [0] * len(perm)
-        for v, w in enumerate(perm):
-            inv[w] = v
-        return ExplicitPerm(tuple(inv))
-    if isinstance(sigma, ProductAut):
-        return ProductAut(inverse(sigma.a), inverse(sigma.b))
-    perm = sigma.images()
-    inv = [0] * len(perm)
-    for v, w in enumerate(perm):
-        inv[w] = v
-    return ExplicitPerm(tuple(inv))
-
-
-def _aq_probes(n: int) -> list[int]:
-    probes = [1 << b for b in range(n)]
-    probes += [(1 << t) - 1 for t in range(2, n + 1)]
-    probes += [((1 << n) - 1) ^ 0b101, 0b10 | (1 << (n - 1))]
-    return [p & ((1 << n) - 1) for p in probes]
-
-
-def _folded_pi_from_linear(lin, n: int) -> tuple[int, ...]:
-    """Recover the symbol permutation of a linear folded automorphism."""
-    full = (1 << n) - 1
-    sym_img = [0] * (n + 1)  # symbol j -> symbol image
-    seen = set()
-    for j in range(n):
-        w = lin(1 << (n - 1 - j))
-        if w == full:
-            sym_img[j] = n
-        else:
-            if w.bit_count() != 1:
-                raise AssertionError("not a folded-form linear map")
-            sym_img[j] = n - w.bit_length()
-        seen.add(sym_img[j])
-    sym_img[n] = next(s for s in range(n + 1) if s not in seen)
-    # coordinate i of the image reads source coordinate pi[i]
-    pi = [0] * (n + 1)
-    for j, img in enumerate(sym_img):
-        pi[img] = j
-    return tuple(pi)
-
-
 def fq_phi_extend(n: int, symbol_perm) -> FoldedAff:
     """Folded automorphism from a permutation of the n+1 symbols.
 
@@ -431,100 +326,85 @@ class PermGroup:
     graph: Graph | None = None
     model: GroupModel | None = None
     base: tuple[int, ...] | None = None
-    _elements: list[tuple[int, ...]] | None = field(default=None, repr=False)
+    _elements: np.ndarray | None = field(default=None, repr=False)
 
-    def order(self, cap: int = DEFAULT_ELEMENT_CAP) -> int:
-        if self.order_known is not None:
-            return self.order_known
-        n = len(self.elements(cap))
-        self.order_known = n
-        return n
+    def order(self) -> int:
+        if self.order_known is None:
+            self.elements()
+        return self.order_known
 
     def is_trivial(self) -> bool:
         if self.order_known is not None:
             return self.order_known == 1
         return all(g.is_identity() for g in self.generators)
 
-    def elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> list[tuple[int, ...]]:
+    def elements(self) -> np.ndarray:
+        """The element table: a |G| x V int32 array of image rows, in no
+        promised order, from the model or by generator closure, kept."""
         if self._elements is None:
-            if self.order_known is not None and self.order_known > cap:
-                raise SearchBudgetExceeded(
-                    f"group of order {self.order_known} above element cap {cap}")
+            if self.order_known is not None and self.order_known > DEFAULT_ELEMENT_CAP:
+                raise SearchBudgetExceeded(f"group of order {self.order_known} above element "
+                                           f"cap {DEFAULT_ELEMENT_CAP}")
             if self.model is not None:
-                elems = self.model.enumerate(cap)
+                table = self.model.enumerate()
             else:
-                elems = _closure(self.n_vertices,
-                                 [g.images() for g in self.generators], cap)
-            elems.sort()
-            self._elements = elems
+                table = _closure(self.n_vertices, [g.images() for g in self.generators])
             if self.order_known is None:
-                self.order_known = len(elems)
-            elif self.order_known != len(elems):
+                self.order_known = len(table)
+            elif self.order_known != len(table):
                 raise AssertionError(
-                    f"order mismatch: formula {self.order_known}, enumerated {len(elems)}")
+                    f"order mismatch: formula {self.order_known}, enumerated {len(table)}")
+            self._elements = table
         return self._elements
 
     def orbits(self) -> list[list[int]]:
-        """Vertex orbits under the generators (union-find over images)."""
-        parent = list(range(self.n_vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in self.generators:
-            for v in range(self.n_vertices):
-                a, b = find(v), find(g.apply(v))
-                if a != b:
-                    parent[a] = b
+        """Vertex orbits under the generators."""
         buckets: dict[int, list[int]] = {}
-        for v in range(self.n_vertices):
-            buckets.setdefault(find(v), []).append(v)
+        roots = orbit_roots(self.n_vertices, (g.images() for g in self.generators))
+        for v, root in enumerate(roots):
+            buckets.setdefault(root, []).append(v)
         return sorted(buckets.values())
 
     def is_vertex_transitive(self) -> bool:
         return len(self.orbits()) <= 1
 
 
-def _orbit(gen_images: list[tuple[int, ...]], start: int) -> set[int]:
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for p in gen_images:
-                y = p[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return orbit
+def orbit_roots(nv: int, gen_images) -> list[int]:
+    """A root per vertex, shared by two vertices iff they lie in one orbit
+    under the image arrays `gen_images` (union-find)."""
+    parent = list(range(nv))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p in gen_images:
+        for v in range(nv):
+            a, b = find(v), find(p[v])
+            if a != b:
+                parent[a] = b
+    return [find(v) for v in range(nv)]
 
 
-def base_order(gen_images: list[tuple[int, ...]], base) -> int:
+def base_order(nv: int, gen_images: list[tuple[int, ...]], base) -> int:
     """|G| as the product, along the base, of the orbit of b_i under the
     generators fixing b_1..b_{i-1}; exact for a strong generating set whose
     base has a trivial pointwise stabilizer."""
     order = 1
     for i, b in enumerate(base):
-        fixing = [p for p in gen_images if all(p[v] == v for v in base[:i])]
-        order *= len(_orbit(fixing, b))
+        roots = orbit_roots(nv, [p for p in gen_images if all(p[v] == v for v in base[:i])])
+        order *= roots.count(roots[b])
     return order
 
 
-def _closure(nv: int, gen_images: list[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
-    """BFS closure of generator image arrays, a frontier at a time in numpy
-    (uint8 images up to 256 vertices, wider above)."""
-    import numpy as np
-
-    ident = tuple(range(nv))
-    gens = [g for g in gen_images if g != ident]
-    if not gens:
-        return [ident]
+def _closure(nv: int, gen_images: list[tuple[int, ...]]) -> np.ndarray:
+    """The element table the image arrays generate, by BFS closure a frontier
+    at a time (uint8 images up to 256 vertices, wider above)."""
     dtype = np.min_scalar_type(nv - 1)
-    garr = [np.array(g, dtype=dtype) for g in gens]
+    ident = tuple(range(nv))
+    garr = [np.array(g, dtype=dtype) for g in gen_images if g != ident]
     frontier = np.arange(nv, dtype=dtype)[None, :]
     out = [frontier[0].tobytes()]
     seen = set(out)
@@ -534,15 +414,14 @@ def _closure(nv: int, gen_images: list[tuple[int, ...]], cap: int) -> list[tuple
             for row in g[frontier]:  # (sigma o tau)(v) = sigma(tau(v))
                 key = row.tobytes()
                 if key not in seen:
-                    if len(seen) >= cap:
-                        raise SearchBudgetExceeded(f"group closure exceeded {cap} elements")
+                    if len(seen) >= DEFAULT_ELEMENT_CAP:
+                        raise SearchBudgetExceeded(
+                            f"group closure exceeded {DEFAULT_ELEMENT_CAP} elements")
                     seen.add(key)
                     out.append(key)
                     fresh.append(row)
         frontier = np.array(fresh, dtype=dtype) if fresh else np.empty((0, nv), dtype)
-    if dtype == np.uint8:  # bytes iterate as ints
-        return [tuple(key) for key in out]
-    return [tuple(memoryview(key).cast(dtype.char)) for key in out]
+    return np.frombuffer(b"".join(out), dtype).reshape(len(out), nv).astype(np.int32)
 
 
 def is_automorphism(g: Graph, mapping) -> bool:
@@ -568,7 +447,8 @@ def is_automorphism(g: Graph, mapping) -> bool:
 
 
 def trivial_group(nv: int, graph: Graph | None = None) -> PermGroup:
-    return PermGroup(nv, [], 1, "structured", graph, _elements=[tuple(range(nv))])
+    return PermGroup(nv, [], 1, "structured", graph,
+                     _elements=np.arange(nv, dtype=np.int32)[None, :])
 
 
 def _transposition(n: int, i: int, j: int) -> tuple[int, ...]:
@@ -609,35 +489,15 @@ class _DeterminingFold:
         return self.det_done(self.fold(words))
 
 
-def elements_array(grp: PermGroup):
-    """The element table as a |G| x V numpy array, kept on the group, in no
-    particular row order; a translation model builds it without tuples."""
-    import numpy as np
-
-    arr = getattr(grp, "_np_elements", None)
-    if arr is None:
-        if isinstance(grp.model, _TranslationModel):
-            if grp.order() > DEFAULT_ELEMENT_CAP:
-                raise SearchBudgetExceeded(f"group of order {grp.order()} above element "
-                                           f"cap {DEFAULT_ELEMENT_CAP}")
-            arr = grp.model.table()
-        else:
-            arr = np.array(grp.elements(), dtype=np.int32)
-        grp._np_elements = arr
-    return arr
-
-
 def _maximal_fixed_masks(grp: PermGroup) -> list[int]:
     """Fixed-point bitmasks of the non-identity elements, maximal ones only.
 
     A subset is determining iff it is contained in none of these masks.
     """
-    import numpy as np
-
     cached = getattr(grp, "_max_fixed_masks", None)
     if cached is not None:
         return cached
-    arr = elements_array(grp)
+    arr = grp.elements()
     nv = grp.n_vertices
     fixed = arr == np.arange(nv, dtype=np.int32)[None, :]
     ident = fixed.all(axis=1)
@@ -685,8 +545,8 @@ def determining_test(grp: PermGroup):
 # group models
 #
 # One closed form per structured group.  A model answers `order()`,
-# `generators()`, `enumerate(cap)` (image tuples; `PermGroup.elements` has
-# checked the order against `cap`), `pointwise_stabilizer(S)` for a sorted
+# `generators()`, `enumerate()` (the element table; `PermGroup.elements` has
+# checked the order against the cap), `pointwise_stabilizer(S)` for a sorted
 # nonempty vertex list S, and the determining test above, which gives it
 # `pointwise_trivial(words)`.  The AQ_n and LTQ_n models also answer
 # `setwise_stabilizer(S)`, the list of the elements that map S onto itself.
@@ -713,14 +573,12 @@ class _TranslationModel:
     def element(self, c: int, phi: Automorphism) -> Automorphism:
         return replace(phi, c=c)
 
-    def table(self):
+    def enumerate(self) -> np.ndarray:
         """The elements as a |G| x V int32 array: each zero-fixing map's
         image row XOR each translation.  Two rows agree at the zero word only
         if their translations do, so the table has `order()` distinct rows
         when the zero-fixing rows are `n_zero_fixing()` distinct ones that
         fix zero, which is checked."""
-        import numpy as np
-
         base = self.zero_fixing_rows()
         if (base[:, 0].any() or len(base) != self.n_zero_fixing()
                 or len(np.unique(base, axis=0)) != len(base)):
@@ -731,12 +589,7 @@ class _TranslationModel:
 
     def zero_fixing_rows(self):
         """The image rows of the zero-fixing maps, one `apply` per vertex."""
-        import numpy as np
-
         return np.array([phi.images() for phi in self.zero_fixing()], dtype=np.int32)
-
-    def enumerate(self, cap: int) -> list[tuple[int, ...]]:
-        return [tuple(row) for row in self.table().tolist()]
 
 
 class _LinearZeroFixing:
@@ -746,8 +599,6 @@ class _LinearZeroFixing:
     def zero_fixing_rows(self):
         """The image rows, built from the n images of the single bits by
         doubling: the words with bit b set are those below 2^b XOR bit b."""
-        import numpy as np
-
         bits = np.array([[phi.apply(1 << b) for b in range(self.n)]
                          for phi in self.zero_fixing()], dtype=np.int32)
         rows = np.zeros((len(bits), 1), dtype=np.int32)
@@ -1059,11 +910,12 @@ class ProductModel(_DeterminingFold):
         gens += [ProductAut(identity_aut(na), b) for b in self.gb.generators]
         return gens
 
-    def enumerate(self, cap: int) -> list[tuple[int, ...]]:
+    def enumerate(self) -> np.ndarray:
+        """Row (a, b) maps vertex v to a[v // |B|] * |B| + b[v % |B|]."""
         nb = self.gb.n_vertices
-        nv = self.ga.n_vertices * nb
-        return [tuple(pa[v // nb] * nb + pb[v % nb] for v in range(nv))
-                for pa in self.ga.elements(cap) for pb in self.gb.elements(cap)]
+        v = np.arange(self.ga.n_vertices * nb)
+        left, right = self.ga.elements()[:, v // nb] * nb, self.gb.elements()[:, v % nb]
+        return (left[:, None, :] + right[None, :, :]).reshape(-1, len(v))
 
     def _split(self, S) -> tuple[set[int], set[int]]:
         nb = self.gb.n_vertices
@@ -1140,10 +992,17 @@ def structured_group(g: Graph) -> PermGroup:
 # stabilizers
 
 
-def _filtered_subgroup(grp: PermGroup, elems: list[tuple[int, ...]]) -> PermGroup:
-    nv = grp.n_vertices
-    gens = [ExplicitPerm(p) for p in elems if any(p[v] != v for v in range(nv))]
-    return PermGroup(nv, gens, len(elems), grp.source, grp.graph, _elements=sorted(elems))
+def _filtered_subgroup(grp: PermGroup, keep) -> PermGroup:
+    """The subgroup of the element table's rows that the mask `keep` selects."""
+    rows = grp.elements()[keep]
+    moved = (rows != np.arange(grp.n_vertices)).any(axis=1)
+    gens = [ExplicitPerm(tuple(p)) for p in rows[moved].tolist()]
+    return PermGroup(grp.n_vertices, gens, len(rows), grp.source, grp.graph, _elements=rows)
+
+
+def _fixing(grp: PermGroup, S: list[int]):
+    """Mask of the element table's rows that fix every vertex of S."""
+    return (grp.elements()[:, S] == S).all(axis=1)
 
 
 def pointwise_stabilizer_is_trivial(grp: PermGroup, subset) -> bool:
@@ -1153,10 +1012,7 @@ def pointwise_stabilizer_is_trivial(grp: PermGroup, subset) -> bool:
         return grp.is_trivial()
     if grp.model is not None:
         return grp.model.pointwise_trivial(S)
-    for p in grp.elements():
-        if all(p[v] == v for v in S) and any(p[v] != v for v in range(grp.n_vertices)):
-            return False
-    return True
+    return int(_fixing(grp, S).sum()) == 1  # the rows are distinct
 
 
 def pointwise_stabilizer(grp: PermGroup, subset) -> PermGroup:
@@ -1177,9 +1033,10 @@ def pointwise_stabilizer(grp: PermGroup, subset) -> PermGroup:
     if grp.base is not None and S == sorted(grp.base[:len(S)]):
         gens = [p for p in grp.generators if all(p.apply(v) == v for v in S)]
         rest = grp.base[len(S):]
-        return PermGroup(grp.n_vertices, gens, base_order([p.images() for p in gens], rest),
+        return PermGroup(grp.n_vertices, gens,
+                         base_order(grp.n_vertices, [p.images() for p in gens], rest),
                          grp.source, grp.graph, base=rest)
-    return _filtered_subgroup(grp, [p for p in grp.elements() if all(p[v] == v for v in S)])
+    return _filtered_subgroup(grp, _fixing(grp, S))
 
 
 def setwise_stabilizer(grp: PermGroup, subset) -> PermGroup:
@@ -1192,52 +1049,6 @@ def setwise_stabilizer(grp: PermGroup, subset) -> PermGroup:
         elems = grp.model.setwise_stabilizer(S)
         gens = [e for e in elems if not e.is_identity()]
         return PermGroup(nv, gens, len(elems), grp.source, grp.graph)
-    return _filtered_subgroup(grp, [p for p in grp.elements() if all(p[v] in S for v in S)])
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-
-
-def automorphism_to_json(a: Automorphism) -> dict:
-    """Explicit image-array form plus the structural data when present."""
-    out: dict = {"images": list(a.images())}
-    if isinstance(a, HypercubeAff):
-        out["form"] = {"kind": "hypercube_aff", "n": a.n, "c": a.c, "pi": list(a.pi)}
-    elif isinstance(a, FoldedAff):
-        out["form"] = {"kind": "folded_aff", "n": a.n, "c": a.c, "pi": list(a.pi)}
-    elif isinstance(a, AugmentedAff):
-        out["form"] = {"kind": "augmented_aff", "n": a.n, "c": a.c, "base": a.base}
-    elif isinstance(a, LtqTranslation):
-        out["form"] = {"kind": "ltq_translation", "n": a.n, "c_prime": a.c_prime}
-    else:
-        out["form"] = {"kind": "explicit"}
-    return out
-
-
-def automorphism_from_json(d: dict) -> Automorphism:
-    form = d.get("form", {"kind": "explicit"})
-    kind = form["kind"]
-    if kind == "hypercube_aff":
-        return HypercubeAff(form["n"], form["c"], tuple(form["pi"]))
-    if kind == "folded_aff":
-        return FoldedAff(form["n"], form["c"], tuple(form["pi"]))
-    if kind == "augmented_aff":
-        return AugmentedAff(form["n"], form["c"], form["base"])
-    if kind == "ltq_translation":
-        return LtqTranslation(form["n"], form["c_prime"])
-    return ExplicitPerm(tuple(d["images"]))
-
-
-def group_to_json(grp: PermGroup) -> dict:
-    return {
-        "n_vertices": grp.n_vertices,
-        "order": grp.order_known,
-        "source": grp.source,
-        "generators": [automorphism_to_json(g) for g in grp.generators],
-    }
-
-
-def group_from_json(d: dict) -> PermGroup:
-    gens = [automorphism_from_json(g) for g in d["generators"]]
-    return PermGroup(d["n_vertices"], gens, d.get("order"), d.get("source", "explicit"))
+    member = np.zeros(nv, dtype=bool)
+    member[list(S)] = True
+    return _filtered_subgroup(grp, member[grp.elements()[:, sorted(S)]].all(axis=1))

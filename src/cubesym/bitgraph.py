@@ -88,26 +88,12 @@ def word_digit(word: int, position: int, n: int, m: int = 2) -> int:
     return (word // m**shift) % m
 
 
-def word_from_digits(digits, m: int = 2) -> int:
-    w = 0
-    for d in digits:
-        w = w * m + d
-    return w
-
-
 def word_str(word: int, n: int, m: int = 2) -> str:
     digits = []
     for _ in range(n):
         digits.append(word % m)
         word //= m
     return "".join(str(d) for d in reversed(digits))
-
-
-def word_weight(word: int, n: int, m: int = 2) -> int:
-    """Number of nonzero positions."""
-    if m == 2:
-        return word.bit_count()
-    return sum(1 for j in range(1, n + 1) if word_digit(word, j, n, m))
 
 
 def hamming_words(u: int, v: int, n: int, m: int = 2) -> int:

@@ -15,7 +15,7 @@ from math import comb, factorial
 from .autgroup import AugmentedModel, FoldedModel, HypercubeModel
 from .bitgraph import FamilySpec, Graph, graph_from_edges, hamming_words, word_digit
 from .errors import ParameterOutOfRange
-from .symmetry import is_asymmetric
+from .symmetry import determining_lower_bound_exhaustive, is_asymmetric, is_determining_set
 
 
 def _ceil_lg(n: int) -> int:
@@ -255,15 +255,7 @@ def hypercube_det_set(n: int) -> tuple[int, ...]:
     2^(i-1) ones and zeros, truncated to length n; V_0 is the zero word."""
     if n < 2:
         raise ParameterOutOfRange("hypercube_det_set needs n >= 2")
-    r = _ceil_lg(n)
-    out = [0]
-    for i in range(1, r + 1):
-        block = 1 << (i - 1)
-        w = 0
-        for j in range(1, n + 1):
-            if ((j - 1) // block) % 2 == 0:
-                w |= 1 << (n - j)
-        out.append(w)
+    out = [0] + _bo_vectors(n)
     if not HypercubeModel(n).pointwise_trivial(out):
         raise AssertionError(f"the Q_{n} determining set construction is not determining")
     if len(out) != hypercube_det_number(n):
@@ -347,24 +339,40 @@ def q2_class_is_asymmetric(n: int) -> bool:
 
 def fq_det_set(n: int) -> tuple[int, ...]:
     """Minimum determining set of FQ_n, following the parity/exception cases."""
-    if n == 1:
-        return (0,)
-    if n == 2:
-        return (0, 1, 2)
-    if n == 3:
-        return (0, 1, 2, 3, 4, 5)
-    if _is_exceptional_folded(n):
-        out = sorted(set(hypercube_det_set(n)) | {(1 << n) - 1})
-    elif n % 2 == 0:
-        out = _fq_det_even(n)
+    if n <= 3:
+        out = _fq_det_small(n)
     else:
-        out = _fq_det_odd(n)
-    if not FoldedModel(n).pointwise_trivial(out):
-        raise AssertionError(f"the FQ_{n} determining set construction is not determining")
+        if _is_exceptional_folded(n):
+            out = sorted(set(hypercube_det_set(n)) | {(1 << n) - 1})
+        elif n % 2 == 0:
+            out = _fq_det_even(n)
+        else:
+            out = _fq_det_odd(n)
+        if not FoldedModel(n).pointwise_trivial(out):
+            raise AssertionError(f"the FQ_{n} determining set construction is not determining")
     if len(out) != folded_det_number(n):
         raise AssertionError(f"the FQ_{n} determining set has {len(out)} vertices, "
                              f"not det = {folded_det_number(n)}")
     return tuple(sorted(out))
+
+
+_FQ_DET_LITERALS = {1: (0,), 2: (0, 1, 2), 3: (0, 1, 2, 3, 4, 5)}
+
+
+def _fq_det_small(n: int) -> list[int]:
+    """FQ_1 = K_2, FQ_2 = K_4 and FQ_3 = K_{4,4} have no model: their literal
+    sets are checked determining, with no smaller one, on the searched group."""
+    from .bitgraph import folded_hypercube
+    from .search import search_automorphisms
+
+    out = list(_FQ_DET_LITERALS[n])
+    g = folded_hypercube(n)
+    grp = search_automorphisms(g)
+    if not is_determining_set(grp, out):
+        raise AssertionError(f"the FQ_{n} determining set literal is not determining")
+    if not determining_lower_bound_exhaustive(g, grp, len(out)):
+        raise AssertionError(f"FQ_{n} has a determining set smaller than its literal")
+    return out
 
 
 def _words_from_columns(cols: list[tuple[int, ...]], n: int) -> list[int]:
@@ -512,6 +520,7 @@ def fq_dist_structure(n: int) -> dict:
 
 
 def _bo_vectors(n: int) -> list[int]:
+    """V_1..V_r, r = ceil(lg n), of the Q_n determining set."""
     r = _ceil_lg(n)
     out = []
     for i in range(1, r + 1):

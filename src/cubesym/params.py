@@ -210,12 +210,11 @@ def run_construction(name: str, n: int, k: int | None = None,
                    size=len(s), verified=verified, method="searched")
     elif name == "fq-det":
         w = cons.fq_det_set(n)
-        method = "oracle" if n <= 3 else "structured"
+        method = "searched" if n <= 3 else "structured"
         out.update(witness=sorted(w), size=len(w), verified=True, method=method)
     elif name == "fq-dist-class":
         w = cons.fq_dist_class(n)
-        method = "oracle" if n <= 5 else "structured"
-        out.update(witness=sorted(w), size=len(w), verified=True, method=method)
+        out.update(witness=sorted(w), size=len(w), verified=True, method="structured")
     elif name == "aq-det":
         w = cons.aq_det_witness(n)
         method = "oracle" if n <= 3 else "structured"

@@ -15,7 +15,7 @@ base prefix is read off the generators (`autgroup.pointwise_stabilizer`).
 
 from __future__ import annotations
 
-from .autgroup import ExplicitPerm, PermGroup, base_order
+from .autgroup import ExplicitPerm, PermGroup, base_order, orbit_roots
 from .bitgraph import Graph
 from .errors import SearchBudgetExceeded
 
@@ -80,27 +80,6 @@ def _leaf_certificate(rows, labeling) -> bytes:
     return acc.to_bytes((nbits + 7) // 8, "big")
 
 
-def _orbit_reps_filter(n_vertices, gens, prefix):
-    """Union-find orbits under the found generators that fix `prefix` pointwise."""
-    fixing = [g for g in gens if all(g[v] == v for v in prefix)]
-    if not fixing:
-        return None
-    parent = list(range(n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in fixing:
-        for v in range(n_vertices):
-            a, b = find(v), find(g[v])
-            if a != b:
-                parent[a] = b
-    return find
-
-
 def pinned_refinement_is_discrete(g: Graph, pinned) -> bool:
     """Sound determining-set certificate: seed an equitable refinement with
     each pinned vertex in its own cell; if the refinement is discrete, every
@@ -122,7 +101,7 @@ def search_automorphisms(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
     if n > vertex_cap:
         raise SearchBudgetExceeded(f"{n} vertices above the search cap {vertex_cap}")
     if n == 0:
-        return PermGroup(0, [], 1, "searched", g, _elements=[()])
+        return PermGroup(0, [], 1, "searched", g)
     rows = g.rows
 
     gens: list[tuple[int, ...]] = []
@@ -159,10 +138,13 @@ def search_automorphisms(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
 
         on_first_path = state["first_leaf"] is None
         explored = []
+        roots, roots_for = None, -1  # orbits of the found generators fixing the prefix
         for v in sorted(target):
             if explored:
-                find = _orbit_reps_filter(n, gens, prefix)
-                if find is not None and any(find(v) == find(w) for w in explored):
+                if roots_for != len(gens):
+                    roots = orbit_roots(n, [p for p in gens if all(p[w] == w for w in prefix)])
+                    roots_for = len(gens)
+                if any(roots[v] == roots[w] for w in explored):
                     continue
             rest = [w for w in target if w != v]
             child_cells = []
@@ -190,5 +172,5 @@ def search_automorphisms(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
 
     uniq = sorted(set(gens))
     base = tuple(state["base"])
-    return PermGroup(n, [ExplicitPerm(p) for p in uniq], base_order(uniq, base), "searched", g,
-                     base=base)
+    return PermGroup(n, [ExplicitPerm(p) for p in uniq], base_order(n, uniq, base), "searched",
+                     g, base=base)

@@ -10,7 +10,6 @@ import numpy as np
 
 from .autgroup import (
     PermGroup,
-    elements_array,
     determining_test,
     pointwise_stabilizer,
     pointwise_stabilizer_is_trivial,
@@ -195,7 +194,7 @@ def _preserving_count(grp: PermGroup, colors) -> int:
     whatever dtype the caller chose.  Only the vertices outside the most
     common color are compared: an element that maps every other class into
     itself maps each of them onto itself, and so the last class too."""
-    arr = elements_array(grp)
+    arr = grp.elements()
     values, counts = np.unique(colors, return_counts=True)
     rest = np.flatnonzero(colors != values[counts.argmax()])
     return int((colors[arr[:, rest]] == colors[rest][None, :]).all(axis=1).sum())
@@ -309,7 +308,7 @@ def distinguishing_number(g: Graph, grp: PermGroup,
         if two_class_is_distinguishing(g, grp, cand):
             return two(cand)
     try:
-        elements_array(grp)
+        grp.elements()
     except SearchBudgetExceeded:
         raise SearchBudgetExceeded(
             "group too large to settle the distinguishing number") from None

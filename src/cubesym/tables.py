@@ -26,19 +26,23 @@ TRANSITIVITY_FAMILIES = (
 )
 
 
-def transitivity_table(n: int, vertex_budget: int = 4096) -> dict:
+# Graphs above this many vertices are out-of-budget in the transitivity table.
+TRANSITIVITY_VERTEX_BUDGET = 4096
+
+
+def transitivity_table(n: int) -> dict:
     """Transitivity flags for each family at a given n, from
     `transitivity_report` on the family's group (structured or searched).
 
-    A family whose graph has more than `vertex_budget` vertices, or whose
-    group search runs out of budget, is marked out-of-budget; one not
-    defined at this n is marked not-applicable."""
+    A family whose graph has more than `TRANSITIVITY_VERTEX_BUDGET`
+    vertices, or whose group search runs out of budget, is marked
+    out-of-budget; one not defined at this n is marked not-applicable."""
     rows = {}
     for name, make in TRANSITIVITY_FAMILIES:
         try:
             spec = make(n)
             g = build_family(spec)
-            if g.n_vertices > vertex_budget:
+            if g.n_vertices > TRANSITIVITY_VERTEX_BUDGET:
                 rows[name] = {"status": "out-of-budget"}
                 continue
             grp = automorphism_group(g)
@@ -51,13 +55,18 @@ def transitivity_table(n: int, vertex_budget: int = 4096) -> dict:
     return {"n": n, "rows": rows}
 
 
-def enhanced_dist_table(n_max: int, n_min: int = 2,
-                        extra_cells=((6, 4),)) -> dict:
-    """dist(Q_{n,k}) for n_min <= n <= n_max, 1 <= k <= n-1, computed exactly
-    where the group is enumerable; `extra_cells` adds named out-of-grid cells."""
+# The enhanced-cube grid's first n, and the cells (n, k) it adds beyond n_max.
+ENHANCED_N_MIN = 2
+ENHANCED_EXTRA_CELLS = ((6, 4),)
+
+
+def enhanced_dist_table(n_max: int) -> dict:
+    """dist(Q_{n,k}) for ENHANCED_N_MIN <= n <= n_max, 1 <= k <= n-1,
+    computed exactly where the group is enumerable, plus the
+    `ENHANCED_EXTRA_CELLS` beyond n_max."""
     cells: dict[str, dict] = {}
-    todo = [(n, k) for n in range(n_min, n_max + 1) for k in range(1, n)]
-    todo += [c for c in extra_cells if c[0] > n_max]
+    todo = [(n, k) for n in range(ENHANCED_N_MIN, n_max + 1) for k in range(1, n)]
+    todo += [c for c in ENHANCED_EXTRA_CELLS if c[0] > n_max]
     for (n, k) in todo:
         key = f"{n},{k}"
         try:
@@ -67,7 +76,7 @@ def enhanced_dist_table(n_max: int, n_min: int = 2,
                           "method": grp.source}
         except SearchBudgetExceeded as exc:
             cells[key] = {"value": None, "method": "out-of-budget", "detail": str(exc)}
-    return {"n_min": n_min, "n_max": n_max, "cells": cells}
+    return {"n_min": ENHANCED_N_MIN, "n_max": n_max, "cells": cells}
 
 
 def _computed(spec: FamilySpec, parameters) -> dict:

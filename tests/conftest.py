@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from cubesym import (
@@ -30,6 +31,15 @@ CORPUS_SPECS = {
     "H(3,2)": lambda: hamming_graph(3, 2),
     "H(2,4)": lambda: hamming_graph(2, 4),
 }
+
+
+def row_set(table) -> set[tuple[int, ...]]:
+    """The rows of an element table (or a list of image tuples) as a set of
+    tuples, after checking that no row repeats."""
+    rows = np.asarray(table)
+    out = {tuple(row.tolist()) for row in rows}
+    assert len(out) == len(rows), "an element table repeats a row"
+    return out
 
 
 @pytest.fixture(scope="session")

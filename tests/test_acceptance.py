@@ -31,6 +31,8 @@ from itertools import combinations
 
 import pytest
 
+from conftest import row_set
+
 from cubesym import constructions as cons
 from cubesym.autgroup import FoldedModel, structured_group
 from cubesym.bitgraph import (
@@ -93,7 +95,7 @@ def test_criterion_1_group_structure():
         sg = structured_group(g)
         se = search_automorphisms(g)
         if not (sg.order() == se.order() == order
-                and set(sg.elements()) == set(se.elements())):
+                and row_set(sg.elements()) == row_set(se.elements())):
             bad.append((g.family.name(), sg.order(), se.order(), order))
     _report("1 group structure", not bad, f"mismatches: {bad}" if bad else
             "searched == structured for Q_3..Q_5, FQ_4/5, AQ_4/5, LTQ_4/5")
@@ -196,9 +198,9 @@ def test_criterion_4_powers_determining_and_groups():
         assert value == want, (n, value)
         assert determining_lower_bound_exhaustive(g, grp, want)
     detail.append("det(Q_4^2, Q_5^2, Q_6^2) = 4, 5, 4 exhaustively")
-    q5 = set(search_automorphisms(hypercube(5)).elements())
-    q53 = set(search_automorphisms(hypercube_power(5, 3)).elements())
-    q52 = set(search_automorphisms(hypercube_power(5, 2)).elements())
+    q5 = row_set(search_automorphisms(hypercube(5)).elements())
+    q53 = row_set(search_automorphisms(hypercube_power(5, 3)).elements())
+    q52 = row_set(search_automorphisms(hypercube_power(5, 2)).elements())
     assert q53 == q5 and q52 != q5
     detail.append("Aut(Q_5^3) = Aut(Q_5), Aut(Q_5^2) != Aut(Q_5)")
     _report("4 powers (groups and determining)", True, "; ".join(detail))
@@ -398,8 +400,8 @@ def test_criterion_9_oracle_cross_validation():
             ocost = None
         if (det, dist, cost) != (odet, odist, ocost):
             mismatches.append((name, (det, dist, cost), (odet, odist, ocost)))
-        naive = set(enumerate_automorphisms_naive(g))
-        searched = set(search_automorphisms(g).elements())
+        naive = row_set(enumerate_automorphisms_naive(g))
+        searched = row_set(search_automorphisms(g).elements())
         if naive != searched:
             mismatches.append((name, "automorphism sets differ"))
     _report("9 oracle cross-validation", not mismatches,

@@ -165,6 +165,20 @@ def test_construct_commands(capsys):
     assert rep["value"] == 3 and rep["evidence"] == {"S(3,3)": 1, "S(3,2)": 3}
 
 
+@pytest.mark.parametrize("name,n,method", [
+    ("fq-det", 1, "searched"), ("fq-det", 2, "searched"), ("fq-det", 3, "searched"),
+    ("fq-det", 4, "structured"), ("fq-dist-class", 4, "structured"),
+    ("fq-dist-class", 5, "structured"), ("fq-dist-class", 6, "structured"),
+])
+def test_construct_labels_name_what_checked_it(capsys, name, n, method):
+    # FQ_1..FQ_3 have no model: their det literals are checked on the
+    # searched group; the FQ_4 and FQ_5 classes on the model
+    code, out = run(capsys, "construct", name, "-n", str(n))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["method"] == method and rep["verified"] is True
+
+
 def test_construct_q2_witnesses_reports_its_checks(capsys):
     # at n = 4 the class T keeps a swap of two vertices, so it is no class
     code, out = run(capsys, "construct", "q2-witnesses", "-n", "4")

@@ -399,6 +399,8 @@ def test_det_set_checks_survive_python_O():
             (cons, "is_asymmetric", never,
              [(cons.hypercube_dist_class, 5), (cons.fq_dist_class, 5)]),
             (cons, "q2_det_set_is_determining", never, [(cons.q2_witnesses, 5)]),
+            (cons, "is_determining_set", never, [(cons.fq_det_set, 2), (cons.fq_det_set, 3)]),
+            (cons, "determining_lower_bound_exhaustive", never, [(cons.fq_det_set, 3)]),
             (cons, "power2_induced", cons.hypercube_induced, [(cons.q2_witnesses, 5)]),
         ]
         for owner, name, stand_in, builds in checks:

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import random
 
+from conftest import row_set
+
 from cubesym.bitgraph import graph_from_edges
 from cubesym.errors import NotTwoDistinguishable
 from cubesym.oracle import (
@@ -31,7 +33,7 @@ def test_random_graphs_agree_with_oracle():
     for trial in range(120):
         g = _random_graph(rnd)
         grp = search_automorphisms(g)
-        assert set(grp.elements()) == set(enumerate_automorphisms_naive(g)), trial
+        assert row_set(grp.elements()) == row_set(enumerate_automorphisms_naive(g)), trial
         det, _ = determining_number(g, grp)
         assert det == oracle_determining_number(g).value, trial
         dist, _ = distinguishing_number(g, grp)
