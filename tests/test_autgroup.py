@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -20,9 +21,11 @@ from cubesym.autgroup import (
     HypercubeAff,
     HypercubeModel,
     LtqModel,
+    LtqTranslation,
     PermGroup,
     aq_base,
     fq_phi_extend,
+    identity_aut,
     is_automorphism,
     pointwise_stabilizer,
     pointwise_stabilizer_is_trivial,
@@ -204,6 +207,56 @@ def test_element_tables_are_closed_under_composition_and_inverse(name, data):
     inv = np.empty_like(a)
     inv[a] = np.arange(len(a))
     assert tuple(inv.tolist()) in rows
+
+
+def _row(aut) -> np.ndarray:
+    return np.array(aut.images())
+
+
+def _inverse_row(a: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(a)
+    inv[a] = np.arange(len(a))
+    return inv
+
+
+def test_composition_convention_and_properties():
+    # (sigma o tau)(v) = sigma(tau(v)) is the row sigma[tau], checked across
+    # structural kinds against the element table of the group they live in
+    cases = [
+        ("Q_4", HypercubeAff(4, 0b0011, (1, 0, 2, 3)), HypercubeAff(4, 0b1000, (3, 2, 1, 0))),
+        ("FQ_4", FoldedAff(4, 0b0101, (4, 1, 2, 3, 0)), FoldedAff(4, 0b1100, (1, 0, 3, 2, 4))),
+        ("AQ_4", AugmentedAff(4, 0b0110, 5), AugmentedAff(4, 0b1001, 7)),
+        ("LTQ_4", LtqTranslation(4, 0b011), LtqTranslation(4, 0b110)),
+    ]
+    for name, sigma, tau in cases:
+        _, rows = _law_table(name)
+        s, t = _row(sigma), _row(tau)
+        assert tuple(s.tolist()) in rows and tuple(t.tolist()) in rows
+        comp = s[t]
+        for v in range(16):
+            assert comp[v] == sigma.apply(tau.apply(v))
+        assert tuple(comp.tolist()) in rows
+        inv = _inverse_row(s)
+        for v in range(16):
+            assert inv[sigma.apply(v)] == v
+        assert tuple(inv.tolist()) in rows
+    a, b, c = (_row(HypercubeAff(4, 3, (1, 2, 3, 0))), _row(HypercubeAff(4, 9, (2, 0, 1, 3))),
+               _row(HypercubeAff(4, 12, (0, 3, 2, 1))))
+    assert a[b][c].tolist() == a[b[c]].tolist()
+    assert a[_row(identity_aut(16))].tolist() == a.tolist()
+
+
+@given(st.integers(0, 23), st.integers(0, 15), st.integers(0, 23), st.integers(0, 15))
+@settings(max_examples=40, deadline=None)
+def test_hypercube_aff_group_law(pi_idx, c1, pi2_idx, c2):
+    perms = list(permutations(range(4)))
+    a = HypercubeAff(4, c1, perms[pi_idx])
+    b = HypercubeAff(4, c2, perms[pi2_idx])
+    comp = _row(a)[_row(b)]
+    assert tuple(comp.tolist()) == tuple(a.apply(b.apply(v)) for v in range(16))
+    _, rows = _law_table("Q_4")
+    assert tuple(comp.tolist()) in rows
+    assert (_inverse_row(_row(a))[_row(a)] == np.arange(16)).all()
 
 
 def test_group_closure_on_enumeration():
