@@ -2,7 +2,8 @@
 
 Each family's group is modeled structurally (translations composed with
 coordinate data) and found independently by refinement search; the demo shows
-the two agree element for element, and prints the structural generators.
+the two agree element for element, and reads a few structural maps off their
+image rows (entry v of a row is the image of vertex v).
 """
 
 from math import factorial
@@ -49,11 +50,11 @@ for k in (2, 3):
 print()
 print("the eight augmented-cube maps fixing 0000, as images of 1011:")
 for idx in range(1, 9):
-    print(f"  base {idx}: 1011 -> {word_str(aq_base(4, idx).apply(0b1011), 4)}")
+    print(f"  base {idx}: 1011 -> {word_str(int(aq_base(4, idx)[0b1011]), 4)}")
 
 print()
 print("a folded-cube symbol map: swap position 1 with the all-ones word.")
-phi = fq_phi_extend(4, [4, 1, 2, 3, 0])
-moved = [v for v in range(16) if phi.apply(v) != v]
+phi = fq_phi_extend(4, [4, 1, 2, 3, 0]).tolist()
+moved = [v for v in range(16) if phi[v] != v]
 print("  vertices moved:", " ".join(word_str(v, 4) for v in moved))
 print("  (everything with a 0 in position 1 is fixed)")

@@ -1,13 +1,13 @@
-"""Automorphisms and automorphism groups of the word families.
+"""Automorphism groups of the word families.
 
-Automorphisms are stored structurally where the family admits a closed form
-(translation plus coordinate data), or as explicit image arrays otherwise.
+A group's generators and its elements are image rows, int32 arrays of
+vertex images; a structured group's model builds them in closed form.
 Composition convention throughout: (sigma o tau)(v) = sigma(tau(v)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import permutations
 from math import factorial
 
@@ -30,127 +30,43 @@ DEFAULT_ELEMENT_CAP = 2_000_000
 
 
 # ---------------------------------------------------------------------------
-# automorphism value objects
+# image rows
+#
+# A permutation of the vertices is its image row, an int32 array whose entry v
+# is the image of v; a k x V array holds k of them.  Row sigma after row tau
+# is sigma[tau], since (sigma o tau)(v) = sigma(tau(v)).
 
 
-class Automorphism:
-    """Vertex bijection of a fixed graph, applied via `apply`."""
-
-    n_vertices: int
-
-    def apply(self, v: int) -> int:
-        raise NotImplementedError
-
-    def images(self) -> tuple[int, ...]:
-        return tuple(self.apply(v) for v in range(self.n_vertices))
-
-    def is_identity(self) -> bool:
-        return all(self.apply(v) == v for v in range(self.n_vertices))
-
-    def __call__(self, v: int) -> int:
-        return self.apply(v)
+def _translations(n: int, shifts) -> np.ndarray:
+    """The rows of the translations v -> v + c of the n-bit words, c in `shifts`."""
+    shifts = np.array(shifts, dtype=np.int32)
+    return np.arange(1 << n, dtype=np.int32)[None, :] ^ shifts[:, None]
 
 
-@dataclass(frozen=True)
-class ExplicitPerm(Automorphism):
-    """Image array over the whole vertex set."""
-
-    perm: tuple[int, ...]
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.perm)
-
-    def apply(self, v: int) -> int:
-        return self.perm[v]
-
-    def images(self) -> tuple[int, ...]:
-        return self.perm
+def _linear_rows(n: int, unit_images) -> np.ndarray:
+    """The rows of the GF(2)-linear maps of the n-bit words whose images of
+    the single bits 1 << b are `unit_images[k][b]`, built by doubling: the
+    words with bit b set are those below 2^b XOR bit b."""
+    bits = np.array(unit_images, dtype=np.int32).reshape(-1, n)
+    rows = np.zeros((len(bits), 1), dtype=np.int32)
+    for b in range(n):
+        rows = np.concatenate([rows, rows ^ bits[:, b:b + 1]], axis=1)
+    return rows
 
 
-def _permute_positions(word: int, pi: tuple[int, ...], n: int) -> int:
-    """Image word w with w[i] = word[pi[i]] (0-based positions, leftmost first)."""
-    out = 0
+def _conjugate(rows: np.ndarray, a: int) -> np.ndarray:
+    """The maps `rows`, which fix zero, moved to fix `a`: v -> a + phi(a + v)."""
+    return a ^ rows[:, np.arange(rows.shape[1]) ^ a]
+
+
+def _column_words(pi, n: int, last: int) -> list[int]:
+    """Under the column permutation pi (image column i reads source column
+    pi[i]), the word that a 1 in each source column becomes: column i < n is
+    position i, bit n-1-i, and column n, if any, is the word `last`."""
+    out = [0] * len(pi)
     for i, src in enumerate(pi):
-        if (word >> (n - 1 - src)) & 1:
-            out |= 1 << (n - 1 - i)
+        out[src] = 1 << (n - 1 - i) if i < n else last
     return out
-
-
-@dataclass(frozen=True)
-class HypercubeAff(Automorphism):
-    """Translation by c composed with a position permutation: v -> c + pi(v)."""
-
-    n: int
-    c: int
-    pi: tuple[int, ...]
-
-    @property
-    def n_vertices(self) -> int:
-        return 1 << self.n
-
-    def apply(self, v: int) -> int:
-        return self.c ^ _permute_positions(v, self.pi, self.n)
-
-    def is_identity(self) -> bool:
-        return self.c == 0 and self.pi == tuple(range(self.n))
-
-
-@dataclass(frozen=True)
-class FoldedAff(Automorphism):
-    """Folded-cube automorphism: translation plus a permutation of the n+1
-    symbols (the n positions and the all-ones word), realised as a coordinate
-    permutation of the zero-extended (n+1)-bit word modulo global complement.
-    Symbol index i < n is position i+1; symbol index n is the all-ones word.
-    """
-
-    n: int
-    c: int
-    pi: tuple[int, ...]  # length n+1, image coordinate i reads source pi[i]
-
-    @property
-    def n_vertices(self) -> int:
-        return 1 << self.n
-
-    def apply(self, v: int) -> int:
-        n = self.n
-        # lift: digit j of the extended word, j in [0, n]; digit n is 0
-        out = 0
-        flip = False
-        for i, src in enumerate(self.pi):
-            bit = 0 if src == n else (v >> (n - 1 - src)) & 1
-            if i == n:
-                flip = bool(bit)
-            elif bit:
-                out |= 1 << (n - 1 - i)
-        if flip:
-            out ^= (1 << n) - 1
-        return self.c ^ out
-
-    def is_identity(self) -> bool:
-        return self.c == 0 and self.pi == tuple(range(self.n + 1))
-
-
-@dataclass(frozen=True)
-class HalvedAff(Automorphism):
-    """Even-power automorphism: a permutation of the n+1 positions of the
-    parity-extended word (v, parity of v), whose image drops its parity bit
-    again, then translation by c.  Position n is the parity bit."""
-
-    n: int
-    c: int
-    pi: tuple[int, ...]  # length n+1, image position i reads source pi[i]
-
-    @property
-    def n_vertices(self) -> int:
-        return 1 << self.n
-
-    def apply(self, v: int) -> int:
-        extended = (v << 1) | (v.bit_count() & 1)
-        return self.c ^ (_permute_positions(extended, self.pi, self.n + 1) >> 1)
-
-    def is_identity(self) -> bool:
-        return self.c == 0 and self.pi == tuple(range(self.n + 1))
 
 
 # the eight automorphisms of an augmented cube that fix the zero vertex,
@@ -194,98 +110,33 @@ _AQ_BASE_PATTERNS = {
 }
 
 
-def _mid_reverse(a: int, width: int) -> int:
-    r = 0
+def aq_base(n: int, idx: int) -> np.ndarray:
+    """The row of one of the eight augmented-cube automorphisms fixing zero."""
+    if n < 4:
+        raise ParameterOutOfRange("augmented base maps need n >= 4")
+    if not 1 <= idx <= 8:
+        raise ParameterOutOfRange(f"base index {idx} not in 1..8")
+    width = n - 3
+    midmask = (1 << width) - 1
+    v = np.arange(1 << n, dtype=np.int32)
+    first, mid, last2 = v >> (n - 1), (v >> 2) & midmask, v & 0b11
+    rev = np.zeros_like(mid)
     for i in range(width):
-        if (a >> i) & 1:
-            r |= 1 << (width - 1 - i)
-    return r
+        rev |= ((mid >> i) & 1) << (width - 1 - i)
+    middle = {_KEEP: mid, _COMP: mid ^ midmask, _REV: rev, _CREV: rev ^ midmask}
+    out = np.empty_like(v)
+    for (f, l), (f2, op, l2) in _AQ_BASE_PATTERNS[idx].items():
+        sel = (first == f) & (last2 == l)
+        out[sel] = (f2 << (n - 1)) | (middle[op][sel] << 2) | l2
+    return out
 
 
-@dataclass(frozen=True)
-class AugmentedAff(Automorphism):
-    """Translation composed with one of the eight base maps fixing zero."""
-
-    n: int
-    c: int
-    base: int  # 1..8
-
-    def __post_init__(self):
-        if self.n < 4:
-            raise ParameterOutOfRange("augmented base maps need n >= 4")
-        if not 1 <= self.base <= 8:
-            raise ParameterOutOfRange(f"base index {self.base} not in 1..8")
-
-    @property
-    def n_vertices(self) -> int:
-        return 1 << self.n
-
-    def apply(self, v: int) -> int:
-        n = self.n
-        width = n - 3
-        midmask = (1 << width) - 1
-        first = (v >> (n - 1)) & 1
-        mid = (v >> 2) & midmask
-        last2 = v & 0b11
-        first2, op, last2b = _AQ_BASE_PATTERNS[self.base][(first, last2)]
-        if op == _COMP:
-            mid ^= midmask
-        elif op == _REV:
-            mid = _mid_reverse(mid, width)
-        elif op == _CREV:
-            mid = _mid_reverse(mid, width) ^ midmask
-        return self.c ^ ((first2 << (n - 1)) | (mid << 2) | last2b)
-
-    def is_identity(self) -> bool:
-        return self.c == 0 and self.base == 1
-
-
-@dataclass(frozen=True)
-class LtqTranslation(Automorphism):
-    """Adds a fixed word to the first n-1 bits of each vertex."""
-
-    n: int
-    c_prime: int  # (n-1)-bit word over positions 1..n-1
-
-    @property
-    def n_vertices(self) -> int:
-        return 1 << self.n
-
-    def apply(self, v: int) -> int:
-        return v ^ (self.c_prime << 1)
-
-    def is_identity(self) -> bool:
-        return self.c_prime == 0
-
-
-@dataclass(frozen=True)
-class ProductAut(Automorphism):
-    """Blockwise automorphism of a Cartesian product: (g, h) -> (a(g), b(h))."""
-
-    a: Automorphism
-    b: Automorphism
-
-    @property
-    def n_vertices(self) -> int:
-        return self.a.n_vertices * self.b.n_vertices
-
-    def apply(self, v: int) -> int:
-        nb = self.b.n_vertices
-        return self.a.apply(v // nb) * nb + self.b.apply(v % nb)
-
-    def is_identity(self) -> bool:
-        return self.a.is_identity() and self.b.is_identity()
-
-
-def identity_aut(nv: int) -> ExplicitPerm:
-    return ExplicitPerm(tuple(range(nv)))
-
-
-def fq_phi_extend(n: int, symbol_perm) -> FoldedAff:
-    """Folded automorphism from a permutation of the n+1 symbols.
+def fq_phi_extend(n: int, symbol_perm) -> np.ndarray:
+    """The row of the folded-cube automorphism fixing zero that permutes the
+    n+1 symbols.
 
     `symbol_perm[j]` is the image symbol of symbol j (0-based; symbol n is
-    the all-ones word).  The translation part is zero.
+    the all-ones word).
     """
     if n < 4:
         raise ParameterOutOfRange("folded structured form needs n >= 4")
@@ -295,12 +146,7 @@ def fq_phi_extend(n: int, symbol_perm) -> FoldedAff:
     pi = [0] * (n + 1)
     for j, img in enumerate(sp):
         pi[img] = j
-    return FoldedAff(n, 0, tuple(pi))
-
-
-def aq_base(n: int, idx: int) -> AugmentedAff:
-    """One of the eight augmented-cube automorphisms fixing zero."""
-    return AugmentedAff(n, 0, idx)
+    return _linear_rows(n, [FoldedModel(n).unit_images(pi)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +155,8 @@ def aq_base(n: int, idx: int) -> AugmentedAff:
 
 @dataclass
 class PermGroup:
-    """A set of automorphisms closed under composition, given by generators.
+    """A set of automorphisms closed under composition, given by generators,
+    a k x V int32 array of image rows (k may be 0).
 
     `model` is the closed form of a structured group; without one, elements
     come from generator closure.  `order_known` is trusted when set (it is
@@ -320,13 +167,14 @@ class PermGroup:
     """
 
     n_vertices: int
-    generators: list[Automorphism]
+    generators: np.ndarray
     order_known: int | None = None
     source: str = "explicit"
     graph: Graph | None = None
     model: GroupModel | None = None
     base: tuple[int, ...] | None = None
     _elements: np.ndarray | None = field(default=None, repr=False)
+    _max_fixed_masks: list[int] | None = field(default=None, repr=False)
 
     def order(self) -> int:
         if self.order_known is None:
@@ -336,7 +184,7 @@ class PermGroup:
     def is_trivial(self) -> bool:
         if self.order_known is not None:
             return self.order_known == 1
-        return all(g.is_identity() for g in self.generators)
+        return not (self.generators != np.arange(self.n_vertices)).any()
 
     def elements(self) -> np.ndarray:
         """The element table: a |G| x V int32 array of image rows, in no
@@ -348,7 +196,7 @@ class PermGroup:
             if self.model is not None:
                 table = self.model.enumerate()
             else:
-                table = _closure(self.n_vertices, [g.images() for g in self.generators])
+                table = _closure(self.n_vertices, self.generators)
             if self.order_known is None:
                 self.order_known = len(table)
             elif self.order_known != len(table):
@@ -360,7 +208,7 @@ class PermGroup:
     def orbits(self) -> list[list[int]]:
         """Vertex orbits under the generators."""
         buckets: dict[int, list[int]] = {}
-        roots = orbit_roots(self.n_vertices, (g.images() for g in self.generators))
+        roots = orbit_roots(self.n_vertices, self.generators.tolist())
         for v, root in enumerate(roots):
             buckets.setdefault(root, []).append(v)
         return sorted(buckets.values())
@@ -371,7 +219,7 @@ class PermGroup:
 
 def orbit_roots(nv: int, gen_images) -> list[int]:
     """A root per vertex, shared by two vertices iff they lie in one orbit
-    under the image arrays `gen_images` (union-find)."""
+    under the image rows `gen_images`, lists of ints (union-find)."""
     parent = list(range(nv))
 
     def find(x):
@@ -388,23 +236,22 @@ def orbit_roots(nv: int, gen_images) -> list[int]:
     return [find(v) for v in range(nv)]
 
 
-def base_order(nv: int, gen_images: list[tuple[int, ...]], base) -> int:
+def base_order(gens: np.ndarray, base) -> int:
     """|G| as the product, along the base, of the orbit of b_i under the
-    generators fixing b_1..b_{i-1}; exact for a strong generating set whose
-    base has a trivial pointwise stabilizer."""
+    generator rows fixing b_1..b_{i-1}; exact for a strong generating set
+    whose base has a trivial pointwise stabilizer."""
     order = 1
     for i, b in enumerate(base):
-        roots = orbit_roots(nv, [p for p in gen_images if all(p[v] == v for v in base[:i])])
+        roots = orbit_roots(gens.shape[1], gens[_fixing(gens, list(base[:i]))].tolist())
         order *= roots.count(roots[b])
     return order
 
 
-def _closure(nv: int, gen_images: list[tuple[int, ...]]) -> np.ndarray:
-    """The element table the image arrays generate, by BFS closure a frontier
-    at a time (uint8 images up to 256 vertices, wider above)."""
+def _closure(nv: int, gens: np.ndarray) -> np.ndarray:
+    """The element table the generator rows generate, by BFS closure a
+    frontier at a time (uint8 images up to 256 vertices, wider above)."""
     dtype = np.min_scalar_type(nv - 1)
-    ident = tuple(range(nv))
-    garr = [np.array(g, dtype=dtype) for g in gen_images if g != ident]
+    garr = gens[(gens != np.arange(nv)).any(axis=1)].astype(dtype)
     frontier = np.arange(nv, dtype=dtype)[None, :]
     out = [frontier[0].tobytes()]
     seen = set(out)
@@ -424,14 +271,11 @@ def _closure(nv: int, gen_images: list[tuple[int, ...]]) -> np.ndarray:
     return np.frombuffer(b"".join(out), dtype).reshape(len(out), nv).astype(np.int32)
 
 
-def is_automorphism(g: Graph, mapping) -> bool:
-    """True iff `mapping` (callable or sequence) is a bijection preserving
-    adjacency and non-adjacency."""
+def is_automorphism(g: Graph, row) -> bool:
+    """True iff the image row `row` is a bijection preserving adjacency and
+    non-adjacency."""
     nv = g.n_vertices
-    if callable(mapping):
-        img = [mapping(v) for v in range(nv)]
-    else:
-        img = list(mapping)
+    img = np.asarray(row).tolist()  # Python ints: an int32 bit shift overflows
     if len(img) != nv or sorted(img) != list(range(nv)):
         return False
     for u in range(nv):
@@ -447,7 +291,7 @@ def is_automorphism(g: Graph, mapping) -> bool:
 
 
 def trivial_group(nv: int, graph: Graph | None = None) -> PermGroup:
-    return PermGroup(nv, [], 1, "structured", graph,
+    return PermGroup(nv, np.empty((0, nv), dtype=np.int32), 1, "structured", graph,
                      _elements=np.arange(nv, dtype=np.int32)[None, :])
 
 
@@ -494,9 +338,8 @@ def _maximal_fixed_masks(grp: PermGroup) -> list[int]:
 
     A subset is determining iff it is contained in none of these masks.
     """
-    cached = getattr(grp, "_max_fixed_masks", None)
-    if cached is not None:
-        return cached
+    if grp._max_fixed_masks is not None:
+        return grp._max_fixed_masks
     arr = grp.elements()
     nv = grp.n_vertices
     fixed = arr == np.arange(nv, dtype=np.int32)[None, :]
@@ -545,21 +388,17 @@ def determining_test(grp: PermGroup):
 # group models
 #
 # One closed form per structured group.  A model answers `order()`,
-# `generators()`, `enumerate()` (the element table; `PermGroup.elements` has
-# checked the order against the cap), `pointwise_stabilizer(S)` for a sorted
-# nonempty vertex list S, and the determining test above, which gives it
-# `pointwise_trivial(words)`.  The AQ_n and LTQ_n models also answer
-# `setwise_stabilizer(S)`, the list of the elements that map S onto itself.
-
-
-def _conjugate(phi, a: int):
-    """The linear map phi moved to fix `a`: v -> a + phi(a + v)."""
-    return replace(phi, c=a ^ phi.apply(a))
+# `generators()` (rows), `enumerate()` (the element table; `PermGroup.elements`
+# has checked the order against the cap), `pointwise_stabilizer(S)` for a
+# sorted nonempty vertex list S, and the determining test above, which gives
+# it `pointwise_trivial(words)`.  The AQ_n and LTQ_n models also answer
+# `setwise_stabilizer(S)`, the rows of the elements that map S onto itself.
 
 
 class _TranslationModel:
     """A group on n-bit words whose elements are a translation v -> v + c
-    after one of the maps fixing the zero word."""
+    after one of the maps fixing the zero word, whose rows
+    `zero_fixing_rows()` gives."""
 
     def __init__(self, n: int):
         self.n = n
@@ -569,9 +408,6 @@ class _TranslationModel:
 
     def order(self) -> int:
         return len(self.translations()) * self.n_zero_fixing()
-
-    def element(self, c: int, phi: Automorphism) -> Automorphism:
-        return replace(phi, c=c)
 
     def enumerate(self) -> np.ndarray:
         """The elements as a |G| x V int32 array: each zero-fixing map's
@@ -587,44 +423,22 @@ class _TranslationModel:
         shifts = np.array(self.translations(), dtype=np.int32)
         return (base[:, None, :] ^ shifts[None, :, None]).reshape(-1, base.shape[1])
 
-    def zero_fixing_rows(self):
-        """The image rows of the zero-fixing maps, one `apply` per vertex."""
-        return np.array([phi.images() for phi in self.zero_fixing()], dtype=np.int32)
-
-
-class _LinearZeroFixing:
-    """A translation model whose zero-fixing maps are linear over GF(2): the
-    image of a word is the XOR of the images of its bits."""
-
-    def zero_fixing_rows(self):
-        """The image rows, built from the n images of the single bits by
-        doubling: the words with bit b set are those below 2^b XOR bit b."""
-        bits = np.array([[phi.apply(1 << b) for b in range(self.n)]
-                         for phi in self.zero_fixing()], dtype=np.int32)
-        rows = np.zeros((len(bits), 1), dtype=np.int32)
-        for b in range(self.n):
-            rows = np.concatenate([rows, rows ^ bits[:, b:b + 1]], axis=1)
-        return rows
-
 
 class _SetwiseSearch:
     """Setwise stabilizers of a translation model with few zero-fixing maps:
     an element mapping S onto itself sends min S to some t in S, which fixes
     its translation once the zero-fixing map is chosen."""
 
-    def setwise_stabilizer(self, S) -> list[Automorphism]:
-        S = frozenset(S)
-        s0 = min(S)
-        allowed = self.translations()
-        out = []
-        for t in S:
-            for phi in self.zero_fixing():
-                c = t ^ phi.apply(s0)
-                if c in allowed:
-                    sigma = self.element(c, phi)
-                    if all(sigma.apply(s) in S for s in S):
-                        out.append(sigma)
-        return out
+    def setwise_stabilizer(self, S) -> np.ndarray:
+        S = sorted(S)
+        base = self.zero_fixing_rows()
+        shifts = np.array(S, dtype=np.int32)[None, :] ^ base[:, S[0], None]
+        rows = (base[:, None, :] ^ shifts[:, :, None]).reshape(-1, base.shape[1])
+        allowed = np.zeros(base.shape[1], dtype=bool)
+        allowed[self.translations()] = True
+        member = np.zeros(base.shape[1], dtype=bool)
+        member[S] = True
+        return rows[allowed[shifts.ravel()] & member[rows[:, S]].all(axis=1)]
 
 
 def _translated_columns(S, n: int) -> list[tuple[int, ...]]:
@@ -668,47 +482,54 @@ class _ColumnRefinement(_DeterminingFold):
         return max(((m.bit_count() - 1).bit_length() for m in state[2]), default=0)
 
 
-class _PositionModel(_LinearZeroFixing, _ColumnRefinement, _TranslationModel):
-    """A translation model whose zero-fixing maps are the permutations of
-    `columns` word positions, built by `aff(n, c, pi)`.  A set holding zero
-    is fixed by a permutation iff it moves positions only within classes of
-    equal columns, so the set is determining iff its columns are distinct."""
+class _PositionModel(_ColumnRefinement, _TranslationModel):
+    """A translation model whose zero-fixing maps are the permutations pi of
+    `columns` word columns; they are linear, and `unit_images(pi)` gives the
+    images of the n single bits.  A set holding zero is fixed by a
+    permutation iff it moves positions only within classes of equal columns,
+    so the set is determining iff its columns are distinct."""
 
     def n_zero_fixing(self) -> int:
         return factorial(self.columns)
 
-    def zero_fixing(self):
-        return (self.aff(self.n, 0, pi) for pi in permutations(range(self.columns)))
+    def zero_fixing_rows(self) -> np.ndarray:
+        return self._rows(permutations(range(self.columns)))
 
-    def generators(self) -> list[Automorphism]:
+    def _rows(self, perms) -> np.ndarray:
+        return _linear_rows(self.n, [self.unit_images(pi) for pi in perms])
+
+    def generators(self) -> np.ndarray:
         n, m = self.n, self.columns
-        gens = [self.aff(n, 1 << b, tuple(range(m))) for b in range(n)]
-        gens += [self.aff(n, 0, _transposition(m, i, i + 1)) for i in range(m - 1)]
-        return gens
+        return np.concatenate([_translations(n, [1 << b for b in range(n)]),
+                               self._rows(_transposition(m, i, i + 1) for i in range(m - 1))])
 
     def det_done(self, state) -> bool:
         """A fixing position permutation exists iff two columns agree."""
         return state is not None and not state[2]
 
+    def _stabilizer(self, S, perms, order: int) -> PermGroup:
+        """The group of `order` elements that the zero-fixing maps `perms`,
+        moved to fix S[0], generate."""
+        return PermGroup(1 << self.n, _conjugate(self._rows(perms), S[0]), order, "structured")
+
     def pointwise_stabilizer(self, S) -> PermGroup:
-        n, m, a = self.n, self.columns, S[0]
         order = 1
-        gens = []
+        perms = []
         for idx in self.column_classes(S).values():
             order *= factorial(len(idx))
-            gens += [_conjugate(self.aff(n, 0, _transposition(m, i, j)), a)
-                     for i, j in zip(idx, idx[1:])]
-        return PermGroup(1 << n, gens, order, "structured")
+            perms += [_transposition(self.columns, i, j) for i, j in zip(idx, idx[1:])]
+        return self._stabilizer(S, perms, order)
 
 
 class HypercubeModel(_PositionModel):
     """Aut(Q_n) = Z_2^n x S_n, also the group of Q_n^k for odd k <= n-2."""
 
-    aff = HypercubeAff
-
     @property
     def columns(self) -> int:
         return self.n
+
+    def unit_images(self, pi) -> list[int]:
+        return _column_words(pi, self.n, 0)[::-1]
 
     def column_classes(self, S) -> dict[tuple, list[int]]:
         return _column_classes(_translated_columns(S, self.n))
@@ -731,11 +552,15 @@ class HalvedCubeModel(_PositionModel):
     Neumaier, Distance-Regular Graphs, 1989).  Q_3^2 = K_{2,2,2,2} (N = 4)
     has more automorphisms, and so do the powers with k >= n-1."""
 
-    aff = HalvedAff
-
     @property
     def columns(self) -> int:
         return self.n + 1  # bit n is the parity column
+
+    def unit_images(self, pi) -> list[int]:
+        """A single bit has odd weight, so its extended word also has a 1 in
+        the parity column n; the image word drops its own parity column."""
+        words = _column_words(pi, self.n, 0)
+        return [w ^ words[self.n] for w in words[self.n - 1::-1]]
 
     def column_mask(self, t: int) -> int:
         return t | (t.bit_count() & 1) << self.n
@@ -764,25 +589,17 @@ def _folded_shifts(classes: dict[tuple, list[int]]) -> list[tuple]:
                    for c, idx in classes.items())]
 
 
-class FoldedModel(_LinearZeroFixing, _ColumnRefinement, _TranslationModel):
+class FoldedModel(_PositionModel):
     """Aut(FQ_n) = Z_2^n x S_{n+1} (n >= 4), permuting the n positions and
-    the all-ones word as n+1 symbols."""
-
-    def n_zero_fixing(self) -> int:
-        return factorial(self.n + 1)
-
-    def zero_fixing(self):
-        return (FoldedAff(self.n, 0, pi) for pi in permutations(range(self.n + 1)))
+    the all-ones word as n+1 symbols: column n is the all-ones symbol's,
+    0 in every word, and an image word with a 1 there is complemented."""
 
     @property
     def columns(self) -> int:
         return self.n + 1  # bit n, the all-ones symbol's column, stays 0
 
-    def generators(self) -> list[Automorphism]:
-        n = self.n
-        gens = [FoldedAff(n, 1 << b, tuple(range(n + 1))) for b in range(n)]
-        gens += [FoldedAff(n, 0, _transposition(n + 1, i, i + 1)) for i in range(n)]
-        return gens
+    def unit_images(self, pi) -> list[int]:
+        return _column_words(pi, self.n, (1 << self.n) - 1)[self.n - 1::-1]
 
     def det_need(self, state) -> int:
         """The class bound r, plus one when every completion by r words keeps
@@ -805,25 +622,24 @@ class FoldedModel(_LinearZeroFixing, _ColumnRefinement, _TranslationModel):
                 and len(_folded_shifts(_folded_classes(state[1], self.n))) == 1)
 
     def pointwise_stabilizer(self, S) -> PermGroup:
-        n, a = self.n, S[0]
+        n = self.n
         classes = _folded_classes(S, n)
         shifts = _folded_shifts(classes)
         order = len(shifts)
         for idx in classes.values():
             order *= factorial(len(idx))
-        gens = []
+        perms = []
         for e in shifts:
             if not any(e):
                 for idx in classes.values():
-                    gens += [_conjugate(FoldedAff(n, 0, _transposition(n + 1, i, j)), a)
-                             for i, j in zip(idx, idx[1:])]
+                    perms += [_transposition(n + 1, i, j) for i, j in zip(idx, idx[1:])]
                 continue
             pi = [0] * (n + 1)
             for c, idx in classes.items():
                 for i, j in zip(idx, classes[_xor_cols(c, e)]):
                     pi[j] = i  # image coordinate j reads source i
-            gens.append(_conjugate(FoldedAff(n, 0, tuple(pi)), a))
-        return PermGroup(1 << n, gens, order, "structured")
+            perms.append(tuple(pi))
+        return self._stabilizer(S, perms, order)
 
 
 class AugmentedModel(_DeterminingFold, _SetwiseSearch, _TranslationModel):
@@ -832,36 +648,29 @@ class AugmentedModel(_DeterminingFold, _SetwiseSearch, _TranslationModel):
     def n_zero_fixing(self) -> int:
         return 8
 
-    def zero_fixing(self):
-        return [AugmentedAff(self.n, 0, idx) for idx in range(1, 9)]
+    def zero_fixing_rows(self) -> np.ndarray:
+        return np.array([aq_base(self.n, idx) for idx in range(1, 9)])
 
-    def generators(self) -> list[Automorphism]:
+    def generators(self) -> np.ndarray:
         n = self.n
-        gens = [AugmentedAff(n, 1 << b, 1) for b in range(n)]
-        gens += [AugmentedAff(n, 0, idx) for idx in (2, 3, 5)]
-        return gens
+        return np.concatenate([_translations(n, [1 << b for b in range(n)]),
+                               [aq_base(n, idx) for idx in (2, 3, 5)]])
 
     def det_add(self, state, w):
-        """The first word a, and the base maps fixing every word translated
-        by a, the identity first."""
+        """The first word a, and the rows of the base maps fixing every word
+        translated by a, the identity first."""
         if state is None:
-            return w, tuple(self.zero_fixing())
+            return w, self.zero_fixing_rows()
         a, maps = state
         t = a ^ w
-        return a, tuple(phi for phi in maps if phi.apply(t) == t)
+        return a, maps[maps[:, t] == t]
 
     def det_done(self, state) -> bool:
         return state is not None and len(state[1]) == 1
 
     def pointwise_stabilizer(self, S) -> PermGroup:
         a, keep = self.fold(S)
-        gens = []
-        for phi in keep[1:]:
-            sigma = _conjugate(phi, a)  # the base maps are not all linear
-            if not all(sigma.apply(s) == s for s in S):
-                sigma = ExplicitPerm(tuple(a ^ phi.apply(a ^ v) for v in range(1 << self.n)))
-            gens.append(sigma)
-        return PermGroup(1 << self.n, gens, len(keep), "structured")
+        return PermGroup(1 << self.n, _conjugate(keep[1:], a), len(keep), "structured")
 
 
 class LtqModel(_DeterminingFold, _SetwiseSearch, _TranslationModel):
@@ -873,14 +682,11 @@ class LtqModel(_DeterminingFold, _SetwiseSearch, _TranslationModel):
     def n_zero_fixing(self) -> int:
         return 1
 
-    def zero_fixing(self):
-        return [LtqTranslation(self.n, 0)]
+    def zero_fixing_rows(self) -> np.ndarray:
+        return _translations(self.n, [0])
 
-    def element(self, c: int, phi: Automorphism) -> Automorphism:
-        return LtqTranslation(self.n, c >> 1)
-
-    def generators(self) -> list[Automorphism]:
-        return [LtqTranslation(self.n, 1 << b) for b in range(self.n - 1)]
+    def generators(self) -> np.ndarray:
+        return _translations(self.n, [2 << b for b in range(self.n - 1)])
 
     def det_add(self, state, w) -> bool:
         return True
@@ -904,11 +710,13 @@ class ProductModel(_DeterminingFold):
     def order(self) -> int:
         return self.ga.order() * self.gb.order()
 
-    def generators(self) -> list[Automorphism]:
-        na, nb = self.ga.n_vertices, self.gb.n_vertices
-        gens: list[Automorphism] = [ProductAut(a, identity_aut(nb)) for a in self.ga.generators]
-        gens += [ProductAut(identity_aut(na), b) for b in self.gb.generators]
-        return gens
+    def generators(self) -> np.ndarray:
+        """Row a of A gives v -> (a[v // |B|], v % |B|); row b of B gives
+        v -> (v // |B|, b[v % |B|])."""
+        nb = self.gb.n_vertices
+        v = np.arange(self.ga.n_vertices * nb, dtype=np.int32)
+        return np.concatenate([self.ga.generators[:, v // nb] * nb + v % nb,
+                               v // nb * nb + self.gb.generators[:, v % nb]])
 
     def enumerate(self) -> np.ndarray:
         """Row (a, b) maps vertex v to a[v // |B|] * |B| + b[v % |B|]."""
@@ -982,9 +790,9 @@ def structured_group(g: Graph) -> PermGroup:
         raise NoStructuredForm("no family tag on this graph")
     model = _family_model(spec)
     grp = PermGroup(g.n_vertices, model.generators(), model.order(), "structured", g, model)
-    for gen in grp.generators:
-        if not is_automorphism(g, gen):
-            raise AssertionError(f"structured generator failed for {spec.name()}: {gen}")
+    for i, row in enumerate(grp.generators.tolist()):
+        if not is_automorphism(g, row):
+            raise AssertionError(f"structured generator {i} failed for {spec.name()}")
     return grp
 
 
@@ -992,17 +800,17 @@ def structured_group(g: Graph) -> PermGroup:
 # stabilizers
 
 
-def _filtered_subgroup(grp: PermGroup, keep) -> PermGroup:
-    """The subgroup of the element table's rows that the mask `keep` selects."""
-    rows = grp.elements()[keep]
+def _subgroup_of_rows(grp: PermGroup, rows: np.ndarray) -> PermGroup:
+    """The subgroup of `grp` whose elements are the distinct rows `rows`,
+    kept as its element table; its non-identity rows generate it."""
     moved = (rows != np.arange(grp.n_vertices)).any(axis=1)
-    gens = [ExplicitPerm(tuple(p)) for p in rows[moved].tolist()]
-    return PermGroup(grp.n_vertices, gens, len(rows), grp.source, grp.graph, _elements=rows)
+    return PermGroup(grp.n_vertices, rows[moved], len(rows), grp.source, grp.graph,
+                     _elements=rows)
 
 
-def _fixing(grp: PermGroup, S: list[int]):
-    """Mask of the element table's rows that fix every vertex of S."""
-    return (grp.elements()[:, S] == S).all(axis=1)
+def _fixing(rows: np.ndarray, S: list[int]):
+    """Mask of the rows that fix every vertex of S."""
+    return (rows[:, S] == S).all(axis=1)
 
 
 def pointwise_stabilizer_is_trivial(grp: PermGroup, subset) -> bool:
@@ -1012,7 +820,7 @@ def pointwise_stabilizer_is_trivial(grp: PermGroup, subset) -> bool:
         return grp.is_trivial()
     if grp.model is not None:
         return grp.model.pointwise_trivial(S)
-    return int(_fixing(grp, S).sum()) == 1  # the rows are distinct
+    return int(_fixing(grp.elements(), S).sum()) == 1  # the rows are distinct
 
 
 def pointwise_stabilizer(grp: PermGroup, subset) -> PermGroup:
@@ -1031,12 +839,12 @@ def pointwise_stabilizer(grp: PermGroup, subset) -> PermGroup:
         stab.graph = grp.graph
         return stab
     if grp.base is not None and S == sorted(grp.base[:len(S)]):
-        gens = [p for p in grp.generators if all(p.apply(v) == v for v in S)]
+        gens = grp.generators[_fixing(grp.generators, S)]
         rest = grp.base[len(S):]
-        return PermGroup(grp.n_vertices, gens,
-                         base_order(grp.n_vertices, [p.images() for p in gens], rest),
-                         grp.source, grp.graph, base=rest)
-    return _filtered_subgroup(grp, _fixing(grp, S))
+        return PermGroup(grp.n_vertices, gens, base_order(gens, rest), grp.source, grp.graph,
+                         base=rest)
+    table = grp.elements()
+    return _subgroup_of_rows(grp, table[_fixing(table, S)])
 
 
 def setwise_stabilizer(grp: PermGroup, subset) -> PermGroup:
@@ -1046,9 +854,8 @@ def setwise_stabilizer(grp: PermGroup, subset) -> PermGroup:
     if not S or len(S) == nv:
         return grp
     if hasattr(grp.model, "setwise_stabilizer"):
-        elems = grp.model.setwise_stabilizer(S)
-        gens = [e for e in elems if not e.is_identity()]
-        return PermGroup(nv, gens, len(elems), grp.source, grp.graph)
+        return _subgroup_of_rows(grp, grp.model.setwise_stabilizer(S))
     member = np.zeros(nv, dtype=bool)
     member[list(S)] = True
-    return _filtered_subgroup(grp, member[grp.elements()[:, sorted(S)]].all(axis=1))
+    table = grp.elements()
+    return _subgroup_of_rows(grp, table[member[table[:, sorted(S)]].all(axis=1)])

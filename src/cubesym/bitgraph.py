@@ -452,6 +452,10 @@ def hypercube_power(n: int, k: int) -> Graph:
 
 
 def hamming_graph(m: int, n: int) -> Graph:
+    """The Hamming graph of the words of length n over an alphabet of m
+    symbols.  The alphabet size comes first, the reverse of the paper's
+    H(n, m); the graph's name, like the CLI's `hamming -n N -m M`, is
+    H(m,n), so hamming_graph(3, 2) is H(3,2), K_3 box K_3."""
     return build_family(FamilySpec(HAMMING, n, m=m))
 
 

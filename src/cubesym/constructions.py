@@ -640,7 +640,7 @@ def aq_no_2subset_cost_class(g: Graph) -> bool:
             c = a ^ b
             ok = trans_ok.get(c)
             if ok is None:
-                ok = is_automorphism(g, lambda v, c=c: v ^ c)
+                ok = is_automorphism(g, [v ^ c for v in range(nv)])
                 trans_ok[c] = ok
             swap = (c ^ a == b and c ^ b == a)
             if not (ok and swap):

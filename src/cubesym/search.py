@@ -15,7 +15,9 @@ base prefix is read off the generators (`autgroup.pointwise_stabilizer`).
 
 from __future__ import annotations
 
-from .autgroup import ExplicitPerm, PermGroup, base_order, orbit_roots
+import numpy as np
+
+from .autgroup import PermGroup, base_order, orbit_roots
 from .bitgraph import Graph
 from .errors import SearchBudgetExceeded
 
@@ -101,7 +103,7 @@ def search_automorphisms(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
     if n > vertex_cap:
         raise SearchBudgetExceeded(f"{n} vertices above the search cap {vertex_cap}")
     if n == 0:
-        return PermGroup(0, [], 1, "searched", g)
+        return PermGroup(0, np.empty((0, 0), dtype=np.int32), 1, "searched", g)
     rows = g.rows
 
     gens: list[tuple[int, ...]] = []
@@ -170,7 +172,6 @@ def search_automorphisms(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
     start_cells, start_trace = _refine(rows, [list(range(n))], [ (1 << n) - 1 ])
     dfs(start_cells, 0, [])
 
-    uniq = sorted(set(gens))
+    rows = np.array(sorted(set(gens)), dtype=np.int32).reshape(-1, n)
     base = tuple(state["base"])
-    return PermGroup(n, [ExplicitPerm(p) for p in uniq], base_order(n, uniq, base), "searched",
-                     g, base=base)
+    return PermGroup(n, rows, base_order(rows, base), "searched", g, base=base)

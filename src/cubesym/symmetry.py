@@ -414,7 +414,7 @@ def _edge_transitive(g: Graph, grp: PermGroup) -> bool:
     edges = list(g.edges())
     if not edges:
         return True
-    gens = [gen.images() for gen in grp.generators]
+    gens = grp.generators.tolist()
     orbit = {(min(e), max(e)) for e in _orbit_of_pairs(gens, edges[0])}
     return len(orbit) == len(edges)
 

@@ -12,20 +12,15 @@ from hypothesis import strategies as st
 from conftest import row_set
 
 from cubesym.autgroup import (
-    AugmentedAff,
     AugmentedModel,
-    FoldedAff,
     FoldedModel,
-    HalvedAff,
     HalvedCubeModel,
-    HypercubeAff,
     HypercubeModel,
     LtqModel,
-    LtqTranslation,
     PermGroup,
+    _linear_rows,
     aq_base,
     fq_phi_extend,
-    identity_aut,
     is_automorphism,
     pointwise_stabilizer,
     pointwise_stabilizer_is_trivial,
@@ -45,23 +40,36 @@ from cubesym.errors import NoStructuredForm
 from cubesym.search import search_automorphisms
 
 
+def _aff_row(model, c: int, pi) -> np.ndarray:
+    """The row of v -> c + pi(v), pi a column permutation of a position model."""
+    return c ^ _linear_rows(model.n, [model.unit_images(pi)])[0]
+
+
+def _ltq_row(c_prime: int) -> np.ndarray:
+    """The LTQ_4 row adding the 3-bit word c_prime to the first three bits."""
+    return np.arange(16) ^ (c_prime << 1)
+
+
 def test_apply_examples():
-    ident = HypercubeAff(4, 0, (0, 1, 2, 3))
-    assert ident.apply(0b0110) == 0b0110
-    trans = HypercubeAff(4, 0b1010, (0, 1, 2, 3))
-    assert trans.apply(0b0110) == 0b1100
+    ident = _aff_row(HypercubeModel(4), 0, (0, 1, 2, 3))
+    assert ident[0b0110] == 0b0110
+    trans = _aff_row(HypercubeModel(4), 0b1010, (0, 1, 2, 3))
+    assert trans[0b0110] == 0b1100
     # base map 2 complements everything after a leading 1
-    phi2 = AugmentedAff(4, 0, 2)
-    assert phi2.apply(0b1011) == 0b1100
-    assert phi2.apply(0b0011) == 0b0011
+    phi2 = aq_base(4, 2)
+    assert phi2[0b1011] == 0b1100
+    assert phi2[0b0011] == 0b0011
 
 
 def test_is_automorphism():
     q3 = hypercube(3)
-    assert is_automorphism(q3, lambda v: v)
+    assert is_automorphism(q3, list(range(8)))
     aq4 = augmented_hypercube(4)
     for c in range(16):
-        assert is_automorphism(aq4, lambda v, c=c: v ^ c)
+        assert is_automorphism(aq4, [v ^ c for v in range(16)])
+    # an int32 row on more than 31 vertices: its entries must not be shifted
+    # as int32 scalars
+    assert is_automorphism(hypercube(6), np.arange(64, dtype=np.int32) ^ 0b100101)
     # swapping two adjacent vertices of Q_3 and fixing the rest is not one
     swap = list(range(8))
     swap[0], swap[1] = 1, 0
@@ -152,11 +160,11 @@ def test_halved_cube_equals_searched_q6_4():
 
 def test_halved_aff_reads_the_parity_position():
     # swapping position 0 with the parity position of Q_4^2
-    sigma = HalvedAff(4, 0, (4, 1, 2, 3, 0))
-    assert sigma.apply(0b1000) == 0b1000  # extended 10001 -> 10001
-    assert sigma.apply(0b0100) == 0b1100  # extended 01001 -> 11000
-    assert sigma.apply(0b1100) == 0b0100  # extended 11000 -> 01001
-    assert HalvedAff(4, 0b0011, tuple(range(5))).apply(0b0101) == 0b0110
+    sigma = _aff_row(HalvedCubeModel(4), 0, (4, 1, 2, 3, 0))
+    assert sigma[0b1000] == 0b1000  # extended 10001 -> 10001
+    assert sigma[0b0100] == 0b1100  # extended 01001 -> 11000
+    assert sigma[0b1100] == 0b0100  # extended 11000 -> 01001
+    assert _aff_row(HalvedCubeModel(4), 0b0011, tuple(range(5)))[0b0101] == 0b0110
 
 
 @given(st.lists(st.integers(0, 31), min_size=1, max_size=4, unique=True))
@@ -182,7 +190,7 @@ GROUP_LAW_GROUPS = {
     "LTQ_4": lambda: structured_group(locally_twisted_hypercube(4)),
     "Q_5^2": lambda: structured_group(hypercube_power(5, 2)),
     "Q_{5,3}": lambda: structured_group(enhanced_hypercube(5, 3)),
-    "H(2,3)": lambda: search_automorphisms(hamming_graph(3, 2)),
+    "H(3,2)": lambda: search_automorphisms(hamming_graph(3, 2)),
 }
 
 
@@ -209,10 +217,6 @@ def test_element_tables_are_closed_under_composition_and_inverse(name, data):
     assert tuple(inv.tolist()) in rows
 
 
-def _row(aut) -> np.ndarray:
-    return np.array(aut.images())
-
-
 def _inverse_row(a: np.ndarray) -> np.ndarray:
     inv = np.empty_like(a)
     inv[a] = np.arange(len(a))
@@ -221,42 +225,49 @@ def _inverse_row(a: np.ndarray) -> np.ndarray:
 
 def test_composition_convention_and_properties():
     # (sigma o tau)(v) = sigma(tau(v)) is the row sigma[tau], checked across
-    # structural kinds against the element table of the group they live in
+    # structural kinds against the element table of the group they live in;
+    # the composite rows are those the per-vertex composition gave
+    q4, fq4 = HypercubeModel(4), FoldedModel(4)
     cases = [
-        ("Q_4", HypercubeAff(4, 0b0011, (1, 0, 2, 3)), HypercubeAff(4, 0b1000, (3, 2, 1, 0))),
-        ("FQ_4", FoldedAff(4, 0b0101, (4, 1, 2, 3, 0)), FoldedAff(4, 0b1100, (1, 0, 3, 2, 4))),
-        ("AQ_4", AugmentedAff(4, 0b0110, 5), AugmentedAff(4, 0b1001, 7)),
-        ("LTQ_4", LtqTranslation(4, 0b011), LtqTranslation(4, 0b110)),
+        ("Q_4", _aff_row(q4, 0b0011, (1, 0, 2, 3)), _aff_row(q4, 0b1000, (3, 2, 1, 0)),
+         [7, 3, 15, 11, 5, 1, 13, 9, 6, 2, 14, 10, 4, 0, 12, 8]),
+        ("FQ_4", _aff_row(fq4, 0b0101, (4, 1, 2, 3, 0)), _aff_row(fq4, 0b1100, (1, 0, 3, 2, 4)),
+         [14, 12, 15, 13, 1, 3, 0, 2, 10, 8, 11, 9, 5, 7, 4, 6]),
+        ("AQ_4", 0b0110 ^ aq_base(4, 5), 0b1001 ^ aq_base(4, 7),
+         [11, 9, 10, 8, 15, 13, 14, 12, 3, 1, 2, 0, 7, 5, 6, 4]),
+        ("LTQ_4", _ltq_row(0b011), _ltq_row(0b110),
+         [10, 11, 8, 9, 14, 15, 12, 13, 2, 3, 0, 1, 6, 7, 4, 5]),
     ]
-    for name, sigma, tau in cases:
+    for name, s, t, composite in cases:
         _, rows = _law_table(name)
-        s, t = _row(sigma), _row(tau)
         assert tuple(s.tolist()) in rows and tuple(t.tolist()) in rows
         comp = s[t]
-        for v in range(16):
-            assert comp[v] == sigma.apply(tau.apply(v))
+        assert comp.tolist() == composite
         assert tuple(comp.tolist()) in rows
         inv = _inverse_row(s)
-        for v in range(16):
-            assert inv[sigma.apply(v)] == v
+        assert (inv[s] == np.arange(16)).all()
         assert tuple(inv.tolist()) in rows
-    a, b, c = (_row(HypercubeAff(4, 3, (1, 2, 3, 0))), _row(HypercubeAff(4, 9, (2, 0, 1, 3))),
-               _row(HypercubeAff(4, 12, (0, 3, 2, 1))))
+    a, b, c = (_aff_row(q4, 3, (1, 2, 3, 0)), _aff_row(q4, 9, (2, 0, 1, 3)),
+               _aff_row(q4, 12, (0, 3, 2, 1)))
     assert a[b][c].tolist() == a[b[c]].tolist()
-    assert a[_row(identity_aut(16))].tolist() == a.tolist()
+    assert a[np.arange(16)].tolist() == a.tolist()
 
 
 @given(st.integers(0, 23), st.integers(0, 15), st.integers(0, 23), st.integers(0, 15))
 @settings(max_examples=40, deadline=None)
 def test_hypercube_aff_group_law(pi_idx, c1, pi2_idx, c2):
+    """(c1 + pi1) o (c2 + pi2) = (c1 + pi1(c2)) + pi1 pi2, where image column
+    i of pi1 pi2 reads source column pi2[pi1[i]]."""
     perms = list(permutations(range(4)))
-    a = HypercubeAff(4, c1, perms[pi_idx])
-    b = HypercubeAff(4, c2, perms[pi2_idx])
-    comp = _row(a)[_row(b)]
-    assert tuple(comp.tolist()) == tuple(a.apply(b.apply(v)) for v in range(16))
+    q4 = HypercubeModel(4)
+    pi1, pi2 = perms[pi_idx], perms[pi2_idx]
+    a, b = _aff_row(q4, c1, pi1), _aff_row(q4, c2, pi2)
+    comp = a[b]
+    pi1_c2 = int(a[c2]) ^ c1
+    assert comp.tolist() == _aff_row(q4, c1 ^ pi1_c2, tuple(pi2[i] for i in pi1)).tolist()
     _, rows = _law_table("Q_4")
     assert tuple(comp.tolist()) in rows
-    assert (_inverse_row(_row(a))[_row(a)] == np.arange(16)).all()
+    assert (_inverse_row(a)[a] == np.arange(16)).all()
 
 
 def test_group_closure_on_enumeration():
@@ -281,17 +292,24 @@ def test_closure_matches_model_enumeration_above_255_vertices(model):
     assert grp.order() == model.order()
 
 
-@pytest.mark.parametrize("model", [HypercubeModel(5), HalvedCubeModel(5), FoldedModel(5)],
+@pytest.mark.parametrize("model,make", [(HypercubeModel(5), lambda: hypercube(5)),
+                                        (HalvedCubeModel(5), lambda: hypercube_power(5, 2)),
+                                        (FoldedModel(5), lambda: folded_hypercube(5))],
                          ids=["Q_5", "Q_5^2", "FQ_5"])
-def test_linear_zero_fixing_rows_match_images(model):
-    rows = model.zero_fixing_rows()
-    assert rows.tolist() == [list(phi.images()) for phi in model.zero_fixing()]
+def test_linear_zero_fixing_rows_match_images(model, make):
+    # the rows doubled from the unit images are the searched Stab(0), which
+    # the search reads off its generators, as b_1 = 0
+    searched = search_automorphisms(make())
+    assert searched.base[0] == 0
+    stab = pointwise_stabilizer(searched, [0])
+    assert row_set(model.zero_fixing_rows()) == row_set(stab.elements())
+    assert stab.order() == model.n_zero_fixing()
 
 
 class _RepeatedMapModel(HypercubeModel):
-    def zero_fixing(self):
-        maps = list(super().zero_fixing())
-        return maps[:-1] + maps[:1]  # one map twice, the count kept
+    def zero_fixing_rows(self):
+        rows = super().zero_fixing_rows()
+        return np.concatenate([rows[:-1], rows[:1]])  # one map twice, the count kept
 
 
 def test_translation_table_rejects_repeated_zero_fixing_maps():
@@ -302,13 +320,13 @@ def test_translation_table_rejects_repeated_zero_fixing_maps():
 
 def test_fq_phi_extend():
     ident = fq_phi_extend(4, [0, 1, 2, 3, 4])
-    assert ident.is_identity()
+    assert ident.dtype == np.int32 and ident.tolist() == list(range(16))
     # swapping position 1 with the all-ones symbol fixes first-bit-0 vertices
     phi = fq_phi_extend(4, [4, 1, 2, 3, 0])
     fq4 = folded_hypercube(4)
     assert is_automorphism(fq4, phi)
-    assert all(phi.apply(v) == v for v in range(8))
-    assert any(phi.apply(v) != v for v in range(8, 16))
+    assert all(phi[v] == v for v in range(8))
+    assert any(phi[v] != v for v in range(8, 16))
     phi5 = fq_phi_extend(5, [5, 2, 1, 4, 3, 0])
     assert is_automorphism(folded_hypercube(5), phi5)
 
@@ -338,28 +356,30 @@ def test_fq_fixins_involution_shape():
     grp = structured_group(folded_hypercube(n))
     stab = pointwise_stabilizer(grp, words)
     assert stab.order() > 1  # the pairing permutation fixes the whole set
+    # the n+1 neighbours of 0 are the symbols: position j, then the all-ones
+    # word; a map fixing 0 permutes them as it permutes the symbols
+    symbols = [1 << (n - 1 - j) for j in range(n)] + [(1 << n) - 1]
     found_pairing = False
-    for gen in stab.generators:
-        assert isinstance(gen, FoldedAff)
-        pi = gen.pi
-        assert [pi[pi[i]] for i in range(n + 1)] == list(range(n + 1))
-        if pi[n] != n:
-            assert all(pi[i] != i for i in range(n + 1))  # no symbol fixed
+    for gen in stab.generators.tolist():
+        assert gen[0] == 0
+        sigma = [symbols.index(gen[w]) for w in symbols]
+        assert [sigma[sigma[i]] for i in range(n + 1)] == list(range(n + 1))
+        if sigma[n] != n:
+            assert all(sigma[i] != i for i in range(n + 1))  # no symbol fixed
             found_pairing = True
     assert found_pairing
 
 
 def test_aq_base_examples():
-    assert aq_base(4, 1).is_identity()
-    assert aq_base(4, 3).apply(0b0001) == 0b0010
+    assert aq_base(4, 1).tolist() == list(range(16))
+    assert aq_base(4, 3)[0b0001] == 0b0010
     # middle block reverses and complements per the base-map pattern table
-    assert aq_base(5, 5).apply(0b00101) == 0b10111
+    assert aq_base(5, 5)[0b00101] == 0b10111
     for n in (4, 5, 6):
         g = augmented_hypercube(n)
         for idx in range(1, 9):
             assert is_automorphism(g, aq_base(n, idx)), (n, idx)
-        images = {tuple(aq_base(n, idx).images()) for idx in range(1, 9)}
-        assert len(images) == 8
+        assert len(row_set([aq_base(n, idx) for idx in range(1, 9)])) == 8
 
 
 def test_aq_base_matches_searched_stabilizer():
@@ -367,7 +387,7 @@ def test_aq_base_matches_searched_stabilizer():
         g = augmented_hypercube(n)
         grp = search_automorphisms(g)
         stab = sorted(p for p in row_set(grp.elements()) if p[0] == 0)
-        table = sorted(tuple(aq_base(n, idx).images()) for idx in range(1, 9))
+        table = sorted(tuple(aq_base(n, idx).tolist()) for idx in range(1, 9))
         assert stab == table
 
 
@@ -413,7 +433,7 @@ def test_stabilizer_matches_filtering(corpus_groups):
     # with direct element filtering
     groups = {name: corpus_groups[name]
               for name in ("Q_4", "FQ_4", "AQ_4", "LTQ_4", "Q_{4,2}", "Q_{4,3}")}
-    groups["H(2,3)"] = search_automorphisms(hamming_graph(3, 2))
+    groups["H(3,2)"] = search_automorphisms(hamming_graph(3, 2))
     groups["Q_3^2"] = search_automorphisms(hypercube_power(3, 2))
     for name, grp in groups.items():
         elems = row_set(grp.elements())
@@ -425,6 +445,20 @@ def test_stabilizer_matches_filtering(corpus_groups):
             fs = set(S)
             expect_sw = {p for p in elems if all(p[v] in fs for v in S)}
             assert row_set(setwise_stabilizer(grp, S).elements()) == expect_sw, (name, S)
+
+
+def test_generators_are_int32_automorphism_rows(corpus, corpus_groups):
+    """Every group's generators, and those of its Stab(0), of a setwise
+    stabilizer and of its searched group, are a k x V int32 array of rows
+    that are automorphisms."""
+    for name, grp in corpus_groups.items():
+        g = corpus[name]
+        for sub in (grp, pointwise_stabilizer(grp, [0]), setwise_stabilizer(grp, [0, 1, 3]),
+                    search_automorphisms(g)):
+            gens = sub.generators
+            assert gens.ndim == 2 and gens.dtype == np.int32, name
+            assert gens.shape[1] == g.n_vertices, name
+            assert all(is_automorphism(g, row) for row in gens.tolist()), name
 
 
 def test_determining_predicates():

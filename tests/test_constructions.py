@@ -366,7 +366,9 @@ def test_det_set_checks_survive_python_O():
     and a failed check exits 3 from the CLI.  So do the count cross-checks
     and the folded column, path and branch invariants, each broken by a
     stand-in or an out-of-range argument.  A transitivity report with
-    inconsistent flags raises too."""
+    inconsistent flags raises too, and so do a model's element table from
+    repeated zero-fixing rows and a structured group whose generator check
+    fails."""
     import os
     import subprocess
     import sys
@@ -378,6 +380,7 @@ def test_det_set_checks_survive_python_O():
         from contextlib import nullcontext
         from unittest import mock
         from cubesym import autgroup, constructions as cons
+        from cubesym.bitgraph import hypercube
         from cubesym.cli import main
         from cubesym.symmetry import TransitivityReport
 
@@ -452,6 +455,25 @@ def test_det_set_checks_survive_python_O():
         with mock.patch.object(autgroup.HypercubeModel, "pointwise_trivial", never):
             if main(["construct", "hypercube-det", "-n", "5"]) != 3:
                 sys.exit("construct hypercube-det did not exit 3")
+        # the row checks: unit images that map every bit to one word give
+        # repeated zero-fixing rows, and a generator check that fails
+        with mock.patch.object(autgroup.HypercubeModel, "unit_images",
+                               lambda self, pi: [1] * self.n):
+            try:
+                autgroup.HypercubeModel(4).enumerate()
+            except AssertionError:
+                pass
+            else:
+                sys.exit("enumerate passed broken unit images")
+        with mock.patch.object(autgroup, "is_automorphism", never):
+            try:
+                autgroup.structured_group(hypercube(5))
+            except AssertionError:
+                pass
+            else:
+                sys.exit("structured_group passed a failed generator check")
+            if main(["param", "det", "hypercube", "-n", "5", "--no-cache"]) != 3:
+                sys.exit("param det hypercube did not exit 3")
         with mock.patch.object(autgroup.AugmentedModel, "setwise_stabilizer", two_elements):
             sys.exit(main(["construct", "aq-cost-class", "-n", "5"]))
     """)

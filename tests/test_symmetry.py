@@ -221,7 +221,7 @@ def test_transitivity_of_an_edge_transitive_graph_plus_an_isolated_vertex():
     ("AQ_4", lambda: augmented_hypercube(4)),
     ("LTQ_3", lambda: locally_twisted_hypercube(3)),
     ("LTQ_4", lambda: locally_twisted_hypercube(4)),
-    ("H(2,3)", lambda: hamming_graph(3, 2)),
+    ("H(3,2)", lambda: hamming_graph(3, 2)),
     ("H(3,3)", lambda: hamming_graph(3, 3)),
     ("Q_{4,2}", lambda: enhanced_hypercube(4, 2)),
     ("Q_4^2", lambda: hypercube_power(4, 2)),
@@ -290,7 +290,7 @@ def test_complement_identities_32_vertices():
 COUNT_GROUPS = {
     "Q_4": lambda: hypercube(4),
     "FQ_4": lambda: folded_hypercube(4),
-    "H(2,3)": lambda: hamming_graph(3, 2),
+    "H(3,2)": lambda: hamming_graph(3, 2),
     "Q_{4,2}": lambda: enhanced_hypercube(4, 2),
     "Q_4^2": lambda: hypercube_power(4, 2),
 }
