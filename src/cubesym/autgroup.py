@@ -441,21 +441,6 @@ class _SetwiseSearch:
         return rows[allowed[shifts.ravel()] & member[rows[:, S]].all(axis=1)]
 
 
-def _translated_columns(S, n: int) -> list[tuple[int, ...]]:
-    """Position columns of the words of S translated by S[0], so that the
-    set contains zero and a fixing automorphism has no translation part."""
-    a = S[0]
-    ws = [a ^ s for s in S]
-    return [tuple((w >> (n - 1 - i)) & 1 for w in ws) for i in range(n)]
-
-
-def _column_classes(cols) -> dict[tuple, list[int]]:
-    classes: dict[tuple, list[int]] = {}
-    for i, col in enumerate(cols):
-        classes.setdefault(col, []).append(i)
-    return classes
-
-
 class _ColumnRefinement(_DeterminingFold):
     """Determining state of the cube models: the first word a, the words
     translated by a, and the classes of positions whose translated columns
@@ -513,9 +498,15 @@ class _PositionModel(_ColumnRefinement, _TranslationModel):
         return PermGroup(1 << self.n, _conjugate(self._rows(perms), S[0]), order, "structured")
 
     def pointwise_stabilizer(self, S) -> PermGroup:
+        """The permutations within the classes of equal columns that the
+        fold keeps, whose bit b < n is column n-1-b and bit n column n."""
+        n = self.n
+        column = [n - 1 - b if b < n else b for b in range(self.columns)]  # of bit b
+        classes = sorted(sorted(column[b] for b in range(self.columns) if m >> b & 1)
+                         for m in self.fold(S)[2])
         order = 1
         perms = []
-        for idx in self.column_classes(S).values():
+        for idx in classes:
             order *= factorial(len(idx))
             perms += [_transposition(self.columns, i, j) for i, j in zip(idx, idx[1:])]
         return self._stabilizer(S, perms, order)
@@ -530,9 +521,6 @@ class HypercubeModel(_PositionModel):
 
     def unit_images(self, pi) -> list[int]:
         return _column_words(pi, self.n, 0)[::-1]
-
-    def column_classes(self, S) -> dict[tuple, list[int]]:
-        return _column_classes(_translated_columns(S, self.n))
 
 
 class HalvedCubeModel(_PositionModel):
@@ -565,19 +553,21 @@ class HalvedCubeModel(_PositionModel):
     def column_mask(self, t: int) -> int:
         return t | (t.bit_count() & 1) << self.n
 
-    def column_classes(self, S) -> dict[tuple, list[int]]:
-        cols = _translated_columns(S, self.n)
-        return _column_classes(cols + [tuple(sum(row) & 1 for row in zip(*cols))])
-
 
 def _xor_cols(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x ^ y for x, y in zip(a, b))
 
 
 def _folded_classes(S, n: int) -> dict[tuple, list[int]]:
-    """Classes of the n+1 columns of the zero-extended translated words; the
-    last column, of the all-ones symbol, is all zeros."""
-    return _column_classes(_translated_columns(S, n) + [(0,) * len(S)])
+    """Classes of equal columns among the n+1 columns of the words of S
+    translated by S[0], so that the set holds zero and a fixing map has no
+    translation part; the last column, of the all-ones symbol, is all zeros."""
+    ws = [S[0] ^ s for s in S]
+    cols = [tuple((w >> (n - 1 - i)) & 1 for w in ws) for i in range(n)] + [(0,) * len(S)]
+    classes: dict[tuple, list[int]] = {}
+    for i, col in enumerate(cols):
+        classes.setdefault(col, []).append(i)
+    return classes
 
 
 def _folded_shifts(classes: dict[tuple, list[int]]) -> list[tuple]:
@@ -643,13 +633,18 @@ class FoldedModel(_PositionModel):
 
 
 class AugmentedModel(_DeterminingFold, _SetwiseSearch, _TranslationModel):
-    """Aut(AQ_n) (n >= 4): translations after the eight base maps."""
+    """Aut(AQ_n) (n >= 4): translations after the eight base maps, whose
+    rows are built once per model."""
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        self._base = np.array([aq_base(n, idx) for idx in range(1, 9)])
 
     def n_zero_fixing(self) -> int:
         return 8
 
     def zero_fixing_rows(self) -> np.ndarray:
-        return np.array([aq_base(self.n, idx) for idx in range(1, 9)])
+        return self._base
 
     def generators(self) -> np.ndarray:
         n = self.n

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import __version__
-from .bitgraph import FamilySpec, build_family
+from .bitgraph import EXPLICIT, FAMILY_KINDS, FamilySpec, build_family
 from .cache import ResultCache
 from .errors import CubeSymError, MalformedRecord, ParameterOutOfRange
 from .graphio import to_descriptor, to_edgelist, to_graph6
@@ -27,15 +27,7 @@ from .params import (
 )
 from .tables import enhanced_dist_table, summary_table, transitivity_table
 
-FAMILY_NAMES = {
-    "hypercube": "hypercube",
-    "power": "power",
-    "hamming": "hamming",
-    "folded": "folded",
-    "enhanced": "enhanced",
-    "augmented": "augmented",
-    "locally-twisted": "locally_twisted",
-}
+FAMILY_NAMES = {k.replace("_", "-"): k for k in FAMILY_KINDS if k != EXPLICIT}
 
 
 class _Parser(argparse.ArgumentParser):

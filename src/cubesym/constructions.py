@@ -12,7 +12,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
 
-from .autgroup import AugmentedModel, FoldedModel, HypercubeModel
+from .autgroup import (
+    AugmentedModel,
+    FoldedModel,
+    HalvedCubeModel,
+    HypercubeModel,
+    setwise_stabilizer,
+    structured_group,
+)
 from .bitgraph import FamilySpec, Graph, graph_from_edges, hamming_words, word_digit
 from .errors import ParameterOutOfRange
 from .symmetry import determining_lower_bound_exhaustive, is_asymmetric, is_determining_set
@@ -228,6 +235,15 @@ def enhanced_det_number(n: int, k: int) -> int:
 # small induced subgraphs straight from the word rules
 
 
+def _check_dist_class(model, cls, induced, n: int, name: str):
+    """The 2-class check: `cls` is determining for `model` and its subgraph
+    induced by the word rule `induced` is asymmetric."""
+    if not model.pointwise_trivial(cls):
+        raise AssertionError(f"the {name} distinguishing class is not determining")
+    if not is_asymmetric(induced(cls, n)):
+        raise AssertionError(f"the {name} distinguishing class induces a symmetric subgraph")
+
+
 def _induced_by_rule(words, adjacent) -> Graph:
     ws = list(words)
     edges = [(i, j) for i, j in combinations(range(len(ws)), 2) if adjacent(ws[i], ws[j])]
@@ -273,10 +289,7 @@ def hypercube_dist_class(n: int) -> tuple[int, ...]:
     path = [_prefix_ones(i, n) for i in range(n + 1)]
     pendant = path[2] | 1  # flips the last position of the third path vertex
     cls = path + [pendant]
-    if not HypercubeModel(n).pointwise_trivial(cls):
-        raise AssertionError(f"the Q_{n} distinguishing class is not determining")
-    if not is_asymmetric(hypercube_induced(cls, n)):
-        raise AssertionError(f"the Q_{n} distinguishing class induces a symmetric subgraph")
+    _check_dist_class(HypercubeModel(n), cls, hypercube_induced, n, f"Q_{n}")
     return tuple(sorted(cls))
 
 
@@ -295,13 +308,12 @@ def _q2_sets(n: int) -> tuple[list[int], list[int]]:
 def q2_witnesses(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Determining set and candidate 2-distinguishing class for the square of Q_n.
 
-    S is the prefix-ones chain U_0..U_{n-1}, certified determining by pinned
-    equitable refinement (distance vectors alone do not separate all vertices
-    for even n).  T = S + {w} induces the square of a path with a pendant
-    edge at one end.  For n >= 5 that graph is asymmetric, so T is a
-    2-distinguishing color class.  At n = 4 it is not (see
-    `q2_class_is_asymmetric`): T is returned unchecked there, and no class of
-    size n + 1 exists, since rho(Q_4^2) = 8.
+    S is the prefix-ones chain U_0..U_{n-1}, certified determining by the
+    group model of Q_n^2 (`HalvedCubeModel`).  T = S + {w} induces the
+    square of a path with a pendant edge at one end.  For n >= 5 that graph
+    is asymmetric, so T is a 2-distinguishing color class.  At n = 4 it is
+    not (see `q2_class_is_asymmetric`): T is returned unchecked there, and
+    no class of size n + 1 exists, since rho(Q_4^2) = 8.
     """
     S, T = _q2_sets(n)
     if not q2_det_set_is_determining(n):
@@ -314,12 +326,9 @@ def q2_witnesses(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def q2_det_set_is_determining(n: int) -> bool:
-    """Whether the q2 set S is determining in Q_n^2 (pinned refinement is discrete)."""
-    from .bitgraph import hypercube_power
-    from .search import pinned_refinement_is_discrete
-
+    """Whether the q2 set S is determining in Q_n^2, by its group model."""
     S, _ = _q2_sets(n)
-    return pinned_refinement_is_discrete(hypercube_power(n, 2), S)
+    return HalvedCubeModel(n).pointwise_trivial(S)
 
 
 def q2_class_is_asymmetric(n: int) -> bool:
@@ -546,10 +555,7 @@ def fq_dist_class(n: int) -> tuple[int, ...]:
         cls = list(data["vertices"])
         if not is_asymmetric(folded_induced(cls, n)):
             cls = _fq_break_symmetry(cls, n)
-    if not FoldedModel(n).pointwise_trivial(cls):
-        raise AssertionError(f"the FQ_{n} distinguishing class is not determining")
-    if not is_asymmetric(folded_induced(cls, n)):
-        raise AssertionError(f"the FQ_{n} distinguishing class induces a symmetric subgraph")
+    _check_dist_class(FoldedModel(n), cls, folded_induced, n, f"FQ_{n}")
     return tuple(sorted(cls))
 
 
@@ -628,24 +634,12 @@ def aq_cost_class(n: int) -> tuple[int, ...]:
 
 
 def aq_no_2subset_cost_class(g: Graph) -> bool:
-    """Exhaustive over 2-subsets: each is preserved by the translation
-    swapping its two elements, so its setwise stabilizer is nontrivial.
-    Returns True iff that argument holds for every pair of `g`."""
-    from .autgroup import is_automorphism
-
-    nv = g.n_vertices
-    trans_ok: dict[int, bool] = {0: True}
-    for a in range(nv):
-        for b in range(a + 1, nv):
-            c = a ^ b
-            ok = trans_ok.get(c)
-            if ok is None:
-                ok = is_automorphism(g, [v ^ c for v in range(nv)])
-                trans_ok[c] = ok
-            swap = (c ^ a == b and c ^ b == a)
-            if not (ok and swap):
-                return False
-    return True
+    """Exhaustive over 2-subsets: True iff each pair of `g` has a nontrivial
+    setwise stabilizer in its structured group, so that no 2-subset is a
+    cost class.  In AQ_n the translation by a + b swaps a and b."""
+    grp = structured_group(g)
+    return all(setwise_stabilizer(grp, pair).order() > 1
+               for pair in combinations(range(g.n_vertices), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -681,14 +675,14 @@ def enhanced_dist_class_candidates(n: int, k: int) -> list[tuple[int, ...]]:
     out = []
     # rows = prefix factor with pairwise distinct row sizes, columns chained so
     # the pinned prefix of the chain is a determining set of the suffix factor
-    det_b = _factor_det_sequence("folded", n - k + 1)
+    det_b = list(fq_det_set(n - k + 1))
     if len(det_b) <= na - 1 <= nb:
         chain = det_b + [v for v in range(nb) if v not in det_b]
         cls = []
         for i in range(na):
             cls.extend(i * nb + c for c in chain[:i])
         out.append(tuple(sorted(cls)))
-    det_a = _factor_det_sequence("hypercube", k - 1)
+    det_a = [0] if k == 2 else list(hypercube_det_set(k - 1))
     if nb - 1 <= na and len(det_a) <= nb - 1:
         chain = det_a + [v for v in range(na) if v not in det_a]
         cls = []
@@ -698,13 +692,3 @@ def enhanced_dist_class_candidates(n: int, k: int) -> list[tuple[int, ...]]:
     if k == 2 and n - 1 >= 4:
         out.append(fq_dist_class(n - 1))  # one K_2 copy colored, the other plain
     return out
-
-
-def _factor_det_sequence(kind: str, n: int) -> list[int]:
-    if kind == "hypercube":
-        if n == 0:
-            return []
-        if n == 1:
-            return [0]
-        return list(hypercube_det_set(n))
-    return list(fq_det_set(n))

@@ -186,74 +186,79 @@ def verify_witness(g: Graph, record: dict, grp: PermGroup | None = None) -> bool
 # constructions exposed to the CLI
 
 
+def _witness(w, method: str = "structured") -> dict:
+    return dict(witness=sorted(w), size=len(w), verified=True, method=method)
+
+
+def _pair(det_set, cls, method: str, verified: bool = True) -> dict:
+    return dict(witness={"determining_set": sorted(det_set), "dist_class": sorted(cls)},
+                size=len(det_set), verified=verified, method=method)
+
+
+def _formula(**fields) -> dict:
+    return dict(witness=None, verified=True, method="formula", **fields)
+
+
+def _need(value, message: str):
+    if value is None:
+        raise ValueError(message)
+    return value
+
+
+def _hamming_det(n: int, k, m) -> dict:
+    value = cons.hamming_det_number(_need(m, "hamming-det needs -m"), n)
+    return _formula(value=value, size=value,
+                    evidence={f"S({value},{m})": cons.stirling2(value, m),
+                              f"S({value},{m - 1})": cons.stirling2(value, m - 1)})
+
+
+def _hamming_cost_bounds(n: int, k, m) -> dict:
+    b = cons.hamming_cost_bounds(_need(m, "hamming-cost-bounds needs -m"), n)
+    return _formula(applicable=b.applicable, lo=b.lo, hi=b.hi, reason=b.reason)
+
+
+def _enhanced_det(n: int, k, m) -> dict:
+    value = cons.enhanced_det_number(n, _need(k, "enhanced-det needs -k"))
+    return _formula(value=value, size=value)
+
+
+# construction name -> builder(n, k, m) of its report fields; every constructor
+# re-verifies before returning, except the q2 class, which is no class at
+# n = 4 (its `verified` reports both checks)
+_CONSTRUCTIONS = {
+    "hypercube-det": lambda n, k, m: _witness(cons.hypercube_det_set(n)),
+    "hypercube-dist-class": lambda n, k, m: _witness(cons.hypercube_dist_class(n)),
+    "q2-witnesses": lambda n, k, m: _pair(
+        *cons.q2_witnesses(n), "searched",
+        cons.q2_det_set_is_determining(n) and cons.q2_class_is_asymmetric(n)),
+    "fq-det": lambda n, k, m: _witness(cons.fq_det_set(n),
+                                       "searched" if n <= 3 else "structured"),
+    "fq-dist-class": lambda n, k, m: _witness(cons.fq_dist_class(n)),
+    "aq-det": lambda n, k, m: _witness(cons.aq_det_witness(n),
+                                       "oracle" if n <= 3 else "structured"),
+    "aq-cost-class": lambda n, k, m: _witness(cons.aq_cost_class(n)),
+    "ltq-witnesses": lambda n, k, m: _pair(*cons.ltq_witnesses(n),
+                                           "oracle" if n == 3 else "structured"),
+    "hamming-det": _hamming_det,
+    "hamming-cost-bounds": _hamming_cost_bounds,
+    "enhanced-det": _enhanced_det,
+}
+
+CONSTRUCTION_NAMES = tuple(_CONSTRUCTIONS)
+
+
 def run_construction(name: str, n: int, k: int | None = None,
                      m: int | None = None) -> dict:
-    """Dispatch a named witness construction and report it with verification
-    metadata (every constructor re-verifies before returning, except the q2
-    class, which is no class at n = 4; its `verified` reports both checks)."""
+    """Run a named witness construction and report it with verification
+    metadata."""
     t0 = time.perf_counter()
     out: dict = {"construction": name, "params": {"n": n}}
     if k is not None:
         out["params"]["k"] = k
     if m is not None:
         out["params"]["m"] = m
-    if name == "hypercube-det":
-        w = cons.hypercube_det_set(n)
-        out.update(witness=sorted(w), size=len(w), verified=True, method="structured")
-    elif name == "hypercube-dist-class":
-        w = cons.hypercube_dist_class(n)
-        out.update(witness=sorted(w), size=len(w), verified=True, method="structured")
-    elif name == "q2-witnesses":
-        s, t = cons.q2_witnesses(n)
-        verified = cons.q2_det_set_is_determining(n) and cons.q2_class_is_asymmetric(n)
-        out.update(witness={"determining_set": sorted(s), "dist_class": sorted(t)},
-                   size=len(s), verified=verified, method="searched")
-    elif name == "fq-det":
-        w = cons.fq_det_set(n)
-        method = "searched" if n <= 3 else "structured"
-        out.update(witness=sorted(w), size=len(w), verified=True, method=method)
-    elif name == "fq-dist-class":
-        w = cons.fq_dist_class(n)
-        out.update(witness=sorted(w), size=len(w), verified=True, method="structured")
-    elif name == "aq-det":
-        w = cons.aq_det_witness(n)
-        method = "oracle" if n <= 3 else "structured"
-        out.update(witness=sorted(w), size=len(w), verified=True, method=method)
-    elif name == "aq-cost-class":
-        w = cons.aq_cost_class(n)
-        out.update(witness=sorted(w), size=len(w), verified=True, method="structured")
-    elif name == "ltq-witnesses":
-        d, c = cons.ltq_witnesses(n)
-        method = "oracle" if n == 3 else "structured"
-        out.update(witness={"determining_set": sorted(d), "dist_class": sorted(c)},
-                   size=len(d), verified=True, method=method)
-    elif name == "hamming-det":
-        if m is None:
-            raise ValueError("hamming-det needs -m")
-        value = cons.hamming_det_number(m, n)
-        evidence = {f"S({value},{m})": cons.stirling2(value, m),
-                    f"S({value},{m - 1})": cons.stirling2(value, m - 1)}
-        out.update(witness=None, value=value, size=value, verified=True,
-                   method="formula", evidence=evidence)
-    elif name == "hamming-cost-bounds":
-        if m is None:
-            raise ValueError("hamming-cost-bounds needs -m")
-        b = cons.hamming_cost_bounds(m, n)
-        out.update(witness=None, verified=True, method="formula",
-                   applicable=b.applicable, lo=b.lo, hi=b.hi, reason=b.reason)
-    elif name == "enhanced-det":
-        if k is None:
-            raise ValueError("enhanced-det needs -k")
-        out.update(witness=None, value=cons.enhanced_det_number(n, k),
-                   size=cons.enhanced_det_number(n, k), verified=True, method="formula")
-    else:
+    if name not in _CONSTRUCTIONS:
         raise ValueError(f"unknown construction {name!r}")
+    out.update(_CONSTRUCTIONS[name](n, k, m))
     out["elapsed_ms"] = round((time.perf_counter() - t0) * 1000, 3)
     return out
-
-
-CONSTRUCTION_NAMES = (
-    "hypercube-det", "hypercube-dist-class", "q2-witnesses", "fq-det",
-    "fq-dist-class", "aq-det", "aq-cost-class", "ltq-witnesses",
-    "hamming-det", "hamming-cost-bounds", "enhanced-det",
-)

@@ -82,20 +82,6 @@ def _leaf_certificate(rows, labeling) -> bytes:
     return acc.to_bytes((nbits + 7) // 8, "big")
 
 
-def pinned_refinement_is_discrete(g: Graph, pinned) -> bool:
-    """Sound determining-set certificate: seed an equitable refinement with
-    each pinned vertex in its own cell; if the refinement is discrete, every
-    automorphism fixing the pinned set pointwise fixes all cells, hence all
-    vertices.  (A non-discrete result is inconclusive, not a refutation.)
-    """
-    pinned = list(dict.fromkeys(pinned))
-    inset = set(pinned)
-    rest = [v for v in range(g.n_vertices) if v not in inset]
-    cells = [[v] for v in pinned] + ([rest] if rest else [])
-    refined, _ = _refine(g.rows, cells, [_cell_mask(c) for c in cells])
-    return all(len(c) == 1 for c in refined)
-
-
 def search_automorphisms(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
                          vertex_cap: int = DEFAULT_SEARCH_VERTEX_CAP) -> PermGroup:
     """The full automorphism group of `g`, found by refinement search."""

@@ -231,13 +231,8 @@ def two_class_is_distinguishing(g: Graph, grp: PermGroup, cls) -> bool:
 
 
 def _setwise_trivial(grp: PermGroup, cls) -> bool:
-    """Exact setwise-stabilizer triviality, by the group model's setwise
-    search where it has one (AQ_n, LTQ_n), else on the element table."""
-    if hasattr(grp.model, "setwise_stabilizer"):
-        return setwise_stabilizer(grp, cls).order() == 1
-    member = np.zeros(grp.n_vertices, dtype=bool)
-    member[list(cls)] = True
-    return _preserving_count(grp, member) == 1
+    """Exact setwise-stabilizer triviality."""
+    return setwise_stabilizer(grp, cls).order() == 1
 
 
 def _least_class(grp: PermGroup, smallest: int) -> tuple[int, ...] | None:

@@ -100,6 +100,7 @@ def _hypercube_row(n: int) -> dict:
         row.update(_computed(FamilySpec("hypercube", n),
                              ("dist", "cost") if n == 4 else ("dist",)))
     else:
+        cons.hypercube_dist_class(n)  # verifies while constructing
         row.update(dist=2, dist_method="witness",
                    cost=[1 + cons._ceil_lg(n), 2 + cons._ceil_lg(n)], cost_method="range")
     return row

@@ -326,7 +326,10 @@ def test_aq_cost_class():
         cls = cons.aq_cost_class(n)
         grp = structured_group(augmented_hypercube(n))
         assert _setwise_trivial(grp, cls)
+    # every pair of AQ_n is swapped by a translation; LTQ_n has no odd ones
+    for n in (4, 5, 6):
         assert cons.aq_no_2subset_cost_class(augmented_hypercube(n))
+        assert not cons.aq_no_2subset_cost_class(locally_twisted_hypercube(n))
 
 
 def test_ltq_witnesses():
@@ -379,7 +382,7 @@ def test_det_set_checks_survive_python_O():
         import sys
         from contextlib import nullcontext
         from unittest import mock
-        from cubesym import autgroup, constructions as cons
+        from cubesym import autgroup, constructions as cons, tables
         from cubesym.bitgraph import hypercube
         from cubesym.cli import main
         from cubesym.symmetry import TransitivityReport
@@ -388,10 +391,12 @@ def test_det_set_checks_survive_python_O():
             sys.exit("not running under -O")
         never = lambda *args: False
         two_elements = lambda self, S: [None, None]
+        edgeless = lambda words, n: cons._induced_by_rule(words, never)
         # (owner, name, stand-in, constructions whose check it must fail)
         checks = [
             (autgroup.HypercubeModel, "pointwise_trivial", never,
-             [(cons.hypercube_det_set, 5), (cons.hypercube_dist_class, 5)]),
+             [(cons.hypercube_det_set, 5), (cons.hypercube_dist_class, 5),
+              (tables.summary_table, 5)]),
             (autgroup.FoldedModel, "pointwise_trivial", never,
              [(cons.fq_det_set, 6), (cons.fq_det_set, 9), (cons.fq_dist_class, 5),
               (cons.fq_dist_class, 8)]),
@@ -401,6 +406,9 @@ def test_det_set_checks_survive_python_O():
              [(cons.aq_cost_class, 5)]),
             (cons, "is_asymmetric", never,
              [(cons.hypercube_dist_class, 5), (cons.fq_dist_class, 5)]),
+            # an edgeless induced graph is symmetric; only the Q_n class reads it
+            (cons, "hypercube_induced", edgeless,
+             [(cons.hypercube_dist_class, 5), (tables.summary_table, 5)]),
             (cons, "q2_det_set_is_determining", never, [(cons.q2_witnesses, 5)]),
             (cons, "is_determining_set", never, [(cons.fq_det_set, 2), (cons.fq_det_set, 3)]),
             (cons, "determining_lower_bound_exhaustive", never, [(cons.fq_det_set, 3)]),

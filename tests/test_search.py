@@ -16,7 +16,7 @@ from cubesym.bitgraph import (
 from cubesym.autgroup import pointwise_stabilizer
 from cubesym.errors import SearchBudgetExceeded
 from cubesym.oracle import enumerate_automorphisms_naive
-from cubesym.search import pinned_refinement_is_discrete, search_automorphisms
+from cubesym.search import search_automorphisms
 
 
 def test_small_known_groups():
@@ -97,9 +97,3 @@ def test_larger_groups():
     assert search_automorphisms(hypercube_power(4, 2)).order() == 1920
     assert search_automorphisms(augmented_hypercube(5)).order() == 256
 
-
-def test_pinned_refinement_certificate():
-    q4 = hypercube(4)
-    assert pinned_refinement_is_discrete(q4, [0, 0b1010, 0b1100])
-    # a single pinned vertex of Q_4 leaves bit permutations: not discrete
-    assert not pinned_refinement_is_discrete(q4, [0])

@@ -30,6 +30,7 @@ from cubesym.search import search_automorphisms
 from cubesym.symmetry import (
     Coloring,
     _preserving_count,
+    _setwise_trivial,
     cost_2dist,
     determining_lower_bound_exhaustive,
     determining_number,
@@ -293,6 +294,8 @@ COUNT_GROUPS = {
     "H(3,2)": lambda: hamming_graph(3, 2),
     "Q_{4,2}": lambda: enhanced_hypercube(4, 2),
     "Q_4^2": lambda: hypercube_power(4, 2),
+    "AQ_4": lambda: augmented_hypercube(4),
+    "LTQ_4": lambda: locally_twisted_hypercube(4),
 }
 
 
@@ -305,7 +308,8 @@ def _count_group(name):
 @settings(max_examples=200, deadline=None)
 def test_preserving_count_matches_full_rows(data):
     """Comparing only the vertices outside the most common color counts the
-    same elements as comparing every vertex."""
+    same elements as comparing every vertex, and the setwise test of a class
+    agrees with the rows that keep it (on the model of AQ_4 and LTQ_4)."""
     grp = _count_group(data.draw(st.sampled_from(sorted(COUNT_GROUPS))))
     nv, d = grp.n_vertices, data.draw(st.integers(2, 4))
     # a few recolored vertices leave colorings that many elements keep
@@ -317,4 +321,6 @@ def test_preserving_count_matches_full_rows(data):
     full = int((colors[arr] == colors[None, :]).all(axis=1).sum())
     assert _preserving_count(grp, colors) == full
     member = colors == 1  # the boolean classes of the two-color callers
-    assert _preserving_count(grp, member) == int((member[arr] == member[None, :]).all(axis=1).sum())
+    keeping = int((member[arr] == member[None, :]).all(axis=1).sum())
+    assert _preserving_count(grp, member) == keeping
+    assert _setwise_trivial(grp, np.flatnonzero(member)) == (keeping == 1)
