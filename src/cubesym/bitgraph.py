@@ -50,9 +50,13 @@ FAMILY_KINDS = (
 def vertex_cap() -> int:
     """Current vertex cap (env CUBE_SYM_MAX_VERTICES overrides the default)."""
     raw = os.environ.get("CUBE_SYM_MAX_VERTICES")
-    if raw:
+    if not raw:
+        return DEFAULT_VERTEX_CAP
+    try:
         return int(raw)
-    return DEFAULT_VERTEX_CAP
+    except ValueError:
+        raise ParameterOutOfRange(
+            f"CUBE_SYM_MAX_VERTICES={raw!r} is not an integer") from None
 
 
 @dataclass(frozen=True)

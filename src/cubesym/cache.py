@@ -36,18 +36,19 @@ class ResultCache:
         return self.directory / name
 
     def get(self, family: str, params: dict, parameter: str) -> str | None:
-        """The stored serialized record, or None on miss/version mismatch."""
+        """The stored serialized record, or None on a miss, a version
+        mismatch or a file that holds no JSON object in UTF-8."""
         if not self.enabled:
             return None
         path = self._path(family, params, parameter)
         if not path.exists():
             return None
-        text = path.read_text(encoding="utf-8")
         try:
+            text = path.read_text(encoding="utf-8")
             record = json.loads(text)
-        except json.JSONDecodeError:
+        except (UnicodeDecodeError, json.JSONDecodeError):
             return None
-        if record.get("tool_version") != __version__:
+        if not isinstance(record, dict) or record.get("tool_version") != __version__:
             return None
         return text
 

@@ -195,11 +195,14 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(args.file, encoding="utf-8") as fh:
             record = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(f"{args.file} is not JSON: {exc}") from exc
+    except OSError as exc:
+        print(f"error: cannot read {args.file}: {exc.strerror}", file=sys.stderr)
+        return 1
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise MalformedRecord(f"{args.file} is not JSON: {exc}") from exc
     g = build_family(record_spec(record), cap=args.max_vertices)
     if record.get("witness") is None:
         print(_dump({"verified": False, "detail": "record carries no witness"}))

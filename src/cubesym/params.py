@@ -229,7 +229,7 @@ _CONSTRUCTIONS = {
     "hypercube-det": lambda n, k, m: _witness(cons.hypercube_det_set(n)),
     "hypercube-dist-class": lambda n, k, m: _witness(cons.hypercube_dist_class(n)),
     "q2-witnesses": lambda n, k, m: _pair(
-        *cons.q2_witnesses(n), "searched",
+        *cons.q2_witnesses(n), "structured",
         cons.q2_det_set_is_determining(n) and cons.q2_class_is_asymmetric(n)),
     "fq-det": lambda n, k, m: _witness(cons.fq_det_set(n),
                                        "searched" if n <= 3 else "structured"),

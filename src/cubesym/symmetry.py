@@ -4,7 +4,6 @@ transitivity checks, and the witnesses that certify each reported value."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -102,51 +101,55 @@ def is_determining_set(grp: PermGroup, subset) -> bool:
     return pointwise_stabilizer_is_trivial(grp, subset)
 
 
-def _stab0_orbit_reps(grp: PermGroup, v0: int) -> list[int]:
-    stab = pointwise_stabilizer(grp, [v0])
-    reps = [orb[0] for orb in stab.orbits()]
-    return [r for r in reps if r != v0]
-
-
-def _first_determining(test, state, chosen, pool, start: int, r: int):
+def _first_determining(test, state, chosen, pool, start: int, r: int, accept):
     """Lex-least extension of `chosen` (in `state`) by r vertices of
-    pool[start:] to a determining set, or None.
+    pool[start:] to a determining set that `accept` takes, or None.
 
     Depth-first in lex order; a branch is cut as soon as the test's bound
-    says its state needs more vertices than the branch has left."""
+    says its state needs more vertices than the branch has left.  A leaf is
+    offered to `accept` only once the test finds it determining."""
     if r == 0:
-        return chosen if test.det_done(state) else None
+        return chosen if test.det_done(state) and accept(chosen) else None
     for i in range(start, len(pool) - r + 1):
         nxt = test.det_add(state, pool[i])
         if test.det_need(nxt) < r:
-            found = _first_determining(test, nxt, chosen + (pool[i],), pool, i + 1, r - 1)
+            found = _first_determining(test, nxt, chosen + (pool[i],), pool, i + 1, r - 1,
+                                       accept)
             if found is not None:
                 return found
     return None
 
 
-def _anchored_exists(grp: PermGroup, test, size: int) -> bool:
-    """Whether a vertex-transitive group has a determining set of `size`.
+def _anchored_exists(grp: PermGroup, test, size: int, accept) -> bool:
+    """Whether a vertex-transitive group has a determining set of `size`
+    that `accept` takes, for an `accept` that the group's elements preserve.
 
-    Some such set contains vertex 0, and an element of Stab(0) moves any
-    second vertex of it to that vertex's orbit representative r.  The other
-    vertices stay arbitrary, so they range over every vertex but 0 and r."""
+    Some such set contains vertex 0.  Take its second vertex from the first
+    Stab(0)-orbit it meets, in the order of their least vertices r: an
+    element of Stab(0) moves that vertex to r and keeps every orbit, so the
+    other vertices range over r's orbit and the later ones."""
     root = test.det_add(test.det_start(), 0)
     if size == 1:
-        return test.det_done(root)
+        return test.det_done(root) and accept((0,))
     if test.det_need(root) >= size:
         return False
-    for r in _stab0_orbit_reps(grp, 0):
+    earlier = {0}
+    for orbit in pointwise_stabilizer(grp, [0]).orbits()[1:]:  # the first is {0}
+        r = orbit[0]
         state = test.det_add(root, r)
         if test.det_need(state) <= size - 2:
-            pool = [v for v in range(1, grp.n_vertices) if v != r]
-            if _first_determining(test, state, (0, r), pool, 0, size - 2) is not None:
+            pool = [v for v in range(grp.n_vertices) if v not in earlier and v != r]
+            if _first_determining(test, state, (0, r), pool, 0, size - 2, accept) is not None:
                 return True
+        earlier.update(orbit)
     return False
 
 
-def _least_determining(grp: PermGroup, limit: int) -> tuple[int, ...] | None:
-    """The lex-least determining set of the least size in 1..limit, or None.
+def _least_determining(grp: PermGroup, sizes, accept=lambda chosen: True
+                       ) -> tuple[int, ...] | None:
+    """The lex-least determining set that `accept` takes, of the least size
+    in `sizes` that has one, or None.  `accept` must be preserved by the
+    group's elements.
 
     For a verified vertex-transitive group each size is first settled by the
     anchored search; at the first size that has a set, the unrestricted lex
@@ -154,10 +157,10 @@ def _least_determining(grp: PermGroup, limit: int) -> tuple[int, ...] | None:
     test = determining_test(grp)
     transitive = grp.is_vertex_transitive()
     everything = range(grp.n_vertices)
-    for size in range(1, limit + 1):
-        if transitive and not _anchored_exists(grp, test, size):
+    for size in sizes:
+        if transitive and not _anchored_exists(grp, test, size, accept):
             continue
-        found = _first_determining(test, test.det_start(), (), everything, 0, size)
+        found = _first_determining(test, test.det_start(), (), everything, 0, size, accept)
         if found is not None:
             return found
         if transitive:
@@ -171,7 +174,7 @@ def determining_number(g: Graph, grp: PermGroup) -> tuple[int, Witness]:
     re-checked by `is_determining_set`."""
     if grp.is_trivial():
         return 0, Witness(DETERMINING, (), _verified_tag(grp))
-    found = _least_determining(grp, g.n_vertices)
+    found = _least_determining(grp, range(1, g.n_vertices + 1))
     if found is None:
         raise SearchBudgetExceeded(f"no determining set up to size {g.n_vertices}")
     if not is_determining_set(grp, found):
@@ -181,7 +184,7 @@ def determining_number(g: Graph, grp: PermGroup) -> tuple[int, Witness]:
 
 def determining_lower_bound_exhaustive(g: Graph, grp: PermGroup, below: int) -> bool:
     """True iff no determining set of size 1..below-1 exists (pruned exhaustive)."""
-    return _least_determining(grp, below - 1) is None
+    return _least_determining(grp, range(1, below)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +242,11 @@ def _least_class(grp: PermGroup, smallest: int) -> tuple[int, ...] | None:
     """The lex-least class with a trivial setwise stabilizer among those of
     the least size from `smallest` up to half the vertices, or None.
 
-    A vertex-transitive group anchors vertex 0: the group maps any class to
-    one containing 0, whose stabilizer is conjugate, and tuples starting with
-    0 come first in lex order."""
-    nv = grp.n_vertices
-    transitive = grp.is_vertex_transitive()
-    for size in range(max(1, smallest), nv // 2 + 1):
-        cands = ((0,) + t for t in combinations(range(1, nv), size - 1)) if transitive \
-            else combinations(range(nv), size)
-        for cand in cands:
-            if _setwise_trivial(grp, cand):
-                return cand
-    return None
+    Such a class is determining, since an element fixing it pointwise maps
+    it onto itself, so the determining search visits every one in lex order;
+    setwise triviality is kept under conjugation, as its anchoring needs."""
+    return _least_determining(grp, range(max(1, smallest), grp.n_vertices // 2 + 1),
+                              lambda chosen: _setwise_trivial(grp, chosen))
 
 
 def _greedy_two_class(grp: PermGroup) -> tuple[int, ...] | None:
@@ -363,8 +359,9 @@ def cost_2dist(g: Graph, grp: PermGroup, dist_value: int | None = None,
 
     `lower_bound` is typically the determining number (any class with a
     trivial setwise stabilizer is a determining set, so the cost is never
-    below it).  The class scan is complete, since a minimum class never
-    exceeds half the vertex count.
+    below it).  The class scan is the determining search with the setwise
+    test at its leaves; it is complete, since a minimum class never exceeds
+    half the vertex count.
     """
     tag = _verified_tag(grp)
     if dist_value is not None and dist_value > 2:

@@ -169,6 +169,7 @@ def test_construct_commands(capsys):
     ("fq-det", 1, "searched"), ("fq-det", 2, "searched"), ("fq-det", 3, "searched"),
     ("fq-det", 4, "structured"), ("fq-dist-class", 4, "structured"),
     ("fq-dist-class", 5, "structured"), ("fq-dist-class", 6, "structured"),
+    ("q2-witnesses", 5, "structured"),
 ])
 def test_construct_labels_name_what_checked_it(capsys, name, n, method):
     # FQ_1..FQ_3 have no model: their det literals are checked on the
@@ -295,6 +296,35 @@ def test_verify_rejects_malformed_record(capsys, tmp_path, record):
     assert len(lines) == 1 and lines[0].startswith("error: malformed record")
 
 
+def test_verify_reports_an_unreadable_file(capsys, tmp_path):
+    code = main(["verify", str(tmp_path / "missing.json")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot read")
+    assert "missing.json" in lines[0]
+
+
+def test_verify_rejects_a_file_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "record.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "is not JSON" in lines[0]
+
+
+def test_non_integer_vertex_cap_variable_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("CUBE_SYM_MAX_VERTICES", "abc")
+    code = main(["gen", "hypercube", "-n", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "CUBE_SYM_MAX_VERTICES" in lines[0]
+
+
 def test_transitivity_table_labels_parameter_errors(capsys):
     code, out = run(capsys, "tables", "transitivity", "--n", "2")
     assert code == 0
@@ -313,3 +343,19 @@ def test_cache_overwrite_is_atomic(tmp_path):
     assert len(files) == 1 and files[0].suffix == ".json"
     assert json.loads(files[0].read_text())["value"] == 3
     assert cache.get("hypercube", {"n": 3}, "det") == text
+
+
+@pytest.mark.parametrize("content", [b"[1]", b"\xff\xfe"])
+def test_unusable_cache_record_is_a_miss(capsys, tmp_path, monkeypatch, content):
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv("CUBE_SYM_CACHE", str(cache_dir))
+    code, out = run(capsys, "param", "det", "hypercube", "-n", "4", "--witness")
+    assert code == 0
+    want = json.loads(out)
+    (stored,) = cache_dir.iterdir()
+    stored.write_bytes(content)
+    code, out = run(capsys, "param", "det", "hypercube", "-n", "4", "--witness")
+    assert code == 0
+    got = json.loads(out)
+    assert (got["value"], got["witness"]) == (want["value"], want["witness"])
+    assert json.loads(stored.read_text()) == got

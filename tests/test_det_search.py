@@ -1,7 +1,9 @@
 """The pruned determining-set search against plain references: an unpruned
 lex scan, the closed-form determining numbers, the searched group, the
 stored witnesses of the benchmark's det queries and the even powers' pinned
-ones, and element filtering on enumerated groups."""
+ones, and element filtering on enumerated groups.  The class scan of cost
+and dist, which runs the same search with a setwise test at its leaves, is
+checked against a plain scan of every class."""
 
 from __future__ import annotations
 
@@ -9,16 +11,24 @@ from functools import lru_cache
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import row_set
 
 from cubesym import constructions as cons
-from cubesym.bitgraph import FamilySpec, build_family
+from cubesym import symmetry
+from cubesym.bitgraph import FamilySpec, build_family, graph_from_edges
+from cubesym.errors import NotTwoDistinguishable
 from cubesym.params import automorphism_group
 from cubesym.search import search_automorphisms
-from cubesym.symmetry import determining_number, is_determining_set
+from cubesym.symmetry import (
+    _setwise_trivial,
+    cost_2dist,
+    determining_number,
+    distinguishing_number,
+    is_determining_set,
+)
 
 
 def _group(kind: str, n: int, k: int | None = None, searched: bool = False):
@@ -53,6 +63,30 @@ def _plain_lex_scan(grp, nv: int) -> tuple[int, ...]:
             if is_determining(cand):
                 return cand
     raise AssertionError("the whole vertex set is determining")
+
+
+def _plain_class_scan(grp, smallest: int) -> tuple[int, ...] | None:
+    """The lex-least class with a trivial setwise stabilizer, of the least
+    size from `smallest` up to half the vertices, by trying every class with
+    `_setwise_trivial`; through vertex 0 when the group is transitive."""
+    nv = grp.n_vertices
+    transitive = grp.is_vertex_transitive()
+    for size in range(max(1, smallest), nv // 2 + 1):
+        cands = ((0,) + t for t in combinations(range(1, nv), size - 1)) if transitive \
+            else combinations(range(nv), size)
+        for cand in cands:
+            if _setwise_trivial(grp, cand):
+                return cand
+    return None
+
+
+def _cost_or_none(g, grp):
+    try:
+        value, witness = cost_2dist(g, grp)
+    except NotTwoDistinguishable:
+        return None
+    assert value == len(witness.payload)
+    return tuple(witness.payload)
 
 
 EXTRA_CASES = {
@@ -126,6 +160,69 @@ def test_halved_cube_det_matches_searched_group_q6():
     structured = determining_number(g, automorphism_group(g))
     searched = determining_number(g, search_automorphisms(g))
     assert (structured[0], structured[1].payload) == (searched[0], searched[1].payload)
+
+
+def test_class_scan_matches_plain_scan_on_corpus(corpus, corpus_groups):
+    for name, g in corpus.items():
+        grp = corpus_groups[name]
+        assert _cost_or_none(g, grp) == _plain_class_scan(grp, 1), name
+
+
+COST_CASES = {
+    "Q_5": ("hypercube", 5, None, None), "AQ_5": ("augmented", 5, None, None),
+    "LTQ_5": ("locally_twisted", 5, None, None), "Q_{5,2}": ("enhanced", 5, 2, None),
+    "H(3,3)": ("hamming", 3, None, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COST_CASES))
+def test_class_scan_matches_plain_scan(name):
+    kind, n, k, m = COST_CASES[name]
+    g = build_family(FamilySpec(kind, n, k=k, m=m))
+    grp = automorphism_group(g)
+    assert _cost_or_none(g, grp) == _plain_class_scan(grp, 1)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_class_scan_matches_plain_scan_on_random_graphs(data):
+    """Random graphs of at most 9 vertices, whose groups are mostly not
+    transitive, so that the unanchored walk is drawn too."""
+    n = data.draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [p for p, keep in zip(pairs, data.draw(
+        st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep]
+    g = graph_from_edges(n, edges)
+    grp = search_automorphisms(g)
+    # S_9 (the empty and the complete graph) would have the plain scan test
+    # 93 classes against a 362,880-row element table
+    assume(grp.order() <= 40320)
+    want = () if grp.is_trivial() else _plain_class_scan(grp, 1)
+    assert _cost_or_none(g, grp) == want
+
+
+def test_dist_scan_matches_plain_scan_on_corpus(corpus, corpus_groups, monkeypatch):
+    small = {name: g for name, g in corpus.items() if g.n_vertices <= 16}
+    got = {name: distinguishing_number(g, corpus_groups[name]) for name, g in small.items()}
+    monkeypatch.setattr(symmetry, "_least_class", _plain_class_scan)
+    for name, g in small.items():
+        value, witness = distinguishing_number(g, corpus_groups[name])
+        assert (got[name][0], got[name][1].payload) == (value, witness.payload), name
+
+
+@pytest.mark.oracle_suite
+@pytest.mark.parametrize("kind,n,k,witness", [
+    ("folded", 5, None, (0, 1, 2, 4, 9, 19)),
+    ("power", 5, 2, (0, 1, 2, 5, 10, 22)),
+    ("enhanced", 5, 3, (0, 1, 2, 9, 11, 12, 21)),
+])
+def test_cost_witnesses_of_the_table_scan(kind, n, k, witness):
+    # the witnesses that the plain scan of every class through vertex 0
+    # found on the element table
+    g, grp = _group(kind, n, k)
+    det, _ = determining_number(g, grp)
+    value, got = cost_2dist(g, grp, dist_value=2, lower_bound=det)
+    assert (value, tuple(got.payload)) == (len(witness), witness)
 
 
 # Structured groups small enough to enumerate; FQ_6's 322,560 elements are

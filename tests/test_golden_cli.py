@@ -28,8 +28,10 @@ CASES = {
     "export-locally-twisted-n-5": ["export", "locally-twisted", "-n", "5"],
     "det-enhanced-n-5-k-2": ["param", "det", "enhanced", "-n", "5", "-k", "2", "--witness"],
     "cost-enhanced-n-5-k-2": ["param", "cost", "enhanced", "-n", "5", "-k", "2", "--witness"],
+    "cost-hypercube-n-5": ["param", "cost", "hypercube", "-n", "5", "--witness"],
     "det-power-n-5-k-3": ["param", "det", "power", "-n", "5", "-k", "3", "--witness"],
     "dist-power-n-4-k-2": ["param", "dist", "power", "-n", "4", "-k", "2", "--witness"],
+    "dist-enhanced-n-3-k-2": ["param", "dist", "enhanced", "-n", "3", "-k", "2", "--witness"],
     "dist-hamming-n-2-m-3": ["param", "dist", "hamming", "-n", "2", "-m", "3", "--witness"],
     "summary-n-4": ["tables", "summary", "--n", "4"],
     "summary-n-5": ["tables", "summary", "--n", "5"],
