@@ -273,21 +273,17 @@ def _closure(nv: int, gens: np.ndarray) -> np.ndarray:
 
 def is_automorphism(g: Graph, row) -> bool:
     """True iff the image row `row` is a bijection preserving adjacency and
-    non-adjacency."""
+    non-adjacency, i.e. one that maps the edge set onto itself: the sorted
+    keys `min * V + max` of the edge images equal `g.edge_keys`."""
     nv = g.n_vertices
-    img = np.asarray(row).tolist()  # Python ints: an int32 bit shift overflows
-    if len(img) != nv or sorted(img) != list(range(nv)):
+    img = np.asarray(row)
+    if not np.array_equal(np.sort(img), np.arange(nv)):  # shape and bijection
         return False
-    for u in range(nv):
-        row = 0
-        r = g.rows[u]
-        while r:
-            low = r & -r
-            row |= 1 << img[low.bit_length() - 1]
-            r ^= low
-        if row != g.rows[img[u]]:
-            return False
-    return True
+    keys = g.edge_keys
+    a, b = img[keys // nv], img[keys % nv]
+    image = np.minimum(a, b).astype(np.int64) * nv + np.maximum(a, b)
+    image.sort()
+    return np.array_equal(image, keys)
 
 
 def trivial_group(nv: int, graph: Graph | None = None) -> PermGroup:

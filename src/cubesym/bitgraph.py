@@ -6,14 +6,19 @@ word with a single 1 in position i is the integer 2**(n-i).  Vertex ids in a
 generated graph are exactly the word values, 0 .. m**n - 1.
 
 Adjacency is stored as one Python int bitset per vertex, which keeps the
-per-pair tests and the BFS/refinement loops fast without extra dependencies.
+per-pair tests and the BFS/refinement loops fast.  `Graph.edge_keys` holds
+the edge set once more as a sorted int64 array, built on first use, which
+the automorphism test compares images with.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -226,6 +231,12 @@ class Graph:
                 low = row & -row
                 yield (u, low.bit_length() - 1)
                 row ^= low
+
+    @cached_property
+    def edge_keys(self) -> np.ndarray:
+        """The keys `u * V + v` of the edges u < v, ascending, as int64."""
+        nv = self.n_vertices
+        return np.fromiter((u * nv + v for u, v in self.edges()), dtype=np.int64)
 
     def neighbors(self, v: int) -> list[int]:
         out = []

@@ -183,6 +183,8 @@ class HammingCostBounds:
 
 def hamming_cost_bounds(m: int, n: int) -> HammingCostBounds:
     """Cost window {det, det+1} when the product-cost theorem applies."""
+    if m < 2 or n < 1:
+        raise ParameterOutOfRange("hamming_cost_bounds needs m >= 2, n >= 1")
     if not hamming_is_two_distinguishable(m, n):
         return HammingCostBounds(False, reason="not 2-distinguishable")
     if m - 1 < 2:
@@ -348,6 +350,8 @@ def q2_class_is_asymmetric(n: int) -> bool:
 
 def fq_det_set(n: int) -> tuple[int, ...]:
     """Minimum determining set of FQ_n, following the parity/exception cases."""
+    if n < 1:
+        raise ParameterOutOfRange("fq_det_set needs n >= 1")
     if n <= 3:
         out = _fq_det_small(n)
     else:

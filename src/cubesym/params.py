@@ -21,6 +21,7 @@ from .errors import (
     MalformedRecord,
     NoStructuredForm,
     NotTwoDistinguishable,
+    ParameterOutOfRange,
     SearchBudgetExceeded,
 )
 from .search import search_automorphisms
@@ -143,7 +144,7 @@ def verify_witness(g: Graph, record: dict, grp: PermGroup | None = None) -> bool
     """Re-check an emitted witness record against the graph's group.
 
     Set payloads must be distinct vertices of the graph, and a coloring must
-    give every vertex a color in 1..d.  A coloring that `is_distinguishing`
+    give every vertex a color in 1..value.  A coloring that `is_distinguishing`
     cannot settle is not verified.  A record without an integer `value`, or
     whose witness lacks a string `kind` and a list `payload`, raises
     MalformedRecord.
@@ -165,7 +166,7 @@ def verify_witness(g: Graph, record: dict, grp: PermGroup | None = None) -> bool
         return (len(payload) == value and _is_vertex_set(payload, nv)
                 and is_determining_set(grp, payload))
     if kind == DIST_COLORING:
-        if len(payload) != nv or not all(type(c) is int and c >= 1 for c in payload):
+        if len(payload) != nv or not all(type(c) is int and 1 <= c <= value for c in payload):
             return False
         coloring = Coloring(tuple(payload), max(payload, default=1))
         if coloring.used_colors() != value:
@@ -201,7 +202,7 @@ def _formula(**fields) -> dict:
 
 def _need(value, message: str):
     if value is None:
-        raise ValueError(message)
+        raise ParameterOutOfRange(message)
     return value
 
 

@@ -2,10 +2,12 @@
 
 The search tree individualizes one vertex of the first smallest non-singleton
 cell at each node and refines to an equitable partition.  Discrete partitions
-are leaves; a leaf whose relabelled adjacency matrix matches the first leaf's
-yields an automorphism.  Siblings are pruned by the orbits of the already
-discovered automorphisms that fix the node's individualized prefix, and
-subtrees whose refinement trace diverges from the first path are cut.
+are leaves.  A leaf is kept when its map from the first leaf (the i-th
+vertex of the first leaf to the i-th vertex of this one) passes
+`autgroup.is_automorphism`, and that map is a generator.  Siblings are
+pruned by the orbits of the already discovered automorphisms that fix the
+node's individualized prefix, and subtrees whose refinement trace diverges
+from the first path are cut.
 
 The group order is |orbit(b1)| * |orbit(b2) under stab(b1)| * ... along the
 first path, which the tests cross-check against full element enumeration.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autgroup import PermGroup, base_order, orbit_roots
+from .autgroup import PermGroup, base_order, is_automorphism, orbit_roots
 from .bitgraph import Graph
 from .errors import SearchBudgetExceeded
 
@@ -62,26 +64,6 @@ def _refine(rows, cells, splitters):
     return cells, tuple(trace)
 
 
-def _leaf_certificate(rows, labeling) -> bytes:
-    """Adjacency matrix bits in leaf order."""
-    n = len(labeling)
-    pos = [0] * n
-    for i, v in enumerate(labeling):
-        pos[v] = i
-    acc = 0
-    nbits = 0
-    for i in range(n):
-        row = rows[labeling[i]]
-        rebased = 0
-        while row:
-            low = row & -row
-            rebased |= 1 << pos[low.bit_length() - 1]
-            row ^= low
-        acc = (acc << n) | rebased
-        nbits += n
-    return acc.to_bytes((nbits + 7) // 8, "big")
-
-
 def search_automorphisms(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
                          vertex_cap: int = DEFAULT_SEARCH_VERTEX_CAP) -> PermGroup:
     """The full automorphism group of `g`, found by refinement search."""
@@ -95,8 +77,7 @@ def search_automorphisms(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
     gens: list[tuple[int, ...]] = []
     state = {
         "nodes": 0,
-        "first_leaf": None,   # labeling tuple
-        "first_cert": None,
+        "first_leaf": None,   # labeling array
         "first_path_inv": {},  # depth -> trace invariant
         "base": [],            # individualized vertices along the first path
     }
@@ -111,17 +92,15 @@ def search_automorphisms(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
             if len(cell) > 1 and (target is None or len(cell) < len(target)):
                 target = cell
         if target is None:
-            labeling = tuple(c[0] for c in cells)
-            if state["first_leaf"] is None:
-                state["first_leaf"] = labeling
-                state["first_cert"] = _leaf_certificate(rows, labeling)
+            labeling = [c[0] for c in cells]
+            first = state["first_leaf"]
+            if first is None:
+                state["first_leaf"] = np.array(labeling)
                 return
-            if _leaf_certificate(rows, labeling) == state["first_cert"]:
-                first = state["first_leaf"]
-                perm = [0] * n
-                for i in range(n):
-                    perm[first[i]] = labeling[i]
-                gens.append(tuple(perm))
+            perm = np.empty(n, dtype=np.int32)
+            perm[first] = labeling
+            if is_automorphism(g, perm):
+                gens.append(tuple(perm.tolist()))
             return
 
         on_first_path = state["first_leaf"] is None

@@ -42,6 +42,17 @@ def row_set(table) -> set[tuple[int, ...]]:
     return out
 
 
+def preserves_adjacency(g, row) -> bool:
+    """The plain reference for `is_automorphism`: `row` is a bijection of the
+    vertices, and every pair keeps its adjacency under it."""
+    p = [int(x) for x in row]
+    n = g.n_vertices
+    if len(p) != n or sorted(p) != list(range(n)):
+        return False
+    return all(g.has_edge(p[u], p[v]) == g.has_edge(u, v)
+               for u in range(n) for v in range(n))
+
+
 @pytest.fixture(scope="session")
 def corpus():
     """The full <=32-vertex cross-validation corpus, graphs only."""

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import row_set
+from conftest import preserves_adjacency, row_set
 
 from cubesym.autgroup import (
     AugmentedModel,
@@ -30,6 +30,7 @@ from cubesym.autgroup import (
 from cubesym.bitgraph import (
     augmented_hypercube,
     folded_hypercube,
+    graph_from_edges,
     hamming_graph,
     hypercube,
     hypercube_power,
@@ -75,6 +76,38 @@ def test_is_automorphism():
     swap[0], swap[1] = 1, 0
     assert not is_automorphism(q3, swap)
     assert not is_automorphism(q3, [0] * 8)
+
+
+ROW_KINDS = ["permutation", "searched", "non-bijection", "wrong length"]
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_is_automorphism_matches_pairwise_reference(data):
+    """Random graphs of at most 10 vertices; searched group elements make
+    the positive verdicts common."""
+    n = data.draw(st.integers(0, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [p for p, keep in zip(pairs, data.draw(
+        st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep]
+    g = graph_from_edges(n, edges)
+    kind = data.draw(st.sampled_from(ROW_KINDS))
+    if kind == "permutation":
+        row = data.draw(st.permutations(range(n)))
+    elif kind == "searched":
+        gens = search_automorphisms(g).generators
+        row = np.arange(n)
+        if len(gens):
+            for i in data.draw(st.lists(st.integers(0, len(gens) - 1), max_size=6)):
+                row = gens[i][row]
+    elif kind == "non-bijection":
+        row = data.draw(st.lists(st.integers(-1, n), min_size=n, max_size=n))
+    else:
+        m = data.draw(st.integers(0, 11).filter(lambda m: m != n))
+        row = data.draw(st.permutations(range(m)))
+    if data.draw(st.booleans()):
+        row = np.asarray(row, dtype=np.int32)
+    assert is_automorphism(g, row) == preserves_adjacency(g, row)
 
 
 STRUCTURED_ORDERS = [

@@ -180,6 +180,22 @@ def test_construct_labels_name_what_checked_it(capsys, name, n, method):
     assert rep["method"] == method and rep["verified"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["enhanced-det", "-n", "3"],
+    ["hamming-det", "-n", "3"],
+    ["fq-det", "-n", "0"],
+    ["fq-det", "-n", "-1"],
+    ["hamming-cost-bounds", "-m", "1", "-n", "3"],
+    ["hamming-cost-bounds", "-m", "3", "-n", "0"],
+])
+def test_construct_input_errors_exit_1(capsys, argv):
+    code = main(["construct", *argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_construct_q2_witnesses_reports_its_checks(capsys):
     # at n = 4 the class T keeps a swap of two vertices, so it is no class
     code, out = run(capsys, "construct", "q2-witnesses", "-n", "4")
@@ -265,6 +281,23 @@ def test_verify_rejects_partial_coloring(capsys, tmp_path):
     assert _verify_code(capsys, tmp_path, record) == 0
     record["witness"]["payload"] = record["witness"]["payload"][:31]
     assert _verify_code(capsys, tmp_path, record) == 3
+
+
+def test_verify_rejects_a_color_above_the_value(capsys, tmp_path):
+    code, out = run(capsys, "param", "dist", "hypercube", "-n", "3", "--witness",
+                    "--no-cache", "--cache-dir", str(tmp_path / "cache"))
+    assert code == 0
+    record = json.loads(out)
+    assert record["value"] == 3 and _verify_code(capsys, tmp_path, record) == 0
+    # still three colors used, but one of them lies outside 1..value
+    payload = record["witness"]["payload"]
+    record["witness"]["payload"] = [2**40 if c == 3 else c for c in payload]
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(record))
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and json.loads(captured.out)["verified"] is False
+    assert "Traceback" not in captured.err
 
 
 _DET_RECORD = {"parameter": "det", "value": 4, "params": {"kind": "hypercube", "n": 5},

@@ -482,6 +482,24 @@ def test_det_set_checks_survive_python_O():
                 sys.exit("structured_group passed a failed generator check")
             if main(["param", "det", "hypercube", "-n", "5", "--no-cache"]) != 3:
                 sys.exit("param det hypercube did not exit 3")
+        # a real generator row with two of its images swapped fails the real
+        # check
+        real_generators = autgroup.HypercubeModel.generators
+
+        def one_row_swapped(self):
+            rows = real_generators(self).copy()
+            rows[0, [0, 1]] = rows[0, [1, 0]]
+            return rows
+
+        with mock.patch.object(autgroup.HypercubeModel, "generators", one_row_swapped):
+            try:
+                autgroup.structured_group(hypercube(5))
+            except AssertionError:
+                pass
+            else:
+                sys.exit("structured_group passed a generator with two images swapped")
+            if main(["param", "det", "hypercube", "-n", "5", "--no-cache"]) != 3:
+                sys.exit("param det hypercube with a swapped generator did not exit 3")
         with mock.patch.object(autgroup.AugmentedModel, "setwise_stabilizer", two_elements):
             sys.exit(main(["construct", "aq-cost-class", "-n", "5"]))
     """)

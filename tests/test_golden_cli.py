@@ -26,10 +26,12 @@ CASES = {
     "export-folded-n-4": ["export", "folded", "-n", "4"],
     "export-augmented-n-5": ["export", "augmented", "-n", "5"],
     "export-locally-twisted-n-5": ["export", "locally-twisted", "-n", "5"],
+    "det-hypercube-n-12": ["param", "det", "hypercube", "-n", "12", "--witness"],
     "det-enhanced-n-5-k-2": ["param", "det", "enhanced", "-n", "5", "-k", "2", "--witness"],
     "cost-enhanced-n-5-k-2": ["param", "cost", "enhanced", "-n", "5", "-k", "2", "--witness"],
     "cost-hypercube-n-5": ["param", "cost", "hypercube", "-n", "5", "--witness"],
     "det-power-n-5-k-3": ["param", "det", "power", "-n", "5", "-k", "3", "--witness"],
+    "aut-order-power-n-4-k-3": ["param", "aut-order", "power", "-n", "4", "-k", "3"],
     "dist-power-n-4-k-2": ["param", "dist", "power", "-n", "4", "-k", "2", "--witness"],
     "dist-enhanced-n-3-k-2": ["param", "dist", "enhanced", "-n", "3", "-k", "2", "--witness"],
     "dist-hamming-n-2-m-3": ["param", "dist", "hamming", "-n", "2", "-m", "3", "--witness"],

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import row_set
+from conftest import preserves_adjacency, row_set
 
 from cubesym.bitgraph import (
     augmented_hypercube,
@@ -13,7 +13,7 @@ from cubesym.bitgraph import (
     hypercube_power,
     locally_twisted_hypercube,
 )
-from cubesym.autgroup import pointwise_stabilizer
+from cubesym.autgroup import is_automorphism, pointwise_stabilizer
 from cubesym.errors import SearchBudgetExceeded
 from cubesym.oracle import enumerate_automorphisms_naive
 from cubesym.search import search_automorphisms
@@ -31,13 +31,38 @@ def test_small_known_groups():
 
 
 def test_generators_are_automorphisms_and_order_matches_enumeration(corpus):
-    from cubesym.autgroup import is_automorphism
-
     for name, g in corpus.items():
         grp = search_automorphisms(g)
         for gen in grp.generators:
-            assert is_automorphism(g, gen), name
+            assert preserves_adjacency(g, gen), name
         assert grp.order_known == len(grp.elements()), name
+
+
+# A 3-regular graph on 14 vertices: its search reaches leaves whose refinement
+# traces match the first leaf's but whose maps from it are no automorphisms.
+NON_AUTOMORPHIC_LEAVES = [
+    (0, 5), (0, 10), (0, 11), (1, 5), (1, 11), (1, 13), (2, 3), (2, 6), (2, 7), (3, 5),
+    (3, 7), (4, 8), (4, 10), (4, 12), (6, 8), (6, 10), (7, 13), (8, 9), (9, 12), (9, 13),
+    (11, 12),
+]
+
+
+def test_leaves_whose_map_is_no_automorphism_are_dropped(monkeypatch):
+    from cubesym import search
+
+    g = graph_from_edges(14, NON_AUTOMORPHIC_LEAVES)
+    verdicts = []
+
+    def recording(graph, row):
+        verdicts.append(is_automorphism(graph, row))
+        return verdicts[-1]
+
+    monkeypatch.setattr(search, "is_automorphism", recording)
+    grp = search_automorphisms(g)
+    assert False in verdicts
+    for gen in grp.generators:
+        assert preserves_adjacency(g, gen)
+    assert row_set(grp.elements()) == row_set(enumerate_automorphisms_naive(g))
 
 
 def test_matches_naive_enumeration(corpus):
