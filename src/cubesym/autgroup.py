@@ -174,7 +174,7 @@ class PermGroup:
     model: GroupModel | None = None
     base: tuple[int, ...] | None = None
     _elements: np.ndarray | None = field(default=None, repr=False)
-    _max_fixed_masks: list[int] | None = field(default=None, repr=False)
+    _fixers: list[int] | None = field(default=None, repr=False)
 
     def order(self) -> int:
         if self.order_known is None:
@@ -329,55 +329,43 @@ class _DeterminingFold:
         return self.det_done(self.fold(words))
 
 
-def _maximal_fixed_masks(grp: PermGroup) -> list[int]:
-    """Fixed-point bitmasks of the non-identity elements, maximal ones only.
-
-    A subset is determining iff it is contained in none of these masks.
-    """
-    if grp._max_fixed_masks is not None:
-        return grp._max_fixed_masks
-    arr = grp.elements()
-    nv = grp.n_vertices
-    fixed = arr == np.arange(nv, dtype=np.int32)[None, :]
-    ident = fixed.all(axis=1)
-    masks = set()
-    weights = np.uint64(1) << np.arange(nv, dtype=np.uint64) if nv <= 64 else None
-    for row in fixed[~ident]:
-        if weights is not None:
-            m = int((weights[row.nonzero()[0]]).sum())
-        else:
-            m = 0
-            for v in row.nonzero()[0]:
-                m |= 1 << int(v)
-        masks.add(m)
-    maximal = []
-    for m in sorted(masks, key=lambda x: -bin(x).count("1")):
-        if not any(m & ~big == 0 for big in maximal):
-            maximal.append(m)
-    grp._max_fixed_masks = maximal
-    return maximal
-
-
-class _FixedMaskTest(_DeterminingFold):
+class _TableTest(_DeterminingFold):
     """Determining test of a group without a model, on its element table:
-    the state is the maximal fixed-point masks that still contain the set."""
+    the state is the set of rows fixing every vertex added so far, as a
+    bitmask over the rows.  `_fixers[v]` marks the rows with row[v] == v;
+    `det_start` builds them, so a test that is never started (a factor of
+    a `ProductModel` that is only asked for its orbits) loads no table."""
 
     def __init__(self, grp: PermGroup):
         self.grp = grp
 
-    def det_start(self) -> tuple[int, ...]:
-        return tuple(_maximal_fixed_masks(self.grp))
+    def det_start(self) -> int:
+        grp = self.grp
+        if grp._fixers is None:
+            table = grp.elements()
+            fixed = np.packbits(table.T == np.arange(grp.n_vertices)[:, None], axis=1,
+                                bitorder="little")
+            grp._fixers = [int.from_bytes(row.tobytes(), "little") for row in fixed]
+        return (1 << grp.order()) - 1
 
-    def det_add(self, masks, v: int) -> tuple[int, ...]:
-        return tuple(m for m in masks if m >> v & 1)
+    def det_add(self, state: int, v: int) -> int:
+        return state & self.grp._fixers[v]
 
-    def det_done(self, masks) -> bool:
-        return not masks
+    def det_need(self, state: int) -> int:
+        """Fixing a vertex divides the stabilizer's order by the vertex's
+        orbit, of at most V vertices."""
+        left, need = state.bit_count(), 0
+        while left > 1:
+            left, need = -(-left // self.grp.n_vertices), need + 1
+        return need
+
+    def det_done(self, state: int) -> bool:
+        return state.bit_count() == 1  # the identity
 
 
 def determining_test(grp: PermGroup):
-    """The group's determining test: its model, or the fixed-mask test."""
-    return grp.model if grp.model is not None else _FixedMaskTest(grp)
+    """The group's determining test: its model, or the table test."""
+    return grp.model if grp.model is not None else _TableTest(grp)
 
 
 # ---------------------------------------------------------------------------
@@ -809,9 +797,7 @@ def pointwise_stabilizer_is_trivial(grp: PermGroup, subset) -> bool:
     S = sorted(set(subset))
     if not S:
         return grp.is_trivial()
-    if grp.model is not None:
-        return grp.model.pointwise_trivial(S)
-    return int(_fixing(grp.elements(), S).sum()) == 1  # the rows are distinct
+    return determining_test(grp).pointwise_trivial(S)
 
 
 def pointwise_stabilizer(grp: PermGroup, subset) -> PermGroup:

@@ -283,9 +283,10 @@ def distinguishing_number(g: Graph, grp: PermGroup,
     """Least d with a distinguishing d-coloring, plus a checked witness.
 
     `class_candidates` are externally constructed 2-class suggestions (from
-    the family witness constructions); each is verified before use.  Then,
-    on an enumerable group, the greedy class, and for at most
-    `_EXHAUSTIVE_2_LIMIT` vertices the exact class scan and d >= 3.
+    the family witness constructions); each is verified before use, by the
+    sound test and then by its setwise stabilizer.  Then, on an enumerable
+    group, the greedy class, and for at most `_EXHAUSTIVE_2_LIMIT` vertices
+    the exact class scan and d >= 3.
     """
     nv = g.n_vertices
     tag = _verified_tag(grp)
@@ -299,14 +300,13 @@ def distinguishing_number(g: Graph, grp: PermGroup,
         if two_class_is_distinguishing(g, grp, cand):
             return two(cand)
     try:
-        grp.elements()
+        for cand in class_candidates:
+            if _setwise_trivial(grp, cand):
+                return two(cand)
+        cls = _greedy_two_class(grp)
     except SearchBudgetExceeded:
         raise SearchBudgetExceeded(
             "group too large to settle the distinguishing number") from None
-    for cand in class_candidates:
-        if _setwise_trivial(grp, cand):
-            return two(cand)
-    cls = _greedy_two_class(grp)
     if cls is not None and _setwise_trivial(grp, cls):
         return two(cls)
     if nv > _EXHAUSTIVE_2_LIMIT:

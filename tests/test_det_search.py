@@ -1,7 +1,8 @@
 """The pruned determining-set search against plain references: an unpruned
 lex scan, the closed-form determining numbers, the searched group, the
 stored witnesses of the benchmark's det queries and the even powers' pinned
-ones, and element filtering on enumerated groups.  The class scan of cost
+ones, and element filtering on enumerated groups, with and without a
+model.  The class scan of cost
 and dist, which runs the same search with a setwise test at its leaves, is
 checked against a plain scan of every class."""
 
@@ -18,6 +19,11 @@ from conftest import row_set
 
 from cubesym import constructions as cons
 from cubesym import symmetry
+from cubesym.autgroup import (
+    determining_test,
+    pointwise_stabilizer_is_trivial,
+    setwise_stabilizer,
+)
 from cubesym.bitgraph import FamilySpec, build_family, graph_from_edges
 from cubesym.errors import NotTwoDistinguishable
 from cubesym.params import automorphism_group
@@ -96,8 +102,8 @@ EXTRA_CASES = {
     "Q_{5,2}": ("enhanced", 5, 2), "Q_{6,3}": ("enhanced", 6, 3),
     "Q_5^2": ("power", 5, 2),
 }
-# built by search, so that the fixed-mask test of a group without a model
-# keeps a case
+# built by search, so that the table test of a group without a model keeps
+# a case
 SEARCHED = {"Q_5^2"}
 
 
@@ -138,6 +144,9 @@ def test_search_matches_closed_forms():
     ("power", 6, 2, (0, 7, 25, 42)),
     ("power", 7, 2, (0, 7, 25, 42)),
     ("power", 8, 2, (0, 1, 14, 50, 84)),
+    # Q_3 x FQ_3 and Q_4 x FQ_3, whose FQ_3 factor is searched
+    ("enhanced", 6, 4, (0, 1, 2, 3, 12, 21)),
+    ("enhanced", 7, 5, (0, 1, 2, 3, 28, 45)),
 ])
 def test_det_query_witnesses(kind, n, k, witness):
     value, got = determining_number(*_group(kind, n, k))
@@ -155,7 +164,7 @@ def test_halved_cube_det_matches_searched_group(n):
 
 @pytest.mark.oracle_suite
 def test_halved_cube_det_matches_searched_group_q6():
-    # the searched group's fixed-mask test needs its 322,560-element table
+    # the searched group's table test needs its 322,560-element table
     g = build_family(FamilySpec("power", 6, k=2))
     structured = determining_number(g, automorphism_group(g))
     searched = determining_number(g, search_automorphisms(g))
@@ -247,3 +256,42 @@ def test_pointwise_trivial_matches_element_filtering(data):
     words = data.draw(st.lists(st.integers(0, nv - 1), min_size=1, max_size=7))
     subset = sum(1 << v for v in set(words))
     assert model.pointwise_trivial(words) == all(subset & ~m for m in masks)
+
+
+# Groups without a model, answered by the table test.
+TABLE_GROUPS = {
+    "Q_3^2": lambda: _group("power", 3, 2, searched=True)[1],
+    "FQ_3": lambda: _group("folded", 3, searched=True)[1],
+    "H(3,3)": lambda: search_automorphisms(build_family(FamilySpec("hamming", 3, m=3))),
+    "FQ_3 factor of Q_{5,3}": lambda: _group("enhanced", 5, 3)[1].model.gb,
+    "FQ_3 setwise {0, 1}": lambda: setwise_stabilizer(_group("folded", 3, searched=True)[1],
+                                                      [0, 1]),
+}
+
+
+@lru_cache(maxsize=None)
+def _table_group(name: str):
+    grp = TABLE_GROUPS[name]()
+    assert grp.model is None and not grp.is_trivial()
+    return grp
+
+
+def _only_identity_fixes(table, S) -> bool:
+    return int((table[:, S] == S).all(axis=1).sum()) == 1
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_table_test_matches_element_filtering(data):
+    """The table test equals a filter of the element table, and its bound
+    never exceeds the least number of vertices that make the set determining
+    (checked by brute force up to 16 vertices)."""
+    grp = _table_group(data.draw(st.sampled_from(sorted(TABLE_GROUPS))))
+    nv, table = grp.n_vertices, grp.elements()
+    S = sorted(set(data.draw(st.lists(st.integers(0, nv - 1), max_size=6))))
+    assert pointwise_stabilizer_is_trivial(grp, S) == _only_identity_fixes(table, S)
+    if nv <= 16:
+        test = determining_test(grp)
+        least = next(r for r in range(nv + 1) for extra in combinations(range(nv), r)
+                     if _only_identity_fixes(table, sorted(set(S) | set(extra))))
+        assert test.det_need(test.fold(S)) <= least

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import row_set
 
-from cubesym.autgroup import structured_group
+from cubesym.autgroup import pointwise_stabilizer, structured_group
 from cubesym.bitgraph import (
     augmented_hypercube,
     complement,
@@ -324,3 +324,28 @@ def test_preserving_count_matches_full_rows(data):
     keeping = int((member[arr] == member[None, :]).all(axis=1).sum())
     assert _preserving_count(grp, member) == keeping
     assert _setwise_trivial(grp, np.flatnonzero(member)) == (keeping == 1)
+
+
+def test_dist_of_augmented_cube_loads_no_element_table():
+    # the constructed class fails the sound test, so the model's setwise
+    # search settles it; AQ_14's table would take 8.6 GB
+    g = augmented_hypercube(8)
+    grp = automorphism_group(g)
+    value, witness = distinguishing_number(g, grp, dist_class_candidates(g))
+    assert value == 2 and _setwise_trivial(grp, [v for v, c in enumerate(witness.payload)
+                                                  if c == 2])
+    assert grp._elements is None
+
+
+def test_transitivity_of_an_enhanced_cube_loads_no_factor_table():
+    """Q_{10,2} = Q_1 x FQ_9: the factors of Stab(0) are only asked for
+    their orbits, so neither loads its table (FQ_9's stabilizer has 10!
+    elements, above the element cap)."""
+    g = enhanced_hypercube(10, 2)
+    grp = automorphism_group(g)
+    stab = pointwise_stabilizer(grp, [0])
+    assert stab.model.gb.order() == 3628800
+    assert transitivity_report(g, grp).to_dict() == {
+        "vertex_transitive": True, "edge_transitive": False,
+        "arc_transitive": False, "distance_transitive": False}
+    assert stab.model.ga._elements is None and stab.model.gb._elements is None
