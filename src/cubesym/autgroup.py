@@ -17,6 +17,7 @@ from .bitgraph import (
     AUGMENTED,
     ENHANCED,
     FOLDED,
+    HAMMING,
     HYPERCUBE,
     LOCALLY_TWISTED,
     POWER,
@@ -289,6 +290,17 @@ def is_automorphism(g: Graph, row) -> bool:
 def trivial_group(nv: int, graph: Graph | None = None) -> PermGroup:
     return PermGroup(nv, np.empty((0, nv), dtype=np.int32), 1, "structured", graph,
                      _elements=np.arange(nv, dtype=np.int32)[None, :])
+
+
+def _permutation_table(k: int) -> np.ndarray:
+    """The k! permutations of range(k) as the rows of an int32 array, the
+    identity first, after checking that they are k! distinct permutations."""
+    table = np.array(list(permutations(range(k))), dtype=np.int32).reshape(-1, k)
+    if (len(table) != factorial(k) or len(np.unique(table, axis=0)) != len(table)
+            or not (np.sort(table, axis=1) == np.arange(k)).all()):
+        raise AssertionError(f"the permutation table of {k} is not {factorial(k)} "
+                             "distinct permutations")
+    return table
 
 
 def _transposition(n: int, i: int, j: int) -> tuple[int, ...]:
@@ -728,7 +740,158 @@ class ProductModel(_DeterminingFold):
                          model.order(), "structured", model=model)
 
 
-GroupModel = _TranslationModel | ProductModel
+def _extension_need(m: int, n: int) -> list[list[int]]:
+    """need[q][c] for 0 <= q <= m and 1 <= c <= n: the least r such that r
+    rows can extend a partition with q blocks to c distinct partitions with
+    at least m-1 and at most m blocks, whose count is E(q, r) = q E(q, r-1)
+    + E(q+1, r-1) (a row joins one of the q blocks or opens one), with
+    E(m+1, r) = 0 and E(q, 0) = 1 if q >= m-1 else 0.  From q = 0 this is
+    S(r, m) + S(r, m-1), the column budget of `hamming_det_number`."""
+    need = [[0] * (n + 1) for _ in range(m + 1)]
+    count = [int(q >= m - 1) for q in range(m + 1)] + [0]
+    r = 0
+    while True:
+        for q in range(m + 1):
+            for c in range(1, n + 1):
+                if count[q] < c:
+                    need[q][c] = r + 1
+        if min(count[:m + 1]) >= n:
+            return need
+        count = [q * count[q] + count[q + 1] for q in range(m + 1)] + [0]
+        r += 1
+
+
+class HammingModel(_DeterminingFold):
+    """Aut(H) = S_m wr S_n for the Hamming graph of the words of length n
+    over m >= 2 symbols: an element reads image column c from source column
+    pi[c] and relabels its symbols by tau_c.  Column c (0-based from the
+    left) is the digit of place m^(n-1-c) of a vertex.
+
+    Its determining state is, per column, the symbols the set shows in the
+    order they first appear and the row partition they induce, as the base-m
+    code of the restricted-growth string (equal codes, equal partitions).
+    An element fixes the set pointwise iff pi keeps each class of columns
+    with equal partitions, each tau_c carrying the symbols shown in column
+    pi[c] onto those in column c row by row; so the set is determining iff
+    every column shows at least m-1 symbols and the columns' partitions are
+    distinct (Boutin, Identifying graph automorphisms using determining
+    sets, 2006)."""
+
+    def __init__(self, spec: FamilySpec):
+        self.n, self.m = spec.n, spec.alphabet
+        weights = self.m ** np.arange(self.n - 1, -1, -1)
+        self._weights = weights.astype(np.int32)
+        self._digits = (np.arange(self.m ** self.n)[:, None] // weights % self.m).astype(np.int32)
+        self._word_digits = self._digits.tolist()
+        self._need = _extension_need(self.m, self.n)
+
+    def order(self) -> int:
+        return factorial(self.n) * factorial(self.m) ** self.n
+
+    def _rows(self, pi, syms) -> np.ndarray:
+        """The rows of the elements with column permutation pi and symbol
+        permutations `syms[k][c]` of image column c, one row per k."""
+        syms = np.asarray(syms, dtype=np.int32).reshape(-1, self.n, self.m)
+        rows = np.zeros((len(syms), len(self._digits)), dtype=np.int32)
+        for c, src in enumerate(pi):
+            rows += syms[:, c, self._digits[:, src]] * self._weights[c]
+        return rows
+
+    def _symbol_rows(self, column_swaps) -> np.ndarray:
+        """The rows relabelling one column c by the swap of symbols s and t,
+        for each (c, s, t) of `column_swaps`, keeping the columns in place."""
+        syms = np.tile(np.arange(self.m, dtype=np.int32), (len(column_swaps), self.n, 1))
+        for k, (c, s, t) in enumerate(column_swaps):
+            syms[k, c, [s, t]] = t, s
+        return self._rows(range(self.n), syms)
+
+    def generators(self) -> np.ndarray:
+        n, m = self.n, self.m
+        ident = np.tile(np.arange(m), (n, 1))
+        columns = [self._rows(_transposition(n, c, c + 1), ident) for c in range(n - 1)]
+        return np.concatenate(columns + [self._symbol_rows(
+            [(c, s, s + 1) for c in range(n) for s in range(m - 1)])])
+
+    def enumerate(self) -> np.ndarray:
+        """One block of (m!)^n rows per column permutation, written in place:
+        the contribution of image column c, a symbol permutation of source
+        column pi[c] times its place value, is broadcast along axis c of the
+        block, so row (t_0, ..., t_{n-1}) of a block is that of tau_c =
+        the t_c-th symbol permutation.  Distinct (pi, tau) give distinct rows,
+        as the permutation tables hold distinct permutations."""
+        n = self.n
+        perms = _permutation_table(self.m)
+        block = len(perms) ** n
+        nv = len(self._digits)
+        out = np.zeros((factorial(n) * block, nv), dtype=np.int32)
+        for k, pi in enumerate(_permutation_table(n).tolist()):
+            view = out[k * block:(k + 1) * block].reshape((len(perms),) * n + (nv,))
+            for c, src in enumerate(pi):
+                view += (perms[:, self._digits[:, src]] * self._weights[c]).reshape(
+                    (1,) * c + (len(perms),) + (1,) * (n - 1 - c) + (nv,))
+        return out
+
+    def det_start(self):
+        return ((),) * self.n, (0,) * self.n
+
+    def det_add(self, state, w: int):
+        seen, codes = state
+        new_seen, new_codes = [], []
+        for shown, code, d in zip(seen, codes, self._word_digits[w]):
+            if d in shown:
+                idx = shown.index(d)
+            else:
+                idx, shown = len(shown), shown + (d,)
+            new_seen.append(shown)
+            new_codes.append(code * self.m + idx)
+        return tuple(new_seen), tuple(new_codes)
+
+    def det_need(self, state) -> int:
+        """The most rows any class of c columns with equal partitions, each
+        showing q symbols, still needs: the least r with E(q, r) >= c, read
+        from `_need[q][c]`.  E(q, r) counts the partitions r more rows can
+        extend theirs to that have at least m-1 blocks, and the columns must
+        end in distinct such partitions.  As E(q, r) <= m^r, and E(q, r) = 0
+        for r < m-1-q, the bound is at least ceil(log_m c) and m-1-q."""
+        seen, codes = state
+        if len(set(codes)) == len(codes):
+            return self._need[min(map(len, seen))][1]
+        return max(self._need[len(shown)][codes.count(code)]
+                   for shown, code in zip(seen, codes))
+
+    def det_done(self, state) -> bool:
+        seen, codes = state
+        return (all(len(shown) >= self.m - 1 for shown in seen)
+                and len(set(codes)) == len(codes))
+
+    def pointwise_stabilizer(self, S) -> PermGroup:
+        """Transpositions of neighbouring columns of a class, each with the
+        symbol bijection the rows force (the symbols shown in neither column
+        matched in sorted order), and transpositions of the symbols a column
+        does not show; order prod c! over the classes times prod (m-q)!."""
+        n, m = self.n, self.m
+        seen, codes = self.fold(S)
+        unshown = [sorted(set(range(m)) - set(shown)) for shown in seen]
+        classes: dict[int, list[int]] = {}
+        for c, code in enumerate(codes):
+            classes.setdefault(code, []).append(c)
+        order = 1
+        rows = []
+        for idx in classes.values():
+            order *= factorial(len(idx))
+            for i, j in zip(idx, idx[1:]):
+                syms = np.tile(np.arange(m), (n, 1))
+                syms[i, list(seen[j]) + unshown[j]] = list(seen[i]) + unshown[i]
+                syms[j, list(seen[i]) + unshown[i]] = list(seen[j]) + unshown[j]
+                rows.append(self._rows(_transposition(n, i, j), syms))
+        for c in range(n):
+            order *= factorial(len(unshown[c]))
+        rows.append(self._symbol_rows([(c, s, t) for c in range(n)
+                                       for s, t in zip(unshown[c], unshown[c][1:])]))
+        return PermGroup(m ** n, np.concatenate(rows), order, "structured")
+
+
+GroupModel = _TranslationModel | ProductModel | HammingModel
 
 
 def _family_model(spec: FamilySpec) -> GroupModel:
@@ -743,6 +906,8 @@ def _family_model(spec: FamilySpec) -> GroupModel:
         return AugmentedModel(n)
     if spec.kind == LOCALLY_TWISTED and n >= 4:
         return LtqModel(n)
+    if spec.kind == HAMMING:
+        return HammingModel(spec)
     if spec.kind == ENHANCED:
         from .search import search_automorphisms
 
@@ -760,9 +925,8 @@ def _family_model(spec: FamilySpec) -> GroupModel:
 def structured_group(g: Graph) -> PermGroup:
     """The automorphism group in its closed structural form.
 
-    Raises NoStructuredForm for families without one (Hamming graphs, the
-    powers with k >= n-1, and the small-n exceptions); callers fall back on
-    search.
+    Raises NoStructuredForm for families without one (the powers with
+    k >= n-1, and the small-n exceptions); callers fall back on search.
     """
     spec = g.family
     if spec is None:

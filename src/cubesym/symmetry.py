@@ -206,20 +206,26 @@ def _preserving_count(grp: PermGroup, colors) -> int:
 def is_distinguishing(grp: PermGroup, coloring: Coloring) -> bool:
     """True iff no nontrivial element maps every color class onto itself.
 
-    A group too large to enumerate is settled only when some color class is
-    determining and induces an asymmetric subgraph: an element keeping the
-    coloring maps that class onto itself, so it fixes the class pointwise
-    and is the identity.  Otherwise SearchBudgetExceeded is raised."""
+    A coloring with two used colors is settled by the setwise stabilizer of
+    its smaller class, which the AQ_n and LTQ_n models answer without the
+    element table; one with more colors, on the element table.  A group too
+    large to enumerate is settled only when some color class is determining
+    and induces an asymmetric subgraph: an element keeping the coloring maps
+    that class onto itself, so it fixes the class pointwise and is the
+    identity.  Otherwise SearchBudgetExceeded is raised."""
     if len(coloring.assignment) != grp.n_vertices:
         raise ValueError("coloring not total on the vertex set")
     if grp.is_trivial():
         return True
+    classes = coloring.classes()
     try:
+        if len(classes) == 2:
+            return _setwise_trivial(grp, min(classes, key=len))
         return _preserving_count(grp, np.array(coloring.assignment, dtype=np.int32)) == 1
     except SearchBudgetExceeded:
         pass
     if grp.graph is not None and any(two_class_is_distinguishing(grp.graph, grp, cls)
-                                     for cls in coloring.classes()):
+                                     for cls in classes):
         return True
     raise SearchBudgetExceeded("group too large for an exact coloring check")
 

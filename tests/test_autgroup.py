@@ -15,9 +15,11 @@ from cubesym.autgroup import (
     AugmentedModel,
     FoldedModel,
     HalvedCubeModel,
+    HammingModel,
     HypercubeModel,
     LtqModel,
     PermGroup,
+    _closure,
     _linear_rows,
     aq_base,
     fq_phi_extend,
@@ -28,7 +30,9 @@ from cubesym.autgroup import (
     structured_group,
 )
 from cubesym.bitgraph import (
+    FamilySpec,
     augmented_hypercube,
+    build_family,
     folded_hypercube,
     graph_from_edges,
     hamming_graph,
@@ -155,9 +159,9 @@ def test_no_structured_form():
     with pytest.raises(NoStructuredForm):
         structured_group(hypercube_power(5, 4))
     with pytest.raises(NoStructuredForm):
-        structured_group(hamming_graph(3, 2))
-    with pytest.raises(NoStructuredForm):
         structured_group(folded_hypercube(3))
+    # K_3 box K_3: S_3 wr S_2
+    assert structured_group(hamming_graph(3, 2)).order() == 72
     # odd power k <= n-2 reuses the hypercube form
     grp = structured_group(hypercube_power(5, 3))
     assert grp.order() == 3840
@@ -224,6 +228,7 @@ GROUP_LAW_GROUPS = {
     "Q_5^2": lambda: structured_group(hypercube_power(5, 2)),
     "Q_{5,3}": lambda: structured_group(enhanced_hypercube(5, 3)),
     "H(3,2)": lambda: search_automorphisms(hamming_graph(3, 2)),
+    "H(3,3)": lambda: structured_group(hamming_graph(3, 3)),
 }
 
 
@@ -500,3 +505,15 @@ def test_determining_predicates():
     assert FoldedModel(4).pointwise_trivial([int(s, 2) for s in
                                              ("0000", "1000", "1100", "1110", "1111")])
     assert not FoldedModel(4).pointwise_trivial([0, 0b1111])
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (2, 3), (3, 3), (2, 4), (4, 3), (3, 2)])
+def test_hamming_model_equals_searched(n, m):
+    """The words of length n over m symbols: the model's element table is
+    the closure of the searched generators, row for row."""
+    g = build_family(FamilySpec("hamming", n, m=m))
+    grp = structured_group(g)
+    assert isinstance(grp.model, HammingModel)
+    table = grp.model.enumerate()
+    assert grp.order() == len(table) == factorial(n) * factorial(m) ** n
+    assert row_set(table) == row_set(_closure(g.n_vertices, search_automorphisms(g).generators))

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
+from cubesym import autgroup
 from cubesym.cli import main
 from cubesym.graphio import from_graph6
 
@@ -403,3 +405,29 @@ def test_dist_needing_a_table_above_the_cap_exits_2(capsys, monkeypatch):
     assert main(["param", "dist", "hypercube", "-n", "8", "--no-cache"]) == 2
     err = capsys.readouterr().err
     assert "SearchBudgetExceeded" in err and "distinguishing number" in err
+
+
+def test_det_of_hamming_n5_m3_needs_no_table(capsys, monkeypatch):
+    # the group has 933,120 elements; the model's determining test needs none
+    def no_table(self):
+        raise AssertionError("element table")
+
+    monkeypatch.setattr(autgroup.HammingModel, "enumerate", no_table)
+    code, out = run(capsys, "param", "det", "hamming", "-n", "5", "-m", "3", "--witness",
+                    "--no-cache")
+    report = json.loads(out)
+    assert code == 0 and report["verified_by"] == "structured"
+    assert (report["value"], report["witness"]["payload"]) == (4, [0, 1, 39, 96])
+
+
+def test_verify_of_the_hamming_dist_record_runs_no_closure(capsys, monkeypatch):
+    """The stored H(4,3) dist record is checked on the Hamming model's
+    element table, with no generator closure."""
+    def no_closure(*args):
+        raise AssertionError("generator closure")
+
+    monkeypatch.setattr(autgroup, "_closure", no_closure)
+    record = (Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "records"
+              / "dist-hamming-n-4-m-3.json")
+    code, out = run(capsys, "verify", str(record), "--no-cache")
+    assert code == 0 and '"verified": true' in out

@@ -370,8 +370,8 @@ def test_det_set_checks_survive_python_O():
     and the folded column, path and branch invariants, each broken by a
     stand-in or an out-of-range argument.  A transitivity report with
     inconsistent flags raises too, and so do a model's element table from
-    repeated zero-fixing rows and a structured group whose generator check
-    fails."""
+    repeated zero-fixing rows or repeated permutations, and a structured
+    group whose generator check fails, for Q_n and for a Hamming graph."""
     import os
     import subprocess
     import sys
@@ -383,7 +383,8 @@ def test_det_set_checks_survive_python_O():
         from contextlib import nullcontext
         from unittest import mock
         from cubesym import autgroup, constructions as cons, tables
-        from cubesym.bitgraph import hypercube
+        from math import factorial
+        from cubesym.bitgraph import FamilySpec, hamming_graph, hypercube
         from cubesym.cli import main
         from cubesym.symmetry import TransitivityReport
 
@@ -500,6 +501,32 @@ def test_det_set_checks_survive_python_O():
                 sys.exit("structured_group passed a generator with two images swapped")
             if main(["param", "det", "hypercube", "-n", "5", "--no-cache"]) != 3:
                 sys.exit("param det hypercube with a swapped generator did not exit 3")
+        real_hamming_generators = autgroup.HammingModel.generators
+
+        def hamming_row_swapped(self):
+            rows = real_hamming_generators(self).copy()
+            rows[0, [0, 1]] = rows[0, [1, 0]]
+            return rows
+
+        with mock.patch.object(autgroup.HammingModel, "generators", hamming_row_swapped):
+            try:
+                autgroup.structured_group(hamming_graph(3, 3))
+            except AssertionError:
+                pass
+            else:
+                sys.exit("structured_group passed a Hamming generator with two images swapped")
+            if main(["param", "det", "hamming", "-n", "3", "-m", "3", "--no-cache"]) != 3:
+                sys.exit("param det hamming with a swapped generator did not exit 3")
+        # a permutation table that repeats the identity fails the Hamming
+        # model's table check
+        with mock.patch.object(autgroup, "permutations",
+                               lambda xs: [tuple(xs)] * factorial(len(xs))):
+            try:
+                autgroup.HammingModel(FamilySpec("hamming", 3, m=3)).enumerate()
+            except AssertionError:
+                pass
+            else:
+                sys.exit("the Hamming table passed repeated permutations")
         with mock.patch.object(autgroup.AugmentedModel, "setwise_stabilizer", two_elements):
             sys.exit(main(["construct", "aq-cost-class", "-n", "5"]))
     """)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from cubesym import constructions as cons
 from cubesym import symmetry
 from cubesym.autgroup import (
     determining_test,
+    pointwise_stabilizer,
     pointwise_stabilizer_is_trivial,
     setwise_stabilizer,
 )
@@ -295,3 +297,86 @@ def test_table_test_matches_element_filtering(data):
         least = next(r for r in range(nv + 1) for extra in combinations(range(nv), r)
                      if _only_identity_fixes(table, sorted(set(S) | set(extra))))
         assert test.det_need(test.fold(S)) <= least
+
+
+# Hamming graphs as (n, m): the words of length n over m symbols.
+@lru_cache(maxsize=None)
+def _hamming(n: int, m: int):
+    g = build_family(FamilySpec("hamming", n, m=m))
+    return g, automorphism_group(g)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_hamming_model_matches_element_filtering(data):
+    """On H(3,3) and H(2,4), Stab(S) from the model has the order and rows of
+    the element table's filter, and the model's pointwise test is the
+    characteristic-matrix criterion."""
+    n, m = data.draw(st.sampled_from([(3, 3), (2, 4)]))
+    _, grp = _hamming(n, m)
+    table = grp.elements()
+    S = sorted(set(data.draw(st.lists(st.integers(0, grp.n_vertices - 1), min_size=1,
+                                      max_size=6))))
+    expect = table[(table[:, S] == S).all(axis=1)]
+    stab = pointwise_stabilizer(grp, S)
+    assert stab.order() == len(expect)
+    assert row_set(stab.elements()) == row_set(expect)
+    assert grp.model.pointwise_trivial(S) == cons.char_matrix_is_determining(
+        cons.characteristic_matrix(S, n, m))
+
+
+def _least_completions(grp) -> np.ndarray:
+    """For every vertex set S as a bitmask, the least number of vertices
+    whose addition makes it determining, from the fixed-point sets of the
+    group's elements: a set is not determining iff some non-identity
+    element fixes a superset of it."""
+    nv = grp.n_vertices
+    table = grp.elements()
+    fixed = (table == np.arange(nv)) @ (1 << np.arange(nv))
+    free = np.zeros(1 << nv, dtype=bool)
+    free[fixed[fixed != (1 << nv) - 1]] = True
+    sets = np.arange(1 << nv)
+    for b in range(nv):
+        low = sets[sets >> b & 1 == 0]
+        free[low] |= free[low | 1 << b]
+    least = np.where(free, nv + 1, 0)
+    for b in range(nv):
+        low = sets[sets >> b & 1 == 0]
+        least[low] = np.minimum(least[low], least[low | 1 << b] + 1)
+    return least
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (2, 4), (4, 2)])
+def test_hamming_bound_never_exceeds_the_least_completion(n, m):
+    """On every vertex set of H(2,3), H(2,4) and H(4,2), the model's bound
+    is at most the brute-force number of vertices still needed, from the
+    searched group, and the set is determining iff none are."""
+    g, grp = _hamming(n, m)
+    least = _least_completions(search_automorphisms(g))
+    model = grp.model
+    states = [model.det_start()]
+    for S in range(1, 1 << g.n_vertices):
+        top = S.bit_length() - 1
+        states.append(model.det_add(states[S ^ 1 << top], top))  # the sorted fold
+        assert model.det_need(states[S]) <= least[S], [v for v in range(top + 1) if S >> v & 1]
+        assert model.det_done(states[S]) == (least[S] == 0)
+
+
+def _hamming_grid(lo: int, hi: int) -> list[tuple[int, int]]:
+    return [(n, m) for m in range(2, 6) for n in range(1, 17) if lo < m ** n <= hi]
+
+
+@pytest.mark.parametrize("n,m", _hamming_grid(0, 729))
+def test_hamming_det_number_matches_closed_form(n, m):
+    value, witness = determining_number(*_hamming(n, m))
+    assert value == cons.hamming_det_number(m, n)
+    assert witness.verified_by == "structured"
+
+
+@pytest.mark.oracle_suite
+def test_hamming_det_number_matches_closed_form_up_to_65536_vertices():
+    # about 40 s, most of it building the graphs of up to 2^16 vertices
+    for n, m in _hamming_grid(729, 1 << 16):
+        g = build_family(FamilySpec("hamming", n, m=m))
+        assert determining_number(g, automorphism_group(g))[0] == \
+            cons.hamming_det_number(m, n), (n, m)

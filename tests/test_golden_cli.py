@@ -2,9 +2,10 @@
 ignoring `elapsed_ms` at any depth.
 
 The cases cover each structured group model (Q_n and an odd power, the
-halved cube of an even power, FQ_n, AQ_n, LTQ_n, the enhanced product) and
-the searched path (Hamming graph), also for det on a group without a model
-(H(3,3), and the searched FQ_3 factor of the enhanced cube Q_{6,4}).  To rewrite the stored files from the current program, run
+halved cube of an even power, FQ_n, AQ_n, LTQ_n, the enhanced product, the
+Hamming graph) and the searched path (FQ_3 and Q_3^2), also for det on a
+group without a model (FQ_3, and the searched FQ_3 factor of the enhanced
+cube Q_{6,4}).  To rewrite the stored files from the current program, run
 `PYTHONPATH=src python tests/test_golden_cli.py`.
 """
 
@@ -34,8 +35,10 @@ CASES = {
     "det-power-n-5-k-3": ["param", "det", "power", "-n", "5", "-k", "3", "--witness"],
     "det-enhanced-n-6-k-4": ["param", "det", "enhanced", "-n", "6", "-k", "4", "--witness"],
     "det-hamming-n-3-m-3": ["param", "det", "hamming", "-n", "3", "-m", "3", "--witness"],
+    "det-folded-n-3": ["param", "det", "folded", "-n", "3", "--witness"],
     "aut-order-power-n-4-k-3": ["param", "aut-order", "power", "-n", "4", "-k", "3"],
     "dist-power-n-4-k-2": ["param", "dist", "power", "-n", "4", "-k", "2", "--witness"],
+    "dist-power-n-3-k-2": ["param", "dist", "power", "-n", "3", "-k", "2", "--witness"],
     "dist-enhanced-n-3-k-2": ["param", "dist", "enhanced", "-n", "3", "-k", "2", "--witness"],
     "dist-hamming-n-2-m-3": ["param", "dist", "hamming", "-n", "2", "-m", "3", "--witness"],
     "summary-n-4": ["tables", "summary", "--n", "4"],

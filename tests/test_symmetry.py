@@ -349,3 +349,30 @@ def test_transitivity_of_an_enhanced_cube_loads_no_factor_table():
         "vertex_transitive": True, "edge_transitive": False,
         "arc_transitive": False, "distance_transitive": False}
     assert stab.model.ga._elements is None and stab.model.gb._elements is None
+
+
+@pytest.mark.parametrize("make", [augmented_hypercube, locally_twisted_hypercube],
+                         ids=["AQ", "LTQ"])
+def test_two_colorings_are_settled_by_the_setwise_test(make):
+    """A coloring with two colors is settled by its class's setwise
+    stabilizer: on AQ_5 and LTQ_5 random classes get the verdict of the
+    element table, and `verify` of a cost record loads no table."""
+    import random
+
+    g = make(5)
+    grp, reference = automorphism_group(g), automorphism_group(g)
+    table = reference.elements()
+    rnd = random.Random(5)
+    for size in [1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 20, 28, 31] * 4:
+        colors = np.ones(32, dtype=np.int32)
+        colors[rnd.sample(range(32), size)] = 2
+        keeping = int((colors[table] == colors[None, :]).all(axis=1).sum())
+        assert is_distinguishing(grp, Coloring(tuple(colors.tolist()), 2)) == (keeping == 1)
+    assert grp._elements is None
+    g = make(8)
+    grp = automorphism_group(g)
+    value, witness = cost_2dist(g, grp, dist_value=2, lower_bound=1)
+    record = {"params": {"kind": g.family.kind, "n": 8}, "value": value,
+              "witness": witness.to_dict()}
+    assert verify_witness(g, record, grp) is True
+    assert grp._elements is None
