@@ -26,7 +26,7 @@ for g in graphs:
     det, wdet = determining_number(g, grp)
     dist, _ = distinguishing_number(g, grp, dist_class_candidates(g))
     try:
-        cost, _ = cost_2dist(g, grp, dist_value=dist, lower_bound=det)
+        cost, _ = cost_2dist(g, grp)
         cost_s = str(cost)
     except NotTwoDistinguishable:
         cost_s = "-"
@@ -39,7 +39,7 @@ print("brute-force oracle agreement (independent engines):")
 for g in (augmented_hypercube(4), locally_twisted_hypercube(4)):
     grp = automorphism_group(g)
     det, _ = determining_number(g, grp)
-    cost, _ = cost_2dist(g, grp, dist_value=2, lower_bound=det)
+    cost, _ = cost_2dist(g, grp)
     print(f"  {g.family.name()}: solver det={det} cost={cost}; "
           f"oracle det={oracle_determining_number(g).value} "
           f"cost={oracle_cost(g).value}")

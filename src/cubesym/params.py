@@ -20,7 +20,6 @@ from .bitgraph import (
 from .errors import (
     MalformedRecord,
     NoStructuredForm,
-    NotTwoDistinguishable,
     ParameterOutOfRange,
     SearchBudgetExceeded,
 )
@@ -85,22 +84,13 @@ def compute_parameter(g: Graph, parameter: str, grp: PermGroup | None = None) ->
         report["value"] = grp.order()
         report["witness"] = None
         report["verified_by"] = grp.source
-    elif parameter == "det":
-        value, witness = determining_number(g, grp)
-        report["value"] = value
-        report["witness"] = witness.to_dict()
-        report["verified_by"] = witness.verified_by
-    elif parameter == "dist":
-        value, witness = distinguishing_number(g, grp, dist_class_candidates(g))
-        report["value"] = value
-        report["witness"] = witness.to_dict()
-        report["verified_by"] = witness.verified_by
-    elif parameter == "cost":
-        det_value, _ = determining_number(g, grp)
-        dist_value, _ = distinguishing_number(g, grp, dist_class_candidates(g))
-        if dist_value != 2:
-            raise NotTwoDistinguishable(f"dist = {dist_value}")
-        value, witness = cost_2dist(g, grp, dist_value=2, lower_bound=det_value)
+    elif parameter in ("det", "dist", "cost"):
+        if parameter == "det":
+            value, witness = determining_number(g, grp)
+        elif parameter == "dist":
+            value, witness = distinguishing_number(g, grp, dist_class_candidates(g))
+        else:
+            value, witness = cost_2dist(g, grp)
         report["value"] = value
         report["witness"] = witness.to_dict()
         report["verified_by"] = witness.verified_by

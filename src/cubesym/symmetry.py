@@ -359,25 +359,23 @@ def _rgs_partitions(n: int, d: int):
 # cost of 2-distinguishing
 
 
-def cost_2dist(g: Graph, grp: PermGroup, dist_value: int | None = None,
-               lower_bound: int = 1) -> tuple[int, Witness]:
+def cost_2dist(g: Graph, grp: PermGroup) -> tuple[int, Witness]:
     """Minimum color-class size over 2-distinguishing colorings.
 
-    `lower_bound` is typically the determining number (any class with a
-    trivial setwise stabilizer is a determining set, so the cost is never
-    below it).  The class scan is the determining search with the setwise
-    test at its leaves; it is complete, since a minimum class never exceeds
-    half the vertex count.
+    The class scan is the determining search with the setwise test at its
+    leaves, from size 1 up; it is complete, since a minimum class never
+    exceeds half the vertex count, and it finds no class exactly when the
+    graph is not 2-distinguishable.  No class is smaller than the
+    determining number, since every class it accepts is determining.
     """
     tag = _verified_tag(grp)
-    if dist_value is not None and dist_value > 2:
-        raise NotTwoDistinguishable(f"dist = {dist_value}")
     if grp.is_trivial():
         # the empty class already has a trivial setwise stabilizer
         return 0, Witness(COST_CLASS, (), tag)
-    cls = _least_class(grp, lower_bound)
+    cls = _least_class(grp, 1)
     if cls is None:
-        raise NotTwoDistinguishable("no color class has a trivial setwise stabilizer")
+        raise NotTwoDistinguishable(
+            "no color class has a trivial setwise stabilizer, so dist >= 3")
     return len(cls), Witness(COST_CLASS, cls, tag)
 
 

@@ -181,7 +181,7 @@ def test_criterion_3_hypercube_line():
         assert grp.order() > 1
     detail.append("dist(Q_3) = 3, dist(Q_4..Q_8) = 2")
 
-    cost, wit = cost_2dist(g4, grp4, dist_value=2, lower_bound=1)
+    cost, wit = cost_2dist(g4, grp4)
     assert cost == 5 and len(wit.payload) == 5
     detail.append("rho(Q_4) = 5 exhaustively")
     _report("3 hypercube line", True, "; ".join(detail))
@@ -219,7 +219,7 @@ def test_criterion_4_q2_witnesses():
         bad.append((4, "class T reported valid, but it keeps a swap of the "
                        "two middle path vertices"))
     g = hypercube_power(4, 2)
-    cost, _ = cost_2dist(g, automorphism_group(g), dist_value=2, lower_bound=1)
+    cost, _ = cost_2dist(g, automorphism_group(g))
     ocost = oracle_cost(g).value
     if not cost == ocost == 8:
         bad.append((4, f"rho(Q_4^2): solver {cost}, oracle {ocost}, expected 8"))
@@ -256,7 +256,7 @@ def test_criterion_5_folded_dist_classes():
             bad.append((n, f"size {len(cls)} > bound {cons.fq_dist_class_size_bound(n)}"))
     # erratum: the bound's formula gives 7 at n = 4, but rho(FQ_4) = 8
     g = folded_hypercube(4)
-    cost, _ = cost_2dist(g, automorphism_group(g), dist_value=2, lower_bound=1)
+    cost, _ = cost_2dist(g, automorphism_group(g))
     ocost = oracle_cost(g).value
     if not len(cons.fq_dist_class(4)) == cost == ocost == 8:
         bad.append((4, f"class {len(cons.fq_dist_class(4))}, solver {cost}, "
@@ -326,7 +326,7 @@ def test_criterion_7_augmented():
         g = augmented_hypercube(n)
         grp = structured_group(g)
         assert cons.aq_no_2subset_cost_class(g)
-        value, wit = cost_2dist(g, grp, dist_value=2, lower_bound=3)
+        value, wit = cost_2dist(g, grp)
         assert value == 3 == len(cons.aq_cost_class(n)), (n, value)
     detail.append("rho(AQ_4..6) = 3 (2-subsets eliminated exhaustively)")
 
@@ -348,7 +348,7 @@ def test_criterion_8_locally_twisted():
         grp = automorphism_group(g)
         det, _ = determining_number(g, grp)
         dist, _ = distinguishing_number(g, grp, dist_class_candidates(g))
-        cost, _ = cost_2dist(g, grp, dist_value=dist, lower_bound=det)
+        cost, _ = cost_2dist(g, grp)
         assert (det, dist, cost) == (wd, wdist, wcost), (n, det, dist, cost)
     for n in (3, 4):
         g = locally_twisted_hypercube(n)
@@ -389,7 +389,7 @@ def test_criterion_9_oracle_cross_validation():
         det, _ = determining_number(g, grp)
         dist, _ = distinguishing_number(g, grp, dist_class_candidates(g))
         try:
-            cost = cost_2dist(g, grp, dist_value=dist, lower_bound=det)[0]
+            cost = cost_2dist(g, grp)[0]
         except NotTwoDistinguishable:
             cost = None
         odet = oracle_determining_number(g).value

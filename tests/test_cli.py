@@ -232,6 +232,16 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     assert main(["nonsense"]) == 1
 
 
+@pytest.mark.parametrize("family", [("hypercube", "-n", "3"), ("folded", "-n", "3"),
+                                    ("enhanced", "-n", "4", "-k", "2"),
+                                    ("hamming", "-n", "2", "-m", "3")])
+def test_cost_of_a_graph_that_is_not_two_distinguishable(capsys, family):
+    assert main(["param", "cost", *family, "--no-cache"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "NotTwoDistinguishable" in captured.err
+
+
 def test_export(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("CUBE_SYM_CACHE", str(tmp_path / "cache"))
     out_file = tmp_path / "bundle.json"

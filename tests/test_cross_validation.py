@@ -16,6 +16,7 @@ from cubesym.oracle import (
     oracle_determining_number,
     oracle_distinguishing_number,
 )
+from cubesym.params import compute_parameter, verify_witness
 from cubesym.search import search_automorphisms
 from cubesym.symmetry import cost_2dist, determining_number, distinguishing_number
 
@@ -39,7 +40,7 @@ def test_random_graphs_agree_with_oracle():
         dist, _ = distinguishing_number(g, grp)
         assert dist == oracle_distinguishing_number(g).value, trial
         try:
-            cost = cost_2dist(g, grp, dist_value=dist, lower_bound=det)[0]
+            cost = cost_2dist(g, grp)[0]
         except NotTwoDistinguishable:
             cost = None
         try:
@@ -63,3 +64,13 @@ def test_asymmetric_graph_degenerate_parameters():
     assert oracle_determining_number(g).value == 0
     assert oracle_distinguishing_number(g).value == 1
     assert oracle_cost(g).value == 0
+
+
+def test_cost_report_of_an_asymmetric_graph():
+    # a triangle with two pendant paths: only the identity, so rho = 0 by
+    # the empty class
+    g = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (3, 5)])
+    report = compute_parameter(g, "cost")
+    assert report["value"] == 0 == oracle_cost(g).value
+    assert report["witness"]["payload"] == []
+    assert verify_witness(g, report) is True

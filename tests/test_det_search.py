@@ -231,8 +231,7 @@ def test_cost_witnesses_of_the_table_scan(kind, n, k, witness):
     # the witnesses that the plain scan of every class through vertex 0
     # found on the element table
     g, grp = _group(kind, n, k)
-    det, _ = determining_number(g, grp)
-    value, got = cost_2dist(g, grp, dist_value=2, lower_bound=det)
+    value, got = cost_2dist(g, grp)
     assert (value, tuple(got.payload)) == (len(witness), witness)
 
 

@@ -5,7 +5,10 @@ The cases cover each structured group model (Q_n and an odd power, the
 halved cube of an even power, FQ_n, AQ_n, LTQ_n, the enhanced product, the
 Hamming graph) and the searched path (FQ_3 and Q_3^2), also for det on a
 group without a model (FQ_3, and the searched FQ_3 factor of the enhanced
-cube Q_{6,4}).  To rewrite the stored files from the current program, run
+cube Q_{6,4}).  Cost is covered on Q_5, the enhanced product, the Hamming
+model (H(3,3)) and a searched group (LTQ_3), and the cost error of a graph
+that is not 2-distinguishable in the FQ_3 export.  To rewrite the stored
+files from the current program, run
 `PYTHONPATH=src python tests/test_golden_cli.py`.
 """
 
@@ -19,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from cubesym import params
 from cubesym.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "cli"
@@ -28,10 +32,13 @@ CASES = {
     "export-folded-n-4": ["export", "folded", "-n", "4"],
     "export-augmented-n-5": ["export", "augmented", "-n", "5"],
     "export-locally-twisted-n-5": ["export", "locally-twisted", "-n", "5"],
+    "export-folded-n-3": ["export", "folded", "-n", "3"],
     "det-hypercube-n-12": ["param", "det", "hypercube", "-n", "12", "--witness"],
     "det-enhanced-n-5-k-2": ["param", "det", "enhanced", "-n", "5", "-k", "2", "--witness"],
     "cost-enhanced-n-5-k-2": ["param", "cost", "enhanced", "-n", "5", "-k", "2", "--witness"],
     "cost-hypercube-n-5": ["param", "cost", "hypercube", "-n", "5", "--witness"],
+    "cost-hamming-n-3-m-3": ["param", "cost", "hamming", "-n", "3", "-m", "3", "--witness"],
+    "cost-locally-twisted-n-3": ["param", "cost", "locally-twisted", "-n", "3", "--witness"],
     "det-power-n-5-k-3": ["param", "det", "power", "-n", "5", "-k", "3", "--witness"],
     "det-enhanced-n-6-k-4": ["param", "det", "enhanced", "-n", "6", "-k", "4", "--witness"],
     "det-hamming-n-3-m-3": ["param", "det", "hamming", "-n", "3", "-m", "3", "--witness"],
@@ -77,6 +84,25 @@ def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     stored = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
     assert _canonical(run_case(CASES[name])) == _canonical(stored)
+
+
+def test_cost_runs_neither_det_nor_dist(tmp_path, monkeypatch):
+    # cost is the class scan alone: with the det and dist solvers and the
+    # class candidates made to raise, its reports are the stored ones
+    def never(*args):
+        raise AssertionError("cost must not call this")
+
+    for name in ("determining_number", "distinguishing_number", "dist_class_candidates"):
+        monkeypatch.setattr(params, name, never)
+    monkeypatch.chdir(tmp_path)
+    for name in ("cost-hypercube-n-5", "cost-hamming-n-3-m-3", "cost-locally-twisted-n-3"):
+        stored = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+        assert _canonical(run_case(CASES[name])) == _canonical(stored), name
+    stored = json.loads((GOLDEN_DIR / "export-folded-n-4.json").read_text())
+    cost = stored["output"]["parameters"]["cost"]
+    got = run_case(["param", "cost", "folded", "-n", "4", "--witness"])
+    assert got["exit"] == 0
+    assert {key: got["output"][key] for key in cost} == cost
 
 
 if __name__ == "__main__":

@@ -148,7 +148,7 @@ def test_cost_values(corpus, corpus_groups):
     for name, want in expected.items():
         g, grp = corpus[name], corpus_groups[name]
         det = determining_number(g, grp)[0]
-        value, witness = cost_2dist(g, grp, dist_value=2, lower_bound=det)
+        value, witness = cost_2dist(g, grp)
         assert value == want, name
         assert is_distinguishing(grp, two_coloring(g.n_vertices, witness.payload))
         assert value >= det  # any trivially setwise-stabilized class determines
@@ -156,7 +156,7 @@ def test_cost_values(corpus, corpus_groups):
 
 def test_cost_requires_two_distinguishable(corpus, corpus_groups):
     with pytest.raises(NotTwoDistinguishable):
-        cost_2dist(corpus["Q_3"], corpus_groups["Q_3"], dist_value=3)
+        cost_2dist(corpus["Q_3"], corpus_groups["Q_3"])
     with pytest.raises(NotTwoDistinguishable):
         cost_2dist(corpus["FQ_3"], corpus_groups["FQ_3"])
 
@@ -371,7 +371,7 @@ def test_two_colorings_are_settled_by_the_setwise_test(make):
     assert grp._elements is None
     g = make(8)
     grp = automorphism_group(g)
-    value, witness = cost_2dist(g, grp, dist_value=2, lower_bound=1)
+    value, witness = cost_2dist(g, grp)
     record = {"params": {"kind": g.family.kind, "n": 8}, "value": value,
               "witness": witness.to_dict()}
     assert verify_witness(g, record, grp) is True
