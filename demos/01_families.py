@@ -41,7 +41,7 @@ print()
 print("Q_2 box FQ_2 is the enhanced cube Q_{4,3}:",
       same_edges(cartesian_product(hypercube(2), folded_hypercube(2)),
                  enhanced_hypercube(4, 3)))
-print("K_3 box K_3 is the Hamming graph H(3,2):",
+print("K_3 box K_3 is the Hamming graph H(2,3):",
       same_edges(cartesian_product(hamming_graph(3, 1), hamming_graph(3, 1)),
                  hamming_graph(3, 2)))
 print("Q_{4,1} is the folded cube FQ_4:",

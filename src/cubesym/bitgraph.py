@@ -165,7 +165,7 @@ class FamilySpec:
         if self.kind == POWER:
             return f"Q_{self.n}^{self.k}"
         if self.kind == HAMMING:
-            return f"H({self.m},{self.n})"
+            return f"H({self.n},{self.m})"
         if self.kind == ENHANCED:
             return f"Q_{{{self.n},{self.k}}}"
         base = {HYPERCUBE: "Q", FOLDED: "FQ", AUGMENTED: "AQ", LOCALLY_TWISTED: "LTQ"}.get(self.kind)
@@ -469,8 +469,8 @@ def hypercube_power(n: int, k: int) -> Graph:
 def hamming_graph(m: int, n: int) -> Graph:
     """The Hamming graph of the words of length n over an alphabet of m
     symbols.  The alphabet size comes first, the reverse of the paper's
-    H(n, m); the graph's name, like the CLI's `hamming -n N -m M`, is
-    H(m,n), so hamming_graph(3, 2) is H(3,2), K_3 box K_3."""
+    H(n, m), which the graph's name and the CLI's `hamming -n N -m M`
+    follow: hamming_graph(3, 2) is H(2,3), K_3 box K_3."""
     return build_family(FamilySpec(HAMMING, n, m=m))
 
 

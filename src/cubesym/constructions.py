@@ -145,13 +145,14 @@ def _hamming_threshold_closed(r: int, m: int) -> int:
                  for i in range(m - 1))
     q, rem = divmod(total, factorial(m - 1))
     if rem:
-        raise AssertionError(f"the H(m,n) column count sum at r={r}, m={m} is not "
+        raise AssertionError(f"the Hamming column count sum at r={r}, m={m} is not "
                              f"divisible by {m - 1}!")
     return q
 
 
 def hamming_det_number(m: int, n: int) -> int:
-    """det(H(m,n)): the least r whose column budget S(r,m)+S(r,m-1) covers n.
+    """det of the Hamming graph H(n,m), n positions over m symbols: the least
+    r whose column budget S(r,m)+S(r,m-1) covers n.
 
     Both the Stirling form and the closed form are evaluated and must agree.
     """
@@ -162,7 +163,7 @@ def hamming_det_number(m: int, n: int) -> int:
         t = _hamming_threshold(r, m)
         tc = _hamming_threshold_closed(r, m)
         if t != tc:
-            raise AssertionError(f"the H(m,n) column counts at r={r}, m={m} disagree: "
+            raise AssertionError(f"the Hamming column counts at r={r}, m={m} disagree: "
                                  f"{t} by Stirling numbers, {tc} in closed form")
         if n <= t:
             return r

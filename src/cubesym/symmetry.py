@@ -244,39 +244,57 @@ def _setwise_trivial(grp: PermGroup, cls) -> bool:
     return setwise_stabilizer(grp, cls).order() == 1
 
 
-def _least_class(grp: PermGroup, smallest: int) -> tuple[int, ...] | None:
+def _least_class(grp: PermGroup) -> tuple[int, ...] | None:
     """The lex-least class with a trivial setwise stabilizer among those of
-    the least size from `smallest` up to half the vertices, or None.
+    the least size up to half the vertices, or None.
 
     Such a class is determining, since an element fixing it pointwise maps
     it onto itself, so the determining search visits every one in lex order;
     setwise triviality is kept under conjugation, as its anchoring needs."""
-    return _least_determining(grp, range(max(1, smallest), grp.n_vertices // 2 + 1),
+    return _least_determining(grp, range(1, grp.n_vertices // 2 + 1),
                               lambda chosen: _setwise_trivial(grp, chosen))
+
+
+def _extension_counts(table: np.ndarray, fixed: tuple[np.ndarray, np.ndarray],
+                      member: np.ndarray, chosen: list[int]) -> np.ndarray:
+    """For every vertex v outside the class `chosen` (flagged in `member`),
+    the number of table rows that keep the class with v added, in one pass;
+    len(table) + 1 for the members.  `fixed` lists the table's fixed points
+    as (rows, vertices), as `np.nonzero` gives them.
+
+    A row keeps S + {v} iff it sends no member of S out of S and fixes v, or
+    it sends exactly one member of S out of S, to v, and sends v into S."""
+    nv = len(member)
+    images = table[:, chosen]
+    leaves = ~member[images]
+    n_out = leaves.sum(axis=1)
+    rows, vertices = fixed
+    counts = np.bincount(vertices[n_out[rows] == 0], minlength=nv)
+    one = np.flatnonzero(n_out == 1)
+    target = images[one][leaves[one]]  # where the one leaving member goes
+    back = member[table[one, target]]
+    counts += np.bincount(target[back], minlength=nv)
+    counts[member] = len(table) + 1
+    return counts
 
 
 def _greedy_two_class(grp: PermGroup) -> tuple[int, ...] | None:
     """Deterministic greedy search for a class with trivial setwise stabilizer.
 
     Grows the class one vertex at a time, always picking the lex-least vertex
-    that minimizes the number of class-preserving group elements.
+    that minimizes the number of class-preserving group elements, which
+    `_extension_counts` gives for every vertex in one pass over the table.
     """
-    nv = grp.n_vertices
-    member = np.zeros(nv, dtype=bool)
+    table = grp.elements()
+    fixed = np.nonzero(table == np.arange(grp.n_vertices))
+    member = np.zeros(grp.n_vertices, dtype=bool)
     chosen: list[int] = []
-    while len(chosen) <= nv // 2 + 1:
-        best_v, best_count = None, None
-        for v in range(nv):
-            if member[v]:
-                continue
-            member[v] = True
-            cnt = _preserving_count(grp, member)
-            member[v] = False
-            if best_count is None or cnt < best_count:
-                best_count, best_v = cnt, v
+    while len(chosen) <= grp.n_vertices // 2 + 1:
+        counts = _extension_counts(table, fixed, member, chosen)
+        best_v = int(counts.argmin())
         member[best_v] = True
         chosen.append(best_v)
-        if best_count == 1:
+        if counts[best_v] == 1:
             return tuple(sorted(chosen))
     return None
 
@@ -319,22 +337,101 @@ def distinguishing_number(g: Graph, grp: PermGroup,
         raise SearchBudgetExceeded(
             "no 2-distinguishing class found and the graph is too large for "
             "an exhaustive scan")
-    cls = _least_class(grp, 1)
+    cls = _least_class(grp)
     if cls is not None:
         return two(cls)
     return _distinguishing_d3(grp, tag)
 
 
+# Colorings counted per batch of the d >= 3 scan, and the bytes of one
+# gather of row bitsets.
+_BLOCK_ROWS = 4096
+_BLOCK_BYTES = 1 << 21
+
+
 def _distinguishing_d3(grp: PermGroup, tag: str) -> tuple[int, Witness]:
-    """dist >= 3 established; find the least d by partition enumeration."""
+    """dist >= 3 established; the least d and the first distinguishing
+    coloring in restricted-growth order that uses all d colors, counted in
+    batches on the row bitsets and re-checked by `_preserving_count`."""
     nv = grp.n_vertices
+    bitsets = _row_bitsets(grp.elements())
+    max_rows = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // bitsets[0, :, 0].nbytes))
     for d in range(3, nv + 1):
-        for colors in _rgs_partitions(nv, d):
-            if max(colors) == d - 1 and \
-                    _preserving_count(grp, np.array(colors, dtype=np.int32)) == 1:
-                assignment = tuple(c + 1 for c in colors)
-                return d, Witness(DIST_COLORING, assignment, tag)
+        for block in _rgs_blocks(nv, d, max_rows):
+            block = block[block.max(axis=1) == d - 1]
+            hits = np.flatnonzero(_keeping_counts(bitsets, block) == 1)
+            if len(hits):
+                colors = block[hits[0]]
+                if _preserving_count(grp, colors) != 1:
+                    raise AssertionError(f"the batched count took a coloring that is not "
+                                         f"distinguishing: {colors.tolist()}")
+                return d, Witness(DIST_COLORING, tuple(int(c) + 1 for c in colors), tag)
     raise AssertionError("an all-distinct coloring distinguishes")
+
+
+def _row_bitsets(table: np.ndarray) -> np.ndarray:
+    """`out[v, b, x]`: the bitset, in uint64 words, of the table rows g with
+    g(v) among the vertices 8b + i for the bits i of the byte x.
+
+    Built by OR-ing in the lowest bit of each byte value in turn; for V
+    vertices and R rows it takes V * ceil(V/8) * 256 * ceil(R/64) words."""
+    n_rows, nv = table.shape
+    n_bytes, words = -(-nv // 8), -(-n_rows // 64)
+    hits = np.zeros((nv, n_bytes * 8, words * 64), dtype=bool)
+    hits[np.arange(nv)[None, :], table, np.arange(n_rows)[:, None]] = True
+    single = np.packbits(hits, axis=2, bitorder="little").view(np.uint64)
+    single = single.reshape(nv, n_bytes, 8, words)
+    out = np.zeros((nv, n_bytes, 256, words), dtype=np.uint64)
+    for x in range(1, 256):
+        out[:, :, x] = out[:, :, x & (x - 1)] | single[:, :, (x & -x).bit_length() - 1]
+    return out
+
+
+def _keeping_counts(bitsets: np.ndarray, colors: np.ndarray) -> np.ndarray:
+    """The number of table rows that keep each coloring, a row of `colors`.
+
+    A row g keeps a coloring iff g(v) lies in v's color class for every v:
+    the bitsets of v's class mask bytes are OR-ed, and those of all the
+    vertices AND-ed."""
+    n_bytes, words = bitsets.shape[1], bitsets.shape[3]
+    class_bytes = np.packbits(colors[:, :, None] == colors[:, None, :], axis=2,
+                              bitorder="little")
+    keep = np.full((len(colors), words), ~np.uint64(0))
+    byte_index = np.arange(n_bytes)
+    for v in range(colors.shape[1]):
+        keep &= np.bitwise_or.reduce(bitsets[v, byte_index, class_bytes[:, v]], axis=1)
+    return np.bitwise_count(keep).sum(axis=1)
+
+
+def _rgs_blocks(n: int, d: int, max_rows: int):
+    """The strings of `_rgs_partitions(n, d)`, in its order, as arrays of at
+    most `max_rows` rows: each prefix it gives, followed by every suffix of
+    the longest length whose count cannot exceed `max_rows` (d^length)."""
+    length = 0
+    while length < n - 1 and d ** (length + 1) <= max_rows:
+        length += 1
+    suffixes: dict[int, np.ndarray] = {}
+    for prefix in _rgs_partitions(n - length, d):
+        top = max(prefix)
+        if top not in suffixes:
+            suffixes[top] = _rgs_suffixes(top, length, d)
+        block = suffixes[top]
+        yield np.hstack([np.broadcast_to(np.array(prefix), (len(block), len(prefix))), block])
+
+
+def _rgs_suffixes(top: int, length: int, d: int) -> np.ndarray:
+    """Every string of `length` colors below d that can follow a
+    restricted-growth prefix whose largest color is `top`, in lex order."""
+    rows = np.zeros((1, 0), dtype=np.intp)
+    tops = np.array([top])
+    for _ in range(length):
+        parent = np.repeat(np.arange(len(rows)), d)
+        color = np.tile(np.arange(d), len(rows))
+        ok = color <= tops[parent] + 1
+        parent, color = parent[ok], color[ok]
+        rows = np.column_stack([rows[parent], color])
+        tops = np.maximum(tops[parent], color)
+    return rows
 
 
 def _rgs_partitions(n: int, d: int):
@@ -372,7 +469,7 @@ def cost_2dist(g: Graph, grp: PermGroup) -> tuple[int, Witness]:
     if grp.is_trivial():
         # the empty class already has a trivial setwise stabilizer
         return 0, Witness(COST_CLASS, (), tag)
-    cls = _least_class(grp, 1)
+    cls = _least_class(grp)
     if cls is None:
         raise NotTwoDistinguishable(
             "no color class has a trivial setwise stabilizer, so dist >= 3")

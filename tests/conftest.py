@@ -28,8 +28,8 @@ CORPUS_SPECS = {
     "AQ_4": lambda: augmented_hypercube(4),
     "LTQ_3": lambda: locally_twisted_hypercube(3),
     "LTQ_4": lambda: locally_twisted_hypercube(4),
-    "H(3,2)": lambda: hamming_graph(3, 2),
-    "H(2,4)": lambda: hamming_graph(2, 4),
+    "H(2,3)": lambda: hamming_graph(3, 2),
+    "H(4,2)": lambda: hamming_graph(2, 4),
 }
 
 

@@ -299,7 +299,7 @@ def test_criterion_6_hamming():
     assert not cons.hamming_cost_bounds(5, 2).applicable
     _report("6 hamming", True,
             "Stirling and closed forms agree for 2<=m<=8 up to n=10^6; "
-            "det(H(3,2)) = 3 exhaustively; cost bounds gated correctly")
+            "det(H(2,3)) = 3 exhaustively; cost bounds gated correctly")
 
 
 # -- 7 -----------------------------------------------------------------------
@@ -375,8 +375,8 @@ CORPUS = [
     ("AQ_4", lambda: augmented_hypercube(4)),
     ("LTQ_3", lambda: locally_twisted_hypercube(3)),
     ("LTQ_4", lambda: locally_twisted_hypercube(4)),
-    ("H(3,2)", lambda: hamming_graph(3, 2)),
-    ("H(2,4)", lambda: hamming_graph(2, 4)),
+    ("H(2,3)", lambda: hamming_graph(3, 2)),
+    ("H(4,2)", lambda: hamming_graph(2, 4)),
 ]
 
 
@@ -454,7 +454,7 @@ def test_criterion_10_char_matrix_equivalence():
                     is_determining_set(grp, subset), (n, m, subset)
     _report("10 property suite: characteristic-matrix criterion", True,
             "matrix test == stabilizer test for all sets up to size 4 in "
-            "Q_3, Q_4, H(3,2)")
+            "Q_3, Q_4, H(2,3)")
 
 
 def test_criterion_10_witness_roundtrips():

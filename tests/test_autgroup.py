@@ -227,7 +227,7 @@ GROUP_LAW_GROUPS = {
     "LTQ_4": lambda: structured_group(locally_twisted_hypercube(4)),
     "Q_5^2": lambda: structured_group(hypercube_power(5, 2)),
     "Q_{5,3}": lambda: structured_group(enhanced_hypercube(5, 3)),
-    "H(3,2)": lambda: search_automorphisms(hamming_graph(3, 2)),
+    "H(2,3)": lambda: search_automorphisms(hamming_graph(3, 2)),
     "H(3,3)": lambda: structured_group(hamming_graph(3, 3)),
 }
 
@@ -471,7 +471,7 @@ def test_stabilizer_matches_filtering(corpus_groups):
     # with direct element filtering
     groups = {name: corpus_groups[name]
               for name in ("Q_4", "FQ_4", "AQ_4", "LTQ_4", "Q_{4,2}", "Q_{4,3}")}
-    groups["H(3,2)"] = search_automorphisms(hamming_graph(3, 2))
+    groups["H(2,3)"] = search_automorphisms(hamming_graph(3, 2))
     groups["Q_3^2"] = search_automorphisms(hypercube_power(3, 2))
     for name, grp in groups.items():
         elems = row_set(grp.elements())

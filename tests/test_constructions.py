@@ -370,8 +370,10 @@ def test_det_set_checks_survive_python_O():
     and the folded column, path and branch invariants, each broken by a
     stand-in or an out-of-range argument.  A transitivity report with
     inconsistent flags raises too, and so do a model's element table from
-    repeated zero-fixing rows or repeated permutations, and a structured
-    group whose generator check fails, for Q_n and for a Hamming graph."""
+    repeated zero-fixing rows or repeated permutations, a structured group
+    whose generator check fails, for Q_n and for a Hamming graph, and the
+    d >= 3 dist scan when its batched count takes a coloring that is not
+    distinguishing."""
     import os
     import subprocess
     import sys
@@ -382,7 +384,8 @@ def test_det_set_checks_survive_python_O():
         import sys
         from contextlib import nullcontext
         from unittest import mock
-        from cubesym import autgroup, constructions as cons, tables
+        import numpy as np
+        from cubesym import autgroup, constructions as cons, symmetry, tables
         from math import factorial
         from cubesym.bitgraph import FamilySpec, hamming_graph, hypercube
         from cubesym.cli import main
@@ -527,6 +530,18 @@ def test_det_set_checks_survive_python_O():
                 pass
             else:
                 sys.exit("the Hamming table passed repeated permutations")
+        # a batched count that takes every coloring fails the witness
+        # re-check of the d >= 3 scan
+        with mock.patch.object(symmetry, "_keeping_counts",
+                               lambda bitsets, colors: np.ones(len(colors), dtype=np.int64)):
+            try:
+                symmetry.distinguishing_number(hypercube(3), autgroup.structured_group(hypercube(3)))
+            except AssertionError:
+                pass
+            else:
+                sys.exit("distinguishing_number passed a coloring the batched count took wrongly")
+            if main(["param", "dist", "hypercube", "-n", "3", "--no-cache"]) != 3:
+                sys.exit("param dist hypercube with a broken batched count did not exit 3")
         with mock.patch.object(autgroup.AugmentedModel, "setwise_stabilizer", two_elements):
             sys.exit(main(["construct", "aq-cost-class", "-n", "5"]))
     """)

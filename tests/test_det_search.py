@@ -73,13 +73,13 @@ def _plain_lex_scan(grp, nv: int) -> tuple[int, ...]:
     raise AssertionError("the whole vertex set is determining")
 
 
-def _plain_class_scan(grp, smallest: int) -> tuple[int, ...] | None:
+def _plain_class_scan(grp) -> tuple[int, ...] | None:
     """The lex-least class with a trivial setwise stabilizer, of the least
-    size from `smallest` up to half the vertices, by trying every class with
+    size up to half the vertices, by trying every class with
     `_setwise_trivial`; through vertex 0 when the group is transitive."""
     nv = grp.n_vertices
     transitive = grp.is_vertex_transitive()
-    for size in range(max(1, smallest), nv // 2 + 1):
+    for size in range(1, nv // 2 + 1):
         cands = ((0,) + t for t in combinations(range(1, nv), size - 1)) if transitive \
             else combinations(range(nv), size)
         for cand in cands:
@@ -176,7 +176,7 @@ def test_halved_cube_det_matches_searched_group_q6():
 def test_class_scan_matches_plain_scan_on_corpus(corpus, corpus_groups):
     for name, g in corpus.items():
         grp = corpus_groups[name]
-        assert _cost_or_none(g, grp) == _plain_class_scan(grp, 1), name
+        assert _cost_or_none(g, grp) == _plain_class_scan(grp), name
 
 
 COST_CASES = {
@@ -191,7 +191,7 @@ def test_class_scan_matches_plain_scan(name):
     kind, n, k, m = COST_CASES[name]
     g = build_family(FamilySpec(kind, n, k=k, m=m))
     grp = automorphism_group(g)
-    assert _cost_or_none(g, grp) == _plain_class_scan(grp, 1)
+    assert _cost_or_none(g, grp) == _plain_class_scan(grp)
 
 
 @given(st.data())
@@ -208,7 +208,7 @@ def test_class_scan_matches_plain_scan_on_random_graphs(data):
     # S_9 (the empty and the complete graph) would have the plain scan test
     # 93 classes against a 362,880-row element table
     assume(grp.order() <= 40320)
-    want = () if grp.is_trivial() else _plain_class_scan(grp, 1)
+    want = () if grp.is_trivial() else _plain_class_scan(grp)
     assert _cost_or_none(g, grp) == want
 
 

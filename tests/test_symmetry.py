@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import row_set
 
+from cubesym import symmetry
 from cubesym.autgroup import pointwise_stabilizer, structured_group
 from cubesym.bitgraph import (
     augmented_hypercube,
@@ -25,11 +26,23 @@ from cubesym.bitgraph import (
 from cubesym.constructions import hypercube_dist_class
 from cubesym.errors import NotTwoDistinguishable, SearchBudgetExceeded
 from cubesym.oracle import oracle_transitivity
-from cubesym.params import automorphism_group, dist_class_candidates, verify_witness
+from cubesym.params import (
+    automorphism_group,
+    compute_parameter,
+    dist_class_candidates,
+    verify_witness,
+)
 from cubesym.search import search_automorphisms
 from cubesym.symmetry import (
     Coloring,
+    _distinguishing_d3,
+    _extension_counts,
+    _greedy_two_class,
+    _keeping_counts,
     _preserving_count,
+    _rgs_blocks,
+    _rgs_partitions,
+    _row_bitsets,
     _setwise_trivial,
     cost_2dist,
     determining_lower_bound_exhaustive,
@@ -56,8 +69,8 @@ def test_is_determining_set_examples():
 
 def test_determining_number_values(corpus, corpus_groups):
     expected = {"Q_3": 3, "Q_4": 3, "Q_4^2": 4, "FQ_3": 6, "FQ_4": 4,
-                "AQ_3": 4, "AQ_4": 3, "LTQ_3": 2, "LTQ_4": 1, "H(3,2)": 3,
-                "H(2,4)": 3, "Q_{4,1}": 4, "Q_{4,2}": 6, "Q_{4,3}": 3}
+                "AQ_3": 4, "AQ_4": 3, "LTQ_3": 2, "LTQ_4": 1, "H(2,3)": 3,
+                "H(4,2)": 3, "Q_{4,1}": 4, "Q_{4,2}": 6, "Q_{4,3}": 3}
     for name, want in expected.items():
         value, witness = determining_number(corpus[name], corpus_groups[name])
         assert value == want, name
@@ -68,7 +81,7 @@ def test_determining_number_values(corpus, corpus_groups):
 def test_witness_is_lex_least(corpus, corpus_groups):
     from itertools import combinations
 
-    for name in ("Q_3", "AQ_4", "LTQ_4", "H(3,2)"):
+    for name in ("Q_3", "AQ_4", "LTQ_4", "H(2,3)"):
         g, grp = corpus[name], corpus_groups[name]
         value, witness = determining_number(g, grp)
         for cand in combinations(range(g.n_vertices), value):
@@ -126,8 +139,8 @@ def test_is_distinguishing_above_the_element_cap():
 
 def test_distinguishing_number_values(corpus, corpus_groups):
     expected = {"Q_3": 3, "Q_4": 2, "Q_4^2": 2, "FQ_3": 5, "FQ_4": 2,
-                "AQ_3": 3, "AQ_4": 2, "LTQ_3": 2, "LTQ_4": 2, "H(3,2)": 3,
-                "H(2,4)": 2, "Q_{4,1}": 2, "Q_{4,2}": 3, "Q_{4,3}": 2}
+                "AQ_3": 3, "AQ_4": 2, "LTQ_3": 2, "LTQ_4": 2, "H(2,3)": 3,
+                "H(4,2)": 2, "Q_{4,1}": 2, "Q_{4,2}": 3, "Q_{4,3}": 2}
     for name, want in expected.items():
         g, grp = corpus[name], corpus_groups[name]
         value, witness = distinguishing_number(g, grp, dist_class_candidates(g))
@@ -222,7 +235,7 @@ def test_transitivity_of_an_edge_transitive_graph_plus_an_isolated_vertex():
     ("AQ_4", lambda: augmented_hypercube(4)),
     ("LTQ_3", lambda: locally_twisted_hypercube(3)),
     ("LTQ_4", lambda: locally_twisted_hypercube(4)),
-    ("H(3,2)", lambda: hamming_graph(3, 2)),
+    ("H(2,3)", lambda: hamming_graph(3, 2)),
     ("H(3,3)", lambda: hamming_graph(3, 3)),
     ("Q_{4,2}", lambda: enhanced_hypercube(4, 2)),
     ("Q_4^2", lambda: hypercube_power(4, 2)),
@@ -244,7 +257,7 @@ def test_transitivity_matches_oracle_on_random_graphs(data):
 
 
 def test_complement_identities(corpus, corpus_groups):
-    for name in ("Q_3", "Q_4", "FQ_3", "AQ_3", "AQ_4", "LTQ_3", "LTQ_4", "H(3,2)"):
+    for name in ("Q_3", "Q_4", "FQ_3", "AQ_3", "AQ_4", "LTQ_3", "LTQ_4", "H(2,3)"):
         g = corpus[name]
         grp = corpus_groups[name]
         cg = complement(g)
@@ -291,7 +304,7 @@ def test_complement_identities_32_vertices():
 COUNT_GROUPS = {
     "Q_4": lambda: hypercube(4),
     "FQ_4": lambda: folded_hypercube(4),
-    "H(3,2)": lambda: hamming_graph(3, 2),
+    "H(2,3)": lambda: hamming_graph(3, 2),
     "Q_{4,2}": lambda: enhanced_hypercube(4, 2),
     "Q_4^2": lambda: hypercube_power(4, 2),
     "AQ_4": lambda: augmented_hypercube(4),
@@ -376,3 +389,154 @@ def test_two_colorings_are_settled_by_the_setwise_test(make):
               "witness": witness.to_dict()}
     assert verify_witness(g, record, grp) is True
     assert grp._elements is None
+
+
+@lru_cache(maxsize=None)
+def _count_bitsets(name):
+    return _row_bitsets(_count_group(name).elements())
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_batched_count_matches_preserving_count(data):
+    """The row-bitset count of a batch of colorings equals `_preserving_count`
+    of each, on every group of `COUNT_GROUPS`."""
+    name = data.draw(st.sampled_from(sorted(COUNT_GROUPS)))
+    grp = _count_group(name)
+    nv, d = grp.n_vertices, data.draw(st.integers(1, 5))
+    batch = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, d - 1), min_size=nv, max_size=nv), min_size=1, max_size=8)))
+    want = [_preserving_count(grp, colors) for colors in batch]
+    assert _keeping_counts(_count_bitsets(name), batch).tolist() == want
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_rgs_blocks_follow_rgs_order(n):
+    for d in range(1, n + 2):
+        want = [list(colors) for colors in _rgs_partitions(n, d)]
+        for max_rows in (1, 5, 64, 4096):
+            blocks = list(_rgs_blocks(n, d, max_rows))
+            assert all(len(block) <= max_rows for block in blocks)
+            assert [row.tolist() for block in blocks for row in block] == want, (d, max_rows)
+
+
+def _plain_d3(grp):
+    """The reference walk: every restricted-growth coloring that uses all d
+    colors, counted with `_preserving_count`."""
+    nv = grp.n_vertices
+    for d in range(3, nv + 1):
+        for colors in _rgs_partitions(nv, d):
+            if max(colors) == d - 1 and _preserving_count(grp, np.array(colors)) == 1:
+                return d, tuple(c + 1 for c in colors)
+    raise AssertionError("an all-distinct coloring distinguishes")
+
+
+D3_GROUPS = {
+    "Q_2": lambda: hypercube(2),
+    "Q_3": lambda: hypercube(3),
+    "Q_4": lambda: hypercube(4),
+    "Q_{3,2}": lambda: enhanced_hypercube(3, 2),
+    "Q_{4,2}": lambda: enhanced_hypercube(4, 2),
+    "Q_{4,3}": lambda: enhanced_hypercube(4, 3),
+    "Q_3^2": lambda: hypercube_power(3, 2),
+    "Q_4^2": lambda: hypercube_power(4, 2),
+    "FQ_3": lambda: folded_hypercube(3),
+    "H(2,3)": lambda: hamming_graph(3, 2),
+    "H(2,4)": lambda: hamming_graph(4, 2),
+    "AQ_3": lambda: augmented_hypercube(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(D3_GROUPS))
+def test_batched_d3_matches_plain_walk(name):
+    """The least d >= 3 and the first coloring, as the plain walk finds
+    them; on the groups of dist 2 the walk is run all the same."""
+    grp = automorphism_group(D3_GROUPS[name]())
+    value, witness = _distinguishing_d3(grp, "structured")
+    assert (value, witness.payload) == _plain_d3(grp)
+
+
+def _plain_greedy(grp):
+    """The reference greedy class: `_preserving_count` for every vertex the
+    class might take, at every step."""
+    nv = grp.n_vertices
+    member = np.zeros(nv, dtype=bool)
+    chosen = []
+    while len(chosen) <= nv // 2 + 1:
+        best_v, best_count = None, None
+        for v in np.flatnonzero(~member).tolist():
+            member[v] = True
+            cnt = _preserving_count(grp, member)
+            member[v] = False
+            if best_count is None or cnt < best_count:
+                best_count, best_v = cnt, v
+        member[best_v] = True
+        chosen.append(best_v)
+        if best_count == 1:
+            return tuple(sorted(chosen))
+    return None
+
+
+EXTENSION_GROUPS = {
+    "H(3,3)": lambda: hamming_graph(3, 3),
+    "Q_4": lambda: hypercube(4),
+    "Q_{4,2}": lambda: enhanced_hypercube(4, 2),
+}
+
+
+@lru_cache(maxsize=None)
+def _extension_group(name):
+    return automorphism_group(EXTENSION_GROUPS[name]())
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_extension_counts_match_preserving_count(data):
+    """The one-pass count for every vertex outside a random class S equals
+    `_preserving_count` of S with that vertex added."""
+    grp = _extension_group(data.draw(st.sampled_from(sorted(EXTENSION_GROUPS))))
+    nv = grp.n_vertices
+    chosen = data.draw(st.lists(st.integers(0, nv - 1), unique=True, max_size=nv // 2))
+    member = np.zeros(nv, dtype=bool)
+    member[chosen] = True
+    table = grp.elements()
+    counts = _extension_counts(table, np.nonzero(table == np.arange(nv)), member, chosen)
+    for v in range(nv):
+        if member[v]:
+            assert counts[v] == len(grp.elements()) + 1
+        else:
+            member[v] = True
+            assert counts[v] == _preserving_count(grp, member), (chosen, v)
+            member[v] = False
+
+
+@pytest.mark.parametrize("name, make", [
+    ("H(4,3)", lambda: hamming_graph(3, 4)),
+    ("H(3,4)", lambda: hamming_graph(4, 3)),
+    ("Q_5", lambda: hypercube(5)),
+    ("Q_6", lambda: hypercube(6)),
+    ("Q_5^2", lambda: hypercube_power(5, 2)),
+])
+def test_greedy_class_matches_plain_greedy(name, make):
+    grp = automorphism_group(make())
+    assert _greedy_two_class(grp) == _plain_greedy(grp)
+
+
+@pytest.mark.parametrize("name, make, value, calls", [
+    ("H(4,3)", lambda: hamming_graph(3, 4), 2, 0),
+    ("Q_{4,2}", lambda: enhanced_hypercube(4, 2), 3, 1),
+])
+def test_dist_preserving_count_calls(name, make, value, calls, monkeypatch):
+    """`_preserving_count` serves only the witness re-check of the d >= 3
+    scan: dist of H(4,3) (greedy class) calls it never, dist of Q_{4,2}
+    (dist 3) once."""
+    made = []
+    real = symmetry._preserving_count
+
+    def counted(grp, colors):
+        made.append(1)
+        return real(grp, colors)
+
+    monkeypatch.setattr(symmetry, "_preserving_count", counted)
+    report = compute_parameter(make(), "dist")
+    assert (report["value"], len(made)) == (value, calls)
