@@ -176,6 +176,7 @@ class PermGroup:
     base: tuple[int, ...] | None = None
     _elements: np.ndarray | None = field(default=None, repr=False)
     _fixers: list[int] | None = field(default=None, repr=False)
+    _bitsets: np.ndarray | None = field(default=None, repr=False)
 
     def order(self) -> int:
         if self.order_known is None:
@@ -550,29 +551,29 @@ class HalvedCubeModel(_PositionModel):
         return t | (t.bit_count() & 1) << self.n
 
 
-def _xor_cols(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x ^ y for x, y in zip(a, b))
-
-
-def _folded_classes(S, n: int) -> dict[tuple, list[int]]:
+def _folded_classes(S, n: int) -> dict[int, list[int]]:
     """Classes of equal columns among the n+1 columns of the words of S
     translated by S[0], so that the set holds zero and a fixing map has no
-    translation part; the last column, of the all-ones symbol, is all zeros."""
-    ws = [S[0] ^ s for s in S]
-    cols = [tuple((w >> (n - 1 - i)) & 1 for w in ws) for i in range(n)] + [(0,) * len(S)]
-    classes: dict[tuple, list[int]] = {}
+    translation part.  A column is the bitmask of the words with a 1 in it;
+    the last column, of the all-ones symbol, is 0."""
+    cols = [0] * (n + 1)
+    for j, s in enumerate(S):
+        w = S[0] ^ s
+        for i in range(n):
+            if w >> (n - 1 - i) & 1:
+                cols[i] |= 1 << j
+    classes: dict[int, list[int]] = {}
     for i, col in enumerate(cols):
         classes.setdefault(col, []).append(i)
     return classes
 
 
-def _folded_shifts(classes: dict[tuple, list[int]]) -> list[tuple]:
+def _folded_shifts(classes: dict[int, list[int]]) -> list[int]:
     """Column values E for which c -> c + E maps the classes onto classes of
     the same size.  E = 0 always qualifies; each other E yields the fixing
     symbol permutations that move a symbol onto the all-ones word."""
     return [e for e in classes
-            if all(len(classes.get(_xor_cols(c, e), ())) == len(idx)
-                   for c, idx in classes.items())]
+            if all(len(classes.get(c ^ e, ())) == len(idx) for c, idx in classes.items())]
 
 
 class FoldedModel(_PositionModel):
@@ -616,13 +617,13 @@ class FoldedModel(_PositionModel):
             order *= factorial(len(idx))
         perms = []
         for e in shifts:
-            if not any(e):
+            if not e:
                 for idx in classes.values():
                     perms += [_transposition(n + 1, i, j) for i, j in zip(idx, idx[1:])]
                 continue
             pi = [0] * (n + 1)
             for c, idx in classes.items():
-                for i, j in zip(idx, classes[_xor_cols(c, e)]):
+                for i, j in zip(idx, classes[c ^ e]):
                     pi[j] = i  # image coordinate j reads source i
             perms.append(tuple(pi))
         return self._stabilizer(S, perms, order)

@@ -13,6 +13,8 @@ The group order is |orbit(b1)| * |orbit(b2) under stab(b1)| * ... along the
 first path, which the tests cross-check against full element enumeration.
 The returned group keeps that base (b1, b2, ...), so the stabilizer of a
 base prefix is read off the generators (`autgroup.pointwise_stabilizer`).
+`has_nontrivial_automorphism` runs the same search up to its first
+generator.
 """
 
 from __future__ import annotations
@@ -68,10 +70,34 @@ def search_automorphisms(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
                          vertex_cap: int = DEFAULT_SEARCH_VERTEX_CAP) -> PermGroup:
     """The full automorphism group of `g`, found by refinement search."""
     n = g.n_vertices
+    base: list[int] = []
+    gens = set(_generators(g, node_budget, vertex_cap, base))
+    if n == 0:
+        return PermGroup(0, np.empty((0, 0), dtype=np.int32), 1, "searched", g)
+    rows = np.array(sorted(gens), dtype=np.int32).reshape(-1, n)
+    base = tuple(base)
+    return PermGroup(n, rows, base_order(rows, base), "searched", g, base=base)
+
+
+def has_nontrivial_automorphism(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
+                                vertex_cap: int = DEFAULT_SEARCH_VERTEX_CAP) -> bool:
+    """Whether `g` has an automorphism other than the identity: the search
+    stops at its first verified leaf map, which moves a vertex.  The full
+    search finds generators of the whole group, so it finds none exactly
+    when the group is trivial."""
+    return next(_generators(g, node_budget, vertex_cap, []), None) is not None
+
+
+def _generators(g: Graph, node_budget: int, vertex_cap: int, base: list[int]):
+    """The search's generators, image tuples, as it finds them; each is a
+    leaf's map from the first leaf, so it moves the vertex on which the two
+    paths first differ.  `base` receives the vertices individualized along
+    the first path."""
+    n = g.n_vertices
     if n > vertex_cap:
         raise SearchBudgetExceeded(f"{n} vertices above the search cap {vertex_cap}")
     if n == 0:
-        return PermGroup(0, np.empty((0, 0), dtype=np.int32), 1, "searched", g)
+        return
     rows = g.rows
 
     gens: list[tuple[int, ...]] = []
@@ -79,7 +105,6 @@ def search_automorphisms(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
         "nodes": 0,
         "first_leaf": None,   # labeling array
         "first_path_inv": {},  # depth -> trace invariant
-        "base": [],            # individualized vertices along the first path
     }
 
     def dfs(cells, depth, prefix):
@@ -101,6 +126,7 @@ def search_automorphisms(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
             perm[first] = labeling
             if is_automorphism(g, perm):
                 gens.append(tuple(perm.tolist()))
+                yield gens[-1]
             return
 
         on_first_path = state["first_leaf"] is None
@@ -124,19 +150,15 @@ def search_automorphisms(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
             refined, trace = _refine(rows, child_cells, [1 << v])
             if on_first_path and state["first_leaf"] is None:
                 state["first_path_inv"][depth] = trace
-                state["base"].append(v)
-                dfs(refined, depth + 1, prefix + [v])
+                base.append(v)
+                yield from dfs(refined, depth + 1, prefix + [v])
             else:
                 ref_inv = state["first_path_inv"].get(depth)
                 if ref_inv is not None and trace != ref_inv:
                     explored.append(v)
                     continue
-                dfs(refined, depth + 1, prefix + [v])
+                yield from dfs(refined, depth + 1, prefix + [v])
             explored.append(v)
 
     start_cells, start_trace = _refine(rows, [list(range(n))], [ (1 << n) - 1 ])
-    dfs(start_cells, 0, [])
-
-    rows = np.array(sorted(set(gens)), dtype=np.int32).reshape(-1, n)
-    base = tuple(state["base"])
-    return PermGroup(n, rows, base_order(rows, base), "searched", g, base=base)
+    yield from dfs(start_cells, 0, [])

@@ -4,6 +4,7 @@ transitivity checks, and the witnesses that certify each reported value."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .autgroup import (
 )
 from .bitgraph import Graph, distance_spheres, induced_subgraph
 from .errors import NotTwoDistinguishable, SearchBudgetExceeded
-from .search import search_automorphisms
+from .search import has_nontrivial_automorphism
 
 DETERMINING = "determining_set"
 DIST_COLORING = "distinguishing_coloring"
@@ -101,22 +102,38 @@ def is_determining_set(grp: PermGroup, subset) -> bool:
     return pointwise_stabilizer_is_trivial(grp, subset)
 
 
-def _first_determining(test, state, chosen, pool, start: int, r: int, accept):
-    """Lex-least extension of `chosen` (in `state`) by r vertices of
-    pool[start:] to a determining set that `accept` takes, or None.
+def _determining_leaves(test, state, chosen, pool, start: int, r: int):
+    """The extensions of `chosen` (in `state`) by r vertices of pool[start:]
+    to a determining set, in lex order.
 
-    Depth-first in lex order; a branch is cut as soon as the test's bound
-    says its state needs more vertices than the branch has left.  A leaf is
-    offered to `accept` only once the test finds it determining."""
+    Depth-first; a branch is cut as soon as the test's bound says its state
+    needs more vertices than the branch has left."""
     if r == 0:
-        return chosen if test.det_done(state) and accept(chosen) else None
+        if test.det_done(state):
+            yield chosen
+        return
     for i in range(start, len(pool) - r + 1):
         nxt = test.det_add(state, pool[i])
         if test.det_need(nxt) < r:
-            found = _first_determining(test, nxt, chosen + (pool[i],), pool, i + 1, r - 1,
-                                       accept)
-            if found is not None:
-                return found
+            yield from _determining_leaves(test, nxt, chosen + (pool[i],), pool, i + 1, r - 1)
+
+
+# The most leaves offered to `accept` at once.
+_LEAF_BLOCK = 256
+
+
+def _first_accepted(leaves, accept):
+    """The first of `leaves` that `accept` takes, or None.
+
+    `accept(block)` gets a list of leaves and returns the index of the first
+    one it takes, or None.  The blocks double from one leaf up to
+    `_LEAF_BLOCK`, so an `accept` that takes the first leaf sees only it."""
+    size = 1
+    while block := list(islice(leaves, size)):
+        i = accept(block)
+        if i is not None:
+            return block[i]
+        size = min(2 * size, _LEAF_BLOCK)
     return None
 
 
@@ -130,26 +147,29 @@ def _anchored_exists(grp: PermGroup, test, size: int, accept) -> bool:
     other vertices range over r's orbit and the later ones."""
     root = test.det_add(test.det_start(), 0)
     if size == 1:
-        return test.det_done(root) and accept((0,))
+        return test.det_done(root) and accept([(0,)]) is not None
     if test.det_need(root) >= size:
         return False
-    earlier = {0}
-    for orbit in pointwise_stabilizer(grp, [0]).orbits()[1:]:  # the first is {0}
-        r = orbit[0]
-        state = test.det_add(root, r)
-        if test.det_need(state) <= size - 2:
-            pool = [v for v in range(grp.n_vertices) if v not in earlier and v != r]
-            if _first_determining(test, state, (0, r), pool, 0, size - 2, accept) is not None:
-                return True
-        earlier.update(orbit)
-    return False
+
+    def leaves():
+        earlier = {0}
+        for orbit in pointwise_stabilizer(grp, [0]).orbits()[1:]:  # the first is {0}
+            r = orbit[0]
+            state = test.det_add(root, r)
+            if test.det_need(state) <= size - 2:
+                pool = [v for v in range(grp.n_vertices) if v not in earlier and v != r]
+                yield from _determining_leaves(test, state, (0, r), pool, 0, size - 2)
+            earlier.update(orbit)
+
+    return _first_accepted(leaves(), accept) is not None
 
 
-def _least_determining(grp: PermGroup, sizes, accept=lambda chosen: True
+def _least_determining(grp: PermGroup, sizes, accept=lambda block: 0
                        ) -> tuple[int, ...] | None:
     """The lex-least determining set that `accept` takes, of the least size
-    in `sizes` that has one, or None.  `accept` must be preserved by the
-    group's elements.
+    in `sizes` that has one, or None.  `accept` takes blocks of sets, as
+    `_first_accepted` gives them, and must be preserved by the group's
+    elements.
 
     For a verified vertex-transitive group each size is first settled by the
     anchored search; at the first size that has a set, the unrestricted lex
@@ -160,7 +180,8 @@ def _least_determining(grp: PermGroup, sizes, accept=lambda chosen: True
     for size in sizes:
         if transitive and not _anchored_exists(grp, test, size, accept):
             continue
-        found = _first_determining(test, test.det_start(), (), everything, 0, size, accept)
+        found = _first_accepted(
+            _determining_leaves(test, test.det_start(), (), everything, 0, size), accept)
         if found is not None:
             return found
         if transitive:
@@ -251,8 +272,41 @@ def _least_class(grp: PermGroup) -> tuple[int, ...] | None:
     Such a class is determining, since an element fixing it pointwise maps
     it onto itself, so the determining search visits every one in lex order;
     setwise triviality is kept under conjugation, as its anchoring needs."""
-    return _least_determining(grp, range(1, grp.n_vertices // 2 + 1),
-                              lambda chosen: _setwise_trivial(grp, chosen))
+    return _least_determining(grp, range(1, grp.n_vertices // 2 + 1), _class_test(grp))
+
+
+# The most bytes of row bitsets the class scan builds to count its classes.
+_BITSET_BYTES = 1 << 26
+
+
+def _class_test(grp: PermGroup):
+    """The class scan's `accept`: the index of the first class of a block
+    with a trivial setwise stabilizer, or None.
+
+    On at most `_EXHAUSTIVE_2_LIMIT` vertices, for a group whose model has
+    no setwise search, one `_keeping_counts` call counts the rows that keep
+    each class of the block as a 2-coloring; the class it takes is
+    re-checked by `_setwise_trivial`.  Otherwise each class is tested on
+    its own."""
+    nv = grp.n_vertices
+    if (nv > _EXHAUSTIVE_2_LIMIT or hasattr(grp.model, "setwise_stabilizer")
+            or _bitsets_nbytes(nv, grp.order()) > _BITSET_BYTES):
+        return lambda block: next(
+            (i for i, cls in enumerate(block) if _setwise_trivial(grp, cls)), None)
+
+    def accept(block):
+        members = np.array(block)
+        colors = np.zeros((len(block), nv), dtype=np.int8)
+        colors[np.arange(len(block))[:, None], members] = 1
+        hits = np.flatnonzero(_keeping_counts(_group_bitsets(grp), colors) == 1)
+        if not len(hits):
+            return None
+        if not _setwise_trivial(grp, block[hits[0]]):
+            raise AssertionError(f"the batched count took a class whose setwise stabilizer "
+                                 f"is not trivial: {block[hits[0]]}")
+        return int(hits[0])
+
+    return accept
 
 
 def _extension_counts(table: np.ndarray, fixed: tuple[np.ndarray, np.ndarray],
@@ -354,7 +408,7 @@ def _distinguishing_d3(grp: PermGroup, tag: str) -> tuple[int, Witness]:
     coloring in restricted-growth order that uses all d colors, counted in
     batches on the row bitsets and re-checked by `_preserving_count`."""
     nv = grp.n_vertices
-    bitsets = _row_bitsets(grp.elements())
+    bitsets = _group_bitsets(grp)
     max_rows = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // bitsets[0, :, 0].nbytes))
     for d in range(3, nv + 1):
         for block in _rgs_blocks(nv, d, max_rows):
@@ -373,8 +427,8 @@ def _row_bitsets(table: np.ndarray) -> np.ndarray:
     """`out[v, b, x]`: the bitset, in uint64 words, of the table rows g with
     g(v) among the vertices 8b + i for the bits i of the byte x.
 
-    Built by OR-ing in the lowest bit of each byte value in turn; for V
-    vertices and R rows it takes V * ceil(V/8) * 256 * ceil(R/64) words."""
+    Built by OR-ing in the lowest bit of each byte value in turn, in
+    `_bitsets_nbytes` bytes."""
     n_rows, nv = table.shape
     n_bytes, words = -(-nv // 8), -(-n_rows // 64)
     hits = np.zeros((nv, n_bytes * 8, words * 64), dtype=bool)
@@ -385,6 +439,19 @@ def _row_bitsets(table: np.ndarray) -> np.ndarray:
     for x in range(1, 256):
         out[:, :, x] = out[:, :, x & (x - 1)] | single[:, :, (x & -x).bit_length() - 1]
     return out
+
+
+def _bitsets_nbytes(nv: int, n_rows: int) -> int:
+    """The size of `_row_bitsets` for V vertices and R rows: V * ceil(V/8)
+    * 256 * ceil(R/64) uint64 words."""
+    return nv * -(-nv // 8) * 256 * -(-n_rows // 64) * 8
+
+
+def _group_bitsets(grp: PermGroup) -> np.ndarray:
+    """The row bitsets of the group's element table, built once and kept."""
+    if grp._bitsets is None:
+        grp._bitsets = _row_bitsets(grp.elements())
+    return grp._bitsets
 
 
 def _keeping_counts(bitsets: np.ndarray, colors: np.ndarray) -> np.ndarray:
@@ -481,10 +548,9 @@ def cost_2dist(g: Graph, grp: PermGroup) -> tuple[int, Witness]:
 
 
 def is_asymmetric(g: Graph) -> bool:
-    """True iff the only automorphism is the identity."""
-    if g.n_vertices <= 1:
-        return True
-    return search_automorphisms(g).order() == 1
+    """True iff the only automorphism is the identity; the search stops at
+    the first other one."""
+    return not has_nontrivial_automorphism(g)
 
 
 def _orbit_of_pairs(gens_images, start):

@@ -220,6 +220,26 @@ def _q5_square():
     return structured_group(hypercube_power(5, 2))
 
 
+@lru_cache(maxsize=None)
+def _folded_table(n: int):
+    grp = structured_group(folded_hypercube(n))
+    return grp, grp.elements()
+
+
+@given(st.sampled_from([4, 5]), st.data())
+@settings(max_examples=120, deadline=None)
+def test_folded_det_done_and_stabilizer_match_filtering(n, data):
+    """On random sets of FQ_4 and FQ_5, the folded model's determining test
+    and the order of its pointwise stabilizer, which read the columns as
+    bitmasks over the words, agree with filtering the element table."""
+    grp, table = _folded_table(n)
+    S = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=n + 2,
+                           unique=True))
+    fixing = int((table[:, S] == S).all(axis=1).sum())
+    assert grp.model.det_done(grp.model.fold(S)) == (fixing == 1)
+    assert pointwise_stabilizer(grp, S).order() == fixing
+
+
 GROUP_LAW_GROUPS = {
     "Q_4": lambda: structured_group(hypercube(4)),
     "FQ_4": lambda: structured_group(folded_hypercube(4)),

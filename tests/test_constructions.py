@@ -372,8 +372,8 @@ def test_det_set_checks_survive_python_O():
     inconsistent flags raises too, and so do a model's element table from
     repeated zero-fixing rows or repeated permutations, a structured group
     whose generator check fails, for Q_n and for a Hamming graph, and the
-    d >= 3 dist scan when its batched count takes a coloring that is not
-    distinguishing."""
+    d >= 3 dist scan and the class scan when their batched count takes a
+    coloring that is not distinguishing."""
     import os
     import subprocess
     import sys
@@ -542,6 +542,10 @@ def test_det_set_checks_survive_python_O():
                 sys.exit("distinguishing_number passed a coloring the batched count took wrongly")
             if main(["param", "dist", "hypercube", "-n", "3", "--no-cache"]) != 3:
                 sys.exit("param dist hypercube with a broken batched count did not exit 3")
+            # the class scan of FQ_4 counts its leaves in blocks, and the class
+            # the count takes is re-checked
+            if main(["param", "cost", "folded", "-n", "4", "--no-cache"]) != 3:
+                sys.exit("param cost folded with a broken batched count did not exit 3")
         with mock.patch.object(autgroup.AugmentedModel, "setwise_stabilizer", two_elements):
             sys.exit(main(["construct", "aq-cost-class", "-n", "5"]))
     """)

@@ -183,6 +183,10 @@ COST_CASES = {
     "Q_5": ("hypercube", 5, None, None), "AQ_5": ("augmented", 5, None, None),
     "LTQ_5": ("locally_twisted", 5, None, None), "Q_{5,2}": ("enhanced", 5, 2, None),
     "H(3,3)": ("hamming", 3, None, 3),
+    # at most 16 vertices: the scan counts its leaves in blocks
+    "FQ_4": ("folded", 4, None, None), "Q_4": ("hypercube", 4, None, None),
+    "Q_{4,2}": ("enhanced", 4, 2, None), "Q_4^2": ("power", 4, 2, None),
+    "H(4,2)": ("hamming", 4, None, 2),
 }
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import row_set
 
 from cubesym import symmetry
-from cubesym.autgroup import pointwise_stabilizer, structured_group
+from cubesym.autgroup import pointwise_stabilizer, setwise_stabilizer, structured_group
 from cubesym.bitgraph import (
     augmented_hypercube,
     complement,
@@ -35,6 +35,7 @@ from cubesym.params import (
 from cubesym.search import search_automorphisms
 from cubesym.symmetry import (
     Coloring,
+    _class_test,
     _distinguishing_d3,
     _extension_counts,
     _greedy_two_class,
@@ -540,3 +541,76 @@ def test_dist_preserving_count_calls(name, make, value, calls, monkeypatch):
     monkeypatch.setattr(symmetry, "_preserving_count", counted)
     report = compute_parameter(make(), "dist")
     assert (report["value"], len(made)) == (value, calls)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_block_count_matches_setwise_stabilizer(data):
+    """A block of classes, counted as 2-colorings on the row bitsets, gets
+    the order of each class's setwise stabilizer, on every group of
+    `COUNT_GROUPS`; the class test takes the first class of order 1."""
+    name = data.draw(st.sampled_from(sorted(COUNT_GROUPS)))
+    grp = _count_group(name)
+    nv = grp.n_vertices
+    size = data.draw(st.integers(1, nv // 2))
+    block = data.draw(st.lists(st.lists(st.integers(0, nv - 1), unique=True, min_size=size,
+                                        max_size=size).map(sorted).map(tuple),
+                               min_size=1, max_size=8))
+    colors = np.zeros((len(block), nv), dtype=np.int8)
+    for i, cls in enumerate(block):
+        colors[i, list(cls)] = 1
+    orders = [setwise_stabilizer(grp, cls).order() for cls in block]
+    assert _keeping_counts(_count_bitsets(name), colors).tolist() == orders
+    assert _class_test(grp)(block) == next(
+        (i for i, order in enumerate(orders) if order == 1), None)
+
+
+@pytest.mark.parametrize("name, make, value, batched, per_leaf", [
+    ("cost FQ_4", lambda: compute_parameter(folded_hypercube(4), "cost"), 8, 2, 3527),
+    ("dist Q_{4,2}", lambda: compute_parameter(enhanced_hypercube(4, 2), "dist"), 3, 0, 2981),
+])
+def test_class_scan_setwise_calls(name, make, value, batched, per_leaf, monkeypatch):
+    """On at most 16 vertices the class scan counts its leaves in blocks and
+    asks `_setwise_trivial` only to re-check the class it takes: cost of
+    FQ_4 takes one class in the anchored search and one in the lex search,
+    and dist of Q_{4,2} takes none.  With no room for the row bitsets it
+    tests every leaf on its own, as a scan of more vertices does."""
+    made = []
+    real = symmetry._setwise_trivial
+
+    def counted(grp, cls):
+        made.append(1)
+        return real(grp, cls)
+
+    monkeypatch.setattr(symmetry, "_setwise_trivial", counted)
+    assert (make()["value"], len(made)) == (value, batched)
+    made.clear()
+    monkeypatch.setattr(symmetry, "_BITSET_BYTES", 0)
+    assert (make()["value"], len(made)) == (value, per_leaf)
+
+
+def test_is_asymmetric_stops_at_the_first_automorphism():
+    """The 171-vertex subgraph of Q_9 induced by the multiples of 3 has an
+    automorphism; a full search of its group ran for minutes."""
+    import time
+
+    g = induced_subgraph(hypercube(9), [v for v in range(512) if v % 3 == 0])
+    start = time.perf_counter()
+    assert not is_asymmetric(g)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_is_asymmetric_matches_the_full_search_on_corpus(corpus):
+    for name, g in corpus.items():
+        assert is_asymmetric(g) == (search_automorphisms(g).order() == 1), name
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_is_asymmetric_matches_the_full_search_on_random_graphs(data):
+    n = data.draw(st.integers(0, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [p for p, keep in zip(pairs, data.draw(
+        st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep]
+    g = graph_from_edges(n, edges)
+    assert is_asymmetric(g) == (search_automorphisms(g).order() == 1)
