@@ -210,7 +210,7 @@ class PermGroup:
     def orbits(self) -> list[list[int]]:
         """Vertex orbits under the generators."""
         buckets: dict[int, list[int]] = {}
-        roots = orbit_roots(self.n_vertices, self.generators.tolist())
+        roots = orbit_roots(self.n_vertices, self.generators)
         for v, root in enumerate(roots):
             buckets.setdefault(root, []).append(v)
         return sorted(buckets.values())
@@ -221,21 +221,29 @@ class PermGroup:
 
 def orbit_roots(nv: int, gen_images) -> list[int]:
     """A root per vertex, shared by two vertices iff they lie in one orbit
-    under the image rows `gen_images`, lists of ints (union-find)."""
-    parent = list(range(nv))
+    under the image rows `gen_images` (a k x V array or k sequences): the
+    least vertex of the orbit.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in gen_images:
-        for v in range(nv):
-            a, b = find(v), find(p[v])
-            if a != b:
-                parent[a] = b
-    return [find(v) for v in range(nv)]
+    Labels are hooked and jumped as in Shiloach & Vishkin's connectivity
+    algorithm.  Each round takes the pairs (v, p[v]) whose labels differ,
+    sets the larger label's entry to the smaller, and replaces every label
+    by its label's label log2(V) times, so that every label is a root
+    again, until no pair is left.  Only differing pairs are hooked, since
+    numpy keeps the last of repeated writes to one entry; a pair once equal
+    stays equal."""
+    labels = np.arange(nv, dtype=np.int32)
+    rows = np.asarray(gen_images, dtype=np.int32).reshape(len(gen_images), nv)
+    moved = rows != labels
+    src, dst = np.broadcast_to(labels, rows.shape)[moved], rows[moved]
+    a, b = src, dst  # each vertex is its own label before the first hook
+    while len(a):
+        labels[np.maximum(a, b)] = np.minimum(a, b)
+        for _ in range(nv.bit_length()):
+            labels = labels[labels]
+        a, b = labels[src], labels[dst]
+        differ = a != b
+        src, dst, a, b = src[differ], dst[differ], a[differ], b[differ]
+    return labels.tolist()
 
 
 def base_order(gens: np.ndarray, base) -> int:
@@ -244,7 +252,7 @@ def base_order(gens: np.ndarray, base) -> int:
     whose base has a trivial pointwise stabilizer."""
     order = 1
     for i, b in enumerate(base):
-        roots = orbit_roots(gens.shape[1], gens[_fixing(gens, list(base[:i]))].tolist())
+        roots = orbit_roots(gens.shape[1], gens[_fixing(gens, list(base[:i]))])
         order *= roots.count(roots[b])
     return order
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .bitgraph import EXPLICIT, FamilySpec, Graph, graph_from_edges
 from .errors import ParameterOutOfRange
 
@@ -18,64 +20,77 @@ def _g6_size_bytes(n: int) -> list[int]:
     raise ParameterOutOfRange("vertex count too large for graph6")
 
 
+# The weights of the six bits of a graph6 payload byte, most significant first.
+_G6_WEIGHTS = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
+
+
+def _edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The ends u < v of the edges, in `edge_keys` order."""
+    return np.divmod(g.edge_keys, max(g.n_vertices, 1))
+
+
 def to_graph6(g: Graph) -> str:
-    """Encode in the standard graph6 format (no header)."""
+    """Encode in the standard graph6 format (no header).
+
+    The upper triangle is read column by column, so the edge u < v is bit
+    v(v-1)/2 + u; the bits, padded with zeros to a multiple of six, are
+    packed six to a byte, most significant first, plus 63."""
     n = g.n_vertices
-    out = bytearray(_g6_size_bytes(n))
-    bits = []
-    for v in range(1, n):
-        row = g.rows[v]
-        for u in range(v):
-            bits.append((row >> u) & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i:i + 6]:
-            val = (val << 1) | b
-        out.append(val + 63)
-    return out.decode("ascii")
+    header = bytes(_g6_size_bytes(n))
+    u, v = _edge_ends(g)
+    bits = np.zeros(-(-(n * (n - 1) // 2) // 6) * 6, dtype=np.uint8)
+    bits[v * (v - 1) // 2 + u] = 1
+    payload = bits.reshape(-1, 6) @ _G6_WEIGHTS + np.uint8(63)
+    return (header + payload.tobytes()).decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:
-    """Decode a graph6 line (optionally prefixed with '>>graph6<<')."""
+    """Decode a graph6 line (optionally prefixed with '>>graph6<<').
+
+    The payload must be exactly ceil(n(n-1)/12) bytes with zero padding
+    bits; anything else raises ParameterOutOfRange."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):].strip()
-    data = [ord(c) - 63 for c in s]
-    if any(d < 0 or d > 63 for d in data):
+    try:
+        data = np.frombuffer(s.encode("ascii"), dtype=np.uint8) - np.uint8(63)
+    except UnicodeEncodeError:
+        raise ParameterOutOfRange("invalid graph6 character") from None
+    if (data > 63).any():
         raise ParameterOutOfRange("invalid graph6 character")
+    if not len(data):
+        raise ParameterOutOfRange("empty graph6 string")
     if data[0] != 63:
-        n = data[0]
-        idx = 1
+        head, size = 1, data[:1]
     elif len(data) > 1 and data[1] != 63:
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        idx = 4
+        head, size = 4, data[1:4]
     else:
-        n = 0
-        for d in data[2:8]:
-            n = (n << 6) | d
-        idx = 8
-    bits = []
-    for d in data[idx:]:
-        for s_ in range(5, -1, -1):
-            bits.append((d >> s_) & 1)
+        head, size = 8, data[2:8]
+    if len(data) < head:
+        raise ParameterOutOfRange("truncated graph6 header")
+    n = 0
+    for d in size.tolist():
+        n = (n << 6) | d
     need = n * (n - 1) // 2
-    if len(bits) < need:
-        raise ParameterOutOfRange("truncated graph6 payload")
-    edges = []
-    pos = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[pos]:
-                edges.append((u, v))
-            pos += 1
-    return graph_from_edges(n, edges, FamilySpec(EXPLICIT))
+    if len(data) - head != -(-need // 6):
+        raise ParameterOutOfRange(f"graph6 payload of {len(data) - head} bytes, "
+                                  f"{-(-need // 6)} expected for {n} vertices")
+    bits = np.unpackbits(data[head:, None], axis=1)[:, 2:].ravel()
+    if bits[need:].any():
+        raise ParameterOutOfRange("nonzero graph6 padding bits")
+    pos = np.flatnonzero(bits)
+    # the column v of bit p = v(v-1)/2 + u, u < v, from the root, corrected
+    v = ((1 + np.sqrt(1 + 8 * pos)) // 2).astype(np.int64)
+    v -= v * (v - 1) // 2 > pos
+    v += (v + 1) * v // 2 <= pos
+    u = pos - v * (v - 1) // 2
+    return graph_from_edges(n, zip(u.tolist(), v.tolist()), FamilySpec(EXPLICIT))
 
 
 def to_edgelist(g: Graph) -> str:
     """One 'u v' line per edge, decimal vertex ids, sorted."""
-    return "\n".join(f"{u} {v}" for u, v in g.edges())
+    u, v = _edge_ends(g)
+    return "\n".join(f"{a} {b}" for a, b in zip(u.tolist(), v.tolist()))
 
 
 def from_edgelist(text: str, n_vertices: int | None = None) -> Graph:
@@ -99,7 +114,7 @@ def to_descriptor(g: Graph) -> dict:
         "family": fam["kind"] if fam else None,
         "params": {k: v for k, v in (fam or {}).items() if k != "kind"},
         "n_vertices": g.n_vertices,
-        "edges": [list(e) for e in g.edges()],
+        "edges": np.column_stack(_edge_ends(g)).tolist(),
     }
 
 

@@ -11,6 +11,7 @@ import numpy as np
 from .autgroup import (
     PermGroup,
     determining_test,
+    orbit_roots,
     pointwise_stabilizer,
     pointwise_stabilizer_is_trivial,
     setwise_stabilizer,
@@ -275,7 +276,8 @@ def _least_class(grp: PermGroup) -> tuple[int, ...] | None:
     return _least_determining(grp, range(1, grp.n_vertices // 2 + 1), _class_test(grp))
 
 
-# The most bytes of row bitsets the class scan builds to count its classes.
+# The most bytes of row bitsets the class scan and the d >= 3 scan build to
+# count their classes and colorings.
 _BITSET_BYTES = 1 << 26
 
 
@@ -406,20 +408,34 @@ _BLOCK_BYTES = 1 << 21
 def _distinguishing_d3(grp: PermGroup, tag: str) -> tuple[int, Witness]:
     """dist >= 3 established; the least d and the first distinguishing
     coloring in restricted-growth order that uses all d colors, counted in
-    batches on the row bitsets and re-checked by `_preserving_count`."""
+    batches on the row bitsets and re-checked by `_preserving_count`.  With
+    more than `_BITSET_BYTES` of bitsets, each coloring is tested by
+    `_preserving_count` alone."""
     nv = grp.n_vertices
-    bitsets = _group_bitsets(grp)
-    max_rows = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // bitsets[0, :, 0].nbytes))
+    if _bitsets_nbytes(nv, grp.order()) > _BITSET_BYTES:
+        max_rows = _BLOCK_ROWS
+
+        def first(block):
+            return next((i for i, colors in enumerate(block)
+                         if _preserving_count(grp, colors) == 1), None)
+    else:
+        bitsets = _group_bitsets(grp)
+        max_rows = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // bitsets[0, :, 0].nbytes))
+
+        def first(block):
+            hits = np.flatnonzero(_keeping_counts(bitsets, block) == 1)
+            if not len(hits):
+                return None
+            if _preserving_count(grp, block[hits[0]]) != 1:
+                raise AssertionError(f"the batched count took a coloring that is not "
+                                     f"distinguishing: {block[hits[0]].tolist()}")
+            return int(hits[0])
     for d in range(3, nv + 1):
         for block in _rgs_blocks(nv, d, max_rows):
             block = block[block.max(axis=1) == d - 1]
-            hits = np.flatnonzero(_keeping_counts(bitsets, block) == 1)
-            if len(hits):
-                colors = block[hits[0]]
-                if _preserving_count(grp, colors) != 1:
-                    raise AssertionError(f"the batched count took a coloring that is not "
-                                         f"distinguishing: {colors.tolist()}")
-                return d, Witness(DIST_COLORING, tuple(int(c) + 1 for c in colors), tag)
+            i = first(block)
+            if i is not None:
+                return d, Witness(DIST_COLORING, tuple(int(c) + 1 for c in block[i]), tag)
     raise AssertionError("an all-distinct coloring distinguishes")
 
 
@@ -553,29 +569,23 @@ def is_asymmetric(g: Graph) -> bool:
     return not has_nontrivial_automorphism(g)
 
 
-def _orbit_of_pairs(gens_images, start):
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for (u, v) in frontier:
-            for p in gens_images:
-                q = (p[u], p[v])
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return seen
-
-
 def _edge_transitive(g: Graph, grp: PermGroup) -> bool:
-    """Whether the orbit of the least edge under the generators is every edge."""
-    edges = list(g.edges())
-    if not edges:
+    """Whether the generators act on the edges, indexed by their place in
+    `edge_keys`, with one orbit.  An edge image that is not an edge raises
+    AssertionError: the generators are not automorphisms."""
+    keys = g.edge_keys
+    if not len(keys):
         return True
-    gens = grp.generators.tolist()
-    orbit = {(min(e), max(e)) for e in _orbit_of_pairs(gens, edges[0])}
-    return len(orbit) == len(edges)
+    nv = g.n_vertices
+    u, v = np.divmod(keys, nv)
+    a, b = grp.generators[:, u], grp.generators[:, v]
+    images = np.minimum(a, b).astype(np.int64) * nv + np.maximum(a, b)
+    # an image past the last key lands on the last key, which is smaller
+    index = np.minimum(np.searchsorted(keys, images), len(keys) - 1)
+    if (keys[index] != images).any():
+        raise AssertionError("a generator maps an edge to a pair that is not an edge")
+    roots = orbit_roots(len(keys), index)
+    return max(roots) == 0
 
 
 def transitivity_report(g: Graph, grp: PermGroup) -> TransitivityReport:

@@ -24,6 +24,7 @@ from cubesym.autgroup import (
     aq_base,
     fq_phi_extend,
     is_automorphism,
+    orbit_roots,
     pointwise_stabilizer,
     pointwise_stabilizer_is_trivial,
     setwise_stabilizer,
@@ -537,3 +538,49 @@ def test_hamming_model_equals_searched(n, m):
     table = grp.model.enumerate()
     assert grp.order() == len(table) == factorial(n) * factorial(m) ** n
     assert row_set(table) == row_set(_closure(g.n_vertices, search_automorphisms(g).generators))
+
+
+def _plain_orbit_partition(nv, gens):
+    """The reference orbits: a union-find over (v, p(v)) for every row p,
+    as a set of frozensets."""
+    parent = list(range(nv))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for p in gens:
+        for v in range(nv):
+            a, b = find(v), find(p[v])
+            if a != b:
+                parent[a] = b
+    blocks = {}
+    for v in range(nv):
+        blocks.setdefault(find(v), set()).add(v)
+    return {frozenset(b) for b in blocks.values()}
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_orbit_roots_match_plain_union_find(data):
+    """`orbit_roots` puts two vertices under one root iff the plain
+    union-find does, on random permutation sets of 0-60 vertices and 0-4
+    rows, identity rows among them; each root is its orbit's least vertex."""
+    nv = data.draw(st.integers(0, 60))
+    gens = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        # a permutation of a random subset, the identity elsewhere (the
+        # identity row when the subset is empty)
+        moved = data.draw(st.lists(st.integers(0, nv - 1), unique=True) if nv else st.just([]))
+        row = list(range(nv))
+        for v, w in zip(moved, data.draw(st.permutations(moved))):
+            row[v] = w
+        gens.append(row)
+    roots = orbit_roots(nv, gens)
+    blocks = {}
+    for v, root in enumerate(roots):
+        blocks.setdefault(root, set()).add(v)
+    assert all(root == min(block) for root, block in blocks.items())
+    assert {frozenset(b) for b in blocks.values()} == _plain_orbit_partition(nv, gens)
+    assert orbit_roots(nv, np.array(gens, dtype=np.int32).reshape(len(gens), nv)) == roots

@@ -373,7 +373,8 @@ def test_det_set_checks_survive_python_O():
     repeated zero-fixing rows or repeated permutations, a structured group
     whose generator check fails, for Q_n and for a Hamming graph, and the
     d >= 3 dist scan and the class scan when their batched count takes a
-    coloring that is not distinguishing."""
+    coloring that is not distinguishing, and the edge-orbit map when a
+    generator maps an edge to a pair that is not an edge."""
     import os
     import subprocess
     import sys
@@ -387,7 +388,7 @@ def test_det_set_checks_survive_python_O():
         import numpy as np
         from cubesym import autgroup, constructions as cons, symmetry, tables
         from math import factorial
-        from cubesym.bitgraph import FamilySpec, hamming_graph, hypercube
+        from cubesym.bitgraph import FamilySpec, graph_from_edges, hamming_graph, hypercube
         from cubesym.cli import main
         from cubesym.symmetry import TransitivityReport
 
@@ -546,6 +547,19 @@ def test_det_set_checks_survive_python_O():
             # the count takes is re-checked
             if main(["param", "cost", "folded", "-n", "4", "--no-cache"]) != 3:
                 sys.exit("param cost folded with a broken batched count did not exit 3")
+        # an edge image that is not an edge fails the edge-orbit map: in Q_3
+        # a generator with two images swapped, and on the path 0-1 plus a
+        # vertex 2 the swap of 1 and 2, whose image (0, 2) lies past the
+        # last edge key
+        q3 = hypercube(3)
+        swapped = autgroup.structured_group(q3).generators.copy()
+        swapped[0, [0, 1]] = swapped[0, [1, 0]]
+        for g, rows in [(q3, swapped), (graph_from_edges(3, [(0, 1)]), np.array([[0, 2, 1]]))]:
+            try:
+                symmetry._edge_transitive(g, autgroup.PermGroup(g.n_vertices, rows))
+            except AssertionError:
+                continue
+            sys.exit(f"_edge_transitive passed the non-automorphism {rows.tolist()}")
         with mock.patch.object(autgroup.AugmentedModel, "setwise_stabilizer", two_elements):
             sys.exit(main(["construct", "aq-cost-class", "-n", "5"]))
     """)

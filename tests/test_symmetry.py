@@ -457,6 +457,24 @@ def test_batched_d3_matches_plain_walk(name):
     assert (value, witness.payload) == _plain_d3(grp)
 
 
+@pytest.mark.parametrize("name", ["Q_2", "Q_3", "Q_{3,2}", "Q_{4,2}", "Q_3^2", "FQ_3", "H(2,3)",
+                                  "AQ_3"])
+def test_d3_without_room_for_bitsets(name, monkeypatch):
+    """With no room for the row bitsets, dist >= 3 is settled by testing
+    each coloring with `_preserving_count`, and no bitsets are built: the
+    value and witness are the batched path's."""
+    g = D3_GROUPS[name]()
+    want = distinguishing_number(g, automorphism_group(g))
+    assert want[0] >= 3
+
+    def no_bitsets(table):
+        raise AssertionError("row bitsets built above the size bound")
+
+    monkeypatch.setattr(symmetry, "_BITSET_BYTES", 0)
+    monkeypatch.setattr(symmetry, "_row_bitsets", no_bitsets)
+    assert distinguishing_number(g, automorphism_group(g)) == want
+
+
 def _plain_greedy(grp):
     """The reference greedy class: `_preserving_count` for every vertex the
     class might take, at every step."""
