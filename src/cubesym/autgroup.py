@@ -26,6 +26,7 @@ from .bitgraph import (
     build_family,
 )
 from .errors import NoStructuredForm, ParameterOutOfRange, SearchBudgetExceeded
+from .rowmaps import moving_row_map
 
 DEFAULT_ELEMENT_CAP = 2_000_000
 
@@ -397,7 +398,9 @@ def determining_test(grp: PermGroup):
 # has checked the order against the cap), `pointwise_stabilizer(S)` for a
 # sorted nonempty vertex list S, and the determining test above, which gives
 # it `pointwise_trivial(words)`.  The AQ_n and LTQ_n models also answer
-# `setwise_stabilizer(S)`, the rows of the elements that map S onto itself.
+# `setwise_stabilizer(S)`, the rows of the elements that map S onto itself,
+# and the Q_n, halved-cube and Hamming models `setwise_trivial(S)`, whether
+# only the identity does.
 
 
 class _TranslationModel:
@@ -444,6 +447,65 @@ class _SetwiseSearch:
         member = np.zeros(base.shape[1], dtype=bool)
         member[S] = True
         return rows[allowed[shifts.ravel()] & member[rows[:, S]].all(axis=1)]
+
+
+class _RowMapSetwise:
+    """`setwise_trivial(S)` without the element table, for a model whose
+    elements permute the columns of the words and relabel each column's
+    symbols: S_2 wr S_n for Q_n, S_m wr S_n for H(n, m), and for the
+    halved cube the same as Q_{n+1} on the n+1 extended columns (the parity
+    column added), with an even number of columns complemented.
+
+    An element mapping S onto itself maps row i of the matrix of S's words
+    to some row rho(i).  It then reads each image column from a source
+    column with the same row partition, read in rho's order, and relabels
+    its symbols accordingly.  So rho is some element's iff it keeps the
+    multiset of the columns' partitions; in the halved cube the columns
+    complemented are those where the extended words of S[0] and S[rho(0)]
+    differ, both of even weight, so they are even in number.  For a
+    determining S the partitions are distinct, and each column's symbols
+    are all shown but perhaps one, so the column map and relabelling are
+    forced: one element per rho, the identity for the identity (Boutin,
+    Identifying graph automorphisms using determining sets, 2006).  A set
+    that is not determining has a pointwise stabilizer, and so a setwise
+    one, above 1.
+
+    The element found for a rho other than the identity is built, and
+    checked to move a vertex and to map S onto itself."""
+
+    def setwise_trivial(self, S) -> bool:
+        S = sorted(set(S))
+        if not self.pointwise_trivial(S):
+            return False
+        columns = self._set_columns(S)
+        found = moving_row_map(columns)
+        if found is None:
+            return True
+        rho, sources = found
+        row = self._row_map_element(S, columns, rho, sources)
+        if (row == np.arange(len(row))).all() or not np.array_equal(np.sort(row[S]), S):
+            raise AssertionError(f"the element of row map {rho} does not move {S} onto "
+                                 "itself as a non-identity element")
+        return False
+
+
+class _CubeSetwise(_RowMapSetwise):
+    """The row-map test on the columns of `column_mask`, bit b of a word
+    being column n-1-b of `unit_images` for b < n and column n for b = n."""
+
+    def _set_columns(self, S):
+        masks = [self.column_mask(s ^ S[0]) for s in S]
+        return [tuple(m >> b & 1 for m in masks) for b in range(self.columns)]
+
+    def _row_map_element(self, S, columns, rho, sources) -> np.ndarray:
+        """v -> P(v + S[0]) + S[rho(0)], where bit b of P(t) is bit
+        sources[b] of t, so that P(S[i] + S[0]) = S[rho(i)] + S[rho(0)]."""
+        n = self.n
+        index = [n - 1 - b if b < n else b for b in range(self.columns)]
+        pi = [0] * self.columns
+        for b, src in enumerate(sources):
+            pi[index[b]] = index[src]
+        return self._rows([pi])[0][np.arange(1 << n) ^ S[0]] ^ S[rho[0]]
 
 
 class _ColumnRefinement(_DeterminingFold):
@@ -517,7 +579,7 @@ class _PositionModel(_ColumnRefinement, _TranslationModel):
         return self._stabilizer(S, perms, order)
 
 
-class HypercubeModel(_PositionModel):
+class HypercubeModel(_CubeSetwise, _PositionModel):
     """Aut(Q_n) = Z_2^n x S_n, also the group of Q_n^k for odd k <= n-2."""
 
     @property
@@ -528,7 +590,7 @@ class HypercubeModel(_PositionModel):
         return _column_words(pi, self.n, 0)[::-1]
 
 
-class HalvedCubeModel(_PositionModel):
+class HalvedCubeModel(_CubeSetwise, _PositionModel):
     """Aut(Q_n^k) = Z_2^n x S_{n+1} for even k with 2 <= k <= n-2.
 
     Write N = n+1 and v^ = (v, parity of v), a word of even weight.  The
@@ -610,11 +672,31 @@ class FoldedModel(_PositionModel):
                        and (not partial or partial == [2] or partial == [(1 << r) - 2]))
         return r + keeps_shift
 
+    def det_add(self, state, w):
+        """The refinement state, with the column values carried along: per
+        bit b of the translated words, the bitmask of the words with a 1
+        there, and 0 for the all-ones symbol's column."""
+        if state is None:
+            return (*super().det_add(state, w), (0,) * self.columns)
+        refined = super().det_add(state[:3], w)
+        values, row, t = list(state[3]), 1 << len(state[1]), refined[1][-1]
+        while t:  # the word's 1 bits, lowest first
+            low = t & -t
+            values[low.bit_length() - 1] |= row
+            t ^= low
+        return (*refined, tuple(values))
+
     def det_done(self, state) -> bool:
         """A fixing symbol permutation exists iff two extended columns agree
-        or some nonzero column value shifts the column values onto themselves."""
-        return (state is not None and not state[2]
-                and len(_folded_shifts(_folded_classes(state[1], self.n))) == 1)
+        or some nonzero column value shifts the column values onto themselves
+        (`_folded_shifts` with every class a single column).  Such a shift
+        pairs the values off, so there is none when there are an odd number."""
+        if state is None or state[2]:
+            return False
+        if self.columns % 2:
+            return True
+        values = set(state[3])
+        return not any(e and {c ^ e for c in values} == values for e in values)
 
     def pointwise_stabilizer(self, S) -> PermGroup:
         n = self.n
@@ -770,7 +852,7 @@ def _extension_need(m: int, n: int) -> list[list[int]]:
         r += 1
 
 
-class HammingModel(_DeterminingFold):
+class HammingModel(_RowMapSetwise, _DeterminingFold):
     """Aut(H) = S_m wr S_n for the Hamming graph of the words of length n
     over m >= 2 symbols: an element reads image column c from source column
     pi[c] and relabels its symbols by tau_c.  Column c (0-based from the
@@ -839,6 +921,21 @@ class HammingModel(_DeterminingFold):
                 view += (perms[:, self._digits[:, src]] * self._weights[c]).reshape(
                     (1,) * c + (len(perms),) + (1,) * (n - 1 - c) + (nv,))
         return out
+
+    def _set_columns(self, S):
+        return list(zip(*(self._word_digits[s] for s in S)))
+
+    def _row_map_element(self, S, columns, rho, sources) -> np.ndarray:
+        """Image column c reads column sources[c], whose symbol in row i
+        becomes column c's symbol in row rho(i); a symbol shown in neither
+        goes to the other."""
+        syms = []
+        for c, src in zip(columns, sources):
+            tau = {s: c[x] for s, x in zip(columns[src], rho)}
+            everything = set(range(self.m))
+            tau.update(zip(sorted(everything - tau.keys()), sorted(everything - set(tau.values()))))
+            syms.append([tau[s] for s in range(self.m)])
+        return self._rows(sources, [syms])[0]
 
     def det_start(self):
         return ((),) * self.n, (0,) * self.n

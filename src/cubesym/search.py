@@ -100,11 +100,11 @@ def _generators(g: Graph, node_budget: int, vertex_cap: int, base: list[int]):
         return
     rows = g.rows
 
-    gens: list[tuple[int, ...]] = []
     state = {
         "nodes": 0,
         "first_leaf": None,   # labeling array
         "first_path_inv": {},  # depth -> trace invariant
+        "found": np.empty((0, n), dtype=np.int32),  # the generators so far, as rows
     }
 
     def dfs(cells, depth, prefix):
@@ -125,19 +125,23 @@ def _generators(g: Graph, node_budget: int, vertex_cap: int, base: list[int]):
             perm = np.empty(n, dtype=np.int32)
             perm[first] = labeling
             if is_automorphism(g, perm):
-                gens.append(tuple(perm.tolist()))
-                yield gens[-1]
+                state["found"] = np.concatenate([state["found"], perm[None, :]])
+                yield tuple(perm.tolist())
             return
 
         on_first_path = state["first_leaf"] is None
         explored = []
-        roots, roots_for = None, -1  # orbits of the found generators fixing the prefix
+        # which found generators fix the prefix, and the orbits of those
+        fixing, roots = np.zeros(0, dtype=bool), None
         for v in sorted(target):
             if explored:
-                if roots_for != len(gens):
-                    roots = orbit_roots(n, [p for p in gens if all(p[w] == w for w in prefix)])
-                    roots_for = len(gens)
-                if any(roots[v] == roots[w] for w in explored):
+                found = state["found"]
+                if len(fixing) < len(found):
+                    fresh = (found[len(fixing):, prefix] == prefix).all(axis=1)
+                    fixing = np.concatenate([fixing, fresh])
+                    if fresh.any():
+                        roots = orbit_roots(n, found[fixing])
+                if roots is not None and any(roots[v] == roots[w] for w in explored):
                     continue
             rest = [w for w in target if w != v]
             child_cells = []

@@ -229,10 +229,11 @@ def is_distinguishing(grp: PermGroup, coloring: Coloring) -> bool:
     """True iff no nontrivial element maps every color class onto itself.
 
     A coloring with two used colors is settled by the setwise stabilizer of
-    its smaller class, which the AQ_n and LTQ_n models answer without the
-    element table; one with more colors, on the element table.  A group too
-    large to enumerate is settled only when some color class is determining
-    and induces an asymmetric subgraph: an element keeping the coloring maps
+    its smaller class (`_setwise_trivial`), which the Q_n, halved-cube,
+    Hamming, AQ_n and LTQ_n models answer without the element table; one
+    with more colors, on the element table.  Otherwise a group too large to
+    enumerate is settled only when some color class is determining and
+    induces an asymmetric subgraph: an element keeping the coloring maps
     that class onto itself, so it fixes the class pointwise and is the
     identity.  Otherwise SearchBudgetExceeded is raised."""
     if len(coloring.assignment) != grp.n_vertices:
@@ -262,7 +263,11 @@ def two_class_is_distinguishing(g: Graph, grp: PermGroup, cls) -> bool:
 
 
 def _setwise_trivial(grp: PermGroup, cls) -> bool:
-    """Exact setwise-stabilizer triviality."""
+    """Exact setwise-stabilizer triviality: the model's `setwise_trivial`
+    where it has one (Q_n, the halved cubes and the Hamming graphs), which
+    builds no element table; the setwise stabilizer's order otherwise."""
+    if hasattr(grp.model, "setwise_trivial"):
+        return grp.model.setwise_trivial(cls)
     return setwise_stabilizer(grp, cls).order() == 1
 
 
@@ -286,10 +291,10 @@ def _class_test(grp: PermGroup):
     with a trivial setwise stabilizer, or None.
 
     On at most `_EXHAUSTIVE_2_LIMIT` vertices, for a group whose model has
-    no setwise search, one `_keeping_counts` call counts the rows that keep
-    each class of the block as a 2-coloring; the class it takes is
-    re-checked by `_setwise_trivial`.  Otherwise each class is tested on
-    its own."""
+    no setwise search (all but AQ_n and LTQ_n), one `_keeping_counts` call
+    counts the rows that keep each class of the block as a 2-coloring; the
+    class it takes is re-checked by `_setwise_trivial`.  Otherwise each
+    class is tested on its own by `_setwise_trivial`."""
     nv = grp.n_vertices
     if (nv > _EXHAUSTIVE_2_LIMIT or hasattr(grp.model, "setwise_stabilizer")
             or _bitsets_nbytes(nv, grp.order()) > _BITSET_BYTES):

@@ -6,7 +6,7 @@ from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import preserves_adjacency, row_set
@@ -43,6 +43,7 @@ from cubesym.bitgraph import (
     enhanced_hypercube,
 )
 from cubesym.errors import NoStructuredForm
+from cubesym.rowmaps import moving_row_map
 from cubesym.search import search_automorphisms
 
 
@@ -471,6 +472,97 @@ def test_setwise_stabilizer_examples():
     assert setwise_stabilizer(g4, []).order() == 128
     assert setwise_stabilizer(g4, [3, 9]).order() > 1
     assert setwise_stabilizer(g4, [0, 0b1001, 0b0110]).order() == 1
+
+
+SETWISE_GROUPS = {
+    "Q_4": lambda: hypercube(4),
+    "Q_5": lambda: hypercube(5),
+    "Q_4^2": lambda: hypercube_power(4, 2),
+    "Q_5^2": lambda: hypercube_power(5, 2),
+    "Q_6^2": lambda: hypercube_power(6, 2),
+    "H(3,3)": lambda: hamming_graph(3, 3),
+    "H(2,4)": lambda: hamming_graph(2, 4),
+    "H(4,3)": lambda: hamming_graph(3, 4),
+}
+
+
+@lru_cache(maxsize=None)
+def _setwise_group(name: str):
+    grp = structured_group(SETWISE_GROUPS[name]())
+    grp.elements()
+    return grp
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_setwise_trivial_matches_the_table(data):
+    """The models of Q_n, the halved cubes and the Hamming graphs answer
+    setwise triviality from the row maps of the set, without the table; the
+    answer equals the order of the setwise stabilizer on the table, on sets
+    of every size, determining or not."""
+    name = data.draw(st.sampled_from(sorted(SETWISE_GROUPS)))
+    grp = _setwise_group(name)
+    nv = grp.n_vertices
+    size = data.draw(st.one_of(st.integers(0, 8), st.integers(0, nv)))
+    S = data.draw(st.lists(st.integers(0, nv - 1), min_size=size, max_size=size, unique=True))
+    assert grp.model.setwise_trivial(S) == (setwise_stabilizer(grp, S).order() == 1), (name, S)
+
+
+def _partition(column) -> tuple[int, ...]:
+    """A column's row partition as its restricted-growth string."""
+    rank: dict[int, int] = {}
+    return tuple(rank.setdefault(s, len(rank)) for s in column)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_moving_row_map_matches_every_permutation(data):
+    """The row map search finds a row map other than the identity that
+    keeps the multiset of the columns' partitions exactly when one of the
+    r! maps does, with each column's source, on random tables of up to 6
+    distinct rows (the words of a set), 5 columns and 3 symbols whose
+    columns have distinct partitions."""
+    width = data.draw(st.integers(1, 5))
+    r = data.draw(st.integers(1, min(6, 3 ** width)))
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * width), min_size=r, max_size=r,
+                              unique=True))
+    columns = list(zip(*rows))
+    assume(len({_partition(c) for c in columns}) == width)
+
+    def partitions(rho):
+        return sorted(_partition([c[x] for x in rho]) for c in columns)
+
+    moving = [rho for rho in permutations(range(r))
+              if rho != tuple(range(r)) and partitions(rho) == partitions(range(r))]
+    found = moving_row_map(columns)
+    if not moving:
+        assert found is None
+        return
+    rho, sources = found
+    assert rho in moving
+    assert [_partition([c[x] for x in rho]) for c in columns] == \
+        [_partition(columns[s]) for s in sources]
+
+
+def test_setwise_trivial_builds_no_table():
+    """Q_8's group, of order 10,321,920, is above the element cap, and its
+    model settles setwise triviality without the table: zero and the unit
+    words are determining but kept by every position permutation, and the
+    constructed class is determining with an asymmetric induced subgraph."""
+    from cubesym.constructions import hypercube_dist_class
+    from cubesym.symmetry import two_class_is_distinguishing
+
+    g = hypercube(8)
+    grp = structured_group(g)
+    units = [0] + [1 << b for b in range(8)]
+    assert pointwise_stabilizer_is_trivial(grp, units)
+    assert grp.model.setwise_trivial(units) is False
+    assert not pointwise_stabilizer_is_trivial(grp, [0, 3])  # bits 0 and 1 agree
+    assert grp.model.setwise_trivial([0, 3]) is False
+    cls = hypercube_dist_class(8)
+    assert two_class_is_distinguishing(g, grp, cls)
+    assert grp.model.setwise_trivial(cls) is True
+    assert grp._elements is None
 
 
 def test_pointwise_subset_of_setwise(corpus_groups):

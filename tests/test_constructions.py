@@ -373,8 +373,11 @@ def test_det_set_checks_survive_python_O():
     repeated zero-fixing rows or repeated permutations, a structured group
     whose generator check fails, for Q_n and for a Hamming graph, and the
     d >= 3 dist scan and the class scan when their batched count takes a
-    coloring that is not distinguishing, and the edge-orbit map when a
-    generator maps an edge to a pair that is not an edge."""
+    coloring that is not distinguishing, the edge-orbit map when a
+    generator maps an edge to a pair that is not an edge, and the setwise
+    test of the cube and Hamming models when the element of a row map it
+    finds is the identity or does not map the set onto itself, and the row
+    map search when it is given columns with equal partitions."""
     import os
     import subprocess
     import sys
@@ -560,6 +563,56 @@ def test_det_set_checks_survive_python_O():
             except AssertionError:
                 continue
             sys.exit(f"_edge_transitive passed the non-automorphism {rows.tolist()}")
+        # the setwise test of the cube and Hamming models builds the element
+        # of each row map it finds: one that is the identity, or that does
+        # not map the set onto itself, fails its check.  Zero and the unit
+        # words are determining and kept by swapping two columns.
+        def broken(owner, kind):
+            real = owner._row_map_element
+
+            def stand_in(self, S, columns, rho, sources):
+                row = real(self, S, columns, rho, sources)
+                return np.arange(len(row)) if kind == "identity" else np.roll(row, 1)
+            return stand_in
+
+        hamming_units = [0, 1, 3, 9]
+        setwise_cases = [
+            (autgroup._CubeSetwise, autgroup.HypercubeModel(5), [0, 1, 2, 4, 8, 16],
+             ["param", "cost", "hypercube", "-n", "5", "--no-cache"]),
+            (autgroup._CubeSetwise, autgroup.HalvedCubeModel(5), [0, 1, 2, 4, 8, 16], None),
+            (autgroup.HammingModel, autgroup.HammingModel(FamilySpec("hamming", 3, m=3)),
+             hamming_units, ["param", "cost", "hamming", "-n", "3", "-m", "3", "--no-cache"]),
+        ]
+        for owner, model, S, argv in setwise_cases:
+            if not model.pointwise_trivial(S) or model.setwise_trivial(S):
+                sys.exit(f"{S} is not a determining set with a setwise stabilizer")
+            for kind in ("identity", "moved"):
+                with mock.patch.object(owner, "_row_map_element", broken(owner, kind)):
+                    try:
+                        model.setwise_trivial(S)
+                    except AssertionError:
+                        pass
+                    else:
+                        sys.exit(f"setwise_trivial passed a {kind} element for {S}")
+                    if argv and main(argv) != 3:
+                        sys.exit(f"{' '.join(argv)} with a {kind} element did not exit 3")
+        # a row map that does not keep the columns' partitions builds an
+        # element that does not map the set onto itself, and the row map
+        # search refuses columns with equal partitions
+        with mock.patch.object(autgroup, "moving_row_map",
+                               lambda columns: ((4, 3, 2, 1, 0), list(range(len(columns))))):
+            try:
+                autgroup.HypercubeModel(5).setwise_trivial([0, 1, 2, 5, 11])
+            except AssertionError:
+                pass
+            else:
+                sys.exit("setwise_trivial passed a row map that moves a column partition")
+        try:
+            autgroup.moving_row_map([(0, 1, 1), (0, 1, 1)])
+        except AssertionError:
+            pass
+        else:
+            sys.exit("the row map search took columns with equal partitions")
         with mock.patch.object(autgroup.AugmentedModel, "setwise_stabilizer", two_elements):
             sys.exit(main(["construct", "aq-cost-class", "-n", "5"]))
     """)

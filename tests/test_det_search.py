@@ -239,6 +239,23 @@ def test_cost_witnesses_of_the_table_scan(kind, n, k, witness):
     assert (value, tuple(got.payload)) == (len(witness), witness)
 
 
+@pytest.mark.oracle_suite
+@pytest.mark.parametrize("kind,n,m", [("hypercube", 7, None), ("hamming", 3, 4)])
+def test_model_setwise_cost_equals_the_table_path(kind, n, m, monkeypatch):
+    # the class scan with the models' setwise test, and with the setwise
+    # stabilizer filtered from the element table (Q_7: 645,120 rows, about
+    # 30 s and 360 MB)
+    from cubesym import autgroup
+
+    g = build_family(FamilySpec(kind, n, m=m))
+    value, witness = cost_2dist(g, automorphism_group(g))
+    monkeypatch.delattr(autgroup._RowMapSetwise, "setwise_trivial")
+    grp = automorphism_group(g)
+    table_value, table_witness = cost_2dist(g, grp)
+    assert grp._elements is not None
+    assert (value, witness.payload) == (table_value, table_witness.payload)
+
+
 # Structured groups small enough to enumerate; FQ_6's 322,560 elements are
 # left out to keep the test's memory small.
 FOLD_GROUPS = [("hypercube", n, None) for n in (3, 4, 5, 6)] + \

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,8 +119,9 @@ def test_is_distinguishing():
 
 
 def test_is_distinguishing_above_the_element_cap():
-    # |Aut(Q_8)| = 2^8 * 8! is above the element cap: a coloring is settled
-    # only by a determining class with an asymmetric induced subgraph
+    # |Aut(Q_8)| = 2^8 * 8! is above the element cap: a coloring with two
+    # colors is settled by the model's setwise test, one with more only by
+    # a determining class with an asymmetric induced subgraph
     g = hypercube(8)
     grp = structured_group(g)
     cls = set(hypercube_dist_class(8))
@@ -127,14 +129,19 @@ def test_is_distinguishing_above_the_element_cap():
     three = tuple(1 if v in cls else 2 + v % 2 for v in range(256))
     assert is_distinguishing(grp, Coloring(three, 3))
     # swapping the first two positions fixes the words with x1 = x2, and
-    # also flipping both fixes the others, so neither class settles it
+    # also flipping both fixes the others, so no class settles it
     halves = [1 if (v >> 7) == (v >> 6 & 1) else 2 for v in range(256)]
+    assert not is_distinguishing(grp, Coloring(tuple(halves), 2))
+    halves_split = tuple(c + (c == 2 and v >> 5 & 1) for v, c in enumerate(halves))
     with pytest.raises(SearchBudgetExceeded):
-        is_distinguishing(grp, Coloring(tuple(halves), 2))
+        is_distinguishing(grp, Coloring(halves_split, 3))
+    assert grp._elements is None
     record = {"params": {"kind": "hypercube", "n": 8}, "value": 2,
               "witness": {"kind": "distinguishing_coloring", "payload": halves}}
     assert verify_witness(g, record, grp) is False
-    record["value"], record["witness"]["payload"] = 3, list(three)
+    record["value"], record["witness"]["payload"] = 3, list(halves_split)
+    assert verify_witness(g, record, grp) is False
+    record["witness"]["payload"] = list(three)
     assert verify_witness(g, record, grp) is True
 
 
@@ -605,6 +612,33 @@ def test_class_scan_setwise_calls(name, make, value, batched, per_leaf, monkeypa
     made.clear()
     monkeypatch.setattr(symmetry, "_BITSET_BYTES", 0)
     assert (make()["value"], len(made)) == (value, per_leaf)
+
+
+RECORDS = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "records"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", str(RECORDS / "dist-power-n-6-k-2.json"), "--no-cache"],
+    ["verify", str(RECORDS / "dist-hamming-n-4-m-3.json"), "--no-cache"],
+    ["param", "cost", "hypercube", "-n", "5", "--no-cache"],
+])
+def test_setwise_answers_build_no_table(argv, monkeypatch, capsys):
+    """The verify of the Q_6^2 and H(4,3) dist records and the cost of Q_5
+    settle setwise triviality on the model, so the group they build keeps
+    no element table."""
+    from cubesym import cli, params
+
+    groups = []
+
+    def kept(g):
+        groups.append(automorphism_group(g))
+        return groups[-1]
+
+    monkeypatch.setattr(cli, "automorphism_group", kept)
+    monkeypatch.setattr(params, "automorphism_group", kept)
+    assert cli.main(argv) == 0
+    assert '"verified": false' not in capsys.readouterr().out
+    assert groups and all(grp._elements is None for grp in groups)
 
 
 def test_is_asymmetric_stops_at_the_first_automorphism():
