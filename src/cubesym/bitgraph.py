@@ -5,10 +5,14 @@ Hamming graphs).  Position 1 is the leftmost/most significant digit, so the
 word with a single 1 in position i is the integer 2**(n-i).  Vertex ids in a
 generated graph are exactly the word values, 0 .. m**n - 1.
 
-Adjacency is stored as one Python int bitset per vertex, which keeps the
-per-pair tests and the BFS/refinement loops fast.  `Graph.edge_keys` holds
-the edge set once more as a sorted int64 array, built on first use, which
-the automorphism test compares images with.
+A graph is its edge array, `Graph.edge_keys`: the keys u * V + v of the
+edges u < v, ascending, as int64.  The families build it in numpy from their
+rule (an XOR connection set, the two-copy recursion of LTQ_n, one changed
+digit for H(n,m)), and explicit graphs from their given edges.  Degrees,
+counts, the automorphism test and the encoders read it.  `Graph.rows`, one
+Python int bitset per vertex, is derived from it on first use, for the
+readers that walk adjacency bit by bit: the search's refinement, the oracle
+and `distance_spheres`.
 """
 
 from __future__ import annotations
@@ -201,42 +205,72 @@ class FamilySpec:
         return d
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Finite simple graph with bitset adjacency rows.
+# The most bytes of dense adjacency that `Graph.rows` unpacks at a time: at
+# 1 MB, transitivity of Q_14 peaked at 72 MB and 16 MB blocks at 118 MB.
+_ROW_BLOCK_BYTES = 1 << 20
 
-    `labels[i]` keeps the original word of vertex i for graphs carved out of
-    a bigger one (induced subgraphs); it is None for directly generated
-    families, whose vertex ids are already the words.
+
+@dataclass(frozen=True, eq=False)
+class Graph:
+    """Finite simple graph given by its edge array.
+
+    `edge_keys` holds the keys u * V + v of the edges u < v, ascending, as
+    int64, with no key repeated.  `labels[i]` keeps the original word of
+    vertex i for graphs carved out of a bigger one (induced subgraphs); it
+    is None for directly generated families, whose vertex ids are already
+    the words.
     """
 
     n_vertices: int
-    rows: tuple[int, ...]
+    edge_keys: np.ndarray
     family: FamilySpec | None = None
     labels: tuple[int, ...] | None = None
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.rows[u] >> v) & 1)
-
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
-    def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
-
-    def edges(self):
-        for u in range(self.n_vertices):
-            row = (self.rows[u] >> (u + 1)) << (u + 1)
-            while row:
-                low = row & -row
-                yield (u, low.bit_length() - 1)
-                row ^= low
+    @cached_property
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ends u < v of the edges, in `edge_keys` order."""
+        return np.divmod(self.edge_keys, max(self.n_vertices, 1))
 
     @cached_property
-    def edge_keys(self) -> np.ndarray:
-        """The keys `u * V + v` of the edges u < v, ascending, as int64."""
+    def degrees(self) -> np.ndarray:
+        return np.bincount(np.concatenate(self.ends), minlength=self.n_vertices)
+
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """One int bitset per vertex, bit w of row v set iff v ~ w, unpacked
+        from the edge array a block of vertices at a time."""
         nv = self.n_vertices
-        return np.fromiter((u * nv + v for u, v in self.edges()), dtype=np.int64)
+        u, v = self.ends
+        src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+        order = np.argsort(src, kind="stable")
+        src, dst = src[order], dst[order]
+        width = -(-nv // 8)
+        block = max(1, _ROW_BLOCK_BYTES // max(nv, 1))
+        out = []
+        for lo in range(0, nv, block):
+            hi = min(nv, lo + block)
+            a, b = np.searchsorted(src, [lo, hi])
+            dense = np.zeros((hi - lo, nv), dtype=bool)
+            dense[src[a:b] - lo, dst[a:b]] = True
+            data = np.packbits(dense, axis=1, bitorder="little").tobytes()
+            out += [int.from_bytes(data[i:i + width], "little")
+                    for i in range(0, len(data), width)]
+        return tuple(out)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        key = min(u, v) * self.n_vertices + max(u, v)
+        i = int(np.searchsorted(self.edge_keys, key))
+        return i < len(self.edge_keys) and int(self.edge_keys[i]) == key and u != v
+
+    def degree(self, v: int) -> int:
+        return int(self.degrees[v])
+
+    def edge_count(self) -> int:
+        return len(self.edge_keys)
+
+    def edges(self):
+        u, v = self.ends
+        return zip(u.tolist(), v.tolist())
 
     def neighbors(self, v: int) -> list[int]:
         out = []
@@ -248,34 +282,35 @@ class Graph:
         return out
 
     def is_regular(self) -> bool:
-        if self.n_vertices == 0:
-            return True
-        d = self.degree(0)
-        return all(self.degree(v) == d for v in range(self.n_vertices))
+        degrees = self.degrees
+        return not len(degrees) or bool((degrees == degrees[0]).all())
 
     def check_valid(self) -> None:
-        """Assert symmetry and an empty diagonal."""
-        for u in range(self.n_vertices):
-            if (self.rows[u] >> u) & 1:
-                raise ParameterOutOfRange(f"self-loop at {u}")
-            row = self.rows[u]
-            while row:
-                low = row & -row
-                v = low.bit_length() - 1
-                row ^= low
-                if not (self.rows[v] >> u) & 1:
-                    raise ParameterOutOfRange(f"asymmetric adjacency at ({u},{v})")
+        """Check that the edge keys ascend strictly and are pairs u < v of
+        vertices, so that the adjacency they give is symmetric and has an
+        empty diagonal."""
+        keys, nv = self.edge_keys, self.n_vertices
+        u, v = self.ends
+        if (np.diff(keys) <= 0).any():
+            raise ParameterOutOfRange("the edge keys do not ascend strictly")
+        if len(keys) and (keys[0] < 0 or keys[-1] >= nv * nv):
+            raise ParameterOutOfRange("an edge key names a vertex out of range")
+        if (u == v).any():
+            raise ParameterOutOfRange(f"self-loop at {int(u[u == v][0])}")
+        if (u > v).any():
+            raise ParameterOutOfRange("an edge key has its larger end first")
 
 
 def graph_from_edges(n_vertices: int, edges, family: FamilySpec | None = None,
                      labels: tuple[int, ...] | None = None) -> Graph:
-    rows = [0] * n_vertices
-    for u, v in edges:
-        if u == v:
-            continue
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return Graph(n_vertices, tuple(rows), family, labels)
+    """The graph of the pairs `edges` (any order, repeats and loops ignored)."""
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                       dtype=np.int64).reshape(-1, 2)
+    if ((pairs < 0) | (pairs >= n_vertices)).any():
+        raise VertexOutOfRange(f"an edge end is not a vertex of 0..{n_vertices - 1}")
+    u, v = pairs.min(axis=1), pairs.max(axis=1)
+    keys = np.unique((u * n_vertices + v)[u != v])
+    return Graph(n_vertices, keys, family, labels)
 
 
 def _neighbor_masks(spec: FamilySpec) -> list[int] | None:
@@ -305,23 +340,44 @@ def _neighbor_masks(spec: FamilySpec) -> list[int] | None:
     return None
 
 
-def _build_locally_twisted(n: int) -> list[int]:
-    """Edge bitsets of LTQ_n from the two-copy recursion (base LTQ_2 = Q_2)."""
-    rows = [0b0110, 0b1001, 0b1001, 0b0110]  # Q_2 on words 00, 01, 10, 11
+def _locally_twisted_keys(n: int) -> np.ndarray:
+    """Edge keys of LTQ_n from the two-copy recursion (base LTQ_2 = Q_2):
+    LTQ_dim is two copies of LTQ_{dim-1}, the second on the words with the
+    leading bit set, and each word 0 x2..xn of the first is joined to
+    1 (x2+xn) x3..xn of the second."""
+    u = np.array([0, 0, 1, 2], dtype=np.int64)  # Q_2 on words 00, 01, 10, 11
+    v = np.array([1, 2, 3, 3], dtype=np.int64)
     for dim in range(3, n + 1):
         half = 1 << (dim - 1)
-        new_rows = [0] * (half * 2)
-        for v in range(half):
-            new_rows[v] = rows[v]
-            new_rows[v | half] = rows[v] << half
-        for v in range(half):
-            # partner of 0 x2..xn is 1 (x2+xn) x3..xn
-            w = v ^ ((v & 1) << (dim - 2))
-            u = w | half
-            new_rows[v] |= 1 << u
-            new_rows[u] |= 1 << v
-        rows = new_rows
-    return rows
+        w = np.arange(half, dtype=np.int64)
+        partner = (w ^ ((w & 1) << (dim - 2))) | half
+        u, v = np.concatenate([u, u | half, w]), np.concatenate([v, v | half, partner])
+    return np.sort(u * (1 << n) + v)
+
+
+def _neighbor_table(spec: FamilySpec) -> np.ndarray:
+    """The V x d array of every vertex's neighbours, for the families whose
+    rule names them: the XOR connection set, or one changed digit for the
+    Hamming graphs."""
+    v = np.arange(spec.vertex_count, dtype=np.int64)[:, None]
+    masks = _neighbor_masks(spec)
+    if masks is not None:
+        return v ^ np.array(masks, dtype=np.int64)
+    if spec.kind != HAMMING:
+        raise ParameterOutOfRange(f"unhandled family kind {spec.kind!r}")
+    m = spec.m
+    place = m ** np.arange(spec.n, dtype=np.int64)
+    digit = v // place % m
+    return np.concatenate([v + ((digit + t) % m - digit) * place for t in range(1, m)], axis=1)
+
+
+def _family_keys(spec: FamilySpec) -> np.ndarray:
+    if spec.kind == LOCALLY_TWISTED:
+        return _locally_twisted_keys(spec.n)
+    nbrs = _neighbor_table(spec)
+    nbrs.sort(axis=1)
+    v = np.arange(len(nbrs), dtype=np.int64)[:, None]
+    return (v * len(nbrs) + nbrs)[nbrs > v]  # row by row, so ascending
 
 
 def build_family(spec: FamilySpec, cap: int | None = None) -> Graph:
@@ -332,38 +388,7 @@ def build_family(spec: FamilySpec, cap: int | None = None) -> Graph:
     limit = cap if cap is not None else vertex_cap()
     if nv > limit:
         raise SizeGuard(f"{spec.name()} has {nv} vertices, above the cap {limit}")
-
-    n = spec.n
-    masks = _neighbor_masks(spec)
-    if masks is not None:
-        rows = [0] * nv
-        for v in range(nv):
-            r = 0
-            for d in masks:
-                r |= 1 << (v ^ d)
-            rows[v] = r
-        return Graph(nv, tuple(rows), spec)
-
-    if spec.kind == LOCALLY_TWISTED:
-        return Graph(nv, tuple(_build_locally_twisted(n)), spec)
-
-    if spec.kind == HAMMING:
-        m = spec.m
-        rows = [0] * nv
-        for v in range(nv):
-            r = 0
-            p = 1
-            for _ in range(n):
-                base = v - (v // p % m) * p
-                for d in range(m):
-                    u = base + d * p
-                    if u != v:
-                        r |= 1 << u
-                p *= m
-            rows[v] = r
-        return Graph(nv, tuple(rows), spec)
-
-    raise ParameterOutOfRange(f"unhandled family kind {spec.kind!r}")
+    return Graph(nv, _family_keys(spec), spec)
 
 
 def distance_spheres(g: Graph, u: int) -> list[int]:
@@ -408,21 +433,20 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
         if v in seen:
             raise DuplicateVertex(f"vertex {v} repeated")
         seen.add(v)
-    index = {v: i for i, v in enumerate(vs)}
-    rows = [0] * len(vs)
-    for i, v in enumerate(vs):
-        row = g.rows[v]
-        for w, j in index.items():
-            if (row >> w) & 1:
-                rows[i] |= 1 << j
+    index = np.full(g.n_vertices, -1, dtype=np.int64)
+    index[vs] = np.arange(len(vs))
+    a, b = (index[end] for end in g.ends)
+    kept = (a >= 0) & (b >= 0)
     base = tuple(g.labels[v] for v in vs) if g.labels is not None else tuple(vs)
-    return Graph(len(vs), tuple(rows), FamilySpec(EXPLICIT), base)
+    return graph_from_edges(len(vs), np.column_stack([a[kept], b[kept]]),
+                            FamilySpec(EXPLICIT), base)
 
 
 def complement(g: Graph) -> Graph:
-    full = (1 << g.n_vertices) - 1
-    rows = tuple((full ^ g.rows[v]) & ~(1 << v) for v in range(g.n_vertices))
-    return Graph(g.n_vertices, rows, FamilySpec(EXPLICIT), g.labels)
+    nv = g.n_vertices
+    u, v = np.triu_indices(nv, 1)
+    keys = np.setdiff1d(u.astype(np.int64) * nv + v, g.edge_keys, assume_unique=True)
+    return Graph(nv, keys, FamilySpec(EXPLICIT), g.labels)
 
 
 def cartesian_product(g: Graph, h: Graph, cap: int | None = None) -> Graph:
@@ -432,28 +456,16 @@ def cartesian_product(g: Graph, h: Graph, cap: int | None = None) -> Graph:
     if nv > limit:
         raise SizeGuard(f"product has {nv} vertices, above the cap {limit}")
     nh = h.n_vertices
-    rows = [0] * nv
-    for a in range(g.n_vertices):
-        arow = g.rows[a]
-        for b in range(nh):
-            v = a * nh + b
-            r = 0
-            brow = h.rows[b]
-            while brow:
-                low = brow & -brow
-                r |= 1 << (a * nh + low.bit_length() - 1)
-                brow ^= low
-            t = arow
-            while t:
-                low = t & -t
-                r |= 1 << ((low.bit_length() - 1) * nh + b)
-                t ^= low
-            rows[v] = r
-    return Graph(nv, tuple(rows), FamilySpec(EXPLICIT))
+    a = np.arange(g.n_vertices, dtype=np.int64)[:, None] * nh
+    b = np.arange(nh, dtype=np.int64)[:, None]
+    (gu, gv), (hu, hv) = g.ends, h.ends
+    u = np.concatenate([(gu * nh + b).ravel(), (a + hu).ravel()])
+    v = np.concatenate([(gv * nh + b).ravel(), (a + hv).ravel()])
+    return Graph(nv, np.sort(u * nv + v), FamilySpec(EXPLICIT))
 
 
 def same_edges(g: Graph, h: Graph) -> bool:
-    return g.n_vertices == h.n_vertices and g.rows == h.rows
+    return g.n_vertices == h.n_vertices and np.array_equal(g.edge_keys, h.edge_keys)
 
 
 # convenience constructors used all over the tests and demos

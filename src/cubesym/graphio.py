@@ -24,11 +24,6 @@ def _g6_size_bytes(n: int) -> list[int]:
 _G6_WEIGHTS = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
 
 
-def _edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The ends u < v of the edges, in `edge_keys` order."""
-    return np.divmod(g.edge_keys, max(g.n_vertices, 1))
-
-
 def to_graph6(g: Graph) -> str:
     """Encode in the standard graph6 format (no header).
 
@@ -37,7 +32,7 @@ def to_graph6(g: Graph) -> str:
     packed six to a byte, most significant first, plus 63."""
     n = g.n_vertices
     header = bytes(_g6_size_bytes(n))
-    u, v = _edge_ends(g)
+    u, v = g.ends
     bits = np.zeros(-(-(n * (n - 1) // 2) // 6) * 6, dtype=np.uint8)
     bits[v * (v - 1) // 2 + u] = 1
     payload = bits.reshape(-1, 6) @ _G6_WEIGHTS + np.uint8(63)
@@ -84,12 +79,12 @@ def from_graph6(text: str) -> Graph:
     v -= v * (v - 1) // 2 > pos
     v += (v + 1) * v // 2 <= pos
     u = pos - v * (v - 1) // 2
-    return graph_from_edges(n, zip(u.tolist(), v.tolist()), FamilySpec(EXPLICIT))
+    return Graph(n, np.sort(u * n + v), FamilySpec(EXPLICIT))
 
 
 def to_edgelist(g: Graph) -> str:
     """One 'u v' line per edge, decimal vertex ids, sorted."""
-    u, v = _edge_ends(g)
+    u, v = g.ends
     return "\n".join(f"{a} {b}" for a, b in zip(u.tolist(), v.tolist()))
 
 
@@ -114,7 +109,7 @@ def to_descriptor(g: Graph) -> dict:
         "family": fam["kind"] if fam else None,
         "params": {k: v for k, v in (fam or {}).items() if k != "kind"},
         "n_vertices": g.n_vertices,
-        "edges": np.column_stack(_edge_ends(g)).tolist(),
+        "edges": np.column_stack(g.ends).tolist(),
     }
 
 
@@ -122,4 +117,4 @@ def from_descriptor(d: dict) -> Graph:
     kind = d.get("family") or EXPLICIT
     params = d.get("params", {})
     spec = FamilySpec(kind, params.get("n", 0), params.get("k"), params.get("m"))
-    return graph_from_edges(d["n_vertices"], [tuple(e) for e in d["edges"]], spec)
+    return graph_from_edges(d["n_vertices"], d["edges"], spec)

@@ -582,7 +582,7 @@ def _edge_transitive(g: Graph, grp: PermGroup) -> bool:
     if not len(keys):
         return True
     nv = g.n_vertices
-    u, v = np.divmod(keys, nv)
+    u, v = g.ends
     a, b = grp.generators[:, u], grp.generators[:, v]
     images = np.minimum(a, b).astype(np.int64) * nv + np.maximum(a, b)
     # an image past the last key lands on the last key, which is smaller

@@ -84,6 +84,28 @@ def test_is_automorphism():
     assert not is_automorphism(q3, [0] * 8)
 
 
+@pytest.mark.parametrize("bound", [1, 1 << 22])
+def test_batched_check_matches_row_by_row(monkeypatch, bound):
+    """A batch of generator rows and broken copies of them (two images
+    swapped, an image repeated) gets the verdicts of its rows one at a
+    time and of the pairwise reference, whether each chunk of the check
+    holds one row or the whole batch."""
+    from cubesym import autgroup
+
+    monkeypatch.setattr(autgroup, "_CHECK_BYTES", bound)
+    for g in (hypercube(5), hamming_graph(3, 3), augmented_hypercube(5)):
+        gens = structured_group(g).generators
+        broken = gens.copy()
+        broken[0, [0, 1]] = broken[0, [1, 0]]
+        broken[1, 0] = broken[1, 1]
+        batch = np.concatenate([gens, broken])
+        verdicts = is_automorphism(g, batch)
+        assert verdicts.tolist() == [preserves_adjacency(g, row) for row in batch]
+        assert verdicts.tolist() == [is_automorphism(g, row) for row in batch]
+        assert not verdicts[len(gens)] and not verdicts[len(gens) + 1]
+    assert is_automorphism(g, np.empty((0, g.n_vertices), dtype=np.int32)).shape == (0,)
+
+
 ROW_KINDS = ["permutation", "searched", "non-bijection", "wrong length"]
 
 

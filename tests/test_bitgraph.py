@@ -1,5 +1,12 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +14,8 @@ from hypothesis import strategies as st
 from cubesym.bitgraph import (
     BitVertex,
     FamilySpec,
+    Graph,
+    _neighbor_masks,
     augmented_hypercube,
     build_family,
     cartesian_product,
@@ -26,6 +35,7 @@ from cubesym.bitgraph import (
     same_edges,
     word_str,
 )
+from cubesym.cli import main
 from cubesym.errors import (
     DimensionMismatch,
     DuplicateVertex,
@@ -228,3 +238,166 @@ def test_word_str_roundtrip(n, data):
     s = word_str(w, n, m)
     assert len(s) == n
     assert int(s, m) == w
+
+
+# ---------------------------------------------------------------------------
+# the edge array against the per-vertex loops
+#
+# The families were once built as one int bitset per vertex, a vertex at a
+# time; those loops are the pairwise reference for the numpy rules.
+
+
+def _reference_rows(spec: FamilySpec) -> list[int]:
+    nv, n = spec.vertex_count, spec.n
+    masks = _neighbor_masks(spec)
+    if masks is not None:
+        return [sum(1 << (v ^ d) for d in set(masks)) for v in range(nv)]
+    if spec.kind == "locally_twisted":
+        rows = [0b0110, 0b1001, 0b1001, 0b0110]  # Q_2 on words 00, 01, 10, 11
+        for dim in range(3, n + 1):
+            half = 1 << (dim - 1)
+            new_rows = [0] * (half * 2)
+            for v in range(half):
+                new_rows[v] = rows[v]
+                new_rows[v | half] = rows[v] << half
+            for v in range(half):
+                u = (v ^ ((v & 1) << (dim - 2))) | half  # 0 x2..xn ~ 1 (x2+xn) x3..xn
+                new_rows[v] |= 1 << u
+                new_rows[u] |= 1 << v
+            rows = new_rows
+        return rows
+    m, rows = spec.m, []
+    for v in range(nv):
+        r, p = 0, 1
+        for _ in range(n):
+            base = v - (v // p % m) * p
+            r |= sum(1 << (base + d * p) for d in range(m) if base + d * p != v)
+            p *= m
+        rows.append(r)
+    return rows
+
+
+def _reference_keys(rows: list[int]) -> list[int]:
+    nv = len(rows)
+    return [u * nv + v for u in range(nv) for v in range(u + 1, nv) if rows[u] >> v & 1]
+
+
+@st.composite
+def family_specs(draw):
+    kind = draw(st.sampled_from(["hypercube", "power", "folded", "enhanced", "augmented",
+                                 "locally_twisted", "hamming"]))
+    if kind == "hamming":
+        m = draw(st.integers(2, 5))
+        n = draw(st.integers(1, {2: 9, 3: 6, 4: 5, 5: 4}[m]))
+        return FamilySpec(kind, n, m=m)
+    n = draw(st.integers(2 if kind in ("enhanced", "locally_twisted") else 1, 9))
+    if kind == "power":
+        return FamilySpec(kind, n, k=draw(st.integers(1, n + 1)))
+    if kind == "enhanced":
+        return FamilySpec(kind, n, k=draw(st.integers(1, n - 1)))
+    return FamilySpec(kind, n)
+
+
+@given(family_specs())
+@settings(max_examples=120, deadline=None)
+def test_rule_built_edges_match_the_per_vertex_loops(spec):
+    g = build_family(spec)
+    rows = _reference_rows(spec)
+    assert g.edge_keys.dtype == np.int64
+    assert g.edge_keys.tolist() == _reference_keys(rows)
+    g.check_valid()
+    assert g.rows == tuple(rows)
+
+
+@given(st.integers(0, 12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_explicit_graphs_match_bitset_references(n, data):
+    """Given edges (with loops and repeats), an induced subgraph and the
+    complement against the same operations on bitset rows."""
+    vertex = st.integers(0, max(n - 1, 0))
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=40)) if n else []
+    g = graph_from_edges(n, pairs)
+    rows = [0] * n
+    for u, v in pairs:
+        if u != v:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    assert g.rows == tuple(rows)
+    assert g.edge_keys.tolist() == _reference_keys(rows)
+    assert [g.degree(v) for v in range(n)] == [r.bit_count() for r in rows]
+    assert all(g.has_edge(u, v) == bool(rows[u] >> v & 1) for u in range(n) for v in range(n))
+    vs = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
+    sub = induced_subgraph(g, vs)
+    assert sub.labels == tuple(vs)
+    assert sub.rows == tuple(sum(1 << j for j, w in enumerate(vs) if rows[v] >> w & 1)
+                             for v in vs)
+    full = (1 << n) - 1
+    assert complement(g).rows == tuple((full ^ r) & ~(1 << v) for v, r in enumerate(rows))
+
+
+def test_graph_from_edges_rejects_an_end_out_of_range():
+    for pairs in ([(0, 3)], [(-1, 1)]):
+        with pytest.raises(VertexOutOfRange):
+            graph_from_edges(3, pairs)
+
+
+def test_check_valid_rejects_malformed_edge_arrays():
+    for keys in ([1, 1], [5, 1], [4], [3], [9]):  # repeat, descending, loop, u > v, range
+        with pytest.raises(ParameterOutOfRange):
+            Graph(3, np.array(keys, dtype=np.int64)).check_valid()
+
+
+# ---------------------------------------------------------------------------
+# the rows are built only for their readers
+
+
+@pytest.fixture
+def rows_forbidden(monkeypatch):
+    def built(self):
+        pytest.fail("the bitset rows were built")
+
+    monkeypatch.setattr(Graph, "rows", property(built))
+
+
+def test_gen_graph6_builds_no_rows(capsys, rows_forbidden):
+    assert main(["gen", "hypercube", "-n", "10", "--format", "graph6"]) == 0
+    assert len(capsys.readouterr().out.strip()) == 4 + 1024 * 1023 // 12
+
+
+def test_det_and_its_verify_build_no_rows(capsys, tmp_path, monkeypatch, rows_forbidden):
+    monkeypatch.setenv("CUBE_SYM_CACHE", str(tmp_path / "cache"))
+    assert main(["param", "det", "hypercube", "-n", "12", "--no-cache", "--witness"]) == 0
+    record = capsys.readouterr().out
+    assert json.loads(record)["value"] == 5
+    path = tmp_path / "det.json"
+    path.write_text(record)
+    assert main(["verify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
+@pytest.mark.oracle_suite
+def test_det_q16_runs_in_100_mb():
+    """`param det hypercube -n 16` holds the edge array and one chunk of
+    the generator check, not V x V bitsets: its process peaks under 100 MB
+    (it peaked at 596 MB on bitset rows).  The process reads its own peak
+    as VmHWM, the high-water mark of its address space: on Linux its
+    `ru_maxrss` would also count the peak of the pytest process it was
+    forked from, since exec keeps that maximum."""
+    script = ("import json, resource, sys\n"
+              "from cubesym.cli import main\n"
+              "code = main(['param', 'det', 'hypercube', '-n', '16', '--no-cache', '--witness'])\n"
+              "try:\n"
+              "    status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+              "    peak = int(status.split()[0]) / 1024\n"
+              "except (OSError, IndexError):\n"
+              "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+              "print(json.dumps({'code': code, 'peak_mb': peak}), file=sys.stderr)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    report = json.loads(proc.stderr.strip().splitlines()[-1])
+    record = json.loads(proc.stdout)
+    assert report["code"] == 0
+    assert record["value"] == 5
+    assert record["witness"]["payload"] == [0, 255, 3855, 13107, 21845]
+    assert report["peak_mb"] < 100, report

@@ -371,13 +371,14 @@ def test_det_set_checks_survive_python_O():
     stand-in or an out-of-range argument.  A transitivity report with
     inconsistent flags raises too, and so do a model's element table from
     repeated zero-fixing rows or repeated permutations, a structured group
-    whose generator check fails, for Q_n and for a Hamming graph, and the
-    d >= 3 dist scan and the class scan when their batched count takes a
-    coloring that is not distinguishing, the edge-orbit map when a
+    whose batched generator check fails, for Q_n and for a Hamming graph,
+    and the d >= 3 dist scan and the class scan when their batched count
+    takes a coloring that is not distinguishing, the edge-orbit map when a
     generator maps an edge to a pair that is not an edge, and the setwise
-    test of the cube and Hamming models when the element of a row map it
-    finds is the identity or does not map the set onto itself, and the row
-    map search when it is given columns with equal partitions."""
+    test of the cube and Hamming models when the images of the set under
+    the element of a row map it finds move no vertex of it, leave it, or
+    come from a column map that is no permutation, and the row map search
+    when it is given columns with equal partitions."""
     import os
     import subprocess
     import sys
@@ -563,16 +564,19 @@ def test_det_set_checks_survive_python_O():
             except AssertionError:
                 continue
             sys.exit(f"_edge_transitive passed the non-automorphism {rows.tolist()}")
-        # the setwise test of the cube and Hamming models builds the element
-        # of each row map it finds: one that is the identity, or that does
-        # not map the set onto itself, fails its check.  Zero and the unit
-        # words are determining and kept by swapping two columns.
+        # the setwise test of the cube and Hamming models computes the
+        # images of the set under the element of each row map it finds:
+        # images that move no vertex of the set, or that leave it, fail its
+        # check.  Zero and the unit words are determining and kept by
+        # swapping two columns.
         def broken(owner, kind):
-            real = owner._row_map_element
+            real = owner._row_map_images
 
             def stand_in(self, S, columns, rho, sources):
-                row = real(self, S, columns, rho, sources)
-                return np.arange(len(row)) if kind == "identity" else np.roll(row, 1)
+                images = real(self, S, columns, rho, sources)
+                if kind == "identity":
+                    return list(S)
+                return [min(set(range(len(S) + 1)) - set(S))] + images[1:]
             return stand_in
 
         hamming_units = [0, 1, 3, 9]
@@ -587,7 +591,7 @@ def test_det_set_checks_survive_python_O():
             if not model.pointwise_trivial(S) or model.setwise_trivial(S):
                 sys.exit(f"{S} is not a determining set with a setwise stabilizer")
             for kind in ("identity", "moved"):
-                with mock.patch.object(owner, "_row_map_element", broken(owner, kind)):
+                with mock.patch.object(owner, "_row_map_images", broken(owner, kind)):
                     try:
                         model.setwise_trivial(S)
                     except AssertionError:
@@ -596,9 +600,10 @@ def test_det_set_checks_survive_python_O():
                         sys.exit(f"setwise_trivial passed a {kind} element for {S}")
                     if argv and main(argv) != 3:
                         sys.exit(f"{' '.join(argv)} with a {kind} element did not exit 3")
-        # a row map that does not keep the columns' partitions builds an
-        # element that does not map the set onto itself, and the row map
-        # search refuses columns with equal partitions
+        # a row map that does not keep the columns' partitions gives images
+        # that are not the set, a column map that is no permutation fails
+        # the check, and the row map search refuses columns with equal
+        # partitions
         with mock.patch.object(autgroup, "moving_row_map",
                                lambda columns: ((4, 3, 2, 1, 0), list(range(len(columns))))):
             try:
@@ -607,6 +612,19 @@ def test_det_set_checks_survive_python_O():
                 pass
             else:
                 sys.exit("setwise_trivial passed a row map that moves a column partition")
+        real_search = autgroup.moving_row_map
+
+        def one_source_repeated(columns):
+            found = real_search(columns)
+            return found and (found[0], [found[1][0]] * len(found[1]))
+
+        with mock.patch.object(autgroup, "moving_row_map", one_source_repeated):
+            try:
+                autgroup.HypercubeModel(5).setwise_trivial([0, 1, 2, 4, 8, 16])
+            except AssertionError:
+                pass
+            else:
+                sys.exit("setwise_trivial passed a column map that is no permutation")
         try:
             autgroup.moving_row_map([(0, 1, 1), (0, 1, 1)])
         except AssertionError:
