@@ -73,8 +73,9 @@ def _column_words(pi, n: int, last: int) -> list[int]:
 
 # the eight automorphisms of an augmented cube that fix the zero vertex,
 # given as patterns on (first bit, middle block of n-3 bits, last two bits);
-# middle ops: keep, complement, reverse, complement-of-reverse
-_KEEP, _COMP, _REV, _CREV = "A", "C", "R", "CR"
+# middle ops, as indices into the stacked middles: keep, complement,
+# reverse, complement-of-reverse
+_KEEP, _COMP, _REV, _CREV = range(4)
 
 _AQ_BASE_PATTERNS = {
     1: {(0, 0b00): (0, _KEEP, 0b00), (0, 0b01): (0, _KEEP, 0b01),
@@ -112,25 +113,41 @@ _AQ_BASE_PATTERNS = {
 }
 
 
-def aq_base(n: int, idx: int) -> np.ndarray:
-    """The row of one of the eight augmented-cube automorphisms fixing zero."""
+# the patterns as lookups indexed by (base map - 1, first * 4 + last2)
+_AQ_FIRST, _AQ_MIDDLE, _AQ_LAST = np.array(
+    [[_AQ_BASE_PATTERNS[idx][f, l] for f in (0, 1) for l in range(4)] for idx in range(1, 9)],
+    dtype=np.int32).transpose(2, 0, 1)
+
+
+def aq_base_rows(n: int) -> np.ndarray:
+    """The 8 x 2^n rows of the eight augmented-cube automorphisms fixing
+    zero, built in one pass: each word's first bit and last two bits pick
+    its pattern entry, and the entry picks the image's first bit, middle
+    (from the stacked keep / complement / reverse / complement-of-reverse
+    middles) and last two bits."""
     if n < 4:
         raise ParameterOutOfRange("augmented base maps need n >= 4")
-    if not 1 <= idx <= 8:
-        raise ParameterOutOfRange(f"base index {idx} not in 1..8")
     width = n - 3
     midmask = (1 << width) - 1
     v = np.arange(1 << n, dtype=np.int32)
-    first, mid, last2 = v >> (n - 1), (v >> 2) & midmask, v & 0b11
+    mid = (v >> 2) & midmask
     rev = np.zeros_like(mid)
     for i in range(width):
         rev |= ((mid >> i) & 1) << (width - 1 - i)
-    middle = {_KEEP: mid, _COMP: mid ^ midmask, _REV: rev, _CREV: rev ^ midmask}
-    out = np.empty_like(v)
-    for (f, l), (f2, op, l2) in _AQ_BASE_PATTERNS[idx].items():
-        sel = (first == f) & (last2 == l)
-        out[sel] = (f2 << (n - 1)) | (middle[op][sel] << 2) | l2
+    middles = np.stack([mid, mid ^ midmask, rev, rev ^ midmask])
+    key = (v >> (n - 1)) * 4 + (v & 0b11)
+    out = middles[_AQ_MIDDLE[:, key], v]
+    out <<= 2
+    out |= ((_AQ_FIRST << (n - 1)) | _AQ_LAST)[:, key]
     return out
+
+
+def aq_base(n: int, idx: int) -> np.ndarray:
+    """The row of one of the eight augmented-cube automorphisms fixing zero."""
+    rows = aq_base_rows(n)
+    if not 1 <= idx <= 8:
+        raise ParameterOutOfRange(f"base index {idx} not in 1..8")
+    return rows[idx - 1]
 
 
 def fq_phi_extend(n: int, symbol_perm) -> np.ndarray:
@@ -743,7 +760,7 @@ class AugmentedModel(_DeterminingFold, _SetwiseSearch, _TranslationModel):
 
     def __init__(self, n: int):
         super().__init__(n)
-        self._base = np.array([aq_base(n, idx) for idx in range(1, 9)])
+        self._base = aq_base_rows(n)
 
     def n_zero_fixing(self) -> int:
         return 8
@@ -754,7 +771,7 @@ class AugmentedModel(_DeterminingFold, _SetwiseSearch, _TranslationModel):
     def generators(self) -> np.ndarray:
         n = self.n
         return np.concatenate([_translations(n, [1 << b for b in range(n)]),
-                               [aq_base(n, idx) for idx in (2, 3, 5)]])
+                               self._base[[1, 2, 4]]])  # base maps 2, 3 and 5
 
     def det_add(self, state, w):
         """The first word a, and the rows of the base maps fixing every word

@@ -8,6 +8,7 @@ Exit codes: 0 ok, 1 usage, 2 budget or size limit, 3 internal inconsistency
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -95,6 +96,15 @@ def build_parser() -> argparse.ArgumentParser:
     _family_args(e)
     e.add_argument("-o", "--output", default=None)
     return p
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call and kept for the
+    process.  Parsing leaves no state on it: each call gets a new namespace,
+    streams are looked up when printing, and help is formatted at the
+    width `COLUMNS` gives then."""
+    return build_parser()
 
 
 def _emit(text: str, output: str | None):
@@ -227,9 +237,8 @@ def _cmd_export(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     handlers = {

@@ -19,9 +19,11 @@ from cubesym.autgroup import (
     HypercubeModel,
     LtqModel,
     PermGroup,
+    _AQ_BASE_PATTERNS,
     _closure,
     _linear_rows,
     aq_base,
+    aq_base_rows,
     fq_phi_extend,
     is_automorphism,
     orbit_roots,
@@ -462,6 +464,36 @@ def test_aq_base_examples():
         for idx in range(1, 9):
             assert is_automorphism(g, aq_base(n, idx)), (n, idx)
         assert len(row_set([aq_base(n, idx) for idx in range(1, 9)])) == 8
+
+
+def _aq_base_reference(n: int, idx: int) -> np.ndarray:
+    """One base map's row built pattern by pattern, with a boolean mask per
+    (first bit, last two bits) pair."""
+    width = n - 3
+    midmask = (1 << width) - 1
+    v = np.arange(1 << n, dtype=np.int32)
+    first, mid, last2 = v >> (n - 1), (v >> 2) & midmask, v & 0b11
+    rev = np.zeros_like(mid)
+    for i in range(width):
+        rev |= ((mid >> i) & 1) << (width - 1 - i)
+    middle = [mid, mid ^ midmask, rev, rev ^ midmask]  # keep, comp, rev, comp-rev
+    out = np.empty_like(v)
+    for (f, l), (f2, op, l2) in _AQ_BASE_PATTERNS[idx].items():
+        sel = (first == f) & (last2 == l)
+        out[sel] = (f2 << (n - 1)) | (middle[op][sel] << 2) | l2
+    return out
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_aq_base_rows_equal_the_per_pattern_construction(n):
+    table = aq_base_rows(n)
+    reference = np.array([_aq_base_reference(n, idx) for idx in range(1, 9)])
+    assert table.dtype == reference.dtype
+    assert np.array_equal(table, reference)
+    model = AugmentedModel(n)
+    assert np.array_equal(model.zero_fixing_rows(), reference)
+    assert np.array_equal(model.generators()[n:], reference[[1, 2, 4]])
+    assert all(np.array_equal(aq_base(n, idx), reference[idx - 1]) for idx in range(1, 9))
 
 
 def test_aq_base_matches_searched_stabilizer():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import re
 from pathlib import Path
 
 import pytest
 
-from cubesym import autgroup
+from cubesym import autgroup, cli
 from cubesym.cli import main
 from cubesym.graphio import from_graph6
 
@@ -441,3 +443,116 @@ def test_verify_of_the_hamming_dist_record_runs_no_closure(capsys, monkeypatch):
               / "dist-hamming-n-4-m-3.json")
     code, out = run(capsys, "verify", str(record), "--no-cache")
     assert code == 0 and '"verified": true' in out
+
+
+@pytest.fixture
+def fresh_parser_cache():
+    """Clear the parser `main` keeps, before and after the test."""
+    kept = cli._parser
+    kept.cache_clear()
+    yield
+    kept.cache_clear()
+
+
+def _masked(text: str) -> str:
+    return re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": 0', text)
+
+
+# (COLUMNS, argv) in the order `main` gets them: a flag, then its absence;
+# a -k, then a family without one; usage errors, then valid calls
+_SEQUENCE = [
+    (None, ["param", "det", "hypercube", "-n", "4", "--witness"]),
+    (None, ["param", "det", "hypercube", "-n", "4"]),
+    (None, ["param", "det", "enhanced", "-n", "4", "-k", "2", "--witness"]),
+    (None, ["param", "det", "folded", "-n", "4", "--witness"]),
+    (None, ["param", "det", "nonsense", "-n", "4"]),
+    (None, ["param", "det", "folded", "-n", "3"]),
+    (None, ["param", "det", "hypercube"]),
+    (None, ["param", "bogus", "hypercube", "-n", "3"]),
+    (None, ["gen", "hypercube", "-n", "3", "--format", "graph6"]),
+    (None, ["--version"]),
+    ("60", ["param", "--help"]),
+    ("120", ["param", "--help"]),
+    (None, ["param", "det", "augmented", "-n", "4"]),
+]
+
+
+def test_the_kept_parser_answers_like_a_fresh_one(capsys, tmp_path, monkeypatch,
+                                                 fresh_parser_cache):
+    """Each call through the parser `main` keeps prints what the same call
+    prints through a parser built for it alone: no flag, family argument or
+    usage error carries over to the next call, and help is formatted at the
+    width `COLUMNS` gives at the time."""
+    monkeypatch.setenv("CUBE_SYM_CACHE", str(tmp_path / "cache"))
+    kept = cli._parser
+    helps = []
+    for columns, argv in _SEQUENCE:
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        runs = []
+        for parser in (kept, cli.build_parser):
+            monkeypatch.setattr(cli, "_parser", parser)
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            runs.append((code, _masked(captured.out), captured.err))
+        assert runs[0] == runs[1], argv
+        if argv[-1] == "--help":
+            helps.append(runs[0][1])
+    assert kept.cache_info().currsize == 1
+    assert helps[0] != helps[1]  # the width follows COLUMNS
+
+
+def test_main_builds_its_parser_once(capsys, tmp_path, monkeypatch, fresh_parser_cache):
+    monkeypatch.setenv("CUBE_SYM_CACHE", str(tmp_path / "cache"))
+    real = cli.build_parser
+    built = []
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for argv in (["param", "det", "hypercube", "-n", "3"], ["param", "det", "hypercube", "-n", "3"],
+                 ["gen", "folded", "-n", "3"], ["nonsense"], ["--version"],
+                 ["param", "transitivity", "augmented", "-n", "4", "--no-cache"]):
+        main(argv)
+    capsys.readouterr()
+    assert len(built) == 1
+    assert real() is not real()  # a caller that asks for a parser gets a new one
+
+
+def test_importing_the_cli_builds_no_parser():
+    import subprocess
+    import sys
+
+    src = Path(cli.__file__).resolve().parent.parent
+    code = "import cubesym.cli as c; print(c._parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
+def test_no_cache_computes_on_every_call(capsys, monkeypatch):
+    """The kept parser is all that outlives a call: each `--no-cache` call
+    builds the graph and the group again."""
+    from cubesym import params
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "build_family", counted("build_family", cli.build_family))
+    monkeypatch.setattr(params, "structured_group",
+                        counted("structured_group", params.structured_group))
+    argv = ["param", "det", "hypercube", "-n", "5", "--no-cache"]
+    for _ in range(2):
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 4
+    assert calls == ["build_family", "structured_group"] * 2

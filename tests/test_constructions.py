@@ -371,7 +371,8 @@ def test_det_set_checks_survive_python_O():
     stand-in or an out-of-range argument.  A transitivity report with
     inconsistent flags raises too, and so do a model's element table from
     repeated zero-fixing rows or repeated permutations, a structured group
-    whose batched generator check fails, for Q_n and for a Hamming graph,
+    whose batched generator check fails, for Q_n, for a Hamming graph and
+    for AQ_n built from a base-map table with two entries of a row swapped,
     and the d >= 3 dist scan and the class scan when their batched count
     takes a coloring that is not distinguishing, the edge-orbit map when a
     generator maps an edge to a pair that is not an edge, and the setwise
@@ -392,7 +393,8 @@ def test_det_set_checks_survive_python_O():
         import numpy as np
         from cubesym import autgroup, constructions as cons, symmetry, tables
         from math import factorial
-        from cubesym.bitgraph import FamilySpec, graph_from_edges, hamming_graph, hypercube
+        from cubesym.bitgraph import (FamilySpec, augmented_hypercube, graph_from_edges,
+                                      hamming_graph, hypercube)
         from cubesym.cli import main
         from cubesym.symmetry import TransitivityReport
 
@@ -525,6 +527,23 @@ def test_det_set_checks_survive_python_O():
                 sys.exit("structured_group passed a Hamming generator with two images swapped")
             if main(["param", "det", "hamming", "-n", "3", "-m", "3", "--no-cache"]) != 3:
                 sys.exit("param det hamming with a swapped generator did not exit 3")
+        # AQ_n's generators include base map 2, read from the one-pass table
+        real_aq_rows = autgroup.aq_base_rows
+
+        def aq_entries_swapped(n):
+            rows = real_aq_rows(n)
+            rows[1, [0, 1]] = rows[1, [1, 0]]
+            return rows
+
+        with mock.patch.object(autgroup, "aq_base_rows", aq_entries_swapped):
+            try:
+                autgroup.structured_group(augmented_hypercube(5))
+            except AssertionError:
+                pass
+            else:
+                sys.exit("structured_group passed an AQ_n base row with two entries swapped")
+            if main(["param", "det", "augmented", "-n", "5", "--no-cache"]) != 3:
+                sys.exit("param det augmented with a swapped base row did not exit 3")
         # a permutation table that repeats the identity fails the Hamming
         # model's table check
         with mock.patch.object(autgroup, "permutations",
