@@ -6,13 +6,14 @@ word with a single 1 in position i is the integer 2**(n-i).  Vertex ids in a
 generated graph are exactly the word values, 0 .. m**n - 1.
 
 A graph is its edge array, `Graph.edge_keys`: the keys u * V + v of the
-edges u < v, ascending, as int64.  The families build it in numpy from their
-rule (an XOR connection set, the two-copy recursion of LTQ_n, one changed
-digit for H(n,m)), and explicit graphs from their given edges.  Degrees,
-counts, the automorphism test and the encoders read it.  `Graph.rows`, one
-Python int bitset per vertex, is derived from it on first use, for the
-readers that walk adjacency bit by bit: the search's refinement, the oracle
-and `distance_spheres`.
+edges u < v, ascending, as int64, and `Graph` holds no other adjacency.
+The families build it in numpy from their rule (an XOR connection set, the
+two-copy recursion of LTQ_n, one changed digit for H(n,m)), and explicit
+graphs from their given edges.  Degrees, counts, neighbours, the
+automorphism test, the encoders and the BFS (`distances_from`, one pass
+over the edge ends per level) read it.  Only the automorphism search packs
+it into bitset rows, locally, since its refinement counts neighbours in a
+cell by AND and popcount.
 """
 
 from __future__ import annotations
@@ -205,11 +206,6 @@ class FamilySpec:
         return d
 
 
-# The most bytes of dense adjacency that `Graph.rows` unpacks at a time: at
-# 1 MB, transitivity of Q_14 peaked at 72 MB and 16 MB blocks at 118 MB.
-_ROW_BLOCK_BYTES = 1 << 20
-
-
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Finite simple graph given by its edge array.
@@ -235,34 +231,19 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.bincount(np.concatenate(self.ends), minlength=self.n_vertices)
 
-    @cached_property
-    def rows(self) -> tuple[int, ...]:
-        """One int bitset per vertex, bit w of row v set iff v ~ w, unpacked
-        from the edge array a block of vertices at a time."""
-        nv = self.n_vertices
-        u, v = self.ends
-        src, dst = np.concatenate([u, v]), np.concatenate([v, u])
-        order = np.argsort(src, kind="stable")
-        src, dst = src[order], dst[order]
-        width = -(-nv // 8)
-        block = max(1, _ROW_BLOCK_BYTES // max(nv, 1))
-        out = []
-        for lo in range(0, nv, block):
-            hi = min(nv, lo + block)
-            a, b = np.searchsorted(src, [lo, hi])
-            dense = np.zeros((hi - lo, nv), dtype=bool)
-            dense[src[a:b] - lo, dst[a:b]] = True
-            data = np.packbits(dense, axis=1, bitorder="little").tobytes()
-            out += [int.from_bytes(data[i:i + width], "little")
-                    for i in range(0, len(data), width)]
-        return tuple(out)
+    def _check_vertex(self, *vs: int) -> None:
+        for v in vs:
+            if not 0 <= v < self.n_vertices:
+                raise VertexOutOfRange(f"vertex {v} not in 0..{self.n_vertices - 1}")
 
     def has_edge(self, u: int, v: int) -> bool:
+        self._check_vertex(u, v)
         key = min(u, v) * self.n_vertices + max(u, v)
         i = int(np.searchsorted(self.edge_keys, key))
         return i < len(self.edge_keys) and int(self.edge_keys[i]) == key and u != v
 
     def degree(self, v: int) -> int:
+        self._check_vertex(v)
         return int(self.degrees[v])
 
     def edge_count(self) -> int:
@@ -273,13 +254,11 @@ class Graph:
         return zip(u.tolist(), v.tolist())
 
     def neighbors(self, v: int) -> list[int]:
-        out = []
-        row = self.rows[v]
-        while row:
-            low = row & -row
-            out.append(low.bit_length() - 1)
-            row ^= low
-        return out
+        """The neighbours of v, ascending: the smaller ends of its edges,
+        then the larger."""
+        self._check_vertex(v)
+        u, w = self.ends
+        return np.concatenate([u[w == v], w[u == v]]).tolist()
 
     def is_regular(self) -> bool:
         degrees = self.degrees
@@ -391,36 +370,37 @@ def build_family(spec: FamilySpec, cap: int | None = None) -> Graph:
     return Graph(nv, _family_keys(spec), spec)
 
 
-def distance_spheres(g: Graph, u: int) -> list[int]:
-    """Bitmasks of the vertices at distance 0, 1, 2, ... from u, by BFS;
-    the vertices that u cannot reach are in none of them."""
-    frontier = seen = 1 << u
-    spheres = []
-    while frontier:
-        spheres.append(frontier)
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= g.rows[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-    return spheres
+def distances_from(g: Graph, u: int) -> np.ndarray:
+    """The BFS distance of every vertex from u, as an int32 array, -1 for
+    the vertices u cannot reach.  Each level marks the other end of every
+    edge with one end in the frontier, so the BFS holds O(E)."""
+    g._check_vertex(u)
+    a, b = g.ends
+    dist = np.full(g.n_vertices, -1, dtype=np.int32)
+    dist[u] = 0
+    frontier = dist == 0
+    level = 0
+    while True:
+        reached = np.concatenate([b[frontier[a]], a[frontier[b]]])
+        reached = reached[dist[reached] < 0]
+        if not len(reached):
+            return dist
+        level += 1
+        dist[reached] = level
+        frontier = dist == level
 
 
 def graph_distance(g: Graph, u: int, v: int) -> int:
     """BFS shortest-path length; raises Unreachable for disconnected pairs."""
-    if not 0 <= u < g.n_vertices or not 0 <= v < g.n_vertices:
-        raise VertexOutOfRange(f"vertex out of range: {u}, {v}")
-    for dist, sphere in enumerate(distance_spheres(g, u)):
-        if sphere >> v & 1:
-            return dist
-    raise Unreachable(f"no path from {u} to {v}")
+    g._check_vertex(u, v)
+    dist = int(distances_from(g, u)[v])
+    if dist < 0:
+        raise Unreachable(f"no path from {u} to {v}")
+    return dist
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n_vertices <= 1 or sum(distance_spheres(g, 0)) == (1 << g.n_vertices) - 1
+    return g.n_vertices <= 1 or bool((distances_from(g, 0) >= 0).all())
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:

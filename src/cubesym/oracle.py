@@ -26,13 +26,21 @@ class OracleResult:
     nodes_explored: int
 
 
+def _adjacency(g: Graph) -> list[set[int]]:
+    """The neighbour set of every vertex, from the edge list."""
+    adj = [set() for _ in range(g.n_vertices)]
+    for u, v in g.edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def enumerate_automorphisms_naive(g: Graph) -> list[tuple[int, ...]]:
     """All automorphisms as image tuples, by direct backtracking."""
     n = g.n_vertices
     if n > NAIVE_VERTEX_LIMIT:
         raise SizeGuard(f"naive enumeration capped at {NAIVE_VERTEX_LIMIT} vertices")
-    rows = g.rows
-    degs = [rows[v].bit_count() for v in range(n)]
+    adj = _adjacency(g)
     out = []
     image = [-1] * n
     used = [False] * n
@@ -41,13 +49,12 @@ def enumerate_automorphisms_naive(g: Graph) -> list[tuple[int, ...]]:
         if v == n:
             out.append(tuple(image))
             return
-        rv = rows[v]
         for w in range(n):
-            if used[w] or degs[w] != degs[v]:
+            if used[w] or len(adj[w]) != len(adj[v]):
                 continue
             ok = True
             for u in range(v):
-                if ((rv >> u) & 1) != ((rows[w] >> image[u]) & 1):
+                if (u in adj[v]) != (image[u] in adj[w]):
                     ok = False
                     break
             if ok:
@@ -165,6 +172,7 @@ def oracle_transitivity(g: Graph) -> dict[str, bool]:
     distance-transitivity include vertex-transitivity."""
     n = g.n_vertices
     auts = enumerate_automorphisms_naive(g)
+    adj = _adjacency(g)
     dist = {}
     for s in range(n):
         dist[s, s] = 0
@@ -172,7 +180,7 @@ def oracle_transitivity(g: Graph) -> dict[str, bool]:
         while frontier:
             nxt = []
             for x in frontier:
-                for y in g.neighbors(x):
+                for y in adj[x]:
                     if (s, y) not in dist:
                         dist[s, y] = dist[s, x] + 1
                         nxt.append(y)

@@ -29,6 +29,20 @@ DEFAULT_SEARCH_VERTEX_CAP = 4096
 DEFAULT_NODE_BUDGET = 100_000_000
 
 
+def _adjacency_rows(g: Graph) -> list[int]:
+    """One int bitset per vertex, bit w of row v set iff v ~ w, for the
+    refinement's neighbour counts (AND and popcount).  The edge ends are
+    set in a V x ceil(V/8) uint8 array, 2 MB at the 4,096-vertex cap."""
+    nv = g.n_vertices
+    width = -(-nv // 8)
+    u, v = g.ends
+    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+    packed = np.zeros((nv, width), dtype=np.uint8)
+    np.bitwise_or.at(packed, (src, dst >> 3), np.left_shift(1, dst & 7).astype(np.uint8))
+    data = packed.tobytes()
+    return [int.from_bytes(data[i * width:(i + 1) * width], "little") for i in range(nv)]
+
+
 def _cell_mask(cell) -> int:
     m = 0
     for v in cell:
@@ -98,7 +112,7 @@ def _generators(g: Graph, node_budget: int, vertex_cap: int, base: list[int]):
         raise SearchBudgetExceeded(f"{n} vertices above the search cap {vertex_cap}")
     if n == 0:
         return
-    rows = g.rows
+    rows = _adjacency_rows(g)
 
     state = {
         "nodes": 0,

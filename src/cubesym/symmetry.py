@@ -16,7 +16,7 @@ from .autgroup import (
     pointwise_stabilizer_is_trivial,
     setwise_stabilizer,
 )
-from .bitgraph import Graph, distance_spheres, induced_subgraph
+from .bitgraph import Graph, distances_from, induced_subgraph
 from .errors import NotTwoDistinguishable, SearchBudgetExceeded
 from .search import has_nontrivial_automorphism
 
@@ -616,16 +616,12 @@ def transitivity_report(g: Graph, grp: PermGroup) -> TransitivityReport:
         return TransitivityReport(True, True, True, True)
     if not grp.is_vertex_transitive():
         return TransitivityReport(False, _edge_transitive(g, grp), False, False)
-    orbit_of = [0] * g.n_vertices
-    for i, orbit in enumerate(pointwise_stabilizer(grp, [0]).orbits()):
-        for v in orbit:
-            orbit_of[v] = i
-
-    def one_orbit(mask: int) -> bool:
-        return len({orbit_of[v] for v in range(mask.bit_length()) if mask >> v & 1}) <= 1
-
-    spheres = distance_spheres(g, 0)
-    unreachable = (1 << g.n_vertices) - 1 - sum(spheres)
-    arc_t = len(spheres) < 2 or one_orbit(spheres[1])
-    distance_t = arc_t and all(one_orbit(m) for m in spheres[2:] + [unreachable])
+    # a Stab(0)-orbit keeps the distance from 0, so a sphere is one orbit iff
+    # its vertices share one root; level 0 holds the unreachable vertices
+    nv = g.n_vertices
+    roots = np.asarray(orbit_roots(nv, pointwise_stabilizer(grp, [0]).generators))
+    pairs = np.unique((distances_from(g, 0) + 1).astype(np.int64) * nv + roots)
+    level, n_roots = np.unique(pairs // nv, return_counts=True)
+    arc_t = bool((n_roots[level == 2] == 1).all())
+    distance_t = bool((n_roots == 1).all())
     return TransitivityReport(True, arc_t or _edge_transitive(g, grp), arc_t, distance_t)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubesym import search
 from cubesym.bitgraph import (
     BitVertex,
     FamilySpec,
@@ -20,6 +21,7 @@ from cubesym.bitgraph import (
     build_family,
     cartesian_product,
     complement,
+    distances_from,
     enhanced_hypercube,
     folded_hypercube,
     graph_from_edges,
@@ -128,6 +130,57 @@ def test_graph_distance():
         graph_distance(two, 0, 1)
     with pytest.raises(VertexOutOfRange):
         graph_distance(q3, 0, 99)
+
+
+def test_vertex_queries_reject_vertices_out_of_range():
+    q3 = hypercube(3)
+    path = graph_from_edges(3, [(0, 1), (1, 2)])
+    for query in (lambda: q3.has_edge(0, 11),  # key 11 is the edge (1, 3)
+                  lambda: q3.has_edge(-1, 0),
+                  lambda: path.has_edge(0, 5),
+                  lambda: q3.degree(-1),  # would index vertex 7
+                  lambda: q3.degree(8),
+                  lambda: q3.neighbors(8),
+                  lambda: q3.neighbors(-1),
+                  lambda: distances_from(q3, 8)):
+        with pytest.raises(VertexOutOfRange):
+            query()
+    assert q3.has_edge(1, 3) and q3.degree(7) == 3 and q3.neighbors(7) == [3, 5, 6]
+
+
+def _python_bfs(g: Graph, u: int) -> list[int]:
+    adj = [set() for _ in range(g.n_vertices)]
+    for a, b in g.edges():
+        adj[a].add(b)
+        adj[b].add(a)
+    dist = [-1] * g.n_vertices
+    dist[u] = 0
+    queue = [u]
+    for x in queue:
+        for y in adj[x]:
+            if dist[y] < 0:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
+@given(st.integers(0, 12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_bfs_distances_match_a_python_bfs(n, data):
+    vertex = st.integers(0, max(n - 1, 0))
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=30)) if n else []
+    g = graph_from_edges(n, pairs)
+    reach = [_python_bfs(g, u) for u in range(n)]
+    for u in range(n):
+        dist = distances_from(g, u)
+        assert dist.tolist() == reach[u]
+        for v in range(n):
+            if reach[u][v] < 0:
+                with pytest.raises(Unreachable):
+                    graph_distance(g, u, v)
+            else:
+                assert graph_distance(g, u, v) == reach[u][v]
+    assert is_connected(g) == (n == 0 or min(reach[0]) >= 0)
 
 
 def test_power_distance_identity():
@@ -282,6 +335,10 @@ def _reference_keys(rows: list[int]) -> list[int]:
     return [u * nv + v for u in range(nv) for v in range(u + 1, nv) if rows[u] >> v & 1]
 
 
+def _bits(row: int) -> list[int]:
+    return [w for w in range(row.bit_length()) if row >> w & 1]
+
+
 @st.composite
 def family_specs(draw):
     kind = draw(st.sampled_from(["hypercube", "power", "folded", "enhanced", "augmented",
@@ -306,7 +363,10 @@ def test_rule_built_edges_match_the_per_vertex_loops(spec):
     assert g.edge_keys.dtype == np.int64
     assert g.edge_keys.tolist() == _reference_keys(rows)
     g.check_valid()
-    assert g.rows == tuple(rows)
+    assert [g.neighbors(v) for v in range(len(rows))] == [_bits(r) for r in rows]
+    for v in {0, len(rows) - 1}:
+        assert [g.has_edge(v, w) for w in range(len(rows))] == \
+            [bool(rows[v] >> w & 1) for w in range(len(rows))]
 
 
 @given(st.integers(0, 12), st.data())
@@ -322,17 +382,18 @@ def test_explicit_graphs_match_bitset_references(n, data):
         if u != v:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-    assert g.rows == tuple(rows)
     assert g.edge_keys.tolist() == _reference_keys(rows)
+    assert [g.neighbors(v) for v in range(n)] == [_bits(r) for r in rows]
     assert [g.degree(v) for v in range(n)] == [r.bit_count() for r in rows]
     assert all(g.has_edge(u, v) == bool(rows[u] >> v & 1) for u in range(n) for v in range(n))
     vs = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
     sub = induced_subgraph(g, vs)
     assert sub.labels == tuple(vs)
-    assert sub.rows == tuple(sum(1 << j for j, w in enumerate(vs) if rows[v] >> w & 1)
-                             for v in vs)
+    assert sub.edge_keys.tolist() == _reference_keys(
+        [sum(1 << j for j, w in enumerate(vs) if rows[v] >> w & 1) for v in vs])
     full = (1 << n) - 1
-    assert complement(g).rows == tuple((full ^ r) & ~(1 << v) for v, r in enumerate(rows))
+    assert complement(g).edge_keys.tolist() == _reference_keys(
+        [(full ^ r) & ~(1 << v) for v, r in enumerate(rows)])
 
 
 def test_graph_from_edges_rejects_an_end_out_of_range():
@@ -348,20 +409,26 @@ def test_check_valid_rejects_malformed_edge_arrays():
 
 
 # ---------------------------------------------------------------------------
-# the rows are built only for their readers
+# bitset rows are built only inside the search
 
 
 @pytest.fixture
 def rows_forbidden(monkeypatch):
-    def built(self):
-        pytest.fail("the bitset rows were built")
+    def built(g):
+        pytest.fail("the search's bitset rows were built")
 
-    monkeypatch.setattr(Graph, "rows", property(built))
+    monkeypatch.setattr(search, "_adjacency_rows", built)
+
+
+def _transitivity_q12(capsys):
+    assert main(["param", "transitivity", "hypercube", "-n", "12", "--no-cache"]) == 0
+    assert set(json.loads(capsys.readouterr().out)["value"].values()) == {True}
 
 
 def test_gen_graph6_builds_no_rows(capsys, rows_forbidden):
     assert main(["gen", "hypercube", "-n", "10", "--format", "graph6"]) == 0
     assert len(capsys.readouterr().out.strip()) == 4 + 1024 * 1023 // 12
+    _transitivity_q12(capsys)
 
 
 def test_det_and_its_verify_build_no_rows(capsys, tmp_path, monkeypatch, rows_forbidden):
@@ -373,19 +440,37 @@ def test_det_and_its_verify_build_no_rows(capsys, tmp_path, monkeypatch, rows_fo
     path.write_text(record)
     assert main(["verify", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["verified"] is True
+    _transitivity_q12(capsys)
+
+
+def test_the_search_still_builds_its_rows(rows_forbidden):
+    """The fixture reaches the search: a graph without a model fails it."""
+    with pytest.raises(pytest.fail.Exception):
+        search.search_automorphisms(graph_from_edges(3, [(0, 1)]))
+
+
+_TRUE_FLAGS = dict.fromkeys(
+    ["arc_transitive", "distance_transitive", "edge_transitive", "vertex_transitive"], True)
 
 
 @pytest.mark.oracle_suite
-def test_det_q16_runs_in_100_mb():
+@pytest.mark.parametrize("args, value, payload", [
+    (["param", "det", "hypercube", "-n", "16", "--no-cache", "--witness"],
+     5, [0, 255, 3855, 13107, 21845]),
+    (["param", "transitivity", "hypercube", "-n", "16", "--no-cache"], _TRUE_FLAGS, None),
+], ids=["det", "transitivity"])
+def test_q16_runs_in_100_mb(args, value, payload):
     """`param det hypercube -n 16` holds the edge array and one chunk of
-    the generator check, not V x V bitsets: its process peaks under 100 MB
-    (it peaked at 596 MB on bitset rows).  The process reads its own peak
-    as VmHWM, the high-water mark of its address space: on Linux its
-    `ru_maxrss` would also count the peak of the pytest process it was
-    forked from, since exec keeps that maximum."""
+    the generator check, not V x V bitsets, and `param transitivity
+    hypercube -n 16` one BFS over the edge array: each process peaks under
+    100 MB (det peaked at 596 MB and transitivity at 540 MB on bitset
+    rows).  The process reads its own peak as VmHWM, the high-water mark of
+    its address space: on Linux its `ru_maxrss` would also count the peak
+    of the pytest process it was forked from, since exec keeps that
+    maximum."""
     script = ("import json, resource, sys\n"
               "from cubesym.cli import main\n"
-              "code = main(['param', 'det', 'hypercube', '-n', '16', '--no-cache', '--witness'])\n"
+              f"code = main({args!r})\n"
               "try:\n"
               "    status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
               "    peak = int(status.split()[0]) / 1024\n"
@@ -398,6 +483,7 @@ def test_det_q16_runs_in_100_mb():
     report = json.loads(proc.stderr.strip().splitlines()[-1])
     record = json.loads(proc.stdout)
     assert report["code"] == 0
-    assert record["value"] == 5
-    assert record["witness"]["payload"] == [0, 255, 3855, 13107, 21845]
+    assert record["value"] == value
+    if payload is not None:
+        assert record["witness"]["payload"] == payload
     assert report["peak_mb"] < 100, report

@@ -14,6 +14,7 @@ from cubesym.bitgraph import (
     hamming_graph,
     hypercube,
     hypercube_power,
+    same_edges,
 )
 from cubesym.cli import main
 from cubesym.errors import ParameterOutOfRange
@@ -36,31 +37,28 @@ from cubesym.graphio import (
 ])
 def test_graph6_roundtrip(g):
     s = to_graph6(g)
-    h = from_graph6(s)
-    assert h.n_vertices == g.n_vertices
-    assert h.rows == g.rows
+    assert same_edges(from_graph6(s), g)
 
 
 def test_graph6_known_values():
     # frozen from an independent encoder (networkx agrees on this string)
     c5 = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert to_graph6(c5) == "Dhc"
-    assert from_graph6(">>graph6<<Dhc").rows == c5.rows
+    assert same_edges(from_graph6(">>graph6<<Dhc"), c5)
 
 
 def test_graph6_large_n_header():
     g = graph_from_edges(63, [(0, 62)])
     s = to_graph6(g)
     assert s.startswith("~")
-    assert from_graph6(s).rows == g.rows
+    assert same_edges(from_graph6(s), g)
 
 
 def test_edgelist_roundtrip():
     g = folded_hypercube(3)
     text = to_edgelist(g)
     assert len(text.splitlines()) == g.edge_count()
-    h = from_edgelist(text, n_vertices=g.n_vertices)
-    assert h.rows == g.rows
+    assert same_edges(from_edgelist(text, n_vertices=g.n_vertices), g)
 
 
 def test_descriptor_roundtrip():
@@ -69,16 +67,16 @@ def test_descriptor_roundtrip():
     assert d["family"] == "hamming" and d["params"] == {"n": 2, "m": 3}
     assert d["n_vertices"] == 9 and len(d["edges"]) == 18
     h = from_descriptor(d)
-    assert h.rows == g.rows and h.family.kind == "hamming"
+    assert same_edges(h, g) and h.family.kind == "hamming"
 
 
 def _plain_graph6(g):
     """The reference encoder: the upper triangle column by column, one bit
-    at a time from the bitset rows, six bits to a byte."""
+    at a time from `has_edge`, six bits to a byte."""
     n = g.n_vertices
     out = bytearray([n + 63] if n <= 62 else
                     [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    bits = [(g.rows[v] >> u) & 1 for v in range(1, n) for u in range(v)]
+    bits = [int(g.has_edge(u, v)) for v in range(1, n) for u in range(v)]
     bits += [0] * (-len(bits) % 6)
     for i in range(0, len(bits), 6):
         out.append(sum(b << (5 - j) for j, b in enumerate(bits[i:i + 6])) + 63)
@@ -97,8 +95,7 @@ def test_graph6_matches_plain_encoder(data):
                              if rnd.random() < density])
     s = to_graph6(g)
     assert s == _plain_graph6(g)
-    h = from_graph6(s)
-    assert (h.n_vertices, h.rows) == (n, g.rows)
+    assert same_edges(from_graph6(s), g)
 
 
 @pytest.mark.parametrize("text", ["", "~", "~~", "~??", "C~~~~~", "C", "B~", "Dh", "Dhc?",
