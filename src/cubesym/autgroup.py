@@ -183,6 +183,11 @@ class PermGroup:
     searched group: the vertices b_1, b_2, ... that its search fixed in turn,
     such that the generators fixing b_1..b_i generate the stabilizer of
     b_1..b_i (a strong generating set).
+
+    `_by_support` caches the indices of the element table's rows in the
+    order of how many vertices they move, identity first and ties in table
+    order; `_bitsets` caches the row bitsets built in that order (both kept
+    by `symmetry`).
     """
 
     n_vertices: int
@@ -194,6 +199,7 @@ class PermGroup:
     base: tuple[int, ...] | None = None
     _elements: np.ndarray | None = field(default=None, repr=False)
     _fixers: list[int] | None = field(default=None, repr=False)
+    _by_support: np.ndarray | None = field(default=None, repr=False)
     _bitsets: np.ndarray | None = field(default=None, repr=False)
 
     def order(self) -> int:

@@ -679,9 +679,10 @@ def enhanced_dist_class_candidates(n: int, k: int) -> list[tuple[int, ...]]:
     na, nb = 1 << (k - 1), 1 << (n - k + 1)
     out = []
     # rows = prefix factor with pairwise distinct row sizes, columns chained so
-    # the pinned prefix of the chain is a determining set of the suffix factor
-    det_b = list(fq_det_set(n - k + 1))
-    if len(det_b) <= na - 1 <= nb:
+    # the pinned prefix of the chain is a determining set of the suffix factor,
+    # built only when it fits (`fq_det_set` checks its length is det)
+    if folded_det_number(n - k + 1) <= na - 1 <= nb:
+        det_b = list(fq_det_set(n - k + 1))
         chain = det_b + [v for v in range(nb) if v not in det_b]
         cls = []
         for i in range(na):

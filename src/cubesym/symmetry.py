@@ -262,12 +262,41 @@ def two_class_is_distinguishing(g: Graph, grp: PermGroup, cls) -> bool:
     return is_asymmetric(induced_subgraph(g, cls))
 
 
+# The element-table rows that the setwise test and the batched counts try
+# before the whole table: one uint64 word of row bitsets.
+_SIEVE_ROWS = 64
+
+
+def _least_support(grp: PermGroup) -> np.ndarray:
+    """The indices of the element table's rows in the order of how many
+    vertices they move, by one stable sort: the identity first and ties in
+    table order.  Built once and kept on the group."""
+    if grp._by_support is None:
+        table = grp.elements()
+        moved = (table != np.arange(grp.n_vertices)).sum(axis=1)
+        grp._by_support = np.argsort(moved, kind="stable")
+    return grp._by_support
+
+
 def _setwise_trivial(grp: PermGroup, cls) -> bool:
     """Exact setwise-stabilizer triviality: the model's `setwise_trivial`
     where it has one (Q_n, the halved cubes and the Hamming graphs), which
-    builds no element table; the setwise stabilizer's order otherwise."""
+    builds no element table; the setwise stabilizer's order otherwise, from
+    the model's setwise search on AQ_n and LTQ_n and from the element table
+    on the rest.
+
+    On the table, the `_SIEVE_ROWS` rows that move the fewest vertices are
+    tried first: if two of them map the class into itself, its stabilizer is
+    not trivial.  They keep most classes that are not, so the table's own
+    test runs only on the few classes that one row or none of them keeps."""
     if hasattr(grp.model, "setwise_trivial"):
         return grp.model.setwise_trivial(cls)
+    if not hasattr(grp.model, "setwise_stabilizer"):
+        rows = grp.elements()[_least_support(grp)[:_SIEVE_ROWS]]
+        member = np.zeros(grp.n_vertices, dtype=bool)
+        member[list(cls)] = True
+        if member[rows[:, member]].all(axis=1).sum() >= 2:
+            return False
     return setwise_stabilizer(grp, cls).order() == 1
 
 
@@ -291,17 +320,18 @@ def _class_test(grp: PermGroup):
     with a trivial setwise stabilizer, or None.
 
     On at most `_EXHAUSTIVE_2_LIMIT` vertices, for a group whose model has
-    no setwise search (all but AQ_n and LTQ_n), one `_keeping_counts` call
-    counts the rows that keep each class of the block as a 2-coloring; the
-    class it takes is re-checked by `_setwise_trivial`.  Otherwise each
-    class is tested on its own by `_setwise_trivial`.
+    no setwise search (all but AQ_n and LTQ_n), `_kept_by_one_row` counts
+    the rows that keep each class of the block as a 2-coloring, on word 0
+    of the bitsets and then on all of them for the classes that word 0
+    leaves; the class it takes is re-checked by `_setwise_trivial`.
+    Otherwise each class is tested on its own by `_setwise_trivial`.
 
     The batched count also serves Q_4 and Q_4^2, although their models
     answer `setwise_trivial` without the element table: testing each class
     by the model's row-map search instead finds the same class, but the
-    group and `cost_2dist` then took 14 ms on Q_4 and 540 ms on Q_4^2,
-    against 4.8 and 33 ms here with the table and its 0.39 / 1.97 MB of
-    bitsets (in-process, shared 2-vCPU x86_64 host)."""
+    group and `cost_2dist` then took 13-15 ms on Q_4 and 440-470 ms on
+    Q_4^2, against 5.0-5.5 and 28-34 ms here with the table and its 0.39 /
+    1.97 MB of bitsets (in-process, shared 2-vCPU x86_64 host)."""
     nv = grp.n_vertices
     if (nv > _EXHAUSTIVE_2_LIMIT or hasattr(grp.model, "setwise_stabilizer")
             or _bitsets_nbytes(nv, grp.order()) > _BITSET_BYTES):
@@ -312,7 +342,7 @@ def _class_test(grp: PermGroup):
         members = np.array(block)
         colors = np.zeros((len(block), nv), dtype=np.int8)
         colors[np.arange(len(block))[:, None], members] = 1
-        hits = np.flatnonzero(_keeping_counts(_group_bitsets(grp), colors) == 1)
+        hits = np.flatnonzero(_kept_by_one_row(_group_bitsets(grp), colors))
         if not len(hits):
             return None
         if not _setwise_trivial(grp, block[hits[0]]):
@@ -420,9 +450,10 @@ _BLOCK_BYTES = 1 << 21
 def _distinguishing_d3(grp: PermGroup, tag: str) -> tuple[int, Witness]:
     """dist >= 3 established; the least d and the first distinguishing
     coloring in restricted-growth order that uses all d colors, counted in
-    batches on the row bitsets and re-checked by `_preserving_count`.  With
-    more than `_BITSET_BYTES` of bitsets, each coloring is tested by
-    `_preserving_count` alone."""
+    batches on the row bitsets by `_kept_by_one_row` (word 0 first, the
+    full width for the colorings it leaves) and re-checked by
+    `_preserving_count`.  With more than `_BITSET_BYTES` of bitsets, each
+    coloring is tested by `_preserving_count` alone."""
     nv = grp.n_vertices
     if _bitsets_nbytes(nv, grp.order()) > _BITSET_BYTES:
         max_rows = _BLOCK_ROWS
@@ -435,7 +466,7 @@ def _distinguishing_d3(grp: PermGroup, tag: str) -> tuple[int, Witness]:
         max_rows = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // bitsets[0, :, 0].nbytes))
 
         def first(block):
-            hits = np.flatnonzero(_keeping_counts(bitsets, block) == 1)
+            hits = np.flatnonzero(_kept_by_one_row(bitsets, block))
             if not len(hits):
                 return None
             if _preserving_count(grp, block[hits[0]]) != 1:
@@ -476,10 +507,32 @@ def _bitsets_nbytes(nv: int, n_rows: int) -> int:
 
 
 def _group_bitsets(grp: PermGroup) -> np.ndarray:
-    """The row bitsets of the group's element table, built once and kept."""
+    """The row bitsets of the group's element table in `_least_support`
+    order, so that word 0 holds the rows that move the fewest vertices;
+    built once and kept."""
     if grp._bitsets is None:
-        grp._bitsets = _row_bitsets(grp.elements())
+        grp._bitsets = _row_bitsets(grp.elements()[_least_support(grp)])
     return grp._bitsets
+
+
+def _kept_by_one_row(bitsets: np.ndarray, colors: np.ndarray) -> np.ndarray:
+    """Whether exactly one table row keeps each coloring, a row of `colors`.
+
+    The count on word 0 of the bitsets comes first and drops every coloring
+    that two or more of its rows keep; the full `_keeping_counts` runs only
+    on the colorings that are left.  Built in `_least_support` order, word 0
+    holds the rows that move the fewest vertices, which keep the most
+    colorings.  A coloring is left when
+    word 0 counts at most one row, not exactly one, so the verdict does not
+    depend on the row order; the order buys only speed."""
+    counts = _keeping_counts(bitsets[..., :1], colors)
+    if bitsets.shape[3] == 1:
+        return counts == 1
+    left = np.flatnonzero(counts <= 1)
+    alone = np.zeros(len(colors), dtype=bool)
+    if len(left):
+        alone[left] = _keeping_counts(bitsets, colors[left]) == 1
+    return alone
 
 
 def _keeping_counts(bitsets: np.ndarray, colors: np.ndarray) -> np.ndarray:

@@ -363,6 +363,42 @@ def test_enhanced_dist_candidates_verified():
         assert any(_setwise_trivial(grp, c) for c in cands), (n, k)
 
 
+def _candidates_with_det_set_first(n, k):
+    """The enhanced-cube candidates with the FQ determining set built before
+    its fit is tested, as the rule was first written."""
+    if k == 1:
+        return [cons.fq_dist_class(n)] if n >= 4 else []
+    na, nb = 1 << (k - 1), 1 << (n - k + 1)
+    out = []
+    det_b = list(cons.fq_det_set(n - k + 1))
+    if len(det_b) <= na - 1 <= nb:
+        chain = det_b + [v for v in range(nb) if v not in det_b]
+        out.append(tuple(sorted(i * nb + c for i in range(na) for c in chain[:i])))
+    det_a = [0] if k == 2 else list(cons.hypercube_det_set(k - 1))
+    if nb - 1 <= na and len(det_a) <= nb - 1:
+        chain = det_a + [v for v in range(na) if v not in det_a]
+        out.append(tuple(sorted(a * nb + j for j in range(nb) for a in chain[:j])))
+    if k == 2 and n - 1 >= 4:
+        out.append(cons.fq_dist_class(n - 1))
+    return out
+
+
+def test_enhanced_dist_candidates_build_the_det_set_only_when_it_fits(monkeypatch):
+    """Testing the FQ determining set's fit by its size first gives the same
+    candidates for n = 4..8 and every k, and for Q_{4,2}, where it does not
+    fit, the set (a K_{4,4} search and closure) is never built."""
+    for n in range(4, 9):
+        for k in range(1, n):
+            assert cons.enhanced_dist_class_candidates(n, k) == \
+                _candidates_with_det_set_first(n, k), (n, k)
+
+    def unused(n):
+        raise AssertionError(f"fq_det_set({n}) built for a chain it cannot pin")
+
+    monkeypatch.setattr(cons, "fq_det_set", unused)
+    assert cons.enhanced_dist_class_candidates(4, 2) == []
+
+
 def test_det_set_checks_survive_python_O():
     """The witness constructions check themselves with code that `python -O`
     keeps: with one check made to fail, each construction behind it raises,
@@ -374,7 +410,7 @@ def test_det_set_checks_survive_python_O():
     whose batched generator check fails, for Q_n, for a Hamming graph and
     for AQ_n built from a base-map table with two entries of a row swapped,
     and the d >= 3 dist scan and the class scan when their batched count
-    takes a coloring that is not distinguishing, the edge-orbit map when a
+    takes a coloring that is not distinguishing (in both of its stages), the edge-orbit map when a
     generator maps an edge to a pair that is not an edge, and the setwise
     test of the cube and Hamming models when the images of the set under
     the element of a row map it finds move no vertex of it, leave it, or
@@ -393,8 +429,8 @@ def test_det_set_checks_survive_python_O():
         import numpy as np
         from cubesym import autgroup, constructions as cons, symmetry, tables
         from math import factorial
-        from cubesym.bitgraph import (FamilySpec, augmented_hypercube, graph_from_edges,
-                                      hamming_graph, hypercube)
+        from cubesym.bitgraph import (FamilySpec, augmented_hypercube, enhanced_hypercube,
+                                      graph_from_edges, hamming_graph, hypercube)
         from cubesym.cli import main
         from cubesym.symmetry import TransitivityReport
 
@@ -570,6 +606,24 @@ def test_det_set_checks_survive_python_O():
             # the count takes is re-checked
             if main(["param", "cost", "folded", "-n", "4", "--no-cache"]) != 3:
                 sys.exit("param cost folded with a broken batched count did not exit 3")
+            if main(["param", "dist", "enhanced", "-n", "4", "-k", "2", "--no-cache"]) != 3:
+                sys.exit("param dist enhanced with a broken batched count did not exit 3")
+        # a batched count that takes only the colorings of three or more
+        # colors passes both stages of the d >= 3 scan of Q_{4,2}, whose
+        # class scan finds no class; the witness re-check fails
+        real_counts = symmetry._keeping_counts
+        with mock.patch.object(symmetry, "_keeping_counts", lambda bitsets, colors: np.where(
+                colors.max(axis=1) >= 2, 1, real_counts(bitsets, colors))):
+            q42 = autgroup.structured_group(enhanced_hypercube(4, 2))
+            try:
+                symmetry._distinguishing_d3(q42, "structured")
+            except AssertionError as exc:
+                if "not distinguishing" not in str(exc):
+                    sys.exit(f"the d >= 3 scan of Q_{{4,2}} failed elsewhere: {exc}")
+            else:
+                sys.exit("the d >= 3 scan passed a coloring the batched count took wrongly")
+            if main(["param", "dist", "enhanced", "-n", "4", "-k", "2", "--no-cache"]) != 3:
+                sys.exit("param dist enhanced with a three-color count did not exit 3")
         # an edge image that is not an edge fails the edge-orbit map: in Q_3
         # a generator with two images swapped, and on the path 0-1 plus a
         # vertex 2 the swap of 1 and 2, whose image (0, 2) lies past the

@@ -41,6 +41,8 @@ from cubesym.symmetry import (
     _extension_counts,
     _greedy_two_class,
     _keeping_counts,
+    _kept_by_one_row,
+    _least_support,
     _preserving_count,
     _rgs_blocks,
     _rgs_partitions,
@@ -418,6 +420,92 @@ def test_batched_count_matches_preserving_count(data):
     assert _keeping_counts(_count_bitsets(name), batch).tolist() == want
 
 
+@lru_cache(maxsize=None)
+def _shuffled_bitsets(name, seed):
+    table = _count_group(name).elements()
+    return _row_bitsets(table[np.random.default_rng(seed).permutation(len(table))])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_two_stage_count_matches_preserving_count(data):
+    """The word-0 sieve and then the full count take a coloring exactly when
+    one element keeps it, on every group of `COUNT_GROUPS`, with the bitsets
+    built in `_least_support` order and in a shuffled order, whose word 0
+    need not hold the identity."""
+    name = data.draw(st.sampled_from(sorted(COUNT_GROUPS)))
+    grp = _count_group(name)
+    nv, d = grp.n_vertices, data.draw(st.integers(1, 5))
+    colors = st.integers(0, d - 1)
+    # a few recolored vertices leave colorings that many elements keep
+    recolored = st.tuples(colors, st.lists(st.tuples(st.integers(0, nv - 1), colors),
+                                           max_size=4)).map(
+        lambda base: [dict(base[1]).get(v, base[0]) for v in range(nv)])
+    batch = np.array(data.draw(st.lists(
+        st.one_of(st.lists(colors, min_size=nv, max_size=nv), recolored),
+        min_size=1, max_size=8)))
+    want = [_preserving_count(grp, c) == 1 for c in batch]
+    seed = data.draw(st.integers(0, 3))
+    for bitsets in (symmetry._group_bitsets(grp), _shuffled_bitsets(name, seed)):
+        assert _kept_by_one_row(bitsets, batch).tolist() == want
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_GROUPS))
+def test_least_support_order(name):
+    """The rows by the vertices they move, identity first, in a stable sort."""
+    grp = _count_group(name)
+    table = grp.elements()
+    moved = (table != np.arange(grp.n_vertices)).sum(axis=1)
+    order = _least_support(grp)
+    assert sorted(order.tolist()) == list(range(len(table)))
+    assert moved[order[0]] == 0 and (np.diff(moved[order]) >= 0).all()
+    ties = np.diff(moved[order]) == 0
+    assert (np.diff(order)[ties] > 0).all()
+
+
+SIEVE_GROUPS = {
+    "FQ_4": lambda: automorphism_group(folded_hypercube(4)),
+    "FQ_5": lambda: automorphism_group(folded_hypercube(5)),
+    "Q_{4,2}": lambda: automorphism_group(enhanced_hypercube(4, 2)),
+    "Q_{5,3}": lambda: automorphism_group(enhanced_hypercube(5, 3)),
+    "FQ_3 searched": lambda: search_automorphisms(folded_hypercube(3)),
+}
+
+
+@lru_cache(maxsize=None)
+def _sieve_group(name):
+    return SIEVE_GROUPS[name]()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_setwise_sieve_matches_setwise_stabilizer(data):
+    """`_setwise_trivial`, with its least-support sieve, gives the verdict of
+    the setwise stabilizer on the element table, for random classes and for
+    unions of the orbits of a random set under one element (which that
+    element keeps)."""
+    grp = _sieve_group(data.draw(st.sampled_from(sorted(SIEVE_GROUPS))))
+    nv, table = grp.n_vertices, grp.elements()
+    if data.draw(st.booleans()):
+        cls = set(data.draw(st.lists(st.integers(0, nv - 1), max_size=nv)))
+    else:
+        row = table[data.draw(st.integers(0, len(table) - 1))]
+        cls = set(data.draw(st.lists(st.integers(0, nv - 1), max_size=4)))
+        while not {int(row[v]) for v in cls} <= cls:
+            cls |= {int(row[v]) for v in cls}
+    cls = sorted(cls)
+    assert _setwise_trivial(grp, cls) == (setwise_stabilizer(grp, cls).order() == 1), cls
+
+
+@pytest.mark.parametrize("make", [augmented_hypercube, locally_twisted_hypercube],
+                         ids=["AQ_5", "LTQ_5"])
+def test_setwise_sieve_builds_no_table_on_setwise_models(make):
+    grp = automorphism_group(make(5))
+    for cls in ([0], [0, 1, 2], list(range(7)), [0, 3, 5, 6, 9, 17, 30]):
+        _setwise_trivial(grp, cls)
+    assert grp._elements is None and grp._by_support is None
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_rgs_blocks_follow_rgs_order(n):
     for d in range(1, n + 2):
@@ -612,6 +700,54 @@ def test_class_scan_setwise_calls(name, make, value, batched, per_leaf, monkeypa
     made.clear()
     monkeypatch.setattr(symmetry, "_BITSET_BYTES", 0)
     assert (make()["value"], len(made)) == (value, per_leaf)
+
+
+@pytest.mark.parametrize("name, make, word0, full_width", [
+    ("dist Q_{4,2}", lambda: compute_parameter(enhanced_hypercube(4, 2), "dist"), 20675, 252),
+    ("cost FQ_4", lambda: compute_parameter(folded_hypercube(4), "cost"), 3551, 998),
+])
+def test_two_stage_count_work(name, make, word0, full_width, monkeypatch):
+    """The colorings counted on word 0 of the bitsets and then on all of
+    them: the d >= 3 scan and class scan of Q_{4,2} count 20,675 colorings
+    on word 0 and 252 on its 36 words, and the class scan of FQ_4 3,551
+    on word 0 and 998 on its 30 words."""
+    counted = {}
+    real = symmetry._keeping_counts
+
+    def counting(bitsets, colors):
+        full = bitsets.shape[3] > 1
+        counted[full] = counted.get(full, 0) + len(colors)
+        return real(bitsets, colors)
+
+    monkeypatch.setattr(symmetry, "_keeping_counts", counting)
+    make()
+    assert counted == {False: word0, True: full_width}
+
+
+@pytest.mark.parametrize("make, value, cls, table_tests", [
+    pytest.param(lambda: enhanced_hypercube(5, 2), 5, [0, 1, 2, 5, 24], 74, id="Q_{5,2}"),
+    pytest.param(lambda: enhanced_hypercube(5, 3), 7, [0, 1, 2, 9, 11, 12, 21], 434,
+                 id="Q_{5,3}"),
+    pytest.param(lambda: folded_hypercube(5), 6, [0, 1, 2, 4, 9, 19], 1260, id="FQ_5"),
+    pytest.param(lambda: enhanced_hypercube(6, 4), 6, [0, 1, 10, 11, 20, 53], 18,
+                 id="Q_{6,4}", marks=pytest.mark.oracle_suite),
+])
+def test_cost_values_and_table_setwise_tests(make, value, cls, table_tests, monkeypatch):
+    """The cost and least class of the enhanced and folded cubes of 32 and
+    64 vertices, whose class scans test each class by `_setwise_trivial`,
+    and the classes that pass its sieve to the element table's setwise
+    stabilizer (without the sieve: 254, 11,775, 2,496 and 21,682)."""
+    made = []
+    real = symmetry.setwise_stabilizer
+
+    def counted(grp, subset):
+        made.append(1)
+        return real(grp, subset)
+
+    monkeypatch.setattr(symmetry, "setwise_stabilizer", counted)
+    report = compute_parameter(make(), "cost")
+    assert (report["value"], report["witness"]["payload"]) == (value, cls)
+    assert len(made) == table_tests
 
 
 RECORDS = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "records"
