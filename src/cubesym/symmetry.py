@@ -262,8 +262,8 @@ def two_class_is_distinguishing(g: Graph, grp: PermGroup, cls) -> bool:
     return is_asymmetric(induced_subgraph(g, cls))
 
 
-# The element-table rows that the setwise test and the batched counts try
-# before the whole table: one uint64 word of row bitsets.
+# The rows in the setwise count's first chunk, as many as the batched
+# counts try first: one uint64 word of row bitsets.
 _SIEVE_ROWS = 64
 
 
@@ -281,23 +281,31 @@ def _least_support(grp: PermGroup) -> np.ndarray:
 def _setwise_trivial(grp: PermGroup, cls) -> bool:
     """Exact setwise-stabilizer triviality: the model's `setwise_trivial`
     where it has one (Q_n, the halved cubes and the Hamming graphs), which
-    builds no element table; the setwise stabilizer's order otherwise, from
-    the model's setwise search on AQ_n and LTQ_n and from the element table
-    on the rest.
+    builds no element table; the setwise stabilizer's order from the model's
+    setwise search on AQ_n and LTQ_n, and for an empty or full class, whose
+    stabilizer is the group; on the element table otherwise.
 
-    On the table, the `_SIEVE_ROWS` rows that move the fewest vertices are
-    tried first: if two of them map the class into itself, its stabilizer is
-    not trivial.  They keep most classes that are not, so the table's own
-    test runs only on the few classes that one row or none of them keeps."""
+    On the table, the rows that map the class into itself are counted in
+    `_least_support` order, on the class's columns only, in chunks of rows
+    that start at `_SIEVE_ROWS` and double up to `_BLOCK_ROWS`.  The count
+    stops at the second such row, and the class passes iff exactly one row
+    keeps it.  The rows that move the fewest vertices keep most classes
+    whose stabilizer is not trivial, so most of those stop in the first
+    chunk."""
     if hasattr(grp.model, "setwise_trivial"):
         return grp.model.setwise_trivial(cls)
-    if not hasattr(grp.model, "setwise_stabilizer"):
-        rows = grp.elements()[_least_support(grp)[:_SIEVE_ROWS]]
-        member = np.zeros(grp.n_vertices, dtype=bool)
-        member[list(cls)] = True
-        if member[rows[:, member]].all(axis=1).sum() >= 2:
-            return False
-    return setwise_stabilizer(grp, cls).order() == 1
+    S = np.array(sorted(set(cls)), dtype=np.intp)
+    if hasattr(grp.model, "setwise_stabilizer") or len(S) in (0, grp.n_vertices):
+        return setwise_stabilizer(grp, cls).order() == 1
+    table, order = grp.elements(), _least_support(grp)
+    member = np.zeros(grp.n_vertices, dtype=bool)
+    member[S] = True
+    kept, start, size = 0, 0, _SIEVE_ROWS
+    while kept < 2 and start < len(order):
+        rows = order[start:start + size]
+        kept += int(member[table[rows[:, None], S]].all(axis=1).sum())
+        start, size = start + size, min(2 * size, _BLOCK_ROWS)
+    return kept == 1
 
 
 def _least_class(grp: PermGroup) -> tuple[int, ...] | None:
@@ -353,21 +361,23 @@ def _class_test(grp: PermGroup):
     return accept
 
 
-def _extension_counts(table: np.ndarray, fixed: tuple[np.ndarray, np.ndarray],
-                      member: np.ndarray, chosen: list[int]) -> np.ndarray:
+def _extension_counts(table: np.ndarray, member: np.ndarray, chosen: list[int]) -> np.ndarray:
     """For every vertex v outside the class `chosen` (flagged in `member`),
     the number of table rows that keep the class with v added, in one pass;
-    len(table) + 1 for the members.  `fixed` lists the table's fixed points
-    as (rows, vertices), as `np.nonzero` gives them.
+    len(table) + 1 for the members.
 
     A row keeps S + {v} iff it sends no member of S out of S and fixes v, or
-    it sends exactly one member of S out of S, to v, and sends v into S."""
+    it sends exactly one member of S out of S, to v, and sends v into S.  The
+    fixed points are counted only on the rows that keep S, `_BLOCK_ROWS` rows
+    at a time."""
     nv = len(member)
     images = table[:, chosen]
     leaves = ~member[images]
     n_out = leaves.sum(axis=1)
-    rows, vertices = fixed
-    counts = np.bincount(vertices[n_out[rows] == 0], minlength=nv)
+    counts = np.zeros(nv, dtype=np.intp)
+    keeping = np.flatnonzero(n_out == 0)
+    for start in range(0, len(keeping), _BLOCK_ROWS):
+        counts += (table[keeping[start:start + _BLOCK_ROWS]] == np.arange(nv)).sum(axis=0)
     one = np.flatnonzero(n_out == 1)
     target = images[one][leaves[one]]  # where the one leaving member goes
     back = member[table[one, target]]
@@ -384,11 +394,10 @@ def _greedy_two_class(grp: PermGroup) -> tuple[int, ...] | None:
     `_extension_counts` gives for every vertex in one pass over the table.
     """
     table = grp.elements()
-    fixed = np.nonzero(table == np.arange(grp.n_vertices))
     member = np.zeros(grp.n_vertices, dtype=bool)
     chosen: list[int] = []
     while len(chosen) <= grp.n_vertices // 2 + 1:
-        counts = _extension_counts(table, fixed, member, chosen)
+        counts = _extension_counts(table, member, chosen)
         best_v = int(counts.argmin())
         member[best_v] = True
         chosen.append(best_v)
@@ -441,8 +450,9 @@ def distinguishing_number(g: Graph, grp: PermGroup,
     return _distinguishing_d3(grp, tag)
 
 
-# Colorings counted per batch of the d >= 3 scan, and the bytes of one
-# gather of row bitsets.
+# Colorings counted per batch of the d >= 3 scan and table rows read per
+# chunk by the setwise and greedy counts; and the bytes of one gather of row
+# bitsets.
 _BLOCK_ROWS = 4096
 _BLOCK_BYTES = 1 << 21
 
@@ -486,8 +496,8 @@ def _row_bitsets(table: np.ndarray) -> np.ndarray:
     """`out[v, b, x]`: the bitset, in uint64 words, of the table rows g with
     g(v) among the vertices 8b + i for the bits i of the byte x.
 
-    Built by OR-ing in the lowest bit of each byte value in turn, in
-    `_bitsets_nbytes` bytes."""
+    Built in 8 doubling steps, in `_bitsets_nbytes` bytes: the byte values
+    from 2^i up to 2^(i+1) - 1 are those below 2^i with bit i added."""
     n_rows, nv = table.shape
     n_bytes, words = -(-nv // 8), -(-n_rows // 64)
     hits = np.zeros((nv, n_bytes * 8, words * 64), dtype=bool)
@@ -495,8 +505,8 @@ def _row_bitsets(table: np.ndarray) -> np.ndarray:
     single = np.packbits(hits, axis=2, bitorder="little").view(np.uint64)
     single = single.reshape(nv, n_bytes, 8, words)
     out = np.zeros((nv, n_bytes, 256, words), dtype=np.uint64)
-    for x in range(1, 256):
-        out[:, :, x] = out[:, :, x & (x - 1)] | single[:, :, (x & -x).bit_length() - 1]
+    for i in range(8):
+        np.bitwise_or(out[:, :, :1 << i], single[:, :, i, None], out=out[:, :, 1 << i:2 << i])
     return out
 
 
@@ -536,19 +546,29 @@ def _kept_by_one_row(bitsets: np.ndarray, colors: np.ndarray) -> np.ndarray:
 
 
 def _keeping_counts(bitsets: np.ndarray, colors: np.ndarray) -> np.ndarray:
-    """The number of table rows that keep each coloring, a row of `colors`.
+    """The number of table rows that keep each coloring, a row of `colors`
+    with colors 0, 1, ...
 
-    A row g keeps a coloring iff g(v) lies in v's color class for every v:
-    the bitsets of v's class mask bytes are OR-ed, and those of all the
-    vertices AND-ed."""
-    n_bytes, words = bitsets.shape[1], bitsets.shape[3]
-    class_bytes = np.packbits(colors[:, :, None] == colors[:, None, :], axis=2,
-                              bitorder="little")
-    keep = np.full((len(colors), words), ~np.uint64(0))
-    byte_index = np.arange(n_bytes)
-    for v in range(colors.shape[1]):
-        keep &= np.bitwise_or.reduce(bitsets[v, byte_index, class_bytes[:, v]], axis=1)
-    return np.bitwise_count(keep).sum(axis=1)
+    A row g keeps a coloring iff g(v) lies in v's color class for every v.
+    One `packbits` gives the mask bytes of every class of a chunk of
+    colorings; each vertex picks those of its own class, and one gather of
+    their bitsets, at most `_BLOCK_BYTES`, is OR-ed over the bytes and
+    AND-ed over the vertices."""
+    nv, n_bytes, _, words = bitsets.shape
+    flat = bitsets.reshape(-1, words)
+    # the first row of v's bitsets at byte b, in `flat`
+    base = (np.arange(nv)[:, None] * n_bytes + np.arange(n_bytes)) * 256
+    chunk = max(1, _BLOCK_BYTES // (nv * n_bytes * words * 8))
+    counts = np.empty(len(colors), dtype=np.intp)
+    for start in range(0, len(colors), chunk):
+        part = colors[start:start + chunk]
+        palette = np.arange(int(part.max()) + 1)
+        class_bytes = np.packbits(part[:, None, :] == palette[:, None], axis=2,
+                                  bitorder="little")
+        own = class_bytes[np.arange(len(part))[:, None], part]
+        keep = np.bitwise_and.reduce(np.bitwise_or.reduce(flat[base + own], axis=2), axis=1)
+        counts[start:start + len(part)] = np.bitwise_count(keep).sum(axis=1)
+    return counts
 
 
 def _rgs_blocks(n: int, d: int, max_rows: int):

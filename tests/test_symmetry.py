@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -402,22 +403,71 @@ def test_two_colorings_are_settled_by_the_setwise_test(make):
 
 
 @lru_cache(maxsize=None)
-def _count_bitsets(name):
-    return _row_bitsets(_count_group(name).elements())
+def _ordered_table(name, order):
+    """The element table of a `COUNT_GROUPS` group in table order, in
+    `_least_support` order or shuffled."""
+    grp = _count_group(name)
+    table = grp.elements()
+    if order == "least support":
+        return table[_least_support(grp)]
+    if order == "shuffled":
+        return table[np.random.default_rng(0).permutation(len(table))]
+    return table
+
+
+@lru_cache(maxsize=None)
+def _ordered_bitsets(name, order):
+    return _row_bitsets(_ordered_table(name, order))
 
 
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_batched_count_matches_preserving_count(data):
     """The row-bitset count of a batch of colorings equals `_preserving_count`
-    of each, on every group of `COUNT_GROUPS`."""
+    of each, on every group of `COUNT_GROUPS`, and on word 0 alone the count
+    of the first 64 rows that keep it: for 1-5 colors, int8 and intp arrays,
+    bitsets in table order, in `_least_support` order and shuffled, and
+    gathers of one, two or three colorings at a time as well as of
+    `_BLOCK_BYTES`, so that one call spans several chunks."""
     name = data.draw(st.sampled_from(sorted(COUNT_GROUPS)))
     grp = _count_group(name)
     nv, d = grp.n_vertices, data.draw(st.integers(1, 5))
     batch = np.array(data.draw(st.lists(
-        st.lists(st.integers(0, d - 1), min_size=nv, max_size=nv), min_size=1, max_size=8)))
-    want = [_preserving_count(grp, colors) for colors in batch]
-    assert _keeping_counts(_count_bitsets(name), batch).tolist() == want
+        st.lists(st.integers(0, d - 1), min_size=nv, max_size=nv), min_size=1, max_size=8)),
+        dtype=data.draw(st.sampled_from([np.int8, np.intp])))
+    order = data.draw(st.sampled_from(["table", "least support", "shuffled"]))
+    rows, bitsets = _ordered_table(name, order), _ordered_bitsets(name, order)
+    if data.draw(st.booleans()):
+        want = [_preserving_count(grp, colors) for colors in batch]
+    else:
+        rows, bitsets = rows[:64], bitsets[..., :1]
+        want = [int((colors[rows] == colors).all(axis=1).sum()) for colors in batch]
+    chunk = data.draw(st.sampled_from([1, 2, 3, None]))
+    # one coloring gathers one word per vertex and byte: bitsets.nbytes / 256
+    block = symmetry._BLOCK_BYTES if chunk is None else chunk * bitsets.nbytes // 256
+    with mock.patch.object(symmetry, "_BLOCK_BYTES", block):
+        assert _keeping_counts(bitsets, batch).tolist() == want
+
+
+def _plain_row_bitsets(table):
+    """The reference row bitsets: each byte value's bitset on its own, from
+    the rows that send the vertex to one of the vertices its bits name."""
+    n_rows, nv = table.shape
+    n_bytes, words = -(-nv // 8), -(-n_rows // 64)
+    out = np.zeros((nv, n_bytes, 256, words), dtype=np.uint64)
+    hits = np.zeros((nv, words * 64), dtype=bool)
+    for b in range(n_bytes):
+        for x in range(256):
+            hits[:, :n_rows] = np.isin(table, [8 * b + i for i in range(8) if x >> i & 1]).T
+            out[:, b, x] = np.packbits(hits, axis=1, bitorder="little").view(np.uint64)
+    return out
+
+
+@pytest.mark.parametrize("order", ["table", "shuffled"])
+@pytest.mark.parametrize("name", sorted(COUNT_GROUPS))
+def test_row_bitsets_match_plain_bitsets(name, order):
+    table = _ordered_table(name, order)
+    assert np.array_equal(_ordered_bitsets(name, order), _plain_row_bitsets(table))
 
 
 @lru_cache(maxsize=None)
@@ -480,10 +530,11 @@ def _sieve_group(name):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_setwise_sieve_matches_setwise_stabilizer(data):
-    """`_setwise_trivial`, with its least-support sieve, gives the verdict of
-    the setwise stabilizer on the element table, for random classes and for
-    unions of the orbits of a random set under one element (which that
-    element keeps)."""
+    """`_setwise_trivial`, with its early-stopping count in `_least_support`
+    order, gives the verdict of the setwise stabilizer on the element table,
+    for random classes and for unions of the orbits of a random set under
+    one element (which that element keeps), with the default chunks of rows
+    and with chunks that start at one or three rows and double up to 5 or 16."""
     grp = _sieve_group(data.draw(st.sampled_from(sorted(SIEVE_GROUPS))))
     nv, table = grp.n_vertices, grp.elements()
     if data.draw(st.booleans()):
@@ -494,7 +545,11 @@ def test_setwise_sieve_matches_setwise_stabilizer(data):
         while not {int(row[v]) for v in cls} <= cls:
             cls |= {int(row[v]) for v in cls}
     cls = sorted(cls)
-    assert _setwise_trivial(grp, cls) == (setwise_stabilizer(grp, cls).order() == 1), cls
+    first, most = data.draw(st.sampled_from(
+        [(symmetry._SIEVE_ROWS, symmetry._BLOCK_ROWS), (1, 5), (3, 16)]))
+    with mock.patch.object(symmetry, "_SIEVE_ROWS", first), \
+            mock.patch.object(symmetry, "_BLOCK_ROWS", most):
+        assert _setwise_trivial(grp, cls) == (setwise_stabilizer(grp, cls).order() == 1), cls
 
 
 @pytest.mark.parametrize("make", [augmented_hypercube, locally_twisted_hypercube],
@@ -613,8 +668,7 @@ def test_extension_counts_match_preserving_count(data):
     chosen = data.draw(st.lists(st.integers(0, nv - 1), unique=True, max_size=nv // 2))
     member = np.zeros(nv, dtype=bool)
     member[chosen] = True
-    table = grp.elements()
-    counts = _extension_counts(table, np.nonzero(table == np.arange(nv)), member, chosen)
+    counts = _extension_counts(grp.elements(), member, chosen)
     for v in range(nv):
         if member[v]:
             assert counts[v] == len(grp.elements()) + 1
@@ -634,6 +688,23 @@ def test_extension_counts_match_preserving_count(data):
 def test_greedy_class_matches_plain_greedy(name, make):
     grp = automorphism_group(make())
     assert _greedy_two_class(grp) == _plain_greedy(grp)
+
+
+@pytest.mark.parametrize("block_rows", [None, 100], ids=["default rows", "100 rows"])
+@pytest.mark.parametrize("make, cls", [
+    pytest.param(lambda: hamming_graph(3, 4), (0, 4, 13, 29), id="H(4,3)"),
+    pytest.param(lambda: hamming_graph(4, 3), (0, 5, 8, 18, 33), id="H(3,4)"),
+    pytest.param(lambda: hypercube_power(6, 2), (0, 2, 6, 7, 8, 17), id="Q_6^2"),
+    pytest.param(lambda: folded_hypercube(5), (0, 2, 3, 4, 9, 18), id="FQ_5"),
+    pytest.param(lambda: enhanced_hypercube(5, 3), (0, 1, 2, 9, 12, 13, 27), id="Q_{5,3}"),
+    pytest.param(lambda: enhanced_hypercube(4, 2), None, id="Q_{4,2}"),
+])
+def test_greedy_class_values(make, cls, block_rows, monkeypatch):
+    """The greedy class of each group, with the fixed points counted on the
+    default chunks of rows and on chunks of 100 rows."""
+    if block_rows is not None:
+        monkeypatch.setattr(symmetry, "_BLOCK_ROWS", block_rows)
+    assert _greedy_two_class(automorphism_group(make())) == cls
 
 
 @pytest.mark.parametrize("name, make, value, calls", [
@@ -673,7 +744,7 @@ def test_block_count_matches_setwise_stabilizer(data):
     for i, cls in enumerate(block):
         colors[i, list(cls)] = 1
     orders = [setwise_stabilizer(grp, cls).order() for cls in block]
-    assert _keeping_counts(_count_bitsets(name), colors).tolist() == orders
+    assert _keeping_counts(_ordered_bitsets(name, "table"), colors).tolist() == orders
     assert _class_test(grp)(block) == next(
         (i for i, order in enumerate(orders) if order == 1), None)
 
@@ -724,30 +795,43 @@ def test_two_stage_count_work(name, make, word0, full_width, monkeypatch):
     assert counted == {False: word0, True: full_width}
 
 
-@pytest.mark.parametrize("make, value, cls, table_tests", [
+@pytest.mark.parametrize("make, value, cls, past_first_rows", [
     pytest.param(lambda: enhanced_hypercube(5, 2), 5, [0, 1, 2, 5, 24], 74, id="Q_{5,2}"),
     pytest.param(lambda: enhanced_hypercube(5, 3), 7, [0, 1, 2, 9, 11, 12, 21], 434,
                  id="Q_{5,3}"),
     pytest.param(lambda: folded_hypercube(5), 6, [0, 1, 2, 4, 9, 19], 1260, id="FQ_5"),
     pytest.param(lambda: enhanced_hypercube(6, 4), 6, [0, 1, 10, 11, 20, 53], 18,
                  id="Q_{6,4}", marks=pytest.mark.oracle_suite),
+    pytest.param(lambda: folded_hypercube(6), 6, [0, 1, 2, 5, 24, 42], 9868,
+                 id="FQ_6", marks=pytest.mark.oracle_suite),
 ])
-def test_cost_values_and_table_setwise_tests(make, value, cls, table_tests, monkeypatch):
+def test_cost_values_and_table_setwise_tests(make, value, cls, past_first_rows, monkeypatch):
     """The cost and least class of the enhanced and folded cubes of 32 and
-    64 vertices, whose class scans test each class by `_setwise_trivial`,
-    and the classes that pass its sieve to the element table's setwise
-    stabilizer (without the sieve: 254, 11,775, 2,496 and 21,682)."""
-    made = []
-    real = symmetry.setwise_stabilizer
+    64 vertices, whose class scans test each class by `_setwise_trivial` on
+    the element table.  None asks `setwise_stabilizer`, and the classes whose
+    count reads a chunk of rows after the first (the `_SIEVE_ROWS` rows that
+    move the fewest vertices) are counted: those that one of these rows or
+    none keeps."""
+    read_past, stabilizers = [], []
+    real_trivial, real_order = symmetry._setwise_trivial, symmetry._least_support
 
-    def counted(grp, subset):
-        made.append(1)
-        return real(grp, subset)
+    class Order(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, slice) and key.start:
+                read_past[-1] = True
+            return super().__getitem__(key)
 
-    monkeypatch.setattr(symmetry, "setwise_stabilizer", counted)
+    def trivial(grp, subset):
+        read_past.append(False)
+        return real_trivial(grp, subset)
+
+    monkeypatch.setattr(symmetry, "_setwise_trivial", trivial)
+    monkeypatch.setattr(symmetry, "_least_support", lambda grp: real_order(grp).view(Order))
+    monkeypatch.setattr(symmetry, "setwise_stabilizer",
+                        lambda grp, subset: stabilizers.append(subset))
     report = compute_parameter(make(), "cost")
     assert (report["value"], report["witness"]["payload"]) == (value, cls)
-    assert len(made) == table_tests
+    assert (sum(read_past), len(stabilizers)) == (past_first_rows, 0)
 
 
 RECORDS = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "records"
