@@ -123,66 +123,176 @@ def _determining_leaves(test, state, chosen, pool, start: int, r: int):
 _LEAF_BLOCK = 256
 
 
-def _first_accepted(leaves, accept):
+def _first_accepted(leaves, accept) -> tuple[int, ...] | None:
     """The first of `leaves` that `accept` takes, or None.
 
-    `accept(block)` gets a list of leaves and returns the index of the first
-    one it takes, or None.  The blocks double from one leaf up to
-    `_LEAF_BLOCK`, so an `accept` that takes the first leaf sees only it."""
-    size = 1
-    while block := list(islice(leaves, size)):
+    `leaves` is an iterator of leaves, or an array with one leaf's members
+    per row, which is sliced.  `accept(block)` gets a block of leaves and
+    returns the index of the first one it takes, or None.  The blocks
+    double from one leaf up to `_LEAF_BLOCK`, in both forms, so an `accept`
+    that takes the first leaf sees only it."""
+    if isinstance(leaves, np.ndarray):
+        def take(start, size):
+            return leaves[start:start + size]
+    else:
+        def take(start, size):
+            return list(islice(leaves, size))
+    start, size = 0, 1
+    while len(block := take(start, size)):
         i = accept(block)
         if i is not None:
-            return block[i]
-        size = min(2 * size, _LEAF_BLOCK)
+            return tuple(int(v) for v in block[i])
+        start, size = start + len(block), min(2 * size, _LEAF_BLOCK)
     return None
 
 
-def _anchored_exists(grp: PermGroup, test, size: int, accept) -> bool:
-    """Whether a vertex-transitive group has a determining set of `size`
-    that `accept` takes, for an `accept` that the group's elements preserve.
+def _anchored_leaves(grp: PermGroup, test, size: int):
+    """The determining sets of `size` that the anchored search of a
+    vertex-transitive group visits, in lex order: those through vertex 0
+    whose second vertex r is the least vertex of its Stab(0)-orbit and whose
+    others lie in r's orbit or a later one.
 
-    Some such set contains vertex 0.  Take its second vertex from the first
-    Stab(0)-orbit it meets, in the order of their least vertices r: an
-    element of Stab(0) moves that vertex to r and keeps every orbit, so the
-    other vertices range over r's orbit and the later ones."""
+    Some set that an `accept` preserved by the group's elements takes is
+    among them.  It contains vertex 0 after a move; its second vertex comes
+    from the first Stab(0)-orbit it meets, in the order of their least
+    vertices r, and an element of Stab(0) moves that vertex to r and keeps
+    every orbit, so the other vertices range over r's orbit and the later
+    ones."""
     root = test.det_add(test.det_start(), 0)
     if size == 1:
-        return test.det_done(root) and accept([(0,)]) is not None
+        if test.det_done(root):
+            yield (0,)
+        return
     if test.det_need(root) >= size:
-        return False
-
-    def leaves():
-        earlier = {0}
-        for orbit in pointwise_stabilizer(grp, [0]).orbits()[1:]:  # the first is {0}
-            r = orbit[0]
-            state = test.det_add(root, r)
-            if test.det_need(state) <= size - 2:
-                pool = [v for v in range(grp.n_vertices) if v not in earlier and v != r]
-                yield from _determining_leaves(test, state, (0, r), pool, 0, size - 2)
-            earlier.update(orbit)
-
-    return _first_accepted(leaves(), accept) is not None
+        return
+    earlier = {0}
+    for orbit in pointwise_stabilizer(grp, [0]).orbits()[1:]:  # the first is {0}
+        r = orbit[0]
+        state = test.det_add(root, r)
+        if test.det_need(state) <= size - 2:
+            pool = [v for v in range(grp.n_vertices) if v not in earlier and v != r]
+            yield from _determining_leaves(test, state, (0, r), pool, 0, size - 2)
+        earlier.update(orbit)
 
 
-def _least_determining(grp: PermGroup, sizes, accept=lambda block: 0
-                       ) -> tuple[int, ...] | None:
+# `_LOW_HALVES[b]`: the bits p of a uint64 word with bit b of p clear.
+_LOW_HALVES = [np.uint64(sum(1 << p for p in range(64) if not p >> b & 1)) for b in range(6)]
+
+
+def _determining_masks(grp: PermGroup) -> np.ndarray:
+    """`det[m]` for every set m of at most 16 vertices, with vertex v at
+    bit V-1-v of m: whether only the identity fixes every vertex of m.
+
+    Each non-identity row of the element table marks its fixed-point mask,
+    and V in-place passes close the marks downward, so a set is marked
+    exactly when some non-identity row fixes all of it.  The marks are kept
+    one bit per set, set m at bit m % 64 of uint64 word m // 64: a pass over
+    bit b < 6 shifts each word onto itself, and one over a higher bit ORs
+    whole words.  Raises AssertionError unless exactly one row fixes every
+    vertex."""
+    nv = grp.n_vertices
+    table = grp.elements()
+    # each row's fixed points, vertex v at bit 15 - v of a big-endian word
+    fixes = np.zeros((len(table), 16), dtype=bool)
+    fixes[:, :nv] = table == np.arange(nv)
+    fixed = np.packbits(fixes, axis=1).view(">u2")[:, 0] >> (16 - nv)
+    everything = (1 << nv) - 1
+    if np.count_nonzero(fixed == everything) != 1:
+        raise AssertionError("the element table does not have exactly one identity row")
+    marked = np.zeros(max(1 << nv, 64), dtype=bool)
+    marked[fixed[fixed != everything]] = True
+    words = np.packbits(marked, bitorder="little").view("<u8")
+    for b in range(min(nv, 6)):
+        words |= (words >> np.uint64(1 << b)) & _LOW_HALVES[b]
+    for b in range(6, nv):
+        pairs = words.reshape(-1, 2, 1 << (b - 6))  # the sets without bit b, and with it
+        pairs[:, 0] |= pairs[:, 1]
+    return ~np.unpackbits(words.view(np.uint8), bitorder="little")[:1 << nv].view(bool)
+
+
+def _mask_members(masks: np.ndarray, nv: int, size: int) -> np.ndarray:
+    """The members of each vertex set in `masks` (vertex v at bit V-1-v),
+    in increasing order, one set of `size` per row, read from the bits of
+    one byte pair per set."""
+    words = (masks << (16 - nv)).astype(">u2")  # vertex v at bit 15 - v
+    bits = np.unpackbits(words.view(np.uint8)).view(bool)  # set i's vertex v at 16i + v
+    members = np.flatnonzero(bits)
+    members &= 15
+    return members.reshape(-1, size)
+
+
+def _mask_leaves(grp: PermGroup):
+    """The class scan's leaves, from `_determining_masks`: two functions of
+    a size k that give every determining k-set, and those that
+    `_anchored_leaves` visits, as arrays of their members, a set per row,
+    in the lex order of the sets.
+
+    The lex order of the sorted k-sets is the descending order of their
+    masks.  An anchored set holds vertex 0 (bit V-1), and its second vertex
+    is the least root of the others, where the root of a vertex is the
+    least vertex of its Stab(0)-orbit: the least of its images under the
+    element table's rows that fix 0."""
+    nv = grp.n_vertices
+    det = _determining_masks(grp)
+    byte_sizes = np.bitwise_count(np.arange(256, dtype=np.uint8))
+    low = min(nv, 8)
+    sizes = np.add.outer(byte_sizes[:1 << (nv - low)], byte_sizes[:1 << low]).ravel()
+    table = grp.elements()
+    root = table[table[:, 0] == 0].min(axis=0)
+    top = 1 << (nv - 1)
+
+    def leaves(k):
+        return _mask_members(np.flatnonzero(det & (sizes == k))[::-1], nv, k)
+
+    def anchored(k):
+        masks = np.flatnonzero(det[top:] & (sizes[top:] == k))[::-1] + top
+        members = _mask_members(masks, nv, k)
+        if k == 1:
+            return members
+        rest = members[:, 1:]
+        return members[root[rest].min(axis=1) == rest[:, 0]]
+
+    return leaves, anchored
+
+
+def _in_batched_domain(grp: PermGroup) -> bool:
+    """Whether the class scan counts its leaves in blocks on the row
+    bitsets and takes them from `_mask_leaves`: at most
+    `_EXHAUSTIVE_2_LIMIT` vertices, a model without a setwise search (all
+    but AQ_n and LTQ_n) and row bitsets within `_BITSET_BYTES`."""
+    nv = grp.n_vertices
+    return (nv <= _EXHAUSTIVE_2_LIMIT and not hasattr(grp.model, "setwise_stabilizer")
+            and _bitsets_nbytes(nv, grp.order()) <= _BITSET_BYTES)
+
+
+def _least_determining(grp: PermGroup, sizes, accept=lambda block: 0,
+                       from_masks: bool = False) -> tuple[int, ...] | None:
     """The lex-least determining set that `accept` takes, of the least size
     in `sizes` that has one, or None.  `accept` takes blocks of sets, as
     `_first_accepted` gives them, and must be preserved by the group's
     elements.
 
-    For a verified vertex-transitive group each size is first settled by the
-    anchored search; at the first size that has a set, the unrestricted lex
-    search returns the least one."""
-    test = determining_test(grp)
+    The leaves come from the depth-first search `_determining_leaves`, or
+    with `from_masks` from `_mask_leaves`, which gives the same sets in the
+    same order.  For a verified vertex-transitive group each size is first
+    settled by the anchored leaves; at the first size that has a set, the
+    unrestricted lex leaves give the least one."""
+    if from_masks:
+        leaves, anchored = _mask_leaves(grp)
+    else:
+        test = determining_test(grp)
+        everything = range(grp.n_vertices)
+
+        def leaves(size):
+            return _determining_leaves(test, test.det_start(), (), everything, 0, size)
+
+        def anchored(size):
+            return _anchored_leaves(grp, test, size)
     transitive = grp.is_vertex_transitive()
-    everything = range(grp.n_vertices)
     for size in sizes:
-        if transitive and not _anchored_exists(grp, test, size, accept):
+        if transitive and _first_accepted(anchored(size), accept) is None:
             continue
-        found = _first_accepted(
-            _determining_leaves(test, test.det_start(), (), everything, 0, size), accept)
+        found = _first_accepted(leaves(size), accept)
         if found is not None:
             return found
         if transitive:
@@ -314,8 +424,10 @@ def _least_class(grp: PermGroup) -> tuple[int, ...] | None:
 
     Such a class is determining, since an element fixing it pointwise maps
     it onto itself, so the determining search visits every one in lex order;
-    setwise triviality is kept under conjugation, as its anchoring needs."""
-    return _least_determining(grp, range(1, grp.n_vertices // 2 + 1), _class_test(grp))
+    setwise triviality is kept under conjugation, as its anchoring needs.
+    In `_in_batched_domain` the leaves come from `_mask_leaves`."""
+    return _least_determining(grp, range(1, grp.n_vertices // 2 + 1), _class_test(grp),
+                              from_masks=_in_batched_domain(grp))
 
 
 # The most bytes of row bitsets the class scan and the d >= 3 scan build to
@@ -327,12 +439,12 @@ def _class_test(grp: PermGroup):
     """The class scan's `accept`: the index of the first class of a block
     with a trivial setwise stabilizer, or None.
 
-    On at most `_EXHAUSTIVE_2_LIMIT` vertices, for a group whose model has
-    no setwise search (all but AQ_n and LTQ_n), `_kept_by_one_row` counts
-    the rows that keep each class of the block as a 2-coloring, on word 0
-    of the bitsets and then on all of them for the classes that word 0
-    leaves; the class it takes is re-checked by `_setwise_trivial`.
-    Otherwise each class is tested on its own by `_setwise_trivial`.
+    In `_in_batched_domain`, where the scan's blocks are arrays of
+    `_mask_leaves`, `_kept_by_one_row` counts the rows that keep each class
+    of the block as a 2-coloring, on word 0 of the bitsets and then on all
+    of them for the classes that word 0 leaves; the class it takes is
+    re-checked by `_setwise_trivial`.  Otherwise each class is tested on
+    its own by `_setwise_trivial`.
 
     The batched count also serves Q_4 and Q_4^2, although their models
     answer `setwise_trivial` without the element table: testing each class
@@ -341,21 +453,21 @@ def _class_test(grp: PermGroup):
     Q_4^2, against 5.0-5.5 and 28-34 ms here with the table and its 0.39 /
     1.97 MB of bitsets (in-process, shared 2-vCPU x86_64 host)."""
     nv = grp.n_vertices
-    if (nv > _EXHAUSTIVE_2_LIMIT or hasattr(grp.model, "setwise_stabilizer")
-            or _bitsets_nbytes(nv, grp.order()) > _BITSET_BYTES):
+    if not _in_batched_domain(grp):
         return lambda block: next(
             (i for i, cls in enumerate(block) if _setwise_trivial(grp, cls)), None)
 
     def accept(block):
-        members = np.array(block)
+        members = np.asarray(block)
         colors = np.zeros((len(block), nv), dtype=np.int8)
         colors[np.arange(len(block))[:, None], members] = 1
         hits = np.flatnonzero(_kept_by_one_row(_group_bitsets(grp), colors))
         if not len(hits):
             return None
-        if not _setwise_trivial(grp, block[hits[0]]):
+        cls = tuple(int(v) for v in block[hits[0]])
+        if not _setwise_trivial(grp, cls):
             raise AssertionError(f"the batched count took a class whose setwise stabilizer "
-                                 f"is not trivial: {block[hits[0]]}")
+                                 f"is not trivial: {cls}")
         return int(hits[0])
 
     return accept

@@ -410,7 +410,9 @@ def test_det_set_checks_survive_python_O():
     whose batched generator check fails, for Q_n, for a Hamming graph and
     for AQ_n built from a base-map table with two entries of a row swapped,
     and the d >= 3 dist scan and the class scan when their batched count
-    takes a coloring that is not distinguishing (in both of its stages), the edge-orbit map when a
+    takes a coloring that is not distinguishing (in both of its stages), the
+    class scan's determining mask table when the element table has a second
+    identity row, the edge-orbit map when a
     generator maps an edge to a pair that is not an edge, and the setwise
     test of the cube and Hamming models when the images of the set under
     the element of a row map it finds move no vertex of it, leave it, or
@@ -624,6 +626,17 @@ def test_det_set_checks_survive_python_O():
                 sys.exit("the d >= 3 scan passed a coloring the batched count took wrongly")
             if main(["param", "dist", "enhanced", "-n", "4", "-k", "2", "--no-cache"]) != 3:
                 sys.exit("param dist enhanced with a three-color count did not exit 3")
+        # an element table with a second identity row fails the class scan's
+        # determining mask table
+        q4 = autgroup.structured_group(hypercube(4))
+        doubled = np.vstack([q4.elements(), np.arange(16, dtype=np.int32)])
+        with mock.patch.object(q4, "_elements", doubled):
+            try:
+                symmetry._determining_masks(q4)
+            except AssertionError:
+                pass
+            else:
+                sys.exit("the determining mask table passed a second identity row")
         # an edge image that is not an edge fails the edge-orbit map: in Q_3
         # a generator with two images swapped, and on the path 0-1 plus a
         # vertex 2 the swap of 1 and 2, whose image (0, 2) lies past the

@@ -4,7 +4,8 @@ stored witnesses of the benchmark's det queries and the even powers' pinned
 ones, and element filtering on enumerated groups, with and without a
 model.  The class scan of cost
 and dist, which runs the same search with a setwise test at its leaves, is
-checked against a plain scan of every class."""
+checked against a plain scan of every class, and the leaves it takes from
+the mask table on at most 16 vertices against the search's."""
 
 from __future__ import annotations
 
@@ -214,6 +215,69 @@ def test_class_scan_matches_plain_scan_on_random_graphs(data):
     assume(grp.order() <= 40320)
     want = () if grp.is_trivial() else _plain_class_scan(grp)
     assert _cost_or_none(g, grp) == want
+
+
+def _assert_mask_leaves_match_search(grp):
+    """For every size, the mask table's leaves are the depth-first search's,
+    and its anchored leaves are the anchored search's, in the same order."""
+    nv = grp.n_vertices
+    leaves, anchored = symmetry._mask_leaves(grp)
+    test = determining_test(grp)
+    for size in range(1, nv + 1):
+        searched = list(symmetry._determining_leaves(test, test.det_start(), (), range(nv), 0,
+                                                     size))
+        assert list(map(tuple, leaves(size).tolist())) == searched, size
+        assert (list(map(tuple, anchored(size).tolist()))
+                == list(symmetry._anchored_leaves(grp, test, size))), size
+
+
+MASK_GROUPS = {
+    "Q_4": ("hypercube", 4, None, None), "Q_4^2": ("power", 4, 2, None),
+    "FQ_4": ("folded", 4, None, None), "Q_{4,2}": ("enhanced", 4, 2, None),
+    "Q_{4,3}": ("enhanced", 4, 3, None), "H(2,3)": ("hamming", 2, None, 3),
+    "H(2,4)": ("hamming", 2, None, 4), "Q_3^2": ("power", 3, 2, None),
+    "AQ_3": ("augmented", 3, None, None), "LTQ_3": ("locally_twisted", 3, None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MASK_GROUPS) + ["FQ_3 searched"])
+def test_mask_leaves_match_the_search(name):
+    if name == "FQ_3 searched":  # K_{4,4}, a group without a model
+        grp = _group("folded", 3, searched=True)[1]
+    else:
+        kind, n, k, m = MASK_GROUPS[name]
+        grp = automorphism_group(build_family(FamilySpec(kind, n, k=k, m=m)))
+    _assert_mask_leaves_match_search(grp)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_mask_leaves_match_the_search_on_random_graphs(data):
+    """Random graphs of at most 10 vertices, with searched groups."""
+    n = data.draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [p for p, keep in zip(pairs, data.draw(
+        st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep]
+    grp = search_automorphisms(graph_from_edges(n, edges))
+    assume(grp.order() <= 40320)
+    _assert_mask_leaves_match_search(grp)
+
+
+def test_mask_table_offers_the_search_blocks(monkeypatch):
+    """`_first_accepted` offers an array of leaves in the blocks it offers
+    an iterator of them: 1, 2, 4, ... up to `_LEAF_BLOCK` leaves."""
+    monkeypatch.setattr(symmetry, "_LEAF_BLOCK", 8)
+    leaves = np.arange(150).reshape(-1, 3)
+    for given_leaves in (leaves, iter(map(tuple, leaves.tolist()))):
+        seen = []
+
+        def accept(block):
+            seen.append(len(block))
+            return 1 if len(seen) == 5 else None
+
+        # the fifth block holds leaves 15..22; its second is (48, 49, 50)
+        assert symmetry._first_accepted(given_leaves, accept) == (48, 49, 50)
+        assert seen == [1, 2, 4, 8, 8]
 
 
 def test_dist_scan_matches_plain_scan_on_corpus(corpus, corpus_groups, monkeypatch):

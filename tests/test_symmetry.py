@@ -795,6 +795,25 @@ def test_two_stage_count_work(name, make, word0, full_width, monkeypatch):
     assert counted == {False: word0, True: full_width}
 
 
+def test_class_scan_takes_its_leaves_from_the_mask_table(monkeypatch):
+    """The class scans of `cost folded -n 4` and `dist enhanced -n 4 -k 2`
+    take their leaves from the mask table and never run the depth-first
+    search, which det still runs."""
+    searches = []
+    real = symmetry._determining_leaves
+
+    def counted(*args):
+        searches.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(symmetry, "_determining_leaves", counted)
+    assert compute_parameter(folded_hypercube(4), "cost")["value"] == 8
+    assert compute_parameter(enhanced_hypercube(4, 2), "dist")["value"] == 3
+    assert searches == []
+    assert compute_parameter(folded_hypercube(4), "det")["value"] == 4
+    assert searches
+
+
 @pytest.mark.parametrize("make, value, cls, past_first_rows", [
     pytest.param(lambda: enhanced_hypercube(5, 2), 5, [0, 1, 2, 5, 24], 74, id="Q_{5,2}"),
     pytest.param(lambda: enhanced_hypercube(5, 3), 7, [0, 1, 2, 9, 11, 12, 21], 434,
