@@ -662,23 +662,6 @@ class HalvedCubeModel(_CubeSetwise, _PositionModel):
         return t | (t.bit_count() & 1) << self.n
 
 
-def _folded_classes(S, n: int) -> dict[int, list[int]]:
-    """Classes of equal columns among the n+1 columns of the words of S
-    translated by S[0], so that the set holds zero and a fixing map has no
-    translation part.  A column is the bitmask of the words with a 1 in it;
-    the last column, of the all-ones symbol, is 0."""
-    cols = [0] * (n + 1)
-    for j, s in enumerate(S):
-        w = S[0] ^ s
-        for i in range(n):
-            if w >> (n - 1 - i) & 1:
-                cols[i] |= 1 << j
-    classes: dict[int, list[int]] = {}
-    for i, col in enumerate(cols):
-        classes.setdefault(col, []).append(i)
-    return classes
-
-
 def _folded_shifts(classes: dict[int, list[int]]) -> list[int]:
     """Column values E for which c -> c + E maps the classes onto classes of
     the same size.  E = 0 always qualifies; each other E yields the fixing
@@ -740,8 +723,15 @@ class FoldedModel(_PositionModel):
         return not any(e and {c ^ e for c in values} == values for e in values)
 
     def pointwise_stabilizer(self, S) -> PermGroup:
+        """The symbol permutations within the classes of equal column values
+        that the fold carries, whose bit b < n is column n-1-b and bit n the
+        all-ones symbol's column, and those that each of `_folded_shifts`
+        gives."""
         n = self.n
-        classes = _folded_classes(S, n)
+        values = self.fold(S)[3]
+        classes: dict[int, list[int]] = {}
+        for i, col in enumerate(values[n - 1::-1] + values[n:]):  # of column i
+            classes.setdefault(col, []).append(i)
         shifts = _folded_shifts(classes)
         order = len(shifts)
         for idx in classes.values():

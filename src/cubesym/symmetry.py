@@ -323,28 +323,16 @@ def determining_lower_bound_exhaustive(g: Graph, grp: PermGroup, below: int) -> 
 # distinguishing colorings
 
 
-def _preserving_count(grp: PermGroup, colors) -> int:
-    """Number of group elements that keep every vertex's color, on the
-    element table; `colors` is a numpy array over the vertices, compared in
-    whatever dtype the caller chose.  Only the vertices outside the most
-    common color are compared: an element that maps every other class into
-    itself maps each of them onto itself, and so the last class too."""
-    arr = grp.elements()
-    values, counts = np.unique(colors, return_counts=True)
-    rest = np.flatnonzero(colors != values[counts.argmax()])
-    return int((colors[arr[:, rest]] == colors[rest][None, :]).all(axis=1).sum())
-
-
 def is_distinguishing(grp: PermGroup, coloring: Coloring) -> bool:
     """True iff no nontrivial element maps every color class onto itself.
 
     A coloring with two used colors is settled by the setwise stabilizer of
     its smaller class (`_setwise_trivial`), which the Q_n, halved-cube,
-    Hamming, AQ_n and LTQ_n models answer without the element table; one
-    with more colors, on the element table.  Otherwise a group too large to
-    enumerate is settled only when some color class is determining and
-    induces an asymmetric subgraph: an element keeping the coloring maps
-    that class onto itself, so it fixes the class pointwise and is the
+    Hamming, AQ_n and LTQ_n models answer without the element table; any
+    other by `_only_identity_keeps` on the table.  Otherwise a group too
+    large to enumerate is settled only when some color class is determining
+    and induces an asymmetric subgraph: an element keeping the coloring
+    maps that class onto itself, so it fixes the class pointwise and is the
     identity.  Otherwise SearchBudgetExceeded is raised."""
     if len(coloring.assignment) != grp.n_vertices:
         raise ValueError("coloring not total on the vertex set")
@@ -354,7 +342,7 @@ def is_distinguishing(grp: PermGroup, coloring: Coloring) -> bool:
     try:
         if len(classes) == 2:
             return _setwise_trivial(grp, min(classes, key=len))
-        return _preserving_count(grp, np.array(coloring.assignment, dtype=np.int32)) == 1
+        return _only_identity_keeps(grp, np.array(coloring.assignment, dtype=np.int32))
     except SearchBudgetExceeded:
         pass
     if grp.graph is not None and any(two_class_is_distinguishing(grp.graph, grp, cls)
@@ -372,8 +360,8 @@ def two_class_is_distinguishing(g: Graph, grp: PermGroup, cls) -> bool:
     return is_asymmetric(induced_subgraph(g, cls))
 
 
-# The rows in the setwise count's first chunk, as many as the batched
-# counts try first: one uint64 word of row bitsets.
+# The rows in the first chunk that `_only_identity_keeps` reads, as many as
+# the batched counts try first: one uint64 word of row bitsets.
 _SIEVE_ROWS = 64
 
 
@@ -388,34 +376,43 @@ def _least_support(grp: PermGroup) -> np.ndarray:
     return grp._by_support
 
 
+def _only_identity_keeps(grp: PermGroup, colors: np.ndarray) -> bool:
+    """Whether the identity is the only row of the element table that keeps
+    every vertex's color; `colors` is a numpy array over the vertices,
+    compared in whatever dtype the caller chose.
+
+    Only the vertices outside the most common color are compared: an
+    element that maps every other class into itself maps each of them onto
+    itself, and so the last class too.  The rows are read in
+    `_least_support` order, in chunks that start at `_SIEVE_ROWS` and double
+    up to `_BLOCK_ROWS`, and the count stops at the second row that keeps
+    the coloring.  The rows that move the fewest vertices keep most
+    colorings that some non-identity element keeps, so most of those stop
+    in the first chunk; the verdict does not depend on the order."""
+    table, order = grp.elements(), _least_support(grp)
+    values, counts = np.unique(colors, return_counts=True)
+    rest = np.flatnonzero(colors != values[counts.argmax()])
+    kept, start, size = 0, 0, _SIEVE_ROWS
+    while kept < 2 and start < len(order):
+        rows = order[start:start + size]
+        kept += int((colors[table[rows[:, None], rest]] == colors[rest]).all(axis=1).sum())
+        start, size = start + size, min(2 * size, _BLOCK_ROWS)
+    return kept == 1
+
+
 def _setwise_trivial(grp: PermGroup, cls) -> bool:
     """Exact setwise-stabilizer triviality: the model's `setwise_trivial`
     where it has one (Q_n, the halved cubes and the Hamming graphs), which
     builds no element table; the setwise stabilizer's order from the model's
-    setwise search on AQ_n and LTQ_n, and for an empty or full class, whose
-    stabilizer is the group; on the element table otherwise.
-
-    On the table, the rows that map the class into itself are counted in
-    `_least_support` order, on the class's columns only, in chunks of rows
-    that start at `_SIEVE_ROWS` and double up to `_BLOCK_ROWS`.  The count
-    stops at the second such row, and the class passes iff exactly one row
-    keeps it.  The rows that move the fewest vertices keep most classes
-    whose stabilizer is not trivial, so most of those stop in the first
-    chunk."""
+    setwise search on AQ_n and LTQ_n; otherwise `_only_identity_keeps` of
+    the 2-coloring (class, rest)."""
     if hasattr(grp.model, "setwise_trivial"):
         return grp.model.setwise_trivial(cls)
-    S = np.array(sorted(set(cls)), dtype=np.intp)
-    if hasattr(grp.model, "setwise_stabilizer") or len(S) in (0, grp.n_vertices):
+    if hasattr(grp.model, "setwise_stabilizer"):
         return setwise_stabilizer(grp, cls).order() == 1
-    table, order = grp.elements(), _least_support(grp)
     member = np.zeros(grp.n_vertices, dtype=bool)
-    member[S] = True
-    kept, start, size = 0, 0, _SIEVE_ROWS
-    while kept < 2 and start < len(order):
-        rows = order[start:start + size]
-        kept += int(member[table[rows[:, None], S]].all(axis=1).sum())
-        start, size = start + size, min(2 * size, _BLOCK_ROWS)
-    return kept == 1
+    member[list(cls)] = True
+    return _only_identity_keeps(grp, member)
 
 
 def _least_class(grp: PermGroup) -> tuple[int, ...] | None:
@@ -443,8 +440,9 @@ def _class_test(grp: PermGroup):
     `_mask_leaves`, `_kept_by_one_row` counts the rows that keep each class
     of the block as a 2-coloring, on word 0 of the bitsets and then on all
     of them for the classes that word 0 leaves; the class it takes is
-    re-checked by `_setwise_trivial`.  Otherwise each class is tested on
-    its own by `_setwise_trivial`.
+    re-checked by `_setwise_trivial`, which is `_only_identity_keeps` on
+    the element table unless the model has a setwise test.  Otherwise each
+    class is tested on its own by `_setwise_trivial`.
 
     The batched count also serves Q_4 and Q_4^2, although their models
     answer `setwise_trivial` without the element table: testing each class
@@ -563,8 +561,8 @@ def distinguishing_number(g: Graph, grp: PermGroup,
 
 
 # Colorings counted per batch of the d >= 3 scan and table rows read per
-# chunk by the setwise and greedy counts; and the bytes of one gather of row
-# bitsets.
+# chunk by `_only_identity_keeps` and the greedy counts; and the bytes of one
+# gather of row bitsets.
 _BLOCK_ROWS = 4096
 _BLOCK_BYTES = 1 << 21
 
@@ -574,15 +572,16 @@ def _distinguishing_d3(grp: PermGroup, tag: str) -> tuple[int, Witness]:
     coloring in restricted-growth order that uses all d colors, counted in
     batches on the row bitsets by `_kept_by_one_row` (word 0 first, the
     full width for the colorings it leaves) and re-checked by
-    `_preserving_count`.  With more than `_BITSET_BYTES` of bitsets, each
-    coloring is tested by `_preserving_count` alone."""
+    `_only_identity_keeps`.  With more than `_BITSET_BYTES` of bitsets, each
+    coloring is tested by `_only_identity_keeps` alone, which stops at the
+    second row that keeps it."""
     nv = grp.n_vertices
     if _bitsets_nbytes(nv, grp.order()) > _BITSET_BYTES:
         max_rows = _BLOCK_ROWS
 
         def first(block):
             return next((i for i, colors in enumerate(block)
-                         if _preserving_count(grp, colors) == 1), None)
+                         if _only_identity_keeps(grp, colors)), None)
     else:
         bitsets = _group_bitsets(grp)
         max_rows = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // bitsets[0, :, 0].nbytes))
@@ -591,7 +590,7 @@ def _distinguishing_d3(grp: PermGroup, tag: str) -> tuple[int, Witness]:
             hits = np.flatnonzero(_kept_by_one_row(bitsets, block))
             if not len(hits):
                 return None
-            if _preserving_count(grp, block[hits[0]]) != 1:
+            if not _only_identity_keeps(grp, block[hits[0]]):
                 raise AssertionError(f"the batched count took a coloring that is not "
                                      f"distinguishing: {block[hits[0]].tolist()}")
             return int(hits[0])

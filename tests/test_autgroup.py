@@ -266,6 +266,19 @@ def test_folded_det_done_and_stabilizer_match_filtering(n, data):
     assert pointwise_stabilizer(grp, S).order() == fixing
 
 
+@given(st.sampled_from([4, 5]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_folded_stabilizer_elements_match_filtering(n, data):
+    """The folded model's pointwise stabilizer, whose column classes come
+    from the fold, holds exactly the rows of the element table that fix
+    every vertex of a random set of 1-6 vertices of FQ_4 or FQ_5."""
+    grp, table = _folded_table(n)
+    S = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6,
+                           unique=True))
+    got = pointwise_stabilizer(grp, S)
+    assert row_set(got.elements()) == row_set(table[(table[:, S] == S).all(axis=1)]), S
+
+
 GROUP_LAW_GROUPS = {
     "Q_4": lambda: structured_group(hypercube(4)),
     "FQ_4": lambda: structured_group(folded_hypercube(4)),

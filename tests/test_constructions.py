@@ -612,15 +612,23 @@ def test_det_set_checks_survive_python_O():
                 sys.exit("param dist enhanced with a broken batched count did not exit 3")
         # a batched count that takes only the colorings of three or more
         # colors passes both stages of the d >= 3 scan of Q_{4,2}, whose
-        # class scan finds no class; the witness re-check fails
-        real_counts = symmetry._keeping_counts
+        # class scan finds no class; the witness re-check by
+        # `_only_identity_keeps` fails
+        real_counts, real_keeps = symmetry._keeping_counts, symmetry._only_identity_keeps
+        verdicts = []
+
+        def recorded(grp, colors):
+            verdicts.append(real_keeps(grp, colors))
+            return verdicts[-1]
+
         with mock.patch.object(symmetry, "_keeping_counts", lambda bitsets, colors: np.where(
-                colors.max(axis=1) >= 2, 1, real_counts(bitsets, colors))):
+                colors.max(axis=1) >= 2, 1, real_counts(bitsets, colors))), \
+                mock.patch.object(symmetry, "_only_identity_keeps", recorded):
             q42 = autgroup.structured_group(enhanced_hypercube(4, 2))
             try:
                 symmetry._distinguishing_d3(q42, "structured")
             except AssertionError as exc:
-                if "not distinguishing" not in str(exc):
+                if "not distinguishing" not in str(exc) or verdicts != [False]:
                     sys.exit(f"the d >= 3 scan of Q_{{4,2}} failed elsewhere: {exc}")
             else:
                 sys.exit("the d >= 3 scan passed a coloring the batched count took wrongly")

@@ -44,7 +44,7 @@ from cubesym.symmetry import (
     _keeping_counts,
     _kept_by_one_row,
     _least_support,
-    _preserving_count,
+    _only_identity_keeps,
     _rgs_blocks,
     _rgs_partitions,
     _row_bitsets,
@@ -328,26 +328,41 @@ def _count_group(name):
     return automorphism_group(COUNT_GROUPS[name]())
 
 
+def _keeping_rows(grp, colors) -> int:
+    """The plain reference: the rows of the element table that keep every
+    vertex's color, compared on every vertex."""
+    return int((colors[grp.elements()] == colors).all(axis=1).sum())
+
+
 @given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_preserving_count_matches_full_rows(data):
-    """Comparing only the vertices outside the most common color counts the
-    same elements as comparing every vertex, and the setwise test of a class
-    agrees with the rows that keep it (on the model of AQ_4 and LTQ_4)."""
+@settings(max_examples=300, deadline=None)
+def test_only_identity_keeps_matches_full_rows(data):
+    """`_only_identity_keeps`, which compares only the vertices outside the
+    most common color and stops at the second keeping row, says whether the
+    identity alone keeps the coloring, and the setwise test of a class
+    agrees with the rows that keep it (on the model of AQ_4 and LTQ_4): for
+    1-5 colors, constant colorings (the empty and the full class) included,
+    bool, int8, int32 and intp arrays, and the default chunks of rows as
+    well as chunks that start at one or three rows and double up to 5 or
+    16."""
     grp = _count_group(data.draw(st.sampled_from(sorted(COUNT_GROUPS))))
-    nv, d = grp.n_vertices, data.draw(st.integers(2, 4))
+    nv, d = grp.n_vertices, data.draw(st.integers(1, 5))
     # a few recolored vertices leave colorings that many elements keep
-    colors = np.full(nv, data.draw(st.integers(1, d)), dtype=np.int32)
+    colors = np.full(nv, data.draw(st.integers(1, d)), dtype=np.intp)
     for v, c in data.draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(1, d)),
                                    max_size=nv)):
         colors[v] = c
-    arr = grp.elements()
-    full = int((colors[arr] == colors[None, :]).all(axis=1).sum())
-    assert _preserving_count(grp, colors) == full
-    member = colors == 1  # the boolean classes of the two-color callers
-    keeping = int((member[arr] == member[None, :]).all(axis=1).sum())
-    assert _preserving_count(grp, member) == keeping
-    assert _setwise_trivial(grp, np.flatnonzero(member)) == (keeping == 1)
+    dtype = data.draw(st.sampled_from([bool, np.int8, np.int32, np.intp]))
+    colors = colors == 1 if dtype is bool else colors.astype(dtype)
+    first, most = data.draw(st.sampled_from(
+        [(symmetry._SIEVE_ROWS, symmetry._BLOCK_ROWS), (1, 5), (3, 16)]))
+    with mock.patch.object(symmetry, "_SIEVE_ROWS", first), \
+            mock.patch.object(symmetry, "_BLOCK_ROWS", most):
+        assert _only_identity_keeps(grp, colors) == (_keeping_rows(grp, colors) == 1)
+        member = colors == colors[0]  # the boolean classes of the two-color callers
+        trivial = _keeping_rows(grp, member) == 1
+        assert _setwise_trivial(grp, np.flatnonzero(member)) == trivial
+        assert _setwise_trivial(grp, np.flatnonzero(~member)) == trivial
 
 
 def test_dist_of_augmented_cube_loads_no_element_table():
@@ -423,9 +438,10 @@ def _ordered_bitsets(name, order):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_batched_count_matches_preserving_count(data):
-    """The row-bitset count of a batch of colorings equals `_preserving_count`
-    of each, on every group of `COUNT_GROUPS`, and on word 0 alone the count
-    of the first 64 rows that keep it: for 1-5 colors, int8 and intp arrays,
+    """The row-bitset count of a batch of colorings equals the rows of the
+    table that keep each (`_keeping_rows`), on every group of
+    `COUNT_GROUPS`, and on word 0 alone the count of the first 64 rows that
+    keep it: for 1-5 colors, int8 and intp arrays,
     bitsets in table order, in `_least_support` order and shuffled, and
     gathers of one, two or three colorings at a time as well as of
     `_BLOCK_BYTES`, so that one call spans several chunks."""
@@ -438,7 +454,7 @@ def test_batched_count_matches_preserving_count(data):
     order = data.draw(st.sampled_from(["table", "least support", "shuffled"]))
     rows, bitsets = _ordered_table(name, order), _ordered_bitsets(name, order)
     if data.draw(st.booleans()):
-        want = [_preserving_count(grp, colors) for colors in batch]
+        want = [_keeping_rows(grp, colors) for colors in batch]
     else:
         rows, bitsets = rows[:64], bitsets[..., :1]
         want = [int((colors[rows] == colors).all(axis=1).sum()) for colors in batch]
@@ -494,7 +510,7 @@ def test_two_stage_count_matches_preserving_count(data):
     batch = np.array(data.draw(st.lists(
         st.one_of(st.lists(colors, min_size=nv, max_size=nv), recolored),
         min_size=1, max_size=8)))
-    want = [_preserving_count(grp, c) == 1 for c in batch]
+    want = [_keeping_rows(grp, c) == 1 for c in batch]
     seed = data.draw(st.integers(0, 3))
     for bitsets in (symmetry._group_bitsets(grp), _shuffled_bitsets(name, seed)):
         assert _kept_by_one_row(bitsets, batch).tolist() == want
@@ -573,11 +589,11 @@ def test_rgs_blocks_follow_rgs_order(n):
 
 def _plain_d3(grp):
     """The reference walk: every restricted-growth coloring that uses all d
-    colors, counted with `_preserving_count`."""
+    colors, counted with `_keeping_rows`."""
     nv = grp.n_vertices
     for d in range(3, nv + 1):
         for colors in _rgs_partitions(nv, d):
-            if max(colors) == d - 1 and _preserving_count(grp, np.array(colors)) == 1:
+            if max(colors) == d - 1 and _keeping_rows(grp, np.array(colors)) == 1:
                 return d, tuple(c + 1 for c in colors)
     raise AssertionError("an all-distinct coloring distinguishes")
 
@@ -611,7 +627,7 @@ def test_batched_d3_matches_plain_walk(name):
                                   "AQ_3"])
 def test_d3_without_room_for_bitsets(name, monkeypatch):
     """With no room for the row bitsets, dist >= 3 is settled by testing
-    each coloring with `_preserving_count`, and no bitsets are built: the
+    each coloring with `_only_identity_keeps`, and no bitsets are built: the
     value and witness are the batched path's."""
     g = D3_GROUPS[name]()
     want = distinguishing_number(g, automorphism_group(g))
@@ -626,16 +642,17 @@ def test_d3_without_room_for_bitsets(name, monkeypatch):
 
 
 def _plain_greedy(grp):
-    """The reference greedy class: `_preserving_count` for every vertex the
-    class might take, at every step."""
-    nv = grp.n_vertices
+    """The reference greedy class: for every vertex the class might take,
+    at every step, the table rows that map the class into itself, which
+    are those that keep it as a 2-coloring."""
+    nv, table = grp.n_vertices, grp.elements()
     member = np.zeros(nv, dtype=bool)
     chosen = []
     while len(chosen) <= nv // 2 + 1:
         best_v, best_count = None, None
         for v in np.flatnonzero(~member).tolist():
             member[v] = True
-            cnt = _preserving_count(grp, member)
+            cnt = int(member[table[:, member]].all(axis=1).sum())
             member[v] = False
             if best_count is None or cnt < best_count:
                 best_count, best_v = cnt, v
@@ -662,7 +679,7 @@ def _extension_group(name):
 @settings(max_examples=100, deadline=None)
 def test_extension_counts_match_preserving_count(data):
     """The one-pass count for every vertex outside a random class S equals
-    `_preserving_count` of S with that vertex added."""
+    `_keeping_rows` of S with that vertex added."""
     grp = _extension_group(data.draw(st.sampled_from(sorted(EXTENSION_GROUPS))))
     nv = grp.n_vertices
     chosen = data.draw(st.lists(st.integers(0, nv - 1), unique=True, max_size=nv // 2))
@@ -674,7 +691,7 @@ def test_extension_counts_match_preserving_count(data):
             assert counts[v] == len(grp.elements()) + 1
         else:
             member[v] = True
-            assert counts[v] == _preserving_count(grp, member), (chosen, v)
+            assert counts[v] == _keeping_rows(grp, member), (chosen, v)
             member[v] = False
 
 
@@ -711,20 +728,52 @@ def test_greedy_class_values(make, cls, block_rows, monkeypatch):
     ("H(4,3)", lambda: hamming_graph(3, 4), 2, 0),
     ("Q_{4,2}", lambda: enhanced_hypercube(4, 2), 3, 1),
 ])
-def test_dist_preserving_count_calls(name, make, value, calls, monkeypatch):
-    """`_preserving_count` serves only the witness re-check of the d >= 3
-    scan: dist of H(4,3) (greedy class) calls it never, dist of Q_{4,2}
-    (dist 3) once."""
+def test_dist_only_identity_keeps_calls(name, make, value, calls, monkeypatch):
+    """Below the bitset bound `_only_identity_keeps` serves dist only as the
+    witness re-check of the d >= 3 scan: dist of H(4,3) (greedy class)
+    calls it never, dist of Q_{4,2} (dist 3) once."""
     made = []
-    real = symmetry._preserving_count
+    real = symmetry._only_identity_keeps
 
     def counted(grp, colors):
         made.append(1)
         return real(grp, colors)
 
-    monkeypatch.setattr(symmetry, "_preserving_count", counted)
+    monkeypatch.setattr(symmetry, "_only_identity_keeps", counted)
     report = compute_parameter(make(), "dist")
     assert (report["value"], len(made)) == (value, calls)
+
+
+def test_dist_of_k9_settles_each_coloring_in_its_first_chunk(monkeypatch):
+    """dist of K_9 = H(1,9) is 9, with the all-distinct witness.  Its
+    362,880-row table is too large for row bitsets, so the d >= 3 scan
+    tests each coloring with `_only_identity_keeps`.  Every coloring with
+    3-8 colors repeats a color, so a transposition among the first
+    `_SIEVE_ROWS` rows keeps it, and its count stops in its first chunk.
+    K_10 and larger are above the element cap and still exit 2."""
+    chunks = []
+    real_keeps, real_order = symmetry._only_identity_keeps, symmetry._least_support
+
+    class Order(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, slice):
+                chunks[-1][1] += 1
+            return super().__getitem__(key)
+
+    def counted(grp, colors):
+        chunks.append([len(set(colors.tolist())), 0])
+        return real_keeps(grp, colors)
+
+    monkeypatch.setattr(symmetry, "_only_identity_keeps", counted)
+    monkeypatch.setattr(symmetry, "_least_support", lambda grp: real_order(grp).view(Order))
+    report = compute_parameter(hamming_graph(9, 1), "dist")
+    assert (report["value"], report["witness"]["payload"]) == (9, list(range(1, 10)))
+    below = [n_chunks for used, n_chunks in chunks if 3 <= used <= 8]
+    # the restricted-growth colorings of 9 vertices with 3-8 colors: S(9, 3..8)
+    assert len(below) == 3025 + 7770 + 6951 + 2646 + 462 + 36
+    assert set(below) == {1}
+    with pytest.raises(SearchBudgetExceeded):
+        compute_parameter(hamming_graph(10, 1), "dist")
 
 
 @given(st.data())
