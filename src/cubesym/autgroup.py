@@ -343,10 +343,15 @@ def trivial_group(nv: int, graph: Graph | None = None) -> PermGroup:
 
 
 def _permutation_table(k: int) -> np.ndarray:
-    """The k! permutations of range(k) as the rows of an int32 array, the
-    identity first, after checking that they are k! distinct permutations."""
+    """The k! permutations of range(k) as the rows of an int32 array in lex
+    order, the identity first, after checking that they are k! permutations
+    and that each row is greater than the last, at the first column where
+    the two differ, so that no row repeats."""
     table = np.array(list(permutations(range(k))), dtype=np.int32).reshape(-1, k)
-    if (len(table) != factorial(k) or len(np.unique(table, axis=0)) != len(table)
+    later, earlier = table[1:], table[:-1]
+    first = (later != earlier).argmax(axis=1)
+    at = np.arange(len(first))
+    if (len(table) != factorial(k) or not (later[at, first] > earlier[at, first]).all()
             or not (np.sort(table, axis=1) == np.arange(k)).all()):
         raise AssertionError(f"the permutation table of {k} is not {factorial(k)} "
                              "distinct permutations")

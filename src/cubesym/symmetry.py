@@ -4,7 +4,6 @@ transitivity checks, and the witnesses that certify each reported value."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -119,33 +118,6 @@ def _determining_leaves(test, state, chosen, pool, start: int, r: int):
             yield from _determining_leaves(test, nxt, chosen + (pool[i],), pool, i + 1, r - 1)
 
 
-# The most leaves offered to `accept` at once.
-_LEAF_BLOCK = 256
-
-
-def _first_accepted(leaves, accept) -> tuple[int, ...] | None:
-    """The first of `leaves` that `accept` takes, or None.
-
-    `leaves` is an iterator of leaves, or an array with one leaf's members
-    per row, which is sliced.  `accept(block)` gets a block of leaves and
-    returns the index of the first one it takes, or None.  The blocks
-    double from one leaf up to `_LEAF_BLOCK`, in both forms, so an `accept`
-    that takes the first leaf sees only it."""
-    if isinstance(leaves, np.ndarray):
-        def take(start, size):
-            return leaves[start:start + size]
-    else:
-        def take(start, size):
-            return list(islice(leaves, size))
-    start, size = 0, 1
-    while len(block := take(start, size)):
-        i = accept(block)
-        if i is not None:
-            return tuple(int(v) for v in block[i])
-        start, size = start + len(block), min(2 * size, _LEAF_BLOCK)
-    return None
-
-
 def _anchored_leaves(grp: PermGroup, test, size: int):
     """The determining sets of `size` that the anchored search of a
     vertex-transitive group visits, in lex order: those through vertex 0
@@ -175,124 +147,23 @@ def _anchored_leaves(grp: PermGroup, test, size: int):
         earlier.update(orbit)
 
 
-# `_LOW_HALVES[b]`: the bits p of a uint64 word with bit b of p clear.
-_LOW_HALVES = [np.uint64(sum(1 << p for p in range(64) if not p >> b & 1)) for b in range(6)]
-
-
-def _determining_masks(grp: PermGroup) -> np.ndarray:
-    """`det[m]` for every set m of at most 16 vertices, with vertex v at
-    bit V-1-v of m: whether only the identity fixes every vertex of m.
-
-    Each non-identity row of the element table marks its fixed-point mask,
-    and V in-place passes close the marks downward, so a set is marked
-    exactly when some non-identity row fixes all of it.  The marks are kept
-    one bit per set, set m at bit m % 64 of uint64 word m // 64: a pass over
-    bit b < 6 shifts each word onto itself, and one over a higher bit ORs
-    whole words.  Raises AssertionError unless exactly one row fixes every
-    vertex."""
-    nv = grp.n_vertices
-    table = grp.elements()
-    # each row's fixed points, vertex v at bit 15 - v of a big-endian word
-    fixes = np.zeros((len(table), 16), dtype=bool)
-    fixes[:, :nv] = table == np.arange(nv)
-    fixed = np.packbits(fixes, axis=1).view(">u2")[:, 0] >> (16 - nv)
-    everything = (1 << nv) - 1
-    if np.count_nonzero(fixed == everything) != 1:
-        raise AssertionError("the element table does not have exactly one identity row")
-    marked = np.zeros(max(1 << nv, 64), dtype=bool)
-    marked[fixed[fixed != everything]] = True
-    words = np.packbits(marked, bitorder="little").view("<u8")
-    for b in range(min(nv, 6)):
-        words |= (words >> np.uint64(1 << b)) & _LOW_HALVES[b]
-    for b in range(6, nv):
-        pairs = words.reshape(-1, 2, 1 << (b - 6))  # the sets without bit b, and with it
-        pairs[:, 0] |= pairs[:, 1]
-    return ~np.unpackbits(words.view(np.uint8), bitorder="little")[:1 << nv].view(bool)
-
-
-def _mask_members(masks: np.ndarray, nv: int, size: int) -> np.ndarray:
-    """The members of each vertex set in `masks` (vertex v at bit V-1-v),
-    in increasing order, one set of `size` per row, read from the bits of
-    one byte pair per set."""
-    words = (masks << (16 - nv)).astype(">u2")  # vertex v at bit 15 - v
-    bits = np.unpackbits(words.view(np.uint8)).view(bool)  # set i's vertex v at 16i + v
-    members = np.flatnonzero(bits)
-    members &= 15
-    return members.reshape(-1, size)
-
-
-def _mask_leaves(grp: PermGroup):
-    """The class scan's leaves, from `_determining_masks`: two functions of
-    a size k that give every determining k-set, and those that
-    `_anchored_leaves` visits, as arrays of their members, a set per row,
-    in the lex order of the sets.
-
-    The lex order of the sorted k-sets is the descending order of their
-    masks.  An anchored set holds vertex 0 (bit V-1), and its second vertex
-    is the least root of the others, where the root of a vertex is the
-    least vertex of its Stab(0)-orbit: the least of its images under the
-    element table's rows that fix 0."""
-    nv = grp.n_vertices
-    det = _determining_masks(grp)
-    byte_sizes = np.bitwise_count(np.arange(256, dtype=np.uint8))
-    low = min(nv, 8)
-    sizes = np.add.outer(byte_sizes[:1 << (nv - low)], byte_sizes[:1 << low]).ravel()
-    table = grp.elements()
-    root = table[table[:, 0] == 0].min(axis=0)
-    top = 1 << (nv - 1)
-
-    def leaves(k):
-        return _mask_members(np.flatnonzero(det & (sizes == k))[::-1], nv, k)
-
-    def anchored(k):
-        masks = np.flatnonzero(det[top:] & (sizes[top:] == k))[::-1] + top
-        members = _mask_members(masks, nv, k)
-        if k == 1:
-            return members
-        rest = members[:, 1:]
-        return members[root[rest].min(axis=1) == rest[:, 0]]
-
-    return leaves, anchored
-
-
-def _in_batched_domain(grp: PermGroup) -> bool:
-    """Whether the class scan counts its leaves in blocks on the row
-    bitsets and takes them from `_mask_leaves`: at most
-    `_EXHAUSTIVE_2_LIMIT` vertices, a model without a setwise search (all
-    but AQ_n and LTQ_n) and row bitsets within `_BITSET_BYTES`."""
-    nv = grp.n_vertices
-    return (nv <= _EXHAUSTIVE_2_LIMIT and not hasattr(grp.model, "setwise_stabilizer")
-            and _bitsets_nbytes(nv, grp.order()) <= _BITSET_BYTES)
-
-
-def _least_determining(grp: PermGroup, sizes, accept=lambda block: 0,
-                       from_masks: bool = False) -> tuple[int, ...] | None:
+def _least_determining(grp: PermGroup, sizes, accept=lambda leaf: True) -> tuple[int, ...] | None:
     """The lex-least determining set that `accept` takes, of the least size
-    in `sizes` that has one, or None.  `accept` takes blocks of sets, as
-    `_first_accepted` gives them, and must be preserved by the group's
-    elements.
+    in `sizes` that has one, or None.  `accept` must be preserved by the
+    group's elements.
 
-    The leaves come from the depth-first search `_determining_leaves`, or
-    with `from_masks` from `_mask_leaves`, which gives the same sets in the
-    same order.  For a verified vertex-transitive group each size is first
-    settled by the anchored leaves; at the first size that has a set, the
-    unrestricted lex leaves give the least one."""
-    if from_masks:
-        leaves, anchored = _mask_leaves(grp)
-    else:
-        test = determining_test(grp)
-        everything = range(grp.n_vertices)
-
-        def leaves(size):
-            return _determining_leaves(test, test.det_start(), (), everything, 0, size)
-
-        def anchored(size):
-            return _anchored_leaves(grp, test, size)
+    The leaves come from the depth-first search `_determining_leaves`.  For
+    a verified vertex-transitive group each size is first settled by the
+    anchored leaves; at the first size that has a set, the unrestricted lex
+    leaves give the least one."""
+    test = determining_test(grp)
+    everything = range(grp.n_vertices)
     transitive = grp.is_vertex_transitive()
     for size in sizes:
-        if transitive and _first_accepted(anchored(size), accept) is None:
+        if transitive and not any(accept(s) for s in _anchored_leaves(grp, test, size)):
             continue
-        found = _first_accepted(leaves(size), accept)
+        leaves = _determining_leaves(test, test.det_start(), (), everything, 0, size)
+        found = next((s for s in leaves if accept(s)), None)
         if found is not None:
             return found
         if transitive:
@@ -420,55 +291,81 @@ def _least_class(grp: PermGroup) -> tuple[int, ...] | None:
     the least size up to half the vertices, or None.
 
     Such a class is determining, since an element fixing it pointwise maps
-    it onto itself, so the determining search visits every one in lex order;
-    setwise triviality is kept under conjugation, as its anchoring needs.
-    In `_in_batched_domain` the leaves come from `_mask_leaves`."""
-    return _least_determining(grp, range(1, grp.n_vertices // 2 + 1), _class_test(grp),
-                              from_masks=_in_batched_domain(grp))
-
-
-# The most bytes of row bitsets the class scan and the d >= 3 scan build to
-# count their classes and colorings.
-_BITSET_BYTES = 1 << 26
-
-
-def _class_test(grp: PermGroup):
-    """The class scan's `accept`: the index of the first class of a block
-    with a trivial setwise stabilizer, or None.
-
-    In `_in_batched_domain`, where the scan's blocks are arrays of
-    `_mask_leaves`, `_kept_by_one_row` counts the rows that keep each class
-    of the block as a 2-coloring, on word 0 of the bitsets and then on all
-    of them for the classes that word 0 leaves; the class it takes is
-    re-checked by `_setwise_trivial`, which is `_only_identity_keeps` on
-    the element table unless the model has a setwise test.  Otherwise each
-    class is tested on its own by `_setwise_trivial`.
-
-    The batched count also serves Q_4 and Q_4^2, although their models
-    answer `setwise_trivial` without the element table: testing each class
-    by the model's row-map search instead finds the same class, but the
-    group and `cost_2dist` then took 13-15 ms on Q_4 and 440-470 ms on
-    Q_4^2, against 5.0-5.5 and 28-34 ms here with the table and its 0.39 /
-    1.97 MB of bitsets (in-process, shared 2-vCPU x86_64 host)."""
+    it onto itself.  On at most `_EXHAUSTIVE_2_LIMIT` vertices the class is
+    read from `_kept_sets`, unless the determining test's bound cuts every
+    size up to half the vertices at its first vertex (as on K_m for
+    m >= 3), which leaves the search no set to visit: with vertex v
+    at bit V-1-v, the lex order of the sorted k-sets is the descending
+    order of their masks, so the class is the largest unmarked mask of the
+    least size that has one; it is re-checked by `_setwise_trivial`.  On
+    more vertices the determining search tests each of its leaves by
+    `_setwise_trivial`, so it visits every such class in lex order, and
+    setwise triviality is kept under conjugation, as its anchoring needs."""
     nv = grp.n_vertices
-    if not _in_batched_domain(grp):
-        return lambda block: next(
-            (i for i, cls in enumerate(block) if _setwise_trivial(grp, cls)), None)
+    if nv > _EXHAUSTIVE_2_LIMIT:
+        return _least_determining(grp, range(1, nv // 2 + 1),
+                                  lambda cls: _setwise_trivial(grp, cls))
+    test = determining_test(grp)
+    start = test.det_start()
+    if min(test.det_need(test.det_add(start, v)) for v in range(nv)) >= nv // 2:
+        return None
+    sizes = np.bitwise_count(np.arange(1 << nv))
+    free = ~_kept_sets(grp) & (sizes >= 1) & (sizes <= nv // 2)
+    if not free.any():
+        return None
+    mask = int(np.flatnonzero(free & (sizes == sizes[free].min()))[-1])
+    cls = tuple(v for v in range(nv) if mask >> (nv - 1 - v) & 1)
+    if not _setwise_trivial(grp, cls):
+        raise AssertionError(f"the kept-set table left a class whose setwise stabilizer "
+                             f"is not trivial: {cls}")
+    return cls
 
-    def accept(block):
-        members = np.asarray(block)
-        colors = np.zeros((len(block), nv), dtype=np.int8)
-        colors[np.arange(len(block))[:, None], members] = 1
-        hits = np.flatnonzero(_kept_by_one_row(_group_bitsets(grp), colors))
-        if not len(hits):
-            return None
-        cls = tuple(int(v) for v in block[hits[0]])
-        if not _setwise_trivial(grp, cls):
-            raise AssertionError(f"the batched count took a class whose setwise stabilizer "
-                                 f"is not trivial: {cls}")
-        return int(hits[0])
 
-    return accept
+def _kept_sets(grp: PermGroup) -> np.ndarray:
+    """`kept[m]` for every set m of at most 16 vertices, with vertex v at
+    bit V-1-v of m: whether some non-identity row of the element table maps
+    m onto itself.
+
+    A row keeps a set iff the set is a union of the row's cycles.  For each
+    chunk of `_BLOCK_ROWS` rows, pointer doubling finds every vertex's cycle
+    leader, its least vertex (`root = min(root, root[step])`, `step =
+    step[step]`, ceil(lg V) times); one `bincount` sums each cycle's vertex
+    bits onto its leader; and the rows with t cycles mark their 2^t unions,
+    filled by doubling in uint16, at most `_BLOCK_BYTES` at a time.  Raises
+    AssertionError unless exactly one row is the identity, the only row
+    with V cycles."""
+    nv = grp.n_vertices
+    table = grp.elements()
+    kept = np.zeros(1 << nv, dtype=bool)
+    bits = np.tile(1 << np.arange(nv - 1, -1, -1), _BLOCK_ROWS)
+    identities = 0
+    for start in range(0, len(table), _BLOCK_ROWS):
+        rows = table[start:start + _BLOCK_ROWS]
+        # flat indices into the chunk: each vertex's image, and its leader
+        step = (rows + nv * np.arange(len(rows))[:, None]).ravel()
+        root = np.arange(rows.size)
+        for _ in range((nv - 1).bit_length()):
+            root = np.minimum(root, root[step])
+            step = step[step]
+        leader = (root == np.arange(rows.size)).reshape(rows.shape)
+        cycles = np.bincount(root, bits[:rows.size], rows.size)
+        cycles = cycles.astype(np.uint16).reshape(rows.shape)
+        n_cycles = leader.sum(axis=1)
+        identities += int(np.count_nonzero(n_cycles == nv))
+        for t in np.unique(n_cycles[n_cycles < nv]).tolist():
+            of_t = n_cycles == t
+            masks = cycles[of_t][leader[of_t]].reshape(-1, t)
+            per = max(1, _BLOCK_BYTES >> (t + 1))  # rows of 2^t uint16 unions
+            for first in range(0, len(masks), per):
+                part = masks[first:first + per]
+                unions = np.zeros((len(part), 1 << t), dtype=np.uint16)
+                for j in range(t):
+                    np.bitwise_or(unions[:, :1 << j], part[:, j, None],
+                                  out=unions[:, 1 << j:2 << j])
+                kept[unions] = True
+    if identities != 1:
+        raise AssertionError("the element table does not have exactly one identity row")
+    return kept
 
 
 def _extension_counts(table: np.ndarray, member: np.ndarray, chosen: list[int]) -> np.ndarray:
@@ -561,10 +458,12 @@ def distinguishing_number(g: Graph, grp: PermGroup,
 
 
 # Colorings counted per batch of the d >= 3 scan and table rows read per
-# chunk by `_only_identity_keeps` and the greedy counts; and the bytes of one
-# gather of row bitsets.
+# chunk by `_only_identity_keeps`, `_kept_sets` and the greedy counts; and
+# the bytes of one gather of row bitsets or one chunk of `_kept_sets` unions.
 _BLOCK_ROWS = 4096
 _BLOCK_BYTES = 1 << 21
+# The most bytes of row bitsets the d >= 3 scan builds to count its colorings.
+_BITSET_BYTES = 1 << 26
 
 
 def _distinguishing_d3(grp: PermGroup, tag: str) -> tuple[int, Witness]:
@@ -738,10 +637,9 @@ def _rgs_partitions(n: int, d: int):
 def cost_2dist(g: Graph, grp: PermGroup) -> tuple[int, Witness]:
     """Minimum color-class size over 2-distinguishing colorings.
 
-    The class scan is the determining search with the setwise test at its
-    leaves, from size 1 up; it is complete, since a minimum class never
-    exceeds half the vertex count, and it finds no class exactly when the
-    graph is not 2-distinguishable.  No class is smaller than the
+    The class scan `_least_class` tries the sizes from 1 up; it is complete,
+    since a minimum class never exceeds half the vertex count, and it finds
+    no class exactly when the graph is not 2-distinguishable.  No class is smaller than the
     determining number, since every class it accepts is determining.
     """
     tag = _verified_tag(grp)

@@ -432,7 +432,8 @@ def test_det_set_checks_survive_python_O():
         from cubesym import autgroup, constructions as cons, symmetry, tables
         from math import factorial
         from cubesym.bitgraph import (FamilySpec, augmented_hypercube, enhanced_hypercube,
-                                      graph_from_edges, hamming_graph, hypercube)
+                                      folded_hypercube, graph_from_edges, hamming_graph,
+                                      hypercube)
         from cubesym.cli import main
         from cubesym.symmetry import TransitivityReport
 
@@ -592,6 +593,28 @@ def test_det_set_checks_survive_python_O():
                 pass
             else:
                 sys.exit("the Hamming table passed repeated permutations")
+        # the permutation table checks that each row is greater than the
+        # last: two rows swapped, or a row repeated in place of the next,
+        # fail it
+        real_permutations = autgroup.permutations
+
+        def rows_swapped(xs):
+            rows = list(real_permutations(xs))
+            rows[3], rows[4] = rows[4], rows[3]
+            return rows
+
+        def row_repeated(xs):
+            rows = list(real_permutations(xs))
+            rows[4] = rows[3]
+            return rows
+
+        for stand_in in (rows_swapped, row_repeated):
+            with mock.patch.object(autgroup, "permutations", stand_in):
+                try:
+                    autgroup._permutation_table(4)
+                except AssertionError:
+                    continue
+            sys.exit(f"the permutation table passed {stand_in.__name__}")
         # a batched count that takes every coloring fails the witness
         # re-check of the d >= 3 scan
         with mock.patch.object(symmetry, "_keeping_counts",
@@ -604,10 +627,6 @@ def test_det_set_checks_survive_python_O():
                 sys.exit("distinguishing_number passed a coloring the batched count took wrongly")
             if main(["param", "dist", "hypercube", "-n", "3", "--no-cache"]) != 3:
                 sys.exit("param dist hypercube with a broken batched count did not exit 3")
-            # the class scan of FQ_4 counts its leaves in blocks, and the class
-            # the count takes is re-checked
-            if main(["param", "cost", "folded", "-n", "4", "--no-cache"]) != 3:
-                sys.exit("param cost folded with a broken batched count did not exit 3")
             if main(["param", "dist", "enhanced", "-n", "4", "-k", "2", "--no-cache"]) != 3:
                 sys.exit("param dist enhanced with a broken batched count did not exit 3")
         # a batched count that takes only the colorings of three or more
@@ -635,16 +654,29 @@ def test_det_set_checks_survive_python_O():
             if main(["param", "dist", "enhanced", "-n", "4", "-k", "2", "--no-cache"]) != 3:
                 sys.exit("param dist enhanced with a three-color count did not exit 3")
         # an element table with a second identity row fails the class scan's
-        # determining mask table
+        # kept-set table
         q4 = autgroup.structured_group(hypercube(4))
         doubled = np.vstack([q4.elements(), np.arange(16, dtype=np.int32)])
         with mock.patch.object(q4, "_elements", doubled):
             try:
-                symmetry._determining_masks(q4)
+                symmetry._kept_sets(q4)
             except AssertionError:
                 pass
             else:
-                sys.exit("the determining mask table passed a second identity row")
+                sys.exit("the kept-set table passed a second identity row")
+        # a kept-set table that leaves every set unmarked offers the class
+        # (0,) of FQ_4, which the re-check refuses
+        with mock.patch.object(symmetry, "_kept_sets",
+                               lambda grp: np.zeros(1 << grp.n_vertices, dtype=bool)):
+            try:
+                symmetry._least_class(autgroup.structured_group(folded_hypercube(4)))
+            except AssertionError as exc:
+                if "(0,)" not in str(exc):
+                    sys.exit(f"the class scan of FQ_4 failed elsewhere: {exc}")
+            else:
+                sys.exit("the class scan passed a class the kept-set table left wrongly")
+            if main(["param", "cost", "folded", "-n", "4", "--no-cache"]) != 3:
+                sys.exit("param cost folded with an empty kept-set table did not exit 3")
         # an edge image that is not an edge fails the edge-orbit map: in Q_3
         # a generator with two images swapped, and on the path 0-1 plus a
         # vertex 2 the swap of 1 and 2, whose image (0, 2) lies past the

@@ -3,9 +3,10 @@ lex scan, the closed-form determining numbers, the searched group, the
 stored witnesses of the benchmark's det queries and the even powers' pinned
 ones, and element filtering on enumerated groups, with and without a
 model.  The class scan of cost
-and dist, which runs the same search with a setwise test at its leaves, is
-checked against a plain scan of every class, and the leaves it takes from
-the mask table on at most 16 vertices against the search's."""
+and dist is checked against a plain scan of every class; on at most 16
+vertices, where it reads its class from the kept-set table, against the
+search with a setwise test at its leaves, and the table against the
+setwise stabilizer and the oracle."""
 
 from __future__ import annotations
 
@@ -27,8 +28,15 @@ from cubesym.autgroup import (
     pointwise_stabilizer_is_trivial,
     setwise_stabilizer,
 )
-from cubesym.bitgraph import FamilySpec, build_family, graph_from_edges
+from cubesym.bitgraph import (
+    FamilySpec,
+    build_family,
+    folded_hypercube,
+    graph_from_edges,
+    hypercube,
+)
 from cubesym.errors import NotTwoDistinguishable
+from cubesym.oracle import _fixes_setwise, enumerate_automorphisms_naive
 from cubesym.params import automorphism_group
 from cubesym.search import search_automorphisms
 from cubesym.symmetry import (
@@ -184,7 +192,7 @@ COST_CASES = {
     "Q_5": ("hypercube", 5, None, None), "AQ_5": ("augmented", 5, None, None),
     "LTQ_5": ("locally_twisted", 5, None, None), "Q_{5,2}": ("enhanced", 5, 2, None),
     "H(3,3)": ("hamming", 3, None, 3),
-    # at most 16 vertices: the scan counts its leaves in blocks
+    # at most 16 vertices: the scan reads its class from the kept-set table
     "FQ_4": ("folded", 4, None, None), "Q_4": ("hypercube", 4, None, None),
     "Q_{4,2}": ("enhanced", 4, 2, None), "Q_4^2": ("power", 4, 2, None),
     "H(4,2)": ("hamming", 4, None, 2),
@@ -217,18 +225,27 @@ def test_class_scan_matches_plain_scan_on_random_graphs(data):
     assert _cost_or_none(g, grp) == want
 
 
-def _assert_mask_leaves_match_search(grp):
-    """For every size, the mask table's leaves are the depth-first search's,
-    and its anchored leaves are the anchored search's, in the same order."""
+def _assert_mask_class_matches_search(grp):
+    """The masks that the kept-set table leaves unmarked (vertex v at bit
+    V-1-v) at the least size up to half the vertices that has one are all
+    leaves of the determining search, and the lex-least of them is the
+    class scan's answer and the first leaf that the search accepts by
+    `_setwise_trivial`, as the scan does above 16 vertices; with no such
+    mask, neither finds a class."""
     nv = grp.n_vertices
-    leaves, anchored = symmetry._mask_leaves(grp)
-    test = determining_test(grp)
-    for size in range(1, nv + 1):
-        searched = list(symmetry._determining_leaves(test, test.det_start(), (), range(nv), 0,
-                                                     size))
-        assert list(map(tuple, leaves(size).tolist())) == searched, size
-        assert (list(map(tuple, anchored(size).tolist()))
-                == list(symmetry._anchored_leaves(grp, test, size))), size
+    unmarked: dict[int, list[tuple[int, ...]]] = {}
+    for m in np.flatnonzero(~symmetry._kept_sets(grp)).tolist():
+        cls = tuple(v for v in range(nv) if m >> (nv - 1 - v) & 1)
+        unmarked.setdefault(len(cls), []).append(cls)
+    least = next((sorted(unmarked[k]) for k in range(1, nv // 2 + 1) if k in unmarked), [])
+    if least:
+        test = determining_test(grp)
+        leaves = symmetry._determining_leaves(test, test.det_start(), (), range(nv), 0,
+                                              len(least[0]))
+        assert set(least) <= set(leaves)
+    searched = symmetry._least_determining(grp, range(1, nv // 2 + 1),
+                                           lambda cls: _setwise_trivial(grp, cls))
+    assert symmetry._least_class(grp) == searched == (least[0] if least else None)
 
 
 MASK_GROUPS = {
@@ -240,44 +257,70 @@ MASK_GROUPS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _mask_group(name: str):
+    if name == "FQ_3 searched":  # K_{4,4}, a group without a model
+        return _group("folded", 3, searched=True)[1]
+    kind, n, k, m = MASK_GROUPS[name]
+    return automorphism_group(build_family(FamilySpec(kind, n, k=k, m=m)))
+
+
+def _random_group(data, max_vertices: int):
+    """The searched group of a random graph, of order at most 8!."""
+    n = data.draw(st.integers(1, max_vertices))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [p for p, keep in zip(pairs, data.draw(
+        st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep]
+    grp = search_automorphisms(graph_from_edges(n, edges))
+    assume(grp.order() <= 40320)
+    return grp
+
+
 @pytest.mark.parametrize("name", sorted(MASK_GROUPS) + ["FQ_3 searched"])
 def test_mask_leaves_match_the_search(name):
-    if name == "FQ_3 searched":  # K_{4,4}, a group without a model
-        grp = _group("folded", 3, searched=True)[1]
-    else:
-        kind, n, k, m = MASK_GROUPS[name]
-        grp = automorphism_group(build_family(FamilySpec(kind, n, k=k, m=m)))
-    _assert_mask_leaves_match_search(grp)
+    _assert_mask_class_matches_search(_mask_group(name))
 
 
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_mask_leaves_match_the_search_on_random_graphs(data):
     """Random graphs of at most 10 vertices, with searched groups."""
-    n = data.draw(st.integers(1, 10))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = [p for p, keep in zip(pairs, data.draw(
-        st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep]
-    grp = search_automorphisms(graph_from_edges(n, edges))
-    assume(grp.order() <= 40320)
-    _assert_mask_leaves_match_search(grp)
+    _assert_mask_class_matches_search(_random_group(data, 10))
 
 
-def test_mask_table_offers_the_search_blocks(monkeypatch):
-    """`_first_accepted` offers an array of leaves in the blocks it offers
-    an iterator of them: 1, 2, 4, ... up to `_LEAF_BLOCK` leaves."""
-    monkeypatch.setattr(symmetry, "_LEAF_BLOCK", 8)
-    leaves = np.arange(150).reshape(-1, 3)
-    for given_leaves in (leaves, iter(map(tuple, leaves.tolist()))):
-        seen = []
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_kept_sets_match_setwise_stabilizer(data):
+    """`_kept_sets` marks a set (vertex v at bit V-1-v) iff its setwise
+    stabilizer is not trivial: on sampled sets of the `MASK_GROUPS` groups
+    and the searched FQ_3, and on every set of random graphs of at most 9
+    vertices."""
+    if data.draw(st.booleans()):
+        grp = _random_group(data, 9)
+        masks = range(1 << grp.n_vertices)
+    else:
+        grp = _mask_group(data.draw(st.sampled_from(sorted(MASK_GROUPS) + ["FQ_3 searched"])))
+        masks = data.draw(st.lists(st.integers(0, (1 << grp.n_vertices) - 1), min_size=1,
+                                   max_size=32))
+    nv = grp.n_vertices
+    kept = symmetry._kept_sets(grp)
+    for m in masks:
+        S = [v for v in range(nv) if m >> (nv - 1 - v) & 1]
+        assert kept[m] == (setwise_stabilizer(grp, S).order() > 1), S
 
-        def accept(block):
-            seen.append(len(block))
-            return 1 if len(seen) == 5 else None
 
-        # the fifth block holds leaves 15..22; its second is (48, 49, 50)
-        assert symmetry._first_accepted(given_leaves, accept) == (48, 49, 50)
-        assert seen == [1, 2, 4, 8, 8]
+@pytest.mark.oracle_suite
+@pytest.mark.parametrize("make", [hypercube, folded_hypercube], ids=["Q_4", "FQ_4"])
+def test_kept_sets_match_the_oracle(make):
+    """On every set of Q_4 and FQ_4, `_kept_sets` against the naive
+    automorphisms and the oracle's setwise test (about 4 and 8 s)."""
+    g = make(4)
+    nv = g.n_vertices
+    auts = [p for p in enumerate_automorphisms_naive(g) if p != tuple(range(nv))]
+    kept = symmetry._kept_sets(automorphism_group(g))
+    for m in range(1 << nv):
+        S = frozenset(v for v in range(nv) if m >> (nv - 1 - v) & 1)
+        assert kept[m] == any(_fixes_setwise(p, S) for p in auts), sorted(S)
 
 
 def test_dist_scan_matches_plain_scan_on_corpus(corpus, corpus_groups, monkeypatch):

@@ -37,7 +37,6 @@ from cubesym.params import (
 from cubesym.search import search_automorphisms
 from cubesym.symmetry import (
     Coloring,
-    _class_test,
     _distinguishing_d3,
     _extension_counts,
     _greedy_two_class,
@@ -776,12 +775,26 @@ def test_dist_of_k9_settles_each_coloring_in_its_first_chunk(monkeypatch):
         compute_parameter(hamming_graph(10, 1), "dist")
 
 
+@pytest.mark.parametrize("m", [3, 9, 10, 16])
+def test_cost_of_complete_graphs_builds_no_element_table(m):
+    """K_m = H(1,m) for m >= 3 is not 2-distinguishable.  The Hamming
+    model's determining bound cuts every class of at most m/2 vertices at
+    its first vertex, so the class scan answers without the element table:
+    K_9's 362,880 rows are never built, and K_10 to K_16, whose groups are
+    above the element cap, get the same answer rather than a budget error."""
+    g = hamming_graph(m, 1)
+    grp = automorphism_group(g)
+    with pytest.raises(NotTwoDistinguishable):
+        compute_parameter(g, "cost", grp)
+    assert grp._elements is None
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_block_count_matches_setwise_stabilizer(data):
     """A block of classes, counted as 2-colorings on the row bitsets, gets
     the order of each class's setwise stabilizer, on every group of
-    `COUNT_GROUPS`; the class test takes the first class of order 1."""
+    `COUNT_GROUPS`."""
     name = data.draw(st.sampled_from(sorted(COUNT_GROUPS)))
     grp = _count_group(name)
     nv = grp.n_vertices
@@ -794,20 +807,18 @@ def test_block_count_matches_setwise_stabilizer(data):
         colors[i, list(cls)] = 1
     orders = [setwise_stabilizer(grp, cls).order() for cls in block]
     assert _keeping_counts(_ordered_bitsets(name, "table"), colors).tolist() == orders
-    assert _class_test(grp)(block) == next(
-        (i for i, order in enumerate(orders) if order == 1), None)
 
 
-@pytest.mark.parametrize("name, make, value, batched, per_leaf", [
-    ("cost FQ_4", lambda: compute_parameter(folded_hypercube(4), "cost"), 8, 2, 3527),
-    ("dist Q_{4,2}", lambda: compute_parameter(enhanced_hypercube(4, 2), "dist"), 3, 0, 2981),
+@pytest.mark.parametrize("name, make, value, calls", [
+    ("cost FQ_4", lambda: compute_parameter(folded_hypercube(4), "cost"), 8, 1),
+    ("dist Q_{4,2}", lambda: compute_parameter(enhanced_hypercube(4, 2), "dist"), 3, 0),
 ])
-def test_class_scan_setwise_calls(name, make, value, batched, per_leaf, monkeypatch):
-    """On at most 16 vertices the class scan counts its leaves in blocks and
-    asks `_setwise_trivial` only to re-check the class it takes: cost of
-    FQ_4 takes one class in the anchored search and one in the lex search,
-    and dist of Q_{4,2} takes none.  With no room for the row bitsets it
-    tests every leaf on its own, as a scan of more vertices does."""
+def test_class_scan_setwise_calls(name, make, value, calls, monkeypatch):
+    """On at most 16 vertices the class scan reads its class from the
+    kept-set table and asks `_setwise_trivial` only to re-check it: once
+    for cost of FQ_4, and never for dist of Q_{4,2}, which has no class.
+    The row bitsets play no part, so the count holds without room for
+    them."""
     made = []
     real = symmetry._setwise_trivial
 
@@ -816,27 +827,26 @@ def test_class_scan_setwise_calls(name, make, value, batched, per_leaf, monkeypa
         return real(grp, cls)
 
     monkeypatch.setattr(symmetry, "_setwise_trivial", counted)
-    assert (make()["value"], len(made)) == (value, batched)
+    assert (make()["value"], len(made)) == (value, calls)
     made.clear()
     monkeypatch.setattr(symmetry, "_BITSET_BYTES", 0)
-    assert (make()["value"], len(made)) == (value, per_leaf)
+    assert (make()["value"], len(made)) == (value, calls)
 
 
 @pytest.mark.parametrize("name, make, word0, full_width", [
-    ("dist Q_{4,2}", lambda: compute_parameter(enhanced_hypercube(4, 2), "dist"), 20675, 252),
-    ("cost FQ_4", lambda: compute_parameter(folded_hypercube(4), "cost"), 3551, 998),
+    ("dist Q_{4,2}", lambda: compute_parameter(enhanced_hypercube(4, 2), "dist"), 17694, 108),
+    ("cost FQ_4", lambda: compute_parameter(folded_hypercube(4), "cost"), 0, 0),
 ])
 def test_two_stage_count_work(name, make, word0, full_width, monkeypatch):
     """The colorings counted on word 0 of the bitsets and then on all of
-    them: the d >= 3 scan and class scan of Q_{4,2} count 20,675 colorings
-    on word 0 and 252 on its 36 words, and the class scan of FQ_4 3,551
-    on word 0 and 998 on its 30 words."""
-    counted = {}
+    them, all by the d >= 3 scan: 17,694 on word 0 and 108 on the 36 words
+    of `dist enhanced -n 4 -k 2`, and none for `cost folded -n 4`, whose
+    class scan reads the kept-set table."""
+    counted = {False: 0, True: 0}
     real = symmetry._keeping_counts
 
     def counting(bitsets, colors):
-        full = bitsets.shape[3] > 1
-        counted[full] = counted.get(full, 0) + len(colors)
+        counted[bitsets.shape[3] > 1] += len(colors)
         return real(bitsets, colors)
 
     monkeypatch.setattr(symmetry, "_keeping_counts", counting)
@@ -844,10 +854,10 @@ def test_two_stage_count_work(name, make, word0, full_width, monkeypatch):
     assert counted == {False: word0, True: full_width}
 
 
-def test_class_scan_takes_its_leaves_from_the_mask_table(monkeypatch):
+def test_class_scan_reads_the_kept_set_table(monkeypatch):
     """The class scans of `cost folded -n 4` and `dist enhanced -n 4 -k 2`
-    take their leaves from the mask table and never run the depth-first
-    search, which det still runs."""
+    read the kept-set table and never run the depth-first search, which
+    det still runs; cost builds no row bitsets."""
     searches = []
     real = symmetry._determining_leaves
 
@@ -856,6 +866,9 @@ def test_class_scan_takes_its_leaves_from_the_mask_table(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(symmetry, "_determining_leaves", counted)
+    grp = automorphism_group(folded_hypercube(4))
+    assert symmetry.cost_2dist(grp.graph, grp)[0] == 8
+    assert grp._bitsets is None
     assert compute_parameter(folded_hypercube(4), "cost")["value"] == 8
     assert compute_parameter(enhanced_hypercube(4, 2), "dist")["value"] == 3
     assert searches == []
