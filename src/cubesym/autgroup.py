@@ -518,7 +518,13 @@ class _RowMapSetwise:
     For a rho other than the identity, the element's images of S's own
     words are computed from its column map, symbol maps and translation,
     and checked: the column map must be a permutation, the images must be S,
-    and a word of S must move."""
+    and a word of S must move.
+
+    The model's words have `columns` columns over `m` symbols; `even_words`
+    says that the translated extended words have even weight (the halved
+    cube), so that their columns XOR to 0."""
+
+    even_words = False
 
     def setwise_trivial(self, S) -> bool:
         S = sorted(set(S))
@@ -539,6 +545,8 @@ class _RowMapSetwise:
 class _CubeSetwise(_RowMapSetwise):
     """The row-map test on the columns of `column_mask`, bit b of a word
     being column n-1-b of `unit_images` for b < n and column n for b = n."""
+
+    m = 2
 
     def _set_columns(self, S):
         masks = [self.column_mask(s ^ S[0]) for s in S]
@@ -577,6 +585,8 @@ class _ColumnRefinement(_DeterminingFold):
                                       if part & (part - 1))
 
     def det_need(self, state) -> int:
+        if state is None:  # the empty set: no classes yet
+            return 0
         return max(((m.bit_count() - 1).bit_length() for m in state[2]), default=0)
 
 
@@ -653,6 +663,8 @@ class HalvedCubeModel(_CubeSetwise, _PositionModel):
     Neumaier, Distance-Regular Graphs, 1989).  Q_3^2 = K_{2,2,2,2} (N = 4)
     has more automorphisms, and so do the powers with k >= n-1."""
 
+    even_words = True
+
     @property
     def columns(self) -> int:
         return self.n + 1  # bit n is the parity column
@@ -695,6 +707,8 @@ class FoldedModel(_PositionModel):
         by one nonzero e.  So if no column is alone yet and all classes but
         at most one such class have 2^r columns, the shift (0, e) survives."""
         r = super().det_need(state)
+        if state is None:
+            return r
         sizes = [m.bit_count() for m in state[2]]
         partial = [c for c in sizes if c != 1 << r]
         keeps_shift = (r > 0 and sum(sizes) == self.columns
@@ -911,6 +925,10 @@ class HammingModel(_RowMapSetwise, _DeterminingFold):
         self._digits = (np.arange(self.m ** self.n)[:, None] // weights % self.m).astype(np.int32)
         self._word_digits = self._digits.tolist()
         self._need = _extension_need(self.m, self.n)
+
+    @property
+    def columns(self) -> int:
+        return self.n
 
     def order(self) -> int:
         return factorial(self.n) * factorial(self.m) ** self.n

@@ -8,9 +8,17 @@ over m symbols, an element maps S onto itself exactly when the row map it
 induces keeps the multiset of the columns' row partitions (see
 `autgroup._RowMapSetwise`), so setwise triviality is a search for such row
 maps.
+
+The same view bounds the size of a class from below: a column's row
+partition is its type, and each row map acts on the types (`column_types`,
+`row_map_action`).
 """
 
 from __future__ import annotations
+
+from itertools import permutations
+
+import numpy as np
 
 
 def moving_row_map(columns):
@@ -97,3 +105,55 @@ def moving_row_map(columns):
         return None
 
     return extend([], [0] * width, [{}] * width)
+
+
+def _rgs_partitions(n: int, d: int, least: int = 0):
+    """Set partitions of range(n) into at least `least` and at most d
+    blocks, in restricted-growth order; a prefix that cannot reach `least`
+    blocks is not extended."""
+    colors = [0] * n
+
+    def rec(v: int, top: int):
+        if v == n:
+            yield colors
+            return
+        for c in range(min(top + 1, d - 1) + 1):
+            if max(top, c) + n - v >= least:
+                colors[v] = c
+                yield from rec(v + 1, max(top, c))
+
+    if n == 0:
+        if least == 0:
+            yield []
+    elif n >= least:
+        yield from rec(1, 0)
+
+
+def column_types(r: int, m: int) -> np.ndarray:
+    """The row partitions that a column of r rows over m symbols has in a
+    determining set: the set partitions of the rows into m-1 or m blocks
+    (every symbol shown but perhaps one), as restricted-growth strings, one
+    row each, in lex order."""
+    return np.array([tuple(p) for p in _rgs_partitions(r, m, m - 1)],
+                    dtype=np.int64).reshape(-1, r)
+
+
+def row_map_action(types: np.ndarray, m: int) -> np.ndarray:
+    """`action[k, t]`: the place in `types`, the restricted-growth strings
+    of `column_types` over m symbols, of type t read in the order of the
+    k-th row map rho in lex order (row i reading row rho(i)) and
+    normalised; row 0 is the identity's.  Normalising relabels each symbol
+    by the rank of its first row among the symbols' first rows.  Raises
+    AssertionError when a type so read is not in `types`."""
+    n_types, r = types.shape
+    perms = np.array(list(permutations(range(r))), dtype=np.intp)
+    read = types[:, perms]  # (type, row map, row)
+    shown = read[..., None] == np.arange(m)  # (type, row map, row, symbol)
+    first = np.where(shown.any(axis=2), shown.argmax(axis=2), r)  # (type, row map, symbol)
+    label = (first[..., None, :] < first[..., :, None]).sum(axis=3)
+    weights = m ** np.arange(r - 1, -1, -1)
+    codes, targets = types @ weights, np.take_along_axis(label, read, axis=2) @ weights
+    place = np.minimum(np.searchsorted(codes, targets), n_types - 1)
+    if (codes[place] != targets).any():
+        raise AssertionError("a row map reads a column type that is not in the type list")
+    return place.T

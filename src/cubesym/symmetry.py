@@ -17,6 +17,7 @@ from .autgroup import (
 )
 from .bitgraph import Graph, distances_from, induced_subgraph
 from .errors import NotTwoDistinguishable, SearchBudgetExceeded
+from .rowmaps import _rgs_partitions, column_types, row_map_action
 from .search import has_nontrivial_automorphism
 
 DETERMINING = "determining_set"
@@ -298,19 +299,23 @@ def _least_class(grp: PermGroup) -> tuple[int, ...] | None:
     at bit V-1-v, the lex order of the sorted k-sets is the descending
     order of their masks, so the class is the largest unmarked mask of the
     least size that has one; it is re-checked by `_setwise_trivial`.  On
-    more vertices the determining search tests each of its leaves by
-    `_setwise_trivial`, so it visits every such class in lex order, and
-    setwise triviality is kept under conjugation, as its anchoring needs."""
+    more vertices the determining search, from the size `_column_floor`
+    leaves open, tests each of its leaves by `_setwise_trivial`, so it
+    visits every such class of those sizes in lex order, and setwise
+    triviality is kept under conjugation, as its anchoring needs."""
     nv = grp.n_vertices
     if nv > _EXHAUSTIVE_2_LIMIT:
-        return _least_determining(grp, range(1, nv // 2 + 1),
+        floor = _column_floor(grp)
+        if floor is None:
+            return None
+        return _least_determining(grp, range(floor, nv // 2 + 1),
                                   lambda cls: _setwise_trivial(grp, cls))
     test = determining_test(grp)
     start = test.det_start()
     if min(test.det_need(test.det_add(start, v)) for v in range(nv)) >= nv // 2:
         return None
     sizes = np.bitwise_count(np.arange(1 << nv))
-    free = ~_kept_sets(grp) & (sizes >= 1) & (sizes <= nv // 2)
+    free = ~_kept_sets(grp.elements()) & (sizes >= 1) & (sizes <= nv // 2)
     if not free.any():
         return None
     mask = int(np.flatnonzero(free & (sizes == sizes[free].min()))[-1])
@@ -321,21 +326,20 @@ def _least_class(grp: PermGroup) -> tuple[int, ...] | None:
     return cls
 
 
-def _kept_sets(grp: PermGroup) -> np.ndarray:
-    """`kept[m]` for every set m of at most 16 vertices, with vertex v at
-    bit V-1-v of m: whether some non-identity row of the element table maps
-    m onto itself.
+def _kept_sets(table: np.ndarray) -> np.ndarray:
+    """`kept[m]` for every set m of at most 16 points, with point v at bit
+    V-1-v of m: whether some non-identity row of `table`, a permutation of
+    the V points per row, maps m onto itself.
 
     A row keeps a set iff the set is a union of the row's cycles.  For each
-    chunk of `_BLOCK_ROWS` rows, pointer doubling finds every vertex's cycle
-    leader, its least vertex (`root = min(root, root[step])`, `step =
-    step[step]`, ceil(lg V) times); one `bincount` sums each cycle's vertex
+    chunk of `_BLOCK_ROWS` rows, pointer doubling finds every point's cycle
+    leader, its least point (`root = min(root, root[step])`, `step =
+    step[step]`, ceil(lg V) times); one `bincount` sums each cycle's point
     bits onto its leader; and the rows with t cycles mark their 2^t unions,
     filled by doubling in uint16, at most `_BLOCK_BYTES` at a time.  Raises
     AssertionError unless exactly one row is the identity, the only row
     with V cycles."""
-    nv = grp.n_vertices
-    table = grp.elements()
+    nv = table.shape[1]
     kept = np.zeros(1 << nv, dtype=bool)
     bits = np.tile(1 << np.arange(nv - 1, -1, -1), _BLOCK_ROWS)
     identities = 0
@@ -352,7 +356,7 @@ def _kept_sets(grp: PermGroup) -> np.ndarray:
         cycles = cycles.astype(np.uint16).reshape(rows.shape)
         n_cycles = leader.sum(axis=1)
         identities += int(np.count_nonzero(n_cycles == nv))
-        for t in np.unique(n_cycles[n_cycles < nv]).tolist():
+        for t in np.flatnonzero(np.bincount(n_cycles, minlength=nv + 1)[:nv]).tolist():
             of_t = n_cycles == t
             masks = cycles[of_t][leader[of_t]].reshape(-1, t)
             per = max(1, _BLOCK_BYTES >> (t + 1))  # rows of 2^t uint16 unions
@@ -414,6 +418,55 @@ def _greedy_two_class(grp: PermGroup) -> tuple[int, ...] | None:
 
 
 _EXHAUSTIVE_2_LIMIT = 16
+
+
+def _column_floor(grp: PermGroup) -> int | None:
+    """The least class size up to half the vertices that the column view
+    leaves open on a model with a row-map setwise test (Q_n, the halved
+    cubes and H(n, m)), or None if it rules out every such size; 1 on any
+    other group.
+
+    A set of r words is a class iff its columns have distinct types
+    (`column_types`) and no row map other than the identity keeps their
+    set (`_RowMapSetwise`); on the halved cube the types of the translated
+    extended columns also XOR to 0.  So a size r is ruled out when there
+    are fewer types than columns, or when `_open_type_sets` leaves no set.
+    The first size with more than `_EXHAUSTIVE_2_LIMIT` types is left
+    open, since `_kept_sets` does not reach it."""
+    model = grp.model
+    if not hasattr(model, "setwise_trivial"):
+        return 1
+    for r in range(1, grp.n_vertices // 2 + 1):
+        types = column_types(r, model.m)
+        if len(types) > _EXHAUSTIVE_2_LIMIT or (
+                len(types) >= model.columns and _open_type_sets(model, types).any()):
+            return r
+    return None
+
+
+def _open_type_sets(model, types: np.ndarray) -> np.ndarray:
+    """`open[mask]` for every set of the row-map model's column types (type
+    t at bit T-1-t, T at most 16): whether the set has `model.columns`
+    types, no row map but the identity keeps it, and, when
+    `model.even_words` (the halved cube), its types XOR to 0, as the
+    translated extended columns of words of even weight do.
+
+    `_kept_sets` reads the row maps' action on the types as its table; when
+    a row map other than the identity keeps every type, it keeps every
+    set.  The XOR of every set is filled by doubling, as `_kept_sets` fills
+    its unions."""
+    n_types = len(types)
+    action = row_map_action(types, model.m)
+    if np.count_nonzero((action == np.arange(n_types)).all(axis=1)) > 1:
+        return np.zeros(1 << n_types, dtype=bool)
+    found = ~_kept_sets(action) & (np.bitwise_count(np.arange(1 << n_types)) == model.columns)
+    if model.even_words:
+        values = types @ (1 << np.arange(types.shape[1]))
+        xor = np.zeros(1 << n_types, dtype=np.int64)
+        for b in range(n_types):  # bit b is type T-1-b
+            xor[1 << b:2 << b] = xor[:1 << b] ^ values[n_types - 1 - b]
+        found &= xor == 0
+    return found
 
 
 def distinguishing_number(g: Graph, grp: PermGroup,
@@ -612,24 +665,6 @@ def _rgs_suffixes(top: int, length: int, d: int) -> np.ndarray:
     return rows
 
 
-def _rgs_partitions(n: int, d: int):
-    """Set partitions of range(n) into <= d blocks, restricted-growth order."""
-    colors = [0] * n
-
-    def rec(v: int, top: int):
-        if v == n:
-            yield colors
-            return
-        for c in range(min(top + 1, d - 1) + 1):
-            colors[v] = c
-            yield from rec(v + 1, max(top, c))
-
-    if n == 0:
-        yield []
-    else:
-        yield from rec(1, 0)
-
-
 # ---------------------------------------------------------------------------
 # cost of 2-distinguishing
 
@@ -637,9 +672,11 @@ def _rgs_partitions(n: int, d: int):
 def cost_2dist(g: Graph, grp: PermGroup) -> tuple[int, Witness]:
     """Minimum color-class size over 2-distinguishing colorings.
 
-    The class scan `_least_class` tries the sizes from 1 up; it is complete,
-    since a minimum class never exceeds half the vertex count, and it finds
-    no class exactly when the graph is not 2-distinguishable.  No class is smaller than the
+    The class scan `_least_class` tries the sizes up to half the vertex
+    count, which a minimum class never exceeds; on more than 16 vertices
+    it starts at `_column_floor`, below which no size holds a class, and
+    otherwise at 1.  So it is complete, and it finds no class exactly when
+    the graph is not 2-distinguishable.  No class is smaller than the
     determining number, since every class it accepts is determining.
     """
     tag = _verified_tag(grp)

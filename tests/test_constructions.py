@@ -411,8 +411,10 @@ def test_det_set_checks_survive_python_O():
     for AQ_n built from a base-map table with two entries of a row swapped,
     and the d >= 3 dist scan and the class scan when their batched count
     takes a coloring that is not distinguishing (in both of its stages), the
-    class scan's determining mask table when the element table has a second
-    identity row, the edge-orbit map when a
+    class scan's kept-set table when the element table has a second
+    identity row, the class scan's re-check when that table marks no set,
+    the column view's action of the row maps when the type list lacks a
+    type, the edge-orbit map when a
     generator maps an edge to a pair that is not an edge, and the setwise
     test of the cube and Hamming models when the images of the set under
     the element of a row map it finds move no vertex of it, leave it, or
@@ -656,18 +658,16 @@ def test_det_set_checks_survive_python_O():
         # an element table with a second identity row fails the class scan's
         # kept-set table
         q4 = autgroup.structured_group(hypercube(4))
-        doubled = np.vstack([q4.elements(), np.arange(16, dtype=np.int32)])
-        with mock.patch.object(q4, "_elements", doubled):
-            try:
-                symmetry._kept_sets(q4)
-            except AssertionError:
-                pass
-            else:
-                sys.exit("the kept-set table passed a second identity row")
+        try:
+            symmetry._kept_sets(np.vstack([q4.elements(), np.arange(16, dtype=np.int32)]))
+        except AssertionError:
+            pass
+        else:
+            sys.exit("the kept-set table passed a second identity row")
         # a kept-set table that leaves every set unmarked offers the class
         # (0,) of FQ_4, which the re-check refuses
         with mock.patch.object(symmetry, "_kept_sets",
-                               lambda grp: np.zeros(1 << grp.n_vertices, dtype=bool)):
+                               lambda table: np.zeros(1 << table.shape[1], dtype=bool)):
             try:
                 symmetry._least_class(autgroup.structured_group(folded_hypercube(4)))
             except AssertionError as exc:
@@ -677,6 +677,19 @@ def test_det_set_checks_survive_python_O():
                 sys.exit("the class scan passed a class the kept-set table left wrongly")
             if main(["param", "cost", "folded", "-n", "4", "--no-cache"]) != 3:
                 sys.exit("param cost folded with an empty kept-set table did not exit 3")
+        # a type list without its last type: the row maps read some type
+        # into that one, which the column view's action refuses
+        real_types = symmetry.column_types
+        with mock.patch.object(symmetry, "column_types", lambda r, m: real_types(r, m)[:-1]):
+            try:
+                symmetry._column_floor(autgroup.structured_group(hypercube(5)))
+            except AssertionError as exc:
+                if "not in the type list" not in str(exc):
+                    sys.exit(f"the column floor of Q_5 failed elsewhere: {exc}")
+            else:
+                sys.exit("the column floor passed an action outside its type list")
+            if main(["param", "cost", "hypercube", "-n", "5", "--no-cache"]) != 3:
+                sys.exit("param cost hypercube with a short type list did not exit 3")
         # an edge image that is not an edge fails the edge-orbit map: in Q_3
         # a generator with two images swapped, and on the path 0-1 plus a
         # vertex 2 the swap of 1 and 2, whose image (0, 2) lies past the

@@ -6,12 +6,16 @@ model.  The class scan of cost
 and dist is checked against a plain scan of every class; on at most 16
 vertices, where it reads its class from the kept-set table, against the
 search with a setwise test at its leaves, and the table against the
-setwise stabilizer and the oracle."""
+setwise stabilizer and the oracle.  The column view's floor, from which
+the scan starts on the row-map models, is checked against their setwise
+test, a plain filter of the type sets, the scan from size 1 and the
+oracle."""
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -36,8 +40,9 @@ from cubesym.bitgraph import (
     hypercube,
 )
 from cubesym.errors import NotTwoDistinguishable
-from cubesym.oracle import _fixes_setwise, enumerate_automorphisms_naive
+from cubesym.oracle import _fixes_setwise, enumerate_automorphisms_naive, oracle_cost
 from cubesym.params import automorphism_group
+from cubesym.rowmaps import column_types, row_map_action
 from cubesym.search import search_automorphisms
 from cubesym.symmetry import (
     _setwise_trivial,
@@ -234,7 +239,7 @@ def _assert_mask_class_matches_search(grp):
     mask, neither finds a class."""
     nv = grp.n_vertices
     unmarked: dict[int, list[tuple[int, ...]]] = {}
-    for m in np.flatnonzero(~symmetry._kept_sets(grp)).tolist():
+    for m in np.flatnonzero(~symmetry._kept_sets(grp.elements())).tolist():
         cls = tuple(v for v in range(nv) if m >> (nv - 1 - v) & 1)
         unmarked.setdefault(len(cls), []).append(cls)
     least = next((sorted(unmarked[k]) for k in range(1, nv // 2 + 1) if k in unmarked), [])
@@ -303,7 +308,7 @@ def test_kept_sets_match_setwise_stabilizer(data):
         masks = data.draw(st.lists(st.integers(0, (1 << grp.n_vertices) - 1), min_size=1,
                                    max_size=32))
     nv = grp.n_vertices
-    kept = symmetry._kept_sets(grp)
+    kept = symmetry._kept_sets(grp.elements())
     for m in masks:
         S = [v for v in range(nv) if m >> (nv - 1 - v) & 1]
         assert kept[m] == (setwise_stabilizer(grp, S).order() > 1), S
@@ -317,7 +322,7 @@ def test_kept_sets_match_the_oracle(make):
     g = make(4)
     nv = g.n_vertices
     auts = [p for p in enumerate_automorphisms_naive(g) if p != tuple(range(nv))]
-    kept = symmetry._kept_sets(automorphism_group(g))
+    kept = symmetry._kept_sets(automorphism_group(g).elements())
     for m in range(1 << nv):
         S = frozenset(v for v in range(nv) if m >> (nv - 1 - v) & 1)
         assert kept[m] == any(_fixes_setwise(p, S) for p in auts), sorted(S)
@@ -361,6 +366,155 @@ def test_model_setwise_cost_equals_the_table_path(kind, n, m, monkeypatch):
     table_value, table_witness = cost_2dist(g, grp)
     assert grp._elements is not None
     assert (value, witness.payload) == (table_value, table_witness.payload)
+
+
+@pytest.mark.parametrize("kind, n, k", [
+    ("hypercube", 5, None), ("power", 6, 2), ("folded", 5, None), ("enhanced", 5, 2),
+])
+def test_det_need_of_the_empty_set(kind, n, k):
+    """The determining bound of the empty set is a number no larger than
+    det, on the cube models, FQ_5 and the enhanced cube's product model."""
+    g, grp = _group(kind, n, k)
+    need = grp.model.det_need(grp.model.det_start())
+    assert isinstance(need, int) and need <= determining_number(g, grp)[0]
+
+
+# The row-map models of the column view's tests.
+COLUMN_GROUPS = {
+    "Q_5": ("hypercube", 5, None, None), "Q_6": ("hypercube", 6, None, None),
+    "Q_5^2": ("power", 5, 2, None), "Q_6^2": ("power", 6, 2, None),
+    "H(3,3)": ("hamming", 3, None, 3), "H(4,3)": ("hamming", 4, None, 3),
+    "H(3,4)": ("hamming", 3, None, 4),
+}
+
+
+@lru_cache(maxsize=None)
+def _column_group(name: str):
+    kind, n, k, m = COLUMN_GROUPS[name]
+    return automorphism_group(build_family(FamilySpec(kind, n, k=k, m=m)))
+
+
+@lru_cache(maxsize=None)
+def _column_sizes(name: str) -> list[int]:
+    """The sizes from det on whose column types number at most 16."""
+    grp = _column_group(name)
+    det = determining_number(grp.graph, grp)[0]
+    return [r for r in range(det, 7) if len(column_types(r, grp.model.m)) <= 16]
+
+
+@lru_cache(maxsize=None)
+def _open_sets(name: str, r: int):
+    model = _column_group(name).model
+    types = column_types(r, model.m)
+    return [tuple(t) for t in types.tolist()], symmetry._open_type_sets(model, types)
+
+
+def _type_of(column) -> tuple[int, ...]:
+    """A column's row partition, as a restricted-growth string."""
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(x, len(first)) for x in column)
+
+
+@pytest.mark.parametrize("r, m", [(4, 2), (5, 2), (3, 3), (4, 3), (4, 4), (6, 6)])
+def test_row_map_action_matches_a_loop(r, m):
+    """The column types are the S(r,m) + S(r,m-1) restricted-growth strings
+    of m-1 or m blocks in lex order, and row k of the action is each type
+    read in the order of the k-th permutation and normalised in Python."""
+    listed = [tuple(t) for t in column_types(r, m).tolist()]
+    assert len(listed) == cons.stirling2(r, m) + cons.stirling2(r, m - 1)
+    assert listed == sorted(set(listed)) == [_type_of(t) for t in listed]
+    assert all(m - 1 <= len(set(t)) <= m for t in listed)
+    action = row_map_action(column_types(r, m), m)
+    assert len(action) == factorial(r)
+    for row, rho in zip(action.tolist(), permutations(range(r))):
+        assert row == [listed.index(_type_of([t[i] for i in rho])) for t in listed]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_open_type_sets_match_setwise_trivial(data):
+    """On random determining r-sets S of the `COLUMN_GROUPS` models, with
+    at most 16 column types of r rows, the set of S's column types is left
+    open by `_open_type_sets` (unmarked, and with XOR 0 on the halved
+    cubes) iff the model's `setwise_trivial(S)`.  The words are drawn until
+    they are determining, for the sizes from det on."""
+    name = data.draw(st.sampled_from(sorted(COLUMN_GROUPS)))
+    grp = _column_group(name)
+    model = grp.model
+    r = data.draw(st.sampled_from(_column_sizes(name)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    for _ in range(10_000):  # at least 1.9% of the draws are determining
+        S = sorted(rng.choice(grp.n_vertices, size=r, replace=False).tolist())
+        if model.pointwise_trivial(S):
+            break
+    else:
+        raise AssertionError(f"no determining {r}-set of {name} drawn")
+    types, found = _open_sets(name, r)
+    mask = sum(1 << (len(types) - 1 - types.index(_type_of(c))) for c in model._set_columns(S))
+    assert mask.bit_count() == model.columns
+    assert found[mask] == model.setwise_trivial(S), S
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_GROUPS))
+def test_open_type_sets_match_a_plain_filter(name):
+    """`_open_type_sets` against every set of `columns` types, filtered
+    one by one: no row map but the identity maps the set into itself, and
+    on the halved cubes its types XOR to 0.  The random sets above cannot
+    reach a halved cube's open sets, whose classes need 32 types."""
+    model = _column_group(name).model
+    for r in _column_sizes(name):
+        types = column_types(r, model.m)
+        action = row_map_action(types, model.m)[1:]
+        values = types @ (1 << np.arange(r))
+        want = np.zeros(1 << len(types), dtype=bool)
+        for chosen in combinations(range(len(types)), model.columns):
+            member = np.zeros(len(types), dtype=bool)
+            member[list(chosen)] = True
+            kept = member[action[:, list(chosen)]].all(axis=1).any()
+            xor = np.bitwise_xor.reduce(values[list(chosen)]) if model.even_words else 0
+            want[sum(1 << (len(types) - 1 - t) for t in chosen)] = not kept and xor == 0
+        assert (symmetry._open_type_sets(model, types) == want).all(), (name, r)
+
+
+@pytest.mark.parametrize("name", [
+    "Q_5", "Q_6", "Q_5^2", "H(3,3)", "H(4,3)", "H(3,4)",
+    pytest.param("Q_6^2", marks=pytest.mark.oracle_suite),
+])
+def test_column_floor_keeps_value_and_witness(name, monkeypatch):
+    """The class scan from the column view's floor gives the value and
+    witness of the scan from size 1 (Q_6^2's takes about 4 s from size 1)."""
+    grp = _column_group(name)
+    value, witness = cost_2dist(grp.graph, grp)
+    assert symmetry._column_floor(grp) <= value
+    monkeypatch.setattr(symmetry, "_column_floor", lambda grp: 1)
+    plain = cost_2dist(grp.graph, grp)
+    assert (value, witness.payload) == (plain[0], plain[1].payload)
+
+
+def test_column_floor_when_a_row_map_keeps_every_type():
+    """On Q_2 (C_4) the swap of the two rows keeps both column types of two
+    rows, so it keeps every set of them, and the floor rules out every
+    size: C_4 is not 2-distinguishable."""
+    assert symmetry._column_floor(automorphism_group(hypercube(2))) is None
+    with pytest.raises(NotTwoDistinguishable):
+        oracle_cost(hypercube(2))
+
+
+@pytest.mark.oracle_suite
+@pytest.mark.parametrize("kind, n, m", [
+    ("hypercube", 3, None), ("hypercube", 4, None), ("hamming", 2, 3), ("hamming", 2, 4),
+])
+def test_column_floor_against_the_oracle(kind, n, m):
+    """The floor is at most the oracle's cost on Q_4 and H(2,4), and rules
+    out every size on Q_3 and H(2,3), which are not 2-distinguishable."""
+    g = build_family(FamilySpec(kind, n, m=m))
+    floor = symmetry._column_floor(automorphism_group(g))
+    try:
+        cost = oracle_cost(g).value
+    except NotTwoDistinguishable:
+        assert floor is None
+    else:
+        assert floor is not None and floor <= cost
 
 
 # Structured groups small enough to enumerate; FQ_6's 322,560 elements are

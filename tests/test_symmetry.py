@@ -812,13 +812,17 @@ def test_block_count_matches_setwise_stabilizer(data):
 @pytest.mark.parametrize("name, make, value, calls", [
     ("cost FQ_4", lambda: compute_parameter(folded_hypercube(4), "cost"), 8, 1),
     ("dist Q_{4,2}", lambda: compute_parameter(enhanced_hypercube(4, 2), "dist"), 3, 0),
+    ("cost Q_5", lambda: compute_parameter(hypercube(5), "cost"), 5, 40),
+    ("cost H(4,4)", lambda: compute_parameter(hamming_graph(4, 4), "cost"), 5, 66),
 ])
 def test_class_scan_setwise_calls(name, make, value, calls, monkeypatch):
-    """On at most 16 vertices the class scan reads its class from the
-    kept-set table and asks `_setwise_trivial` only to re-check it: once
-    for cost of FQ_4, and never for dist of Q_{4,2}, which has no class.
-    The row bitsets play no part, so the count holds without room for
-    them."""
+    """The class scan's `_setwise_trivial` calls.  On at most 16 vertices
+    it reads its class from the kept-set table and asks only to re-check
+    it: once for cost of FQ_4, and never for dist of Q_{4,2}, which has no
+    class.  On more vertices the search starts at the column view's floor,
+    5 for Q_5 and H(4,4), and tests each of its leaves: 40 for Q_5 and 66
+    for H(4,4), against 244 and 3,138 from size 1.  The row bitsets play no
+    part, so the count holds without room for them."""
     made = []
     real = symmetry._setwise_trivial
 
