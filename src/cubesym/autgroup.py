@@ -186,8 +186,7 @@ class PermGroup:
 
     `_by_support` caches the indices of the element table's rows in the
     order of how many vertices they move, identity first and ties in table
-    order; `_bitsets` caches the row bitsets built in that order (both kept
-    by `symmetry`).
+    order (kept by `symmetry`).
     """
 
     n_vertices: int
@@ -200,7 +199,6 @@ class PermGroup:
     _elements: np.ndarray | None = field(default=None, repr=False)
     _fixers: list[int] | None = field(default=None, repr=False)
     _by_support: np.ndarray | None = field(default=None, repr=False)
-    _bitsets: np.ndarray | None = field(default=None, repr=False)
 
     def order(self) -> int:
         if self.order_known is None:
@@ -469,8 +467,9 @@ class _TranslationModel:
         when the zero-fixing rows are `n_zero_fixing()` distinct ones that
         fix zero, which is checked."""
         base = self.zero_fixing_rows()
+        ordered = base[np.lexsort(base.T)]
         if (base[:, 0].any() or len(base) != self.n_zero_fixing()
-                or len(np.unique(base, axis=0)) != len(base)):
+                or not (ordered[1:] != ordered[:-1]).any(axis=1).all()):
             raise AssertionError(f"{type(self).__name__}: the zero-fixing maps are not "
                                  f"{self.n_zero_fixing()} distinct maps fixing zero")
         shifts = np.array(self.translations(), dtype=np.int32)

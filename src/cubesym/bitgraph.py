@@ -288,7 +288,8 @@ def graph_from_edges(n_vertices: int, edges, family: FamilySpec | None = None,
     if ((pairs < 0) | (pairs >= n_vertices)).any():
         raise VertexOutOfRange(f"an edge end is not a vertex of 0..{n_vertices - 1}")
     u, v = pairs.min(axis=1), pairs.max(axis=1)
-    keys = np.unique((u * n_vertices + v)[u != v])
+    keys = np.sort((u * n_vertices + v)[u != v])
+    keys = keys[np.diff(keys, prepend=-1) != 0]
     return Graph(n_vertices, keys, family, labels)
 
 

@@ -250,8 +250,8 @@ def _least_support(grp: PermGroup) -> np.ndarray:
 
 def _only_identity_keeps(grp: PermGroup, colors: np.ndarray) -> bool:
     """Whether the identity is the only row of the element table that keeps
-    every vertex's color; `colors` is a numpy array over the vertices,
-    compared in whatever dtype the caller chose.
+    every vertex's color; `colors` is a numpy array of bools or non-negative
+    integers over the vertices, compared in whatever dtype the caller chose.
 
     Only the vertices outside the most common color are compared: an
     element that maps every other class into itself maps each of them onto
@@ -262,8 +262,7 @@ def _only_identity_keeps(grp: PermGroup, colors: np.ndarray) -> bool:
     colorings that some non-identity element keeps, so most of those stop
     in the first chunk; the verdict does not depend on the order."""
     table, order = grp.elements(), _least_support(grp)
-    values, counts = np.unique(colors, return_counts=True)
-    rest = np.flatnonzero(colors != values[counts.argmax()])
+    rest = np.flatnonzero(colors != np.bincount(colors).argmax())
     kept, start, size = 0, 0, _SIEVE_ROWS
     while kept < 2 and start < len(order):
         rows = order[start:start + size]
@@ -511,47 +510,37 @@ def distinguishing_number(g: Graph, grp: PermGroup,
 
 
 # Colorings counted per batch of the d >= 3 scan and table rows read per
-# chunk by `_only_identity_keeps`, `_kept_sets` and the greedy counts; and
-# the bytes of one gather of row bitsets or one chunk of `_kept_sets` unions.
+# chunk by `_only_identity_keeps`, `_kept_sets`, the greedy counts and the
+# d >= 3 scan's row bitsets; and the bytes of one gather of row bitsets or
+# one chunk of `_kept_sets` unions.
 _BLOCK_ROWS = 4096
 _BLOCK_BYTES = 1 << 21
-# The most bytes of row bitsets the d >= 3 scan builds to count its colorings.
-_BITSET_BYTES = 1 << 26
 
 
 def _distinguishing_d3(grp: PermGroup, tag: str) -> tuple[int, Witness]:
     """dist >= 3 established; the least d and the first distinguishing
-    coloring in restricted-growth order that uses all d colors, counted in
-    batches on the row bitsets by `_kept_by_one_row` (word 0 first, the
-    full width for the colorings it leaves) and re-checked by
-    `_only_identity_keeps`.  With more than `_BITSET_BYTES` of bitsets, each
-    coloring is tested by `_only_identity_keeps` alone, which stops at the
-    second row that keeps it."""
-    nv = grp.n_vertices
-    if _bitsets_nbytes(nv, grp.order()) > _BITSET_BYTES:
-        max_rows = _BLOCK_ROWS
+    coloring in restricted-growth order that uses all d colors.
 
-        def first(block):
-            return next((i for i, colors in enumerate(block)
-                         if _only_identity_keeps(grp, colors)), None)
-    else:
-        bitsets = _group_bitsets(grp)
-        max_rows = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // bitsets[0, :, 0].nbytes))
-
-        def first(block):
-            hits = np.flatnonzero(_kept_by_one_row(bitsets, block))
-            if not len(hits):
-                return None
-            if not _only_identity_keeps(grp, block[hits[0]]):
-                raise AssertionError(f"the batched count took a coloring that is not "
-                                     f"distinguishing: {block[hits[0]].tolist()}")
-            return int(hits[0])
+    Each batch is counted by `_kept_by_one_row` on the row bitsets of the
+    first `_BLOCK_ROWS` rows in `_least_support` order (word 0 first, the
+    full width for the colorings it leaves), and the colorings it takes are
+    tested in order by `_only_identity_keeps`; the first that test takes is
+    the witness.  When the table has at most `_BLOCK_ROWS` rows the count is
+    exact, and a coloring it takes that the test refuses raises
+    AssertionError; otherwise the count is only a sieve."""
+    nv, table = grp.n_vertices, grp.elements()
+    bitsets = _row_bitsets(table[_least_support(grp)[:_BLOCK_ROWS]])
+    exact = len(table) <= _BLOCK_ROWS
+    max_rows = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // bitsets[0, :, 0].nbytes))
     for d in range(3, nv + 1):
         for block in _rgs_blocks(nv, d, max_rows):
             block = block[block.max(axis=1) == d - 1]
-            i = first(block)
-            if i is not None:
-                return d, Witness(DIST_COLORING, tuple(int(c) + 1 for c in block[i]), tag)
+            for i in np.flatnonzero(_kept_by_one_row(bitsets, block)).tolist():
+                if _only_identity_keeps(grp, block[i]):
+                    return d, Witness(DIST_COLORING, tuple(int(c) + 1 for c in block[i]), tag)
+                if exact:
+                    raise AssertionError(f"the batched count took a coloring that is not "
+                                         f"distinguishing: {block[i].tolist()}")
     raise AssertionError("an all-distinct coloring distinguishes")
 
 
@@ -559,8 +548,9 @@ def _row_bitsets(table: np.ndarray) -> np.ndarray:
     """`out[v, b, x]`: the bitset, in uint64 words, of the table rows g with
     g(v) among the vertices 8b + i for the bits i of the byte x.
 
-    Built in 8 doubling steps, in `_bitsets_nbytes` bytes: the byte values
-    from 2^i up to 2^(i+1) - 1 are those below 2^i with bit i added."""
+    For V vertices and R rows that is V * ceil(V/8) * 256 * ceil(R/64)
+    words, built in 8 doubling steps: the byte values from 2^i up to
+    2^(i+1) - 1 are those below 2^i with bit i added."""
     n_rows, nv = table.shape
     n_bytes, words = -(-nv // 8), -(-n_rows // 64)
     hits = np.zeros((nv, n_bytes * 8, words * 64), dtype=bool)
@@ -573,31 +563,20 @@ def _row_bitsets(table: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bitsets_nbytes(nv: int, n_rows: int) -> int:
-    """The size of `_row_bitsets` for V vertices and R rows: V * ceil(V/8)
-    * 256 * ceil(R/64) uint64 words."""
-    return nv * -(-nv // 8) * 256 * -(-n_rows // 64) * 8
-
-
-def _group_bitsets(grp: PermGroup) -> np.ndarray:
-    """The row bitsets of the group's element table in `_least_support`
-    order, so that word 0 holds the rows that move the fewest vertices;
-    built once and kept."""
-    if grp._bitsets is None:
-        grp._bitsets = _row_bitsets(grp.elements()[_least_support(grp)])
-    return grp._bitsets
-
-
 def _kept_by_one_row(bitsets: np.ndarray, colors: np.ndarray) -> np.ndarray:
-    """Whether exactly one table row keeps each coloring, a row of `colors`.
+    """Whether exactly one row of the bitsets' table keeps each coloring, a
+    row of `colors`.  The rows must include the identity, which keeps every
+    coloring.
 
     The count on word 0 of the bitsets comes first and drops every coloring
     that two or more of its rows keep; the full `_keeping_counts` runs only
     on the colorings that are left.  Built in `_least_support` order, word 0
     holds the rows that move the fewest vertices, which keep the most
-    colorings.  A coloring is left when
-    word 0 counts at most one row, not exactly one, so the verdict does not
-    depend on the row order; the order buys only speed."""
+    colorings.  A coloring is left when word 0 counts at most one row, not
+    exactly one, so the verdict does not depend on the row order; the order
+    buys only speed.  When the rows are only part of the element table, a
+    coloring that two of them keep is not distinguishing, so the count drops
+    no distinguishing coloring: it is a sieve."""
     counts = _keeping_counts(bitsets[..., :1], colors)
     if bitsets.shape[3] == 1:
         return counts == 1
@@ -739,8 +718,9 @@ def transitivity_report(g: Graph, grp: PermGroup) -> TransitivityReport:
     # its vertices share one root; level 0 holds the unreachable vertices
     nv = g.n_vertices
     roots = np.asarray(orbit_roots(nv, pointwise_stabilizer(grp, [0]).generators))
-    pairs = np.unique((distances_from(g, 0) + 1).astype(np.int64) * nv + roots)
-    level, n_roots = np.unique(pairs // nv, return_counts=True)
-    arc_t = bool((n_roots[level == 2] == 1).all())
-    distance_t = bool((n_roots == 1).all())
+    pairs = np.sort((distances_from(g, 0) + 1).astype(np.int64) * nv + roots)
+    # the roots per level, 0 where no vertex lies at that level
+    n_roots = np.bincount(pairs[np.diff(pairs, prepend=-1) != 0] // nv)
+    arc_t = bool((n_roots[2:3] <= 1).all())
+    distance_t = bool((n_roots <= 1).all())
     return TransitivityReport(True, arc_t or _edge_transitive(g, grp), arc_t, distance_t)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -533,6 +534,34 @@ def test_importing_the_cli_builds_no_parser():
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
+
+
+def test_cli_queries_do_not_import_numpy_ma(tmp_path):
+    """The first `np.unique` call of a process imports `numpy.ma`, about
+    15 ms; these queries answer without it.  They run in a fresh
+    interpreter, so that no earlier test has imported it already."""
+    import subprocess
+    import sys
+
+    src = Path(cli.__file__).resolve().parent.parent
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        from cubesym.cli import main
+        for argv in (["param", "dist", "hypercube", "-n", "3"],
+                     ["param", "transitivity", "hypercube", "-n", "5"],
+                     ["param", "cost", "folded", "-n", "4"],
+                     ["param", "dist", "power", "-n", "6", "-k", "2"],
+                     ["param", "dist", "enhanced", "-n", "4", "-k", "2"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv + ["--no-cache"])
+            print(" ".join(argv), code, "numpy.ma" in sys.modules)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src),
+                               "CUBE_SYM_CACHE": str(tmp_path / "cache")}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 5 and all(line.endswith(" 0 False") for line in lines), lines
 
 
 def test_no_cache_computes_on_every_call(capsys, monkeypatch):

@@ -411,7 +411,8 @@ def test_det_set_checks_survive_python_O():
     for AQ_n built from a base-map table with two entries of a row swapped,
     and the d >= 3 dist scan and the class scan when their batched count
     takes a coloring that is not distinguishing (in both of its stages), the
-    class scan's kept-set table when the element table has a second
+    d >= 3 scan past the bitsets' rows when the table test refuses every
+    coloring, the class scan's kept-set table when the element table has a second
     identity row, the class scan's re-check when that table marks no set,
     the column view's action of the row maps when the type list lacks a
     type, the edge-orbit map when a
@@ -655,6 +656,20 @@ def test_det_set_checks_survive_python_O():
                 sys.exit("the d >= 3 scan passed a coloring the batched count took wrongly")
             if main(["param", "dist", "enhanced", "-n", "4", "-k", "2", "--no-cache"]) != 3:
                 sys.exit("param dist enhanced with a three-color count did not exit 3")
+        # K_7's 5,040 rows pass the bitsets' 4,096, so their count is only a
+        # sieve and `_only_identity_keeps` settles what it leaves: a test that
+        # refuses every coloring leaves the scan without a witness
+        with mock.patch.object(symmetry, "_only_identity_keeps", never):
+            try:
+                symmetry._distinguishing_d3(autgroup.structured_group(hamming_graph(7, 1)),
+                                            "structured")
+            except AssertionError as exc:
+                if "an all-distinct coloring distinguishes" not in str(exc):
+                    sys.exit(f"the d >= 3 scan of K_7 failed elsewhere: {exc}")
+            else:
+                sys.exit("the d >= 3 scan of K_7 passed without a distinguishing coloring")
+            if main(["param", "dist", "hamming", "-n", "1", "-m", "7", "--no-cache"]) != 3:
+                sys.exit("param dist hamming -m 7 with a refusing table test did not exit 3")
         # an element table with a second identity row fails the class scan's
         # kept-set table
         q4 = autgroup.structured_group(hypercube(4))

@@ -511,7 +511,7 @@ def test_two_stage_count_matches_preserving_count(data):
         min_size=1, max_size=8)))
     want = [_keeping_rows(grp, c) == 1 for c in batch]
     seed = data.draw(st.integers(0, 3))
-    for bitsets in (symmetry._group_bitsets(grp), _shuffled_bitsets(name, seed)):
+    for bitsets in (_ordered_bitsets(name, "least support"), _shuffled_bitsets(name, seed)):
         assert _kept_by_one_row(bitsets, batch).tolist() == want
 
 
@@ -625,19 +625,52 @@ def test_batched_d3_matches_plain_walk(name):
 @pytest.mark.parametrize("name", ["Q_2", "Q_3", "Q_{3,2}", "Q_{4,2}", "Q_3^2", "FQ_3", "H(2,3)",
                                   "AQ_3"])
 def test_d3_without_room_for_bitsets(name, monkeypatch):
-    """With no room for the row bitsets, dist >= 3 is settled by testing
-    each coloring with `_only_identity_keeps`, and no bitsets are built: the
-    value and witness are the batched path's."""
+    """With room for the row bitsets of fewer rows than the table has
+    (`_BLOCK_ROWS` patched to 6, below the 8 to 2,304 rows of these
+    groups), their count is only a sieve and `_only_identity_keeps` settles
+    what it leaves: the value and witness are those of the exact count, and
+    `_row_bitsets` gets the first 6 rows in `_least_support` order."""
     g = D3_GROUPS[name]()
     want = distinguishing_number(g, automorphism_group(g))
     assert want[0] >= 3
+    grp = automorphism_group(g)
+    built = []
+    real = symmetry._row_bitsets
 
-    def no_bitsets(table):
-        raise AssertionError("row bitsets built above the size bound")
+    def counted(table):
+        built.append(table)
+        return real(table)
 
-    monkeypatch.setattr(symmetry, "_BITSET_BYTES", 0)
-    monkeypatch.setattr(symmetry, "_row_bitsets", no_bitsets)
-    assert distinguishing_number(g, automorphism_group(g)) == want
+    monkeypatch.setattr(symmetry, "_row_bitsets", counted)
+    monkeypatch.setattr(symmetry, "_BLOCK_ROWS", 6)
+    assert _distinguishing_d3(grp, want[1].verified_by) == want
+    assert len(built) == 1 and np.array_equal(built[0], grp.elements()[_least_support(grp)[:6]])
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: hamming_graph(7, 1), id="K_7"),
+    pytest.param(lambda: hamming_graph(8, 1), id="K_8", marks=pytest.mark.oracle_suite),
+    pytest.param(lambda: hypercube_power(3, 3), id="Q_3^3", marks=pytest.mark.oracle_suite),
+])
+def test_d3_sieve_past_its_rows_matches_plain_walk(make, monkeypatch):
+    """On a table of more than `_BLOCK_ROWS` rows the row bitsets hold only
+    its first `_BLOCK_ROWS` rows in `_least_support` order, so their count is
+    a sieve and `_only_identity_keeps` settles what it leaves: the value and
+    witness are the plain walk's, and `_row_bitsets` is never handed more
+    rows (K_7 has 5,040; K_8 and Q_3^3 = K_8, searched, 40,320)."""
+    grp = automorphism_group(make())
+    assert len(grp.elements()) > symmetry._BLOCK_ROWS
+    built = []
+    real = symmetry._row_bitsets
+
+    def counted(table):
+        built.append(len(table))
+        return real(table)
+
+    monkeypatch.setattr(symmetry, "_row_bitsets", counted)
+    value, witness = _distinguishing_d3(grp, "searched")
+    assert built == [symmetry._BLOCK_ROWS]
+    assert (value, witness.payload) == _plain_d3(grp)
 
 
 def _plain_greedy(grp):
@@ -728,9 +761,9 @@ def test_greedy_class_values(make, cls, block_rows, monkeypatch):
     ("Q_{4,2}", lambda: enhanced_hypercube(4, 2), 3, 1),
 ])
 def test_dist_only_identity_keeps_calls(name, make, value, calls, monkeypatch):
-    """Below the bitset bound `_only_identity_keeps` serves dist only as the
-    witness re-check of the d >= 3 scan: dist of H(4,3) (greedy class)
-    calls it never, dist of Q_{4,2} (dist 3) once."""
+    """On a table of at most `_BLOCK_ROWS` rows `_only_identity_keeps`
+    serves dist only as the witness re-check of the d >= 3 scan: dist of
+    H(4,3) (greedy class) calls it never, dist of Q_{4,2} (dist 3) once."""
     made = []
     real = symmetry._only_identity_keeps
 
@@ -744,33 +777,38 @@ def test_dist_only_identity_keeps_calls(name, make, value, calls, monkeypatch):
 
 
 def test_dist_of_k9_settles_each_coloring_in_its_first_chunk(monkeypatch):
-    """dist of K_9 = H(1,9) is 9, with the all-distinct witness.  Its
-    362,880-row table is too large for row bitsets, so the d >= 3 scan
-    tests each coloring with `_only_identity_keeps`.  Every coloring with
-    3-8 colors repeats a color, so a transposition among the first
-    `_SIEVE_ROWS` rows keeps it, and its count stops in its first chunk.
-    K_10 and larger are above the element cap and still exit 2."""
-    chunks = []
-    real_keeps, real_order = symmetry._only_identity_keeps, symmetry._least_support
+    """dist of K_9 = H(1,9) is 9, with the all-distinct witness.  The d >= 3
+    scan builds the row bitsets of only the first `_BLOCK_ROWS` of its
+    362,880 rows.  Every coloring with 3-8 colors repeats a color, so a
+    transposition on word 0 of those bitsets (the first `_SIEVE_ROWS` rows)
+    keeps it, and the word-0 count drops it: only the all-distinct
+    coloring reaches the full width and `_only_identity_keeps`.  K_10 and
+    larger are above the element cap and still exit 2."""
+    built, widths, tested = [], {False: 0, True: 0}, []
+    real_bitsets, real_counts = symmetry._row_bitsets, symmetry._keeping_counts
+    real_keeps = symmetry._only_identity_keeps
 
-    class Order(np.ndarray):
-        def __getitem__(self, key):
-            if isinstance(key, slice):
-                chunks[-1][1] += 1
-            return super().__getitem__(key)
+    def bitsets(table):
+        built.append(len(table))
+        return real_bitsets(table)
 
-    def counted(grp, colors):
-        chunks.append([len(set(colors.tolist())), 0])
+    def counts(bitsets, colors):
+        widths[bitsets.shape[3] > 1] += len(colors)
+        return real_counts(bitsets, colors)
+
+    def keeps(grp, colors):
+        tested.append(colors.tolist())
         return real_keeps(grp, colors)
 
-    monkeypatch.setattr(symmetry, "_only_identity_keeps", counted)
-    monkeypatch.setattr(symmetry, "_least_support", lambda grp: real_order(grp).view(Order))
+    monkeypatch.setattr(symmetry, "_row_bitsets", bitsets)
+    monkeypatch.setattr(symmetry, "_keeping_counts", counts)
+    monkeypatch.setattr(symmetry, "_only_identity_keeps", keeps)
     report = compute_parameter(hamming_graph(9, 1), "dist")
     assert (report["value"], report["witness"]["payload"]) == (9, list(range(1, 10)))
-    below = [n_chunks for used, n_chunks in chunks if 3 <= used <= 8]
-    # the restricted-growth colorings of 9 vertices with 3-8 colors: S(9, 3..8)
-    assert len(below) == 3025 + 7770 + 6951 + 2646 + 462 + 36
-    assert set(below) == {1}
+    assert built == [symmetry._BLOCK_ROWS]
+    # the restricted-growth colorings of 9 vertices with 3-9 colors: S(9, 3..9)
+    assert widths == {False: 3025 + 7770 + 6951 + 2646 + 462 + 36 + 1, True: 1}
+    assert tested == [list(range(9))]
     with pytest.raises(SearchBudgetExceeded):
         compute_parameter(hamming_graph(10, 1), "dist")
 
@@ -821,20 +859,23 @@ def test_class_scan_setwise_calls(name, make, value, calls, monkeypatch):
     it: once for cost of FQ_4, and never for dist of Q_{4,2}, which has no
     class.  On more vertices the search starts at the column view's floor,
     5 for Q_5 and H(4,4), and tests each of its leaves: 40 for Q_5 and 66
-    for H(4,4), against 244 and 3,138 from size 1.  The row bitsets play no
-    part, so the count holds without room for them."""
-    made = []
-    real = symmetry._setwise_trivial
+    for H(4,4), against 244 and 3,138 from size 1.  The cost scans build no
+    row bitsets, which only the d >= 3 scan of dist reads."""
+    made, built = [], []
+    real, real_bitsets = symmetry._setwise_trivial, symmetry._row_bitsets
 
     def counted(grp, cls):
         made.append(1)
         return real(grp, cls)
 
+    def bitsets(table):
+        built.append(1)
+        return real_bitsets(table)
+
     monkeypatch.setattr(symmetry, "_setwise_trivial", counted)
+    monkeypatch.setattr(symmetry, "_row_bitsets", bitsets)
     assert (make()["value"], len(made)) == (value, calls)
-    made.clear()
-    monkeypatch.setattr(symmetry, "_BITSET_BYTES", 0)
-    assert (make()["value"], len(made)) == (value, calls)
+    assert bool(built) == name.startswith("dist")
 
 
 @pytest.mark.parametrize("name, make, word0, full_width", [
@@ -869,11 +910,15 @@ def test_class_scan_reads_the_kept_set_table(monkeypatch):
         searches.append(1)
         return real(*args)
 
+    def no_bitsets(table):
+        raise AssertionError("the class scan built row bitsets")
+
     monkeypatch.setattr(symmetry, "_determining_leaves", counted)
-    grp = automorphism_group(folded_hypercube(4))
-    assert symmetry.cost_2dist(grp.graph, grp)[0] == 8
-    assert grp._bitsets is None
-    assert compute_parameter(folded_hypercube(4), "cost")["value"] == 8
+    with monkeypatch.context() as patched:
+        patched.setattr(symmetry, "_row_bitsets", no_bitsets)
+        grp = automorphism_group(folded_hypercube(4))
+        assert symmetry.cost_2dist(grp.graph, grp)[0] == 8
+        assert compute_parameter(folded_hypercube(4), "cost")["value"] == 8
     assert compute_parameter(enhanced_hypercube(4, 2), "dist")["value"] == 3
     assert searches == []
     assert compute_parameter(folded_hypercube(4), "det")["value"] == 4
