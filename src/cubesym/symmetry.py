@@ -232,8 +232,8 @@ def two_class_is_distinguishing(g: Graph, grp: PermGroup, cls) -> bool:
     return is_asymmetric(induced_subgraph(g, cls))
 
 
-# The rows in the first chunk that `_only_identity_keeps` reads, as many as
-# the batched counts try first: one uint64 word of row bitsets.
+# The rows in the first chunk that `_only_identity_keeps` reads, which the
+# d >= 3 scan also sieves its colorings on.
 _SIEVE_ROWS = 64
 
 
@@ -292,16 +292,15 @@ def _least_class(grp: PermGroup) -> tuple[int, ...] | None:
 
     Such a class is determining, since an element fixing it pointwise maps
     it onto itself.  On at most `_EXHAUSTIVE_2_LIMIT` vertices the class is
-    read from `_kept_sets`, unless the determining test's bound cuts every
-    size up to half the vertices at its first vertex (as on K_m for
-    m >= 3), which leaves the search no set to visit: with vertex v
-    at bit V-1-v, the lex order of the sorted k-sets is the descending
-    order of their masks, so the class is the largest unmarked mask of the
-    least size that has one; it is re-checked by `_setwise_trivial`.  On
-    more vertices the determining search, from the size `_column_floor`
-    leaves open, tests each of its leaves by `_setwise_trivial`, so it
-    visits every such class of those sizes in lex order, and setwise
-    triviality is kept under conjugation, as its anchoring needs."""
+    read from `_kept_sets`, unless `_root_bound_rules_out_classes`: with
+    vertex v at bit V-1-v, the lex order of the sorted k-sets is the
+    descending order of their masks, so the class is the largest unmarked
+    mask of the least size that has one; it is re-checked by
+    `_setwise_trivial`.  On more vertices the determining search, from the
+    size `_column_floor` leaves open, tests each of its leaves by
+    `_setwise_trivial`, so it visits every such class of those sizes in lex
+    order, and setwise triviality is kept under conjugation, as its
+    anchoring needs."""
     nv = grp.n_vertices
     if nv > _EXHAUSTIVE_2_LIMIT:
         floor = _column_floor(grp)
@@ -309,9 +308,7 @@ def _least_class(grp: PermGroup) -> tuple[int, ...] | None:
             return None
         return _least_determining(grp, range(floor, nv // 2 + 1),
                                   lambda cls: _setwise_trivial(grp, cls))
-    test = determining_test(grp)
-    start = test.det_start()
-    if min(test.det_need(test.det_add(start, v)) for v in range(nv)) >= nv // 2:
+    if _root_bound_rules_out_classes(grp):
         return None
     sizes = np.bitwise_count(np.arange(1 << nv))
     free = ~_kept_sets(grp.elements()) & (sizes >= 1) & (sizes <= nv // 2)
@@ -323,6 +320,17 @@ def _least_class(grp: PermGroup) -> tuple[int, ...] | None:
         raise AssertionError(f"the kept-set table left a class whose setwise stabilizer "
                              f"is not trivial: {cls}")
     return cls
+
+
+def _root_bound_rules_out_classes(grp: PermGroup) -> bool:
+    """Whether the determining test's bound, after any one vertex, already
+    needs half the vertices more (as on K_m for m >= 3).  Then no class
+    has a trivial setwise stabilizer: such a class is determining, so it
+    and its complement, which has the same setwise stabilizer, would both
+    have more than half the vertices."""
+    test = determining_test(grp)
+    start, nv = test.det_start(), grp.n_vertices
+    return min(test.det_need(test.det_add(start, v)) for v in range(nv)) >= nv // 2
 
 
 def _kept_sets(table: np.ndarray) -> np.ndarray:
@@ -476,7 +484,8 @@ def distinguishing_number(g: Graph, grp: PermGroup,
     the family witness constructions); each is verified before use, by the
     sound test and then by its setwise stabilizer.  Then, on an enumerable
     group, the greedy class, and for at most `_EXHAUSTIVE_2_LIMIT` vertices
-    the exact class scan and d >= 3.
+    the exact class scan and d >= 3; there the greedy and the class scan
+    are skipped when `_root_bound_rules_out_classes`.
     """
     nv = g.n_vertices
     tag = _verified_tag(grp)
@@ -493,6 +502,8 @@ def distinguishing_number(g: Graph, grp: PermGroup,
         for cand in class_candidates:
             if _setwise_trivial(grp, cand):
                 return two(cand)
+        if nv <= _EXHAUSTIVE_2_LIMIT and _root_bound_rules_out_classes(grp):
+            return _distinguishing_d3(grp, tag)
         cls = _greedy_two_class(grp)
     except SearchBudgetExceeded:
         raise SearchBudgetExceeded(
@@ -509,10 +520,9 @@ def distinguishing_number(g: Graph, grp: PermGroup,
     return _distinguishing_d3(grp, tag)
 
 
-# Colorings counted per batch of the d >= 3 scan and table rows read per
-# chunk by `_only_identity_keeps`, `_kept_sets`, the greedy counts and the
-# d >= 3 scan's row bitsets; and the bytes of one gather of row bitsets or
-# one chunk of `_kept_sets` unions.
+# Colorings per block of the d >= 3 scan and table rows read per chunk by
+# `_only_identity_keeps`, `_kept_sets` and the greedy counts; and the bytes
+# of one chunk of `_kept_sets` unions.
 _BLOCK_ROWS = 4096
 _BLOCK_BYTES = 1 << 21
 
@@ -521,96 +531,26 @@ def _distinguishing_d3(grp: PermGroup, tag: str) -> tuple[int, Witness]:
     """dist >= 3 established; the least d and the first distinguishing
     coloring in restricted-growth order that uses all d colors.
 
-    Each batch is counted by `_kept_by_one_row` on the row bitsets of the
-    first `_BLOCK_ROWS` rows in `_least_support` order (word 0 first, the
-    full width for the colorings it leaves), and the colorings it takes are
-    tested in order by `_only_identity_keeps`; the first that test takes is
-    the witness.  When the table has at most `_BLOCK_ROWS` rows the count is
-    exact, and a coloring it takes that the test refuses raises
-    AssertionError; otherwise the count is only a sieve."""
-    nv, table = grp.n_vertices, grp.elements()
-    bitsets = _row_bitsets(table[_least_support(grp)[:_BLOCK_ROWS]])
-    exact = len(table) <= _BLOCK_ROWS
-    max_rows = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // bitsets[0, :, 0].nbytes))
+    Each block of colorings is sieved, one row at a time, on the
+    non-identity rows among the first `_SIEVE_ROWS` in `_least_support`
+    order (the identity is row 0), until the block is empty.
+    A coloring that a non-identity row keeps is not distinguishing, so the
+    sieve drops no distinguishing coloring and keeps the order; the
+    colorings it leaves are tested in order by `_only_identity_keeps`, and
+    the first that test takes is the witness."""
+    nv = grp.n_vertices
+    sieve = grp.elements()[_least_support(grp)[1:_SIEVE_ROWS]]
     for d in range(3, nv + 1):
-        for block in _rgs_blocks(nv, d, max_rows):
+        for block in _rgs_blocks(nv, d, _BLOCK_ROWS):
             block = block[block.max(axis=1) == d - 1]
-            for i in np.flatnonzero(_kept_by_one_row(bitsets, block)).tolist():
-                if _only_identity_keeps(grp, block[i]):
-                    return d, Witness(DIST_COLORING, tuple(int(c) + 1 for c in block[i]), tag)
-                if exact:
-                    raise AssertionError(f"the batched count took a coloring that is not "
-                                         f"distinguishing: {block[i].tolist()}")
+            for row in sieve:
+                if not len(block):
+                    break
+                block = block[(block[:, row] != block).any(axis=1)]
+            for colors in block:
+                if _only_identity_keeps(grp, colors):
+                    return d, Witness(DIST_COLORING, tuple(int(c) + 1 for c in colors), tag)
     raise AssertionError("an all-distinct coloring distinguishes")
-
-
-def _row_bitsets(table: np.ndarray) -> np.ndarray:
-    """`out[v, b, x]`: the bitset, in uint64 words, of the table rows g with
-    g(v) among the vertices 8b + i for the bits i of the byte x.
-
-    For V vertices and R rows that is V * ceil(V/8) * 256 * ceil(R/64)
-    words, built in 8 doubling steps: the byte values from 2^i up to
-    2^(i+1) - 1 are those below 2^i with bit i added."""
-    n_rows, nv = table.shape
-    n_bytes, words = -(-nv // 8), -(-n_rows // 64)
-    hits = np.zeros((nv, n_bytes * 8, words * 64), dtype=bool)
-    hits[np.arange(nv)[None, :], table, np.arange(n_rows)[:, None]] = True
-    single = np.packbits(hits, axis=2, bitorder="little").view(np.uint64)
-    single = single.reshape(nv, n_bytes, 8, words)
-    out = np.zeros((nv, n_bytes, 256, words), dtype=np.uint64)
-    for i in range(8):
-        np.bitwise_or(out[:, :, :1 << i], single[:, :, i, None], out=out[:, :, 1 << i:2 << i])
-    return out
-
-
-def _kept_by_one_row(bitsets: np.ndarray, colors: np.ndarray) -> np.ndarray:
-    """Whether exactly one row of the bitsets' table keeps each coloring, a
-    row of `colors`.  The rows must include the identity, which keeps every
-    coloring.
-
-    The count on word 0 of the bitsets comes first and drops every coloring
-    that two or more of its rows keep; the full `_keeping_counts` runs only
-    on the colorings that are left.  Built in `_least_support` order, word 0
-    holds the rows that move the fewest vertices, which keep the most
-    colorings.  A coloring is left when word 0 counts at most one row, not
-    exactly one, so the verdict does not depend on the row order; the order
-    buys only speed.  When the rows are only part of the element table, a
-    coloring that two of them keep is not distinguishing, so the count drops
-    no distinguishing coloring: it is a sieve."""
-    counts = _keeping_counts(bitsets[..., :1], colors)
-    if bitsets.shape[3] == 1:
-        return counts == 1
-    left = np.flatnonzero(counts <= 1)
-    alone = np.zeros(len(colors), dtype=bool)
-    if len(left):
-        alone[left] = _keeping_counts(bitsets, colors[left]) == 1
-    return alone
-
-
-def _keeping_counts(bitsets: np.ndarray, colors: np.ndarray) -> np.ndarray:
-    """The number of table rows that keep each coloring, a row of `colors`
-    with colors 0, 1, ...
-
-    A row g keeps a coloring iff g(v) lies in v's color class for every v.
-    One `packbits` gives the mask bytes of every class of a chunk of
-    colorings; each vertex picks those of its own class, and one gather of
-    their bitsets, at most `_BLOCK_BYTES`, is OR-ed over the bytes and
-    AND-ed over the vertices."""
-    nv, n_bytes, _, words = bitsets.shape
-    flat = bitsets.reshape(-1, words)
-    # the first row of v's bitsets at byte b, in `flat`
-    base = (np.arange(nv)[:, None] * n_bytes + np.arange(n_bytes)) * 256
-    chunk = max(1, _BLOCK_BYTES // (nv * n_bytes * words * 8))
-    counts = np.empty(len(colors), dtype=np.intp)
-    for start in range(0, len(colors), chunk):
-        part = colors[start:start + chunk]
-        palette = np.arange(int(part.max()) + 1)
-        class_bytes = np.packbits(part[:, None, :] == palette[:, None], axis=2,
-                                  bitorder="little")
-        own = class_bytes[np.arange(len(part))[:, None], part]
-        keep = np.bitwise_and.reduce(np.bitwise_or.reduce(flat[base + own], axis=2), axis=1)
-        counts[start:start + len(part)] = np.bitwise_count(keep).sum(axis=1)
-    return counts
 
 
 def _rgs_blocks(n: int, d: int, max_rows: int):

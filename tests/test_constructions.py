@@ -409,13 +409,11 @@ def test_det_set_checks_survive_python_O():
     repeated zero-fixing rows or repeated permutations, a structured group
     whose batched generator check fails, for Q_n, for a Hamming graph and
     for AQ_n built from a base-map table with two entries of a row swapped,
-    and the d >= 3 dist scan and the class scan when their batched count
-    takes a coloring that is not distinguishing (in both of its stages), the
-    d >= 3 scan past the bitsets' rows when the table test refuses every
-    coloring, the class scan's kept-set table when the element table has a second
-    identity row, the class scan's re-check when that table marks no set,
-    the column view's action of the row maps when the type list lacks a
-    type, the edge-orbit map when a
+    the d >= 3 dist scan of Q_3 and of K_7 when the table test refuses
+    every coloring, the class scan's kept-set table when the element table
+    has a second identity row, the class scan's re-check when that table
+    marks no set, the column view's action of the row maps when the type
+    list lacks a type, the edge-orbit map when a
     generator maps an edge to a pair that is not an edge, and the setwise
     test of the cube and Hamming models when the images of the set under
     the element of a row map it finds move no vertex of it, leave it, or
@@ -618,47 +616,22 @@ def test_det_set_checks_survive_python_O():
                 except AssertionError:
                     continue
             sys.exit(f"the permutation table passed {stand_in.__name__}")
-        # a batched count that takes every coloring fails the witness
-        # re-check of the d >= 3 scan
-        with mock.patch.object(symmetry, "_keeping_counts",
-                               lambda bitsets, colors: np.ones(len(colors), dtype=np.int64)):
+        # a table test that refuses every coloring leaves the d >= 3 scan of
+        # Q_3, whose class scan finds no class, without a witness once it has
+        # walked its 4,140 restricted-growth colorings
+        with mock.patch.object(symmetry, "_only_identity_keeps", never):
             try:
                 symmetry.distinguishing_number(hypercube(3), autgroup.structured_group(hypercube(3)))
-            except AssertionError:
-                pass
-            else:
-                sys.exit("distinguishing_number passed a coloring the batched count took wrongly")
-            if main(["param", "dist", "hypercube", "-n", "3", "--no-cache"]) != 3:
-                sys.exit("param dist hypercube with a broken batched count did not exit 3")
-            if main(["param", "dist", "enhanced", "-n", "4", "-k", "2", "--no-cache"]) != 3:
-                sys.exit("param dist enhanced with a broken batched count did not exit 3")
-        # a batched count that takes only the colorings of three or more
-        # colors passes both stages of the d >= 3 scan of Q_{4,2}, whose
-        # class scan finds no class; the witness re-check by
-        # `_only_identity_keeps` fails
-        real_counts, real_keeps = symmetry._keeping_counts, symmetry._only_identity_keeps
-        verdicts = []
-
-        def recorded(grp, colors):
-            verdicts.append(real_keeps(grp, colors))
-            return verdicts[-1]
-
-        with mock.patch.object(symmetry, "_keeping_counts", lambda bitsets, colors: np.where(
-                colors.max(axis=1) >= 2, 1, real_counts(bitsets, colors))), \
-                mock.patch.object(symmetry, "_only_identity_keeps", recorded):
-            q42 = autgroup.structured_group(enhanced_hypercube(4, 2))
-            try:
-                symmetry._distinguishing_d3(q42, "structured")
             except AssertionError as exc:
-                if "not distinguishing" not in str(exc) or verdicts != [False]:
-                    sys.exit(f"the d >= 3 scan of Q_{{4,2}} failed elsewhere: {exc}")
+                if "an all-distinct coloring distinguishes" not in str(exc):
+                    sys.exit(f"the d >= 3 scan of Q_3 failed elsewhere: {exc}")
             else:
-                sys.exit("the d >= 3 scan passed a coloring the batched count took wrongly")
-            if main(["param", "dist", "enhanced", "-n", "4", "-k", "2", "--no-cache"]) != 3:
-                sys.exit("param dist enhanced with a three-color count did not exit 3")
-        # K_7's 5,040 rows pass the bitsets' 4,096, so their count is only a
-        # sieve and `_only_identity_keeps` settles what it leaves: a test that
-        # refuses every coloring leaves the scan without a witness
+                sys.exit("the d >= 3 scan of Q_3 passed without a distinguishing coloring")
+            if main(["param", "dist", "hypercube", "-n", "3", "--no-cache"]) != 3:
+                sys.exit("param dist hypercube with a refusing table test did not exit 3")
+        # K_7's 5,040 rows pass the sieve's rows, and `_only_identity_keeps`
+        # settles what the sieve leaves: a test that refuses every coloring
+        # leaves the scan without a witness
         with mock.patch.object(symmetry, "_only_identity_keeps", never):
             try:
                 symmetry._distinguishing_d3(autgroup.structured_group(hamming_graph(7, 1)),

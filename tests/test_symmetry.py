@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import row_set
@@ -40,13 +40,10 @@ from cubesym.symmetry import (
     _distinguishing_d3,
     _extension_counts,
     _greedy_two_class,
-    _keeping_counts,
-    _kept_by_one_row,
     _least_support,
     _only_identity_keeps,
     _rgs_blocks,
     _rgs_partitions,
-    _row_bitsets,
     _setwise_trivial,
     cost_2dist,
     determining_lower_bound_exhaustive,
@@ -416,105 +413,6 @@ def test_two_colorings_are_settled_by_the_setwise_test(make):
     assert grp._elements is None
 
 
-@lru_cache(maxsize=None)
-def _ordered_table(name, order):
-    """The element table of a `COUNT_GROUPS` group in table order, in
-    `_least_support` order or shuffled."""
-    grp = _count_group(name)
-    table = grp.elements()
-    if order == "least support":
-        return table[_least_support(grp)]
-    if order == "shuffled":
-        return table[np.random.default_rng(0).permutation(len(table))]
-    return table
-
-
-@lru_cache(maxsize=None)
-def _ordered_bitsets(name, order):
-    return _row_bitsets(_ordered_table(name, order))
-
-
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_batched_count_matches_preserving_count(data):
-    """The row-bitset count of a batch of colorings equals the rows of the
-    table that keep each (`_keeping_rows`), on every group of
-    `COUNT_GROUPS`, and on word 0 alone the count of the first 64 rows that
-    keep it: for 1-5 colors, int8 and intp arrays,
-    bitsets in table order, in `_least_support` order and shuffled, and
-    gathers of one, two or three colorings at a time as well as of
-    `_BLOCK_BYTES`, so that one call spans several chunks."""
-    name = data.draw(st.sampled_from(sorted(COUNT_GROUPS)))
-    grp = _count_group(name)
-    nv, d = grp.n_vertices, data.draw(st.integers(1, 5))
-    batch = np.array(data.draw(st.lists(
-        st.lists(st.integers(0, d - 1), min_size=nv, max_size=nv), min_size=1, max_size=8)),
-        dtype=data.draw(st.sampled_from([np.int8, np.intp])))
-    order = data.draw(st.sampled_from(["table", "least support", "shuffled"]))
-    rows, bitsets = _ordered_table(name, order), _ordered_bitsets(name, order)
-    if data.draw(st.booleans()):
-        want = [_keeping_rows(grp, colors) for colors in batch]
-    else:
-        rows, bitsets = rows[:64], bitsets[..., :1]
-        want = [int((colors[rows] == colors).all(axis=1).sum()) for colors in batch]
-    chunk = data.draw(st.sampled_from([1, 2, 3, None]))
-    # one coloring gathers one word per vertex and byte: bitsets.nbytes / 256
-    block = symmetry._BLOCK_BYTES if chunk is None else chunk * bitsets.nbytes // 256
-    with mock.patch.object(symmetry, "_BLOCK_BYTES", block):
-        assert _keeping_counts(bitsets, batch).tolist() == want
-
-
-def _plain_row_bitsets(table):
-    """The reference row bitsets: each byte value's bitset on its own, from
-    the rows that send the vertex to one of the vertices its bits name."""
-    n_rows, nv = table.shape
-    n_bytes, words = -(-nv // 8), -(-n_rows // 64)
-    out = np.zeros((nv, n_bytes, 256, words), dtype=np.uint64)
-    hits = np.zeros((nv, words * 64), dtype=bool)
-    for b in range(n_bytes):
-        for x in range(256):
-            hits[:, :n_rows] = np.isin(table, [8 * b + i for i in range(8) if x >> i & 1]).T
-            out[:, b, x] = np.packbits(hits, axis=1, bitorder="little").view(np.uint64)
-    return out
-
-
-@pytest.mark.parametrize("order", ["table", "shuffled"])
-@pytest.mark.parametrize("name", sorted(COUNT_GROUPS))
-def test_row_bitsets_match_plain_bitsets(name, order):
-    table = _ordered_table(name, order)
-    assert np.array_equal(_ordered_bitsets(name, order), _plain_row_bitsets(table))
-
-
-@lru_cache(maxsize=None)
-def _shuffled_bitsets(name, seed):
-    table = _count_group(name).elements()
-    return _row_bitsets(table[np.random.default_rng(seed).permutation(len(table))])
-
-
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_two_stage_count_matches_preserving_count(data):
-    """The word-0 sieve and then the full count take a coloring exactly when
-    one element keeps it, on every group of `COUNT_GROUPS`, with the bitsets
-    built in `_least_support` order and in a shuffled order, whose word 0
-    need not hold the identity."""
-    name = data.draw(st.sampled_from(sorted(COUNT_GROUPS)))
-    grp = _count_group(name)
-    nv, d = grp.n_vertices, data.draw(st.integers(1, 5))
-    colors = st.integers(0, d - 1)
-    # a few recolored vertices leave colorings that many elements keep
-    recolored = st.tuples(colors, st.lists(st.tuples(st.integers(0, nv - 1), colors),
-                                           max_size=4)).map(
-        lambda base: [dict(base[1]).get(v, base[0]) for v in range(nv)])
-    batch = np.array(data.draw(st.lists(
-        st.one_of(st.lists(colors, min_size=nv, max_size=nv), recolored),
-        min_size=1, max_size=8)))
-    want = [_keeping_rows(grp, c) == 1 for c in batch]
-    seed = data.draw(st.integers(0, 3))
-    for bitsets in (_ordered_bitsets(name, "least support"), _shuffled_bitsets(name, seed)):
-        assert _kept_by_one_row(bitsets, batch).tolist() == want
-
-
 @pytest.mark.parametrize("name", sorted(COUNT_GROUPS))
 def test_least_support_order(name):
     """The rows by the vertices they move, identity first, in a stable sort."""
@@ -622,29 +520,42 @@ def test_batched_d3_matches_plain_walk(name):
     assert (value, witness.payload) == _plain_d3(grp)
 
 
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_d3_matches_plain_walk_on_random_graphs(data):
+    """Random graphs of 3-8 vertices with a non-trivial searched group: the
+    least d >= 3 and the first coloring are the plain walk's, with the
+    sieve on its default `_SIEVE_ROWS` rows and on 2 (one non-identity
+    row)."""
+    n = data.draw(st.integers(3, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [p for p, keep in zip(pairs, data.draw(
+        st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep]
+    grp = search_automorphisms(graph_from_edges(n, edges))
+    # the plain walk reads the whole table for every coloring; S_8 and
+    # S_7 x S_1 would have it read 40,320 or 5,040 rows thousands of times
+    assume(not grp.is_trivial() and grp.order() <= 1152)
+    want = _plain_d3(grp)
+    sieve_rows = data.draw(st.sampled_from([symmetry._SIEVE_ROWS, 2]))
+    with mock.patch.object(symmetry, "_SIEVE_ROWS", sieve_rows):
+        value, witness = _distinguishing_d3(grp, "searched")
+    assert (value, witness.payload) == want
+
+
 @pytest.mark.parametrize("name", ["Q_2", "Q_3", "Q_{3,2}", "Q_{4,2}", "Q_3^2", "FQ_3", "H(2,3)",
                                   "AQ_3"])
 def test_d3_without_room_for_bitsets(name, monkeypatch):
-    """With room for the row bitsets of fewer rows than the table has
-    (`_BLOCK_ROWS` patched to 6, below the 8 to 2,304 rows of these
-    groups), their count is only a sieve and `_only_identity_keeps` settles
-    what it leaves: the value and witness are those of the exact count, and
-    `_row_bitsets` gets the first 6 rows in `_least_support` order."""
+    """The sieve's size changes no answer: with `_SIEVE_ROWS` patched to 1,
+    which leaves no sieve row, so that `_only_identity_keeps` tests every
+    coloring, and to 6, the value and witness are those of the default
+    sieve."""
     g = D3_GROUPS[name]()
     want = distinguishing_number(g, automorphism_group(g))
     assert want[0] >= 3
     grp = automorphism_group(g)
-    built = []
-    real = symmetry._row_bitsets
-
-    def counted(table):
-        built.append(table)
-        return real(table)
-
-    monkeypatch.setattr(symmetry, "_row_bitsets", counted)
-    monkeypatch.setattr(symmetry, "_BLOCK_ROWS", 6)
-    assert _distinguishing_d3(grp, want[1].verified_by) == want
-    assert len(built) == 1 and np.array_equal(built[0], grp.elements()[_least_support(grp)[:6]])
+    for sieve_rows in (1, 6):
+        monkeypatch.setattr(symmetry, "_SIEVE_ROWS", sieve_rows)
+        assert _distinguishing_d3(grp, want[1].verified_by) == want
 
 
 @pytest.mark.parametrize("make", [
@@ -652,24 +563,14 @@ def test_d3_without_room_for_bitsets(name, monkeypatch):
     pytest.param(lambda: hamming_graph(8, 1), id="K_8", marks=pytest.mark.oracle_suite),
     pytest.param(lambda: hypercube_power(3, 3), id="Q_3^3", marks=pytest.mark.oracle_suite),
 ])
-def test_d3_sieve_past_its_rows_matches_plain_walk(make, monkeypatch):
-    """On a table of more than `_BLOCK_ROWS` rows the row bitsets hold only
-    its first `_BLOCK_ROWS` rows in `_least_support` order, so their count is
-    a sieve and `_only_identity_keeps` settles what it leaves: the value and
-    witness are the plain walk's, and `_row_bitsets` is never handed more
-    rows (K_7 has 5,040; K_8 and Q_3^3 = K_8, searched, 40,320)."""
+def test_d3_sieve_past_its_rows_matches_plain_walk(make):
+    """On a table of more than `_BLOCK_ROWS` rows, whose first
+    `_SIEVE_ROWS` least-support rows are the only ones the sieve reads, the
+    value and witness are the plain walk's (K_7 has 5,040 rows; K_8 and
+    Q_3^3 = K_8, searched, 40,320)."""
     grp = automorphism_group(make())
     assert len(grp.elements()) > symmetry._BLOCK_ROWS
-    built = []
-    real = symmetry._row_bitsets
-
-    def counted(table):
-        built.append(len(table))
-        return real(table)
-
-    monkeypatch.setattr(symmetry, "_row_bitsets", counted)
     value, witness = _distinguishing_d3(grp, "searched")
-    assert built == [symmetry._BLOCK_ROWS]
     assert (value, witness.payload) == _plain_d3(grp)
 
 
@@ -758,12 +659,12 @@ def test_greedy_class_values(make, cls, block_rows, monkeypatch):
 
 @pytest.mark.parametrize("name, make, value, calls", [
     ("H(4,3)", lambda: hamming_graph(3, 4), 2, 0),
-    ("Q_{4,2}", lambda: enhanced_hypercube(4, 2), 3, 1),
+    ("Q_{4,2}", lambda: enhanced_hypercube(4, 2), 3, 2),
 ])
 def test_dist_only_identity_keeps_calls(name, make, value, calls, monkeypatch):
-    """On a table of at most `_BLOCK_ROWS` rows `_only_identity_keeps`
-    serves dist only as the witness re-check of the d >= 3 scan: dist of
-    H(4,3) (greedy class) calls it never, dist of Q_{4,2} (dist 3) once."""
+    """`_only_identity_keeps` serves dist only as the test of the colorings
+    that the d >= 3 scan's sieve leaves: dist of H(4,3) (greedy class)
+    calls it never, dist of Q_{4,2} (dist 3) twice."""
     made = []
     real = symmetry._only_identity_keeps
 
@@ -776,41 +677,73 @@ def test_dist_only_identity_keeps_calls(name, make, value, calls, monkeypatch):
     assert (report["value"], len(made)) == (value, calls)
 
 
-def test_dist_of_k9_settles_each_coloring_in_its_first_chunk(monkeypatch):
-    """dist of K_9 = H(1,9) is 9, with the all-distinct witness.  The d >= 3
-    scan builds the row bitsets of only the first `_BLOCK_ROWS` of its
-    362,880 rows.  Every coloring with 3-8 colors repeats a color, so a
-    transposition on word 0 of those bitsets (the first `_SIEVE_ROWS` rows)
-    keeps it, and the word-0 count drops it: only the all-distinct
-    coloring reaches the full width and `_only_identity_keeps`.  K_10 and
-    larger are above the element cap and still exit 2."""
-    built, widths, tested = [], {False: 0, True: 0}, []
-    real_bitsets, real_counts = symmetry._row_bitsets, symmetry._keeping_counts
+def _count_d3_work(monkeypatch) -> dict[str, int]:
+    """Patch the d >= 3 scan to count the colorings that enter its sieve
+    (those of each block that use all d colors) and those it hands to
+    `_only_identity_keeps`."""
+    work = {"sieved": 0, "tested": 0}
+    scanning = []
+    real_d3, real_blocks = symmetry._distinguishing_d3, symmetry._rgs_blocks
     real_keeps = symmetry._only_identity_keeps
 
-    def bitsets(table):
-        built.append(len(table))
-        return real_bitsets(table)
+    def d3(grp, tag):
+        scanning.append(True)
+        return real_d3(grp, tag)
 
-    def counts(bitsets, colors):
-        widths[bitsets.shape[3] > 1] += len(colors)
-        return real_counts(bitsets, colors)
+    def blocks(n, d, max_rows):
+        for block in real_blocks(n, d, max_rows):
+            work["sieved"] += int(np.count_nonzero(block.max(axis=1) == d - 1))
+            yield block
 
     def keeps(grp, colors):
-        tested.append(colors.tolist())
+        work["tested"] += bool(scanning)
         return real_keeps(grp, colors)
 
-    monkeypatch.setattr(symmetry, "_row_bitsets", bitsets)
-    monkeypatch.setattr(symmetry, "_keeping_counts", counts)
+    monkeypatch.setattr(symmetry, "_distinguishing_d3", d3)
+    monkeypatch.setattr(symmetry, "_rgs_blocks", blocks)
     monkeypatch.setattr(symmetry, "_only_identity_keeps", keeps)
+    return work
+
+
+def test_dist_of_k9_settles_each_coloring_in_its_first_chunk(monkeypatch):
+    """dist of K_9 = H(1,9) is 9, with the all-distinct witness.  Every
+    coloring with 3-8 colors repeats a color, so a transposition among the
+    first `_SIEVE_ROWS` least-support rows keeps it, and the sieve drops
+    it: of the 20,891 colorings that enter the sieve only the all-distinct
+    one reaches `_only_identity_keeps`.  K_10 and larger are above the
+    element cap and still exit 2."""
+    work = _count_d3_work(monkeypatch)
     report = compute_parameter(hamming_graph(9, 1), "dist")
     assert (report["value"], report["witness"]["payload"]) == (9, list(range(1, 10)))
-    assert built == [symmetry._BLOCK_ROWS]
     # the restricted-growth colorings of 9 vertices with 3-9 colors: S(9, 3..9)
-    assert widths == {False: 3025 + 7770 + 6951 + 2646 + 462 + 36 + 1, True: 1}
-    assert tested == [list(range(9))]
+    assert work == {"sieved": 3025 + 7770 + 6951 + 2646 + 462 + 36 + 1, "tested": 1}
     with pytest.raises(SearchBudgetExceeded):
         compute_parameter(hamming_graph(10, 1), "dist")
+
+
+def test_dist_asks_the_greedy_only_when_the_root_bound_leaves_a_class(monkeypatch):
+    """On K_9 the Hamming model's determining bound after one vertex needs
+    half the vertices, so no class exists and dist goes straight to the
+    d >= 3 scan without the greedy class; H(4,3), with more than 16
+    vertices, still takes the greedy class."""
+    real = symmetry._greedy_two_class
+    greedy = []
+
+    def refused(grp):
+        raise AssertionError("dist of K_9 asked for the greedy class")
+
+    monkeypatch.setattr(symmetry, "_greedy_two_class", refused)
+    report = compute_parameter(hamming_graph(9, 1), "dist")
+    assert (report["value"], report["witness"]["payload"]) == (9, list(range(1, 10)))
+
+    def counted(grp):
+        greedy.append(real(grp))
+        return greedy[-1]
+
+    monkeypatch.setattr(symmetry, "_greedy_two_class", counted)
+    report = compute_parameter(hamming_graph(3, 4), "dist")
+    assert report["value"] == 2 and len(greedy) == 1 and greedy[0] is not None
+    assert [c for c, v in enumerate(report["witness"]["payload"]) if v == 2] == list(greedy[0])
 
 
 @pytest.mark.parametrize("m", [3, 9, 10, 16])
@@ -827,26 +760,6 @@ def test_cost_of_complete_graphs_builds_no_element_table(m):
     assert grp._elements is None
 
 
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_block_count_matches_setwise_stabilizer(data):
-    """A block of classes, counted as 2-colorings on the row bitsets, gets
-    the order of each class's setwise stabilizer, on every group of
-    `COUNT_GROUPS`."""
-    name = data.draw(st.sampled_from(sorted(COUNT_GROUPS)))
-    grp = _count_group(name)
-    nv = grp.n_vertices
-    size = data.draw(st.integers(1, nv // 2))
-    block = data.draw(st.lists(st.lists(st.integers(0, nv - 1), unique=True, min_size=size,
-                                        max_size=size).map(sorted).map(tuple),
-                               min_size=1, max_size=8))
-    colors = np.zeros((len(block), nv), dtype=np.int8)
-    for i, cls in enumerate(block):
-        colors[i, list(cls)] = 1
-    orders = [setwise_stabilizer(grp, cls).order() for cls in block]
-    assert _keeping_counts(_ordered_bitsets(name, "table"), colors).tolist() == orders
-
-
 @pytest.mark.parametrize("name, make, value, calls", [
     ("cost FQ_4", lambda: compute_parameter(folded_hypercube(4), "cost"), 8, 1),
     ("dist Q_{4,2}", lambda: compute_parameter(enhanced_hypercube(4, 2), "dist"), 3, 0),
@@ -859,50 +772,43 @@ def test_class_scan_setwise_calls(name, make, value, calls, monkeypatch):
     it: once for cost of FQ_4, and never for dist of Q_{4,2}, which has no
     class.  On more vertices the search starts at the column view's floor,
     5 for Q_5 and H(4,4), and tests each of its leaves: 40 for Q_5 and 66
-    for H(4,4), against 244 and 3,138 from size 1.  The cost scans build no
-    row bitsets, which only the d >= 3 scan of dist reads."""
-    made, built = [], []
-    real, real_bitsets = symmetry._setwise_trivial, symmetry._row_bitsets
+    for H(4,4), against 244 and 3,138 from size 1.  The cost scans never
+    enter `_distinguishing_d3`, which only dist reaches."""
+    made, scanned = [], []
+    real, real_d3 = symmetry._setwise_trivial, symmetry._distinguishing_d3
 
     def counted(grp, cls):
         made.append(1)
         return real(grp, cls)
 
-    def bitsets(table):
-        built.append(1)
-        return real_bitsets(table)
+    def d3(grp, tag):
+        scanned.append(1)
+        return real_d3(grp, tag)
 
     monkeypatch.setattr(symmetry, "_setwise_trivial", counted)
-    monkeypatch.setattr(symmetry, "_row_bitsets", bitsets)
+    monkeypatch.setattr(symmetry, "_distinguishing_d3", d3)
     assert (make()["value"], len(made)) == (value, calls)
-    assert bool(built) == name.startswith("dist")
+    assert bool(scanned) == name.startswith("dist")
 
 
-@pytest.mark.parametrize("name, make, word0, full_width", [
-    ("dist Q_{4,2}", lambda: compute_parameter(enhanced_hypercube(4, 2), "dist"), 17694, 108),
+@pytest.mark.parametrize("name, make, sieved, tested", [
+    ("dist Q_{4,2}", lambda: compute_parameter(enhanced_hypercube(4, 2), "dist"), 17694, 2),
     ("cost FQ_4", lambda: compute_parameter(folded_hypercube(4), "cost"), 0, 0),
 ])
-def test_two_stage_count_work(name, make, word0, full_width, monkeypatch):
-    """The colorings counted on word 0 of the bitsets and then on all of
-    them, all by the d >= 3 scan: 17,694 on word 0 and 108 on the 36 words
-    of `dist enhanced -n 4 -k 2`, and none for `cost folded -n 4`, whose
-    class scan reads the kept-set table."""
-    counted = {False: 0, True: 0}
-    real = symmetry._keeping_counts
-
-    def counting(bitsets, colors):
-        counted[bitsets.shape[3] > 1] += len(colors)
-        return real(bitsets, colors)
-
-    monkeypatch.setattr(symmetry, "_keeping_counts", counting)
+def test_two_stage_count_work(name, make, sieved, tested, monkeypatch):
+    """The colorings that enter the d >= 3 scan's sieve and those that it
+    leaves to `_only_identity_keeps`: 17,694 and 2 for `dist enhanced -n 4
+    -k 2`, and none for `cost folded -n 4`, whose class scan reads the
+    kept-set table."""
+    work = _count_d3_work(monkeypatch)
     make()
-    assert counted == {False: word0, True: full_width}
+    assert work == {"sieved": sieved, "tested": tested}
 
 
 def test_class_scan_reads_the_kept_set_table(monkeypatch):
     """The class scans of `cost folded -n 4` and `dist enhanced -n 4 -k 2`
     read the kept-set table and never run the depth-first search, which
-    det still runs; cost builds no row bitsets."""
+    det still runs; cost never enters `_distinguishing_d3`."""
     searches = []
     real = symmetry._determining_leaves
 
@@ -910,12 +816,12 @@ def test_class_scan_reads_the_kept_set_table(monkeypatch):
         searches.append(1)
         return real(*args)
 
-    def no_bitsets(table):
-        raise AssertionError("the class scan built row bitsets")
+    def no_d3(grp, tag):
+        raise AssertionError("the class scan entered the d >= 3 scan")
 
     monkeypatch.setattr(symmetry, "_determining_leaves", counted)
     with monkeypatch.context() as patched:
-        patched.setattr(symmetry, "_row_bitsets", no_bitsets)
+        patched.setattr(symmetry, "_distinguishing_d3", no_d3)
         grp = automorphism_group(folded_hypercube(4))
         assert symmetry.cost_2dist(grp.graph, grp)[0] == 8
         assert compute_parameter(folded_hypercube(4), "cost")["value"] == 8
