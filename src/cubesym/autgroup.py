@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
@@ -177,12 +177,11 @@ class PermGroup:
     """A set of automorphisms closed under composition, given by generators,
     a k x V int32 array of image rows (k may be 0).
 
-    `model` is the closed form of a structured group; without one, elements
-    come from generator closure.  `order_known` is trusted when set (it is
-    cross-checked against enumeration in the tests).  `base` is set on a
+    `model` is the closed form of a structured group.  `base` is set on a
     searched group: the vertices b_1, b_2, ... that its search fixed in turn,
     such that the generators fixing b_1..b_i generate the stabilizer of
-    b_1..b_i (a strong generating set).
+    b_1..b_i (a strong generating set), whose chain (`transversals`) gives
+    `order_known` and the element table.
 
     `_by_support` caches the indices of the element table's rows in the
     order of how many vertices they move, identity first and ties in table
@@ -206,24 +205,20 @@ class PermGroup:
         return self.order_known
 
     def is_trivial(self) -> bool:
-        if self.order_known is not None:
-            return self.order_known == 1
-        return not (self.generators != np.arange(self.n_vertices)).any()
+        return self.order() == 1
 
     def elements(self) -> np.ndarray:
         """The element table: a |G| x V int32 array of image rows, in no
-        promised order, from the model or by generator closure, kept."""
+        promised order, from the model or the stabilizer chain, kept."""
         if self._elements is None:
-            if self.order_known is not None and self.order_known > DEFAULT_ELEMENT_CAP:
+            if self.model is None and self.base is None:
+                raise ValueError("a group with neither a model nor a base has no element table")
+            if self.order_known > DEFAULT_ELEMENT_CAP:
                 raise SearchBudgetExceeded(f"group of order {self.order_known} above element "
                                            f"cap {DEFAULT_ELEMENT_CAP}")
-            if self.model is not None:
-                table = self.model.enumerate()
-            else:
-                table = _closure(self.n_vertices, self.generators)
-            if self.order_known is None:
-                self.order_known = len(table)
-            elif self.order_known != len(table):
+            table = (self.model.enumerate() if self.model is not None
+                     else _chain_table(self.generators, self.base))
+            if self.order_known != len(table):
                 raise AssertionError(
                     f"order mismatch: formula {self.order_known}, enumerated {len(table)}")
             self._elements = table
@@ -268,39 +263,47 @@ def orbit_roots(nv: int, gen_images) -> list[int]:
     return labels.tolist()
 
 
-def base_order(gens: np.ndarray, base) -> int:
-    """|G| as the product, along the base, of the orbit of b_i under the
-    generator rows fixing b_1..b_{i-1}; exact for a strong generating set
-    whose base has a trivial pointwise stabilizer."""
-    order = 1
+def transversals(gens: np.ndarray, base) -> list[np.ndarray]:
+    """The stabilizer chain of the generator rows `gens` along `base`: per
+    base point b_i, by orbit BFS under the generators fixing b_1..b_{i-1},
+    one row per orbit point mapping b_i to it, the identity first."""
+    chain = []
     for i, b in enumerate(base):
-        roots = orbit_roots(gens.shape[1], gens[_fixing(gens, list(base[:i]))])
-        order *= roots.count(roots[b])
-    return order
+        level = gens[_fixing(gens, list(base[:i]))]
+        rows = frontier = np.arange(gens.shape[1], dtype=np.int32)[None, :]
+        seen = rows[0] == b
+        while len(frontier):  # g o u for generator g and frontier row u, u-major
+            points = level[:, frontier[:, b]].T.ravel()
+            fresh = np.flatnonzero(~seen[points])  # the first of each new point is kept
+            by_point = fresh[np.argsort(points[fresh], kind="stable")]
+            first = np.sort(by_point[np.diff(points[by_point], prepend=-1) != 0])
+            seen[points[first]] = True
+            frontier = level[first[:, None] % len(level), frontier[first // len(level)]]
+            rows = np.concatenate([rows, frontier])
+        chain.append(rows)
+    return chain
 
 
-def _closure(nv: int, gens: np.ndarray) -> np.ndarray:
-    """The element table the generator rows generate, by BFS closure a
-    frontier at a time (uint8 images up to 256 vertices, wider above)."""
-    dtype = np.min_scalar_type(nv - 1)
-    garr = gens[(gens != np.arange(nv)).any(axis=1)].astype(dtype)
-    frontier = np.arange(nv, dtype=dtype)[None, :]
-    out = [frontier[0].tobytes()]
-    seen = set(out)
-    while len(frontier):
-        fresh = []
-        for g in garr:
-            for row in g[frontier]:  # (sigma o tau)(v) = sigma(tau(v))
-                key = row.tobytes()
-                if key not in seen:
-                    if len(seen) >= DEFAULT_ELEMENT_CAP:
-                        raise SearchBudgetExceeded(
-                            f"group closure exceeded {DEFAULT_ELEMENT_CAP} elements")
-                    seen.add(key)
-                    out.append(key)
-                    fresh.append(row)
-        frontier = np.array(fresh, dtype=dtype) if fresh else np.empty((0, nv), dtype)
-    return np.frombuffer(b"".join(out), dtype).reshape(len(out), nv).astype(np.int32)
+def _chain_table(gens: np.ndarray, base) -> np.ndarray:
+    """The element table of a strong generating set `gens` for `base`, the
+    product of the transversals, `U[:, table]` a level at a time, once each
+    level generator after each row of its transversal sifts to the identity
+    (Schreier's lemma; Sims, 1970)."""
+    nv = gens.shape[1]
+    chain = transversals(gens, base)
+    inverse = [np.argsort(rows, axis=1) for rows in chain]
+    # per point, the inverse taking it to b; off the orbit the identity, so it stays moved
+    where = [(inv == b).argmax(axis=0) for b, inv in zip(base, inverse)]
+    for i in range(len(chain)):
+        sift = gens[_fixing(gens, list(base[:i]))][:, chain[i]].reshape(-1, nv)
+        for at, b, inv in zip(where[i:], base[i:], inverse[i:]):
+            sift = np.take_along_axis(inv[at[sift[:, b]]], sift, axis=1)
+        if (sift != np.arange(nv)).any():
+            raise AssertionError(f"the generators are not strong for the base {tuple(base)}")
+    table = np.arange(nv, dtype=np.int32)[None, :]
+    for rows in reversed(chain):
+        table = rows[:, table].reshape(-1, nv)
+    return table
 
 
 # The most bytes that one chunk of the automorphism test works on: 32 per
@@ -1147,8 +1150,8 @@ def pointwise_stabilizer(grp: PermGroup, subset) -> PermGroup:
     if grp.base is not None and S == sorted(grp.base[:len(S)]):
         gens = grp.generators[_fixing(grp.generators, S)]
         rest = grp.base[len(S):]
-        return PermGroup(grp.n_vertices, gens, base_order(gens, rest), grp.source, grp.graph,
-                         base=rest)
+        return PermGroup(grp.n_vertices, gens, prod(map(len, transversals(gens, rest))),
+                         grp.source, grp.graph, base=rest)
     table = grp.elements()
     return _subgroup_of_rows(grp, table[_fixing(table, S)])
 

@@ -9,19 +9,21 @@ pruned by the orbits of the already discovered automorphisms that fix the
 node's individualized prefix, and subtrees whose refinement trace diverges
 from the first path are cut.
 
-The group order is |orbit(b1)| * |orbit(b2) under stab(b1)| * ... along the
-first path, which the tests cross-check against full element enumeration.
-The returned group keeps that base (b1, b2, ...), so the stabilizer of a
-base prefix is read off the generators (`autgroup.pointwise_stabilizer`).
+The returned group keeps the first path's base (b1, b2, ...), for which
+the generators are strong.  Its stabilizer chain (`autgroup.transversals`)
+gives the order |orbit(b1)| * |orbit(b2) under stab(b1)| * ..., the
+element table and the stabilizers of base prefixes.
 `has_nontrivial_automorphism` runs the same search up to its first
 generator.
 """
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 
-from .autgroup import PermGroup, base_order, is_automorphism, orbit_roots
+from .autgroup import PermGroup, is_automorphism, orbit_roots, transversals
 from .bitgraph import Graph
 from .errors import SearchBudgetExceeded
 
@@ -83,14 +85,11 @@ def _refine(rows, cells, splitters):
 def search_automorphisms(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
                          vertex_cap: int = DEFAULT_SEARCH_VERTEX_CAP) -> PermGroup:
     """The full automorphism group of `g`, found by refinement search."""
-    n = g.n_vertices
     base: list[int] = []
-    gens = set(_generators(g, node_budget, vertex_cap, base))
-    if n == 0:
-        return PermGroup(0, np.empty((0, 0), dtype=np.int32), 1, "searched", g)
-    rows = np.array(sorted(gens), dtype=np.int32).reshape(-1, n)
-    base = tuple(base)
-    return PermGroup(n, rows, base_order(rows, base), "searched", g, base=base)
+    gens = sorted(set(_generators(g, node_budget, vertex_cap, base)))
+    rows = np.array(gens, dtype=np.int32).reshape(len(gens), g.n_vertices)
+    order = prod(map(len, transversals(rows, base)))
+    return PermGroup(g.n_vertices, rows, order, "searched", g, base=tuple(base))
 
 
 def has_nontrivial_automorphism(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
@@ -110,8 +109,6 @@ def _generators(g: Graph, node_budget: int, vertex_cap: int, base: list[int]):
     n = g.n_vertices
     if n > vertex_cap:
         raise SearchBudgetExceeded(f"{n} vertices above the search cap {vertex_cap}")
-    if n == 0:
-        return
     rows = _adjacency_rows(g)
 
     state = {

@@ -42,6 +42,27 @@ def row_set(table) -> set[tuple[int, ...]]:
     return out
 
 
+def reference_closure(nv: int, gens) -> np.ndarray:
+    """The reference element table of the group that the image rows `gens`
+    generate, for groups that have no table of their own (a model's
+    stabilizer): a BFS closure a frontier at a time, each row found so far
+    composed with every generator and kept if it is new, the identity first."""
+    gens = np.asarray(gens, dtype=np.int32).reshape(-1, nv)
+    frontier = np.arange(nv, dtype=np.int32)[None, :]
+    seen = {frontier[0].tobytes()}
+    out = [frontier]
+    while len(frontier):
+        fresh = []
+        for row in gens[:, frontier].reshape(-1, nv):  # (sigma o tau)(v) = sigma(tau(v))
+            key = row.tobytes()
+            if key not in seen:
+                seen.add(key)
+                fresh.append(row)
+        frontier = np.array(fresh, dtype=np.int32).reshape(-1, nv)
+        out.append(frontier)
+    return np.concatenate(out)
+
+
 def preserves_adjacency(g, row) -> bool:
     """The plain reference for `is_automorphism`: `row` is a bijection of the
     vertices, and every pair keeps its adjacency under it."""

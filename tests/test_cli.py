@@ -435,11 +435,11 @@ def test_det_of_hamming_n5_m3_needs_no_table(capsys, monkeypatch):
 
 def test_verify_of_the_hamming_dist_record_runs_no_closure(capsys, monkeypatch):
     """The stored H(4,3) dist record is checked on the Hamming model's
-    element table, with no generator closure."""
-    def no_closure(*args):
-        raise AssertionError("generator closure")
+    element table, with no stabilizer chain."""
+    def no_chain(*args):
+        raise AssertionError("stabilizer chain")
 
-    monkeypatch.setattr(autgroup, "_closure", no_closure)
+    monkeypatch.setattr(autgroup, "transversals", no_chain)
     record = (Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "records"
               / "dist-hamming-n-4-m-3.json")
     code, out = run(capsys, "verify", str(record), "--no-cache")

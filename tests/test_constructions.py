@@ -386,7 +386,7 @@ def _candidates_with_det_set_first(n, k):
 def test_enhanced_dist_candidates_build_the_det_set_only_when_it_fits(monkeypatch):
     """Testing the FQ determining set's fit by its size first gives the same
     candidates for n = 4..8 and every k, and for Q_{4,2}, where it does not
-    fit, the set (a K_{4,4} search and closure) is never built."""
+    fit, the set (a K_{4,4} search and its stabilizer chain) is never built."""
     for n in range(4, 9):
         for k in range(1, n):
             assert cons.enhanced_dist_class_candidates(n, k) == \
@@ -413,7 +413,9 @@ def test_det_set_checks_survive_python_O():
     every coloring, the class scan's kept-set table when the element table
     has a second identity row, the class scan's re-check when that table
     marks no set, the column view's action of the row maps when the type
-    list lacks a type, the edge-orbit map when a
+    list lacks a type, the element table of a searched group when its
+    stabilizer chain has a wrong coset representative or its generators are
+    not strong for its base, the edge-orbit map when a
     generator maps an edge to a pair that is not an edge, and the setwise
     test of the cube and Hamming models when the images of the set under
     the element of a row map it finds move no vertex of it, leave it, or
@@ -434,8 +436,9 @@ def test_det_set_checks_survive_python_O():
         from math import factorial
         from cubesym.bitgraph import (FamilySpec, augmented_hypercube, enhanced_hypercube,
                                       folded_hypercube, graph_from_edges, hamming_graph,
-                                      hypercube)
+                                      hypercube, hypercube_power)
         from cubesym.cli import main
+        from cubesym.search import search_automorphisms
         from cubesym.symmetry import TransitivityReport
 
         if not sys.flags.optimize:
@@ -678,6 +681,30 @@ def test_det_set_checks_survive_python_O():
                 sys.exit("the column floor passed an action outside its type list")
             if main(["param", "cost", "hypercube", "-n", "5", "--no-cache"]) != 3:
                 sys.exit("param cost hypercube with a short type list did not exit 3")
+        # a stabilizer chain whose first level has one wrong coset
+        # representative, its last row replaced by its second, leaves the
+        # last point of the orbit of b_1 without a row, so a Schreier
+        # generator does not sift; and the searched generators of K_8 that
+        # move b_1, without those that fix it, are not strong for the base
+        real_transversals = autgroup.transversals
+
+        def one_wrong_representative(gens, base):
+            chain = real_transversals(gens, base)
+            chain[0][-1] = chain[0][1]
+            return chain
+
+        with mock.patch.object(autgroup, "transversals", one_wrong_representative):
+            if main(["param", "dist", "power", "-n", "3", "-k", "3", "--no-cache"]) != 3:
+                sys.exit("param dist power -n 3 -k 3 with a wrong coset representative "
+                         "did not exit 3")
+        k8 = search_automorphisms(hypercube_power(3, 3))
+        moving = k8.generators[k8.generators[:, k8.base[0]] != k8.base[0]]
+        try:
+            autgroup._chain_table(moving, k8.base)
+        except AssertionError:
+            pass
+        else:
+            sys.exit("the chain table passed generators that are not strong for the base")
         # an edge image that is not an edge fails the edge-orbit map: in Q_3
         # a generator with two images swapped, and on the path 0-1 plus a
         # vertex 2 the swap of 1 and 2, whose image (0, 2) lies past the

@@ -3,9 +3,10 @@ ignoring `elapsed_ms` at any depth.
 
 The cases cover each structured group model (Q_n and an odd power, the
 halved cube of an even power, FQ_n, AQ_n, LTQ_n, the enhanced product, the
-Hamming graph) and the searched path (FQ_3 and Q_3^2), also for det on a
-group without a model (FQ_3, and the searched FQ_3 factor of the enhanced
-cube Q_{6,4}).  Cost is covered on Q_5, the enhanced product, the Hamming
+Hamming graph) and the searched path (FQ_3, Q_3^2 and Q_3^3 = K_8, whose
+dist takes the d >= 3 scan), also for det on a group without a model (FQ_3,
+and the searched FQ_3 factor of the enhanced cube Q_{6,4}) and for dist on
+the searched FQ_3 factor of Q_{4,2}.  Cost is covered on Q_5, the enhanced product, the Hamming
 model (H(3,3)) and a searched group (LTQ_3), and the cost error of a graph
 that is not 2-distinguishable in the FQ_3 export.  To rewrite the stored
 files from the current program, run
@@ -46,6 +47,8 @@ CASES = {
     "aut-order-power-n-4-k-3": ["param", "aut-order", "power", "-n", "4", "-k", "3"],
     "dist-power-n-4-k-2": ["param", "dist", "power", "-n", "4", "-k", "2", "--witness"],
     "dist-power-n-3-k-2": ["param", "dist", "power", "-n", "3", "-k", "2", "--witness"],
+    "dist-power-n-3-k-3": ["param", "dist", "power", "-n", "3", "-k", "3", "--witness"],
+    "dist-enhanced-n-4-k-2": ["param", "dist", "enhanced", "-n", "4", "-k", "2", "--witness"],
     "dist-enhanced-n-3-k-2": ["param", "dist", "enhanced", "-n", "3", "-k", "2", "--witness"],
     "dist-hamming-n-2-m-3": ["param", "dist", "hamming", "-n", "2", "-m", "3", "--witness"],
     "summary-n-4": ["tables", "summary", "--n", "4"],

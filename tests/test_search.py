@@ -1,11 +1,16 @@
 from __future__ import annotations
 
-import pytest
+from math import factorial
 
-from conftest import preserves_adjacency, row_set
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import preserves_adjacency, reference_closure, row_set
 
 from cubesym.bitgraph import (
     augmented_hypercube,
+    enhanced_hypercube,
     folded_hypercube,
     graph_from_edges,
     hamming_graph,
@@ -72,6 +77,46 @@ def test_matches_naive_enumeration(corpus):
         searched = row_set(search_automorphisms(g).elements())
         naive = row_set(enumerate_automorphisms_naive(g))
         assert searched == naive, name
+
+
+@given(st.integers(1, 9), st.data())
+@settings(max_examples=120, deadline=None)
+def test_chain_table_is_the_closure_of_the_generators(nv, data):
+    """On random graphs of at most 9 vertices, the element table that the
+    search's stabilizer chain builds holds the rows of the reference closure
+    of its generators, each once, the identity first, and as many as the
+    order that the transversals give.  The empty and complete graphs on 9
+    vertices are left out: the reference closure of S_9 takes seconds."""
+    pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    grp = search_automorphisms(graph_from_edges(nv, edges))
+    assume(grp.order() <= factorial(8))
+    table = grp.elements()
+    assert row_set(table) == row_set(reference_closure(nv, grp.generators))
+    assert len(table) == grp.order() and table[0].tolist() == list(range(nv))
+
+
+def test_empty_graph_has_one_empty_row():
+    grp = search_automorphisms(graph_from_edges(0, []))
+    assert grp.base == () and grp.order() == 1
+    assert grp.elements().shape == (1, 0)
+
+
+@pytest.mark.oracle_suite
+@pytest.mark.parametrize("make", [
+    lambda: hypercube_power(3, 2),
+    lambda: hypercube_power(3, 3),
+    lambda: hamming_graph(3, 3),
+    lambda: enhanced_hypercube(3, 2),
+], ids=["Q_3^2", "Q_3^3", "H(3,3)", "Q_{3,2}"])
+def test_chain_tables_match_naive_enumeration(make):
+    """Past the corpus of `test_matches_naive_enumeration`: the chain table
+    of four more searched groups, up to the 40,320 elements of Q_3^3 = K_8,
+    is the set of automorphisms that the oracle's backtracking finds."""
+    g = make()
+    table = search_automorphisms(g).elements()
+    assert row_set(table) == row_set(enumerate_automorphisms_naive(g))
+    assert table[0].tolist() == list(range(g.n_vertices))
 
 
 def test_disconnected_and_irregular():
