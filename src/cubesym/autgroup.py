@@ -180,12 +180,13 @@ class PermGroup:
     `model` is the closed form of a structured group.  `base` is set on a
     searched group: the vertices b_1, b_2, ... that its search fixed in turn,
     such that the generators fixing b_1..b_i generate the stabilizer of
-    b_1..b_i (a strong generating set), whose chain (`transversals`) gives
-    `order_known` and the element table.
+    b_1..b_i (a strong generating set), whose chain (`chain()`, built once)
+    gives `order_known`, when that is not given, and the element table.
 
     `_by_support` caches the indices of the element table's rows in the
     order of how many vertices they move, identity first and ties in table
-    order (kept by `symmetry`).
+    order, and `_open_masks` the open column-type sets of the class scan
+    per number of rows (both kept by `symmetry`).
     """
 
     n_vertices: int
@@ -198,6 +199,18 @@ class PermGroup:
     _elements: np.ndarray | None = field(default=None, repr=False)
     _fixers: list[int] | None = field(default=None, repr=False)
     _by_support: np.ndarray | None = field(default=None, repr=False)
+    _open_masks: dict = field(default_factory=dict, repr=False)
+    _chain: list[np.ndarray] | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.order_known is None and self.base is not None:
+            self.order_known = prod(map(len, self.chain()))
+
+    def chain(self) -> list[np.ndarray]:
+        """The transversals of the base (`transversals`), kept."""
+        if self._chain is None:
+            self._chain = transversals(self.generators, self.base)
+        return self._chain
 
     def order(self) -> int:
         if self.order_known is None:
@@ -217,7 +230,7 @@ class PermGroup:
                 raise SearchBudgetExceeded(f"group of order {self.order_known} above element "
                                            f"cap {DEFAULT_ELEMENT_CAP}")
             table = (self.model.enumerate() if self.model is not None
-                     else _chain_table(self.generators, self.base))
+                     else _chain_table(self.generators, self.base, self.chain()))
             if self.order_known != len(table):
                 raise AssertionError(
                     f"order mismatch: formula {self.order_known}, enumerated {len(table)}")
@@ -284,13 +297,12 @@ def transversals(gens: np.ndarray, base) -> list[np.ndarray]:
     return chain
 
 
-def _chain_table(gens: np.ndarray, base) -> np.ndarray:
+def _chain_table(gens: np.ndarray, base, chain: list[np.ndarray]) -> np.ndarray:
     """The element table of a strong generating set `gens` for `base`, the
-    product of the transversals, `U[:, table]` a level at a time, once each
-    level generator after each row of its transversal sifts to the identity
-    (Schreier's lemma; Sims, 1970)."""
+    product of its transversals `chain`, `U[:, table]` a level at a time,
+    once each level generator after each row of its transversal sifts to
+    the identity (Schreier's lemma; Sims, 1970)."""
     nv = gens.shape[1]
-    chain = transversals(gens, base)
     inverse = [np.argsort(rows, axis=1) for rows in chain]
     # per point, the inverse taking it to b; off the orbit the identity, so it stays moved
     where = [(inv == b).argmax(axis=0) for b, inv in zip(base, inverse)]
@@ -553,6 +565,17 @@ class _CubeSetwise(_RowMapSetwise):
     def _set_columns(self, S):
         masks = [self.column_mask(s ^ S[0]) for s in S]
         return [tuple(m >> b & 1 for m in masks) for b in range(self.columns)]
+
+    def column_codes(self, state) -> list[int]:
+        """Per column, its bits in the translated words of a determining
+        state (`_ColumnRefinement`) read as a binary number, the first
+        word's bit highest: the restricted-growth code of the column's row
+        partition, since the first translated word is zero."""
+        codes = [0] * self.columns
+        for t in state[1]:
+            mask = self.column_mask(t)
+            codes = [code << 1 | mask >> b & 1 for b, code in enumerate(codes)]
+        return codes
 
     def _row_map_images(self, S, columns, rho, sources) -> list[int]:
         """The images of S under v -> P(v + S[0]) + S[rho(0)], where bit b of
@@ -1014,6 +1037,11 @@ class HammingModel(_RowMapSetwise, _DeterminingFold):
             new_codes.append(code * self.m + idx)
         return tuple(new_seen), tuple(new_codes)
 
+    def column_codes(self, state) -> tuple[int, ...]:
+        """Per column, the base-m code of its row partition's
+        restricted-growth string in a determining state."""
+        return state[1]
+
     def det_need(self, state) -> int:
         """The most rows any class of c columns with equal partitions, each
         showing q symbols, still needs: the least r with E(q, r) >= c, read
@@ -1137,8 +1165,9 @@ def pointwise_stabilizer(grp: PermGroup, subset) -> PermGroup:
 
     Structured groups are solved by their model.  A searched group whose
     base starts with the vertices of `subset` keeps the generators that fix
-    them, which generate the stabilizer; other groups are filtered on their
-    element table.
+    them, which generate the stabilizer, and the rest of its chain, which
+    those generators give along the rest of the base; other groups are
+    filtered on their element table.
     """
     S = sorted(set(subset))
     if not S:
@@ -1148,10 +1177,9 @@ def pointwise_stabilizer(grp: PermGroup, subset) -> PermGroup:
         stab.graph = grp.graph
         return stab
     if grp.base is not None and S == sorted(grp.base[:len(S)]):
-        gens = grp.generators[_fixing(grp.generators, S)]
-        rest = grp.base[len(S):]
-        return PermGroup(grp.n_vertices, gens, prod(map(len, transversals(gens, rest))),
-                         grp.source, grp.graph, base=rest)
+        return PermGroup(grp.n_vertices, grp.generators[_fixing(grp.generators, S)], None,
+                         grp.source, grp.graph, base=grp.base[len(S):],
+                         _chain=grp.chain()[len(S):])
     table = grp.elements()
     return _subgroup_of_rows(grp, table[_fixing(table, S)])
 

@@ -10,8 +10,8 @@ node's individualized prefix, and subtrees whose refinement trace diverges
 from the first path are cut.
 
 The returned group keeps the first path's base (b1, b2, ...), for which
-the generators are strong.  Its stabilizer chain (`autgroup.transversals`)
-gives the order |orbit(b1)| * |orbit(b2) under stab(b1)| * ..., the
+the generators are strong.  Its stabilizer chain (`PermGroup.chain`, built
+once) gives the order |orbit(b1)| * |orbit(b2) under stab(b1)| * ..., the
 element table and the stabilizers of base prefixes.
 `has_nontrivial_automorphism` runs the same search up to its first
 generator.
@@ -19,11 +19,9 @@ generator.
 
 from __future__ import annotations
 
-from math import prod
-
 import numpy as np
 
-from .autgroup import PermGroup, is_automorphism, orbit_roots, transversals
+from .autgroup import PermGroup, is_automorphism, orbit_roots
 from .bitgraph import Graph
 from .errors import SearchBudgetExceeded
 
@@ -88,8 +86,7 @@ def search_automorphisms(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
     base: list[int] = []
     gens = sorted(set(_generators(g, node_budget, vertex_cap, base)))
     rows = np.array(gens, dtype=np.int32).reshape(len(gens), g.n_vertices)
-    order = prod(map(len, transversals(rows, base)))
-    return PermGroup(g.n_vertices, rows, order, "searched", g, base=tuple(base))
+    return PermGroup(g.n_vertices, rows, None, "searched", g, base=tuple(base))
 
 
 def has_nontrivial_automorphism(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,

@@ -4,10 +4,12 @@ transitivity checks, and the witnesses that certify each reported value."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
 from .autgroup import (
+    DEFAULT_ELEMENT_CAP,
     PermGroup,
     determining_test,
     orbit_roots,
@@ -148,19 +150,23 @@ def _anchored_leaves(grp: PermGroup, test, size: int):
         earlier.update(orbit)
 
 
-def _least_determining(grp: PermGroup, sizes, accept=lambda leaf: True) -> tuple[int, ...] | None:
+def _least_determining(grp: PermGroup, sizes, accept=lambda leaf: True,
+                       narrow=None) -> tuple[int, ...] | None:
     """The lex-least determining set that `accept` takes, of the least size
     in `sizes` that has one, or None.  `accept` must be preserved by the
-    group's elements.
+    group's elements.  `narrow(test, size)`, when given, is the test that
+    the search of each size runs: the determining test, or one that also
+    cuts branches without a set of that size that `accept` takes.
 
     The leaves come from the depth-first search `_determining_leaves`.  For
     a verified vertex-transitive group each size is first settled by the
     anchored leaves; at the first size that has a set, the unrestricted lex
     leaves give the least one."""
-    test = determining_test(grp)
+    plain = determining_test(grp)
     everything = range(grp.n_vertices)
     transitive = grp.is_vertex_transitive()
     for size in sizes:
+        test = plain if narrow is None else narrow(plain, size)
         if transitive and not any(accept(s) for s in _anchored_leaves(grp, test, size)):
             continue
         leaves = _determining_leaves(test, test.det_start(), (), everything, 0, size)
@@ -286,7 +292,7 @@ def _setwise_trivial(grp: PermGroup, cls) -> bool:
     return _only_identity_keeps(grp, member)
 
 
-def _least_class(grp: PermGroup) -> tuple[int, ...] | None:
+def _least_class(grp: PermGroup, node_budget: int | None = None) -> tuple[int, ...] | None:
     """The lex-least class with a trivial setwise stabilizer among those of
     the least size up to half the vertices, or None.
 
@@ -300,14 +306,25 @@ def _least_class(grp: PermGroup) -> tuple[int, ...] | None:
     size `_column_floor` leaves open, tests each of its leaves by
     `_setwise_trivial`, so it visits every such class of those sizes in lex
     order, and setwise triviality is kept under conjugation, as its
-    anchoring needs."""
+    anchoring needs; on a row-map model each size with at most
+    `_EXHAUSTIVE_2_LIMIT` column types is searched through `_PrefixPrune`,
+    which cuts no class.  `node_budget`, when given, bounds the vertices
+    that this search adds to its nodes over all its sizes (`_NodeBudget`)."""
     nv = grp.n_vertices
     if nv > _EXHAUSTIVE_2_LIMIT:
         floor = _column_floor(grp)
         if floor is None:
             return None
+        ticks = None if node_budget is None else iter(range(node_budget))
+        row_map = hasattr(grp.model, "setwise_trivial")
+
+        def narrow(test, size):
+            levels = _prefix_levels(grp, size) if row_map else None
+            test = test if levels is None else _PrefixPrune(test, levels)
+            return test if ticks is None else _NodeBudget(test, ticks)
+
         return _least_determining(grp, range(floor, nv // 2 + 1),
-                                  lambda cls: _setwise_trivial(grp, cls))
+                                  lambda cls: _setwise_trivial(grp, cls), narrow)
     if _root_bound_rules_out_classes(grp):
         return None
     sizes = np.bitwise_count(np.arange(1 << nv))
@@ -440,15 +457,162 @@ def _column_floor(grp: PermGroup) -> int | None:
     are fewer types than columns, or when `_open_type_sets` leaves no set.
     The first size with more than `_EXHAUSTIVE_2_LIMIT` types is left
     open, since `_kept_sets` does not reach it."""
-    model = grp.model
-    if not hasattr(model, "setwise_trivial"):
+    if not hasattr(grp.model, "setwise_trivial"):
         return 1
-    for r in range(1, grp.n_vertices // 2 + 1):
-        types = column_types(r, model.m)
-        if len(types) > _EXHAUSTIVE_2_LIMIT or (
-                len(types) >= model.columns and _open_type_sets(model, types).any()):
-            return r
-    return None
+    return _floor_size(grp.n_vertices, partial(_open_type_masks, grp))
+
+
+def _floor_size(n_vertices: int, masks_of) -> int | None:
+    """The least r up to half the vertices whose open type sets
+    `masks_of(r)` are not empty or not settled (None), or None."""
+    return next((r for r in range(1, n_vertices // 2 + 1)
+                 if (masks := masks_of(r)) is None or len(masks)), None)
+
+
+def floor_is_exact(model, n_vertices: int, masks_of=None) -> bool:
+    """Whether the column floor of a row-map model on `n_vertices` is
+    exact: its size has at most `_EXHAUSTIVE_2_LIMIT` types and so an open
+    type set.  Then a class of that size exists: the rows of an open set's
+    types are distinct words, since a row map swapping two equal rows would
+    keep every type, and on the halved cube they have even weight, as the
+    types XOR to 0.  `masks_of(r)` gives the open sets of r rows, by
+    default `_type_masks` of the model; it reads no group."""
+    masks_of = masks_of or cache(partial(_type_masks, model))
+    floor = _floor_size(n_vertices, masks_of)
+    return floor is not None and masks_of(floor) is not None
+
+
+def _floor_is_exact(grp: PermGroup) -> bool:
+    """`floor_is_exact` of a row-map model's group, on its kept masks."""
+    return floor_is_exact(grp.model, grp.n_vertices, partial(_open_type_masks, grp))
+
+
+def _open_type_masks(grp: PermGroup, r: int) -> np.ndarray | None:
+    """`_type_masks` of the group's row-map model, kept on the group, so
+    that the floor and the prune read one computation."""
+    if r not in grp._open_masks:
+        grp._open_masks[r] = _type_masks(grp.model, r)
+    return grp._open_masks[r]
+
+
+def _type_masks(model, r: int) -> np.ndarray | None:
+    """The masks of the open sets (`_open_type_sets`) of the column types
+    of r rows on a row-map model, ascending; empty when there are fewer
+    types than columns, and None when there are more than
+    `_EXHAUSTIVE_2_LIMIT`."""
+    types = column_types(r, model.m)
+    if len(types) > _EXHAUSTIVE_2_LIMIT:
+        return None
+    if len(types) < model.columns:
+        return np.zeros(0, dtype=np.intp)
+    return np.flatnonzero(_open_type_sets(model, types))
+
+
+def _prefix_levels(grp: PermGroup, size: int) -> list[tuple[dict, np.ndarray]] | None:
+    """For j = 1..size, the prefix table of the open type sets of `size`
+    rows (`_open_type_masks`), or None past `_EXHAUSTIVE_2_LIMIT` types.
+
+    A type's length-j prefix is the restricted-growth string of its first j
+    rows, coded in base m with the first row highest, as the models'
+    `column_codes` code a column.  Level j is a dict from each such code to
+    its rank among the codes, below 16, and the sorted keys of the open
+    sets' multisets of prefixes: the sum of 16^rank over a set's types,
+    at every level at once, as the sums over the first types and over the
+    last ones (`_subset_fold` of each half of the mask).  An open set has
+    fewer types than the 16 that the type list may hold, so each count fits
+    its 4 bits; a level whose prefixes take all 16 ranks has counts of at
+    most 1, so every key is below 2^61, an int64, which `searchsorted`
+    compares with a Python int exactly."""
+    masks = _open_type_masks(grp, size)
+    if masks is None:
+        return None
+    types = column_types(size, grp.model.m)
+    codes = np.zeros(len(types), dtype=np.int64)
+    ranks, weights = [], []
+    for j in range(size):
+        codes = codes * grp.model.m + types[:, j]
+        rank = np.searchsorted(np.sort(codes), codes)
+        ranks.append(dict(zip(codes.tolist(), rank.tolist())))
+        weights.append(1 << 4 * rank)
+    weights, low = np.column_stack(weights), len(types) // 2
+    keys = (_subset_fold(weights[:len(types) - low], np.add)[masks >> low]
+            + _subset_fold(weights[len(types) - low:], np.add)[masks & (1 << low) - 1])
+    return list(zip(ranks, np.sort(keys.T, axis=1)))
+
+
+def _subset_fold(values: np.ndarray, op) -> np.ndarray:
+    """`op` (a numpy ufunc) folded over each set of the rows of `values`,
+    row t at bit T-1-t of the set's mask, for all 2^T masks, with zeros
+    for the empty set: filled by doubling, as `_kept_sets` fills its
+    unions."""
+    n = len(values)
+    out = np.zeros((1 << n,) + values.shape[1:], dtype=values.dtype)
+    for b in range(n):  # bit b is row T-1-b
+        op(out[:1 << b], values[n - 1 - b], out=out[1 << b:2 << b])
+    return out
+
+
+class _PrefixPrune:
+    """The determining test of a row-map model for the class scan of one
+    size, with at most `_EXHAUSTIVE_2_LIMIT` column types: its state also
+    counts the words, and a node of j words is cut, by a need of `size`
+    more, unless its columns' codes (`column_codes`) are the length-j
+    prefixes of some open type set's, as multisets (`_prefix_levels`).
+
+    A node fixes each column's first j rows, and the prefix of a
+    restricted-growth string is the restricted-growth string of the
+    prefix; a class's columns have the types of an open set, whatever the
+    order of its words, so no node above a class is cut.  At j = size the
+    node's types are an open set, which `setwise_trivial` re-checks."""
+
+    def __init__(self, test, levels: list[tuple[dict, np.ndarray]]):
+        self.test, self.levels = test, levels
+
+    def det_start(self):
+        return self.test.det_start(), 0
+
+    def det_add(self, state, v: int):
+        return self.test.det_add(state[0], v), state[1] + 1
+
+    def det_need(self, state) -> int:
+        inner, j = state
+        if j:
+            ranks, keys = self.levels[j - 1]
+            key = 0
+            for code in self.test.column_codes(inner):
+                if code not in ranks:
+                    return len(self.levels)
+                key += 1 << 4 * ranks[code]
+            at = int(np.searchsorted(keys, key))
+            if at == len(keys) or keys[at] != key:
+                return len(self.levels)
+        return self.test.det_need(inner)
+
+    def det_done(self, state) -> bool:
+        return self.test.det_done(state[0])
+
+
+class _NodeBudget:
+    """A determining test that takes one tick of `ticks`, an iterator that
+    the searches of every size share, per vertex it adds to a node, and
+    raises SearchBudgetExceeded when they run out."""
+
+    def __init__(self, test, ticks):
+        self.test, self.ticks = test, ticks
+
+    def det_start(self):
+        return self.test.det_start()
+
+    def det_add(self, state, v: int):
+        if next(self.ticks, None) is None:
+            raise SearchBudgetExceeded("the class scan ran out of its node budget")
+        return self.test.det_add(state, v)
+
+    def det_need(self, state) -> int:
+        return self.test.det_need(state)
+
+    def det_done(self, state) -> bool:
+        return self.test.det_done(state)
 
 
 def _open_type_sets(model, types: np.ndarray) -> np.ndarray:
@@ -460,19 +624,14 @@ def _open_type_sets(model, types: np.ndarray) -> np.ndarray:
 
     `_kept_sets` reads the row maps' action on the types as its table; when
     a row map other than the identity keeps every type, it keeps every
-    set.  The XOR of every set is filled by doubling, as `_kept_sets` fills
-    its unions."""
+    set.  The XOR of every set is read from `_subset_fold`."""
     n_types = len(types)
     action = row_map_action(types, model.m)
     if np.count_nonzero((action == np.arange(n_types)).all(axis=1)) > 1:
         return np.zeros(1 << n_types, dtype=bool)
     found = ~_kept_sets(action) & (np.bitwise_count(np.arange(1 << n_types)) == model.columns)
     if model.even_words:
-        values = types @ (1 << np.arange(types.shape[1]))
-        xor = np.zeros(1 << n_types, dtype=np.int64)
-        for b in range(n_types):  # bit b is type T-1-b
-            xor[1 << b:2 << b] = xor[:1 << b] ^ values[n_types - 1 - b]
-        found &= xor == 0
+        found &= _subset_fold(types @ (1 << np.arange(types.shape[1])), np.bitwise_xor) == 0
     return found
 
 
@@ -483,9 +642,17 @@ def distinguishing_number(g: Graph, grp: PermGroup,
     `class_candidates` are externally constructed 2-class suggestions (from
     the family witness constructions); each is verified before use, by the
     sound test and then by its setwise stabilizer.  Then, on an enumerable
-    group, the greedy class, and for at most `_EXHAUSTIVE_2_LIMIT` vertices
-    the exact class scan and d >= 3; there the greedy and the class scan
-    are skipped when `_root_bound_rules_out_classes`.
+    group, the greedy class, except on a row-map model (Q_n, the halved
+    cubes and H(n, m)) of more than `_EXHAUSTIVE_2_LIMIT` vertices where
+    the column floor rules out every size or `_floor_is_exact`.  Where that
+    gives no class, the class scan `_least_class` on at most
+    `_EXHAUSTIVE_2_LIMIT` vertices or a row-map model, and on the former
+    d >= 3 if it finds none; on the latter no class proves dist >= 3, which
+    the d >= 3 scan cannot settle.  The scan of a row-map model may add
+    as many vertices to its nodes as the greedy's table may have rows,
+    `DEFAULT_ELEMENT_CAP`.  On at most `_EXHAUSTIVE_2_LIMIT` vertices the
+    greedy and the class scan are skipped when
+    `_root_bound_rules_out_classes`.
     """
     nv = g.n_vertices
     tag = _verified_tag(grp)
@@ -498,26 +665,40 @@ def distinguishing_number(g: Graph, grp: PermGroup,
     for cand in class_candidates:
         if two_class_is_distinguishing(g, grp, cand):
             return two(cand)
+    too_large = "group too large to settle the distinguishing number"
+    row_map = nv > _EXHAUSTIVE_2_LIMIT and hasattr(grp.model, "setwise_trivial")
+    cls = None
     try:
         for cand in class_candidates:
             if _setwise_trivial(grp, cand):
                 return two(cand)
         if nv <= _EXHAUSTIVE_2_LIMIT and _root_bound_rules_out_classes(grp):
             return _distinguishing_d3(grp, tag)
-        cls = _greedy_two_class(grp)
+        if not (row_map and (_column_floor(grp) is None or _floor_is_exact(grp))):
+            cls = _greedy_two_class(grp)
     except SearchBudgetExceeded:
-        raise SearchBudgetExceeded(
-            "group too large to settle the distinguishing number") from None
+        if not row_map:
+            raise SearchBudgetExceeded(too_large) from None
     if cls is not None and _setwise_trivial(grp, cls):
         return two(cls)
-    if nv > _EXHAUSTIVE_2_LIMIT:
+    if nv > _EXHAUSTIVE_2_LIMIT and not row_map:
         raise SearchBudgetExceeded(
             "no 2-distinguishing class found and the graph is too large for "
             "an exhaustive scan")
-    cls = _least_class(grp)
-    if cls is not None:
-        return two(cls)
-    return _distinguishing_d3(grp, tag)
+    try:
+        cls = _least_class(grp, DEFAULT_ELEMENT_CAP)
+    except SearchBudgetExceeded:
+        raise SearchBudgetExceeded(too_large) from None
+    if cls is None and row_map:
+        raise SearchBudgetExceeded(
+            "dist >= 3, as no class has a trivial setwise stabilizer, but the d >= 3 "
+            f"scan needs at most {_EXHAUSTIVE_2_LIMIT} vertices")
+    if cls is None:
+        return _distinguishing_d3(grp, tag)
+    if not _setwise_trivial(grp, cls):
+        raise AssertionError(f"the class scan returned a class whose setwise stabilizer "
+                             f"is not trivial: {cls}")
+    return two(cls)
 
 
 # Colorings per block of the d >= 3 scan and table rows read per chunk by

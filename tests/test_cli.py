@@ -410,12 +410,13 @@ def test_unusable_cache_record_is_a_miss(capsys, tmp_path, monkeypatch, content)
 
 
 def test_dist_needing_a_table_above_the_cap_exits_2(capsys, monkeypatch):
-    # without a constructed class, Q_8 (order 2^8 * 8!, above the element
-    # cap) needs its table for the greedy class
+    # without a constructed class, FQ_7 (order 2^7 * 8!, above the element
+    # cap), which has no row-map model for the class scan, needs its table
+    # for the greedy class
     from cubesym import params
 
     monkeypatch.setattr(params, "dist_class_candidates", lambda g: [])
-    assert main(["param", "dist", "hypercube", "-n", "8", "--no-cache"]) == 2
+    assert main(["param", "dist", "folded", "-n", "7", "--no-cache"]) == 2
     err = capsys.readouterr().err
     assert "SearchBudgetExceeded" in err and "distinguishing number" in err
 

@@ -413,9 +413,12 @@ def test_det_set_checks_survive_python_O():
     every coloring, the class scan's kept-set table when the element table
     has a second identity row, the class scan's re-check when that table
     marks no set, the column view's action of the row maps when the type
-    list lacks a type, the element table of a searched group when its
-    stabilizer chain has a wrong coset representative or its generators are
-    not strong for its base, the edge-orbit map when a
+    list lacks a type, the class scan of Q_5 when its prefix table lacks
+    the open type set of its lex-least class, which then changes, dist of
+    H(4,3) when the class scan returns a kept class, the element table of a
+    searched group when its stabilizer chain has a wrong coset
+    representative or its generators are not strong for its base, the
+    edge-orbit map when a
     generator maps an edge to a pair that is not an edge, and the setwise
     test of the cube and Hamming models when the images of the set under
     the element of a row map it finds move no vertex of it, leave it, or
@@ -438,6 +441,7 @@ def test_det_set_checks_survive_python_O():
                                       folded_hypercube, graph_from_edges, hamming_graph,
                                       hypercube, hypercube_power)
         from cubesym.cli import main
+        from cubesym.rowmaps import column_types
         from cubesym.search import search_automorphisms
         from cubesym.symmetry import TransitivityReport
 
@@ -681,6 +685,35 @@ def test_det_set_checks_survive_python_O():
                 sys.exit("the column floor passed an action outside its type list")
             if main(["param", "cost", "hypercube", "-n", "5", "--no-cache"]) != 3:
                 sys.exit("param cost hypercube with a short type list did not exit 3")
+        # a prefix table without the open type set of the lex-least class
+        # of Q_5, [0, 1, 2, 5, 11], as its columns read in that row order,
+        # cuts that class at its last word, so cost finds another class
+        q5 = autgroup.structured_group(hypercube(5))
+        types = [tuple(t) for t in column_types(5, 2).tolist()]
+        least = (0, 1, 2, 5, 11)
+        dropped = sum(1 << (len(types) - 1 - types.index(c))
+                      for c in q5.model._set_columns(least))
+        real_masks = symmetry._open_type_masks
+
+        def one_set_dropped(grp, r):
+            masks = real_masks(grp, r)
+            return None if masks is None else masks[masks != dropped]
+
+        if dropped not in real_masks(q5, 5):
+            sys.exit("the lex-least class of Q_5 has no open type set")
+        with mock.patch.object(symmetry, "_open_type_masks", one_set_dropped):
+            try:
+                found = symmetry.cost_2dist(q5.graph, q5)[1].payload
+            except AssertionError:
+                pass
+            else:
+                if found == least:
+                    sys.exit("the prefix prune kept a class whose open set it lacks")
+        # a class scan that returns a kept class makes dist of H(4,3), whose
+        # column floor is exact, fail its re-check
+        with mock.patch.object(symmetry, "_least_class", lambda grp, node_budget: (0, 1, 2, 3)):
+            if main(["param", "dist", "hamming", "-n", "4", "-m", "3", "--no-cache"]) != 3:
+                sys.exit("param dist hamming with a kept class from the scan did not exit 3")
         # a stabilizer chain whose first level has one wrong coset
         # representative, its last row replaced by its second, leaves the
         # last point of the orbit of b_1 without a row, so a Schreier
@@ -700,7 +733,7 @@ def test_det_set_checks_survive_python_O():
         k8 = search_automorphisms(hypercube_power(3, 3))
         moving = k8.generators[k8.generators[:, k8.base[0]] != k8.base[0]]
         try:
-            autgroup._chain_table(moving, k8.base)
+            autgroup._chain_table(moving, k8.base, autgroup.transversals(moving, k8.base))
         except AssertionError:
             pass
         else:
@@ -733,13 +766,17 @@ def test_det_set_checks_survive_python_O():
                 return [min(set(range(len(S) + 1)) - set(S))] + images[1:]
             return stand_in
 
+        # The CLI cases are scans whose column floor is left open, so that
+        # their leaves meet kept sets: Q_5^2 (32 types of 6 rows) and H(3,4)
+        # (35 types of 5 rows); at an exact floor the prefix prune leaves
+        # only classes.
         hamming_units = [0, 1, 3, 9]
         setwise_cases = [
-            (autgroup._CubeSetwise, autgroup.HypercubeModel(5), [0, 1, 2, 4, 8, 16],
-             ["param", "cost", "hypercube", "-n", "5", "--no-cache"]),
-            (autgroup._CubeSetwise, autgroup.HalvedCubeModel(5), [0, 1, 2, 4, 8, 16], None),
+            (autgroup._CubeSetwise, autgroup.HypercubeModel(5), [0, 1, 2, 4, 8, 16], None),
+            (autgroup._CubeSetwise, autgroup.HalvedCubeModel(5), [0, 1, 2, 4, 8, 16],
+             ["param", "cost", "power", "-n", "5", "-k", "2", "--no-cache"]),
             (autgroup.HammingModel, autgroup.HammingModel(FamilySpec("hamming", 3, m=3)),
-             hamming_units, ["param", "cost", "hamming", "-n", "3", "-m", "3", "--no-cache"]),
+             hamming_units, ["param", "cost", "hamming", "-n", "3", "-m", "4", "--no-cache"]),
         ]
         for owner, model, S, argv in setwise_cases:
             if not model.pointwise_trivial(S) or model.setwise_trivial(S):

@@ -87,7 +87,7 @@ def _plain_lex_scan(grp, nv: int) -> tuple[int, ...]:
     raise AssertionError("the whole vertex set is determining")
 
 
-def _plain_class_scan(grp) -> tuple[int, ...] | None:
+def _plain_class_scan(grp, node_budget=None) -> tuple[int, ...] | None:
     """The lex-least class with a trivial setwise stabilizer, of the least
     size up to half the vertices, by trying every class with
     `_setwise_trivial`; through vertex 0 when the group is transitive."""
@@ -498,6 +498,106 @@ def test_column_floor_when_a_row_map_keeps_every_type():
     assert symmetry._column_floor(automorphism_group(hypercube(2))) is None
     with pytest.raises(NotTwoDistinguishable):
         oracle_cost(hypercube(2))
+
+
+# The row-map models of the prefix prune's Hypothesis test, whose column
+# floors are exact.
+PRUNE_GROUPS = {
+    "Q_5": ("hypercube", 5, None, None), "Q_6": ("hypercube", 6, None, None),
+    "Q_7": ("hypercube", 7, None, None), "H(3,3)": ("hamming", 3, None, 3),
+    "H(4,3)": ("hamming", 4, None, 3),
+}
+
+
+@lru_cache(maxsize=None)
+def _prune_group(name: str):
+    kind, n, k, m = PRUNE_GROUPS[name]
+    return automorphism_group(build_family(FamilySpec(kind, n, k=k, m=m)))
+
+
+def _passes_prune(grp, words, size: int) -> list[bool]:
+    """Per prefix of `words`, in their order, whether the prefix prune of
+    the class scan at `size` leaves its node, as `_determining_leaves`
+    asks: the node of j words needs fewer than the size - j + 1 left."""
+    prune = symmetry._PrefixPrune(grp.model, symmetry._prefix_levels(grp, size))
+    state, passed = prune.det_start(), []
+    for j, w in enumerate(words, 1):
+        state = prune.det_add(state, w)
+        passed.append(prune.det_need(state) <= size - j)
+    return passed
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_prefix_of_a_class_passes_the_prune(data):
+    """Random classes of Q_5-Q_7, H(3,3) and H(4,3) at their exact floors,
+    in a random order: every prefix passes the prefix prune.  A class is
+    built from a random open type set (each type a column, in a random
+    column order, and on the Hamming graphs each column's symbols
+    relabelled at random), translated by a random word on the cubes; the
+    model's `setwise_trivial` checks that it is a class."""
+    name = data.draw(st.sampled_from(sorted(PRUNE_GROUPS)))
+    grp = _prune_group(name)
+    model = grp.model
+    size = symmetry._column_floor(grp)
+    assert symmetry._floor_is_exact(grp)
+    types = column_types(size, model.m)
+    masks = symmetry._open_type_masks(grp, size)
+    mask = int(masks[data.draw(st.integers(0, len(masks) - 1))])
+    chosen = [t for t in range(len(types)) if mask >> (len(types) - 1 - t) & 1]
+    chosen = data.draw(st.permutations(chosen))
+    rows = data.draw(st.permutations(range(size)))
+    if model.m == 2:
+        shift = data.draw(st.integers(0, grp.n_vertices - 1))
+        words = [sum(int(types[t, i]) << b for b, t in enumerate(chosen)) ^ shift for i in rows]
+    else:
+        symbols = [data.draw(st.permutations(range(model.m))) for _ in chosen]
+        words = [sum(sym[types[t, i]] * model.m ** (model.n - 1 - c)
+                     for c, (t, sym) in enumerate(zip(chosen, symbols))) for i in rows]
+    assert model.setwise_trivial(words), words
+    assert all(_passes_prune(grp, words, size)), words
+
+
+@pytest.mark.parametrize("name, size", [("Q_5", 4), ("Q_5", 3), ("H(4,3)", 3), ("H(3,4)", 4)])
+def test_prefix_prune_cuts_every_node_without_an_open_set(name, size):
+    """At a size whose column types leave no open set (below the floor),
+    the prune's tables are empty and it cuts every node at its first word,
+    so the search yields no leaf: from the empty set and from the root
+    word of each vertex."""
+    grp = _column_group(name)
+    assert symmetry._column_floor(grp) > size
+    levels = symmetry._prefix_levels(grp, size)
+    assert levels is not None and all(len(keys) == 0 for _, keys in levels)
+    prune = symmetry._PrefixPrune(grp.model, levels)
+    assert not any(_passes_prune(grp, [v], size)[0] for v in range(grp.n_vertices))
+    leaves = symmetry._determining_leaves(prune, prune.det_start(), (), range(grp.n_vertices),
+                                          0, size)
+    assert next(leaves, None) is None
+
+
+@pytest.mark.parametrize("n, witness", [
+    (9, [0, 3, 28, 101, 172]),
+    (10, [0, 7, 56, 201, 339]),
+])
+def test_cost_of_q9_and_q10_from_the_exact_floor(n, witness, monkeypatch):
+    """cost(Q_9) = cost(Q_10) = 5 = 1 + ceil(lg n), in Boutin's range
+    {1 + ceil(lg n), 2 + ceil(lg n)}: the column floor rules out every
+    size below 5 and is exact at 5, and the prefix prune leaves the lex
+    search two leaves to test, the anchored one and the lex-least class,
+    against 161,354 for Q_9 without it."""
+    tested = []
+    real = symmetry._setwise_trivial
+
+    def counted(grp, cls):
+        tested.append(cls)
+        return real(grp, cls)
+
+    monkeypatch.setattr(symmetry, "_setwise_trivial", counted)
+    grp = automorphism_group(hypercube(n))
+    value, found = cost_2dist(grp.graph, grp)
+    assert (value, sorted(found.payload)) == (5, witness)
+    assert symmetry._column_floor(grp) == 5 and symmetry._floor_is_exact(grp)
+    assert len(tested) == 2 and list(tested[-1]) == witness
 
 
 @pytest.mark.oracle_suite

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 from conftest import row_set
 
 from cubesym import symmetry
-from cubesym.autgroup import pointwise_stabilizer, setwise_stabilizer, structured_group
+from cubesym.autgroup import (
+    DEFAULT_ELEMENT_CAP,
+    PermGroup,
+    pointwise_stabilizer,
+    setwise_stabilizer,
+    structured_group,
+)
 from cubesym.bitgraph import (
     augmented_hypercube,
     complement,
@@ -724,8 +730,9 @@ def test_dist_of_k9_settles_each_coloring_in_its_first_chunk(monkeypatch):
 def test_dist_asks_the_greedy_only_when_the_root_bound_leaves_a_class(monkeypatch):
     """On K_9 the Hamming model's determining bound after one vertex needs
     half the vertices, so no class exists and dist goes straight to the
-    d >= 3 scan without the greedy class; H(4,3), with more than 16
-    vertices, still takes the greedy class."""
+    d >= 3 scan without the greedy class; H(3,4), with more than 16
+    vertices and a column floor left open (35 types of 5 rows), still takes
+    the greedy class."""
     real = symmetry._greedy_two_class
     greedy = []
 
@@ -741,9 +748,86 @@ def test_dist_asks_the_greedy_only_when_the_root_bound_leaves_a_class(monkeypatc
         return greedy[-1]
 
     monkeypatch.setattr(symmetry, "_greedy_two_class", counted)
-    report = compute_parameter(hamming_graph(3, 4), "dist")
+    report = compute_parameter(hamming_graph(4, 3), "dist")
     assert report["value"] == 2 and len(greedy) == 1 and greedy[0] is not None
     assert [c for c, v in enumerate(report["witness"]["payload"]) if v == 2] == list(greedy[0])
+
+
+@pytest.mark.parametrize("n, m, witness", [
+    (4, 3, [0, 1, 12, 32]),
+    (6, 3, None), (7, 3, None), (4, 4, None), (5, 4, None), (3, 5, None),
+])
+def test_dist_of_hamming_graphs_from_the_class_scan_builds_no_table(n, m, witness, monkeypatch):
+    """dist of H(n, m) above 16 vertices answers 2 from the class scan
+    without the element table: H(4,3), H(6,3) and H(7,3) at their exact
+    column floors, where the table is never asked for and H(4,3)'s class
+    is cost's lex-least one, and H(4,4), H(5,4) and H(3,5), whose floors
+    are left open, where the greedy's table is above the element cap and
+    the scan runs past the prune."""
+    asked = []
+    real = PermGroup.elements
+
+    def counted(self):
+        asked.append(self.order_known)
+        return real(self)
+
+    monkeypatch.setattr(PermGroup, "elements", counted)
+    g = hamming_graph(m, n)
+    grp = automorphism_group(g)
+    report = compute_parameter(g, "dist", grp)
+    cls = [v for v, c in enumerate(report["witness"]["payload"]) if c == 2]
+    assert report["value"] == 2 and grp.model.setwise_trivial(cls)
+    assert grp._elements is None
+    if symmetry._floor_is_exact(grp):
+        assert asked == []
+    else:  # the greedy asked, and the table is above the cap
+        assert asked and min(asked) > DEFAULT_ELEMENT_CAP
+    if witness is not None:
+        assert cls == witness == compute_parameter(g, "cost", grp)["witness"]["payload"]
+
+
+def test_dist_fallback_class_passes_the_table_test(monkeypatch):
+    """With the greedy made to raise as above the element cap, dist of
+    H(3,4) (floor left open) and H(2,5) answers 2 from the class scan, and
+    the table test `_only_identity_keeps` accepts that class."""
+    def too_large(grp):
+        raise SearchBudgetExceeded("greedy patched to raise")
+
+    monkeypatch.setattr(symmetry, "_greedy_two_class", too_large)
+    for g in (hamming_graph(4, 3), hamming_graph(5, 2)):
+        grp = automorphism_group(g)
+        assert not symmetry._floor_is_exact(grp)
+        report = compute_parameter(g, "dist", grp)
+        member = np.array(report["witness"]["payload"]) == 2
+        assert report["value"] == 2
+        assert symmetry._only_identity_keeps(grp, member)
+
+
+@pytest.mark.parametrize("cap, answers", [(1084, True), (1083, False)])
+def test_dist_fallback_scan_stops_at_the_element_cap(cap, answers, monkeypatch):
+    """The class scan that dist of H(4,4) asks where the greedy's table is
+    above the element cap adds 1,084 vertices to its nodes, and it may add
+    as many as the cap allows table rows: at that cap it answers 2, one
+    below it dist raises the budget error that the greedy would."""
+    monkeypatch.setattr(symmetry, "DEFAULT_ELEMENT_CAP", cap)
+    g = hamming_graph(4, 4)
+    if answers:
+        assert compute_parameter(g, "dist")["value"] == 2
+    else:
+        with pytest.raises(SearchBudgetExceeded, match="too large to settle"):
+            compute_parameter(g, "dist")
+
+
+def test_dist_without_a_class_above_16_vertices_says_dist_is_at_least_3():
+    """K_17 = H(1,17) has no class, which its column floor shows, and the
+    d >= 3 scan needs at most 16 vertices: dist raises a budget error that
+    says dist >= 3, with no element table built."""
+    g = hamming_graph(17, 1)
+    grp = automorphism_group(g)
+    assert symmetry._column_floor(grp) is None
+    with pytest.raises(SearchBudgetExceeded, match="dist >= 3"):
+        compute_parameter(g, "dist", grp)
+    assert grp._elements is None
 
 
 @pytest.mark.parametrize("m", [3, 9, 10, 16])
@@ -763,7 +847,7 @@ def test_cost_of_complete_graphs_builds_no_element_table(m):
 @pytest.mark.parametrize("name, make, value, calls", [
     ("cost FQ_4", lambda: compute_parameter(folded_hypercube(4), "cost"), 8, 1),
     ("dist Q_{4,2}", lambda: compute_parameter(enhanced_hypercube(4, 2), "dist"), 3, 0),
-    ("cost Q_5", lambda: compute_parameter(hypercube(5), "cost"), 5, 40),
+    ("cost Q_5", lambda: compute_parameter(hypercube(5), "cost"), 5, 2),
     ("cost H(4,4)", lambda: compute_parameter(hamming_graph(4, 4), "cost"), 5, 66),
 ])
 def test_class_scan_setwise_calls(name, make, value, calls, monkeypatch):
@@ -771,9 +855,12 @@ def test_class_scan_setwise_calls(name, make, value, calls, monkeypatch):
     it reads its class from the kept-set table and asks only to re-check
     it: once for cost of FQ_4, and never for dist of Q_{4,2}, which has no
     class.  On more vertices the search starts at the column view's floor,
-    5 for Q_5 and H(4,4), and tests each of its leaves: 40 for Q_5 and 66
-    for H(4,4), against 244 and 3,138 from size 1.  The cost scans never
-    enter `_distinguishing_d3`, which only dist reaches."""
+    5 for Q_5 and H(4,4), and tests each of its leaves.  Q_5's floor is
+    exact, and the prefix prune leaves two leaves, the anchored search's
+    and the lex search's first class, against 40 without the prune and 244
+    from size 1.  H(4,4)'s floor has 35 types, past the prune, and its
+    search tests 66 leaves, against 3,138 from size 1.  The cost scans
+    never enter `_distinguishing_d3`, which only dist reaches."""
     made, scanned = [], []
     real, real_d3 = symmetry._setwise_trivial, symmetry._distinguishing_d3
 

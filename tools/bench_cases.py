@@ -1,0 +1,117 @@
+"""Cold CLI timings of the ROADMAP baseline cases.
+
+Each case runs `python -m cubesym.cli <argv>` in a fresh interpreter, with
+`--no-cache` on `param` queries, from the `src` tree beside this script.
+The runner records its wall time, the child's peak resident memory
+(`ru_maxrss` from `os.wait4`) and its exit code, and, when stdout is a JSON
+report, its `value` and `elapsed_ms`.  A case past `TIMEOUT_S` is killed
+and recorded with `"timed_out": true`.
+
+    python tools/bench_cases.py OUT.json
+
+The cases run one at a time, so the memory of one is not shared with
+another; the numbers are those of whatever host runs them, which the output
+records (`platform`, `cpus`), and are a floor, not a gate.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import threading
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300
+
+CASES = [
+    "param det hypercube -n 16",
+    "param det power -n 9 -k 2",
+    "param det enhanced -n 8 -k 6",
+    "param det power -n 4 -k 3",
+    "param dist power -n 4 -k 3",
+    "param dist power -n 3 -k 3",
+    "param dist hamming -n 1 -m 9",
+    "param dist hamming -n 4 -m 3",
+    "param dist hamming -n 5 -m 3",
+    "param dist hamming -n 6 -m 3",
+    "param dist hamming -n 7 -m 3",
+    "param dist hamming -n 4 -m 4",
+    "param dist hamming -n 5 -m 4",
+    "param dist hamming -n 3 -m 5",
+    "param dist hamming -n 2 -m 6",
+    "param dist hamming -n 2 -m 7",
+    "param dist hamming -n 3 -m 6",
+    "param dist enhanced -n 4 -k 2",
+    "param cost hypercube -n 8",
+    "param cost hypercube -n 9",
+    "param cost hypercube -n 10",
+    "param cost hypercube -n 11",
+    "param cost hypercube -n 12",
+    "param cost power -n 6 -k 2",
+    "param cost hamming -n 2 -m 6",
+    "param cost folded -n 6",
+    "param cost folded -n 7",
+    "param cost enhanced -n 6 -k 4",
+    "param cost enhanced -n 10 -k 2",
+    "param transitivity hypercube -n 16",
+    "tables summary --n 8",
+    "export hypercube -n 9",
+]
+
+
+def run_case(case: str) -> dict:
+    argv = case.split() + (["--no-cache"] if case.startswith("param") else [])
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryDirectory() as cwd:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "cubesym.cli", *argv], stdout=out,
+                                stderr=subprocess.DEVNULL, cwd=cwd, env=env)
+        killed = []
+
+        def kill():
+            killed.append(True)
+            proc.kill()
+
+        killer = threading.Timer(TIMEOUT_S, kill)
+        killer.start()
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        killer.cancel()
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        text = out.read().decode(errors="replace")
+    row = {"case": case, "wall_s": round(wall, 3),
+           "peak_rss_mb": round(usage.ru_maxrss / 1024, 1), "exit": proc.returncode,
+           "timed_out": bool(killed)}
+    try:
+        report = json.loads(text)
+    except ValueError:
+        return row
+    if isinstance(report, dict):
+        row.update({key: report[key] for key in ("value", "elapsed_ms") if key in report})
+    return row
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", type=Path, help="the JSON file to write")
+    args = parser.parse_args(argv)
+    rows = []
+    for case in CASES:
+        rows.append(run_case(case))
+        print(json.dumps(rows[-1]), file=sys.stderr, flush=True)
+    result = {"platform": platform.platform(), "python": platform.python_version(),
+              "cpus": os.cpu_count(), "timeout_s": TIMEOUT_S, "cases": rows}
+    args.out.write_text(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
