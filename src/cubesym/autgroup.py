@@ -185,8 +185,7 @@ class PermGroup:
 
     `_by_support` caches the indices of the element table's rows in the
     order of how many vertices they move, identity first and ties in table
-    order, and `_open_masks` the open column-type sets of the class scan
-    per number of rows (both kept by `symmetry`).
+    order (kept by `symmetry`).
     """
 
     n_vertices: int
@@ -199,7 +198,6 @@ class PermGroup:
     _elements: np.ndarray | None = field(default=None, repr=False)
     _fixers: list[int] | None = field(default=None, repr=False)
     _by_support: np.ndarray | None = field(default=None, repr=False)
-    _open_masks: dict = field(default_factory=dict, repr=False)
     _chain: list[np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):

@@ -4,7 +4,7 @@ transitivity checks, and the witnesses that certify each reported value."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -306,25 +306,26 @@ def _least_class(grp: PermGroup, node_budget: int | None = None) -> tuple[int, .
     size `_column_floor` leaves open, tests each of its leaves by
     `_setwise_trivial`, so it visits every such class of those sizes in lex
     order, and setwise triviality is kept under conjugation, as its
-    anchoring needs; on a row-map model each size with at most
-    `_EXHAUSTIVE_2_LIMIT` column types is searched through `_PrefixPrune`,
-    which cuts no class.  `node_budget`, when given, bounds the vertices
-    that this search adds to its nodes over all its sizes (`_NodeBudget`)."""
+    anchoring needs; on a row-map model a size is searched through
+    `_ScanTest` where it has at most `_EXHAUSTIVE_2_LIMIT` column types,
+    for the prefix prune, which cuts no class, or where `node_budget` is
+    given, which bounds the vertices that the search adds to its nodes over
+    all its sizes."""
     nv = grp.n_vertices
     if nv > _EXHAUSTIVE_2_LIMIT:
-        floor = _column_floor(grp)
+        floor = _column_floor(grp.model, nv)
         if floor is None:
             return None
         ticks = None if node_budget is None else iter(range(node_budget))
-        row_map = hasattr(grp.model, "setwise_trivial")
 
         def narrow(test, size):
-            levels = _prefix_levels(grp, size) if row_map else None
-            test = test if levels is None else _PrefixPrune(test, levels)
-            return test if ticks is None else _NodeBudget(test, ticks)
+            levels = _prefix_levels(grp.model, size)
+            return test if levels is None and ticks is None else _ScanTest(test, levels, ticks)
 
+        row_map = hasattr(grp.model, "setwise_trivial")
         return _least_determining(grp, range(floor, nv // 2 + 1),
-                                  lambda cls: _setwise_trivial(grp, cls), narrow)
+                                  lambda cls: _setwise_trivial(grp, cls),
+                                  narrow if row_map else None)
     if _root_bound_rules_out_classes(grp):
         return None
     sizes = np.bitwise_count(np.arange(1 << nv))
@@ -359,8 +360,8 @@ def _kept_sets(table: np.ndarray) -> np.ndarray:
     chunk of `_BLOCK_ROWS` rows, pointer doubling finds every point's cycle
     leader, its least point (`root = min(root, root[step])`, `step =
     step[step]`, ceil(lg V) times); one `bincount` sums each cycle's point
-    bits onto its leader; and the rows with t cycles mark their 2^t unions,
-    filled by doubling in uint16, at most `_BLOCK_BYTES` at a time.  Raises
+    bits onto its leader; and the rows with t cycles mark their 2^t unions
+    (`_subset_fold` in uint16), at most `_BLOCK_BYTES` at a time.  Raises
     AssertionError unless exactly one row is the identity, the only row
     with V cycles."""
     nv = table.shape[1]
@@ -385,12 +386,7 @@ def _kept_sets(table: np.ndarray) -> np.ndarray:
             masks = cycles[of_t][leader[of_t]].reshape(-1, t)
             per = max(1, _BLOCK_BYTES >> (t + 1))  # rows of 2^t uint16 unions
             for first in range(0, len(masks), per):
-                part = masks[first:first + per]
-                unions = np.zeros((len(part), 1 << t), dtype=np.uint16)
-                for j in range(t):
-                    np.bitwise_or(unions[:, :1 << j], part[:, j, None],
-                                  out=unions[:, 1 << j:2 << j])
-                kept[unions] = True
+                kept[_subset_fold(masks[first:first + per].T, np.bitwise_or)] = True
     if identities != 1:
         raise AssertionError("the element table does not have exactly one identity row")
     return kept
@@ -444,73 +440,60 @@ def _greedy_two_class(grp: PermGroup) -> tuple[int, ...] | None:
 _EXHAUSTIVE_2_LIMIT = 16
 
 
-def _column_floor(grp: PermGroup) -> int | None:
+def _column_floor(model, n_vertices: int) -> int | None:
     """The least class size up to half the vertices that the column view
     leaves open on a model with a row-map setwise test (Q_n, the halved
     cubes and H(n, m)), or None if it rules out every such size; 1 on any
-    other group.
+    other model.
 
     A set of r words is a class iff its columns have distinct types
     (`column_types`) and no row map other than the identity keeps their
     set (`_RowMapSetwise`); on the halved cube the types of the translated
-    extended columns also XOR to 0.  So a size r is ruled out when there
-    are fewer types than columns, or when `_open_type_sets` leaves no set.
-    The first size with more than `_EXHAUSTIVE_2_LIMIT` types is left
-    open, since `_kept_sets` does not reach it."""
-    if not hasattr(grp.model, "setwise_trivial"):
+    extended columns also XOR to 0.  So a size r is ruled out when
+    `_type_masks` leaves no open set.  The first size with more than
+    `_EXHAUSTIVE_2_LIMIT` types is left open, since `_kept_sets` does not
+    reach it.  Only the model's shape is read, not its group."""
+    if not hasattr(model, "setwise_trivial"):
         return 1
-    return _floor_size(grp.n_vertices, partial(_open_type_masks, grp))
-
-
-def _floor_size(n_vertices: int, masks_of) -> int | None:
-    """The least r up to half the vertices whose open type sets
-    `masks_of(r)` are not empty or not settled (None), or None."""
     return next((r for r in range(1, n_vertices // 2 + 1)
-                 if (masks := masks_of(r)) is None or len(masks)), None)
+                 if (masks := _type_masks(model.m, model.columns, model.even_words, r)) is None
+                 or len(masks)), None)
 
 
-def floor_is_exact(model, n_vertices: int, masks_of=None) -> bool:
+def floor_is_exact(model, n_vertices: int) -> bool:
     """Whether the column floor of a row-map model on `n_vertices` is
     exact: its size has at most `_EXHAUSTIVE_2_LIMIT` types and so an open
     type set.  Then a class of that size exists: the rows of an open set's
     types are distinct words, since a row map swapping two equal rows would
     keep every type, and on the halved cube they have even weight, as the
-    types XOR to 0.  `masks_of(r)` gives the open sets of r rows, by
-    default `_type_masks` of the model; it reads no group."""
-    masks_of = masks_of or cache(partial(_type_masks, model))
-    floor = _floor_size(n_vertices, masks_of)
-    return floor is not None and masks_of(floor) is not None
+    types XOR to 0."""
+    floor = _column_floor(model, n_vertices)
+    return (floor is not None
+            and _type_masks(model.m, model.columns, model.even_words, floor) is not None)
 
 
-def _floor_is_exact(grp: PermGroup) -> bool:
-    """`floor_is_exact` of a row-map model's group, on its kept masks."""
-    return floor_is_exact(grp.model, grp.n_vertices, partial(_open_type_masks, grp))
-
-
-def _open_type_masks(grp: PermGroup, r: int) -> np.ndarray | None:
-    """`_type_masks` of the group's row-map model, kept on the group, so
-    that the floor and the prune read one computation."""
-    if r not in grp._open_masks:
-        grp._open_masks[r] = _type_masks(grp.model, r)
-    return grp._open_masks[r]
-
-
-def _type_masks(model, r: int) -> np.ndarray | None:
+@cache
+def _type_masks(m: int, columns: int, even_words: bool, r: int) -> np.ndarray | None:
     """The masks of the open sets (`_open_type_sets`) of the column types
-    of r rows on a row-map model, ascending; empty when there are fewer
-    types than columns, and None when there are more than
-    `_EXHAUSTIVE_2_LIMIT`."""
-    types = column_types(r, model.m)
+    of r rows on a row-map model whose words have `columns` columns over m
+    symbols, ascending and read-only; empty when there are fewer types than
+    columns, and None when there are more than `_EXHAUSTIVE_2_LIMIT`.  They
+    depend on that shape alone, so they are computed once per process for
+    the floor and the prefix prune of every group."""
+    types = column_types(r, m)
     if len(types) > _EXHAUSTIVE_2_LIMIT:
         return None
-    if len(types) < model.columns:
-        return np.zeros(0, dtype=np.intp)
-    return np.flatnonzero(_open_type_sets(model, types))
+    masks = np.zeros(0, dtype=np.intp)
+    if len(types) >= columns:
+        masks = np.flatnonzero(_open_type_sets(m, columns, even_words, types))
+    masks.flags.writeable = False
+    return masks
 
 
-def _prefix_levels(grp: PermGroup, size: int) -> list[tuple[dict, np.ndarray]] | None:
+def _prefix_levels(model, size: int) -> list[tuple[dict, np.ndarray]] | None:
     """For j = 1..size, the prefix table of the open type sets of `size`
-    rows (`_open_type_masks`), or None past `_EXHAUSTIVE_2_LIMIT` types.
+    rows of a row-map model (`_type_masks`), or None past
+    `_EXHAUSTIVE_2_LIMIT` types.
 
     A type's length-j prefix is the restricted-growth string of its first j
     rows, coded in base m with the first row highest, as the models'
@@ -523,14 +506,14 @@ def _prefix_levels(grp: PermGroup, size: int) -> list[tuple[dict, np.ndarray]] |
     its 4 bits; a level whose prefixes take all 16 ranks has counts of at
     most 1, so every key is below 2^61, an int64, which `searchsorted`
     compares with a Python int exactly."""
-    masks = _open_type_masks(grp, size)
+    masks = _type_masks(model.m, model.columns, model.even_words, size)
     if masks is None:
         return None
-    types = column_types(size, grp.model.m)
+    types = column_types(size, model.m)
     codes = np.zeros(len(types), dtype=np.int64)
     ranks, weights = [], []
     for j in range(size):
-        codes = codes * grp.model.m + types[:, j]
+        codes = codes * model.m + types[:, j]
         rank = np.searchsorted(np.sort(codes), codes)
         ranks.append(dict(zip(codes.tolist(), rank.tolist())))
         weights.append(1 << 4 * rank)
@@ -543,8 +526,7 @@ def _prefix_levels(grp: PermGroup, size: int) -> list[tuple[dict, np.ndarray]] |
 def _subset_fold(values: np.ndarray, op) -> np.ndarray:
     """`op` (a numpy ufunc) folded over each set of the rows of `values`,
     row t at bit T-1-t of the set's mask, for all 2^T masks, with zeros
-    for the empty set: filled by doubling, as `_kept_sets` fills its
-    unions."""
+    for the empty set: filled by doubling."""
     n = len(values)
     out = np.zeros((1 << n,) + values.shape[1:], dtype=values.dtype)
     for b in range(n):  # bit b is row T-1-b
@@ -552,12 +534,16 @@ def _subset_fold(values: np.ndarray, op) -> np.ndarray:
     return out
 
 
-class _PrefixPrune:
+class _ScanTest:
     """The determining test of a row-map model for the class scan of one
-    size, with at most `_EXHAUSTIVE_2_LIMIT` column types: its state also
-    counts the words, and a node of j words is cut, by a need of `size`
-    more, unless its columns' codes (`column_codes`) are the length-j
-    prefixes of some open type set's, as multisets (`_prefix_levels`).
+    size.  Its state also counts the words, and where `levels`
+    (`_prefix_levels`) is not None, that is, the size has at most
+    `_EXHAUSTIVE_2_LIMIT` column types, a node of j words is cut, by a need
+    of `size` more, unless its columns' codes (`column_codes`) are the
+    length-j prefixes of some open type set's, as multisets.  Where `ticks`,
+    an iterator that the searches of every size share, is not None, it
+    takes one tick per vertex added to a node, and raises
+    SearchBudgetExceeded when they run out.
 
     A node fixes each column's first j rows, and the prefix of a
     restricted-growth string is the restricted-growth string of the
@@ -565,18 +551,20 @@ class _PrefixPrune:
     order of its words, so no node above a class is cut.  At j = size the
     node's types are an open set, which `setwise_trivial` re-checks."""
 
-    def __init__(self, test, levels: list[tuple[dict, np.ndarray]]):
-        self.test, self.levels = test, levels
+    def __init__(self, test, levels: list[tuple[dict, np.ndarray]] | None, ticks):
+        self.test, self.levels, self.ticks = test, levels, ticks
 
     def det_start(self):
         return self.test.det_start(), 0
 
     def det_add(self, state, v: int):
+        if self.ticks is not None and next(self.ticks, None) is None:
+            raise SearchBudgetExceeded("the class scan ran out of its node budget")
         return self.test.det_add(state[0], v), state[1] + 1
 
     def det_need(self, state) -> int:
         inner, j = state
-        if j:
+        if j and self.levels is not None:
             ranks, keys = self.levels[j - 1]
             key = 0
             for code in self.test.column_codes(inner):
@@ -592,45 +580,22 @@ class _PrefixPrune:
         return self.test.det_done(state[0])
 
 
-class _NodeBudget:
-    """A determining test that takes one tick of `ticks`, an iterator that
-    the searches of every size share, per vertex it adds to a node, and
-    raises SearchBudgetExceeded when they run out."""
-
-    def __init__(self, test, ticks):
-        self.test, self.ticks = test, ticks
-
-    def det_start(self):
-        return self.test.det_start()
-
-    def det_add(self, state, v: int):
-        if next(self.ticks, None) is None:
-            raise SearchBudgetExceeded("the class scan ran out of its node budget")
-        return self.test.det_add(state, v)
-
-    def det_need(self, state) -> int:
-        return self.test.det_need(state)
-
-    def det_done(self, state) -> bool:
-        return self.test.det_done(state)
-
-
-def _open_type_sets(model, types: np.ndarray) -> np.ndarray:
-    """`open[mask]` for every set of the row-map model's column types (type
-    t at bit T-1-t, T at most 16): whether the set has `model.columns`
-    types, no row map but the identity keeps it, and, when
-    `model.even_words` (the halved cube), its types XOR to 0, as the
-    translated extended columns of words of even weight do.
+def _open_type_sets(m: int, columns: int, even_words: bool, types: np.ndarray) -> np.ndarray:
+    """`open[mask]` for every set of the column types over m symbols (type
+    t at bit T-1-t, T at most 16): whether the set has `columns` types, no
+    row map but the identity keeps it, and, when `even_words` (the halved
+    cube), its types XOR to 0, as the translated extended columns of words
+    of even weight do.
 
     `_kept_sets` reads the row maps' action on the types as its table; when
     a row map other than the identity keeps every type, it keeps every
     set.  The XOR of every set is read from `_subset_fold`."""
     n_types = len(types)
-    action = row_map_action(types, model.m)
+    action = row_map_action(types, m)
     if np.count_nonzero((action == np.arange(n_types)).all(axis=1)) > 1:
         return np.zeros(1 << n_types, dtype=bool)
-    found = ~_kept_sets(action) & (np.bitwise_count(np.arange(1 << n_types)) == model.columns)
-    if model.even_words:
+    found = ~_kept_sets(action) & (np.bitwise_count(np.arange(1 << n_types)) == columns)
+    if even_words:
         found &= _subset_fold(types @ (1 << np.arange(types.shape[1])), np.bitwise_xor) == 0
     return found
 
@@ -644,7 +609,7 @@ def distinguishing_number(g: Graph, grp: PermGroup,
     sound test and then by its setwise stabilizer.  Then, on an enumerable
     group, the greedy class, except on a row-map model (Q_n, the halved
     cubes and H(n, m)) of more than `_EXHAUSTIVE_2_LIMIT` vertices where
-    the column floor rules out every size or `_floor_is_exact`.  Where that
+    the column floor rules out every size or `floor_is_exact`.  Where that
     gives no class, the class scan `_least_class` on at most
     `_EXHAUSTIVE_2_LIMIT` vertices or a row-map model, and on the former
     d >= 3 if it finds none; on the latter no class proves dist >= 3, which
@@ -674,7 +639,8 @@ def distinguishing_number(g: Graph, grp: PermGroup,
                 return two(cand)
         if nv <= _EXHAUSTIVE_2_LIMIT and _root_bound_rules_out_classes(grp):
             return _distinguishing_d3(grp, tag)
-        if not (row_map and (_column_floor(grp) is None or _floor_is_exact(grp))):
+        if not (row_map and (_column_floor(grp.model, nv) is None
+                             or floor_is_exact(grp.model, nv))):
             cls = _greedy_two_class(grp)
     except SearchBudgetExceeded:
         if not row_map:

@@ -673,11 +673,15 @@ def test_det_set_checks_survive_python_O():
             if main(["param", "cost", "folded", "-n", "4", "--no-cache"]) != 3:
                 sys.exit("param cost folded with an empty kept-set table did not exit 3")
         # a type list without its last type: the row maps read some type
-        # into that one, which the column view's action refuses
+        # into that one, which the column view's action refuses.  The open
+        # type sets are cached per shape for the whole process, so the cache
+        # is cleared before the stand-in, for it to be read, and after it,
+        # so that no set computed from the short list outlives it
         real_types = symmetry.column_types
+        symmetry._type_masks.cache_clear()
         with mock.patch.object(symmetry, "column_types", lambda r, m: real_types(r, m)[:-1]):
             try:
-                symmetry._column_floor(autgroup.structured_group(hypercube(5)))
+                symmetry._column_floor(autgroup.HypercubeModel(5), 32)
             except AssertionError as exc:
                 if "not in the type list" not in str(exc):
                     sys.exit(f"the column floor of Q_5 failed elsewhere: {exc}")
@@ -685,6 +689,7 @@ def test_det_set_checks_survive_python_O():
                 sys.exit("the column floor passed an action outside its type list")
             if main(["param", "cost", "hypercube", "-n", "5", "--no-cache"]) != 3:
                 sys.exit("param cost hypercube with a short type list did not exit 3")
+        symmetry._type_masks.cache_clear()
         # a prefix table without the open type set of the lex-least class
         # of Q_5, [0, 1, 2, 5, 11], as its columns read in that row order,
         # cuts that class at its last word, so cost finds another class
@@ -693,15 +698,16 @@ def test_det_set_checks_survive_python_O():
         least = (0, 1, 2, 5, 11)
         dropped = sum(1 << (len(types) - 1 - types.index(c))
                       for c in q5.model._set_columns(least))
-        real_masks = symmetry._open_type_masks
+        real_masks = symmetry._type_masks
 
-        def one_set_dropped(grp, r):
-            masks = real_masks(grp, r)
+        def one_set_dropped(*shape):
+            masks = real_masks(*shape)
             return None if masks is None else masks[masks != dropped]
 
-        if dropped not in real_masks(q5, 5):
+        real_masks.cache_clear()
+        if dropped not in real_masks(2, 5, False, 5):
             sys.exit("the lex-least class of Q_5 has no open type set")
-        with mock.patch.object(symmetry, "_open_type_masks", one_set_dropped):
+        with mock.patch.object(symmetry, "_type_masks", one_set_dropped):
             try:
                 found = symmetry.cost_2dist(q5.graph, q5)[1].payload
             except AssertionError:
@@ -709,6 +715,7 @@ def test_det_set_checks_survive_python_O():
             else:
                 if found == least:
                     sys.exit("the prefix prune kept a class whose open set it lacks")
+        real_masks.cache_clear()
         # a class scan that returns a kept class makes dist of H(4,3), whose
         # column floor is exact, fail its re-check
         with mock.patch.object(symmetry, "_least_class", lambda grp, node_budget: (0, 1, 2, 3)):

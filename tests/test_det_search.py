@@ -13,6 +13,7 @@ oracle."""
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
@@ -27,6 +28,7 @@ from conftest import reference_closure, row_set
 from cubesym import constructions as cons
 from cubesym import symmetry
 from cubesym.autgroup import (
+    HypercubeModel,
     determining_test,
     pointwise_stabilizer,
     pointwise_stabilizer_is_trivial,
@@ -39,6 +41,7 @@ from cubesym.bitgraph import (
     graph_from_edges,
     hypercube,
 )
+from cubesym.cli import main
 from cubesym.errors import NotTwoDistinguishable
 from cubesym.oracle import _fixes_setwise, enumerate_automorphisms_naive, oracle_cost
 from cubesym.params import automorphism_group
@@ -406,7 +409,8 @@ def _column_sizes(name: str) -> list[int]:
 def _open_sets(name: str, r: int):
     model = _column_group(name).model
     types = column_types(r, model.m)
-    return [tuple(t) for t in types.tolist()], symmetry._open_type_sets(model, types)
+    return ([tuple(t) for t in types.tolist()],
+            symmetry._open_type_sets(model.m, model.columns, model.even_words, types))
 
 
 def _type_of(column) -> tuple[int, ...]:
@@ -473,7 +477,8 @@ def test_open_type_sets_match_a_plain_filter(name):
             kept = member[action[:, list(chosen)]].all(axis=1).any()
             xor = np.bitwise_xor.reduce(values[list(chosen)]) if model.even_words else 0
             want[sum(1 << (len(types) - 1 - t) for t in chosen)] = not kept and xor == 0
-        assert (symmetry._open_type_sets(model, types) == want).all(), (name, r)
+        found = symmetry._open_type_sets(model.m, model.columns, model.even_words, types)
+        assert (found == want).all(), (name, r)
 
 
 @pytest.mark.parametrize("name", [
@@ -485,8 +490,8 @@ def test_column_floor_keeps_value_and_witness(name, monkeypatch):
     witness of the scan from size 1 (Q_6^2's takes about 4 s from size 1)."""
     grp = _column_group(name)
     value, witness = cost_2dist(grp.graph, grp)
-    assert symmetry._column_floor(grp) <= value
-    monkeypatch.setattr(symmetry, "_column_floor", lambda grp: 1)
+    assert symmetry._column_floor(grp.model, grp.n_vertices) <= value
+    monkeypatch.setattr(symmetry, "_column_floor", lambda model, n_vertices: 1)
     plain = cost_2dist(grp.graph, grp)
     assert (value, witness.payload) == (plain[0], plain[1].payload)
 
@@ -495,7 +500,7 @@ def test_column_floor_when_a_row_map_keeps_every_type():
     """On Q_2 (C_4) the swap of the two rows keeps both column types of two
     rows, so it keeps every set of them, and the floor rules out every
     size: C_4 is not 2-distinguishable."""
-    assert symmetry._column_floor(automorphism_group(hypercube(2))) is None
+    assert symmetry._column_floor(automorphism_group(hypercube(2)).model, 4) is None
     with pytest.raises(NotTwoDistinguishable):
         oracle_cost(hypercube(2))
 
@@ -519,7 +524,7 @@ def _passes_prune(grp, words, size: int) -> list[bool]:
     """Per prefix of `words`, in their order, whether the prefix prune of
     the class scan at `size` leaves its node, as `_determining_leaves`
     asks: the node of j words needs fewer than the size - j + 1 left."""
-    prune = symmetry._PrefixPrune(grp.model, symmetry._prefix_levels(grp, size))
+    prune = symmetry._ScanTest(grp.model, symmetry._prefix_levels(grp.model, size), None)
     state, passed = prune.det_start(), []
     for j, w in enumerate(words, 1):
         state = prune.det_add(state, w)
@@ -539,10 +544,10 @@ def test_every_prefix_of_a_class_passes_the_prune(data):
     name = data.draw(st.sampled_from(sorted(PRUNE_GROUPS)))
     grp = _prune_group(name)
     model = grp.model
-    size = symmetry._column_floor(grp)
-    assert symmetry._floor_is_exact(grp)
+    size = symmetry._column_floor(model, grp.n_vertices)
+    assert symmetry.floor_is_exact(model, grp.n_vertices)
     types = column_types(size, model.m)
-    masks = symmetry._open_type_masks(grp, size)
+    masks = symmetry._type_masks(model.m, model.columns, model.even_words, size)
     mask = int(masks[data.draw(st.integers(0, len(masks) - 1))])
     chosen = [t for t in range(len(types)) if mask >> (len(types) - 1 - t) & 1]
     chosen = data.draw(st.permutations(chosen))
@@ -565,10 +570,10 @@ def test_prefix_prune_cuts_every_node_without_an_open_set(name, size):
     so the search yields no leaf: from the empty set and from the root
     word of each vertex."""
     grp = _column_group(name)
-    assert symmetry._column_floor(grp) > size
-    levels = symmetry._prefix_levels(grp, size)
+    assert symmetry._column_floor(grp.model, grp.n_vertices) > size
+    levels = symmetry._prefix_levels(grp.model, size)
     assert levels is not None and all(len(keys) == 0 for _, keys in levels)
-    prune = symmetry._PrefixPrune(grp.model, levels)
+    prune = symmetry._ScanTest(grp.model, levels, None)
     assert not any(_passes_prune(grp, [v], size)[0] for v in range(grp.n_vertices))
     leaves = symmetry._determining_leaves(prune, prune.det_start(), (), range(grp.n_vertices),
                                           0, size)
@@ -596,8 +601,54 @@ def test_cost_of_q9_and_q10_from_the_exact_floor(n, witness, monkeypatch):
     grp = automorphism_group(hypercube(n))
     value, found = cost_2dist(grp.graph, grp)
     assert (value, sorted(found.payload)) == (5, witness)
-    assert symmetry._column_floor(grp) == 5 and symmetry._floor_is_exact(grp)
+    assert symmetry._column_floor(grp.model, grp.n_vertices) == 5
+    assert symmetry.floor_is_exact(grp.model, grp.n_vertices)
     assert len(tested) == 2 and list(tested[-1]) == witness
+
+
+def test_open_type_sets_are_computed_once_per_shape(monkeypatch, tmp_path, capsys):
+    """The open type sets depend only on a row-map model's shape, and are
+    cached for the process: after `tables summary --n 8`, which computes
+    cost of Q_8 from its exact floor, `param cost hypercube -n 8` builds a
+    new group but computes no open type set for Q_8's shape (2, 8, False)."""
+    monkeypatch.chdir(tmp_path)
+    shapes = []
+    real = symmetry._open_type_sets
+
+    def counted(m, columns, even_words, types):
+        shapes.append((m, columns, even_words))
+        return real(m, columns, even_words, types)
+
+    monkeypatch.setattr(symmetry, "_open_type_sets", counted)
+    symmetry._type_masks.cache_clear()
+    assert main(["tables", "summary", "--n", "8"]) == 0
+    assert (2, 8, False) in shapes
+    before = len(shapes)
+    capsys.readouterr()
+    assert main(["param", "cost", "hypercube", "-n", "8", "--no-cache"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 5
+    assert (2, 8, False) not in shapes[before:]
+
+
+def test_short_type_list_stand_in_reaches_its_check_after_a_cached_run(monkeypatch, tmp_path):
+    """The short-type-list stand-in of the `python -O` script after a run
+    that filled the process-wide cache of open type sets for Q_5's shape.
+    Without clearing the cache the stand-in is never read; cleared first,
+    the column view's action refuses the short list; cleared after, no set
+    computed from that list is left, and Q_5's floor is 5 again."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["param", "cost", "hypercube", "-n", "5", "--no-cache"]) == 0
+    real_types, model = symmetry.column_types, HypercubeModel(5)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(symmetry, "column_types", lambda r, m: real_types(r, m)[:-1])
+            assert symmetry._column_floor(model, 32) == 5
+            symmetry._type_masks.cache_clear()
+            with pytest.raises(AssertionError, match="not in the type list"):
+                symmetry._column_floor(model, 32)
+    finally:
+        symmetry._type_masks.cache_clear()
+    assert symmetry._column_floor(model, 32) == 5 and symmetry.floor_is_exact(model, 32)
 
 
 @pytest.mark.oracle_suite
@@ -608,7 +659,7 @@ def test_column_floor_against_the_oracle(kind, n, m):
     """The floor is at most the oracle's cost on Q_4 and H(2,4), and rules
     out every size on Q_3 and H(2,3), which are not 2-distinguishable."""
     g = build_family(FamilySpec(kind, n, m=m))
-    floor = symmetry._column_floor(automorphism_group(g))
+    floor = symmetry._column_floor(automorphism_group(g).model, g.n_vertices)
     try:
         cost = oracle_cost(g).value
     except NotTwoDistinguishable:

@@ -778,7 +778,7 @@ def test_dist_of_hamming_graphs_from_the_class_scan_builds_no_table(n, m, witnes
     cls = [v for v, c in enumerate(report["witness"]["payload"]) if c == 2]
     assert report["value"] == 2 and grp.model.setwise_trivial(cls)
     assert grp._elements is None
-    if symmetry._floor_is_exact(grp):
+    if symmetry.floor_is_exact(grp.model, grp.n_vertices):
         assert asked == []
     else:  # the greedy asked, and the table is above the cap
         assert asked and min(asked) > DEFAULT_ELEMENT_CAP
@@ -796,7 +796,7 @@ def test_dist_fallback_class_passes_the_table_test(monkeypatch):
     monkeypatch.setattr(symmetry, "_greedy_two_class", too_large)
     for g in (hamming_graph(4, 3), hamming_graph(5, 2)):
         grp = automorphism_group(g)
-        assert not symmetry._floor_is_exact(grp)
+        assert not symmetry.floor_is_exact(grp.model, grp.n_vertices)
         report = compute_parameter(g, "dist", grp)
         member = np.array(report["witness"]["payload"]) == 2
         assert report["value"] == 2
@@ -824,7 +824,7 @@ def test_dist_without_a_class_above_16_vertices_says_dist_is_at_least_3():
     says dist >= 3, with no element table built."""
     g = hamming_graph(17, 1)
     grp = automorphism_group(g)
-    assert symmetry._column_floor(grp) is None
+    assert symmetry._column_floor(grp.model, grp.n_vertices) is None
     with pytest.raises(SearchBudgetExceeded, match="dist >= 3"):
         compute_parameter(g, "dist", grp)
     assert grp._elements is None
