@@ -353,12 +353,23 @@ def trivial_group(nv: int, graph: Graph | None = None) -> PermGroup:
                      _elements=np.arange(nv, dtype=np.int32)[None, :])
 
 
+def _lex_permutations(k: int) -> np.ndarray:
+    """The k! permutations of range(k) as int32 rows in lex order: for each
+    first entry f in turn, those of k-1 with their entries from f up raised
+    by one."""
+    table = np.zeros((1, 0), dtype=np.int32)
+    for m in range(1, k + 1):
+        table = np.concatenate([np.column_stack([np.full(len(table), f, dtype=np.int32),
+                                                 table + (table >= f)]) for f in range(m)])
+    return table
+
+
 def _permutation_table(k: int) -> np.ndarray:
     """The k! permutations of range(k) as the rows of an int32 array in lex
     order, the identity first, after checking that they are k! permutations
     and that each row is greater than the last, at the first column where
     the two differ, so that no row repeats."""
-    table = np.array(list(permutations(range(k))), dtype=np.int32).reshape(-1, k)
+    table = _lex_permutations(k)
     later, earlier = table[1:], table[:-1]
     first = (later != earlier).argmax(axis=1)
     at = np.arange(len(first))
@@ -1085,7 +1096,112 @@ class HammingModel(_RowMapSetwise, _DeterminingFold):
         return PermGroup(m ** n, np.concatenate(rows), order, "structured")
 
 
-GroupModel = _TranslationModel | ProductModel | HammingModel
+def _wreath_generators(nv: int, parts: np.ndarray) -> np.ndarray:
+    """The rows of S_a wr S_b on the b x a array `parts` of vertices, every
+    other vertex of the nv fixed: the swap of each two neighbouring vertices
+    of a part, and of each two neighbouring parts, slot by slot."""
+    b, a = parts.shape
+    swaps = [(parts[p, i:i + 1], parts[p, i + 1:i + 2]) for p in range(b) for i in range(a - 1)]
+    swaps += [(parts[p], parts[p + 1]) for p in range(b - 1)]
+    rows = np.tile(np.arange(nv, dtype=np.int32), (len(swaps), 1))
+    for row, (x, y) in zip(rows, swaps):
+        row[x], row[y] = y, x
+    return rows
+
+
+class MultipartiteModel(_DeterminingFold):
+    """Aut(K_{b x a}) = S_a wr S_b for the complete multipartite graph whose
+    b parts of a vertices are the rows of `parts`: its complement is b
+    disjoint copies of K_a, whose automorphisms permute the parts and the
+    vertices within each.  Element (sigma, tau) maps slot i of part p to
+    slot tau_p(i) of part sigma(p).
+
+    Its determining state is the set of vertices added, as a bitmask, and
+    the count f_p of them in each part.  An element fixes the set pointwise
+    iff it keeps each touched part, permuting its a - f_p other vertices,
+    and permutes the z untouched parts: a group of order prod (a - f_p)!
+    times a!^z z!.  That is 1 iff f_p >= a-1 in every part when a >= 2, and
+    iff at most one part is untouched when a = 1, so `det_need` is exact."""
+
+    def __init__(self, parts):
+        self.parts = np.asarray(parts, dtype=np.int32)
+        self.b, self.a = self.parts.shape
+        part = np.empty(self.parts.size, dtype=np.int32)
+        part[self.parts.ravel()] = np.arange(self.parts.size) // self.a
+        self._part = part.tolist()
+
+    def order(self) -> int:
+        return factorial(self.a) ** self.b * factorial(self.b)
+
+    def generators(self) -> np.ndarray:
+        return _wreath_generators(self.parts.size, self.parts)
+
+    def enumerate(self) -> np.ndarray:
+        """One (a!)^b block of the tau per sigma, in slots p*a + i: the
+        block gives each vertex its slot after tau, tau_p broadcast along
+        axis p, and sigma then reads each slot (p, i) as vertex (sigma(p),
+        i) of `parts`.  Distinct (sigma, tau) give distinct rows, as the
+        permutation tables hold distinct permutations."""
+        a, b = self.a, self.b
+        perms = _permutation_table(a)
+        within = np.zeros((len(perms),) * b + (b, a), dtype=np.int32)
+        for p in range(b):
+            within[..., p, :] = (p * a + perms).reshape(
+                (1,) * p + (len(perms),) + (1,) * (b - 1 - p) + (a,))
+        flat = self.parts.ravel()
+        moves = flat[_permutation_table(b)[:, :, None] * a + np.arange(a, dtype=np.int32)]
+        slots = within.reshape(-1, b * a)[:, np.argsort(flat)]
+        return moves.reshape(-1, b * a)[:, slots].reshape(-1, b * a)
+
+    def det_start(self):
+        return 0, (0,) * self.b
+
+    def det_add(self, state, v: int):
+        mask, counts = state
+        if mask >> v & 1:
+            return state
+        p = self._part[v]
+        return mask | 1 << v, counts[:p] + (counts[p] + 1,) + counts[p + 1:]
+
+    def det_need(self, state) -> int:
+        if self.a == 1:
+            return max(0, self.b - 1 - sum(state[1]))
+        return sum(max(0, self.a - 1 - f) for f in state[1])
+
+    def det_done(self, state) -> bool:
+        return self.det_need(state) == 0
+
+    def pointwise_stabilizer(self, S) -> PermGroup:
+        """The symmetric group on each touched part's vertices outside S,
+        times S_a wr S_z on the z untouched parts."""
+        nv, a = self.parts.size, self.a
+        member = np.zeros(nv, dtype=bool)
+        member[S] = True
+        inside = member[self.parts]
+        touched = inside.any(axis=1)
+        free = [part[~kept] for part, kept in zip(self.parts[touched], inside[touched])]
+        z = self.b - len(free)
+        rows = [_wreath_generators(nv, rest[:, None]) for rest in free]
+        rows.append(_wreath_generators(nv, self.parts[~touched]))
+        order = prod(factorial(len(rest)) for rest in free) * factorial(a) ** z * factorial(z)
+        return PermGroup(nv, np.concatenate(rows), order, "structured")
+
+
+def _multipartite_parts(spec: FamilySpec) -> np.ndarray:
+    """The parts, one row each, of the complete multipartite family graphs:
+    the antipodal pairs of Q_n^{n-1} = K_{2^{n-1} x 2}, the parity classes
+    of FQ_3 = K_{4,4}, and singletons for Q_n^k = K_{2^n} (k >= n), FQ_1 =
+    K_2 and FQ_2 = K_4."""
+    words = np.arange(1 << spec.n, dtype=np.int32)
+    if spec.kind == POWER and spec.k == spec.n - 1:
+        half = words[:len(words) // 2]
+        return np.stack([half, half ^ words[-1]], axis=1)
+    if spec.kind == FOLDED and spec.n == 3:
+        return words[np.argsort(np.bitwise_count(words) & 1, kind="stable")].reshape(2, -1)
+    return words[:, None]
+
+
+GroupModel = _TranslationModel | ProductModel | HammingModel | MultipartiteModel
 
 
 def _family_model(spec: FamilySpec) -> GroupModel:
@@ -1096,6 +1212,8 @@ def _family_model(spec: FamilySpec) -> GroupModel:
         return HalvedCubeModel(n)
     if spec.kind == FOLDED and n >= 4:
         return FoldedModel(n)
+    if spec.kind in (POWER, FOLDED):  # k >= n-1; n <= 3
+        return MultipartiteModel(_multipartite_parts(spec))
     if spec.kind == AUGMENTED and n >= 4:
         return AugmentedModel(n)
     if spec.kind == LOCALLY_TWISTED and n >= 4:
@@ -1103,24 +1221,19 @@ def _family_model(spec: FamilySpec) -> GroupModel:
     if spec.kind == HAMMING:
         return HammingModel(spec)
     if spec.kind == ENHANCED:
-        from .search import search_automorphisms
-
-        k, ell = spec.k, n - spec.k + 1
-        if k == 1:
-            ga = trivial_group(1)
-        else:
-            ga = structured_group(build_family(FamilySpec(HYPERCUBE, k - 1)))
-        fb = build_family(FamilySpec(FOLDED, ell))
-        gb = structured_group(fb) if ell >= 4 else search_automorphisms(fb)
-        return ProductModel(ga, gb)
+        k = spec.k
+        ga = (trivial_group(1) if k == 1
+              else structured_group(build_family(FamilySpec(HYPERCUBE, k - 1))))
+        return ProductModel(ga, structured_group(build_family(FamilySpec(FOLDED, n - k + 1))))
     raise NoStructuredForm(f"no closed form for {spec.name()}")
 
 
 def structured_group(g: Graph) -> PermGroup:
     """The automorphism group in its closed structural form.
 
-    Raises NoStructuredForm for families without one (the powers with
-    k >= n-1, and the small-n exceptions); callers fall back on search.
+    Raises NoStructuredForm for the families without one, AQ_n and LTQ_n
+    for n <= 3, and for graphs without a family tag; callers fall back on
+    search.
     """
     spec = g.family
     if spec is None:

@@ -374,14 +374,14 @@ _FQ_DET_LITERALS = {1: (0,), 2: (0, 1, 2), 3: (0, 1, 2, 3, 4, 5)}
 
 
 def _fq_det_small(n: int) -> list[int]:
-    """FQ_1 = K_2, FQ_2 = K_4 and FQ_3 = K_{4,4} have no model: their literal
-    sets are checked determining, with no smaller one, on the searched group."""
+    """FQ_1 = K_2, FQ_2 = K_4 and FQ_3 = K_{4,4}: their literal sets are
+    checked determining, with no smaller one, on the complete multipartite
+    model."""
     from .bitgraph import folded_hypercube
-    from .search import search_automorphisms
 
     out = list(_FQ_DET_LITERALS[n])
     g = folded_hypercube(n)
-    grp = search_automorphisms(g)
+    grp = structured_group(g)
     if not is_determining_set(grp, out):
         raise AssertionError(f"the FQ_{n} determining set literal is not determining")
     if not determining_lower_bound_exhaustive(g, grp, len(out)):

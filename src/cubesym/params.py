@@ -222,8 +222,7 @@ _CONSTRUCTIONS = {
     "q2-witnesses": lambda n, k, m: _pair(
         *cons.q2_witnesses(n), "structured",
         cons.q2_det_set_is_determining(n) and cons.q2_class_is_asymmetric(n)),
-    "fq-det": lambda n, k, m: _witness(cons.fq_det_set(n),
-                                       "searched" if n <= 3 else "structured"),
+    "fq-det": lambda n, k, m: _witness(cons.fq_det_set(n)),
     "fq-dist-class": lambda n, k, m: _witness(cons.fq_dist_class(n)),
     "aq-det": lambda n, k, m: _witness(cons.aq_det_witness(n),
                                        "oracle" if n <= 3 else "structured"),

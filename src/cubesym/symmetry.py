@@ -353,20 +353,26 @@ def _root_bound_rules_out_classes(grp: PermGroup) -> bool:
 
 def _kept_sets(table: np.ndarray) -> np.ndarray:
     """`kept[m]` for every set m of at most 16 points, with point v at bit
-    V-1-v of m: whether some non-identity row of `table`, a permutation of
-    the V points per row, maps m onto itself.
+    V-1-v of m: whether some non-identity row of `table` maps m onto
+    itself.  `table` must be a group of permutations of the V points, one
+    per row, as both callers' tables are: a non-identity row that keeps a
+    set has a power of prime order, also a row, that keeps it too, so only
+    the rows of prime order are marked, those whose cycles but the fixed
+    points all have one prime length.
 
     A row keeps a set iff the set is a union of the row's cycles.  For each
     chunk of `_BLOCK_ROWS` rows, pointer doubling finds every point's cycle
     leader, its least point (`root = min(root, root[step])`, `step =
     step[step]`, ceil(lg V) times); one `bincount` sums each cycle's point
-    bits onto its leader; and the rows with t cycles mark their 2^t unions
-    (`_subset_fold` in uint16), at most `_BLOCK_BYTES` at a time.  Raises
-    AssertionError unless exactly one row is the identity, the only row
-    with V cycles."""
+    bits onto its leader, and their count is the cycle's length; and the
+    rows of prime order with t cycles mark their 2^t unions (`_subset_fold`
+    in uint16), at most `_BLOCK_BYTES` at a time.  Raises AssertionError
+    unless exactly one row of the whole table is the identity, the only row
+    whose longest cycle is a fixed point."""
     nv = table.shape[1]
     kept = np.zeros(1 << nv, dtype=bool)
     bits = np.tile(1 << np.arange(nv - 1, -1, -1), _BLOCK_ROWS)
+    is_prime = np.array([k > 1 and all(k % f for f in range(2, k)) for k in range(nv + 1)])
     identities = 0
     for start in range(0, len(table), _BLOCK_ROWS):
         rows = table[start:start + _BLOCK_ROWS]
@@ -376,11 +382,14 @@ def _kept_sets(table: np.ndarray) -> np.ndarray:
         for _ in range((nv - 1).bit_length()):
             root = np.minimum(root, root[step])
             step = step[step]
-        leader = (root == np.arange(rows.size)).reshape(rows.shape)
         cycles = np.bincount(root, bits[:rows.size], rows.size)
         cycles = cycles.astype(np.uint16).reshape(rows.shape)
+        length = np.bitwise_count(cycles)  # at each leader, 0 elsewhere
+        top = length.max(axis=1)
+        identities += int(np.count_nonzero(top == 1))
+        prime = is_prime[top] & ((length <= 1) | (length == top[:, None])).all(axis=1)
+        leader, cycles = length[prime] > 0, cycles[prime]
         n_cycles = leader.sum(axis=1)
-        identities += int(np.count_nonzero(n_cycles == nv))
         for t in np.flatnonzero(np.bincount(n_cycles, minlength=nv + 1)[:nv]).tolist():
             of_t = n_cycles == t
             masks = cycles[of_t][leader[of_t]].reshape(-1, t)
@@ -680,21 +689,26 @@ def _distinguishing_d3(grp: PermGroup, tag: str) -> tuple[int, Witness]:
 
     Each block of colorings is sieved, one row at a time, on the
     non-identity rows among the first `_SIEVE_ROWS` in `_least_support`
-    order (the identity is row 0), until the block is empty.
+    order (the identity is row 0), until the block is empty; a row is
+    compared only on the vertices it moves, with the block held
+    column-major as int8, one colour vector per vertex.
     A coloring that a non-identity row keeps is not distinguishing, so the
     sieve drops no distinguishing coloring and keeps the order; the
     colorings it leaves are tested in order by `_only_identity_keeps`, and
     the first that test takes is the witness."""
     nv = grp.n_vertices
-    sieve = grp.elements()[_least_support(grp)[1:_SIEVE_ROWS]]
+    sieve = []
+    for row in grp.elements()[_least_support(grp)[1:_SIEVE_ROWS]]:
+        moved = np.flatnonzero(row != np.arange(nv))
+        sieve.append((row[moved], moved))
     for d in range(3, nv + 1):
         for block in _rgs_blocks(nv, d, _BLOCK_ROWS):
-            block = block[block.max(axis=1) == d - 1]
-            for row in sieve:
-                if not len(block):
+            block = np.ascontiguousarray(block[block.max(axis=1) == d - 1].T, dtype=np.int8)
+            for images, moved in sieve:
+                if not block.shape[1]:
                     break
-                block = block[(block[:, row] != block).any(axis=1)]
-            for colors in block:
+                block = block[:, (block[images] != block[moved]).any(axis=0)]
+            for colors in block.T:
                 if _only_identity_keeps(grp, colors):
                     return d, Witness(DIST_COLORING, tuple(int(c) + 1 for c in colors), tag)
     raise AssertionError("an all-distinct coloring distinguishes")

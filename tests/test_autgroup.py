@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import numpy as np
@@ -18,6 +18,7 @@ from cubesym.autgroup import (
     HammingModel,
     HypercubeModel,
     LtqModel,
+    MultipartiteModel,
     PermGroup,
     _AQ_BASE_PATTERNS,
     _linear_rows,
@@ -44,8 +45,10 @@ from cubesym.bitgraph import (
     enhanced_hypercube,
 )
 from cubesym.errors import NoStructuredForm
+from cubesym.oracle import oracle_determining_number
 from cubesym.rowmaps import moving_row_map
 from cubesym.search import search_automorphisms
+from cubesym.symmetry import determining_number
 
 
 def _aff_row(model, c: int, pi) -> np.ndarray:
@@ -178,18 +181,113 @@ def test_structured_generators_are_automorphisms():
 
 
 def test_no_structured_form():
-    # Q_3^2 = K_{2,2,2,2} has order 384, twice the halved-cube count
-    with pytest.raises(NoStructuredForm):
-        structured_group(hypercube_power(3, 2))
-    with pytest.raises(NoStructuredForm):
-        structured_group(hypercube_power(5, 4))
-    with pytest.raises(NoStructuredForm):
-        structured_group(folded_hypercube(3))
+    # AQ_n and LTQ_n for n <= 3, and graphs without a family tag, have none
+    for g in (augmented_hypercube(3), locally_twisted_hypercube(3),
+              graph_from_edges(3, [(0, 1)])):
+        with pytest.raises(NoStructuredForm):
+            structured_group(g)
     # K_3 box K_3: S_3 wr S_2
     assert structured_group(hamming_graph(3, 2)).order() == 72
     # odd power k <= n-2 reuses the hypercube form
     grp = structured_group(hypercube_power(5, 3))
     assert grp.order() == 3840
+
+
+MULTIPARTITE = {
+    "K_2 = FQ_1": (lambda: folded_hypercube(1), [[0], [1]]),
+    "K_4 = FQ_2": (lambda: folded_hypercube(2), [[0], [1], [2], [3]]),
+    "K_{4,4} = FQ_3": (lambda: folded_hypercube(3), [[0, 3, 5, 6], [1, 2, 4, 7]]),
+    "K_{2,2} = Q_2^1": (lambda: hypercube_power(2, 1), [[0, 3], [1, 2]]),
+    "K_{2,2,2,2} = Q_3^2": (lambda: hypercube_power(3, 2), [[0, 7], [1, 6], [2, 5], [3, 4]]),
+    "K_8 = Q_3^3": (lambda: hypercube_power(3, 3), [[v] for v in range(8)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTIPARTITE))
+def test_multipartite_model_equals_searched(name):
+    """The complete multipartite family graphs get the K_{b x a} model on
+    their parts, of order a!^b b!, whose table is the searched group's,
+    element for element."""
+    make, parts = MULTIPARTITE[name]
+    g = make()
+    grp = structured_group(g)
+    assert isinstance(grp.model, MultipartiteModel)
+    assert grp.model.parts.tolist() == parts
+    b, a = len(parts), len(parts[0])
+    assert grp.order() == factorial(a) ** b * factorial(b)
+    table = grp.elements()
+    assert (table[0] == np.arange(g.n_vertices)).all()
+    assert row_set(table) == row_set(search_automorphisms(g).elements())
+
+
+def test_multipartite_model_of_the_large_powers():
+    """Q_n^{n-1} = K_{2^{n-1} x 2} and Q_n^n = K_{2^n} answer their order,
+    and the enhanced cubes' FQ_3 factor is the K_{4,4} model."""
+    assert structured_group(hypercube_power(5, 4)).order() == 2 ** 16 * factorial(16)
+    assert structured_group(hypercube_power(4, 3)).order() == 10_321_920
+    assert structured_group(hypercube_power(4, 6)).order() == factorial(16)
+    factor = structured_group(enhanced_hypercube(5, 3)).model.gb
+    assert isinstance(factor.model, MultipartiteModel) and factor.order() == 1152
+
+
+def _fixers(table: np.ndarray) -> list[int]:
+    """Per vertex, the bitmask of the table rows that fix it."""
+    fixed = np.packbits(table.T == np.arange(table.shape[1])[:, None], axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in fixed]
+
+
+@lru_cache(maxsize=None)
+def _multipartite_table(name: str):
+    grp = structured_group(MULTIPARTITE[name][0]())
+    table = grp.elements()
+    return grp, table, _fixers(table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_multipartite_need_and_stabilizer_match_the_table(data):
+    """On random vertex sets S of the six K_{b x a} groups, `det_need` is
+    the least number of vertices whose addition makes S determining, read
+    off the element table, and `pointwise_stabilizer(S)` generates the
+    rows of the table that fix S, of the order it states."""
+    grp, table, fixers = _multipartite_table(data.draw(st.sampled_from(sorted(MULTIPARTITE))))
+    nv = grp.n_vertices
+    S = sorted(data.draw(st.sets(st.integers(0, nv - 1), max_size=nv)))
+    model = grp.model
+    every = (1 << len(table)) - 1
+
+    def fixing(vertices) -> int:
+        mask = every
+        for v in vertices:
+            mask &= fixers[v]
+        return mask
+
+    rest = [v for v in range(nv) if v not in S]
+    need = next(r for r in range(len(rest) + 1)
+                if any(fixing(S + list(extra)).bit_count() == 1
+                       for extra in combinations(rest, r)))
+    state = model.fold(S)
+    assert model.det_need(state) == need
+    assert model.det_done(state) == (need == 0)
+    if not S:
+        return
+    stab = pointwise_stabilizer(grp, S)
+    expect = row_set(table[(table[:, S] == S).all(axis=1)])
+    assert stab.order() == len(expect)
+    assert row_set(reference_closure(nv, stab.generators)) == expect
+
+
+@pytest.mark.parametrize("name", sorted(MULTIPARTITE))
+def test_multipartite_det_agrees_with_the_oracle(name):
+    """det and its lex-least witness on the K_{b x a} model are the oracle's:
+    b(a-1) for a >= 2, and b-1 for a = 1."""
+    make, parts = MULTIPARTITE[name]
+    g = make()
+    value, witness = determining_number(g, structured_group(g))
+    oracle = oracle_determining_number(g)
+    assert (value, witness.payload) == (oracle.value, tuple(oracle.witness))
+    b, a = len(parts), len(parts[0])
+    assert value == (b * (a - 1) if a >= 2 else b - 1)
 
 
 def test_power_group_identities():

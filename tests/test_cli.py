@@ -171,14 +171,14 @@ def test_construct_commands(capsys):
 
 
 @pytest.mark.parametrize("name,n,method", [
-    ("fq-det", 1, "searched"), ("fq-det", 2, "searched"), ("fq-det", 3, "searched"),
+    ("fq-det", 1, "structured"), ("fq-det", 2, "structured"), ("fq-det", 3, "structured"),
     ("fq-det", 4, "structured"), ("fq-dist-class", 4, "structured"),
     ("fq-dist-class", 5, "structured"), ("fq-dist-class", 6, "structured"),
     ("q2-witnesses", 5, "structured"),
 ])
 def test_construct_labels_name_what_checked_it(capsys, name, n, method):
-    # FQ_1..FQ_3 have no model: their det literals are checked on the
-    # searched group; the FQ_4 and FQ_5 classes on the model
+    # FQ_1..FQ_3 are K_2, K_4 and K_{4,4}: their det literals are checked on
+    # the complete multipartite model; the FQ_4 and FQ_5 classes on theirs
     code, out = run(capsys, "construct", name, "-n", str(n))
     assert code == 0
     rep = json.loads(out)

@@ -386,7 +386,7 @@ def _candidates_with_det_set_first(n, k):
 def test_enhanced_dist_candidates_build_the_det_set_only_when_it_fits(monkeypatch):
     """Testing the FQ determining set's fit by its size first gives the same
     candidates for n = 4..8 and every k, and for Q_{4,2}, where it does not
-    fit, the set (a K_{4,4} search and its stabilizer chain) is never built."""
+    fit, the set (checked on the K_{4,4} model) is never built."""
     for n in range(4, 9):
         for k in range(1, n):
             assert cons.enhanced_dist_class_candidates(n, k) == \
@@ -418,6 +418,7 @@ def test_det_set_checks_survive_python_O():
     H(4,3) when the class scan returns a kept class, the element table of a
     searched group when its stabilizer chain has a wrong coset
     representative or its generators are not strong for its base, the
+    element table of K_{4,4} when its model drops a row, the
     edge-orbit map when a
     generator maps an edge to a pair that is not an edge, and the setwise
     test of the cube and Hamming models when the images of the set under
@@ -593,8 +594,8 @@ def test_det_set_checks_survive_python_O():
                 sys.exit("param det augmented with a swapped base row did not exit 3")
         # a permutation table that repeats the identity fails the Hamming
         # model's table check
-        with mock.patch.object(autgroup, "permutations",
-                               lambda xs: [tuple(xs)] * factorial(len(xs))):
+        with mock.patch.object(autgroup, "_lex_permutations",
+                               lambda k: np.tile(np.arange(k), (factorial(k), 1))):
             try:
                 autgroup.HammingModel(FamilySpec("hamming", 3, m=3)).enumerate()
             except AssertionError:
@@ -604,20 +605,20 @@ def test_det_set_checks_survive_python_O():
         # the permutation table checks that each row is greater than the
         # last: two rows swapped, or a row repeated in place of the next,
         # fail it
-        real_permutations = autgroup.permutations
+        real_permutations = autgroup._lex_permutations
 
-        def rows_swapped(xs):
-            rows = list(real_permutations(xs))
-            rows[3], rows[4] = rows[4], rows[3]
+        def rows_swapped(k):
+            rows = real_permutations(k)
+            rows[[3, 4]] = rows[[4, 3]]
             return rows
 
-        def row_repeated(xs):
-            rows = list(real_permutations(xs))
+        def row_repeated(k):
+            rows = real_permutations(k)
             rows[4] = rows[3]
             return rows
 
         for stand_in in (rows_swapped, row_repeated):
-            with mock.patch.object(autgroup, "permutations", stand_in):
+            with mock.patch.object(autgroup, "_lex_permutations", stand_in):
                 try:
                     autgroup._permutation_table(4)
                 except AssertionError:
@@ -734,9 +735,22 @@ def test_det_set_checks_survive_python_O():
             return chain
 
         with mock.patch.object(autgroup, "transversals", one_wrong_representative):
-            if main(["param", "dist", "power", "-n", "3", "-k", "3", "--no-cache"]) != 3:
-                sys.exit("param dist power -n 3 -k 3 with a wrong coset representative "
+            if main(["param", "dist", "augmented", "-n", "3", "--no-cache"]) != 3:
+                sys.exit("param dist augmented -n 3 with a wrong coset representative "
                          "did not exit 3")
+        # a K_{b x a} table with one row dropped fails the order check of
+        # the element table, for FQ_3 = K_{4,4} and for its factor of Q_{4,2}
+        real_multipartite = autgroup.MultipartiteModel.enumerate
+        with mock.patch.object(autgroup.MultipartiteModel, "enumerate",
+                               lambda self: real_multipartite(self)[1:]):
+            try:
+                autgroup.structured_group(folded_hypercube(3)).elements()
+            except AssertionError:
+                pass
+            else:
+                sys.exit("the K_{4,4} table passed with a row dropped")
+            if main(["param", "dist", "enhanced", "-n", "4", "-k", "2", "--no-cache"]) != 3:
+                sys.exit("param dist enhanced -n 4 -k 2 with a K_{4,4} row dropped did not exit 3")
         k8 = search_automorphisms(hypercube_power(3, 3))
         moving = k8.generators[k8.generators[:, k8.base[0]] != k8.base[0]]
         try:

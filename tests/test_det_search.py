@@ -163,7 +163,7 @@ def test_search_matches_closed_forms():
     ("power", 6, 2, (0, 7, 25, 42)),
     ("power", 7, 2, (0, 7, 25, 42)),
     ("power", 8, 2, (0, 1, 14, 50, 84)),
-    # Q_3 x FQ_3 and Q_4 x FQ_3, whose FQ_3 factor is searched
+    # Q_3 x FQ_3 and Q_4 x FQ_3, whose FQ_3 factor is the K_{4,4} model
     ("enhanced", 6, 4, (0, 1, 2, 3, 12, 21)),
     ("enhanced", 7, 5, (0, 1, 2, 3, 28, 45)),
 ])
@@ -697,7 +697,7 @@ TABLE_GROUPS = {
     "Q_3^2": lambda: _group("power", 3, 2, searched=True)[1],
     "FQ_3": lambda: _group("folded", 3, searched=True)[1],
     "H(3,3)": lambda: search_automorphisms(build_family(FamilySpec("hamming", 3, m=3))),
-    "FQ_3 factor of Q_{5,3}": lambda: _group("enhanced", 5, 3)[1].model.gb,
+    "AQ_3": lambda: _group("augmented", 3)[1],
     "FQ_3 setwise {0, 1}": lambda: setwise_stabilizer(_group("folded", 3, searched=True)[1],
                                                       [0, 1]),
 }

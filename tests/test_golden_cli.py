@@ -3,12 +3,13 @@ ignoring `elapsed_ms` at any depth.
 
 The cases cover each structured group model (Q_n and an odd power, the
 halved cube of an even power, FQ_n, AQ_n, LTQ_n, the enhanced product, the
-Hamming graph) and the searched path (FQ_3, Q_3^2 and Q_3^3 = K_8, whose
-dist takes the d >= 3 scan), also for det on a group without a model (FQ_3,
-and the searched FQ_3 factor of the enhanced cube Q_{6,4}) and for dist on
-the searched FQ_3 factor of Q_{4,2}.  Cost is covered on Q_5, the enhanced product, the Hamming
-model (H(3,3)) and a searched group (LTQ_3), and the cost error of a graph
-that is not 2-distinguishable in the FQ_3 export.  To rewrite the stored
+Hamming graph, and the complete multipartite graphs FQ_3 = K_{4,4}, Q_3^2
+= K_{2,2,2,2}, Q_4^3 and Q_3^3 = K_8, whose dist takes the d >= 3 scan)
+and the searched path (AQ_3 and LTQ_3), also for det on K_{4,4} and on the
+K_{4,4} factor of the enhanced cube Q_{6,4}, and for dist on the K_{4,4}
+factor of Q_{4,2}.  Cost is covered on Q_5, the enhanced product, the
+Hamming model (H(3,3)) and a searched group (LTQ_3), and the cost error of
+a graph that is not 2-distinguishable in the FQ_3 export.  To rewrite the stored
 files from the current program, run
 `PYTHONPATH=src python tests/test_golden_cli.py`.
 """
