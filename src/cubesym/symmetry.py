@@ -365,39 +365,45 @@ def _kept_sets(table: np.ndarray) -> np.ndarray:
     leader, its least point (`root = min(root, root[step])`, `step =
     step[step]`, ceil(lg V) times); one `bincount` sums each cycle's point
     bits onto its leader, and their count is the cycle's length; and the
-    rows of prime order with t cycles mark their 2^t unions (`_subset_fold`
-    in uint16), at most `_BLOCK_BYTES` at a time.  Raises AssertionError
-    unless exactly one row of the whole table is the identity, the only row
-    whose longest cycle is a fixed point."""
+    rows of prime order with t cycles besides point 0's mark the 2^t unions
+    of those (`_subset_fold` in uint16), at most `_BLOCK_BYTES` at a time.
+    A row keeps a set iff it keeps its complement, mask 2^V-1-m, so the
+    unions with point 0's cycle are marked at the end, by one mirror of the
+    table.  Raises AssertionError unless exactly one row of the whole table
+    is the identity, the only row whose longest cycle is a fixed point."""
     nv = table.shape[1]
     kept = np.zeros(1 << nv, dtype=bool)
-    bits = np.tile(1 << np.arange(nv - 1, -1, -1), _BLOCK_ROWS)
+    bits = np.tile(1 << np.arange(nv - 1, -1, -1), min(len(table), _BLOCK_ROWS))
     is_prime = np.array([k > 1 and all(k % f for f in range(2, k)) for k in range(nv + 1)])
     identities = 0
     for start in range(0, len(table), _BLOCK_ROWS):
         rows = table[start:start + _BLOCK_ROWS]
         # flat indices into the chunk: each vertex's image, and its leader
-        step = (rows + nv * np.arange(len(rows))[:, None]).ravel()
-        root = np.arange(rows.size)
+        step = (rows.astype(np.int32, copy=False)
+                + nv * np.arange(len(rows), dtype=np.int32)[:, None]).ravel()
+        root = np.arange(rows.size, dtype=np.int32)
         for _ in range((nv - 1).bit_length()):
-            root = np.minimum(root, root[step])
-            step = step[step]
+            root = np.minimum(root, root.take(step))
+            step = step.take(step)
         cycles = np.bincount(root, bits[:rows.size], rows.size)
         cycles = cycles.astype(np.uint16).reshape(rows.shape)
         length = np.bitwise_count(cycles)  # at each leader, 0 elsewhere
         top = length.max(axis=1)
         identities += int(np.count_nonzero(top == 1))
         prime = is_prime[top] & ((length <= 1) | (length == top[:, None])).all(axis=1)
-        leader, cycles = length[prime] > 0, cycles[prime]
+        leader, cycles = length[prime, 1:] > 0, cycles[prime, 1:]  # point 0 leads column 0
         n_cycles = leader.sum(axis=1)
-        for t in np.flatnonzero(np.bincount(n_cycles, minlength=nv + 1)[:nv]).tolist():
+        counts = np.bincount(n_cycles, minlength=nv)
+        for t in np.flatnonzero(counts).tolist():
             of_t = n_cycles == t
-            masks = cycles[of_t][leader[of_t]].reshape(-1, t)
+            masks = cycles[of_t][leader[of_t]].reshape(counts[t], t)
             per = max(1, _BLOCK_BYTES >> (t + 1))  # rows of 2^t uint16 unions
             for first in range(0, len(masks), per):
-                kept[_subset_fold(masks[first:first + per].T, np.bitwise_or)] = True
+                unions = _subset_fold(masks[first:first + per].T, np.bitwise_or)
+                kept[unions.astype(np.intp)] = True  # faster than a uint16 index
     if identities != 1:
         raise AssertionError("the element table does not have exactly one identity row")
+    kept |= kept[::-1]
     return kept
 
 
@@ -687,26 +693,42 @@ def _distinguishing_d3(grp: PermGroup, tag: str) -> tuple[int, Witness]:
     """dist >= 3 established; the least d and the first distinguishing
     coloring in restricted-growth order that uses all d colors.
 
-    Each block of colorings is sieved, one row at a time, on the
-    non-identity rows among the first `_SIEVE_ROWS` in `_least_support`
-    order (the identity is row 0), until the block is empty; a row is
-    compared only on the vertices it moves, with the block held
-    column-major as int8, one colour vector per vertex.
+    Each block of colorings (`_rgs_blocks`) is sieved on the non-identity
+    rows among the first `_SIEVE_ROWS` in `_least_support` order (the
+    identity is row 0).  The pairs (v, row[v]) of two prefix points are
+    settled for every row at once on the block's shared prefix: a row that
+    breaks one keeps no coloring of the block and is skipped, and a row
+    that moves only prefix points and breaks none keeps every coloring, so
+    the block is dropped unbuilt.  The other rows are applied one at a
+    time, until the block is empty, each compared only on its open pairs
+    (the moved points v with v or row[v] past the prefix), on the block
+    held column-major as int8, one colour vector per vertex.
     A coloring that a non-identity row keeps is not distinguishing, so the
     sieve drops no distinguishing coloring and keeps the order; the
     colorings it leaves are tested in order by `_only_identity_keeps`, and
     the first that test takes is the witness."""
     nv = grp.n_vertices
-    sieve = []
-    for row in grp.elements()[_least_support(grp)[1:_SIEVE_ROWS]]:
-        moved = np.flatnonzero(row != np.arange(nv))
-        sieve.append((row[moved], moved))
+    rows = grp.elements()[_least_support(grp)[1:_SIEVE_ROWS]]
+    points = np.arange(nv)
     for d in range(3, nv + 1):
-        for block in _rgs_blocks(nv, d, _BLOCK_ROWS):
-            block = np.ascontiguousarray(block[block.max(axis=1) == d - 1].T, dtype=np.int8)
-            for images, moved in sieve:
+        pairs = None
+        for prefix, suffixes in _rgs_blocks(nv, d, _BLOCK_ROWS):
+            if pairs is None:  # the prefix length is the same for every block of d
+                p = len(prefix)
+                inner = rows[:, :p] < p
+                head = np.where(inner, rows[:, :p], 0)
+                within = (rows[:, p:] == points[p:]).all(axis=1)
+                at, moved = np.nonzero((rows != points) & ((points >= p) | (rows >= p)))
+                cuts = np.cumsum(np.bincount(at, minlength=len(rows)))[:-1]
+                pairs = list(zip(np.split(rows[at, moved], cuts), np.split(moved, cuts)))
+            broken = ((prefix[head] != prefix) & inner).any(axis=1)
+            if (within & ~broken).any():
+                continue
+            block = _rgs_block(prefix, suffixes)
+            for i in np.flatnonzero(~broken).tolist():
                 if not block.shape[1]:
                     break
+                images, moved = pairs[i]
                 block = block[:, (block[images] != block[moved]).any(axis=0)]
             for colors in block.T:
                 if _only_identity_keeps(grp, colors):
@@ -715,34 +737,42 @@ def _distinguishing_d3(grp: PermGroup, tag: str) -> tuple[int, Witness]:
 
 
 def _rgs_blocks(n: int, d: int, max_rows: int):
-    """The strings of `_rgs_partitions(n, d)`, in its order, as arrays of at
-    most `max_rows` rows: each prefix it gives, followed by every suffix of
-    the longest length whose count cannot exceed `max_rows` (d^length)."""
+    """The strings of `_rgs_partitions(n, d, d)`, those that use all d
+    colors, in its order, in blocks of at most `max_rows` that share a
+    prefix: yields each prefix of n - L colors that can still reach d
+    colors, as int8, with the suffixes of length L that follow it, an int8
+    array of L rows with one column per suffix (`_rgs_block` writes them
+    under the prefix).  L is the longest length below n whose d^L strings
+    fit in `max_rows`.
+
+    One base-d digit table of the d^L strings in lex order serves every
+    prefix.  A string may follow a prefix whose largest color is `top` iff
+    `top` is at least its need, the largest c - 1 over its colors c above
+    its running maximum plus 1 (0 if none), and the string or `top`
+    reaches d - 1; the strings of each `top` are gathered once."""
     length = 0
     while length < n - 1 and d ** (length + 1) <= max_rows:
         length += 1
-    suffixes: dict[int, np.ndarray] = {}
-    for prefix in _rgs_partitions(n - length, d):
-        top = max(prefix)
-        if top not in suffixes:
-            suffixes[top] = _rgs_suffixes(top, length, d)
-        block = suffixes[top]
-        yield np.hstack([np.broadcast_to(np.array(prefix), (len(block), len(prefix))), block])
+    digits = np.indices((d,) * length, dtype=np.int8).reshape(length, d ** length)
+    need = np.zeros(d ** length, dtype=np.int8)
+    peak = np.full(d ** length, -1, dtype=np.int8)  # each string's running maximum
+    for colors in digits:
+        need = np.maximum(need, np.where(colors > peak + 1, colors - 1, 0))
+        peak = np.maximum(peak, colors)
+    suffixes = {top: np.compress((need <= top) & ((peak == d - 1) | (top == d - 1)), digits,
+                                 axis=1)
+                for top in range(max(0, d - 1 - length), d)}
+    for prefix in _rgs_partitions(n - length, d, d - length):
+        yield np.array(prefix, dtype=np.int8), suffixes[max(prefix)]
 
 
-def _rgs_suffixes(top: int, length: int, d: int) -> np.ndarray:
-    """Every string of `length` colors below d that can follow a
-    restricted-growth prefix whose largest color is `top`, in lex order."""
-    rows = np.zeros((1, 0), dtype=np.intp)
-    tops = np.array([top])
-    for _ in range(length):
-        parent = np.repeat(np.arange(len(rows)), d)
-        color = np.tile(np.arange(d), len(rows))
-        ok = color <= tops[parent] + 1
-        parent, color = parent[ok], color[ok]
-        rows = np.column_stack([rows[parent], color])
-        tops = np.maximum(tops[parent], color)
-    return rows
+def _rgs_block(prefix: np.ndarray, suffixes: np.ndarray) -> np.ndarray:
+    """A block of `_rgs_blocks`: the prefix over each of its suffixes, as
+    an int8 array with a row per vertex and a column per coloring."""
+    block = np.empty((len(prefix) + len(suffixes), suffixes.shape[1]), dtype=np.int8)
+    block[:len(prefix)] = prefix[:, None]
+    block[len(prefix):] = suffixes
+    return block
 
 
 # ---------------------------------------------------------------------------

@@ -412,8 +412,8 @@ def test_det_set_checks_survive_python_O():
     the d >= 3 dist scan of Q_3 and of K_7 when the table test refuses
     every coloring, the class scan's kept-set table when the element table
     has a second identity row, the class scan's re-check when that table
-    marks no set, the column view's action of the row maps when the type
-    list lacks a type, the class scan of Q_5 when its prefix table lacks
+    marks no set or lacks its complement mirror, the column view's action
+    of the row maps when the type list lacks a type, the class scan of Q_5 when its prefix table lacks
     the open type set of its lex-least class, which then changes, dist of
     H(4,3) when the class scan returns a kept class, the element table of a
     searched group when its stabilizer chain has a wrong coset
@@ -673,6 +673,25 @@ def test_det_set_checks_survive_python_O():
                 sys.exit("the class scan passed a class the kept-set table left wrongly")
             if main(["param", "cost", "folded", "-n", "4", "--no-cache"]) != 3:
                 sys.exit("param cost folded with an empty kept-set table did not exit 3")
+        # a kept-set table without its complement mirror, which is the table
+        # on the sets without vertex 0 (bit V-1) and marks none through it,
+        # offers the class (0,) of FQ_4 too
+        real_kept = symmetry._kept_sets
+
+        def unmirrored(table):
+            nv = table.shape[1]
+            return real_kept(table) & (np.arange(1 << nv) < 1 << (nv - 1))
+
+        with mock.patch.object(symmetry, "_kept_sets", unmirrored):
+            try:
+                symmetry._least_class(autgroup.structured_group(folded_hypercube(4)))
+            except AssertionError as exc:
+                if "(0,)" not in str(exc):
+                    sys.exit(f"the unmirrored class scan of FQ_4 failed elsewhere: {exc}")
+            else:
+                sys.exit("the class scan passed a class the unmirrored kept-set table left")
+            if main(["param", "cost", "folded", "-n", "4", "--no-cache"]) != 3:
+                sys.exit("param cost folded with an unmirrored kept-set table did not exit 3")
         # a type list without its last type: the row maps read some type
         # into that one, which the column view's action refuses.  The open
         # type sets are cached per shape for the whole process, so the cache

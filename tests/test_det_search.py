@@ -37,8 +37,10 @@ from cubesym.autgroup import (
 from cubesym.bitgraph import (
     FamilySpec,
     build_family,
+    enhanced_hypercube,
     folded_hypercube,
     graph_from_edges,
+    hamming_graph,
     hypercube,
 )
 from cubesym.cli import main
@@ -315,6 +317,61 @@ def test_kept_sets_match_setwise_stabilizer(data):
     for m in masks:
         S = [v for v in range(nv) if m >> (nv - 1 - v) & 1]
         assert kept[m] == (setwise_stabilizer(grp, S).order() > 1), S
+
+
+def _cycle(n: int):
+    return graph_from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+@pytest.mark.parametrize("make", [lambda: hamming_graph(2, 1), lambda: hamming_graph(3, 1),
+                                  lambda: _cycle(5), lambda: _cycle(7)],
+                         ids=["K_2", "K_3", "C_5", "C_7"])
+def test_kept_sets_where_one_cycle_holds_every_point(make):
+    """A row of prime order whose one cycle holds every point (the swap of
+    K_2, the 3-cycles of K_3, the rotations of C_5 and C_7) leaves no cycle
+    besides point 0's: it marks only the empty set, and the mirror the full
+    one.  Every set against its setwise stabilizer."""
+    grp = automorphism_group(make())
+    nv = grp.n_vertices
+    kept = symmetry._kept_sets(grp.elements())
+    for m in range(1 << nv):
+        S = [v for v in range(nv) if m >> (nv - 1 - v) & 1]
+        assert kept[m] == (setwise_stabilizer(grp, S).order() > 1), S
+
+
+@pytest.mark.parametrize("g, unions", [(enhanced_hypercube(4, 2), 263808),
+                                       (folded_hypercube(4), 94592)], ids=["Q_{4,2}", "FQ_4"])
+def test_kept_sets_marks_half_the_unions(g, unions, monkeypatch):
+    """`_kept_sets` marks the 2^t unions of the t cycles besides point 0's
+    of each row of prime order, and the mirror of the table the other
+    half: 263,808 unions on Q_{4,2} and 94,592 on FQ_4, half of the 2^(t+1)
+    of all cycles, counted here from the table (527,616 and 189,184)."""
+    table = automorphism_group(g).elements()
+    marked = []
+    real = symmetry._subset_fold
+
+    def counted(values, op):
+        out = real(values, op)
+        marked.append(out.size)
+        return out
+
+    monkeypatch.setattr(symmetry, "_subset_fold", counted)
+    symmetry._kept_sets(table)
+    every = 0
+    for row in table.tolist():
+        cycles, seen = [], set()
+        for v in range(len(row)):
+            if v not in seen:
+                cycles.append(0)
+                while v not in seen:
+                    seen.add(v)
+                    cycles[-1] += 1
+                    v = row[v]
+        longest = max(cycles)
+        if all(k in (1, longest) for k in cycles) and all(longest % f for f in range(2, longest)) \
+                and longest > 1:
+            every += 1 << len(cycles)
+    assert sum(marked) == unions == every // 2
 
 
 @pytest.mark.oracle_suite

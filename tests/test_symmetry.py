@@ -48,6 +48,7 @@ from cubesym.symmetry import (
     _greedy_two_class,
     _least_support,
     _only_identity_keeps,
+    _rgs_block,
     _rgs_blocks,
     _rgs_partitions,
     _setwise_trivial,
@@ -482,12 +483,17 @@ def test_setwise_sieve_builds_no_table_on_setwise_models(make):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_rgs_blocks_follow_rgs_order(n):
+    """The blocks of `_rgs_blocks`, each its prefix over its suffixes, hold
+    the restricted-growth strings that use all d colors, in order, at most
+    `max_rows` a block, down to suffixes of length 0 (one row a block)."""
     for d in range(1, n + 2):
-        want = [list(colors) for colors in _rgs_partitions(n, d)]
-        for max_rows in (1, 5, 64, 4096):
-            blocks = list(_rgs_blocks(n, d, max_rows))
-            assert all(len(block) <= max_rows for block in blocks)
-            assert [row.tolist() for block in blocks for row in block] == want, (d, max_rows)
+        want = [list(colors) for colors in _rgs_partitions(n, d, d)]
+        for max_rows in (1, 3, 5, 9, 64, 4096):
+            blocks = [(prefix, _rgs_block(prefix, suffixes))
+                      for prefix, suffixes in _rgs_blocks(n, d, max_rows)]
+            assert all(0 < block.shape[1] <= max_rows for _, block in blocks)
+            assert all((block[:len(prefix)] == prefix[:, None]).all() for prefix, block in blocks)
+            assert [row for _, block in blocks for row in block.T.tolist()] == want, (d, max_rows)
 
 
 def _plain_d3(grp):
@@ -532,7 +538,10 @@ def test_d3_matches_plain_walk_on_random_graphs(data):
     """Random graphs of 3-8 vertices with a non-trivial searched group: the
     least d >= 3 and the first coloring are the plain walk's, with the
     sieve on its default `_SIEVE_ROWS` rows and on 2 (one non-identity
-    row)."""
+    row), and with blocks of the default `_BLOCK_ROWS` and of 3, 9 or 27
+    colorings.  At the default a graph of at most 8 vertices has a prefix
+    of one vertex, which settles no pair; the smaller blocks have longer
+    prefixes, whose pairs skip rows and drop blocks."""
     n = data.draw(st.integers(3, 8))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = [p for p, keep in zip(pairs, data.draw(
@@ -543,7 +552,9 @@ def test_d3_matches_plain_walk_on_random_graphs(data):
     assume(not grp.is_trivial() and grp.order() <= 1152)
     want = _plain_d3(grp)
     sieve_rows = data.draw(st.sampled_from([symmetry._SIEVE_ROWS, 2]))
-    with mock.patch.object(symmetry, "_SIEVE_ROWS", sieve_rows):
+    block_rows = data.draw(st.sampled_from([symmetry._BLOCK_ROWS, 3, 9, 27]))
+    with mock.patch.object(symmetry, "_SIEVE_ROWS", sieve_rows), \
+            mock.patch.object(symmetry, "_BLOCK_ROWS", block_rows):
         value, witness = _distinguishing_d3(grp, "searched")
     assert (value, witness.payload) == want
 
@@ -685,28 +696,29 @@ def test_dist_only_identity_keeps_calls(name, make, value, calls, monkeypatch):
 
 def _count_d3_work(monkeypatch) -> dict[str, int]:
     """Patch the d >= 3 scan to count the colorings that enter its sieve
-    (those of each block that use all d colors) and those it hands to
+    (those of each block it builds, which use all d colors; a block that
+    its prefix settles is not built) and those it hands to
     `_only_identity_keeps`."""
     work = {"sieved": 0, "tested": 0}
     scanning = []
-    real_d3, real_blocks = symmetry._distinguishing_d3, symmetry._rgs_blocks
+    real_d3, real_block = symmetry._distinguishing_d3, symmetry._rgs_block
     real_keeps = symmetry._only_identity_keeps
 
     def d3(grp, tag):
         scanning.append(True)
         return real_d3(grp, tag)
 
-    def blocks(n, d, max_rows):
-        for block in real_blocks(n, d, max_rows):
-            work["sieved"] += int(np.count_nonzero(block.max(axis=1) == d - 1))
-            yield block
+    def block(prefix, suffixes):
+        built = real_block(prefix, suffixes)
+        work["sieved"] += built.shape[1]
+        return built
 
     def keeps(grp, colors):
         work["tested"] += bool(scanning)
         return real_keeps(grp, colors)
 
     monkeypatch.setattr(symmetry, "_distinguishing_d3", d3)
-    monkeypatch.setattr(symmetry, "_rgs_blocks", blocks)
+    monkeypatch.setattr(symmetry, "_rgs_block", block)
     monkeypatch.setattr(symmetry, "_only_identity_keeps", keeps)
     return work
 
@@ -715,14 +727,16 @@ def test_dist_of_k9_settles_each_coloring_in_its_first_chunk(monkeypatch):
     """dist of K_9 = H(1,9) is 9, with the all-distinct witness.  Every
     coloring with 3-8 colors repeats a color, so a transposition among the
     first `_SIEVE_ROWS` least-support rows keeps it, and the sieve drops
-    it: of the 20,891 colorings that enter the sieve only the all-distinct
-    one reaches `_only_identity_keeps`.  K_10 and larger are above the
-    element cap and still exit 2."""
+    it.  A block whose prefix repeats a color is dropped unbuilt, by the
+    transposition of two prefix points, so of the 20,891 colorings with
+    3-9 colors (S(9, 3..9)) only the 8,442 after the all-distinct prefix
+    of each d (of 2-6 points) enter the sieve, in 7 blocks of 121, and
+    only the all-distinct coloring reaches `_only_identity_keeps`.  K_10
+    and larger are above the element cap and still exit 2."""
     work = _count_d3_work(monkeypatch)
     report = compute_parameter(hamming_graph(9, 1), "dist")
     assert (report["value"], report["witness"]["payload"]) == (9, list(range(1, 10)))
-    # the restricted-growth colorings of 9 vertices with 3-9 colors: S(9, 3..9)
-    assert work == {"sieved": 3025 + 7770 + 6951 + 2646 + 462 + 36 + 1, "tested": 1}
+    assert work == {"sieved": 8442, "tested": 1}
     with pytest.raises(SearchBudgetExceeded):
         compute_parameter(hamming_graph(10, 1), "dist")
 

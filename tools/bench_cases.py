@@ -8,6 +8,7 @@ report, its `value` and `elapsed_ms`.  A case past `TIMEOUT_S` is killed
 and recorded with `"timed_out": true`.
 
     python tools/bench_cases.py OUT.json
+    python tools/bench_cases.py OUT.json --parent ../parent-checkout
 
 The cases run one at a time, so the memory of one is not shared with
 another; the numbers are those of whatever host runs them, which the output
@@ -16,6 +17,12 @@ first run finishes in under `REPEAT_UNDER_S` seconds runs `REPEATS` times in
 all; its row is the run of median wall time, with the least and greatest
 wall times beside it (`wall_min_s`, `wall_max_s`, `runs`), since a single
 cold run on a shared host can be off by a third.
+
+With `--parent`, the root of a second checkout (say, of the parent commit),
+each case also runs from that checkout's `src` tree, into `parent_cases`.
+The two trees take turns run by run, case by case, one run at a time, the
+first tree alternating from run to run, so that a slow spell of the host
+falls on both and neither tree's runs share the host with the other's.
 """
 
 from __future__ import annotations
@@ -72,9 +79,9 @@ CASES = [
 ]
 
 
-def run_case(case: str) -> dict:
+def run_case(case: str, root: Path = ROOT) -> dict:
     argv = case.split() + (["--no-cache"] if case.startswith("param") else [])
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
     with tempfile.TemporaryFile() as out, tempfile.TemporaryDirectory() as cwd:
         start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "cubesym.cli", *argv], stdout=out,
@@ -105,22 +112,37 @@ def run_case(case: str) -> dict:
     return row
 
 
+def summary(runs: list[dict]) -> dict:
+    """The run of median wall time, with the spread of all the runs."""
+    walls = sorted(run["wall_s"] for run in runs)
+    median = next(run for run in runs if run["wall_s"] == walls[len(walls) // 2])
+    return {**median, "wall_min_s": walls[0], "wall_max_s": walls[-1], "runs": len(runs)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="the JSON file to write")
+    parser.add_argument("--parent", type=Path,
+                        help="the root of a second checkout to run each case on, in turns")
     args = parser.parse_args(argv)
-    rows = []
+    roots = [ROOT] if args.parent is None else [ROOT, args.parent.resolve()]
+    rows: list[list[dict]] = [[] for _ in roots]
     for case in CASES:
-        runs = [run_case(case)]
-        if runs[0]["wall_s"] < REPEAT_UNDER_S:
-            runs += [run_case(case) for _ in range(REPEATS - 1)]
-        walls = sorted(run["wall_s"] for run in runs)
-        median = next(run for run in runs if run["wall_s"] == walls[len(walls) // 2])
-        rows.append({**median, "wall_min_s": walls[0], "wall_max_s": walls[-1],
-                     "runs": len(runs)})
-        print(json.dumps(rows[-1]), file=sys.stderr, flush=True)
+        runs: list[list[dict]] = [[] for _ in roots]
+        for turn in range(REPEATS):
+            for i in (range(len(roots)) if turn % 2 == 0 else reversed(range(len(roots)))):
+                runs[i].append(run_case(case, roots[i]))
+            if turn == 0 and all(tree[0]["wall_s"] >= REPEAT_UNDER_S for tree in runs):
+                break
+        for i, tree in enumerate(runs):
+            rows[i].append(summary(tree))
+            print(json.dumps(rows[i][-1]), file=sys.stderr, flush=True)
     result = {"platform": platform.platform(), "python": platform.python_version(),
-              "cpus": os.cpu_count(), "timeout_s": TIMEOUT_S, "cases": rows}
+              "cpus": os.cpu_count(), "timeout_s": TIMEOUT_S, "cases": rows[0]}
+    if args.parent is not None:
+        result["note"] = ("cases: this tree; parent_cases: the --parent checkout; each case's "
+                          "runs alternate between the two trees, one run at a time")
+        result["parent_cases"] = rows[1]
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
