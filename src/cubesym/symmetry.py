@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import factorial
 
 import numpy as np
 
@@ -145,7 +146,9 @@ def _anchored_leaves(grp: PermGroup, test, size: int):
         r = orbit[0]
         state = test.det_add(root, r)
         if test.det_need(state) <= size - 2:
-            pool = [v for v in range(grp.n_vertices) if v not in earlier and v != r]
+            # a set of size 2 draws nothing from the pool
+            pool = ([v for v in range(grp.n_vertices) if v not in earlier and v != r]
+                    if size > 2 else [])
             yield from _determining_leaves(test, state, (0, r), pool, 0, size - 2)
         earlier.update(orbit)
 
@@ -710,7 +713,10 @@ def _distinguishing_d3(grp: PermGroup, tag: str) -> tuple[int, Witness]:
     nv = grp.n_vertices
     rows = grp.elements()[_least_support(grp)[1:_SIEVE_ROWS]]
     points = np.arange(nv)
-    for d in range(3, nv + 1):
+    # d = V is settled below from V = 4 on, where d = V - 1 >= 3 has been
+    # scanned; for V = 3 that needs d = 2 ruled out, which a direct call
+    # on a 3-vertex graph has not done, so d = 3 is scanned
+    for d in range(3, max(nv, 4)):
         pairs = None
         for prefix, suffixes in _rgs_blocks(nv, d, _BLOCK_ROWS):
             if pairs is None:  # the prefix length is the same for every block of d
@@ -733,7 +739,14 @@ def _distinguishing_d3(grp: PermGroup, tag: str) -> tuple[int, Witness]:
             for colors in block.T:
                 if _only_identity_keeps(grp, colors):
                     return d, Witness(DIST_COLORING, tuple(int(c) + 1 for c in colors), tag)
-    raise AssertionError("an all-distinct coloring distinguishes")
+    # No colouring with V - 1 >= 3 colours, one pair sharing a colour, is
+    # distinguishing only if the transposition of every pair is an element:
+    # the symmetric group.  Its one colouring with V colours, all distinct,
+    # only the identity keeps.
+    if grp.order() != factorial(nv):
+        raise AssertionError(f"the d >= 3 scan left only the all-distinct coloring, "
+                             f"but the group of order {grp.order()} is not S_{nv}")
+    return nv, Witness(DIST_COLORING, tuple(range(1, nv + 1)), tag)
 
 
 def _rgs_blocks(n: int, d: int, max_rows: int):
@@ -810,48 +823,148 @@ def is_asymmetric(g: Graph) -> bool:
     return not has_nontrivial_automorphism(g)
 
 
-def _edge_transitive(g: Graph, grp: PermGroup) -> bool:
-    """Whether the generators act on the edges, indexed by their place in
-    `edge_keys`, with one orbit.  An edge image that is not an edge raises
-    AssertionError: the generators are not automorphisms."""
-    keys = g.edge_keys
-    if not len(keys):
+def _search_tree(gens: np.ndarray, source: int, target: int | None = None):
+    """Breadth-first search from `source` over the generator rows `gens`:
+    the levels of points it reaches, as arrays, and per vertex the point it
+    was reached from and the generator that took it there (-1 where it was
+    not reached).  With a `target` it stops at the level that reaches it."""
+    nv = gens.shape[1]
+    parent = np.full(nv, -1, dtype=np.int64)
+    via = np.full(nv, -1, dtype=np.int64)
+    parent[source] = source
+    levels = [np.array([source])]
+    while len(levels[-1]) and (target is None or parent[target] < 0):
+        frontier = levels[-1]
+        points = gens[:, frontier].ravel()  # generator-major
+        fresh = np.flatnonzero(parent[points] < 0)
+        new, first = np.unique(points[fresh], return_index=True)
+        parent[new] = frontier[fresh[first] % len(frontier)]
+        via[new] = fresh[first] // len(frontier)
+        levels.append(new)
+    return levels, parent, via
+
+
+def _element_taking(gens: np.ndarray, x: int, a: int) -> np.ndarray:
+    """The image row of an element mapping x to a: the generators along the
+    search-tree path from x to a, composed."""
+    _, parent, via = _search_tree(gens, x, a)
+    if parent[a] < 0:
+        raise AssertionError(f"{a} is not in the orbit of {x}")
+    steps = []
+    while a != x:
+        steps.append(via[a])
+        a = parent[a]
+    row = np.arange(gens.shape[1], dtype=gens.dtype)
+    for i in reversed(steps):
+        row = gens[i][row]
+    return row
+
+
+def _schreier_roots(gens: np.ndarray, a: int, nbrs: np.ndarray) -> np.ndarray:
+    """A root per neighbour of a (`nbrs`), shared by two iff Stab(a) maps
+    one to the other, for a group known only by its generators.
+
+    By Schreier's lemma Stab(a) is generated by u_y^-1 s u_x for each
+    generator s and each x in a's orbit, y = s(x), where u_x maps a to x
+    along a search tree from a.  Each maps N(a) onto itself, so only u_x's
+    values on N(a), the neighbours of x, are built: row x of `on` lists
+    u_x(nbrs).  s u_x and u_y list the same vertices, and the Schreier
+    generator maps the i-th neighbour of a to the j-th where the i-th of
+    the one is the j-th of the other."""
+    levels, parent, via = _search_tree(gens, a)
+    orbit = np.concatenate(levels)
+    at = np.empty(gens.shape[1], dtype=np.int64)
+    at[orbit] = np.arange(len(orbit))
+    on = np.empty((len(orbit), len(nbrs)), dtype=gens.dtype)
+    on[0] = nbrs
+    for new in levels[1:]:
+        on[at[new]] = gens[via[new][:, None], on[at[parent[new]]]]
+    roots = np.arange(len(nbrs), dtype=np.int32)
+    for s in gens:
+        images, targets = s[on], on[at[s[orbit]]]
+        moves = np.empty_like(images)
+        np.put_along_axis(moves, np.argsort(images, axis=1), np.argsort(targets, axis=1), axis=1)
+        roots = np.asarray(orbit_roots(len(nbrs), np.vstack([moves, roots])))
+    return roots
+
+
+def _one_edge_orbit(gens: np.ndarray, a: int, nbrs: np.ndarray, roots: np.ndarray) -> bool:
+    """Whether the edges meeting a form one orbit, for a group that is
+    transitive on the ends of those edges; `roots` gives the Stab(a)-orbit
+    of each neighbour in `nbrs`.
+
+    The arcs (a, x) of one Stab(a)-orbit make up one arc orbit, and
+    reversing arcs pairs the arc orbits, keeping their sizes.  So one
+    Stab(a)-orbit is one edge orbit; three or more, or two of unequal
+    sizes, are more than one.  Two of equal size are one edge orbit iff an
+    element h with h(x) = a for an x of the first maps a into the second:
+    h reverses the arc (a, x) into (h(a), a) (Sims, 1967; Godsil & Royle,
+    *Algebraic Graph Theory*, ch. 3)."""
+    labels, sizes = np.unique(roots, return_counts=True)
+    if len(labels) <= 1:
         return True
-    nv = g.n_vertices
+    if len(labels) > 2 or sizes[0] != sizes[1]:
+        return False
+    x = int(nbrs[roots == labels[0]][0])
+    h = _element_taking(gens, x, a)
+    if h[x] != a or h[a] not in nbrs:
+        raise AssertionError(f"the element built to map {x} to {a} does not reverse their edge")
+    return bool(h[a] in nbrs[roots == labels[1]])
+
+
+def _edge_transitive_between_orbits(g: Graph, grp: PermGroup, orbit_of: np.ndarray) -> bool:
+    """Edge-transitivity of a group that is not vertex-transitive, whose
+    vertex orbits are given by their least vertices `orbit_of`.
+
+    Every edge must join the same two orbits X and Y, and then the edge
+    orbits are read at one end a, the least vertex of X, from the
+    Stab(a)-orbits on N(a) (`_schreier_roots`): from X to Y they match, and
+    within X (X = Y) `_one_edge_orbit` decides."""
     u, v = g.ends
-    a, b = grp.generators[:, u], grp.generators[:, v]
-    images = np.minimum(a, b).astype(np.int64) * nv + np.maximum(a, b)
-    # an image past the last key lands on the last key, which is smaller
-    index = np.minimum(np.searchsorted(keys, images), len(keys) - 1)
-    if (keys[index] != images).any():
-        raise AssertionError("a generator maps an edge to a pair that is not an edge")
-    roots = orbit_roots(len(keys), index)
-    return max(roots) == 0
+    if not len(u):
+        return True
+    ends = np.sort(np.stack([orbit_of[u], orbit_of[v]]), axis=0)
+    if (ends != ends[:, :1]).any():
+        return False
+    a = int(ends[0, 0])
+    nbrs = np.array(g.neighbors(a))
+    roots = _schreier_roots(grp.generators, a, nbrs)
+    if ends[0, 0] != ends[1, 0]:
+        return len(np.unique(roots)) == 1
+    return _one_edge_orbit(grp.generators, a, nbrs, roots)
 
 
 def transitivity_report(g: Graph, grp: PermGroup) -> TransitivityReport:
-    """Vertex/edge/arc/distance transitivity from the orbits of Stab(0).
+    """Vertex/edge/arc/distance transitivity from the orbits of one vertex's
+    stabilizer; no edge is mapped.
 
     For a vertex-transitive group, the orbit of an ordered pair (u, v) holds
     the pair (0, x) exactly for the x of one Stab(0)-orbit.  So the group is
     arc-transitive iff the neighbors of 0 are one such orbit, and
     distance-transitive iff each distance sphere around 0, and the set of
-    vertices 0 cannot reach, is one.  Arc- and distance-transitivity include
+    vertices 0 cannot reach, is one; otherwise `_one_edge_orbit` decides
+    edge-transitivity.  Arc- and distance-transitivity include
     vertex-transitivity, so a graph that is not vertex-transitive is neither,
-    even if its arcs form one orbit (an edge plus an isolated vertex).  An
-    arc-transitive group is edge-transitive; otherwise one edge's orbit
-    under the generators decides."""
+    even if its arcs form one orbit (an edge plus an isolated vertex); its
+    edge-transitivity is `_edge_transitive_between_orbits`."""
     if g.n_vertices == 0:
         return TransitivityReport(True, True, True, True)
-    if not grp.is_vertex_transitive():
-        return TransitivityReport(False, _edge_transitive(g, grp), False, False)
+    nv = g.n_vertices
+    orbit_of = np.asarray(orbit_roots(nv, grp.generators))
+    if orbit_of.any():
+        return TransitivityReport(False, _edge_transitive_between_orbits(g, grp, orbit_of),
+                                  False, False)
     # a Stab(0)-orbit keeps the distance from 0, so a sphere is one orbit iff
     # its vertices share one root; level 0 holds the unreachable vertices
-    nv = g.n_vertices
     roots = np.asarray(orbit_roots(nv, pointwise_stabilizer(grp, [0]).generators))
-    pairs = np.sort((distances_from(g, 0) + 1).astype(np.int64) * nv + roots)
+    distance = distances_from(g, 0)
+    pairs = np.sort((distance + 1).astype(np.int64) * nv + roots)
     # the roots per level, 0 where no vertex lies at that level
     n_roots = np.bincount(pairs[np.diff(pairs, prepend=-1) != 0] // nv)
     arc_t = bool((n_roots[2:3] <= 1).all())
     distance_t = bool((n_roots <= 1).all())
-    return TransitivityReport(True, arc_t or _edge_transitive(g, grp), arc_t, distance_t)
+    if arc_t:
+        return TransitivityReport(True, True, True, distance_t)
+    nbrs = np.flatnonzero(distance == 1)
+    return TransitivityReport(True, _one_edge_orbit(grp.generators, 0, nbrs, roots[nbrs]),
+                              False, False)

@@ -409,18 +409,18 @@ def test_det_set_checks_survive_python_O():
     repeated zero-fixing rows or repeated permutations, a structured group
     whose batched generator check fails, for Q_n, for a Hamming graph and
     for AQ_n built from a base-map table with two entries of a row swapped,
-    the d >= 3 dist scan of Q_3 and of K_7 when the table test refuses
-    every coloring, the class scan's kept-set table when the element table
-    has a second identity row, the class scan's re-check when that table
-    marks no set or lacks its complement mirror, the column view's action
+    the d >= 3 dist scan of Q_3 when the table test refuses every coloring
+    (K_7, whose group is symmetric, then still answers 7), the class
+    scan's kept-set table when the element table has a second identity
+    row, the class scan's re-check when that table marks no set or lacks its complement mirror, the column view's action
     of the row maps when the type list lacks a type, the class scan of Q_5 when its prefix table lacks
     the open type set of its lex-least class, which then changes, dist of
     H(4,3) when the class scan returns a kept class, the element table of a
     searched group when its stabilizer chain has a wrong coset
     representative or its generators are not strong for its base, the
     element table of K_{4,4} when its model drops a row, the
-    edge-orbit map when a
-    generator maps an edge to a pair that is not an edge, and the setwise
+    edge-transitivity of Q_{5,4} when the element built to map a neighbour
+    x of 0 to 0 does not, and the setwise
     test of the cube and Hamming models when the images of the set under
     the element of a row map it finds move no vertex of it, leave it, or
     come from a column map that is no permutation, and the row map search
@@ -439,7 +439,7 @@ def test_det_set_checks_survive_python_O():
         from cubesym import autgroup, constructions as cons, symmetry, tables
         from math import factorial
         from cubesym.bitgraph import (FamilySpec, augmented_hypercube, enhanced_hypercube,
-                                      folded_hypercube, graph_from_edges, hamming_graph,
+                                      folded_hypercube, hamming_graph,
                                       hypercube, hypercube_power)
         from cubesym.cli import main
         from cubesym.rowmaps import column_types
@@ -625,32 +625,26 @@ def test_det_set_checks_survive_python_O():
                     continue
             sys.exit(f"the permutation table passed {stand_in.__name__}")
         # a table test that refuses every coloring leaves the d >= 3 scan of
-        # Q_3, whose class scan finds no class, without a witness once it has
-        # walked its 4,140 restricted-growth colorings
+        # Q_3, whose class scan finds no class, with only the all-distinct
+        # coloring once it has walked its 4,011 restricted-growth colorings
+        # of 3-7 colors, and only the symmetric group needs that one
         with mock.patch.object(symmetry, "_only_identity_keeps", never):
             try:
                 symmetry.distinguishing_number(hypercube(3), autgroup.structured_group(hypercube(3)))
             except AssertionError as exc:
-                if "an all-distinct coloring distinguishes" not in str(exc):
+                if "is not S_8" not in str(exc):
                     sys.exit(f"the d >= 3 scan of Q_3 failed elsewhere: {exc}")
             else:
                 sys.exit("the d >= 3 scan of Q_3 passed without a distinguishing coloring")
             if main(["param", "dist", "hypercube", "-n", "3", "--no-cache"]) != 3:
                 sys.exit("param dist hypercube with a refusing table test did not exit 3")
-        # K_7's 5,040 rows pass the sieve's rows, and `_only_identity_keeps`
-        # settles what the sieve leaves: a test that refuses every coloring
-        # leaves the scan without a witness
-        with mock.patch.object(symmetry, "_only_identity_keeps", never):
-            try:
-                symmetry._distinguishing_d3(autgroup.structured_group(hamming_graph(7, 1)),
-                                            "structured")
-            except AssertionError as exc:
-                if "an all-distinct coloring distinguishes" not in str(exc):
-                    sys.exit(f"the d >= 3 scan of K_7 failed elsewhere: {exc}")
-            else:
-                sys.exit("the d >= 3 scan of K_7 passed without a distinguishing coloring")
-            if main(["param", "dist", "hamming", "-n", "1", "-m", "7", "--no-cache"]) != 3:
-                sys.exit("param dist hamming -m 7 with a refusing table test did not exit 3")
+            # K_7's 5,040 rows pass the sieve's rows, which drop every
+            # coloring of 3-6 colors, and its group is S_7: the all-distinct
+            # witness needs no table test
+            found = symmetry._distinguishing_d3(autgroup.structured_group(hamming_graph(7, 1)),
+                                                "structured")
+            if (found[0], found[1].payload) != (7, tuple(range(1, 8))):
+                sys.exit(f"the d >= 3 scan of K_7 gave {found}")
         # an element table with a second identity row fails the class scan's
         # kept-set table
         q4 = autgroup.structured_group(hypercube(4))
@@ -778,19 +772,21 @@ def test_det_set_checks_survive_python_O():
             pass
         else:
             sys.exit("the chain table passed generators that are not strong for the base")
-        # an edge image that is not an edge fails the edge-orbit map: in Q_3
-        # a generator with two images swapped, and on the path 0-1 plus a
-        # vertex 2 the swap of 1 and 2, whose image (0, 2) lies past the
-        # last edge key
-        q3 = hypercube(3)
-        swapped = autgroup.structured_group(q3).generators.copy()
-        swapped[0, [0, 1]] = swapped[0, [1, 0]]
-        for g, rows in [(q3, swapped), (graph_from_edges(3, [(0, 1)]), np.array([[0, 2, 1]]))]:
+        # the edge-transitivity of Q_{5,4}, whose Stab(0) has two orbits of
+        # equal size on the neighbours of 0, reads an element h with h(x) = 0
+        # for a neighbour x: a stand-in whose h is the identity fails its
+        # check
+        with mock.patch.object(symmetry, "_element_taking",
+                               lambda gens, x, a: np.arange(gens.shape[1], dtype=gens.dtype)):
             try:
-                symmetry._edge_transitive(g, autgroup.PermGroup(g.n_vertices, rows))
+                g = enhanced_hypercube(5, 4)
+                symmetry.transitivity_report(g, autgroup.structured_group(g))
             except AssertionError:
-                continue
-            sys.exit(f"_edge_transitive passed the non-automorphism {rows.tolist()}")
+                pass
+            else:
+                sys.exit("transitivity passed an element that does not map x to 0")
+            if main(["param", "transitivity", "enhanced", "-n", "5", "-k", "4", "--no-cache"]) != 3:
+                sys.exit("param transitivity enhanced -n 5 -k 4 with a wrong element did not exit 3")
         # the setwise test of the cube and Hamming models computes the
         # images of the set under the element of each row map it finds:
         # images that move no vertex of the set, or that leave it, fail its

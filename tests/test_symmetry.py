@@ -15,6 +15,7 @@ from cubesym import symmetry
 from cubesym.autgroup import (
     DEFAULT_ELEMENT_CAP,
     PermGroup,
+    orbit_roots,
     pointwise_stabilizer,
     setwise_stabilizer,
     structured_group,
@@ -268,6 +269,125 @@ def test_transitivity_matches_oracle_on_random_graphs(data):
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     g = graph_from_edges(n, edges)
     assert transitivity_report(g, search_automorphisms(g)).to_dict() == oracle_transitivity(g)
+
+
+def _circulant(n, shifts):
+    return graph_from_edges(n, {tuple(sorted((v, (v + s) % n)))
+                                for v in range(n) for s in shifts if s % n})
+
+
+def _z2_cayley(k, connection):
+    return graph_from_edges(1 << k, {tuple(sorted((v, v ^ c)))
+                                     for v in range(1 << k) for c in connection if c})
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_transitivity_matches_oracle_on_cayley_graphs(data):
+    """Random circulants C_n(S), n <= 16, and Cayley graphs of Z_2^k, k <=
+    4: vertex-transitive graphs whose Stab(0) has one, two or more orbits
+    on the neighbours of 0, so that the pairing step runs on some of them.
+    Groups above 2,000 elements are skipped, as the oracle lists every
+    element."""
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(1, 16))
+        g = _circulant(n, data.draw(st.sets(st.integers(1, max(1, n // 2)), max_size=4)))
+    else:
+        k = data.draw(st.integers(1, 4))
+        g = _z2_cayley(k, data.draw(st.sets(st.integers(1, (1 << k) - 1), max_size=5)))
+    grp = search_automorphisms(g)
+    assume(grp.order() <= 2000)
+    assert transitivity_report(g, grp).to_dict() == oracle_transitivity(g)
+
+
+def _holt_graph():
+    """Holt's graph on Z_9 x Z_3: (x, y) ~ (4x +- 1, y + 1), (7x +- 7, y - 1)."""
+    at = lambda x, y: x % 9 * 3 + y % 3
+    return graph_from_edges(27, {tuple(sorted((at(x, y), at(*w))))
+                                 for x in range(9) for y in range(3)
+                                 for w in ((4 * x + 1, y + 1), (4 * x - 1, y + 1),
+                                           (7 * x + 7, y - 1), (7 * x - 7, y - 1))})
+
+
+def _pairing_calls(monkeypatch) -> list:
+    """Patch the pairing step's element search to record its calls."""
+    calls = []
+    real = symmetry._element_taking
+
+    def taking(gens, x, a):
+        calls.append((x, a))
+        return real(gens, x, a)
+
+    monkeypatch.setattr(symmetry, "_element_taking", taking)
+    return calls
+
+
+def test_transitivity_of_the_holt_graph(monkeypatch):
+    """Holt's graph (1981), 27 vertices of degree 4 with 54 automorphisms,
+    is vertex- and edge-transitive but not arc-transitive: Stab(0) has two
+    orbits of two neighbours each, and an element taking one of them to 0
+    takes 0 into the other, so the two arc orbits are each other's
+    reverses."""
+    calls = _pairing_calls(monkeypatch)
+    g = _holt_graph()
+    grp = search_automorphisms(g)
+    assert (g.edge_count(), grp.order()) == (54, 54)
+    assert transitivity_report(g, grp).to_dict() == {
+        "vertex_transitive": True, "edge_transitive": True,
+        "arc_transitive": False, "distance_transitive": False}
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n, k", [(5, 4), (7, 5)])
+def test_enhanced_cubes_take_the_pairing_step(n, k, monkeypatch):
+    """Q_{5,4} and Q_{7,5}: Stab(0) has two orbits of equal size on the
+    neighbours of 0, so the pairing step decides, and they are not
+    edge-transitive; Q_{5,4} agrees with the oracle."""
+    calls = _pairing_calls(monkeypatch)
+    g = enhanced_hypercube(n, k)
+    rep = transitivity_report(g, automorphism_group(g)).to_dict()
+    assert rep == {"vertex_transitive": True, "edge_transitive": False,
+                   "arc_transitive": False, "distance_transitive": False}
+    assert calls == [(calls[0][0], 0)]
+    if n == 5:
+        assert rep == oracle_transitivity(g)
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["triangle-first", "triangle-last"])
+def test_transitivity_above_the_element_cap_builds_no_table(first):
+    """K_3 + 12K_1, with the triangle on the first or the last three
+    vertices: its group S_3 x S_12 is above the element cap, and Stab(a)'s
+    orbits on the triangle come from Schreier generators, so no table is
+    built."""
+    tri = [0, 1, 2] if first else [12, 13, 14]
+    g = graph_from_edges(15, [(tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])])
+    grp = search_automorphisms(g)
+    assert grp.order() > DEFAULT_ELEMENT_CAP
+    assert transitivity_report(g, grp).to_dict() == {
+        "vertex_transitive": False, "edge_transitive": True,
+        "arc_transitive": False, "distance_transitive": False}
+    assert grp._elements is None
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_schreier_roots_match_the_stabilizer_on_random_graphs(data):
+    """The Stab(a)-orbits on N(a) from Schreier generators, which the
+    edge-transitivity test of a group that is not vertex-transitive reads,
+    are those of the stabilizer read off the element table, on random
+    graphs of 2-8 vertices at each vertex with a neighbour."""
+    n = data.draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = graph_from_edges(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)))
+    grp = search_automorphisms(g)
+    table = grp.elements()
+    for a in range(n):
+        nbrs = np.array(g.neighbors(a))
+        if not len(nbrs):
+            continue
+        got = symmetry._schreier_roots(grp.generators, a, nbrs)
+        want = np.asarray(orbit_roots(n, table[table[:, a] == a]))[nbrs]
+        assert ((got[:, None] == got) == (want[:, None] == want)).all()
 
 
 def test_complement_identities(corpus, corpus_groups):
@@ -728,15 +848,16 @@ def test_dist_of_k9_settles_each_coloring_in_its_first_chunk(monkeypatch):
     coloring with 3-8 colors repeats a color, so a transposition among the
     first `_SIEVE_ROWS` least-support rows keeps it, and the sieve drops
     it.  A block whose prefix repeats a color is dropped unbuilt, by the
-    transposition of two prefix points, so of the 20,891 colorings with
-    3-9 colors (S(9, 3..9)) only the 8,442 after the all-distinct prefix
-    of each d (of 2-6 points) enter the sieve, in 7 blocks of 121, and
-    only the all-distinct coloring reaches `_only_identity_keeps`.  K_10
+    transposition of two prefix points, so of the 20,890 colorings with
+    3-8 colors (S(9, 3..8)) only the 8,441 after the all-distinct prefix
+    of each d (of 2-5 points) enter the sieve.  d = 9 is not scanned: the
+    group is S_9, whose one coloring left, the all-distinct one, only the
+    identity keeps, so no coloring reaches `_only_identity_keeps`.  K_10
     and larger are above the element cap and still exit 2."""
     work = _count_d3_work(monkeypatch)
     report = compute_parameter(hamming_graph(9, 1), "dist")
     assert (report["value"], report["witness"]["payload"]) == (9, list(range(1, 10)))
-    assert work == {"sieved": 8442, "tested": 1}
+    assert work == {"sieved": 8441, "tested": 0}
     with pytest.raises(SearchBudgetExceeded):
         compute_parameter(hamming_graph(10, 1), "dist")
 

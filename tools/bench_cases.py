@@ -47,6 +47,7 @@ CASES = [
     "param det hypercube -n 16",
     "param det power -n 9 -k 2",
     "param det enhanced -n 8 -k 6",
+    "param det augmented -n 14",
     "param det power -n 4 -k 3",
     "param dist power -n 4 -k 3",
     "param dist power -n 3 -k 3",
@@ -74,6 +75,11 @@ CASES = [
     "param cost enhanced -n 6 -k 4",
     "param cost enhanced -n 10 -k 2",
     "param transitivity hypercube -n 16",
+    "param transitivity augmented -n 14",
+    "param transitivity augmented -n 16",
+    "param transitivity enhanced -n 16 -k 8",
+    "param transitivity enhanced -n 15 -k 9",
+    "param transitivity locally-twisted -n 16",
     "tables summary --n 8",
     "export hypercube -n 9",
 ]
