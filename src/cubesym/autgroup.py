@@ -235,17 +235,6 @@ class PermGroup:
             self._elements = table
         return self._elements
 
-    def orbits(self) -> list[list[int]]:
-        """Vertex orbits under the generators."""
-        buckets: dict[int, list[int]] = {}
-        roots = orbit_roots(self.n_vertices, self.generators)
-        for v, root in enumerate(roots):
-            buckets.setdefault(root, []).append(v)
-        return sorted(buckets.values())
-
-    def is_vertex_transitive(self) -> bool:
-        return len(self.orbits()) <= 1
-
 
 def orbit_roots(nv: int, gen_images) -> list[int]:
     """A root per vertex, shared by two vertices iff they lie in one orbit
@@ -823,20 +812,21 @@ class AugmentedModel(_DeterminingFold, _SetwiseSearch, _TranslationModel):
                                self._base[[1, 2, 4]]])  # base maps 2, 3 and 5
 
     def det_add(self, state, w):
-        """The first word a, and the rows of the base maps fixing every word
-        translated by a, the identity first."""
+        """The first word a, and the indices of the base maps fixing every
+        word translated by a, the identity's (row 0) first."""
         if state is None:
-            return w, self.zero_fixing_rows()
-        a, maps = state
+            return w, np.arange(len(self._base))
+        a, keep = state
         t = a ^ w
-        return a, maps[maps[:, t] == t]
+        return a, keep[self._base[keep, t] == t]
 
     def det_done(self, state) -> bool:
         return state is not None and len(state[1]) == 1
 
     def pointwise_stabilizer(self, S) -> PermGroup:
         a, keep = self.fold(S)
-        return PermGroup(1 << self.n, _conjugate(keep[1:], a), len(keep), "structured")
+        return PermGroup(1 << self.n, _conjugate(self._base[keep[1:]], a), len(keep),
+                         "structured")
 
 
 class LtqModel(_DeterminingFold, _SetwiseSearch, _TranslationModel):

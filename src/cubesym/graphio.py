@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitgraph import EXPLICIT, FamilySpec, Graph, graph_from_edges
+from .bitgraph import EXPLICIT, FamilySpec, Graph, build_family, graph_from_edges, same_edges
 from .errors import ParameterOutOfRange
 
 
@@ -89,13 +89,19 @@ def to_edgelist(g: Graph) -> str:
 
 
 def from_edgelist(text: str, n_vertices: int | None = None) -> Graph:
+    """The graph of 'u v' lines; blank lines and '#' comments are skipped,
+    and any other line that is not two integers raises ParameterOutOfRange."""
     edges = []
     top = -1
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        u, v = (int(t) for t in line.split())
+        try:
+            u, v = (int(t) for t in line.split())
+        except ValueError:
+            raise ParameterOutOfRange(f"edge-list line {number} is not two integers: "
+                                      f"{line!r}") from None
         edges.append((u, v))
         top = max(top, u, v)
     n = n_vertices if n_vertices is not None else top + 1
@@ -114,7 +120,15 @@ def to_descriptor(g: Graph) -> dict:
 
 
 def from_descriptor(d: dict) -> Graph:
+    """The graph of a descriptor (`to_descriptor`).  One that names a
+    family must hold that family's vertex count and edge set, or
+    ParameterOutOfRange is raised, since every layer trusts the tag."""
     kind = d.get("family") or EXPLICIT
     params = d.get("params", {})
     spec = FamilySpec(kind, params.get("n", 0), params.get("k"), params.get("m"))
-    return graph_from_edges(d["n_vertices"], d["edges"], spec)
+    g = graph_from_edges(d["n_vertices"], d["edges"], spec)
+    if kind != EXPLICIT and (g.n_vertices != spec.vertex_count
+                             or not same_edges(g, build_family(spec))):
+        raise ParameterOutOfRange(f"a descriptor of {spec.name()} with {g.n_vertices} "
+                                  f"vertices and {g.edge_count()} edges is not that graph")
+    return g

@@ -122,18 +122,11 @@ def _determining_leaves(test, state, chosen, pool, start: int, r: int):
             yield from _determining_leaves(test, nxt, chosen + (pool[i],), pool, i + 1, r - 1)
 
 
-def _anchored_leaves(grp: PermGroup, test, size: int):
-    """The determining sets of `size` that the anchored search of a
-    vertex-transitive group visits, in lex order: those through vertex 0
-    whose second vertex r is the least vertex of its Stab(0)-orbit and whose
-    others lie in r's orbit or a later one.
-
-    Some set that an `accept` preserved by the group's elements takes is
-    among them.  It contains vertex 0 after a move; its second vertex comes
-    from the first Stab(0)-orbit it meets, in the order of their least
-    vertices r, and an element of Stab(0) moves that vertex to r and keeps
-    every orbit, so the other vertices range over r's orbit and the later
-    ones."""
+def _anchored_leaves(test, size: int, roots: np.ndarray):
+    """The determining sets of `size` through vertex 0 whose second vertex r
+    is the least vertex of its Stab(0)-orbit and whose others lie in r's
+    orbit or a later one, in lex order; `roots` gives each vertex's
+    Stab(0)-orbit root, its least vertex."""
     root = test.det_add(test.det_start(), 0)
     if size == 1:
         if test.det_done(root):
@@ -141,16 +134,12 @@ def _anchored_leaves(grp: PermGroup, test, size: int):
         return
     if test.det_need(root) >= size:
         return
-    earlier = {0}
-    for orbit in pointwise_stabilizer(grp, [0]).orbits()[1:]:  # the first is {0}
-        r = orbit[0]
+    for r in np.flatnonzero(roots == np.arange(len(roots)))[1:].tolist():  # past {0}
         state = test.det_add(root, r)
         if test.det_need(state) <= size - 2:
             # a set of size 2 draws nothing from the pool
-            pool = ([v for v in range(grp.n_vertices) if v not in earlier and v != r]
-                    if size > 2 else [])
+            pool = (np.flatnonzero(roots[r + 1:] >= r) + r + 1).tolist() if size > 2 else []
             yield from _determining_leaves(test, state, (0, r), pool, 0, size - 2)
-        earlier.update(orbit)
 
 
 def _least_determining(grp: PermGroup, sizes, accept=lambda leaf: True,
@@ -161,24 +150,26 @@ def _least_determining(grp: PermGroup, sizes, accept=lambda leaf: True,
     the search of each size runs: the determining test, or one that also
     cuts branches without a set of that size that `accept` takes.
 
-    The leaves come from the depth-first search `_determining_leaves`.  For
-    a verified vertex-transitive group each size is first settled by the
-    anchored leaves; at the first size that has a set, the unrestricted lex
-    leaves give the least one."""
+    The leaves come from the depth-first search `_determining_leaves`, in
+    lex order; the first that `accept` takes is the answer.  A
+    vertex-transitive group searches only the anchored leaves
+    (`_anchored_leaves`), which hold the lex-least set S that `accept`
+    takes: an element moves any such set onto 0, so S holds 0; and if its
+    second vertex were not the least of its Stab(0)-orbit, or another of
+    its vertices lay in an earlier orbit, an element of Stab(0) would move
+    S onto a lex-smaller set that `accept` takes."""
+    nv = grp.n_vertices
     plain = determining_test(grp)
-    everything = range(grp.n_vertices)
-    transitive = grp.is_vertex_transitive()
+    roots = None
+    if not any(orbit_roots(nv, grp.generators)):  # vertex-transitive
+        roots = np.asarray(orbit_roots(nv, pointwise_stabilizer(grp, [0]).generators))
     for size in sizes:
         test = plain if narrow is None else narrow(plain, size)
-        if transitive and not any(accept(s) for s in _anchored_leaves(grp, test, size)):
-            continue
-        leaves = _determining_leaves(test, test.det_start(), (), everything, 0, size)
+        leaves = (_anchored_leaves(test, size, roots) if roots is not None
+                  else _determining_leaves(test, test.det_start(), (), range(nv), 0, size))
         found = next((s for s in leaves if accept(s)), None)
         if found is not None:
             return found
-        if transitive:
-            raise AssertionError(f"the anchored search found a determining {size}-set "
-                                 "that the lex search missed")
     return None
 
 
@@ -663,7 +654,9 @@ def distinguishing_number(g: Graph, grp: PermGroup,
     except SearchBudgetExceeded:
         if not row_map:
             raise SearchBudgetExceeded(too_large) from None
-    if cls is not None and _setwise_trivial(grp, cls):
+    if cls is not None:
+        if not _setwise_trivial(grp, cls):
+            raise AssertionError(f"the greedy class's setwise stabilizer is not trivial: {cls}")
         return two(cls)
     if nv > _EXHAUSTIVE_2_LIMIT and not row_map:
         raise SearchBudgetExceeded(

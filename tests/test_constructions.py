@@ -415,7 +415,8 @@ def test_det_set_checks_survive_python_O():
     row, the class scan's re-check when that table marks no set or lacks its complement mirror, the column view's action
     of the row maps when the type list lacks a type, the class scan of Q_5 when its prefix table lacks
     the open type set of its lex-least class, which then changes, dist of
-    H(4,3) when the class scan returns a kept class, the element table of a
+    H(4,3) when the class scan returns a kept class, dist of Q_4 when the
+    greedy class is kept, the element table of a
     searched group when its stabilizer chain has a wrong coset
     representative or its generators are not strong for its base, the
     element table of K_{4,4} when its model drops a row, the
@@ -735,6 +736,10 @@ def test_det_set_checks_survive_python_O():
         with mock.patch.object(symmetry, "_least_class", lambda grp, node_budget: (0, 1, 2, 3)):
             if main(["param", "dist", "hamming", "-n", "4", "-m", "3", "--no-cache"]) != 3:
                 sys.exit("param dist hamming with a kept class from the scan did not exit 3")
+        # a greedy class that is kept makes dist of Q_4 fail its re-check
+        with mock.patch.object(symmetry, "_greedy_two_class", lambda grp: (0,)):
+            if main(["param", "dist", "hypercube", "-n", "4", "--no-cache"]) != 3:
+                sys.exit("param dist hypercube with a kept greedy class did not exit 3")
         # a stabilizer chain whose first level has one wrong coset
         # representative, its last row replaced by its second, leaves the
         # last point of the orbit of b_1 without a row, so a Schreier

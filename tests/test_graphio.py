@@ -70,6 +70,28 @@ def test_descriptor_roundtrip():
     assert same_edges(h, g) and h.family.kind == "hamming"
 
 
+@pytest.mark.parametrize("change", ["two edges", "five vertices"])
+def test_descriptor_must_hold_its_family(change):
+    """A descriptor that names Q_3 must hold Q_3's 8 vertices and 12 edges:
+    one with 2 of the edges, or with 5 vertices, raises ParameterOutOfRange
+    rather than reaching a structured group that fails its check."""
+    d = to_descriptor(hypercube(3))
+    if change == "two edges":
+        d["edges"] = d["edges"][:2]
+    else:
+        d["n_vertices"], d["edges"] = 5, [e for e in d["edges"] if max(e) < 5]
+    with pytest.raises(ParameterOutOfRange, match="Q_3"):
+        from_descriptor(d)
+
+
+@pytest.mark.parametrize("line", ["3", "0 1 2", "0 x", "0 1.5"])
+def test_edgelist_rejects_a_line_that_is_not_two_integers(line):
+    """A line of one or three tokens, or with a token that is not an
+    integer, raises ParameterOutOfRange naming its line number."""
+    with pytest.raises(ParameterOutOfRange, match="line 3"):
+        from_edgelist(f"0 1\n# comment\n{line}\n")
+
+
 def _plain_graph6(g):
     """The reference encoder: the upper triangle column by column, one bit
     at a time from `has_edge`, six bits to a byte."""

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 from unittest import mock
 
@@ -298,6 +299,66 @@ def test_transitivity_matches_oracle_on_cayley_graphs(data):
     grp = search_automorphisms(g)
     assume(grp.order() <= 2000)
     assert transitivity_report(g, grp).to_dict() == oracle_transitivity(g)
+
+
+def _plain_least(grp, sizes, accept):
+    """The first set in `combinations` order, size by size, that is
+    determining and that `accept` takes: the lex-least such set."""
+    for size in sizes:
+        for cand in combinations(range(grp.n_vertices), size):
+            if is_determining_set(grp, cand) and accept(cand):
+                return cand
+    return None
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_least_determining_matches_the_plain_lex_search(data):
+    """On random circulants C_n(S), n <= 14, and Cayley graphs of Z_2^k,
+    k <= 4, which are vertex-transitive, the anchored search alone gives
+    the lex-least determining set (det) and the lex-least class with a
+    trivial setwise stabilizer (the class scan) that a walk over every set
+    in lex order gives.  Groups above 2,000 elements are skipped."""
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(1, 14))
+        g = _circulant(n, data.draw(st.sets(st.integers(1, max(1, n // 2)), max_size=4)))
+    else:
+        k = data.draw(st.integers(1, 4))
+        g = _z2_cayley(k, data.draw(st.sets(st.integers(1, (1 << k) - 1), max_size=5)))
+    grp = search_automorphisms(g)
+    assume(grp.order() <= 2000)
+    nv = g.n_vertices
+    assert not any(orbit_roots(nv, grp.generators))
+    every = range(1, nv + 1)
+    assert symmetry._least_determining(grp, every) == _plain_least(grp, every, lambda s: True)
+    halves = range(1, nv // 2 + 1)
+
+    def setwise(cls):
+        return _setwise_trivial(grp, cls)
+
+    assert (symmetry._least_determining(grp, halves, setwise)
+            == _plain_least(grp, halves, setwise))
+
+
+@pytest.mark.parametrize("parameter, make, value", [
+    ("det", lambda: hypercube(8), 4),
+    ("cost", lambda: folded_hypercube(5), 6),
+])
+def test_the_search_asks_the_stabilizer_of_vertex_0_once(parameter, make, value, monkeypatch):
+    """The anchored search reads Stab(0)'s orbits once per call, not once
+    per size: det(Q_8) = 4 and the class scan behind cost(FQ_5) = 6, which
+    searches two sizes past the determining bound of one vertex, each ask
+    for one stabilizer."""
+    asked = []
+    real = symmetry.pointwise_stabilizer
+
+    def counted(grp, subset):
+        asked.append(list(subset))
+        return real(grp, subset)
+
+    monkeypatch.setattr(symmetry, "pointwise_stabilizer", counted)
+    assert compute_parameter(make(), parameter)["value"] == value
+    assert asked == [[0]]
 
 
 def _holt_graph():
@@ -888,6 +949,20 @@ def test_dist_asks_the_greedy_only_when_the_root_bound_leaves_a_class(monkeypatc
     assert [c for c, v in enumerate(report["witness"]["payload"]) if v == 2] == list(greedy[0])
 
 
+def test_a_greedy_class_that_fails_its_recheck_raises(monkeypatch, capsys):
+    """A greedy class whose setwise stabilizer is not trivial fails dist's
+    re-check, which raises rather than passing to the class scan: with a
+    stand-in greedy that returns (0,) on Q_4, dist raises AssertionError
+    and `param dist hypercube -n 4` exits 3."""
+    from cubesym.cli import main
+
+    monkeypatch.setattr(symmetry, "_greedy_two_class", lambda grp: (0,))
+    with pytest.raises(AssertionError, match="greedy class"):
+        compute_parameter(hypercube(4), "dist")
+    assert main(["param", "dist", "hypercube", "-n", "4", "--no-cache"]) == 3
+    assert "internal inconsistency" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("n, m, witness", [
     (4, 3, [0, 1, 12, 32]),
     (6, 3, None), (7, 3, None), (4, 4, None), (5, 4, None), (3, 5, None),
@@ -938,10 +1013,10 @@ def test_dist_fallback_class_passes_the_table_test(monkeypatch):
         assert symmetry._only_identity_keeps(grp, member)
 
 
-@pytest.mark.parametrize("cap, answers", [(1084, True), (1083, False)])
+@pytest.mark.parametrize("cap, answers", [(542, True), (541, False)])
 def test_dist_fallback_scan_stops_at_the_element_cap(cap, answers, monkeypatch):
     """The class scan that dist of H(4,4) asks where the greedy's table is
-    above the element cap adds 1,084 vertices to its nodes, and it may add
+    above the element cap adds 542 vertices to its nodes, and it may add
     as many as the cap allows table rows: at that cap it answers 2, one
     below it dist raises the budget error that the greedy would."""
     monkeypatch.setattr(symmetry, "DEFAULT_ELEMENT_CAP", cap)
@@ -982,8 +1057,8 @@ def test_cost_of_complete_graphs_builds_no_element_table(m):
 @pytest.mark.parametrize("name, make, value, calls", [
     ("cost FQ_4", lambda: compute_parameter(folded_hypercube(4), "cost"), 8, 1),
     ("dist Q_{4,2}", lambda: compute_parameter(enhanced_hypercube(4, 2), "dist"), 3, 0),
-    ("cost Q_5", lambda: compute_parameter(hypercube(5), "cost"), 5, 2),
-    ("cost H(4,4)", lambda: compute_parameter(hamming_graph(4, 4), "cost"), 5, 66),
+    ("cost Q_5", lambda: compute_parameter(hypercube(5), "cost"), 5, 1),
+    ("cost H(4,4)", lambda: compute_parameter(hamming_graph(4, 4), "cost"), 5, 33),
 ])
 def test_class_scan_setwise_calls(name, make, value, calls, monkeypatch):
     """The class scan's `_setwise_trivial` calls.  On at most 16 vertices
@@ -991,10 +1066,9 @@ def test_class_scan_setwise_calls(name, make, value, calls, monkeypatch):
     it: once for cost of FQ_4, and never for dist of Q_{4,2}, which has no
     class.  On more vertices the search starts at the column view's floor,
     5 for Q_5 and H(4,4), and tests each of its leaves.  Q_5's floor is
-    exact, and the prefix prune leaves two leaves, the anchored search's
-    and the lex search's first class, against 40 without the prune and 244
-    from size 1.  H(4,4)'s floor has 35 types, past the prune, and its
-    search tests 66 leaves, against 3,138 from size 1.  The cost scans
+    exact, and the prefix prune leaves one leaf, the first anchored one,
+    which is the lex-least class.  H(4,4)'s floor has 35 types, past the
+    prune, and its search tests 33 anchored leaves.  The cost scans
     never enter `_distinguishing_d3`, which only dist reaches."""
     made, scanned = [], []
     real, real_d3 = symmetry._setwise_trivial, symmetry._distinguishing_d3
@@ -1054,13 +1128,13 @@ def test_class_scan_reads_the_kept_set_table(monkeypatch):
 
 
 @pytest.mark.parametrize("make, value, cls, past_first_rows", [
-    pytest.param(lambda: enhanced_hypercube(5, 2), 5, [0, 1, 2, 5, 24], 74, id="Q_{5,2}"),
-    pytest.param(lambda: enhanced_hypercube(5, 3), 7, [0, 1, 2, 9, 11, 12, 21], 434,
+    pytest.param(lambda: enhanced_hypercube(5, 2), 5, [0, 1, 2, 5, 24], 71, id="Q_{5,2}"),
+    pytest.param(lambda: enhanced_hypercube(5, 3), 7, [0, 1, 2, 9, 11, 12, 21], 433,
                  id="Q_{5,3}"),
-    pytest.param(lambda: folded_hypercube(5), 6, [0, 1, 2, 4, 9, 19], 1260, id="FQ_5"),
-    pytest.param(lambda: enhanced_hypercube(6, 4), 6, [0, 1, 10, 11, 20, 53], 18,
+    pytest.param(lambda: folded_hypercube(5), 6, [0, 1, 2, 4, 9, 19], 1234, id="FQ_5"),
+    pytest.param(lambda: enhanced_hypercube(6, 4), 6, [0, 1, 10, 11, 20, 53], 9,
                  id="Q_{6,4}", marks=pytest.mark.oracle_suite),
-    pytest.param(lambda: folded_hypercube(6), 6, [0, 1, 2, 5, 24, 42], 9868,
+    pytest.param(lambda: folded_hypercube(6), 6, [0, 1, 2, 5, 24, 42], 9794,
                  id="FQ_6", marks=pytest.mark.oracle_suite),
 ])
 def test_cost_values_and_table_setwise_tests(make, value, cls, past_first_rows, monkeypatch):

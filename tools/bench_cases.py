@@ -48,6 +48,7 @@ CASES = [
     "param det power -n 9 -k 2",
     "param det enhanced -n 8 -k 6",
     "param det augmented -n 14",
+    "param det augmented -n 16",
     "param det power -n 4 -k 3",
     "param dist power -n 4 -k 3",
     "param dist power -n 3 -k 3",
