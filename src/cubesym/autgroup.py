@@ -23,7 +23,6 @@ from .bitgraph import (
     POWER,
     FamilySpec,
     Graph,
-    build_family,
 )
 from .errors import NoStructuredForm, ParameterOutOfRange, SearchBudgetExceeded
 from .rowmaps import moving_row_map
@@ -305,20 +304,21 @@ def _chain_table(gens: np.ndarray, base, chain: list[np.ndarray]) -> np.ndarray:
     return table
 
 
-# The most bytes that one chunk of the automorphism test works on: 32 per
-# edge and row (the two image ends, their minimum and maximum, the int64
-# key).  So the 19 generators of Q_10 are one chunk, and Q_14 and Q_16 are
-# checked a row at a time, which timed faster on both than chunks of 16 or
-# 32 MB and keeps Q_16 from holding its 31 key arrays at once.
+# The most bytes that one chunk of the automorphism test works on: for the
+# edge sort 32 per edge and row (the two image ends, their minimum and
+# maximum, the int64 key), so Q_10's 19 generators are one chunk and Q_14 and
+# Q_16 are checked a row at a time, which timed faster than chunks of 16 or
+# 32 MB; for the affine test at most 16 per vertex and row.
 _CHECK_BYTES = 1 << 22
 
 
 def is_automorphism(g: Graph, rows):
     """Whether each image row of `rows`, a k x V batch, is a bijection that
-    preserves adjacency and non-adjacency, i.e. maps the edge set onto
-    itself: the sorted keys `min * V + max` of its edge images equal
-    `g.edge_keys`.  A bool array of k verdicts; a single row gives one bool.
-    The edge images are compared in chunks of rows within `_CHECK_BYTES`."""
+    maps the edge set onto itself: k verdicts, or one bool for one row.  On
+    a Cayley graph of Z_2^n (`g.xor_connection`, D), an affine row sigma
+    (`_linear_rows` of its unit images, plus sigma(0)) does iff sigma(d) +
+    sigma(0) is in D for each d in D; other rows take `_edge_sort`.  Both
+    tests work on chunks of rows within `_CHECK_BYTES`."""
     nv = g.n_vertices
     batch = np.asarray(rows)
     single = batch.ndim == 1
@@ -327,14 +327,37 @@ def is_automorphism(g: Graph, rows):
     if batch.ndim != 2 or batch.shape[1] != nv:
         return False if single else np.zeros(len(batch), dtype=bool)
     ok = (np.sort(batch, axis=1) == np.arange(nv)).all(axis=1)
+    sort = ok.copy()  # the bijections that the edge sort decides
+    in_d = g.xor_connection
+    if in_d is not None:
+        n, d = nv.bit_length() - 1, np.flatnonzero(in_d)
+        units = 1 << np.arange(n)
+        step = max(1, _CHECK_BYTES // (16 * nv))
+        for lo in range(0, len(batch), step):
+            chunk = batch[lo:lo + step]
+            shift = chunk[:, :1]
+            affine = (_linear_rows(n, chunk[:, units] ^ shift) ^ shift == chunk).all(axis=1)
+            # masked into range for a non-bijection, whose verdict is False
+            ok[lo:lo + step] &= ~affine | in_d[(chunk[:, d] ^ shift) & (nv - 1)].all(axis=1)
+            sort[lo:lo + step] &= ~affine
+    if sort.any():
+        ok[sort] = _edge_sort(g, batch if sort.all() else batch[sort])
+    return bool(ok[0]) if single else ok
+
+
+def _edge_sort(g: Graph, rows: np.ndarray) -> np.ndarray:
+    """Whether each bijective row of `rows` maps the edges onto the edges:
+    the sorted keys `min * V + max` of its edge images equal `g.edge_keys`."""
+    nv = g.n_vertices
     u, v = g.ends
+    ok = np.empty(len(rows), dtype=bool)
     step = max(1, _CHECK_BYTES // max(32 * len(u), 1))
-    for lo in range(0, len(batch), step):
-        a, b = batch[lo:lo + step, u], batch[lo:lo + step, v]
+    for lo in range(0, len(rows), step):
+        a, b = rows[lo:lo + step, u], rows[lo:lo + step, v]
         image = np.minimum(a, b).astype(np.int64) * nv + np.maximum(a, b)
         image.sort(axis=1)
-        ok[lo:lo + step] &= (image == g.edge_keys).all(axis=1)
-    return bool(ok[0]) if single else ok
+        ok[lo:lo + step] = (image == g.edge_keys).all(axis=1)
+    return ok
 
 
 def trivial_group(nv: int, graph: Graph | None = None) -> PermGroup:
@@ -1212,10 +1235,17 @@ def _family_model(spec: FamilySpec) -> GroupModel:
         return HammingModel(spec)
     if spec.kind == ENHANCED:
         k = spec.k
-        ga = (trivial_group(1) if k == 1
-              else structured_group(build_family(FamilySpec(HYPERCUBE, k - 1))))
-        return ProductModel(ga, structured_group(build_family(FamilySpec(FOLDED, n - k + 1))))
+        ga = trivial_group(1) if k == 1 else _model_group(FamilySpec(HYPERCUBE, k - 1))
+        return ProductModel(ga, _model_group(FamilySpec(FOLDED, n - k + 1)))
     raise NoStructuredForm(f"no closed form for {spec.name()}")
+
+
+def _model_group(spec: FamilySpec, g: Graph | None = None) -> PermGroup:
+    """The family model's group on `g`, its generators unchecked: a product
+    checks its factors' through its own, as (x, y) -> (a(x), y) is an
+    automorphism of G x H iff a is one of G."""
+    model = _family_model(spec)
+    return PermGroup(spec.vertex_count, model.generators(), model.order(), "structured", g, model)
 
 
 def structured_group(g: Graph) -> PermGroup:
@@ -1228,8 +1258,7 @@ def structured_group(g: Graph) -> PermGroup:
     spec = g.family
     if spec is None:
         raise NoStructuredForm("no family tag on this graph")
-    model = _family_model(spec)
-    grp = PermGroup(g.n_vertices, model.generators(), model.order(), "structured", g, model)
+    grp = _model_group(spec, g)
     ok = is_automorphism(g, grp.generators)
     if not np.all(ok):
         raise AssertionError(f"structured generator {np.argmin(ok)} failed for {spec.name()}")

@@ -231,6 +231,19 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.bincount(np.concatenate(self.ends), minlength=self.n_vertices)
 
+    @cached_property
+    def xor_connection(self) -> np.ndarray | None:
+        """D as a V-long bool table if the graph is a Cayley graph of Z_2^n
+        (u ~ v iff u ^ v is in D) with V >= 2, else None: a value d that an
+        edge carries must be carried by all V/2 pairs {x, x ^ d}."""
+        nv = self.n_vertices
+        if nv < 2 or nv & (nv - 1):
+            return None
+        u, v = self.ends
+        counts = np.bincount(u ^ v, minlength=nv)
+        in_d = counts > 0
+        return in_d if (counts[in_d] == nv // 2).all() else None
+
     def _check_vertex(self, *vs: int) -> None:
         for v in vs:
             if not 0 <= v < self.n_vertices:

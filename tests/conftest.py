@@ -12,6 +12,7 @@ from cubesym import (
     locally_twisted_hypercube,
     enhanced_hypercube,
 )
+from cubesym.bitgraph import graph_from_edges
 from cubesym.params import automorphism_group
 
 
@@ -61,6 +62,13 @@ def reference_closure(nv: int, gens) -> np.ndarray:
         frontier = np.array(fresh, dtype=np.int32).reshape(-1, nv)
         out.append(frontier)
     return np.concatenate(out)
+
+
+def z2_cayley(k, connection):
+    """The Cayley graph of Z_2^k under XOR whose connection set is
+    `connection` (0 ignored)."""
+    return graph_from_edges(1 << k, {tuple(sorted((v, v ^ c)))
+                                     for v in range(1 << k) for c in connection if c})
 
 
 def preserves_adjacency(g, row) -> bool:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import preserves_adjacency, reference_closure, row_set
+from conftest import preserves_adjacency, reference_closure, row_set, z2_cayley
 
 from cubesym.autgroup import (
     AugmentedModel,
@@ -140,6 +140,91 @@ def test_is_automorphism_matches_pairwise_reference(data):
     if data.draw(st.booleans()):
         row = np.asarray(row, dtype=np.int32)
     assert is_automorphism(g, row) == preserves_adjacency(g, row)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_affine_test_matches_pairwise_reference_on_cayley_graphs(data):
+    """Cayley graphs of Z_2^k, k <= 5, whose connection set is closed under
+    a drawn linear map, so that its affine rows are often automorphisms, and
+    the same graphs with one edge dropped, which are not Cayley from 4
+    vertices up and go to the edge sort.  A batch of affine rows, random
+    permutations and non-bijections with entries of -1 and V gets the
+    pairwise reference's verdicts, one row per chunk or all in one."""
+    from unittest import mock
+
+    from cubesym import autgroup
+
+    k = data.draw(st.integers(1, 5))
+    nv = 1 << k
+    linear = _linear_rows(k, [data.draw(st.lists(st.integers(0, nv - 1), min_size=k,
+                                                 max_size=k))])[0]
+    connection = set()
+    for c in data.draw(st.sets(st.integers(1, nv - 1), max_size=4)):
+        while c and c not in connection:
+            connection.add(c)
+            c = int(linear[c])
+    g = z2_cayley(k, connection)
+    assert np.flatnonzero(g.xor_connection).tolist() == sorted(connection)
+    if g.edge_count() and data.draw(st.booleans()):
+        edges = list(g.edges())
+        edges.pop(data.draw(st.integers(0, len(edges) - 1)))
+        g = graph_from_edges(nv, edges)
+        assert g.xor_connection is None or nv == 2
+    rows = []
+    for kind in data.draw(st.lists(st.sampled_from(["affine", "permutation", "non-bijection"]),
+                                   min_size=1, max_size=4)):
+        if kind == "affine":
+            rows.append(linear ^ data.draw(st.integers(0, nv - 1)))
+        elif kind == "permutation":
+            rows.append(data.draw(st.permutations(range(nv))))
+        else:
+            rows.append(data.draw(st.lists(st.integers(-1, nv), min_size=nv, max_size=nv)))
+    batch = np.array(rows, dtype=data.draw(st.sampled_from([np.int32, np.int64])))
+    with mock.patch.object(autgroup, "_CHECK_BYTES", data.draw(st.sampled_from([1, 1 << 22]))):
+        verdicts = is_automorphism(g, batch)
+        assert is_automorphism(g, batch[0]) == verdicts[0]
+    assert verdicts.tolist() == [preserves_adjacency(g, row) for row in batch]
+
+
+# (graph, how many of its structured generators reach the edge sort)
+EDGE_SORTED_GENERATORS = [
+    ("Q_4", lambda: hypercube(4), 0), ("Q_7", lambda: hypercube(7), 0),
+    ("FQ_4", lambda: folded_hypercube(4), 0), ("FQ_7", lambda: folded_hypercube(7), 0),
+    ("AQ_4", lambda: augmented_hypercube(4), 0), ("AQ_7", lambda: augmented_hypercube(7), 0),
+    ("Q_{5,2}", lambda: enhanced_hypercube(5, 2), 0),
+    ("Q_{7,3}", lambda: enhanced_hypercube(7, 3), 0),
+    ("Q_{6,1}", lambda: enhanced_hypercube(6, 1), 0),
+    ("Q_5^3", lambda: hypercube_power(5, 3), 0), ("Q_6^2", lambda: hypercube_power(6, 2), 0),
+    ("Q_6^4", lambda: hypercube_power(6, 4), 0),
+    ("H(2,4)", lambda: hamming_graph(4, 2), 0), ("H(3,4)", lambda: hamming_graph(4, 3), 0),
+    ("LTQ_5", lambda: locally_twisted_hypercube(5), 4),
+    ("H(3,3)", lambda: hamming_graph(3, 3), 8),
+    ("K_{8x2}", lambda: hypercube_power(4, 3), 15),
+    # the swap of its two parts, slot by slot, is the translation by 1
+    ("K_{4,4}", lambda: folded_hypercube(3), 6),
+    ("Q_{4,2}", lambda: enhanced_hypercube(4, 2), 6),
+]
+
+
+@pytest.mark.parametrize("name,make,sorted_rows", EDGE_SORTED_GENERATORS)
+def test_which_generators_reach_the_edge_sort(monkeypatch, name, make, sorted_rows):
+    """The structured generators of the Cayley graphs of Z_2^n are affine
+    and never reach the edge sort; those of LTQ_n (not Cayley under XOR)
+    and H(n,3) (3^n vertices) all do, and so do the transpositions of
+    K_{b x a}, alone or as the FQ_3 factor of Q_{4,2}."""
+    from cubesym import autgroup
+
+    sent = []
+    real = autgroup._edge_sort
+
+    def recording(g, rows):
+        sent.append(len(rows))
+        return real(g, rows)
+
+    monkeypatch.setattr(autgroup, "_edge_sort", recording)
+    structured_group(make())
+    assert sum(sent) == sorted_rows
 
 
 STRUCTURED_ORDERS = [

@@ -407,7 +407,8 @@ def test_det_set_checks_survive_python_O():
     stand-in or an out-of-range argument.  A transitivity report with
     inconsistent flags raises too, and so do a model's element table from
     repeated zero-fixing rows or repeated permutations, a structured group
-    whose batched generator check fails, for Q_n, for a Hamming graph and
+    whose batched generator check fails, for Q_n, for Q_n with a linear
+    generator that breaks its edges, for a Hamming graph and
     for AQ_n built from a base-map table with two entries of a row swapped,
     the d >= 3 dist scan of Q_3 when the table test refuses every coloring
     (K_7, whose group is symmetric, then still answers 7), the class
@@ -560,6 +561,22 @@ def test_det_set_checks_survive_python_O():
                 sys.exit("structured_group passed a generator with two images swapped")
             if main(["param", "det", "hypercube", "-n", "5", "--no-cache"]) != 3:
                 sys.exit("param det hypercube with a swapped generator did not exit 3")
+        # a linear row is affine, so it takes the affine test, which must
+        # look its images of the connection set up: the transvection
+        # e_0 -> e_0 + e_1 of Q_5 sends the edge value 1 to 3, not an edge's
+        def with_transvection(self):
+            transvection = autgroup._linear_rows(self.n, [[3, 2, 4, 8, 16]])
+            return np.concatenate([real_generators(self), transvection])
+
+        with mock.patch.object(autgroup.HypercubeModel, "generators", with_transvection):
+            try:
+                autgroup.structured_group(hypercube(5))
+            except AssertionError:
+                pass
+            else:
+                sys.exit("structured_group passed a linear generator that breaks the edges")
+            if main(["param", "det", "hypercube", "-n", "5", "--no-cache"]) != 3:
+                sys.exit("param det hypercube with a transvection generator did not exit 3")
         real_hamming_generators = autgroup.HammingModel.generators
 
         def hamming_row_swapped(self):

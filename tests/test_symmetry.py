@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import row_set
+from conftest import row_set, z2_cayley
 
 from cubesym import symmetry
 from cubesym.autgroup import (
@@ -277,11 +277,6 @@ def _circulant(n, shifts):
                                 for v in range(n) for s in shifts if s % n})
 
 
-def _z2_cayley(k, connection):
-    return graph_from_edges(1 << k, {tuple(sorted((v, v ^ c)))
-                                     for v in range(1 << k) for c in connection if c})
-
-
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_transitivity_matches_oracle_on_cayley_graphs(data):
@@ -295,7 +290,7 @@ def test_transitivity_matches_oracle_on_cayley_graphs(data):
         g = _circulant(n, data.draw(st.sets(st.integers(1, max(1, n // 2)), max_size=4)))
     else:
         k = data.draw(st.integers(1, 4))
-        g = _z2_cayley(k, data.draw(st.sets(st.integers(1, (1 << k) - 1), max_size=5)))
+        g = z2_cayley(k, data.draw(st.sets(st.integers(1, (1 << k) - 1), max_size=5)))
     grp = search_automorphisms(g)
     assume(grp.order() <= 2000)
     assert transitivity_report(g, grp).to_dict() == oracle_transitivity(g)
@@ -324,7 +319,7 @@ def test_least_determining_matches_the_plain_lex_search(data):
         g = _circulant(n, data.draw(st.sets(st.integers(1, max(1, n // 2)), max_size=4)))
     else:
         k = data.draw(st.integers(1, 4))
-        g = _z2_cayley(k, data.draw(st.sets(st.integers(1, (1 << k) - 1), max_size=5)))
+        g = z2_cayley(k, data.draw(st.sets(st.integers(1, (1 << k) - 1), max_size=5)))
     grp = search_automorphisms(g)
     assume(grp.order() <= 2000)
     nv = g.n_vertices

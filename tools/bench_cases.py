@@ -45,6 +45,8 @@ REPEATS = 3
 
 CASES = [
     "param det hypercube -n 16",
+    "param det hypercube -n 18",
+    "param det folded -n 17",
     "param det power -n 9 -k 2",
     "param det enhanced -n 8 -k 6",
     "param det augmented -n 14",
@@ -76,6 +78,7 @@ CASES = [
     "param cost enhanced -n 6 -k 4",
     "param cost enhanced -n 10 -k 2",
     "param transitivity hypercube -n 16",
+    "param transitivity hypercube -n 18",
     "param transitivity augmented -n 14",
     "param transitivity augmented -n 16",
     "param transitivity enhanced -n 16 -k 8",
