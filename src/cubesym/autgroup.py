@@ -55,11 +55,6 @@ def _linear_rows(n: int, unit_images) -> np.ndarray:
     return rows
 
 
-def _conjugate(rows: np.ndarray, a: int) -> np.ndarray:
-    """The maps `rows`, which fix zero, moved to fix `a`: v -> a + phi(a + v)."""
-    return a ^ rows[:, np.arange(rows.shape[1]) ^ a]
-
-
 def _column_words(pi, n: int, last: int) -> list[int]:
     """Under the column permutation pi (image column i reads source column
     pi[i]), the word that a 1 in each source column becomes: column i < n is
@@ -474,9 +469,19 @@ def determining_test(grp: PermGroup):
 #
 # One closed form per structured group.  A model answers `order()`,
 # `generators()` (rows), `enumerate()` (the element table; `PermGroup.elements`
-# has checked the order against the cap), `pointwise_stabilizer(S)` for a
-# sorted nonempty vertex list S, and the determining test above, which gives
-# it `pointwise_trivial(words)`.  The AQ_n and LTQ_n models also answer
+# has checked the order against the cap) and the determining test above, which
+# gives it `pointwise_trivial(words)`.  Its generators are strong for the base
+# (0,): those that fix vertex 0 generate Stab(0), which `pointwise_stabilizer`
+# reads off them.  A translation model's are unit translations, which move 0,
+# and zero-fixing maps that generate all of them: the adjacent column
+# transpositions of Q_n, the halved cubes and FQ_n, base maps 2, 3 and 5 of
+# AQ_n, and none for LTQ_n, whose Stab(0) is trivial.  The Hamming model's
+# column transpositions and symbol swaps (c, s, s+1) with s >= 1 generate
+# S_{m-1} wr S_n; the swaps with s = 0 move 0.  The multipartite model's swaps
+# that fix 0, the first vertex of the first part, generate S_{a-1} x (S_a wr
+# S_{b-1}).  A product's row fixes (0, 0) iff it fixes its own factor's 0, so
+# the rule holds for the product when it holds for the factors.  The AQ_n and
+# LTQ_n models also answer
 # `setwise_stabilizer(S)`, the rows of the elements that map S onto itself,
 # and the Q_n, halved-cube and Hamming models `setwise_trivial(S)`, whether
 # only the identity does.
@@ -661,25 +666,6 @@ class _PositionModel(_ColumnRefinement, _TranslationModel):
         """A fixing position permutation exists iff two columns agree."""
         return state is not None and not state[2]
 
-    def _stabilizer(self, S, perms, order: int) -> PermGroup:
-        """The group of `order` elements that the zero-fixing maps `perms`,
-        moved to fix S[0], generate."""
-        return PermGroup(1 << self.n, _conjugate(self._rows(perms), S[0]), order, "structured")
-
-    def pointwise_stabilizer(self, S) -> PermGroup:
-        """The permutations within the classes of equal columns that the
-        fold keeps, whose bit b < n is column n-1-b and bit n column n."""
-        n = self.n
-        column = [n - 1 - b if b < n else b for b in range(self.columns)]  # of bit b
-        classes = sorted(sorted(column[b] for b in range(self.columns) if m >> b & 1)
-                         for m in self.fold(S)[2])
-        order = 1
-        perms = []
-        for idx in classes:
-            order *= factorial(len(idx))
-            perms += [_transposition(self.columns, i, j) for i, j in zip(idx, idx[1:])]
-        return self._stabilizer(S, perms, order)
-
 
 class HypercubeModel(_CubeSetwise, _PositionModel):
     """Aut(Q_n) = Z_2^n x S_n, also the group of Q_n^k for odd k <= n-2."""
@@ -723,14 +709,6 @@ class HalvedCubeModel(_CubeSetwise, _PositionModel):
 
     def column_mask(self, t: int) -> int:
         return t | (t.bit_count() & 1) << self.n
-
-
-def _folded_shifts(classes: dict[int, list[int]]) -> list[int]:
-    """Column values E for which c -> c + E maps the classes onto classes of
-    the same size.  E = 0 always qualifies; each other E yields the fixing
-    symbol permutations that move a symbol onto the all-ones word."""
-    return [e for e in classes
-            if all(len(classes.get(c ^ e, ())) == len(idx) for c, idx in classes.items())]
 
 
 class FoldedModel(_PositionModel):
@@ -787,33 +765,6 @@ class FoldedModel(_PositionModel):
         values = set(state[3])
         return not any(e and {c ^ e for c in values} == values for e in values)
 
-    def pointwise_stabilizer(self, S) -> PermGroup:
-        """The symbol permutations within the classes of equal column values
-        that the fold carries, whose bit b < n is column n-1-b and bit n the
-        all-ones symbol's column, and those that each of `_folded_shifts`
-        gives."""
-        n = self.n
-        values = self.fold(S)[3]
-        classes: dict[int, list[int]] = {}
-        for i, col in enumerate(values[n - 1::-1] + values[n:]):  # of column i
-            classes.setdefault(col, []).append(i)
-        shifts = _folded_shifts(classes)
-        order = len(shifts)
-        for idx in classes.values():
-            order *= factorial(len(idx))
-        perms = []
-        for e in shifts:
-            if not e:
-                for idx in classes.values():
-                    perms += [_transposition(n + 1, i, j) for i, j in zip(idx, idx[1:])]
-                continue
-            pi = [0] * (n + 1)
-            for c, idx in classes.items():
-                for i, j in zip(idx, classes[c ^ e]):
-                    pi[j] = i  # image coordinate j reads source i
-            perms.append(tuple(pi))
-        return self._stabilizer(S, perms, order)
-
 
 class AugmentedModel(_DeterminingFold, _SetwiseSearch, _TranslationModel):
     """Aut(AQ_n) (n >= 4): translations after the eight base maps, whose
@@ -846,11 +797,6 @@ class AugmentedModel(_DeterminingFold, _SetwiseSearch, _TranslationModel):
     def det_done(self, state) -> bool:
         return state is not None and len(state[1]) == 1
 
-    def pointwise_stabilizer(self, S) -> PermGroup:
-        a, keep = self.fold(S)
-        return PermGroup(1 << self.n, _conjugate(self._base[keep[1:]], a), len(keep),
-                         "structured")
-
 
 class LtqModel(_DeterminingFold, _SetwiseSearch, _TranslationModel):
     """Aut(LTQ_n) (n >= 4): the 2^(n-1) translations of the first n-1 bits."""
@@ -872,9 +818,6 @@ class LtqModel(_DeterminingFold, _SetwiseSearch, _TranslationModel):
 
     def det_done(self, state) -> bool:
         return bool(state)  # only the zero translation fixes any vertex
-
-    def pointwise_stabilizer(self, S) -> PermGroup:
-        return trivial_group(1 << self.n)
 
 
 class ProductModel(_DeterminingFold):
@@ -904,10 +847,6 @@ class ProductModel(_DeterminingFold):
         left, right = self.ga.elements()[:, v // nb] * nb, self.gb.elements()[:, v % nb]
         return (left[:, None, :] + right[None, :, :]).reshape(-1, len(v))
 
-    def _split(self, S) -> tuple[set[int], set[int]]:
-        nb = self.gb.n_vertices
-        return {v // nb for v in S}, {v % nb for v in S}
-
     def det_start(self):
         return self.ta.det_start(), self.tb.det_start()
 
@@ -920,12 +859,6 @@ class ProductModel(_DeterminingFold):
 
     def det_done(self, state) -> bool:
         return self.ta.det_done(state[0]) and self.tb.det_done(state[1])
-
-    def pointwise_stabilizer(self, S) -> PermGroup:
-        sa, sb = self._split(S)
-        model = ProductModel(pointwise_stabilizer(self.ga, sa), pointwise_stabilizer(self.gb, sb))
-        return PermGroup(self.ga.n_vertices * self.gb.n_vertices, model.generators(),
-                         model.order(), "structured", model=model)
 
 
 def _extension_need(m: int, n: int) -> list[list[int]]:
@@ -1082,32 +1015,6 @@ class HammingModel(_RowMapSetwise, _DeterminingFold):
         return (all(len(shown) >= self.m - 1 for shown in seen)
                 and len(set(codes)) == len(codes))
 
-    def pointwise_stabilizer(self, S) -> PermGroup:
-        """Transpositions of neighbouring columns of a class, each with the
-        symbol bijection the rows force (the symbols shown in neither column
-        matched in sorted order), and transpositions of the symbols a column
-        does not show; order prod c! over the classes times prod (m-q)!."""
-        n, m = self.n, self.m
-        seen, codes = self.fold(S)
-        unshown = [sorted(set(range(m)) - set(shown)) for shown in seen]
-        classes: dict[int, list[int]] = {}
-        for c, code in enumerate(codes):
-            classes.setdefault(code, []).append(c)
-        order = 1
-        rows = []
-        for idx in classes.values():
-            order *= factorial(len(idx))
-            for i, j in zip(idx, idx[1:]):
-                syms = np.tile(np.arange(m), (n, 1))
-                syms[i, list(seen[j]) + unshown[j]] = list(seen[i]) + unshown[i]
-                syms[j, list(seen[i]) + unshown[i]] = list(seen[j]) + unshown[j]
-                rows.append(self._rows(_transposition(n, i, j), syms))
-        for c in range(n):
-            order *= factorial(len(unshown[c]))
-        rows.append(self._symbol_rows([(c, s, t) for c in range(n)
-                                       for s, t in zip(unshown[c], unshown[c][1:])]))
-        return PermGroup(m ** n, np.concatenate(rows), order, "structured")
-
 
 def _wreath_generators(nv: int, parts: np.ndarray) -> np.ndarray:
     """The rows of S_a wr S_b on the b x a array `parts` of vertices, every
@@ -1134,10 +1041,15 @@ class MultipartiteModel(_DeterminingFold):
     iff it keeps each touched part, permuting its a - f_p other vertices,
     and permutes the z untouched parts: a group of order prod (a - f_p)!
     times a!^z z!.  That is 1 iff f_p >= a-1 in every part when a >= 2, and
-    iff at most one part is untouched when a = 1, so `det_need` is exact."""
+    iff at most one part is untouched when a = 1, so `det_need` is exact.
+
+    Vertex 0 must be the first vertex of the first part, so that the
+    generators that fix it generate Stab(0)."""
 
     def __init__(self, parts):
         self.parts = np.asarray(parts, dtype=np.int32)
+        if self.parts[0, 0] != 0:
+            raise AssertionError(f"vertex 0 is not first in part 0: {self.parts[0].tolist()}")
         self.b, self.a = self.parts.shape
         part = np.empty(self.parts.size, dtype=np.int32)
         part[self.parts.ravel()] = np.arange(self.parts.size) // self.a
@@ -1183,21 +1095,6 @@ class MultipartiteModel(_DeterminingFold):
 
     def det_done(self, state) -> bool:
         return self.det_need(state) == 0
-
-    def pointwise_stabilizer(self, S) -> PermGroup:
-        """The symmetric group on each touched part's vertices outside S,
-        times S_a wr S_z on the z untouched parts."""
-        nv, a = self.parts.size, self.a
-        member = np.zeros(nv, dtype=bool)
-        member[S] = True
-        inside = member[self.parts]
-        touched = inside.any(axis=1)
-        free = [part[~kept] for part, kept in zip(self.parts[touched], inside[touched])]
-        z = self.b - len(free)
-        rows = [_wreath_generators(nv, rest[:, None]) for rest in free]
-        rows.append(_wreath_generators(nv, self.parts[~touched]))
-        order = prod(factorial(len(rest)) for rest in free) * factorial(a) ** z * factorial(z)
-        return PermGroup(nv, np.concatenate(rows), order, "structured")
 
 
 def _multipartite_parts(spec: FamilySpec) -> np.ndarray:
@@ -1293,19 +1190,19 @@ def pointwise_stabilizer_is_trivial(grp: PermGroup, subset) -> bool:
 def pointwise_stabilizer(grp: PermGroup, subset) -> PermGroup:
     """Subgroup fixing every vertex of `subset`.
 
-    Structured groups are solved by their model.  A searched group whose
-    base starts with the vertices of `subset` keeps the generators that fix
-    them, which generate the stabilizer, and the rest of its chain, which
-    those generators give along the rest of the base; other groups are
-    filtered on their element table.
+    A group whose generators are strong for a base starting with the
+    vertices of `subset` keeps the generators that fix them, which generate
+    the stabilizer: a model group's, strong for (0,) (see the group models),
+    for Stab(0), with no table and no known order; a searched group's for a
+    prefix of its search base, with the rest of its chain.  Other groups and
+    subsets are filtered on their element table.
     """
     S = sorted(set(subset))
     if not S:
         return grp
-    if grp.model is not None:
-        stab = grp.model.pointwise_stabilizer(S)
-        stab.graph = grp.graph
-        return stab
+    if grp.model is not None and S == [0]:
+        return PermGroup(grp.n_vertices, grp.generators[_fixing(grp.generators, S)], None,
+                         grp.source, grp.graph)
     if grp.base is not None and S == sorted(grp.base[:len(S)]):
         return PermGroup(grp.n_vertices, grp.generators[_fixing(grp.generators, S)], None,
                          grp.source, grp.graph, base=grp.base[len(S):],

@@ -333,8 +333,8 @@ def _multipartite_table(name: str):
 def test_multipartite_need_and_stabilizer_match_the_table(data):
     """On random vertex sets S of the six K_{b x a} groups, `det_need` is
     the least number of vertices whose addition makes S determining, read
-    off the element table, and `pointwise_stabilizer(S)` generates the
-    rows of the table that fix S, of the order it states."""
+    off the element table, and `det_done` and `pointwise_stabilizer_is_trivial`
+    say whether S is determining."""
     grp, table, fixers = _multipartite_table(data.draw(st.sampled_from(sorted(MULTIPARTITE))))
     nv = grp.n_vertices
     S = sorted(data.draw(st.sets(st.integers(0, nv - 1), max_size=nv)))
@@ -354,12 +354,7 @@ def test_multipartite_need_and_stabilizer_match_the_table(data):
     state = model.fold(S)
     assert model.det_need(state) == need
     assert model.det_done(state) == (need == 0)
-    if not S:
-        return
-    stab = pointwise_stabilizer(grp, S)
-    expect = row_set(table[(table[:, S] == S).all(axis=1)])
-    assert stab.order() == len(expect)
-    assert row_set(reference_closure(nv, stab.generators)) == expect
+    assert pointwise_stabilizer_is_trivial(grp, S) == (fixing(S).bit_count() == 1)
 
 
 @pytest.mark.parametrize("name", sorted(MULTIPARTITE))
@@ -415,12 +410,12 @@ def test_halved_aff_reads_the_parity_position():
 @given(st.lists(st.integers(0, 31), min_size=1, max_size=4, unique=True))
 @settings(max_examples=60, deadline=None)
 def test_halved_pointwise_stabilizer_matches_filtering(S):
+    """Whether only the identity fixes a random set of Q_5^2, by the halved
+    cube's determining test, is read off the element table."""
     grp = _q5_square()
-    got = pointwise_stabilizer(grp, S)
-    expect = {p for p in row_set(grp.elements()) if all(p[v] == v for v in S)}
-    assert got.order() == len(expect)
-    assert row_set(reference_closure(got.n_vertices, got.generators)) == expect
-    assert pointwise_stabilizer_is_trivial(grp, S) == (len(expect) == 1)
+    table = grp.elements()
+    fixing = int((table[:, S] == S).all(axis=1).sum())
+    assert pointwise_stabilizer_is_trivial(grp, S) == (fixing == 1)
 
 
 @lru_cache(maxsize=None)
@@ -437,29 +432,16 @@ def _folded_table(n: int):
 @given(st.sampled_from([4, 5]), st.data())
 @settings(max_examples=120, deadline=None)
 def test_folded_det_done_and_stabilizer_match_filtering(n, data):
-    """On random sets of FQ_4 and FQ_5, the folded model's determining test
-    and the order of its pointwise stabilizer, which read the columns as
-    bitmasks over the words, agree with filtering the element table."""
+    """On random sets of FQ_4 and FQ_5, the folded model's determining test,
+    which reads the columns as bitmasks over the words, and so whether the
+    set's pointwise stabilizer is trivial, agree with filtering the element
+    table."""
     grp, table = _folded_table(n)
     S = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=n + 2,
                            unique=True))
     fixing = int((table[:, S] == S).all(axis=1).sum())
     assert grp.model.det_done(grp.model.fold(S)) == (fixing == 1)
-    assert pointwise_stabilizer(grp, S).order() == fixing
-
-
-@given(st.sampled_from([4, 5]), st.data())
-@settings(max_examples=100, deadline=None)
-def test_folded_stabilizer_elements_match_filtering(n, data):
-    """The folded model's pointwise stabilizer, whose column classes come
-    from the fold, holds exactly the rows of the element table that fix
-    every vertex of a random set of 1-6 vertices of FQ_4 or FQ_5."""
-    grp, table = _folded_table(n)
-    S = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6,
-                           unique=True))
-    got = pointwise_stabilizer(grp, S)
-    assert row_set(reference_closure(got.n_vertices, got.generators)) == \
-        row_set(table[(table[:, S] == S).all(axis=1)]), S
+    assert pointwise_stabilizer_is_trivial(grp, S) == (fixing == 1)
 
 
 GROUP_LAW_GROUPS = {
@@ -574,9 +556,10 @@ def test_closure_matches_model_enumeration_above_255_vertices(model):
 
 def test_a_group_without_model_or_base_has_no_table():
     """Element tables come from a model or from a searched group's stabilizer
-    chain; a group with neither, bare or a model's stabilizer, has none."""
+    chain; a group with neither, bare or a model group's Stab(0), has none."""
     model = AugmentedModel(4)
-    for grp in (PermGroup(16, model.generators()), model.pointwise_stabilizer([0])):
+    model_group = structured_group(augmented_hypercube(4))
+    for grp in (PermGroup(16, model.generators()), pointwise_stabilizer(model_group, [0])):
         with pytest.raises(ValueError, match="neither a model nor a base"):
             grp.elements()
 
@@ -593,6 +576,45 @@ def test_linear_zero_fixing_rows_match_images(model, make):
     stab = pointwise_stabilizer(searched, [0])
     assert row_set(model.zero_fixing_rows()) == row_set(stab.elements())
     assert stab.order() == model.n_zero_fixing()
+
+
+STAB0_GROUPS = {
+    "Q_4": lambda: hypercube(4),
+    "Q_5^2": lambda: hypercube_power(5, 2),
+    "Q_5^3": lambda: hypercube_power(5, 3),
+    **{f"FQ_{n}": (lambda n=n: folded_hypercube(n)) for n in range(1, 6)},
+    "AQ_4": lambda: augmented_hypercube(4),
+    "AQ_5": lambda: augmented_hypercube(5),
+    "LTQ_4": lambda: locally_twisted_hypercube(4),
+    "H(3,3)": lambda: hamming_graph(3, 3),
+    "H(2,4)": lambda: hamming_graph(4, 2),
+    "H(1,4)": lambda: hamming_graph(4, 1),
+    "Q_3^2": lambda: hypercube_power(3, 2),
+    "Q_3^3": lambda: hypercube_power(3, 3),
+    "Q_{4,1}": lambda: enhanced_hypercube(4, 1),
+    "Q_{4,2}": lambda: enhanced_hypercube(4, 2),
+    "Q_{4,3}": lambda: enhanced_hypercube(4, 3),
+    "Q_{5,3}": lambda: enhanced_hypercube(5, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAB0_GROUPS))
+def test_model_generators_fixing_zero_generate_stab0(name):
+    """Each model's generators are strong for the base (0,): the checked
+    generators that fix 0, which `pointwise_stabilizer(grp, [0])` returns,
+    generate the element table's rows that fix 0.  So does the searched
+    group of the same graph, whose base starts at 0."""
+    g = STAB0_GROUPS[name]()
+    grp = structured_group(g)
+    table = grp.elements()
+    expect = row_set(table[table[:, 0] == 0])
+    stab = pointwise_stabilizer(grp, [0])
+    assert stab.order_known is None and stab.model is None and stab.base is None
+    assert row_set(stab.generators) == {p for p in row_set(grp.generators) if p[0] == 0}
+    assert row_set(reference_closure(g.n_vertices, stab.generators)) == expect
+    searched = search_automorphisms(g)
+    assert searched.base[0] == 0
+    assert row_set(pointwise_stabilizer(searched, [0]).elements()) == expect
 
 
 class _RepeatedMapModel(HypercubeModel):
@@ -642,16 +664,19 @@ def test_fq_fixins_involution_shape():
     for c in x_cols:
         colsum = [a ^ b for a, b in zip(colsum, c)]
     assert not any(colsum)  # n = 3 mod 4 branch
-    grp = structured_group(folded_hypercube(n))
-    stab = pointwise_stabilizer(grp, words)
-    assert stab.order() > 1  # the pairing permutation fixes the whole set
+    # FQ_7's group, of order 5,160,960, is above the element cap; the set
+    # holds 0, so its pointwise stabilizer is the zero-fixing rows that fix it
+    rows = FoldedModel(n).zero_fixing_rows()
+    stab = rows[(rows[:, words] == words).all(axis=1)]
+    assert len(stab) > 1  # the pairing permutation fixes the whole set
+    assert is_automorphism(folded_hypercube(n), stab).all()
     # the n+1 neighbours of 0 are the symbols: position j, then the all-ones
     # word; a map fixing 0 permutes them as it permutes the symbols
     symbols = [1 << (n - 1 - j) for j in range(n)] + [(1 << n) - 1]
     found_pairing = False
-    for gen in stab.generators.tolist():
-        assert gen[0] == 0
-        sigma = [symbols.index(gen[w]) for w in symbols]
+    for row in stab.tolist():
+        assert row[0] == 0
+        sigma = [symbols.index(row[w]) for w in symbols]
         assert [sigma[sigma[i]] for i in range(n + 1)] == list(range(n + 1))
         if sigma[n] != n:
             assert all(sigma[i] != i for i in range(n + 1))  # no symbol fixed
@@ -714,7 +739,7 @@ def test_pointwise_stabilizer_examples():
     aq4 = augmented_hypercube(4)
     g4 = structured_group(aq4)
     st0 = pointwise_stabilizer(g4, [0])
-    assert st0.order() == 8
+    assert len(reference_closure(16, st0.generators)) == 8
     aq6 = augmented_hypercube(6)
     g6 = structured_group(aq6)
     assert pointwise_stabilizer(g6, [0, 0b111001]).order() == 1

@@ -421,7 +421,8 @@ def test_det_set_checks_survive_python_O():
     searched group when its stabilizer chain has a wrong coset
     representative or its generators are not strong for its base, the
     element table of K_{4,4} when its model drops a row, the
-    edge-transitivity of Q_{5,4} when the element built to map a neighbour
+    transitivity of K_{4,4} when vertex 0 sits in a middle slot of its
+    part, the edge-transitivity of Q_{5,4} when the element built to map a neighbour
     x of 0 to 0 does not, and the setwise
     test of the cube and Hamming models when the images of the set under
     the element of a row map it finds move no vertex of it, leave it, or
@@ -786,6 +787,20 @@ def test_det_set_checks_survive_python_O():
                 sys.exit("the K_{4,4} table passed with a row dropped")
             if main(["param", "dist", "enhanced", "-n", "4", "-k", "2", "--no-cache"]) != 3:
                 sys.exit("param dist enhanced -n 4 -k 2 with a K_{4,4} row dropped did not exit 3")
+        # K_{4,4} with vertex 0 in a middle slot of its part: the swaps that
+        # fix 0 would generate S_1 x S_2 in that part, not S_3, so Stab(0)
+        # would split the sphere {3, 5, 6}, and the model refuses the parts
+        real_parts = autgroup._multipartite_parts
+
+        def zero_in_a_middle_slot(spec):
+            parts = real_parts(spec)
+            if spec.kind == "folded" and spec.n == 3:
+                parts[0] = [3, 0, 5, 6]
+            return parts
+
+        with mock.patch.object(autgroup, "_multipartite_parts", zero_in_a_middle_slot):
+            if main(["param", "transitivity", "folded", "-n", "3", "--no-cache"]) != 3:
+                sys.exit("param transitivity folded -n 3 with 0 in a middle slot did not exit 3")
         k8 = search_automorphisms(hypercube_power(3, 3))
         moving = k8.generators[k8.generators[:, k8.base[0]] != k8.base[0]]
         try:

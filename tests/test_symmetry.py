@@ -17,7 +17,6 @@ from cubesym.autgroup import (
     DEFAULT_ELEMENT_CAP,
     PermGroup,
     orbit_roots,
-    pointwise_stabilizer,
     setwise_stabilizer,
     structured_group,
 )
@@ -556,17 +555,17 @@ def test_dist_of_augmented_cube_loads_no_element_table():
 
 
 def test_transitivity_of_an_enhanced_cube_loads_no_factor_table():
-    """Q_{10,2} = Q_1 x FQ_9: the factors of Stab(0) are only asked for
-    their orbits, so neither loads its table (FQ_9's stabilizer has 10!
-    elements, above the element cap)."""
+    """Q_{10,2} = Q_1 x FQ_9: Stab(0) is read off the product's generators,
+    so neither factor loads its table (FQ_9's Stab(0) has 10! elements,
+    above the element cap)."""
     g = enhanced_hypercube(10, 2)
     grp = automorphism_group(g)
-    stab = pointwise_stabilizer(grp, [0])
-    assert stab.model.gb.order() == 3628800
+    assert grp.model.gb.order() == (1 << 9) * 3628800
     assert transitivity_report(g, grp).to_dict() == {
         "vertex_transitive": True, "edge_transitive": False,
         "arc_transitive": False, "distance_transitive": False}
-    assert stab.model.ga._elements is None and stab.model.gb._elements is None
+    assert grp.model.ga._elements is None and grp.model.gb._elements is None
+    assert grp._elements is None
 
 
 @pytest.mark.parametrize("make", [augmented_hypercube, locally_twisted_hypercube],

@@ -52,6 +52,7 @@ CASES = [
     "param det augmented -n 14",
     "param det augmented -n 16",
     "param det power -n 4 -k 3",
+    "param det hamming -n 10 -m 3",
     "param dist power -n 4 -k 3",
     "param dist power -n 3 -k 3",
     "param dist hamming -n 1 -m 9",
@@ -84,6 +85,8 @@ CASES = [
     "param transitivity enhanced -n 16 -k 8",
     "param transitivity enhanced -n 15 -k 9",
     "param transitivity locally-twisted -n 16",
+    "param transitivity hamming -n 8 -m 4",
+    "param transitivity folded -n 16",
     "tables summary --n 8",
     "export hypercube -n 9",
 ]
