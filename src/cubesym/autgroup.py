@@ -23,11 +23,14 @@ from .bitgraph import (
     POWER,
     FamilySpec,
     Graph,
+    _CHECK_BYTES,
 )
 from .errors import NoStructuredForm, ParameterOutOfRange, SearchBudgetExceeded
 from .rowmaps import moving_row_map
 
 DEFAULT_ELEMENT_CAP = 2_000_000
+# The most bytes an element table may take, above the 1.13 GB of Q_{8,4}'s.
+DEFAULT_ELEMENT_BYTES = 1 << 31
 
 
 # ---------------------------------------------------------------------------
@@ -44,14 +47,16 @@ def _translations(n: int, shifts) -> np.ndarray:
     return np.arange(1 << n, dtype=np.int32)[None, :] ^ shifts[:, None]
 
 
-def _linear_rows(n: int, unit_images) -> np.ndarray:
-    """The rows of the GF(2)-linear maps of the n-bit words whose images of
-    the single bits 1 << b are `unit_images[k][b]`, built by doubling: the
-    words with bit b set are those below 2^b XOR bit b."""
+def _linear_rows(n: int, unit_images, shifts=0) -> np.ndarray:
+    """The rows of the maps v -> L(v) + c of the n-bit words, L GF(2)-linear
+    with images `unit_images[k][b]` of the single bits 1 << b and c
+    `shifts[k]` (0 by default), built in place by doubling: the words with
+    bit b set are those below 2^b XOR bit b."""
     bits = np.array(unit_images, dtype=np.int32).reshape(-1, n)
-    rows = np.zeros((len(bits), 1), dtype=np.int32)
+    rows = np.empty((len(bits), 1 << n), dtype=np.int32)
+    rows[:, 0] = shifts
     for b in range(n):
-        rows = np.concatenate([rows, rows ^ bits[:, b:b + 1]], axis=1)
+        np.bitwise_xor(rows[:, :1 << b], bits[:, b:b + 1], out=rows[:, 1 << b:2 << b])
     return rows
 
 
@@ -214,13 +219,19 @@ class PermGroup:
 
     def elements(self) -> np.ndarray:
         """The element table: a |G| x V int32 array of image rows, in no
-        promised order, from the model or the stabilizer chain, kept."""
+        promised order, from the model or the stabilizer chain, kept.  A
+        table above `DEFAULT_ELEMENT_CAP` rows or `DEFAULT_ELEMENT_BYTES`
+        bytes raises SearchBudgetExceeded before it is built."""
         if self._elements is None:
             if self.model is None and self.base is None:
                 raise ValueError("a group with neither a model nor a base has no element table")
             if self.order_known > DEFAULT_ELEMENT_CAP:
                 raise SearchBudgetExceeded(f"group of order {self.order_known} above element "
                                            f"cap {DEFAULT_ELEMENT_CAP}")
+            nbytes = 4 * self.order_known * self.n_vertices
+            if nbytes > DEFAULT_ELEMENT_BYTES:
+                raise SearchBudgetExceeded(f"the element table of {self.order_known} rows would "
+                                           f"need {nbytes} bytes, above {DEFAULT_ELEMENT_BYTES}")
             table = (self.model.enumerate() if self.model is not None
                      else _chain_table(self.generators, self.base, self.chain()))
             if self.order_known != len(table):
@@ -230,31 +241,72 @@ class PermGroup:
         return self._elements
 
 
-def orbit_roots(nv: int, gen_images) -> list[int]:
-    """A root per vertex, shared by two vertices iff they lie in one orbit
-    under the image rows `gen_images` (a k x V array or k sequences): the
-    least vertex of the orbit.
+def orbit_roots(nv: int, gen_images) -> np.ndarray:
+    """A root per vertex, as an int32 array, shared by two vertices iff
+    they lie in one orbit under the image rows `gen_images` (a k x V array
+    or k sequences): the least vertex of the orbit.
 
     Labels are hooked and jumped as in Shiloach & Vishkin's connectivity
     algorithm.  Each round takes the pairs (v, p[v]) whose labels differ,
     sets the larger label's entry to the smaller, and replaces every label
-    by its label's label log2(V) times, so that every label is a root
-    again, until no pair is left.  Only differing pairs are hooked, since
-    numpy keeps the last of repeated writes to one entry; a pair once equal
-    stays equal."""
+    by its label's label until every label is a root again, until no pair
+    is left.  Only differing pairs are hooked, since numpy keeps the last
+    of repeated writes to one entry; a pair once equal stays equal.  The
+    rows are hooked a chunk at a time within `_CHECK_BYTES`, at most 32
+    bytes per vertex and row (the pairs' ends and labels), so the orbits of
+    large rows cost O(V) beyond the rows themselves."""
     labels = np.arange(nv, dtype=np.int32)
+    identity = labels.copy()
     rows = np.asarray(gen_images, dtype=np.int32).reshape(len(gen_images), nv)
-    moved = rows != labels
-    src, dst = np.broadcast_to(labels, rows.shape)[moved], rows[moved]
-    a, b = src, dst  # each vertex is its own label before the first hook
-    while len(a):
-        labels[np.maximum(a, b)] = np.minimum(a, b)
-        for _ in range(nv.bit_length()):
-            labels = labels[labels]
-        a, b = labels[src], labels[dst]
-        differ = a != b
-        src, dst, a, b = src[differ], dst[differ], a[differ], b[differ]
-    return labels.tolist()
+    step = max(1, _CHECK_BYTES // max(32 * nv, 1))
+    for lo in range(0, len(rows), step):
+        chunk = rows[lo:lo + step]
+        moved = chunk != identity
+        src, dst = np.broadcast_to(identity, chunk.shape)[moved], chunk[moved]
+        a, b = labels.take(src), labels.take(dst)  # take: faster than [] on int32 indices
+        while True:
+            differ = a != b
+            src, dst, a, b = src[differ], dst[differ], a[differ], b[differ]
+            if not len(a):
+                break
+            labels[np.maximum(a, b)] = np.minimum(a, b)
+            up = labels.take(labels)
+            while not np.array_equal(up, labels):
+                labels, up = up, up.take(up)
+            a, b = labels.take(src), labels.take(dst)
+    return labels
+
+
+def translations_span(grp: PermGroup) -> bool:
+    """Whether the translations v -> v ^ t among the group's generators span
+    Z_2^n, V = 2^n.  Then the group holds every translation, and they act
+    regularly, so it is vertex-transitive (Godsil & Royle, *Algebraic Graph
+    Theory*, ch. 3).  It is read from the rows alone: a row is a
+    translation iff it is the identity XOR its entry at 0, asked of the
+    unit words first and then of the whole row, a chunk of rows at a time
+    within `_CHECK_BYTES`; the shifts t of the translations are then
+    reduced to a basis, each basis word keeping a highest bit that no
+    other has."""
+    nv = grp.n_vertices
+    n = nv.bit_length() - 1
+    if nv < 2 or nv != 1 << n:
+        return False
+    gens = grp.generators
+    units = 1 << np.arange(n)
+    maybe = np.flatnonzero((gens[:, units] ^ gens[:, :1] == units).all(axis=1))
+    identity = np.arange(nv, dtype=gens.dtype)
+    step = max(1, _CHECK_BYTES // (8 * nv))
+    shifts = []
+    for lo in range(0, len(maybe), step):
+        rows = gens[maybe[lo:lo + step]]
+        shifts += rows[(rows ^ rows[:, :1] == identity).all(axis=1), 0].tolist()
+    basis = []
+    for t in shifts:
+        for b in basis:
+            t = min(t, t ^ b)
+        if t:
+            basis.append(t)
+    return len(basis) == n
 
 
 def transversals(gens: np.ndarray, base) -> list[np.ndarray]:
@@ -299,12 +351,12 @@ def _chain_table(gens: np.ndarray, base, chain: list[np.ndarray]) -> np.ndarray:
     return table
 
 
-# The most bytes that one chunk of the automorphism test works on: for the
-# edge sort 32 per edge and row (the two image ends, their minimum and
+# The chunks of the automorphism test stay within `_CHECK_BYTES`: for the
+# edge sort 32 bytes per edge and row (the two image ends, their minimum and
 # maximum, the int64 key), so Q_10's 19 generators are one chunk and Q_14 and
 # Q_16 are checked a row at a time, which timed faster than chunks of 16 or
-# 32 MB; for the affine test at most 16 per vertex and row.
-_CHECK_BYTES = 1 << 22
+# 32 MB; for the bijection sort and the affine test at most 16 per vertex and
+# row.
 
 
 def is_automorphism(g: Graph, rows):
@@ -312,8 +364,9 @@ def is_automorphism(g: Graph, rows):
     maps the edge set onto itself: k verdicts, or one bool for one row.  On
     a Cayley graph of Z_2^n (`g.xor_connection`, D), an affine row sigma
     (`_linear_rows` of its unit images, plus sigma(0)) does iff sigma(d) +
-    sigma(0) is in D for each d in D; other rows take `_edge_sort`.  Both
-    tests work on chunks of rows within `_CHECK_BYTES`."""
+    sigma(0) is in D for each d in D; other rows take `_edge_sort`.  The
+    bijection sort and both tests work on chunks of rows within
+    `_CHECK_BYTES`."""
     nv = g.n_vertices
     batch = np.asarray(rows)
     single = batch.ndim == 1
@@ -321,17 +374,20 @@ def is_automorphism(g: Graph, rows):
         batch = batch[None, :]
     if batch.ndim != 2 or batch.shape[1] != nv:
         return False if single else np.zeros(len(batch), dtype=bool)
-    ok = (np.sort(batch, axis=1) == np.arange(nv)).all(axis=1)
-    sort = ok.copy()  # the bijections that the edge sort decides
+    ok = np.empty(len(batch), dtype=bool)
+    sort = np.empty(len(batch), dtype=bool)  # the bijections that the edge sort decides
     in_d = g.xor_connection
     if in_d is not None:
         n, d = nv.bit_length() - 1, np.flatnonzero(in_d)
         units = 1 << np.arange(n)
-        step = max(1, _CHECK_BYTES // (16 * nv))
-        for lo in range(0, len(batch), step):
-            chunk = batch[lo:lo + step]
+    step = max(1, _CHECK_BYTES // max(16 * nv, 1))
+    for lo in range(0, len(batch), step):
+        chunk = batch[lo:lo + step]
+        ok[lo:lo + step] = sort[lo:lo + step] = \
+            (np.sort(chunk, axis=1) == np.arange(nv)).all(axis=1)
+        if in_d is not None:
             shift = chunk[:, :1]
-            affine = (_linear_rows(n, chunk[:, units] ^ shift) ^ shift == chunk).all(axis=1)
+            affine = (_linear_rows(n, chunk[:, units] ^ shift, shift[:, 0]) == chunk).all(axis=1)
             # masked into range for a non-bijection, whose verdict is False
             ok[lo:lo + step] &= ~affine | in_d[(chunk[:, d] ^ shift) & (nv - 1)].all(axis=1)
             sort[lo:lo + step] &= ~affine
@@ -658,9 +714,12 @@ class _PositionModel(_ColumnRefinement, _TranslationModel):
         return _linear_rows(self.n, [self.unit_images(pi) for pi in perms])
 
     def generators(self) -> np.ndarray:
+        """The unit translations, then the adjacent column transpositions,
+        built as one array of affine rows."""
         n, m = self.n, self.columns
-        return np.concatenate([_translations(n, [1 << b for b in range(n)]),
-                               self._rows(_transposition(m, i, i + 1) for i in range(m - 1))])
+        units = [1 << b for b in range(n)]
+        swaps = [self.unit_images(_transposition(m, i, i + 1)) for i in range(m - 1)]
+        return _linear_rows(n, [units] * n + swaps, units + [0] * (m - 1))
 
     def det_done(self, state) -> bool:
         """A fixing position permutation exists iff two columns agree."""
@@ -1201,8 +1260,10 @@ def pointwise_stabilizer(grp: PermGroup, subset) -> PermGroup:
     if not S:
         return grp
     if grp.model is not None and S == [0]:
-        return PermGroup(grp.n_vertices, grp.generators[_fixing(grp.generators, S)], None,
-                         grp.source, grp.graph)
+        keep = np.flatnonzero(_fixing(grp.generators, S))
+        if len(keep) and keep[-1] - keep[0] == len(keep) - 1:  # one run: a view, no copy
+            keep = slice(keep[0], keep[-1] + 1)
+        return PermGroup(grp.n_vertices, grp.generators[keep], None, grp.source, grp.graph)
     if grp.base is not None and S == sorted(grp.base[:len(S)]):
         return PermGroup(grp.n_vertices, grp.generators[_fixing(grp.generators, S)], None,
                          grp.source, grp.graph, base=grp.base[len(S):],

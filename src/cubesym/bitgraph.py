@@ -6,14 +6,19 @@ word with a single 1 in position i is the integer 2**(n-i).  Vertex ids in a
 generated graph are exactly the word values, 0 .. m**n - 1.
 
 A graph is its edge array, `Graph.edge_keys`: the keys u * V + v of the
-edges u < v, ascending, as int64, and `Graph` holds no other adjacency.
-The families build it in numpy from their rule (an XOR connection set, the
-two-copy recursion of LTQ_n, one changed digit for H(n,m)), and explicit
-graphs from their given edges.  Degrees, counts, neighbours, the
-automorphism test, the encoders and the BFS (`distances_from`, one pass
-over the edge ends per level) read it.  Only the automorphism search packs
-it into bitset rows, locally, since its refinement counts neighbours in a
-cell by AND and popcount.
+edges u < v, ascending, as int64.  Five families, Q_n, FQ_n, AQ_n, Q_n^k
+and Q_{n,k}, are Cayley graphs of Z_2^n: u ~ v iff u XOR v lies in the
+connection set D that `_neighbor_masks`, their one graph rule, gives.  Such
+a graph holds D alone (`Graph.connection`), and its degrees, counts,
+neighbours, `xor_connection` and BFS (`distances_from`, by XOR with D) read
+D.  It builds its edge array only when a reader first needs every edge: the
+graph6, edge-list and descriptor encoders, the automorphism test's edge
+sort, the search's bitset rows, `same_edges` and `check_valid`;
+`induced_subgraph` reads each of its vertices x against the words x ^ D.  LTQ_n (its two-copy recursion) and H(n,m) (one changed
+digit) build their edge arrays from their rules, and explicit graphs from
+their given edges; their BFS makes one pass over the edge ends per level.
+Only the automorphism search packs edges into bitset rows, locally, since
+its refinement counts neighbours in a cell by AND and popcount.
 """
 
 from __future__ import annotations
@@ -35,6 +40,11 @@ from .errors import (
 )
 
 DEFAULT_VERTEX_CAP = 1 << 20
+
+# The most bytes that one chunk of a pass over many rows works on: in
+# `distances_from` 8 per word of a frontier slice XOR D, and in `autgroup`
+# the automorphism test's and `orbit_roots`' chunks of image rows.
+_CHECK_BYTES = 1 << 22
 
 HYPERCUBE = "hypercube"
 POWER = "power"
@@ -208,19 +218,29 @@ class FamilySpec:
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Finite simple graph given by its edge array.
+    """Finite simple graph given by its edge array or its connection set.
 
     `edge_keys` holds the keys u * V + v of the edges u < v, ascending, as
-    int64, with no key repeated.  `labels[i]` keeps the original word of
-    vertex i for graphs carved out of a bigger one (induced subgraphs); it
-    is None for directly generated families, whose vertex ids are already
-    the words.
+    int64, with no key repeated.  A Cayley graph of Z_2^n may be given by
+    `connection` instead, its connection set D as ascending int64 masks in
+    1..V-1 (u ~ v iff u ^ v is in D), with no edge array (`_keys` None);
+    `edge_keys` is then built from D on first use.  `labels[i]` keeps the
+    original word of vertex i for graphs carved out of a bigger one
+    (induced subgraphs); it is None for directly generated families, whose
+    vertex ids are already the words.
     """
 
     n_vertices: int
-    edge_keys: np.ndarray
+    _keys: np.ndarray | None
     family: FamilySpec | None = None
     labels: tuple[int, ...] | None = None
+    connection: np.ndarray | None = None
+
+    @cached_property
+    def edge_keys(self) -> np.ndarray:
+        if self._keys is not None:
+            return self._keys
+        return _rule_keys(np.arange(self.n_vertices, dtype=np.int64)[:, None] ^ self.connection)
 
     @cached_property
     def ends(self) -> tuple[np.ndarray, np.ndarray]:
@@ -229,16 +249,24 @@ class Graph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
+        if self.connection is not None:
+            return np.full(self.n_vertices, len(self.connection), dtype=np.int64)
         return np.bincount(np.concatenate(self.ends), minlength=self.n_vertices)
 
     @cached_property
     def xor_connection(self) -> np.ndarray | None:
         """D as a V-long bool table if the graph is a Cayley graph of Z_2^n
-        (u ~ v iff u ^ v is in D) with V >= 2, else None: a value d that an
-        edge carries must be carried by all V/2 pairs {x, x ^ d}."""
+        (u ~ v iff u ^ v is in D) with V >= 2, else None: `connection`
+        where the graph holds it; otherwise read from the edges, where a
+        value d that an edge carries must be carried by all V/2 pairs
+        {x, x ^ d}."""
         nv = self.n_vertices
         if nv < 2 or nv & (nv - 1):
             return None
+        if self.connection is not None:
+            in_d = np.zeros(nv, dtype=bool)
+            in_d[self.connection] = True
+            return in_d
         u, v = self.ends
         counts = np.bincount(u ^ v, minlength=nv)
         in_d = counts > 0
@@ -251,6 +279,8 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u, v)
+        if self.connection is not None:
+            return bool(self.xor_connection[u ^ v])
         key = min(u, v) * self.n_vertices + max(u, v)
         i = int(np.searchsorted(self.edge_keys, key))
         return i < len(self.edge_keys) and int(self.edge_keys[i]) == key and u != v
@@ -260,6 +290,8 @@ class Graph:
         return int(self.degrees[v])
 
     def edge_count(self) -> int:
+        if self.connection is not None:
+            return self.n_vertices * len(self.connection) // 2
         return len(self.edge_keys)
 
     def edges(self):
@@ -267,9 +299,10 @@ class Graph:
         return zip(u.tolist(), v.tolist())
 
     def neighbors(self, v: int) -> list[int]:
-        """The neighbours of v, ascending: the smaller ends of its edges,
-        then the larger."""
+        """The neighbours of v, ascending."""
         self._check_vertex(v)
+        if self.connection is not None:
+            return np.sort(v ^ self.connection).tolist()
         u, w = self.ends
         return np.concatenate([u[w == v], w[u == v]]).tolist()
 
@@ -307,7 +340,8 @@ def graph_from_edges(n_vertices: int, edges, family: FamilySpec | None = None,
 
 
 def _neighbor_masks(spec: FamilySpec) -> list[int] | None:
-    """XOR connection set for the binary Cayley-type families, else None."""
+    """The connection set D of the five families that are Cayley graphs of
+    Z_2^n (u ~ v iff u XOR v is in D), else None."""
     n = spec.n
     if spec.kind == HYPERCUBE:
         return [1 << b for b in range(n)]
@@ -348,29 +382,22 @@ def _locally_twisted_keys(n: int) -> np.ndarray:
     return np.sort(u * (1 << n) + v)
 
 
-def _neighbor_table(spec: FamilySpec) -> np.ndarray:
-    """The V x d array of every vertex's neighbours, for the families whose
-    rule names them: the XOR connection set, or one changed digit for the
-    Hamming graphs."""
-    v = np.arange(spec.vertex_count, dtype=np.int64)[:, None]
-    masks = _neighbor_masks(spec)
-    if masks is not None:
-        return v ^ np.array(masks, dtype=np.int64)
-    if spec.kind != HAMMING:
-        raise ParameterOutOfRange(f"unhandled family kind {spec.kind!r}")
-    m = spec.m
-    place = m ** np.arange(spec.n, dtype=np.int64)
-    digit = v // place % m
-    return np.concatenate([v + ((digit + t) % m - digit) * place for t in range(1, m)], axis=1)
-
-
-def _family_keys(spec: FamilySpec) -> np.ndarray:
-    if spec.kind == LOCALLY_TWISTED:
-        return _locally_twisted_keys(spec.n)
-    nbrs = _neighbor_table(spec)
+def _rule_keys(nbrs: np.ndarray) -> np.ndarray:
+    """The edge keys of the V x d int64 table of every vertex's neighbours,
+    which it sorts in place."""
     nbrs.sort(axis=1)
     v = np.arange(len(nbrs), dtype=np.int64)[:, None]
     return (v * len(nbrs) + nbrs)[nbrs > v]  # row by row, so ascending
+
+
+def _hamming_keys(spec: FamilySpec) -> np.ndarray:
+    """The edge keys of H(n,m): each digit changed to each other symbol."""
+    m = spec.m
+    v = np.arange(spec.vertex_count, dtype=np.int64)[:, None]
+    place = m ** np.arange(spec.n, dtype=np.int64)
+    digit = v // place % m
+    return _rule_keys(np.concatenate([v + ((digit + t) % m - digit) * place
+                                      for t in range(1, m)], axis=1))
 
 
 def build_family(spec: FamilySpec, cap: int | None = None) -> Graph:
@@ -381,19 +408,40 @@ def build_family(spec: FamilySpec, cap: int | None = None) -> Graph:
     limit = cap if cap is not None else vertex_cap()
     if nv > limit:
         raise SizeGuard(f"{spec.name()} has {nv} vertices, above the cap {limit}")
-    return Graph(nv, _family_keys(spec), spec)
+    masks = _neighbor_masks(spec)
+    if masks is not None:
+        return Graph(nv, None, spec, connection=np.array(sorted(masks), dtype=np.int64))
+    if spec.kind == LOCALLY_TWISTED:
+        return Graph(nv, _locally_twisted_keys(spec.n), spec)
+    if spec.kind != HAMMING:
+        raise ParameterOutOfRange(f"unhandled family kind {spec.kind!r}")
+    return Graph(nv, _hamming_keys(spec), spec)
 
 
 def distances_from(g: Graph, u: int) -> np.ndarray:
     """The BFS distance of every vertex from u, as an int32 array, -1 for
-    the vertices u cannot reach.  Each level marks the other end of every
-    edge with one end in the frontier, so the BFS holds O(E)."""
+    the vertices u cannot reach.  On a graph held by its connection set D,
+    each level marks the unmarked words x ^ d of the frontier's x, a slice
+    of the frontier at a time within `_CHECK_BYTES`, so the BFS holds O(V).
+    On any other graph each level marks the other end of every edge with
+    one end in the frontier, so the BFS holds O(E)."""
     g._check_vertex(u)
-    a, b = g.ends
     dist = np.full(g.n_vertices, -1, dtype=np.int32)
     dist[u] = 0
-    frontier = dist == 0
     level = 0
+    d = g.connection
+    if d is not None:
+        step = max(1, _CHECK_BYTES // (8 * max(len(d), 1)))
+        frontier = np.array([u])
+        while len(frontier):
+            level += 1
+            for lo in range(0, len(frontier), step):
+                reached = (frontier[lo:lo + step, None] ^ d).ravel()
+                dist[reached[dist[reached] < 0]] = level
+            frontier = np.flatnonzero(dist == level)
+        return dist
+    a, b = g.ends
+    frontier = dist == 0
     while True:
         reached = np.concatenate([b[frontier[a]], a[frontier[b]]])
         reached = reached[dist[reached] < 0]
@@ -429,7 +477,11 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
         seen.add(v)
     index = np.full(g.n_vertices, -1, dtype=np.int64)
     index[vs] = np.arange(len(vs))
-    a, b = (index[end] for end in g.ends)
+    if g.connection is not None:  # each vertex of the set against its words x ^ D
+        a = np.repeat(np.arange(len(vs)), len(g.connection))
+        b = index[(np.array(vs, dtype=np.int64)[:, None] ^ g.connection).ravel()]
+    else:
+        a, b = (index[end] for end in g.ends)
     kept = (a >= 0) & (b >= 0)
     base = tuple(g.labels[v] for v in vs) if g.labels is not None else tuple(vs)
     return graph_from_edges(len(vs), np.column_stack([a[kept], b[kept]]),

@@ -148,7 +148,7 @@ def _generators(g: Graph, node_budget: int, vertex_cap: int, base: list[int]):
                     fresh = (found[len(fixing):, prefix] == prefix).all(axis=1)
                     fixing = np.concatenate([fixing, fresh])
                     if fresh.any():
-                        roots = orbit_roots(n, found[fixing])
+                        roots = orbit_roots(n, found[fixing]).tolist()
                 if roots is not None and any(roots[v] == roots[w] for w in explored):
                     continue
             rest = [w for w in target if w != v]

@@ -17,6 +17,7 @@ from .autgroup import (
     pointwise_stabilizer,
     pointwise_stabilizer_is_trivial,
     setwise_stabilizer,
+    translations_span,
 )
 from .bitgraph import Graph, distances_from, induced_subgraph
 from .errors import NotTwoDistinguishable, SearchBudgetExceeded
@@ -152,17 +153,19 @@ def _least_determining(grp: PermGroup, sizes, accept=lambda leaf: True,
 
     The leaves come from the depth-first search `_determining_leaves`, in
     lex order; the first that `accept` takes is the answer.  A
-    vertex-transitive group searches only the anchored leaves
-    (`_anchored_leaves`), which hold the lex-least set S that `accept`
-    takes: an element moves any such set onto 0, so S holds 0; and if its
-    second vertex were not the least of its Stab(0)-orbit, or another of
-    its vertices lay in an earlier orbit, an element of Stab(0) would move
-    S onto a lex-smaller set that `accept` takes."""
+    vertex-transitive group (one whose generators hold translations that
+    span, `translations_span`, read with no orbit pass; else one whose
+    generators give one `orbit_roots` orbit) searches only the anchored
+    leaves (`_anchored_leaves`), which hold the lex-least set S that
+    `accept` takes: an element moves any such set onto 0, so S holds 0;
+    and if its second vertex were not the least of its Stab(0)-orbit, or
+    another of its vertices lay in an earlier orbit, an element of Stab(0)
+    would move S onto a lex-smaller set that `accept` takes."""
     nv = grp.n_vertices
     plain = determining_test(grp)
     roots = None
-    if not any(orbit_roots(nv, grp.generators)):  # vertex-transitive
-        roots = np.asarray(orbit_roots(nv, pointwise_stabilizer(grp, [0]).generators))
+    if translations_span(grp) or not orbit_roots(nv, grp.generators).any():  # vertex-transitive
+        roots = orbit_roots(nv, pointwise_stabilizer(grp, [0]).generators)
     for size in sizes:
         test = plain if narrow is None else narrow(plain, size)
         leaves = (_anchored_leaves(test, size, roots) if roots is not None
@@ -300,11 +303,12 @@ def _least_class(grp: PermGroup, node_budget: int | None = None) -> tuple[int, .
     size `_column_floor` leaves open, tests each of its leaves by
     `_setwise_trivial`, so it visits every such class of those sizes in lex
     order, and setwise triviality is kept under conjugation, as its
-    anchoring needs; on a row-map model a size is searched through
-    `_ScanTest` where it has at most `_EXHAUSTIVE_2_LIMIT` column types,
-    for the prefix prune, which cuts no class, or where `node_budget` is
-    given, which bounds the vertices that the search adds to its nodes over
-    all its sizes."""
+    anchoring needs.  Where the translations among the generators span, it
+    skips size 2: the translation by u ^ v swaps u and v.  On a row-map
+    model a size is searched through `_ScanTest` where it has at most
+    `_EXHAUSTIVE_2_LIMIT` column types, for the prefix prune, which cuts no
+    class, or where `node_budget` is given, which bounds the vertices that
+    the search adds to its nodes over all its sizes."""
     nv = grp.n_vertices
     if nv > _EXHAUSTIVE_2_LIMIT:
         floor = _column_floor(grp.model, nv)
@@ -316,8 +320,10 @@ def _least_class(grp: PermGroup, node_budget: int | None = None) -> tuple[int, .
             levels = _prefix_levels(grp.model, size)
             return test if levels is None and ticks is None else _ScanTest(test, levels, ticks)
 
+        span = translations_span(grp)
+        sizes = (r for r in range(floor, nv // 2 + 1) if r != 2 or not span)
         row_map = hasattr(grp.model, "setwise_trivial")
-        return _least_determining(grp, range(floor, nv // 2 + 1),
+        return _least_determining(grp, sizes,
                                   lambda cls: _setwise_trivial(grp, cls),
                                   narrow if row_map else None)
     if _root_bound_rules_out_classes(grp):
@@ -877,7 +883,7 @@ def _schreier_roots(gens: np.ndarray, a: int, nbrs: np.ndarray) -> np.ndarray:
         images, targets = s[on], on[at[s[orbit]]]
         moves = np.empty_like(images)
         np.put_along_axis(moves, np.argsort(images, axis=1), np.argsort(targets, axis=1), axis=1)
-        roots = np.asarray(orbit_roots(len(nbrs), np.vstack([moves, roots])))
+        roots = orbit_roots(len(nbrs), np.vstack([moves, roots]))
     return roots
 
 
@@ -939,17 +945,20 @@ def transitivity_report(g: Graph, grp: PermGroup) -> TransitivityReport:
     edge-transitivity.  Arc- and distance-transitivity include
     vertex-transitivity, so a graph that is not vertex-transitive is neither,
     even if its arcs form one orbit (an edge plus an isolated vertex); its
-    edge-transitivity is `_edge_transitive_between_orbits`."""
+    edge-transitivity is `_edge_transitive_between_orbits`.  A group whose
+    generators hold translations that span (`translations_span`) is
+    vertex-transitive with no orbit pass over its generators."""
     if g.n_vertices == 0:
         return TransitivityReport(True, True, True, True)
     nv = g.n_vertices
-    orbit_of = np.asarray(orbit_roots(nv, grp.generators))
-    if orbit_of.any():
-        return TransitivityReport(False, _edge_transitive_between_orbits(g, grp, orbit_of),
-                                  False, False)
+    if not translations_span(grp):
+        orbit_of = orbit_roots(nv, grp.generators)
+        if orbit_of.any():
+            return TransitivityReport(False, _edge_transitive_between_orbits(g, grp, orbit_of),
+                                      False, False)
     # a Stab(0)-orbit keeps the distance from 0, so a sphere is one orbit iff
     # its vertices share one root; level 0 holds the unreachable vertices
-    roots = np.asarray(orbit_roots(nv, pointwise_stabilizer(grp, [0]).generators))
+    roots = orbit_roots(nv, pointwise_stabilizer(grp, [0]).generators)
     distance = distances_from(g, 0)
     pairs = np.sort((distance + 1).astype(np.int64) * nv + roots)
     # the roots per level, 0 where no vertex lies at that level

@@ -31,6 +31,7 @@ from cubesym.autgroup import (
     pointwise_stabilizer_is_trivial,
     setwise_stabilizer,
     structured_group,
+    translations_span,
 )
 from cubesym.bitgraph import (
     FamilySpec,
@@ -46,6 +47,7 @@ from cubesym.bitgraph import (
 )
 from cubesym.errors import NoStructuredForm
 from cubesym.oracle import oracle_determining_number
+from cubesym.params import automorphism_group
 from cubesym.rowmaps import moving_row_map
 from cubesym.search import search_automorphisms
 from cubesym.symmetry import determining_number
@@ -942,7 +944,8 @@ def _plain_orbit_partition(nv, gens):
 def test_orbit_roots_match_plain_union_find(data):
     """`orbit_roots` puts two vertices under one root iff the plain
     union-find does, on random permutation sets of 0-60 vertices and 0-4
-    rows, identity rows among them; each root is its orbit's least vertex."""
+    rows, identity rows among them; each root is its orbit's least vertex,
+    and hooking the rows one chunk of a row at a time gives the same roots."""
     nv = data.draw(st.integers(0, 60))
     gens = []
     for _ in range(data.draw(st.integers(0, 4))):
@@ -959,4 +962,112 @@ def test_orbit_roots_match_plain_union_find(data):
         blocks.setdefault(root, set()).add(v)
     assert all(root == min(block) for root, block in blocks.items())
     assert {frozenset(b) for b in blocks.values()} == _plain_orbit_partition(nv, gens)
-    assert orbit_roots(nv, np.array(gens, dtype=np.int32).reshape(len(gens), nv)) == roots
+    from unittest import mock
+
+    from cubesym import autgroup
+
+    rows = np.array(gens, dtype=np.int32).reshape(len(gens), nv)
+    assert np.array_equal(orbit_roots(nv, rows), roots)
+    with mock.patch.object(autgroup, "_CHECK_BYTES", 1):
+        assert np.array_equal(orbit_roots(nv, rows), roots)
+
+
+def _translation_rank(nv: int, rows) -> int:
+    """The GF(2) rank of the shifts t of the rows that are translations
+    v -> v ^ t, each row compared in full: the plain reference for
+    `translations_span`."""
+    basis: list[int] = []
+    for row in rows:
+        t = int(row[0])
+        if all(int(row[v]) == v ^ t for v in range(nv)):
+            for b in basis:
+                t = min(t, t ^ b)
+            if t:
+                basis.append(t)
+    return len(basis)
+
+
+def _span_agrees(grp: PermGroup) -> bool:
+    """`translations_span` answers as the plain rank does, and where it says
+    the translations span, `orbit_roots` finds one orbit."""
+    nv = grp.n_vertices
+    span = translations_span(grp)
+    if span and orbit_roots(nv, grp.generators).any():
+        return False
+    return span == (nv >= 2 and nv & (nv - 1) == 0
+                    and _translation_rank(nv, grp.generators) == nv.bit_length() - 1)
+
+
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_translation_span_on_random_cayley_graphs(k, data):
+    """On the searched group of a random Cayley graph of Z_2^k, alone and
+    with random translations and near-translations (a translation with two
+    images swapped off 0 and the unit words) added to its generators,
+    `translations_span` answers as the plain rank of the translations
+    among the rows does, and never where the rows have two orbits."""
+    nv = 1 << k
+    g = z2_cayley(k, data.draw(st.sets(st.integers(1, nv - 1), max_size=5)))
+    grp = search_automorphisms(g)
+    assert _span_agrees(grp)
+    identity = np.arange(nv, dtype=np.int32)
+    extra = []
+    for t in data.draw(st.lists(st.integers(0, nv - 1), max_size=k + 1)):
+        row = identity ^ t
+        others = [v for v in range(nv) if v and v & (v - 1)]
+        if len(others) >= 2 and data.draw(st.booleans()):
+            a, b = data.draw(st.lists(st.sampled_from(others), min_size=2, max_size=2,
+                                      unique=True))
+            row[[a, b]] = row[[b, a]]
+        extra.append(row)
+    rows = np.concatenate([grp.generators, np.array(extra, dtype=np.int32).reshape(-1, nv)])
+    order = data.draw(st.permutations(range(len(rows))))
+    assert _span_agrees(PermGroup(nv, rows[list(order)]))
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda n=n: locally_twisted_hypercube(n) for n in range(4, 9)),
+    lambda: hamming_graph(2, 3), lambda: hamming_graph(4, 2), lambda: hamming_graph(3, 2),
+    lambda: hypercube_power(4, 3),  # K_{8 x 2}
+    lambda: folded_hypercube(3),  # K_{4,4}
+    lambda: graph_from_edges(8, [(u, v) for u in range(8) for v in range(u + 1, 8)
+                                 if (u < 1) + (u < 4) != (v < 1) + (v < 4)]),  # K_{1,3,4}
+    lambda: graph_from_edges(8, [(u, v) for u in range(8) for v in range(u + 1, 8)
+                                 if u // 2 != v // 2 and (u < 4) == (v < 4)]),  # 2 K_{2,2}
+], ids=[*(f"LTQ_{n}" for n in range(4, 9)), "H(3,2)", "H(2,4)", "H(2,3)", "Q_4^3", "FQ_3",
+        "K_{1,3,4}", "2K_{2,2}"])
+def test_translation_span_on_families_it_must_refuse(make):
+    """LTQ_n's n-1 translations, the Hamming and multipartite models and
+    searched groups with unequal or separate parts: the span test answers
+    as the plain rank does, so never where the rows have two orbits."""
+    g = make()
+    grp = automorphism_group(g)
+    assert _span_agrees(grp)
+    if g.family is not None and g.family.kind == "locally_twisted":
+        assert len(grp.generators) == g.family.n - 1 and not translations_span(grp)
+        assert orbit_roots(g.n_vertices, grp.generators).any()
+
+
+def test_translation_span_on_the_cayley_families():
+    """The structured groups of Q_n, FQ_n, AQ_n, Q_n^k and Q_{n,k} hold
+    translations that span, wherever a factor is not multipartite."""
+    for g in (hypercube(6), folded_hypercube(6), augmented_hypercube(6), hypercube_power(7, 2),
+              hypercube_power(7, 3), enhanced_hypercube(7, 3), enhanced_hypercube(7, 1)):
+        assert translations_span(automorphism_group(g)), g.family.name()
+
+
+def test_element_table_above_its_byte_bound_is_refused():
+    """AQ_16's group has 524,288 elements, under the row cap, whose table
+    would take 128 GiB: `elements` refuses it by its bytes before it
+    allocates, and so do the setwise test and `distinguishing_number`,
+    on AQ_16 and on LTQ_16 (8 GiB)."""
+    from cubesym.errors import SearchBudgetExceeded
+    from cubesym.symmetry import distinguishing_number
+
+    for g in (augmented_hypercube(16), locally_twisted_hypercube(16)):
+        grp = automorphism_group(g)
+        with pytest.raises(SearchBudgetExceeded, match="element table .* bytes"):
+            grp.elements()
+        with pytest.raises(SearchBudgetExceeded):
+            distinguishing_number(g, grp)
+        assert grp._elements is None

@@ -369,6 +369,98 @@ def test_rule_built_edges_match_the_per_vertex_loops(spec):
             [bool(rows[v] >> w & 1) for w in range(len(rows))]
 
 
+def _xor_family_specs(max_n: int) -> list[FamilySpec]:
+    """Every spec of the five Cayley families of Z_2^n with n <= max_n."""
+    specs = []
+    for n in range(1, max_n + 1):
+        specs += [FamilySpec("hypercube", n), FamilySpec("folded", n),
+                  FamilySpec("augmented", n)]
+        specs += [FamilySpec("power", n, k=k) for k in range(1, n + 2)]
+        specs += [FamilySpec("enhanced", n, k=k) for k in range(1, n)]
+    return specs
+
+
+def _rule_built_keys(spec: FamilySpec) -> np.ndarray:
+    """The edge keys as the families built them from their rule, with no
+    lazy path: every vertex XOR every mask, sorted per row, the larger
+    ends kept."""
+    v = np.arange(spec.vertex_count, dtype=np.int64)[:, None]
+    nbrs = np.sort(v ^ np.array(_neighbor_masks(spec), dtype=np.int64), axis=1)
+    return (v * spec.vertex_count + nbrs)[nbrs > v]
+
+
+@pytest.mark.parametrize("dense", [False, pytest.param(True, marks=pytest.mark.oracle_suite)],
+                         ids=["sparse", "dense"])
+def test_lazy_edge_keys_match_the_rule_built_keys(dense):
+    """Every Cayley family of Z_2^n on at most 2^12 vertices holds its
+    connection set and no edge array; its degrees, edge count and
+    `xor_connection` equal those of the graph given by the rule-built
+    keys, and so do the keys it builds on first use.  The dense ones, with
+    more than 2^21 vertex-mask pairs (Q_11^k for k >= 6, Q_12^k for k >= 4), take
+    most of the time and run in the oracle suite."""
+    for spec in _xor_family_specs(12):
+        if (spec.vertex_count * len(_neighbor_masks(spec)) > 1 << 21) != dense:
+            continue
+        g = build_family(spec)
+        keys = _rule_built_keys(spec)
+        given = Graph(g.n_vertices, keys)
+        assert g.edge_count() == len(keys), spec
+        assert np.array_equal(g.degrees, given.degrees), spec
+        xor = given.xor_connection
+        assert (g.xor_connection is None) == (xor is None) and \
+            (xor is None or np.array_equal(g.xor_connection, xor)), spec
+        assert "edge_keys" not in vars(g), spec
+        assert g.edge_keys.dtype == np.int64 and np.array_equal(g.edge_keys, keys), spec
+
+
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_xor_bfs_matches_the_edge_bfs_on_random_cayley_graphs(k, data):
+    """A graph held by a random connection set D of Z_2^k, k <= 6, has the
+    BFS distances, neighbours, edges and induced subgraphs of the graph
+    given by its edges; the BFS takes the same distances a frontier vertex
+    at a time."""
+    from unittest import mock
+
+    from cubesym import bitgraph
+
+    nv = 1 << k
+    masks = sorted(data.draw(st.sets(st.integers(1, nv - 1))))
+    g = Graph(nv, None, connection=np.array(masks, dtype=np.int64))
+    given = graph_from_edges(nv, np.column_stack(g.ends))
+    assert g.edge_keys.tolist() == sorted(
+        u * nv + (u ^ d) for u in range(nv) for d in masks if u < u ^ d)
+    for u in data.draw(st.lists(st.integers(0, nv - 1), min_size=1, max_size=4)):
+        want = distances_from(given, u).tolist()
+        assert distances_from(g, u).tolist() == want
+        with mock.patch.object(bitgraph, "_CHECK_BYTES", 1):
+            assert distances_from(g, u).tolist() == want
+        assert g.neighbors(u) == given.neighbors(u)
+    assert is_connected(g) == is_connected(given)
+    vs = data.draw(st.permutations(range(nv)))[:data.draw(st.integers(0, nv))]
+    sub = induced_subgraph(g, vs)
+    assert sub.labels == tuple(vs)
+    assert sub.edge_keys.tolist() == induced_subgraph(given, vs).edge_keys.tolist()
+
+
+def test_det_dist_and_transitivity_build_no_edge_array(capsys, monkeypatch):
+    """det, dist and transitivity of the Cayley families read their
+    connection set, never an edge array; graph6 output builds one."""
+    from cubesym import bitgraph
+
+    def built(nbrs):
+        pytest.fail("an edge array was built")
+
+    monkeypatch.setattr(bitgraph, "_rule_keys", built)
+    for family in (["hypercube", "-n", "10"], ["folded", "-n", "9"], ["augmented", "-n", "10"],
+                   ["power", "-n", "8", "-k", "3"], ["enhanced", "-n", "8", "-k", "4"]):
+        for parameter in ("det", "dist", "transitivity"):
+            assert main(["param", parameter, *family, "--no-cache"]) == 0
+            capsys.readouterr()
+    with pytest.raises(pytest.fail.Exception):
+        main(["gen", "hypercube", "-n", "4", "--format", "graph6"])
+
+
 @given(st.integers(0, 12), st.data())
 @settings(max_examples=150, deadline=None)
 def test_explicit_graphs_match_bitset_references(n, data):

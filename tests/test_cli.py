@@ -315,6 +315,18 @@ def test_verify_rejects_a_color_above_the_value(capsys, tmp_path):
     assert "Traceback" not in captured.err
 
 
+def test_verify_of_a_coloring_whose_group_table_is_too_large(capsys, tmp_path):
+    """A 3-coloring of AQ_16 needs the group's element table, 524,288 rows
+    of 65,536 vertices (128 GiB): the table is refused by its bytes, and
+    the coloring is not verified, with no traceback."""
+    payload = [1] * (1 << 16)
+    payload[0], payload[1] = 2, 3
+    record = {"parameter": "dist", "value": 3, "params": {"kind": "augmented", "n": 16},
+              "witness": {"kind": "distinguishing_coloring", "payload": payload,
+                          "verified_by": "structured"}}
+    assert _verify_code(capsys, tmp_path, record) == 3
+
+
 _DET_RECORD = {"parameter": "det", "value": 4, "params": {"kind": "hypercube", "n": 5},
                "witness": {"kind": "determining_set", "payload": [0, 1, 6, 10],
                            "verified_by": "structured"}}

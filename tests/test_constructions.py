@@ -408,7 +408,8 @@ def test_det_set_checks_survive_python_O():
     inconsistent flags raises too, and so do a model's element table from
     repeated zero-fixing rows or repeated permutations, a structured group
     whose batched generator check fails, for Q_n, for Q_n with a linear
-    generator that breaks its edges, for a Hamming graph and
+    generator that breaks its edges, for Q_5 held by a connection set
+    that lacks one mask (`param det` exits 3), for a Hamming graph and
     for AQ_n built from a base-map table with two entries of a row swapped,
     the d >= 3 dist scan of Q_3 when the table test refuses every coloring
     (K_7, whose group is symmetric, then still answers 7), the class
@@ -439,7 +440,7 @@ def test_det_set_checks_survive_python_O():
         from contextlib import nullcontext
         from unittest import mock
         import numpy as np
-        from cubesym import autgroup, constructions as cons, symmetry, tables
+        from cubesym import autgroup, bitgraph, constructions as cons, symmetry, tables
         from math import factorial
         from cubesym.bitgraph import (FamilySpec, augmented_hypercube, enhanced_hypercube,
                                       folded_hypercube, hamming_graph,
@@ -895,6 +896,12 @@ def test_det_set_checks_survive_python_O():
             pass
         else:
             sys.exit("the row map search took columns with equal partitions")
+        # Q_5 held by four of its five masks: the model's generators fail
+        # the structured check
+        real_masks = bitgraph._neighbor_masks
+        with mock.patch.object(bitgraph, "_neighbor_masks", lambda spec: real_masks(spec)[:-1]):
+            if main(["param", "det", "hypercube", "-n", "5", "--no-cache"]) != 3:
+                sys.exit("Q_5 without one of its masks did not exit 3")
         with mock.patch.object(autgroup.AugmentedModel, "setwise_stabilizer", two_elements):
             sys.exit(main(["construct", "aq-cost-class", "-n", "5"]))
     """)

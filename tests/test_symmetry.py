@@ -1160,6 +1160,26 @@ def test_cost_values_and_table_setwise_tests(make, value, cls, past_first_rows, 
     assert (sum(read_past), len(stabilizers)) == (past_first_rows, 0)
 
 
+def test_class_scan_tests_no_pair_where_the_translations_span(monkeypatch):
+    """The translation by u ^ v swaps u and v, so where the translations
+    among the generators span Z_2^n no 2-set is a class: the class scan of
+    AQ_5..AQ_12 tests none, and finds the class the parent's scan of every
+    size found, (0, 1, 2^(n-1) + 2)."""
+    sizes = []
+    real = symmetry._setwise_trivial
+
+    def trivial(grp, cls):
+        sizes.append(len(cls))
+        return real(grp, cls)
+
+    monkeypatch.setattr(symmetry, "_setwise_trivial", trivial)
+    for n in range(5, 13):
+        g = augmented_hypercube(n)
+        value, witness = cost_2dist(g, automorphism_group(g))
+        assert (value, witness.payload) == (3, (0, 1, (1 << (n - 1)) + 2))
+    assert sizes and 2 not in sizes
+
+
 RECORDS = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "records"
 
 

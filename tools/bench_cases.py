@@ -5,7 +5,10 @@ Each case runs `python -m cubesym.cli <argv>` in a fresh interpreter, with
 The runner records its wall time, the child's peak resident memory
 (`ru_maxrss` from `os.wait4`) and its exit code, and, when stdout is a JSON
 report, its `value` and `elapsed_ms`.  A case past `TIMEOUT_S` is killed
-and recorded with `"timed_out": true`.
+and recorded with `"timed_out": true`.  Each case runs under an address-space
+limit of `MEMORY_CAP` bytes (`RLIMIT_AS`), so that a case too large for the
+tree it runs from fails there with a MemoryError (exit 1) instead of
+driving a shared host out of memory.
 
     python tools/bench_cases.py OUT.json
     python tools/bench_cases.py OUT.json --parent ../parent-checkout
@@ -31,6 +34,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -42,16 +46,19 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300
 REPEAT_UNDER_S = 10
 REPEATS = 3
+MEMORY_CAP = 3 << 30
 
 CASES = [
     "param det hypercube -n 16",
     "param det hypercube -n 18",
+    "param det hypercube -n 20",
     "param det folded -n 17",
     "param det power -n 9 -k 2",
     "param det enhanced -n 8 -k 6",
     "param det augmented -n 14",
     "param det augmented -n 16",
     "param det power -n 4 -k 3",
+    "param det power -n 19 -k 3",
     "param det hamming -n 10 -m 3",
     "param dist power -n 4 -k 3",
     "param dist power -n 3 -k 3",
@@ -78,6 +85,8 @@ CASES = [
     "param cost folded -n 7",
     "param cost enhanced -n 6 -k 4",
     "param cost enhanced -n 10 -k 2",
+    "param cost augmented -n 16",
+    "param cost augmented -n 17",
     "param transitivity hypercube -n 16",
     "param transitivity hypercube -n 18",
     "param transitivity augmented -n 14",
@@ -87,9 +96,14 @@ CASES = [
     "param transitivity locally-twisted -n 16",
     "param transitivity hamming -n 8 -m 4",
     "param transitivity folded -n 16",
+    "param transitivity power -n 18 -k 3",
     "tables summary --n 8",
     "export hypercube -n 9",
 ]
+
+
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
 def run_case(case: str, root: Path = ROOT) -> dict:
@@ -98,7 +112,8 @@ def run_case(case: str, root: Path = ROOT) -> dict:
     with tempfile.TemporaryFile() as out, tempfile.TemporaryDirectory() as cwd:
         start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "cubesym.cli", *argv], stdout=out,
-                                stderr=subprocess.DEVNULL, cwd=cwd, env=env)
+                                stderr=subprocess.DEVNULL, cwd=cwd, env=env,
+                                preexec_fn=_cap_memory)
         killed = []
 
         def kill():
