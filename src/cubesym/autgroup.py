@@ -1,20 +1,27 @@
 """Automorphism groups of the word families.
 
 A group's generators and its elements are image rows, int32 arrays of
-vertex images; a structured group's model builds them in closed form.
-Composition convention throughout: (sigma o tau)(v) = sigma(tau(v)).
+vertex images; a structured group's model builds them in closed form.  On
+the 2^n words, a model whose generators are affine maps x -> Lx ^ c holds
+them as (L, c) (`Affine`), checked on the connection set of a Cayley graph
+of Z_2^n with no image row; their rows are built only when a reader asks
+for them.  Composition convention throughout: (sigma o tau)(v) =
+sigma(tau(v)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 from math import factorial, prod
+from typing import NamedTuple
 
 import numpy as np
 
 from .bitgraph import (
     AUGMENTED,
+    DEFAULT_ELEMENT_BYTES,
     ENHANCED,
     FOLDED,
     HAMMING,
@@ -29,8 +36,6 @@ from .errors import NoStructuredForm, ParameterOutOfRange, SearchBudgetExceeded
 from .rowmaps import moving_row_map
 
 DEFAULT_ELEMENT_CAP = 2_000_000
-# The most bytes an element table may take, above the 1.13 GB of Q_{8,4}'s.
-DEFAULT_ELEMENT_BYTES = 1 << 31
 
 
 # ---------------------------------------------------------------------------
@@ -39,12 +44,6 @@ DEFAULT_ELEMENT_BYTES = 1 << 31
 # A permutation of the vertices is its image row, an int32 array whose entry v
 # is the image of v; a k x V array holds k of them.  Row sigma after row tau
 # is sigma[tau], since (sigma o tau)(v) = sigma(tau(v)).
-
-
-def _translations(n: int, shifts) -> np.ndarray:
-    """The rows of the translations v -> v + c of the n-bit words, c in `shifts`."""
-    shifts = np.array(shifts, dtype=np.int32)
-    return np.arange(1 << n, dtype=np.int32)[None, :] ^ shifts[:, None]
 
 
 def _linear_rows(n: int, unit_images, shifts=0) -> np.ndarray:
@@ -58,6 +57,49 @@ def _linear_rows(n: int, unit_images, shifts=0) -> np.ndarray:
     for b in range(n):
         np.bitwise_xor(rows[:, :1 << b], bits[:, b:b + 1], out=rows[:, 1 << b:2 << b])
     return rows
+
+
+def gf2_rank(words) -> int:
+    """The GF(2) rank of the words (Python ints): each is reduced by the
+    basis word with its highest bit, if any, until it joins the basis under
+    a highest bit of its own or vanishes."""
+    basis: dict[int, int] = {}
+    for t in words:
+        while t:
+            top = t.bit_length()
+            if top not in basis:
+                basis[top] = t
+                break
+            t ^= basis[top]
+    return len(basis)
+
+
+class Affine(NamedTuple):
+    """k affine maps x -> Lx ^ c of the n-bit words: `units[i, b]` is the
+    image of the single bit 1 << b under L_i, and `shifts[i]` is c_i, as
+    int64 arrays of k x n and k entries."""
+
+    units: np.ndarray
+    shifts: np.ndarray
+
+    @classmethod
+    def of(cls, n: int, unit_images, shifts) -> Affine:
+        return cls(np.array(unit_images, dtype=np.int64).reshape(-1, n),
+                   np.array(shifts, dtype=np.int64))
+
+    def take(self, which) -> Affine:
+        return Affine(self.units[which], self.shifts[which])
+
+    def translations(self) -> np.ndarray:
+        """The mask of the maps whose L is the identity."""
+        return (self.units == 1 << np.arange(self.units.shape[1])).all(axis=1)
+
+    def rows(self) -> np.ndarray:
+        """The maps' image rows; translations' by one XOR, with no doubling."""
+        n = self.units.shape[1]
+        if self.translations().all():
+            return np.arange(1 << n, dtype=np.int32) ^ self.shifts[:, None].astype(np.int32)
+        return _linear_rows(n, self.units, self.shifts)
 
 
 def _column_words(pi, n: int, last: int) -> list[int]:
@@ -112,33 +154,31 @@ _AQ_BASE_PATTERNS = {
 }
 
 
-# the patterns as lookups indexed by (base map - 1, first * 4 + last2)
-_AQ_FIRST, _AQ_MIDDLE, _AQ_LAST = np.array(
-    [[_AQ_BASE_PATTERNS[idx][f, l] for f in (0, 1) for l in range(4)] for idx in range(1, 9)],
-    dtype=np.int32).transpose(2, 0, 1)
+def _aq_units(n: int) -> np.ndarray:
+    """The images of the single bits under the eight base maps, 8 x n.  The
+    maps are linear (the tests rebuild every word's image from its
+    pattern), so these give them.  Bits 0 and 1 are the last two bits'
+    patterns (0, 0b01) and (0, 0b10), and bit n-1 the first bit's (1,
+    0b00), each with an empty middle, which a complementing middle op fills;
+    (0, 0b00) keeps a middle bit b, 2 <= b <= n-2, or under a reversing op
+    sends it to bit n-b."""
+    if n < 4:
+        raise ParameterOutOfRange("augmented base maps need n >= 4")
+    middle = ((1 << (n - 3)) - 1) << 2
+    out = []
+    for idx in range(1, 9):
+        pattern = _AQ_BASE_PATTERNS[idx]
+        ends = [(f2 << (n - 1)) | (middle if op in (_COMP, _CREV) else 0) | l2
+                for f2, op, l2 in (pattern[0, 0b01], pattern[0, 0b10], pattern[1, 0b00])]
+        reverse = pattern[0, 0b00][1] == _REV
+        out.append(ends[:2] + [1 << (n - b if reverse else b) for b in range(2, n - 1)] + ends[2:])
+    return np.array(out, dtype=np.int64)
 
 
 def aq_base_rows(n: int) -> np.ndarray:
     """The 8 x 2^n rows of the eight augmented-cube automorphisms fixing
-    zero, built in one pass: each word's first bit and last two bits pick
-    its pattern entry, and the entry picks the image's first bit, middle
-    (from the stacked keep / complement / reverse / complement-of-reverse
-    middles) and last two bits."""
-    if n < 4:
-        raise ParameterOutOfRange("augmented base maps need n >= 4")
-    width = n - 3
-    midmask = (1 << width) - 1
-    v = np.arange(1 << n, dtype=np.int32)
-    mid = (v >> 2) & midmask
-    rev = np.zeros_like(mid)
-    for i in range(width):
-        rev |= ((mid >> i) & 1) << (width - 1 - i)
-    middles = np.stack([mid, mid ^ midmask, rev, rev ^ midmask])
-    key = (v >> (n - 1)) * 4 + (v & 0b11)
-    out = middles[_AQ_MIDDLE[:, key], v]
-    out <<= 2
-    out |= ((_AQ_FIRST << (n - 1)) | _AQ_LAST)[:, key]
-    return out
+    zero."""
+    return _linear_rows(n, _aq_units(n))
 
 
 def aq_base(n: int, idx: int) -> np.ndarray:
@@ -174,7 +214,9 @@ def fq_phi_extend(n: int, symbol_perm) -> np.ndarray:
 @dataclass
 class PermGroup:
     """A set of automorphisms closed under composition, given by generators,
-    a k x V int32 array of image rows (k may be 0).
+    a k x V int32 array of image rows (k may be 0), or by their affine form
+    `affine` on V = 2^n words, from which `generators` builds the rows on
+    first read.
 
     `model` is the closed form of a structured group.  `base` is set on a
     searched group: the vertices b_1, b_2, ... that its search fixed in turn,
@@ -188,12 +230,13 @@ class PermGroup:
     """
 
     n_vertices: int
-    generators: np.ndarray
+    _generators: np.ndarray | None
     order_known: int | None = None
     source: str = "explicit"
     graph: Graph | None = None
     model: GroupModel | None = None
     base: tuple[int, ...] | None = None
+    affine: Affine | None = None
     _elements: np.ndarray | None = field(default=None, repr=False)
     _fixers: list[int] | None = field(default=None, repr=False)
     _by_support: np.ndarray | None = field(default=None, repr=False)
@@ -202,6 +245,12 @@ class PermGroup:
     def __post_init__(self):
         if self.order_known is None and self.base is not None:
             self.order_known = prod(map(len, self.chain()))
+
+    @property
+    def generators(self) -> np.ndarray:
+        if self._generators is None:
+            self._generators = self.affine.rows()
+        return self._generators
 
     def chain(self) -> list[np.ndarray]:
         """The transversals of the base (`transversals`), kept."""
@@ -254,7 +303,8 @@ def orbit_roots(nv: int, gen_images) -> np.ndarray:
     of repeated writes to one entry; a pair once equal stays equal.  The
     rows are hooked a chunk at a time within `_CHECK_BYTES`, at most 32
     bytes per vertex and row (the pairs' ends and labels), so the orbits of
-    large rows cost O(V) beyond the rows themselves."""
+    large rows cost O(V) beyond the rows themselves.  The first chunk's
+    pairs are their own labels, and differ, since the rows move them."""
     labels = np.arange(nv, dtype=np.int32)
     identity = labels.copy()
     rows = np.asarray(gen_images, dtype=np.int32).reshape(len(gen_images), nv)
@@ -263,17 +313,19 @@ def orbit_roots(nv: int, gen_images) -> np.ndarray:
         chunk = rows[lo:lo + step]
         moved = chunk != identity
         src, dst = np.broadcast_to(identity, chunk.shape)[moved], chunk[moved]
-        a, b = labels.take(src), labels.take(dst)  # take: faster than [] on int32 indices
-        while True:
+        a, b = src, dst
+        if lo:
+            a, b = labels.take(src), labels.take(dst)  # take: faster than [] on int32 indices
             differ = a != b
             src, dst, a, b = src[differ], dst[differ], a[differ], b[differ]
-            if not len(a):
-                break
+        while len(a):
             labels[np.maximum(a, b)] = np.minimum(a, b)
             up = labels.take(labels)
-            while not np.array_equal(up, labels):
+            while (up != labels).any():
                 labels, up = up, up.take(up)
             a, b = labels.take(src), labels.take(dst)
+            differ = a != b
+            src, dst, a, b = src[differ], dst[differ], a[differ], b[differ]
     return labels
 
 
@@ -281,32 +333,18 @@ def translations_span(grp: PermGroup) -> bool:
     """Whether the translations v -> v ^ t among the group's generators span
     Z_2^n, V = 2^n.  Then the group holds every translation, and they act
     regularly, so it is vertex-transitive (Godsil & Royle, *Algebraic Graph
-    Theory*, ch. 3).  It is read from the rows alone: a row is a
-    translation iff it is the identity XOR its entry at 0, asked of the
-    unit words first and then of the whole row, a chunk of rows at a time
-    within `_CHECK_BYTES`; the shifts t of the translations are then
-    reduced to a basis, each basis word keeping a highest bit that no
-    other has."""
+    Theory*, ch. 3).  A translation is an affine map whose L is the
+    identity, read from `affine` or off the rows (`_affine_of_rows`)."""
     nv = grp.n_vertices
     n = nv.bit_length() - 1
     if nv < 2 or nv != 1 << n:
         return False
-    gens = grp.generators
-    units = 1 << np.arange(n)
-    maybe = np.flatnonzero((gens[:, units] ^ gens[:, :1] == units).all(axis=1))
-    identity = np.arange(nv, dtype=gens.dtype)
-    step = max(1, _CHECK_BYTES // (8 * nv))
-    shifts = []
-    for lo in range(0, len(maybe), step):
-        rows = gens[maybe[lo:lo + step]]
-        shifts += rows[(rows ^ rows[:, :1] == identity).all(axis=1), 0].tolist()
-    basis = []
-    for t in shifts:
-        for b in basis:
-            t = min(t, t ^ b)
-        if t:
-            basis.append(t)
-    return len(basis) == n
+    maps = grp.affine
+    if maps is None:  # only rows whose images of 0 and the single bits fit L = I are read
+        rows, bits = grp.generators, 1 << np.arange(n)
+        maps, affine = _affine_of_rows(rows[(rows[:, bits] ^ rows[:, :1] == bits).all(axis=1)])
+        maps = maps.take(affine)
+    return gf2_rank(maps.shifts[maps.translations()].tolist()) == n
 
 
 def transversals(gens: np.ndarray, base) -> list[np.ndarray]:
@@ -355,45 +393,90 @@ def _chain_table(gens: np.ndarray, base, chain: list[np.ndarray]) -> np.ndarray:
 # edge sort 32 bytes per edge and row (the two image ends, their minimum and
 # maximum, the int64 key), so Q_10's 19 generators are one chunk and Q_14 and
 # Q_16 are checked a row at a time, which timed faster than chunks of 16 or
-# 32 MB; for the bijection sort and the affine test at most 16 per vertex and
-# row.
+# 32 MB; for the bijection sort and the reading of affine rows at most 16
+# per vertex and row; for the affine check 16 per mask of D, bit and map.
 
 
-def is_automorphism(g: Graph, rows):
-    """Whether each image row of `rows`, a k x V batch, is a bijection that
-    maps the edge set onto itself: k verdicts, or one bool for one row.  On
-    a Cayley graph of Z_2^n (`g.xor_connection`, D), an affine row sigma
-    (`_linear_rows` of its unit images, plus sigma(0)) does iff sigma(d) +
-    sigma(0) is in D for each d in D; other rows take `_edge_sort`.  The
-    bijection sort and both tests work on chunks of rows within
-    `_CHECK_BYTES`."""
+def is_automorphism(g: Graph, maps):
+    """Whether each map of `maps` is an automorphism of g: k verdicts for an
+    `Affine` batch or a k x V batch of image rows, one bool for one row.
+
+    On a Cayley graph of Z_2^n (`g.xor_masks`, D) an affine map, given as
+    such or read off its row (`_affine_of_rows`), takes `_affine_check`,
+    with no image row.  Any other row must be a bijection, by a sort, and
+    map the edge set onto itself (`_edge_sort`); an `Affine` batch on
+    another graph is checked by its rows."""
     nv = g.n_vertices
-    batch = np.asarray(rows)
+    d = g.xor_masks
+    if isinstance(maps, Affine):
+        return _affine_check(g, maps) if d is not None else is_automorphism(g, maps.rows())
+    batch = np.asarray(maps)
     single = batch.ndim == 1
     if single:
         batch = batch[None, :]
     if batch.ndim != 2 or batch.shape[1] != nv:
         return False if single else np.zeros(len(batch), dtype=bool)
-    ok = np.empty(len(batch), dtype=bool)
-    sort = np.empty(len(batch), dtype=bool)  # the bijections that the edge sort decides
-    in_d = g.xor_connection
-    if in_d is not None:
-        n, d = nv.bit_length() - 1, np.flatnonzero(in_d)
-        units = 1 << np.arange(n)
+    ok = np.zeros(len(batch), dtype=bool)
+    rest = np.arange(len(batch))
+    if d is not None:
+        found, affine = _affine_of_rows(batch)
+        ok[affine] = _affine_check(g, found.take(affine))
+        rest = rest[~affine]
     step = max(1, _CHECK_BYTES // max(16 * nv, 1))
-    for lo in range(0, len(batch), step):
-        chunk = batch[lo:lo + step]
-        ok[lo:lo + step] = sort[lo:lo + step] = \
-            (np.sort(chunk, axis=1) == np.arange(nv)).all(axis=1)
-        if in_d is not None:
-            shift = chunk[:, :1]
-            affine = (_linear_rows(n, chunk[:, units] ^ shift, shift[:, 0]) == chunk).all(axis=1)
-            # masked into range for a non-bijection, whose verdict is False
-            ok[lo:lo + step] &= ~affine | in_d[(chunk[:, d] ^ shift) & (nv - 1)].all(axis=1)
-            sort[lo:lo + step] &= ~affine
-    if sort.any():
-        ok[sort] = _edge_sort(g, batch if sort.all() else batch[sort])
+    bijective = np.zeros(len(batch), dtype=bool)
+    for lo in range(0, len(rest), step):
+        at = rest[lo:lo + step]
+        bijective[at] = (np.sort(batch[at], axis=1) == np.arange(nv)).all(axis=1)
+    if bijective.any():
+        ok[bijective] = _edge_sort(g, batch if bijective.all() else batch[bijective])
     return bool(ok[0]) if single else ok
+
+
+def _affine_of_rows(rows: np.ndarray) -> tuple[Affine, np.ndarray]:
+    """The affine map that each row of a k x 2^n batch would be, read off
+    its images of 0 and of the single bits, and whether it is: the rows
+    are rebuilt from them (`_linear_rows`) a chunk at a time within
+    `_CHECK_BYTES` and compared."""
+    k, nv = rows.shape
+    n = nv.bit_length() - 1
+    shifts = rows[:, 0].astype(np.int64)
+    units = rows[:, 1 << np.arange(n)] ^ shifts[:, None]
+    affine = np.empty(k, dtype=bool)
+    step = max(1, _CHECK_BYTES // max(16 * nv, 1))
+    for lo in range(0, k, step):
+        built = _linear_rows(n, units[lo:lo + step], shifts[lo:lo + step])
+        affine[lo:lo + step] = (built == rows[lo:lo + step]).all(axis=1)
+    return Affine(units, shifts), affine
+
+
+def _affine_check(g: Graph, maps: Affine) -> np.ndarray:
+    """Whether each map x -> Lx ^ c of `maps` is an automorphism of g, a
+    Cayley graph of Z_2^n, V = 2^n, with connection set D
+    (`g.xor_masks`).  It is iff c is a word, L is invertible (its images
+    of the single bits are n words of GF(2) rank n), and L maps D into D:
+    then L permutes D, and u ^ v is in D iff L(u ^ v) is.  A translation
+    needs neither test; the others' images of D are built by their bits, a
+    chunk of D at a time within `_CHECK_BYTES`, and looked up in D."""
+    units, shifts = maps
+    nv = g.n_vertices
+    n = nv.bit_length() - 1
+    if units.shape[1] != n:
+        return np.zeros(len(units), dtype=bool)
+    ok = shifts.astype(np.uint64) < nv
+    moving = ~maps.translations()
+    if moving.any():
+        linear = units[moving]
+        good = np.array([min(u) >= 0 and max(u) < nv and gf2_rank(u) == n
+                         for u in linear.tolist()])
+        d, in_d = g.xor_masks, g.xor_connection
+        step = max(1, _CHECK_BYTES // (16 * len(linear) * n))
+        for lo in range(0, len(d), step):
+            has_bit = d[lo:lo + step, None] >> np.arange(n) & 1
+            images = np.bitwise_xor.reduce(linear[:, None, :] * has_bit, axis=2)
+            # masked into range for an L with images outside the words, not invertible
+            good &= in_d[images & (nv - 1)].all(axis=1)
+        ok[moving] &= good
+    return ok
 
 
 def _edge_sort(g: Graph, rows: np.ndarray) -> np.ndarray:
@@ -412,8 +495,13 @@ def _edge_sort(g: Graph, rows: np.ndarray) -> np.ndarray:
 
 
 def trivial_group(nv: int, graph: Graph | None = None) -> PermGroup:
+    """The group of the identity alone; on V = 2^n words, with no affine
+    generator either."""
+    n = nv.bit_length() - 1
+    affine = (Affine(np.empty((0, n), dtype=np.int64), np.empty(0, dtype=np.int64))
+              if nv == 1 << n else None)
     return PermGroup(nv, np.empty((0, nv), dtype=np.int32), 1, "structured", graph,
-                     _elements=np.arange(nv, dtype=np.int32)[None, :])
+                     affine=affine, _elements=np.arange(nv, dtype=np.int32)[None, :])
 
 
 def _lex_permutations(k: int) -> np.ndarray:
@@ -526,12 +614,16 @@ def determining_test(grp: PermGroup):
 # One closed form per structured group.  A model answers `order()`,
 # `generators()` (rows), `enumerate()` (the element table; `PermGroup.elements`
 # has checked the order against the cap) and the determining test above, which
-# gives it `pointwise_trivial(words)`.  Its generators are strong for the base
-# (0,): those that fix vertex 0 generate Stab(0), which `pointwise_stabilizer`
-# reads off them.  A translation model's are unit translations, which move 0,
-# and zero-fixing maps that generate all of them: the adjacent column
-# transpositions of Q_n, the halved cubes and FQ_n, base maps 2, 3 and 5 of
-# AQ_n, and none for LTQ_n, whose Stab(0) is trivial.  The Hamming model's
+# gives it `pointwise_trivial(words)`.  A model whose generators are affine
+# maps of the 2^n words also answers `affine()`, their (L, c) (`Affine`), or
+# None (a product with a factor that is not); its group holds them so, and
+# builds their rows only for a reader of `generators`.  Its generators are
+# strong for the base (0,): those that fix vertex 0 generate Stab(0), which
+# `pointwise_stabilizer` reads off them, as the affine maps with c = 0.  A
+# translation model's are unit translations, which move 0, and zero-fixing
+# maps that generate all of them: the adjacent column transpositions of Q_n,
+# the halved cubes and FQ_n, base maps 2, 3 and 5 of AQ_n, and none for
+# LTQ_n, whose Stab(0) is trivial.  The Hamming model's
 # column transpositions and symbol swaps (c, s, s+1) with s >= 1 generate
 # S_{m-1} wr S_n; the swaps with s = 0 move 0.  The multipartite model's swaps
 # that fix 0, the first vertex of the first part, generate S_{a-1} x (S_a wr
@@ -546,10 +638,13 @@ def determining_test(grp: PermGroup):
 class _TranslationModel:
     """A group on n-bit words whose elements are a translation v -> v + c
     after one of the maps fixing the zero word, whose rows
-    `zero_fixing_rows()` gives."""
+    `zero_fixing_rows()` gives, and whose generators are affine."""
 
     def __init__(self, n: int):
         self.n = n
+
+    def generators(self) -> np.ndarray:
+        return self.affine().rows()
 
     def translations(self) -> range:
         return range(1 << self.n)
@@ -713,13 +808,12 @@ class _PositionModel(_ColumnRefinement, _TranslationModel):
     def _rows(self, perms) -> np.ndarray:
         return _linear_rows(self.n, [self.unit_images(pi) for pi in perms])
 
-    def generators(self) -> np.ndarray:
-        """The unit translations, then the adjacent column transpositions,
-        built as one array of affine rows."""
+    def affine(self) -> Affine:
+        """The unit translations, then the adjacent column transpositions."""
         n, m = self.n, self.columns
         units = [1 << b for b in range(n)]
         swaps = [self.unit_images(_transposition(m, i, i + 1)) for i in range(m - 1)]
-        return _linear_rows(n, [units] * n + swaps, units + [0] * (m - 1))
+        return Affine.of(n, [units] * n + swaps, units + [0] * (m - 1))
 
     def det_done(self, state) -> bool:
         """A fixing position permutation exists iff two columns agree."""
@@ -826,12 +920,18 @@ class FoldedModel(_PositionModel):
 
 
 class AugmentedModel(_DeterminingFold, _SetwiseSearch, _TranslationModel):
-    """Aut(AQ_n) (n >= 4): translations after the eight base maps, whose
-    rows are built once per model."""
+    """Aut(AQ_n) (n >= 4): translations after the eight base maps.  These
+    are linear, so they are held by their images of the single bits; their
+    rows, which the determining test and the element table read, are built
+    on first use."""
 
     def __init__(self, n: int):
         super().__init__(n)
-        self._base = aq_base_rows(n)
+        self._units = _aq_units(n)
+
+    @cached_property
+    def _base(self) -> np.ndarray:
+        return _linear_rows(self.n, self._units)
 
     def n_zero_fixing(self) -> int:
         return 8
@@ -839,16 +939,19 @@ class AugmentedModel(_DeterminingFold, _SetwiseSearch, _TranslationModel):
     def zero_fixing_rows(self) -> np.ndarray:
         return self._base
 
-    def generators(self) -> np.ndarray:
+    def affine(self) -> Affine:
+        """The unit translations, then base maps 2, 3 and 5."""
         n = self.n
-        return np.concatenate([_translations(n, [1 << b for b in range(n)]),
-                               self._base[[1, 2, 4]]])  # base maps 2, 3 and 5
+        units = [1 << b for b in range(n)]
+        return Affine.of(n, [units] * n + self._units[[1, 2, 4]].tolist(), units + [0] * 3)
 
     def det_add(self, state, w):
         """The first word a, and the indices of the base maps fixing every
-        word translated by a, the identity's (row 0) first."""
+        word translated by a, the identity's (row 0) first, read from the
+        base maps' rows: a lookup per kept map, where the XOR of its images
+        of t's bits took 3-4 times as long per call."""
         if state is None:
-            return w, np.arange(len(self._base))
+            return w, np.arange(len(self._units))
         a, keep = state
         t = a ^ w
         return a, keep[self._base[keep, t] == t]
@@ -867,10 +970,12 @@ class LtqModel(_DeterminingFold, _SetwiseSearch, _TranslationModel):
         return 1
 
     def zero_fixing_rows(self) -> np.ndarray:
-        return _translations(self.n, [0])
+        return np.arange(1 << self.n, dtype=np.int32)[None, :]
 
-    def generators(self) -> np.ndarray:
-        return _translations(self.n, [2 << b for b in range(self.n - 1)])
+    def affine(self) -> Affine:
+        n = self.n
+        return Affine.of(n, [[1 << b for b in range(n)]] * (n - 1),
+                         [2 << b for b in range(n - 1)])
 
     def det_add(self, state, w) -> bool:
         return True
@@ -890,6 +995,19 @@ class ProductModel(_DeterminingFold):
 
     def order(self) -> int:
         return self.ga.order() * self.gb.order()
+
+    def affine(self) -> Affine | None:
+        """Where both factors' generators are affine, on the words whose
+        high bits are A's and low bits B's: a map (L, c) of A acts on the
+        high bits, (L << |B| bits, c << |B| bits), and one of B on the low."""
+        a, b = self.ga.affine, self.gb.affine
+        if a is None or b is None:
+            return None
+        na, nb = a.units.shape[1], b.units.shape[1]
+        low, high = [1 << i for i in range(nb)], [1 << i for i in range(nb, nb + na)]
+        units = ([low + [u << nb for u in row] for row in a.units.tolist()]
+                 + [row + high for row in b.units.tolist()])
+        return Affine.of(na + nb, units, [c << nb for c in a.shifts.tolist()] + b.shifts.tolist())
 
     def generators(self) -> np.ndarray:
         """Row a of A gives v -> (a[v // |B|], v % |B|); row b of B gives
@@ -1197,11 +1315,14 @@ def _family_model(spec: FamilySpec) -> GroupModel:
 
 
 def _model_group(spec: FamilySpec, g: Graph | None = None) -> PermGroup:
-    """The family model's group on `g`, its generators unchecked: a product
-    checks its factors' through its own, as (x, y) -> (a(x), y) is an
-    automorphism of G x H iff a is one of G."""
+    """The family model's group on `g`, its generators unchecked and held
+    by their affine form where the model has one: a product checks its
+    factors' through its own, as (x, y) -> (a(x), y) is an automorphism of
+    G x H iff a is one of G."""
     model = _family_model(spec)
-    return PermGroup(spec.vertex_count, model.generators(), model.order(), "structured", g, model)
+    affine = model.affine() if hasattr(model, "affine") else None
+    rows = model.generators() if affine is None else None
+    return PermGroup(spec.vertex_count, rows, model.order(), "structured", g, model, affine=affine)
 
 
 def structured_group(g: Graph) -> PermGroup:
@@ -1215,7 +1336,8 @@ def structured_group(g: Graph) -> PermGroup:
     if spec is None:
         raise NoStructuredForm("no family tag on this graph")
     grp = _model_group(spec, g)
-    ok = is_automorphism(g, grp.generators)
+    cayley = grp.affine is not None and g.xor_masks is not None
+    ok = is_automorphism(g, grp.affine if cayley else grp.generators)
     if not np.all(ok):
         raise AssertionError(f"structured generator {np.argmin(ok)} failed for {spec.name()}")
     return grp
@@ -1252,7 +1374,8 @@ def pointwise_stabilizer(grp: PermGroup, subset) -> PermGroup:
     A group whose generators are strong for a base starting with the
     vertices of `subset` keeps the generators that fix them, which generate
     the stabilizer: a model group's, strong for (0,) (see the group models),
-    for Stab(0), with no table and no known order; a searched group's for a
+    for Stab(0), with no table and no known order, and for an affine model
+    the maps with c = 0, as maps; a searched group's for a
     prefix of its search base, with the rest of its chain.  Other groups and
     subsets are filtered on their element table.
     """
@@ -1260,6 +1383,9 @@ def pointwise_stabilizer(grp: PermGroup, subset) -> PermGroup:
     if not S:
         return grp
     if grp.model is not None and S == [0]:
+        if grp.affine is not None:
+            return PermGroup(grp.n_vertices, None, None, grp.source, grp.graph,
+                             affine=grp.affine.take(grp.affine.shifts == 0))
         keep = np.flatnonzero(_fixing(grp.generators, S))
         if len(keep) and keep[-1] - keep[0] == len(keep) - 1:  # one run: a view, no copy
             keep = slice(keep[0], keep[-1] + 1)

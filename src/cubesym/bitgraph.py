@@ -34,6 +34,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateVertex,
     ParameterOutOfRange,
+    SearchBudgetExceeded,
     SizeGuard,
     Unreachable,
     VertexOutOfRange,
@@ -41,9 +42,15 @@ from .errors import (
 
 DEFAULT_VERTEX_CAP = 1 << 20
 
+# The most bytes that one table may take: a group's element table, above
+# the 1.13 GB of Q_{8,4}'s, and the neighbour table that builds the edge
+# keys of a graph held by its connection set.
+DEFAULT_ELEMENT_BYTES = 1 << 31
+
 # The most bytes that one chunk of a pass over many rows works on: in
 # `distances_from` 8 per word of a frontier slice XOR D, and in `autgroup`
-# the automorphism test's and `orbit_roots`' chunks of image rows.
+# the automorphism test's chunks of image rows and of D, and `orbit_roots`'
+# chunks of image rows.
 _CHECK_BYTES = 1 << 22
 
 HYPERCUBE = "hypercube"
@@ -224,7 +231,8 @@ class Graph:
     int64, with no key repeated.  A Cayley graph of Z_2^n may be given by
     `connection` instead, its connection set D as ascending int64 masks in
     1..V-1 (u ~ v iff u ^ v is in D), with no edge array (`_keys` None);
-    `edge_keys` is then built from D on first use.  `labels[i]` keeps the
+    `edge_keys` is then built from D on first use, within
+    `DEFAULT_ELEMENT_BYTES`.  `labels[i]` keeps the
     original word of vertex i for graphs carved out of a bigger one
     (induced subgraphs); it is None for directly generated families, whose
     vertex ids are already the words.
@@ -238,8 +246,15 @@ class Graph:
 
     @cached_property
     def edge_keys(self) -> np.ndarray:
+        """The edge array; from D, after its V x |D| int64 neighbour table
+        is checked against `DEFAULT_ELEMENT_BYTES` before it is allocated."""
         if self._keys is not None:
             return self._keys
+        nbytes = 8 * self.n_vertices * len(self.connection)
+        if nbytes > DEFAULT_ELEMENT_BYTES:
+            name = self.family.name() if self.family is not None else "the graph"
+            raise SearchBudgetExceeded(f"the edge keys of {name} would need a neighbour table "
+                                       f"of {nbytes} bytes, above {DEFAULT_ELEMENT_BYTES}")
         return _rule_keys(np.arange(self.n_vertices, dtype=np.int64)[:, None] ^ self.connection)
 
     @cached_property
@@ -271,6 +286,15 @@ class Graph:
         counts = np.bincount(u ^ v, minlength=nv)
         in_d = counts > 0
         return in_d if (counts[in_d] == nv // 2).all() else None
+
+    @cached_property
+    def xor_masks(self) -> np.ndarray | None:
+        """D as ascending int64 masks if `xor_connection` finds the graph a
+        Cayley graph of Z_2^n, else None."""
+        if self.connection is not None:
+            return self.connection
+        in_d = self.xor_connection
+        return None if in_d is None else np.flatnonzero(in_d).astype(np.int64)
 
     def _check_vertex(self, *vs: int) -> None:
         for v in vs:

@@ -21,7 +21,6 @@ from .errors import (
     MalformedRecord,
     NoStructuredForm,
     ParameterOutOfRange,
-    SearchBudgetExceeded,
 )
 from .search import search_automorphisms
 from .symmetry import (
@@ -135,9 +134,10 @@ def verify_witness(g: Graph, record: dict, grp: PermGroup | None = None) -> bool
 
     Set payloads must be distinct vertices of the graph, and a coloring must
     give every vertex a color in 1..value.  A coloring that `is_distinguishing`
-    cannot settle is not verified.  A record without an integer `value`, or
-    whose witness lacks a string `kind` and a list `payload`, raises
-    MalformedRecord.
+    cannot settle within its budget raises SearchBudgetExceeded: it is not
+    checked, which is not the same as wrong.  A record without an integer
+    `value`, or whose witness lacks a string `kind` and a list `payload`,
+    raises MalformedRecord.
     """
     witness = record.get("witness")
     if witness is None:
@@ -167,10 +167,7 @@ def verify_witness(g: Graph, record: dict, grp: PermGroup | None = None) -> bool
         coloring = two_coloring(nv, payload)
     else:
         return False
-    try:
-        return is_distinguishing(grp, coloring)
-    except SearchBudgetExceeded:
-        return False
+    return is_distinguishing(grp, coloring)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import preserves_adjacency, reference_closure, row_set, z2_cayley
 
 from cubesym.autgroup import (
+    Affine,
     AugmentedModel,
     FoldedModel,
     HalvedCubeModel,
@@ -35,6 +36,7 @@ from cubesym.autgroup import (
 )
 from cubesym.bitgraph import (
     FamilySpec,
+    Graph,
     augmented_hypercube,
     build_family,
     folded_hypercube,
@@ -187,6 +189,110 @@ def test_affine_test_matches_pairwise_reference_on_cayley_graphs(data):
         verdicts = is_automorphism(g, batch)
         assert is_automorphism(g, batch[0]) == verdicts[0]
     assert verdicts.tolist() == [preserves_adjacency(g, row) for row in batch]
+
+
+def _pairwise_verdict(adjacency: np.ndarray, row) -> bool:
+    """The plain reference on an adjacency matrix: `row` is a bijection of
+    the vertices, and every pair (u, v) keeps its adjacency."""
+    p = np.asarray(row)
+    nv = len(adjacency)
+    return (sorted(p.tolist()) == list(range(nv))
+            and bool((adjacency[np.ix_(p, p)] == adjacency).all()))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_affine_check_matches_pairwise_reference(data):
+    """The (L, c) check equals the pairwise reference on random Cayley
+    graphs of Z_2^k, k <= 6, held by their connection set D or by their
+    edges.  D is often closed under a drawn linear map, so that the map is
+    often an automorphism, and sometimes lies in the words below 2^(k-1),
+    so that it does not span; the maps are that one, random ones (most of
+    them singular), translations, and maps with an image of a bit or a
+    shift outside the words, each with a random c."""
+    k = data.draw(st.integers(1, 6))
+    nv = 1 << k
+    below = nv // 2 if k > 1 and data.draw(st.booleans()) else nv  # below 2^(k-1): no span
+    closing = data.draw(st.lists(st.integers(0, nv - 1), min_size=k, max_size=k))
+    linear = _linear_rows(k, [closing])[0]
+    connection = set()
+    for c in data.draw(st.sets(st.integers(1, below - 1), max_size=5)):
+        while 0 < c < below and c not in connection:
+            connection.add(c)
+            c = int(linear[c])
+    connection = sorted(connection)
+    units = [closing, [1 << b for b in range(k)]]
+    units += data.draw(st.lists(st.lists(st.integers(0, nv - 1), min_size=k, max_size=k),
+                                max_size=3))
+    units += data.draw(st.lists(st.lists(st.integers(-1, nv), min_size=k, max_size=k),
+                                max_size=1))
+    shifts = data.draw(st.lists(st.integers(-1, nv), min_size=len(units), max_size=len(units)))
+    maps = Affine.of(k, units, shifts)
+    by_edges = z2_cayley(k, connection)
+    held = Graph(nv, None, connection=np.array(connection, dtype=np.int64))
+    adjacency = np.zeros((nv, nv), dtype=bool)
+    u, v = by_edges.ends
+    adjacency[u, v] = adjacency[v, u] = True
+    want = [_pairwise_verdict(adjacency, row) for row in maps.rows()]
+    assert is_automorphism(held, maps).tolist() == want
+    assert is_automorphism(by_edges, maps).tolist() == want
+    assert is_automorphism(held, maps.rows()).tolist() == want
+
+
+def test_product_affine_form_matches_its_factor_rows():
+    """The enhanced cube's (L, c), from its factors' on the high and low
+    bits, builds the rows that its factors' rows give."""
+    for n, k in [(7, 3), (6, 1), (8, 4), (9, 2)]:
+        model = structured_group(enhanced_hypercube(n, k)).model
+        assert np.array_equal(model.affine().rows(), model.generators()), (n, k)
+
+
+def _forbid_image_rows(patch):
+    """Make building an image row fail, except for the eight zero-fixing
+    rows that AQ_n's determining test reads, a table of its own."""
+    from cubesym import autgroup
+
+    def built(*args):
+        pytest.fail("an image row was built")
+
+    real = autgroup._linear_rows
+    patch.setattr(autgroup, "_linear_rows", built)
+    patch.setattr(autgroup.Affine, "rows", built)
+    patch.setattr(autgroup.AugmentedModel, "_base", property(lambda self: real(self.n, self._units)))
+
+
+@pytest.fixture
+def image_rows_forbidden(monkeypatch):
+    _forbid_image_rows(monkeypatch)
+
+
+CAYLEY_FAMILIES = [["hypercube", "-n", "7"], ["folded", "-n", "7"], ["augmented", "-n", "7"],
+                   ["power", "-n", "7", "-k", "2"], ["enhanced", "-n", "7", "-k", "3"]]
+
+
+@pytest.mark.parametrize("family", CAYLEY_FAMILIES, ids=lambda f: " ".join(f))
+def test_det_verify_and_aut_order_build_no_image_row(capsys, tmp_path, family):
+    """On the five Cayley families, `verify` of a det record and
+    `aut-order` check the generators on D and answer with no generator
+    row; only AQ_n's determining test reads its eight zero-fixing rows."""
+    import json
+
+    from cubesym.cli import main
+
+    assert main(["param", "det", *family, "--no-cache", "--witness"]) == 0
+    path = tmp_path / "det.json"
+    path.write_text(capsys.readouterr().out)
+    with pytest.MonkeyPatch.context() as patch:
+        _forbid_image_rows(patch)
+        assert main(["verify", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+        assert main(["param", "aut-order", *family, "--no-cache"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] > 1
+
+
+def test_structured_group_of_q16_builds_no_image_row(image_rows_forbidden):
+    grp = structured_group(hypercube(16))
+    assert grp._generators is None and grp.order() == 2 ** 16 * factorial(16)
 
 
 # (graph, how many of its structured generators reach the edge sort)

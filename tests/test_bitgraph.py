@@ -42,6 +42,7 @@ from cubesym.errors import (
     DimensionMismatch,
     DuplicateVertex,
     ParameterOutOfRange,
+    SearchBudgetExceeded,
     SizeGuard,
     Unreachable,
     VertexOutOfRange,
@@ -498,6 +499,32 @@ def test_check_valid_rejects_malformed_edge_arrays():
     for keys in ([1, 1], [5, 1], [4], [3], [9]):  # repeat, descending, loop, u > v, range
         with pytest.raises(ParameterOutOfRange):
             Graph(3, np.array(keys, dtype=np.int64)).check_valid()
+
+
+def test_edge_keys_from_the_connection_set_are_refused_above_the_byte_bound(monkeypatch):
+    """The edge keys of a graph held by D come from a V x |D| int64
+    neighbour table, 1,280 bytes for Q_5: above `DEFAULT_ELEMENT_BYTES` it
+    is refused before it is allocated, naming the layer and its bytes; at
+    the bound it is built."""
+    from cubesym import bitgraph
+
+    monkeypatch.setattr(bitgraph, "DEFAULT_ELEMENT_BYTES", 1279)
+    g = hypercube(5)
+    with pytest.raises(SearchBudgetExceeded, match="edge keys of Q_5 .* 1280 bytes"):
+        g.edge_keys
+    assert g.degree(0) == 5 and g.edge_count() == 80  # read from D, with no edge keys
+    monkeypatch.setattr(bitgraph, "DEFAULT_ELEMENT_BYTES", 1280)
+    assert len(g.edge_keys) == 80
+
+
+def test_gen_graph6_above_the_byte_bound_exits_2(capsys):
+    """`gen power -n 20 -k 10 --format graph6` would need a 4.7 TiB
+    neighbour table for its edge keys: a budget stop, exit 2, with no
+    traceback."""
+    assert main(["gen", "power", "-n", "20", "-k", "10", "--format", "graph6"]) == 2
+    captured = capsys.readouterr()
+    assert "SearchBudgetExceeded" in captured.err and "edge keys of Q_20^10" in captured.err
+    assert not captured.out and "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------------------

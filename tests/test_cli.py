@@ -317,14 +317,24 @@ def test_verify_rejects_a_color_above_the_value(capsys, tmp_path):
 
 def test_verify_of_a_coloring_whose_group_table_is_too_large(capsys, tmp_path):
     """A 3-coloring of AQ_16 needs the group's element table, 524,288 rows
-    of 65,536 vertices (128 GiB): the table is refused by its bytes, and
-    the coloring is not verified, with no traceback."""
+    of 65,536 vertices (128 GiB), which is refused by its bytes, or an
+    asymmetric determining class, whose 65,534-vertex induced subgraph is
+    above the search's vertex cap: the coloring is not checked, a budget
+    stop (exit 2) with a detail that names the budget, not a wrong witness
+    (exit 3), and no traceback."""
     payload = [1] * (1 << 16)
     payload[0], payload[1] = 2, 3
     record = {"parameter": "dist", "value": 3, "params": {"kind": "augmented", "n": 16},
               "witness": {"kind": "distinguishing_coloring", "payload": payload,
                           "verified_by": "structured"}}
-    assert _verify_code(capsys, tmp_path, record) == 3
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(record))
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 2 and report["verified"] is False
+    assert report["detail"].startswith("not checked") and "cap" in report["detail"]
+    assert "Traceback" not in captured.err
 
 
 _DET_RECORD = {"parameter": "det", "value": 4, "params": {"kind": "hypercube", "n": 5},

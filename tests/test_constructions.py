@@ -545,16 +545,18 @@ def test_det_set_checks_survive_python_O():
                 sys.exit("structured_group passed a failed generator check")
             if main(["param", "det", "hypercube", "-n", "5", "--no-cache"]) != 3:
                 sys.exit("param det hypercube did not exit 3")
-        # a real generator row with two of its images swapped fails the real
-        # check
-        real_generators = autgroup.HypercubeModel.generators
+        # a generator row with two of its images swapped is not affine, so a
+        # model that gives rows, not an affine form, sends it to the edge
+        # sort, which fails it
+        real_rows = autgroup.HypercubeModel(5).generators()
 
         def one_row_swapped(self):
-            rows = real_generators(self).copy()
+            rows = real_rows.copy()
             rows[0, [0, 1]] = rows[0, [1, 0]]
             return rows
 
-        with mock.patch.object(autgroup.HypercubeModel, "generators", one_row_swapped):
+        with mock.patch.multiple(autgroup.HypercubeModel, affine=lambda self: None,
+                                 generators=one_row_swapped):
             try:
                 autgroup.structured_group(hypercube(5))
             except AssertionError:
@@ -563,22 +565,30 @@ def test_det_set_checks_survive_python_O():
                 sys.exit("structured_group passed a generator with two images swapped")
             if main(["param", "det", "hypercube", "-n", "5", "--no-cache"]) != 3:
                 sys.exit("param det hypercube with a swapped generator did not exit 3")
-        # a linear row is affine, so it takes the affine test, which must
-        # look its images of the connection set up: the transvection
-        # e_0 -> e_0 + e_1 of Q_5 sends the edge value 1 to 3, not an edge's
-        def with_transvection(self):
-            transvection = autgroup._linear_rows(self.n, [[3, 2, 4, 8, 16]])
-            return np.concatenate([real_generators(self), transvection])
+        # the affine check looks the images of the connection set up: the
+        # transvection e_0 -> e_0 + e_1 of Q_5 sends the edge value 1 to 3,
+        # not an edge's; and it must show L invertible: e_0 -> e_1, which
+        # maps D = {1, 2, 4, 8, 16} into D, is singular
+        real_affine = autgroup.HypercubeModel.affine
 
-        with mock.patch.object(autgroup.HypercubeModel, "generators", with_transvection):
-            try:
-                autgroup.structured_group(hypercube(5))
-            except AssertionError:
-                pass
-            else:
-                sys.exit("structured_group passed a linear generator that breaks the edges")
-            if main(["param", "det", "hypercube", "-n", "5", "--no-cache"]) != 3:
-                sys.exit("param det hypercube with a transvection generator did not exit 3")
+        def with_unit_images(images):
+            def stand_in(self):
+                maps = real_affine(self)
+                return autgroup.Affine(np.vstack([maps.units, [images]]),
+                                       np.append(maps.shifts, 0))
+            return stand_in
+
+        for images, what in [([3, 2, 4, 8, 16], "a transvection that breaks the edges"),
+                             ([2, 2, 4, 8, 16], "a singular map of D into D")]:
+            with mock.patch.object(autgroup.HypercubeModel, "affine", with_unit_images(images)):
+                try:
+                    autgroup.structured_group(hypercube(5))
+                except AssertionError:
+                    pass
+                else:
+                    sys.exit(f"structured_group passed {what}")
+                if main(["param", "det", "hypercube", "-n", "5", "--no-cache"]) != 3:
+                    sys.exit(f"param det hypercube with {what} did not exit 3")
         real_hamming_generators = autgroup.HammingModel.generators
 
         def hamming_row_swapped(self):
@@ -595,23 +605,25 @@ def test_det_set_checks_survive_python_O():
                 sys.exit("structured_group passed a Hamming generator with two images swapped")
             if main(["param", "det", "hamming", "-n", "3", "-m", "3", "--no-cache"]) != 3:
                 sys.exit("param det hamming with a swapped generator did not exit 3")
-        # AQ_n's generators include base map 2, read from the one-pass table
-        real_aq_rows = autgroup.aq_base_rows
+        # AQ_n's generators include base map 2, held by its images of the
+        # single bits, read from the patterns: its images of bits 0 and 2
+        # swapped fail the check
+        real_aq_units = autgroup._aq_units
 
-        def aq_entries_swapped(n):
-            rows = real_aq_rows(n)
-            rows[1, [0, 1]] = rows[1, [1, 0]]
-            return rows
+        def aq_units_swapped(n):
+            units = real_aq_units(n)
+            units[1, [0, 2]] = units[1, [2, 0]]
+            return units
 
-        with mock.patch.object(autgroup, "aq_base_rows", aq_entries_swapped):
+        with mock.patch.object(autgroup, "_aq_units", aq_units_swapped):
             try:
                 autgroup.structured_group(augmented_hypercube(5))
             except AssertionError:
                 pass
             else:
-                sys.exit("structured_group passed an AQ_n base row with two entries swapped")
+                sys.exit("structured_group passed an AQ_n base map with two unit images swapped")
             if main(["param", "det", "augmented", "-n", "5", "--no-cache"]) != 3:
-                sys.exit("param det augmented with a swapped base row did not exit 3")
+                sys.exit("param det augmented with a swapped base map did not exit 3")
         # a permutation table that repeats the identity fails the Hamming
         # model's table check
         with mock.patch.object(autgroup, "_lex_permutations",

@@ -52,6 +52,7 @@ CASES = [
     "param det hypercube -n 16",
     "param det hypercube -n 18",
     "param det hypercube -n 20",
+    "param aut-order hypercube -n 20",
     "param det folded -n 17",
     "param det power -n 9 -k 2",
     "param det enhanced -n 8 -k 6",
@@ -99,6 +100,7 @@ CASES = [
     "param transitivity power -n 18 -k 3",
     "tables summary --n 8",
     "export hypercube -n 9",
+    "gen power -n 20 -k 10 --format graph6",
 ]
 
 
