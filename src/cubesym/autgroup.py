@@ -3,9 +3,10 @@
 A group's generators and its elements are image rows, int32 arrays of
 vertex images; a structured group's model builds them in closed form.  On
 the 2^n words, a model whose generators are affine maps x -> Lx ^ c holds
-them as (L, c) (`Affine`), checked on the connection set of a Cayley graph
-of Z_2^n with no image row; their rows are built only when a reader asks
-for them.  Composition convention throughout: (sigma o tau)(v) =
+them as (L, c) (`Affine`), checked with no image row on the connection
+sets of a graph held by them (`Graph.masks`: a Cayley graph of Z_2^n, or
+LTQ_n's twisted form); their rows are built only when a reader asks for
+them.  Composition convention throughout: (sigma o tau)(v) =
 sigma(tau(v)).
 """
 
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import permutations
 from math import factorial, prod
 from typing import NamedTuple
 
@@ -100,16 +100,6 @@ class Affine(NamedTuple):
         if self.translations().all():
             return np.arange(1 << n, dtype=np.int32) ^ self.shifts[:, None].astype(np.int32)
         return _linear_rows(n, self.units, self.shifts)
-
-
-def _column_words(pi, n: int, last: int) -> list[int]:
-    """Under the column permutation pi (image column i reads source column
-    pi[i]), the word that a 1 in each source column becomes: column i < n is
-    position i, bit n-1-i, and column n, if any, is the word `last`."""
-    out = [0] * len(pi)
-    for i, src in enumerate(pi):
-        out[src] = 1 << (n - 1 - i) if i < n else last
-    return out
 
 
 # the eight automorphisms of an augmented cube that fix the zero vertex,
@@ -204,7 +194,7 @@ def fq_phi_extend(n: int, symbol_perm) -> np.ndarray:
     pi = [0] * (n + 1)
     for j, img in enumerate(sp):
         pi[img] = j
-    return _linear_rows(n, [FoldedModel(n).unit_images(pi)])[0]
+    return _linear_rows(n, FoldedModel(n).perm_units([pi]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +391,14 @@ def is_automorphism(g: Graph, maps):
     """Whether each map of `maps` is an automorphism of g: k verdicts for an
     `Affine` batch or a k x V batch of image rows, one bool for one row.
 
-    On a Cayley graph of Z_2^n (`g.xor_masks`, D) an affine map, given as
-    such or read off its row (`_affine_of_rows`), takes `_affine_check`,
-    with no image row.  Any other row must be a bijection, by a sort, and
-    map the edge set onto itself (`_edge_sort`); an `Affine` batch on
-    another graph is checked by its rows."""
+    On a graph with connection sets (`g.masks`: held by them, or a Cayley
+    graph of Z_2^n given by its edges) an affine map, given as such or read
+    off its row (`_affine_of_rows`), takes `_affine_check`, with no image
+    row.  Any other row must be a bijection, by a sort, and map the edge set
+    onto itself (`_edge_sort`); an `Affine` batch on another graph is
+    checked by its rows."""
     nv = g.n_vertices
-    d = g.xor_masks
+    d = g.masks
     if isinstance(maps, Affine):
         return _affine_check(g, maps) if d is not None else is_automorphism(g, maps.rows())
     batch = np.asarray(maps)
@@ -450,31 +441,51 @@ def _affine_of_rows(rows: np.ndarray) -> tuple[Affine, np.ndarray]:
 
 
 def _affine_check(g: Graph, maps: Affine) -> np.ndarray:
-    """Whether each map x -> Lx ^ c of `maps` is an automorphism of g, a
-    Cayley graph of Z_2^n, V = 2^n, with connection set D
-    (`g.xor_masks`).  It is iff c is a word, L is invertible (its images
-    of the single bits are n words of GF(2) rank n), and L maps D into D:
-    then L permutes D, and u ^ v is in D iff L(u ^ v) is.  A translation
-    needs neither test; the others' images of D are built by their bits, a
-    chunk of D at a time within `_CHECK_BYTES`, and looked up in D."""
+    """Whether each map x -> Lx ^ c of `maps` is an automorphism of g, on V
+    = 2^n words, with connection sets (D_0, D_1) (`g.masks`): x ~ x ^ d for
+    d in D_{x_0}, a Cayley graph of Z_2^n where D_0 = D_1.  The map sends
+    the edge {x, x ^ d} to {y, y ^ Ld}, y = Lx ^ c, which is an edge iff Ld
+    is in D_{y_0}.  Where bit 0 of Lx is x_0 for every x (bit 0 of L's
+    image of bit b is 1 for b = 0 alone), y_0 = x_0 ^ c_0; otherwise, for
+    an invertible L, y_0 takes both values on the x with a given x_0.  So
+    the map is an automorphism iff c is a word, L is invertible (its images
+    of the single bits are n words of GF(2) rank n), and L maps each D_b
+    into D_{b ^ c_0} in the first case and into D_0 & D_1 in the second:
+    then it maps the edges one to one into the edges, and so onto them.
+    With D_0 = D_1 the last test is that L maps D into D.  A translation (L
+    = I) by an even c, or by any c where D_0 = D_1, needs none of them; the
+    others' images of each D_b are built by their bits, a chunk of D_b at a
+    time within `_CHECK_BYTES`, and looked up in `g.mask_tables`, or in
+    `g.xor_connection` where D_0 = D_1."""
     units, shifts = maps
     nv = g.n_vertices
     n = nv.bit_length() - 1
     if units.shape[1] != n:
         return np.zeros(len(units), dtype=bool)
     ok = shifts.astype(np.uint64) < nv
+    d0, d1 = g.masks
+    twisted = d1 is not d0
     moving = ~maps.translations()
+    if twisted:
+        moving |= (shifts & 1).astype(bool)
     if moving.any():
         linear = units[moving]
         good = np.array([min(u) >= 0 and max(u) < nv and gf2_rank(u) == n
                          for u in linear.tolist()])
-        d, in_d = g.xor_masks, g.xor_connection
+        if twisted:
+            flip = shifts[moving] & 1
+            keeps = (linear & 1 == (np.arange(n) == 0)).all(axis=1)  # bit 0 of Lx is x_0
+        tables = g.mask_tables.ravel() if twisted else g.xor_connection
         step = max(1, _CHECK_BYTES // (16 * len(linear) * n))
-        for lo in range(0, len(d), step):
-            has_bit = d[lo:lo + step, None] >> np.arange(n) & 1
-            images = np.bitwise_xor.reduce(linear[:, None, :] * has_bit, axis=2)
-            # masked into range for an L with images outside the words, not invertible
-            good &= in_d[images & (nv - 1)].all(axis=1)
+        for b, d in enumerate((d0, d1) if twisted else (d0,)):
+            if twisted:  # the row of `tables` that D_b must map into
+                into = np.where(keeps, b ^ flip, 2)[:, None] * nv
+            for lo in range(0, len(d), step):
+                has_bit = d[lo:lo + step, None] >> np.arange(n) & 1
+                images = np.bitwise_xor.reduce(linear[:, None, :] * has_bit, axis=2)
+                # masked into range for an L with images outside the words, not invertible
+                at = images & (nv - 1)
+                good &= tables[into + at if twisted else at].all(axis=1)
         ok[moving] &= good
     return ok
 
@@ -510,8 +521,11 @@ def _lex_permutations(k: int) -> np.ndarray:
     by one."""
     table = np.zeros((1, 0), dtype=np.int32)
     for m in range(1, k + 1):
-        table = np.concatenate([np.column_stack([np.full(len(table), f, dtype=np.int32),
-                                                 table + (table >= f)]) for f in range(m)])
+        first = np.arange(m, dtype=np.int32)[:, None, None]
+        block = np.empty((m, len(table), m), dtype=np.int32)
+        block[:, :, :1] = first
+        block[:, :, 1:] = table + (table >= first)
+        table = block.reshape(-1, m)
     return table
 
 
@@ -529,12 +543,6 @@ def _permutation_table(k: int) -> np.ndarray:
         raise AssertionError(f"the permutation table of {k} is not {factorial(k)} "
                              "distinct permutations")
     return table
-
-
-def _transposition(n: int, i: int, j: int) -> tuple[int, ...]:
-    pi = list(range(n))
-    pi[i], pi[j] = pi[j], pi[i]
-    return tuple(pi)
 
 
 # ---------------------------------------------------------------------------
@@ -794,26 +802,41 @@ class _ColumnRefinement(_DeterminingFold):
 
 class _PositionModel(_ColumnRefinement, _TranslationModel):
     """A translation model whose zero-fixing maps are the permutations pi of
-    `columns` word columns; they are linear, and `unit_images(pi)` gives the
-    images of the n single bits.  A set holding zero is fixed by a
-    permutation iff it moves positions only within classes of equal columns,
-    so the set is determining iff its columns are distinct."""
+    `columns` word columns (image column i reads source column pi[i]).
+    They are linear: a 1 in source column pi[i] becomes the word of column
+    i (`column_words`), and `unit_images(words)` reads the images of the n
+    single bits off each row of a table of those words.  A set holding zero
+    is fixed by a permutation iff it moves positions only within classes of
+    equal columns, so the set is determining iff its columns are
+    distinct."""
+
+    last = 0  # the word of column n, where the model has one
+
+    def column_words(self) -> list[int]:
+        """The word of each column: position i, bit n-1-i, for i < n, and
+        `last` for column n."""
+        return ([1 << (self.n - 1 - i) for i in range(self.n)] + [self.last])[:self.columns]
+
+    def perm_units(self, perms) -> np.ndarray:
+        """The images of the n single bits under each permutation of the
+        table `perms`, one row each."""
+        words = np.array(self.column_words(), dtype=np.int64)
+        return self.unit_images(words[np.argsort(perms, axis=1)])
 
     def n_zero_fixing(self) -> int:
         return factorial(self.columns)
 
     def zero_fixing_rows(self) -> np.ndarray:
-        return self._rows(permutations(range(self.columns)))
-
-    def _rows(self, perms) -> np.ndarray:
-        return _linear_rows(self.n, [self.unit_images(pi) for pi in perms])
+        """One row per permutation of the columns, in lex order."""
+        return _linear_rows(self.n, self.perm_units(_permutation_table(self.columns)))
 
     def affine(self) -> Affine:
-        """The unit translations, then the adjacent column transpositions."""
-        n, m = self.n, self.columns
-        units = [1 << b for b in range(n)]
-        swaps = [self.unit_images(_transposition(m, i, i + 1)) for i in range(m - 1)]
-        return Affine.of(n, [units] * n + swaps, units + [0] * (m - 1))
+        """The unit translations, then the adjacent column transpositions,
+        each of which swaps two columns' words."""
+        n, w = self.n, self.column_words()
+        swaps = [w[:i] + [w[i + 1], w[i]] + w[i + 2:] for i in range(self.columns - 1)]
+        return Affine(self.unit_images(np.array([w] * n + swaps, dtype=np.int64)),
+                      np.array([1 << b for b in range(n)] + [0] * len(swaps), dtype=np.int64))
 
     def det_done(self, state) -> bool:
         """A fixing position permutation exists iff two columns agree."""
@@ -827,8 +850,8 @@ class HypercubeModel(_CubeSetwise, _PositionModel):
     def columns(self) -> int:
         return self.n
 
-    def unit_images(self, pi) -> list[int]:
-        return _column_words(pi, self.n, 0)[::-1]
+    def unit_images(self, words) -> np.ndarray:
+        return words[:, ::-1]
 
 
 class HalvedCubeModel(_CubeSetwise, _PositionModel):
@@ -854,11 +877,10 @@ class HalvedCubeModel(_CubeSetwise, _PositionModel):
     def columns(self) -> int:
         return self.n + 1  # bit n is the parity column
 
-    def unit_images(self, pi) -> list[int]:
+    def unit_images(self, words) -> np.ndarray:
         """A single bit has odd weight, so its extended word also has a 1 in
         the parity column n; the image word drops its own parity column."""
-        words = _column_words(pi, self.n, 0)
-        return [w ^ words[self.n] for w in words[self.n - 1::-1]]
+        return words[:, self.n - 1::-1] ^ words[:, self.n:]
 
     def column_mask(self, t: int) -> int:
         return t | (t.bit_count() & 1) << self.n
@@ -873,8 +895,12 @@ class FoldedModel(_PositionModel):
     def columns(self) -> int:
         return self.n + 1  # bit n, the all-ones symbol's column, stays 0
 
-    def unit_images(self, pi) -> list[int]:
-        return _column_words(pi, self.n, (1 << self.n) - 1)[self.n - 1::-1]
+    @property
+    def last(self) -> int:
+        return (1 << self.n) - 1
+
+    def unit_images(self, words) -> np.ndarray:
+        return words[:, self.n - 1::-1]
 
     def det_need(self, state) -> int:
         """The class bound r, plus one when every completion by r words keeps
@@ -1090,29 +1116,19 @@ class HammingModel(_RowMapSetwise, _DeterminingFold):
     def order(self) -> int:
         return factorial(self.n) * factorial(self.m) ** self.n
 
-    def _rows(self, pi, syms) -> np.ndarray:
-        """The rows of the elements with column permutation pi and symbol
-        permutations `syms[k][c]` of image column c, one row per k."""
-        syms = np.asarray(syms, dtype=np.int32).reshape(-1, self.n, self.m)
-        rows = np.zeros((len(syms), len(self._digits)), dtype=np.int32)
-        for c, src in enumerate(pi):
-            rows += syms[:, c, self._digits[:, src]] * self._weights[c]
-        return rows
-
-    def _symbol_rows(self, column_swaps) -> np.ndarray:
-        """The rows relabelling one column c by the swap of symbols s and t,
-        for each (c, s, t) of `column_swaps`, keeping the columns in place."""
-        syms = np.tile(np.arange(self.m, dtype=np.int32), (len(column_swaps), self.n, 1))
-        for k, (c, s, t) in enumerate(column_swaps):
-            syms[k, c, [s, t]] = t, s
-        return self._rows(range(self.n), syms)
-
     def generators(self) -> np.ndarray:
+        """The swaps of columns c and c+1, then of symbols s and s+1 in
+        column c, c-major: a word moves by the digits' changes times their
+        place values."""
         n, m = self.n, self.m
-        ident = np.tile(np.arange(m), (n, 1))
-        columns = [self._rows(_transposition(n, c, c + 1), ident) for c in range(n - 1)]
-        return np.concatenate(columns + [self._symbol_rows(
-            [(c, s, s + 1) for c in range(n) for s in range(m - 1)])])
+        digits, weights = self._digits.T, self._weights[:, None]
+        words = np.arange(digits.shape[1], dtype=np.int32)
+        columns = words + (digits[1:] - digits[:-1]) * (weights[:-1] - weights[1:])
+        s = np.arange(m - 1, dtype=np.int32)[None, :, None]
+        up = digits[:, None, :] == s
+        down = digits[:, None, :] == s + 1
+        symbols = words + (up.astype(np.int32) - down) * weights[:, :, None]
+        return np.concatenate([columns, symbols.reshape(-1, len(words))])
 
     def enumerate(self) -> np.ndarray:
         """One block of (m!)^n rows per column permutation, written in place:
@@ -1336,8 +1352,8 @@ def structured_group(g: Graph) -> PermGroup:
     if spec is None:
         raise NoStructuredForm("no family tag on this graph")
     grp = _model_group(spec, g)
-    cayley = grp.affine is not None and g.xor_masks is not None
-    ok = is_automorphism(g, grp.affine if cayley else grp.generators)
+    by_masks = grp.affine is not None and g.masks is not None
+    ok = is_automorphism(g, grp.affine if by_masks else grp.generators)
     if not np.all(ok):
         raise AssertionError(f"structured generator {np.argmin(ok)} failed for {spec.name()}")
     return grp

@@ -6,19 +6,22 @@ word with a single 1 in position i is the integer 2**(n-i).  Vertex ids in a
 generated graph are exactly the word values, 0 .. m**n - 1.
 
 A graph is its edge array, `Graph.edge_keys`: the keys u * V + v of the
-edges u < v, ascending, as int64.  Five families, Q_n, FQ_n, AQ_n, Q_n^k
-and Q_{n,k}, are Cayley graphs of Z_2^n: u ~ v iff u XOR v lies in the
-connection set D that `_neighbor_masks`, their one graph rule, gives.  Such
-a graph holds D alone (`Graph.connection`), and its degrees, counts,
-neighbours, `xor_connection` and BFS (`distances_from`, by XOR with D) read
-D.  It builds its edge array only when a reader first needs every edge: the
-graph6, edge-list and descriptor encoders, the automorphism test's edge
-sort, the search's bitset rows, `same_edges` and `check_valid`;
-`induced_subgraph` reads each of its vertices x against the words x ^ D.  LTQ_n (its two-copy recursion) and H(n,m) (one changed
-digit) build their edge arrays from their rules, and explicit graphs from
-their given edges; their BFS makes one pass over the edge ends per level.
-Only the automorphism search packs edges into bitset rows, locally, since
-its refinement counts neighbours in a cell by AND and popcount.
+edges u < v, ascending, as int64.  The six families on the 2^n binary words
+are held instead by their connection sets (`Graph.masks`), which
+`_neighbor_masks`, their one graph rule, gives: x ~ x ^ d for each d of
+D_{x_0}, x_0 the last bit of x.  Q_n, FQ_n, AQ_n, Q_n^k and Q_{n,k} are
+Cayley graphs of Z_2^n, the case D_0 = D_1; LTQ_n twists it, its D_1
+differing from D_0 in the even masks only, so that the rule is symmetric.
+Degrees, counts, neighbours, `has_edge`, `xor_connection` and BFS
+(`distances_from`, by XOR with D_{x_0}) read the masks.  Such a graph builds
+its edge array only when a reader first needs every edge: the graph6,
+edge-list and descriptor encoders, the automorphism test's edge sort, the
+search's bitset rows, `same_edges` and `check_valid`; `induced_subgraph`
+reads each of its vertices x against the words x ^ D_{x_0}.  H(n,m) (one
+changed digit) builds its edge array from its rule, and explicit graphs
+from their given edges; their BFS makes one pass over the edge ends per
+level.  Only the automorphism search packs edges into bitset rows, locally,
+since its refinement counts neighbours in a cell by AND and popcount.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ DEFAULT_VERTEX_CAP = 1 << 20
 
 # The most bytes that one table may take: a group's element table, above
 # the 1.13 GB of Q_{8,4}'s, and the neighbour table that builds the edge
-# keys of a graph held by its connection set.
+# keys of a graph held by its connection sets.
 DEFAULT_ELEMENT_BYTES = 1 << 31
 
 # The most bytes that one chunk of a pass over many rows works on: in
@@ -225,15 +228,19 @@ class FamilySpec:
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Finite simple graph given by its edge array or its connection set.
+    """Finite simple graph given by its edge array or its connection sets.
 
     `edge_keys` holds the keys u * V + v of the edges u < v, ascending, as
-    int64, with no key repeated.  A Cayley graph of Z_2^n may be given by
-    `connection` instead, its connection set D as ascending int64 masks in
-    1..V-1 (u ~ v iff u ^ v is in D), with no edge array (`_keys` None);
-    `edge_keys` is then built from D on first use, within
-    `DEFAULT_ELEMENT_BYTES`.  `labels[i]` keeps the
-    original word of vertex i for graphs carved out of a bigger one
+    int64, with no key repeated.  A graph on the V = 2^n words may be given
+    by `connection` instead, with no edge array (`_keys` None): ascending
+    int64 masks in 1..V-1, D_0, and `connection_odd`, D_1, or None where it
+    is D_0.  Then x ~ x ^ d for each d of D_{x_0}, x_0 = x & 1: a Cayley
+    graph of Z_2^n (u ~ v iff u ^ v is in D) where D_0 = D_1, and twisted,
+    as LTQ_n is, where they differ.  The rule is symmetric iff an odd mask,
+    which flips x_0, lies in both sets or in neither; that is checked here,
+    and a D_1 equal to D_0 is dropped.  `edge_keys` is then built from the
+    masks on first use, within `DEFAULT_ELEMENT_BYTES`.  `labels[i]` keeps
+    the original word of vertex i for graphs carved out of a bigger one
     (induced subgraphs); it is None for directly generated families, whose
     vertex ids are already the words.
     """
@@ -243,19 +250,79 @@ class Graph:
     family: FamilySpec | None = None
     labels: tuple[int, ...] | None = None
     connection: np.ndarray | None = None
+    connection_odd: np.ndarray | None = None
+
+    def __post_init__(self):
+        d0, d1 = self.connection, self.connection_odd
+        if d1 is None:
+            return
+        if np.array_equal(d0, d1):
+            object.__setattr__(self, "connection_odd", None)
+        elif not np.array_equal(d0[d0 & 1 == 1], d1[d1 & 1 == 1]):
+            raise ParameterOutOfRange("the connection sets are not symmetric: an odd mask "
+                                      "lies in one of D_0 and D_1 only")
 
     @cached_property
-    def edge_keys(self) -> np.ndarray:
-        """The edge array; from D, after its V x |D| int64 neighbour table
-        is checked against `DEFAULT_ELEMENT_BYTES` before it is allocated."""
-        if self._keys is not None:
-            return self._keys
-        nbytes = 8 * self.n_vertices * len(self.connection)
+    def masks(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(D_0, D_1): the connection sets where the graph holds them, the
+        one array twice where they are equal; for a graph given by its
+        edges, D twice, as ascending int64 masks, where `xor_connection`
+        finds a Cayley graph of Z_2^n; else None."""
+        if self.connection is not None:
+            odd = self.connection_odd
+            return self.connection, self.connection if odd is None else odd
+        in_d = self.xor_connection
+        if in_d is None:
+            return None
+        d = np.flatnonzero(in_d).astype(np.int64)
+        return d, d
+
+    @cached_property
+    def mask_tables(self) -> np.ndarray | None:
+        """Where `masks` is set, a 3 x V bool table whose rows mark the
+        words of D_0, of D_1 and of both, else None."""
+        if self.masks is None:
+            return None
+        tables = np.zeros((3, self.n_vertices), dtype=bool)
+        for row, d in enumerate(self.masks):
+            tables[row, d] = True
+        tables[2] = tables[0] & tables[1]
+        return tables
+
+    def _neighbor_table(self, xs: np.ndarray) -> np.ndarray:
+        """The words x ^ d for each x of the int64 words `xs` and d of
+        D_{x_0}, one row per x, as wide as the larger set; a row of the
+        smaller one is padded with x itself."""
+        d0, d1 = self.masks
+        if d1 is d0:
+            return xs[:, None] ^ d0
+        table = np.zeros((len(xs), max(len(d0), len(d1))), dtype=np.int64)
+        odd = (xs & 1).astype(bool)
+        table[~odd, :len(d0)] = d0
+        table[odd, :len(d1)] = d1
+        table ^= xs[:, None]
+        return table
+
+    def check_edge_budget(self) -> None:
+        """Raise SearchBudgetExceeded, naming the edge keys and their bytes,
+        if building them from the masks needs a V-row int64 neighbour table
+        above `DEFAULT_ELEMENT_BYTES`."""
+        if self._keys is not None or "edge_keys" in vars(self):
+            return
+        nbytes = 8 * self.n_vertices * max(map(len, self.masks))
         if nbytes > DEFAULT_ELEMENT_BYTES:
             name = self.family.name() if self.family is not None else "the graph"
             raise SearchBudgetExceeded(f"the edge keys of {name} would need a neighbour table "
                                        f"of {nbytes} bytes, above {DEFAULT_ELEMENT_BYTES}")
-        return _rule_keys(np.arange(self.n_vertices, dtype=np.int64)[:, None] ^ self.connection)
+
+    @cached_property
+    def edge_keys(self) -> np.ndarray:
+        """The edge array; from the masks after `check_edge_budget`, so
+        that their neighbour table is refused before it is allocated."""
+        if self._keys is not None:
+            return self._keys
+        self.check_edge_budget()
+        return _rule_keys(self._neighbor_table(np.arange(self.n_vertices, dtype=np.int64)))
 
     @cached_property
     def ends(self) -> tuple[np.ndarray, np.ndarray]:
@@ -265,20 +332,23 @@ class Graph:
     @cached_property
     def degrees(self) -> np.ndarray:
         if self.connection is not None:
-            return np.full(self.n_vertices, len(self.connection), dtype=np.int64)
+            d0, d1 = self.masks
+            return np.where(np.arange(self.n_vertices) & 1, len(d1), len(d0))
         return np.bincount(np.concatenate(self.ends), minlength=self.n_vertices)
 
     @cached_property
     def xor_connection(self) -> np.ndarray | None:
         """D as a V-long bool table if the graph is a Cayley graph of Z_2^n
-        (u ~ v iff u ^ v is in D) with V >= 2, else None: `connection`
-        where the graph holds it; otherwise read from the edges, where a
-        value d that an edge carries must be carried by all V/2 pairs
+        (u ~ v iff u ^ v is in D) with V >= 2, else None: from `connection`
+        where the graph holds one set; otherwise read from the edges, where
+        a value d that an edge carries must be carried by all V/2 pairs
         {x, x ^ d}."""
         nv = self.n_vertices
         if nv < 2 or nv & (nv - 1):
             return None
         if self.connection is not None:
+            if self.connection_odd is not None:
+                return None
             in_d = np.zeros(nv, dtype=bool)
             in_d[self.connection] = True
             return in_d
@@ -286,15 +356,6 @@ class Graph:
         counts = np.bincount(u ^ v, minlength=nv)
         in_d = counts > 0
         return in_d if (counts[in_d] == nv // 2).all() else None
-
-    @cached_property
-    def xor_masks(self) -> np.ndarray | None:
-        """D as ascending int64 masks if `xor_connection` finds the graph a
-        Cayley graph of Z_2^n, else None."""
-        if self.connection is not None:
-            return self.connection
-        in_d = self.xor_connection
-        return None if in_d is None else np.flatnonzero(in_d).astype(np.int64)
 
     def _check_vertex(self, *vs: int) -> None:
         for v in vs:
@@ -304,7 +365,7 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u, v)
         if self.connection is not None:
-            return bool(self.xor_connection[u ^ v])
+            return bool(self.mask_tables[u & 1, u ^ v])
         key = min(u, v) * self.n_vertices + max(u, v)
         i = int(np.searchsorted(self.edge_keys, key))
         return i < len(self.edge_keys) and int(self.edge_keys[i]) == key and u != v
@@ -315,7 +376,8 @@ class Graph:
 
     def edge_count(self) -> int:
         if self.connection is not None:
-            return self.n_vertices * len(self.connection) // 2
+            d0, d1 = self.masks
+            return ((self.n_vertices + 1) // 2 * len(d0) + self.n_vertices // 2 * len(d1)) // 2
         return len(self.edge_keys)
 
     def edges(self):
@@ -326,7 +388,7 @@ class Graph:
         """The neighbours of v, ascending."""
         self._check_vertex(v)
         if self.connection is not None:
-            return np.sort(v ^ self.connection).tolist()
+            return np.sort(v ^ self.masks[v & 1]).tolist()
         u, w = self.ends
         return np.concatenate([u[w == v], w[u == v]]).tolist()
 
@@ -363,47 +425,39 @@ def graph_from_edges(n_vertices: int, edges, family: FamilySpec | None = None,
     return Graph(n_vertices, keys, family, labels)
 
 
-def _neighbor_masks(spec: FamilySpec) -> list[int] | None:
-    """The connection set D of the five families that are Cayley graphs of
-    Z_2^n (u ~ v iff u XOR v is in D), else None."""
+def _neighbor_masks(spec: FamilySpec) -> tuple[list[int], list[int]] | None:
+    """The connection sets (D_0, D_1) of the six families on the 2^n binary
+    words (x ~ x ^ d for d in D_{x_0}), else None.  The five Cayley graphs
+    of Z_2^n have one set, D_0 = D_1 (the same list).  LTQ_n's D_0 is the
+    single bits, and its D_1 is 1, 2 and 2^j + 2^(j-1) for 2 <= j < n:
+    unrolled, its two-copy recursion (Yang, Evans & Megson, 2005) joins
+    each word 0 x2..xn of LTQ_dim's first copy to 1 (x2+xn) x3..xn."""
     n = spec.n
+    if spec.kind == LOCALLY_TWISTED:
+        return [1 << j for j in range(n)], [1, 2] + [3 << (j - 1) for j in range(2, n)]
     if spec.kind == HYPERCUBE:
-        return [1 << b for b in range(n)]
-    if spec.kind == POWER:
+        masks = [1 << b for b in range(n)]
+    elif spec.kind == POWER:
         k = min(spec.k, n)
-        return [d for d in range(1, 1 << n) if d.bit_count() <= k]
-    if spec.kind == FOLDED:
+        masks = [d for d in range(1, 1 << n) if d.bit_count() <= k]
+    elif spec.kind == FOLDED:
         masks = [1 << b for b in range(n)]
         full = (1 << n) - 1
         if n >= 2:
             masks.append(full)
-        return sorted(set(masks))
-    if spec.kind == ENHANCED:
+        masks = sorted(set(masks))
+    elif spec.kind == ENHANCED:
         suffix = (1 << (n - spec.k + 1)) - 1
         masks = [1 << b for b in range(n)]
         if suffix not in masks:
             masks.append(suffix)
-        return masks
-    if spec.kind == AUGMENTED:
+    elif spec.kind == AUGMENTED:
         masks = [1 << b for b in range(n)]
         masks += [(1 << t) - 1 for t in range(2, n + 1)]
-        return sorted(set(masks))
-    return None
-
-
-def _locally_twisted_keys(n: int) -> np.ndarray:
-    """Edge keys of LTQ_n from the two-copy recursion (base LTQ_2 = Q_2):
-    LTQ_dim is two copies of LTQ_{dim-1}, the second on the words with the
-    leading bit set, and each word 0 x2..xn of the first is joined to
-    1 (x2+xn) x3..xn of the second."""
-    u = np.array([0, 0, 1, 2], dtype=np.int64)  # Q_2 on words 00, 01, 10, 11
-    v = np.array([1, 2, 3, 3], dtype=np.int64)
-    for dim in range(3, n + 1):
-        half = 1 << (dim - 1)
-        w = np.arange(half, dtype=np.int64)
-        partner = (w ^ ((w & 1) << (dim - 2))) | half
-        u, v = np.concatenate([u, u | half, w]), np.concatenate([v, v | half, partner])
-    return np.sort(u * (1 << n) + v)
+        masks = sorted(set(masks))
+    else:
+        return None
+    return masks, masks
 
 
 def _rule_keys(nbrs: np.ndarray) -> np.ndarray:
@@ -434,9 +488,9 @@ def build_family(spec: FamilySpec, cap: int | None = None) -> Graph:
         raise SizeGuard(f"{spec.name()} has {nv} vertices, above the cap {limit}")
     masks = _neighbor_masks(spec)
     if masks is not None:
-        return Graph(nv, None, spec, connection=np.array(sorted(masks), dtype=np.int64))
-    if spec.kind == LOCALLY_TWISTED:
-        return Graph(nv, _locally_twisted_keys(spec.n), spec)
+        d0, d1 = masks
+        return Graph(nv, None, spec, connection=np.array(sorted(d0), dtype=np.int64),
+                     connection_odd=None if d1 is d0 else np.array(sorted(d1), dtype=np.int64))
     if spec.kind != HAMMING:
         raise ParameterOutOfRange(f"unhandled family kind {spec.kind!r}")
     return Graph(nv, _hamming_keys(spec), spec)
@@ -444,23 +498,23 @@ def build_family(spec: FamilySpec, cap: int | None = None) -> Graph:
 
 def distances_from(g: Graph, u: int) -> np.ndarray:
     """The BFS distance of every vertex from u, as an int32 array, -1 for
-    the vertices u cannot reach.  On a graph held by its connection set D,
-    each level marks the unmarked words x ^ d of the frontier's x, a slice
-    of the frontier at a time within `_CHECK_BYTES`, so the BFS holds O(V).
+    the vertices u cannot reach.  On a graph held by its connection sets,
+    each level marks the unmarked words x ^ d, d in D_{x_0}, of the
+    frontier's x (`Graph._neighbor_table`), a slice of the frontier at a
+    time within `_CHECK_BYTES`, so the BFS holds O(V).
     On any other graph each level marks the other end of every edge with
     one end in the frontier, so the BFS holds O(E)."""
     g._check_vertex(u)
     dist = np.full(g.n_vertices, -1, dtype=np.int32)
     dist[u] = 0
     level = 0
-    d = g.connection
-    if d is not None:
-        step = max(1, _CHECK_BYTES // (8 * max(len(d), 1)))
-        frontier = np.array([u])
+    if g.connection is not None:
+        step = max(1, _CHECK_BYTES // (8 * max(1, *map(len, g.masks))))
+        frontier = np.array([u], dtype=np.int64)
         while len(frontier):
             level += 1
             for lo in range(0, len(frontier), step):
-                reached = (frontier[lo:lo + step, None] ^ d).ravel()
+                reached = g._neighbor_table(frontier[lo:lo + step]).ravel()
                 dist[reached[dist[reached] < 0]] = level
             frontier = np.flatnonzero(dist == level)
         return dist
@@ -501,9 +555,10 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
         seen.add(v)
     index = np.full(g.n_vertices, -1, dtype=np.int64)
     index[vs] = np.arange(len(vs))
-    if g.connection is not None:  # each vertex of the set against its words x ^ D
-        a = np.repeat(np.arange(len(vs)), len(g.connection))
-        b = index[(np.array(vs, dtype=np.int64)[:, None] ^ g.connection).ravel()]
+    if g.connection is not None:  # each vertex x of the set against its words x ^ D_{x_0}
+        table = g._neighbor_table(np.array(vs, dtype=np.int64))
+        a = np.repeat(np.arange(len(vs)), table.shape[1])
+        b = index[table.ravel()]
     else:
         a, b = (index[end] for end in g.ends)
     kept = (a >= 0) & (b >= 0)

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import bitgraph
 from .bitgraph import EXPLICIT, FamilySpec, Graph, build_family, graph_from_edges, same_edges
-from .errors import ParameterOutOfRange
+from .errors import ParameterOutOfRange, SearchBudgetExceeded
 
 
 def _g6_size_bytes(n: int) -> list[int]:
@@ -28,14 +29,27 @@ def to_graph6(g: Graph) -> str:
     """Encode in the standard graph6 format (no header).
 
     The upper triangle is read column by column, so the edge u < v is bit
-    v(v-1)/2 + u; the bits, padded with zeros to a multiple of six, are
-    packed six to a byte, most significant first, plus 63."""
+    p = v(v-1)/2 + u; the bits, padded with zeros to a multiple of six, are
+    packed six to a byte, most significant first, plus 63: byte p // 6 of
+    the payload gains the weight of bit p % 6 for each edge.  The encoder
+    needs 4 bytes per payload byte (the bytes, their copy, its text and the
+    line) and 32 per edge (p, its byte and bit, and the bit's weight);
+    above `DEFAULT_ELEMENT_BYTES` it raises SearchBudgetExceeded before
+    anything is allocated, after the graph's own check of the edge keys
+    it reads (`Graph.check_edge_budget`)."""
     n = g.n_vertices
     header = bytes(_g6_size_bytes(n))
+    g.check_edge_budget()
+    size = -(-(n * (n - 1) // 2) // 6)
+    nbytes = 4 * size + 32 * g.edge_count()
+    if nbytes > bitgraph.DEFAULT_ELEMENT_BYTES:
+        name = g.family.name() if g.family is not None else "the graph"
+        raise SearchBudgetExceeded(f"the graph6 encoding of {name} would need {nbytes} bytes, "
+                                   f"above {bitgraph.DEFAULT_ELEMENT_BYTES}")
     u, v = g.ends
-    bits = np.zeros(-(-(n * (n - 1) // 2) // 6) * 6, dtype=np.uint8)
-    bits[v * (v - 1) // 2 + u] = 1
-    payload = bits.reshape(-1, 6) @ _G6_WEIGHTS + np.uint8(63)
+    byte, bit = np.divmod(v * (v - 1) // 2 + u, 6)
+    payload = np.full(size, 63, dtype=np.uint8)
+    np.add.at(payload, byte, _G6_WEIGHTS[bit])
     return (header + payload.tobytes()).decode("ascii")
 
 

@@ -57,7 +57,7 @@ from cubesym.symmetry import determining_number
 
 def _aff_row(model, c: int, pi) -> np.ndarray:
     """The row of v -> c + pi(v), pi a column permutation of a position model."""
-    return c ^ _linear_rows(model.n, [model.unit_images(pi)])[0]
+    return c ^ _linear_rows(model.n, model.perm_units([pi]))[0]
 
 
 def _ltq_row(c_prime: int) -> np.ndarray:
@@ -239,6 +239,103 @@ def test_affine_check_matches_pairwise_reference(data):
     assert is_automorphism(held, maps.rows()).tolist() == want
 
 
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_affine_check_matches_pairwise_reference_on_twisted_graphs(data):
+    """The (L, c) check equals the pairwise reference on random graphs of
+    Z_2^k, k <= 6, held by connection sets D_0, D_1 (x ~ x ^ d for d in
+    D_{x_0}) that share their odd masks, sometimes equal.  They are often
+    closed under a drawn map: each mask d of D_b brings Ld into D_{b ^ c_0},
+    which makes the map an automorphism if it is invertible and bit 0 of
+    Lx is x_0, or into both sets, which makes it one if it is invertible.
+    The map is drawn
+    invertible or at random (often singular), sometimes with its bit-0 row
+    forced to e_0, with a random c; beside it are the translations by c and
+    by 1, and a random map.  The maps are checked as such, by their rows,
+    and on the graph given by its edges, one per chunk or all in one."""
+    from unittest import mock
+
+    from cubesym import autgroup
+
+    k = data.draw(st.integers(1, 6))
+    nv = 1 << k
+    if data.draw(st.booleans()):  # invertible: permuted bits, then row additions
+        units = [1 << b for b in data.draw(st.permutations(range(k)))]
+        for i, j in data.draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                                       max_size=4)):
+            if i != j:
+                units[i] ^= units[j]
+    else:
+        units = data.draw(st.lists(st.integers(0, nv - 1), min_size=k, max_size=k))
+    if data.draw(st.booleans()):
+        units = [u & ~1 | (b == 0) for b, u in enumerate(units)]
+    c = data.draw(st.integers(0, nv - 1))
+    keeps = all(u & 1 == (b == 0) for b, u in enumerate(units))
+    image = _linear_rows(k, [units])[0]
+    closing = data.draw(st.sampled_from(["none", "into D_(b ^ c_0)", "into both"]))
+    pairs = set()
+    seeds = data.draw(st.sets(st.integers(1, nv - 1), min_size=1, max_size=4))
+    if nv > 2:  # an even mask, which may lie in one set only
+        seeds.add(2 * data.draw(st.integers(1, nv // 2 - 1)))
+    todo = [(d, data.draw(st.integers(0, 1))) for d in sorted(seeds)]
+    while todo:
+        d, b = todo.pop()
+        if not d or (d, b) in pairs:
+            continue
+        pairs.add((d, b))
+        if d & 1:
+            todo.append((d, 1 - b))
+        if closing != "none":
+            todo += [(int(image[d]), t) for t in
+                     ([b ^ c & 1] if closing == "into D_(b ^ c_0)" else [0, 1])]
+    if data.draw(st.integers(0, 3)) == 0:
+        pairs |= {(d, 1 - b) for d, b in pairs}
+    d0, d1 = ([d for d, b in sorted(pairs) if b == parity] for parity in (0, 1))
+    held = Graph(nv, None, connection=np.array(d0, dtype=np.int64),
+                 connection_odd=np.array(d1, dtype=np.int64))
+    by_edges = graph_from_edges(nv, [(x, x ^ d) for x in range(nv)
+                                     for d in (d1 if x & 1 else d0)])
+    other = data.draw(st.lists(st.integers(0, nv - 1), min_size=k, max_size=k))
+    identity = [1 << b for b in range(k)]
+    maps = Affine.of(k, [units, identity, identity, other],
+                     [c, c, 1 % nv, data.draw(st.integers(0, nv - 1))])
+    adjacency = np.zeros((nv, nv), dtype=bool)
+    u, v = by_edges.ends
+    adjacency[u, v] = adjacency[v, u] = True
+    want = [_pairwise_verdict(adjacency, row) for row in maps.rows()]
+    with mock.patch.object(autgroup, "_CHECK_BYTES", data.draw(st.sampled_from([1, 1 << 22]))):
+        assert is_automorphism(held, maps).tolist() == want
+        assert is_automorphism(held, maps.rows()).tolist() == want
+        assert is_automorphism(by_edges, maps).tolist() == want
+
+
+def test_ltq_group_det_and_verify_take_no_edge_sort(capsys, tmp_path, monkeypatch):
+    """LTQ_n's n-1 translations are checked on its two connection sets:
+    its structured group, det and `verify` of the det record reach neither
+    the edge sort nor an image row, and the group of LTQ_16 builds no
+    edge keys."""
+    import json
+
+    from cubesym import autgroup
+    from cubesym.cli import main
+
+    def sorted_rows(g, rows):
+        pytest.fail("the edge sort was reached")
+
+    monkeypatch.setattr(autgroup, "_edge_sort", sorted_rows)
+    assert main(["param", "det", "locally-twisted", "-n", "9", "--no-cache", "--witness"]) == 0
+    path = tmp_path / "det.json"
+    path.write_text(capsys.readouterr().out)
+    _forbid_image_rows(monkeypatch)
+    assert main(["verify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+    for n in (4, 5, 8, 12, 16):
+        g = locally_twisted_hypercube(n)
+        grp = structured_group(g)
+        assert grp.order() == 2 ** (n - 1) and grp._generators is None
+        assert "edge_keys" not in vars(g)
+
+
 def test_product_affine_form_matches_its_factor_rows():
     """The enhanced cube's (L, c), from its factors' on the high and low
     bits, builds the rows that its factors' rows give."""
@@ -306,7 +403,7 @@ EDGE_SORTED_GENERATORS = [
     ("Q_5^3", lambda: hypercube_power(5, 3), 0), ("Q_6^2", lambda: hypercube_power(6, 2), 0),
     ("Q_6^4", lambda: hypercube_power(6, 4), 0),
     ("H(2,4)", lambda: hamming_graph(4, 2), 0), ("H(3,4)", lambda: hamming_graph(4, 3), 0),
-    ("LTQ_5", lambda: locally_twisted_hypercube(5), 4),
+    ("LTQ_5", lambda: locally_twisted_hypercube(5), 0),
     ("H(3,3)", lambda: hamming_graph(3, 3), 8),
     ("K_{8x2}", lambda: hypercube_power(4, 3), 15),
     # the swap of its two parts, slot by slot, is the translation by 1
@@ -317,10 +414,10 @@ EDGE_SORTED_GENERATORS = [
 
 @pytest.mark.parametrize("name,make,sorted_rows", EDGE_SORTED_GENERATORS)
 def test_which_generators_reach_the_edge_sort(monkeypatch, name, make, sorted_rows):
-    """The structured generators of the Cayley graphs of Z_2^n are affine
-    and never reach the edge sort; those of LTQ_n (not Cayley under XOR)
-    and H(n,3) (3^n vertices) all do, and so do the transpositions of
-    K_{b x a}, alone or as the FQ_3 factor of Q_{4,2}."""
+    """The structured generators of the graphs held by their connection
+    sets, the Cayley graphs of Z_2^n and LTQ_n, are affine and never reach
+    the edge sort; those of H(n,3) (3^n vertices) all do, and so do the
+    transpositions of K_{b x a}, alone or as the FQ_3 factor of Q_{4,2}."""
     from cubesym import autgroup
 
     sent = []
@@ -670,6 +767,84 @@ def test_a_group_without_model_or_base_has_no_table():
     for grp in (PermGroup(16, model.generators()), pointwise_stabilizer(model_group, [0])):
         with pytest.raises(ValueError, match="neither a model nor a base"):
             grp.elements()
+
+
+def _loop_unit_images(model, pi) -> list[int]:
+    """The images of the single bits under one column permutation pi, as
+    the position models built them a permutation at a time: a 1 in source
+    column pi[i] becomes position i's bit n-1-i, or for i = n the model's
+    last word (0, or the all-ones word of FQ_n)."""
+    n = model.n
+    last = (1 << n) - 1 if isinstance(model, FoldedModel) else 0
+    words = [0] * len(pi)
+    for i, src in enumerate(pi):
+        words[src] = 1 << (n - 1 - i) if i < n else last
+    if isinstance(model, HalvedCubeModel):
+        return [w ^ words[n] for w in words[n - 1::-1]]
+    return words[n - 1::-1]
+
+
+def _loop_hamming_generators(model) -> np.ndarray:
+    """HammingModel's generators as its per-column loops built them: the
+    adjacent column transpositions, then the symbol swaps (c, s, s+1),
+    c-major, each row the sum over image columns c of the relabelled digit
+    of source column pi[c] times the place value of c."""
+    n, m = model.n, model.m
+    digits = model._digits
+
+    def rows(pi, syms):
+        syms = np.asarray(syms, dtype=np.int32).reshape(-1, n, m)
+        out = np.zeros((len(syms), len(digits)), dtype=np.int32)
+        for c, src in enumerate(pi):
+            out += syms[:, c, digits[:, src]] * model._weights[c]
+        return out
+
+    ident = np.tile(np.arange(m), (n, 1))
+    columns = [rows([*range(c), c + 1, c, *range(c + 2, n)], ident) for c in range(n - 1)]
+    swaps = [(c, s, s + 1) for c in range(n) for s in range(m - 1)]
+    syms = np.tile(np.arange(m, dtype=np.int32), (len(swaps), n, 1))
+    for k, (c, s, t) in enumerate(swaps):
+        syms[k, c, [s, t]] = t, s
+    return np.concatenate(columns + [rows(range(n), syms)])
+
+
+@pytest.mark.parametrize("model", [
+    *(HypercubeModel(n) for n in range(1, 8)), *(HalvedCubeModel(n) for n in range(4, 8)),
+    *(FoldedModel(n) for n in range(4, 8)),
+], ids=lambda model: f"{type(model).__name__}({model.n})")
+def test_position_model_rows_match_the_per_permutation_loop(model):
+    """The zero-fixing rows and the affine generators of Q_1-Q_7, Q_4^2-Q_7^2
+    and FQ_4-FQ_7, built from the permutation table in one pass, are the
+    rows and maps the per-permutation loop gave, in its order: the
+    permutations of the columns in lex order."""
+    from itertools import permutations
+
+    perms = list(permutations(range(model.columns)))
+    rows = model.zero_fixing_rows()
+    assert rows.dtype == np.int32
+    assert np.array_equal(rows, _linear_rows(model.n, [_loop_unit_images(model, pi)
+                                                        for pi in perms]))
+    m = model.columns
+    swaps = [(*range(i), i + 1, i, *range(i + 2, m)) for i in range(m - 1)]
+    units = [1 << b for b in range(model.n)]
+    maps = model.affine()
+    assert maps.units.tolist() == [units] * model.n + [_loop_unit_images(model, pi)
+                                                       for pi in swaps]
+    assert maps.shifts.tolist() == units + [0] * len(swaps)
+
+
+def test_hamming_generators_match_the_per_column_loops():
+    """HammingModel's generators, built in one numpy pass, are the int32
+    rows of its per-column loops, in their order, on every H(n,m) with n >=
+    2 and m^n <= 4096, and on the complete graphs H(1,m) with m <= 64 (one
+    with m = 4096 would hold 4095 rows of 4096 words)."""
+    specs = [FamilySpec("hamming", n, m=m) for m in range(2, 65) for n in range(1, 13)
+             if m ** n <= 4096]
+    assert len(specs) == 162
+    for spec in specs:
+        model = HammingModel(spec)
+        rows = model.generators()
+        assert rows.dtype == np.int32 and np.array_equal(rows, _loop_hamming_generators(model)), spec
 
 
 @pytest.mark.parametrize("model,make", [(HypercubeModel(5), lambda: hypercube(5)),

@@ -303,9 +303,6 @@ def test_word_str_roundtrip(n, data):
 
 def _reference_rows(spec: FamilySpec) -> list[int]:
     nv, n = spec.vertex_count, spec.n
-    masks = _neighbor_masks(spec)
-    if masks is not None:
-        return [sum(1 << (v ^ d) for d in set(masks)) for v in range(nv)]
     if spec.kind == "locally_twisted":
         rows = [0b0110, 0b1001, 0b1001, 0b0110]  # Q_2 on words 00, 01, 10, 11
         for dim in range(3, n + 1):
@@ -320,6 +317,9 @@ def _reference_rows(spec: FamilySpec) -> list[int]:
                 new_rows[u] |= 1 << v
             rows = new_rows
         return rows
+    masks = _neighbor_masks(spec)
+    if masks is not None:
+        return [sum(1 << (v ^ d) for d in set(masks[0])) for v in range(nv)]
     m, rows = spec.m, []
     for v in range(nv):
         r, p = 0, 1
@@ -383,24 +383,38 @@ def _xor_family_specs(max_n: int) -> list[FamilySpec]:
 
 def _rule_built_keys(spec: FamilySpec) -> np.ndarray:
     """The edge keys as the families built them from their rule, with no
-    lazy path: every vertex XOR every mask, sorted per row, the larger
-    ends kept."""
+    lazy path: for the Cayley families every vertex XOR every mask, sorted
+    per row, the larger ends kept; for LTQ_n the two-copy recursion (base
+    LTQ_2 = Q_2), each word 0 x2..xn of LTQ_dim's first copy joined to
+    1 (x2+xn) x3..xn of its second."""
+    if spec.kind == "locally_twisted":
+        u = np.array([0, 0, 1, 2], dtype=np.int64)  # Q_2 on words 00, 01, 10, 11
+        v = np.array([1, 2, 3, 3], dtype=np.int64)
+        for dim in range(3, spec.n + 1):
+            half = 1 << (dim - 1)
+            w = np.arange(half, dtype=np.int64)
+            partner = (w ^ ((w & 1) << (dim - 2))) | half
+            u, v = np.concatenate([u, u | half, w]), np.concatenate([v, v | half, partner])
+        return np.sort(u * (1 << spec.n) + v)
     v = np.arange(spec.vertex_count, dtype=np.int64)[:, None]
-    nbrs = np.sort(v ^ np.array(_neighbor_masks(spec), dtype=np.int64), axis=1)
+    nbrs = np.sort(v ^ np.array(_neighbor_masks(spec)[0], dtype=np.int64), axis=1)
     return (v * spec.vertex_count + nbrs)[nbrs > v]
 
 
 @pytest.mark.parametrize("dense", [False, pytest.param(True, marks=pytest.mark.oracle_suite)],
                          ids=["sparse", "dense"])
 def test_lazy_edge_keys_match_the_rule_built_keys(dense):
-    """Every Cayley family of Z_2^n on at most 2^12 vertices holds its
-    connection set and no edge array; its degrees, edge count and
-    `xor_connection` equal those of the graph given by the rule-built
-    keys, and so do the keys it builds on first use.  The dense ones, with
-    more than 2^21 vertex-mask pairs (Q_11^k for k >= 6, Q_12^k for k >= 4), take
-    most of the time and run in the oracle suite."""
-    for spec in _xor_family_specs(12):
-        if (spec.vertex_count * len(_neighbor_masks(spec)) > 1 << 21) != dense:
+    """Every Cayley family of Z_2^n on at most 2^12 vertices, and LTQ_4 to
+    LTQ_12, holds its connection sets and no edge array; its degrees, edge
+    count, `xor_connection` (None for LTQ_n), and `neighbors` and
+    `has_edge` at words 0, 1 and V-1 equal those of the graph given
+    by the rule-built keys, and so do the keys it builds on first use.  The
+    dense ones, with more than 2^21 vertex-mask pairs (Q_11^k for k >= 6,
+    Q_12^k for k >= 4), take most of the time and run in the oracle
+    suite."""
+    specs = _xor_family_specs(12) + [FamilySpec("locally_twisted", n) for n in range(4, 13)]
+    for spec in specs:
+        if (spec.vertex_count * len(_neighbor_masks(spec)[0]) > 1 << 21) != dense:
             continue
         g = build_family(spec)
         keys = _rule_built_keys(spec)
@@ -410,6 +424,10 @@ def test_lazy_edge_keys_match_the_rule_built_keys(dense):
         xor = given.xor_connection
         assert (g.xor_connection is None) == (xor is None) and \
             (xor is None or np.array_equal(g.xor_connection, xor)), spec
+        for x in (0, 1, g.n_vertices - 1):
+            assert g.neighbors(x) == given.neighbors(x), spec
+            ys = set(given.neighbors(x)) | set(range(min(g.n_vertices, 64)))
+            assert all(g.has_edge(x, y) == given.has_edge(x, y) for y in ys), spec
         assert "edge_keys" not in vars(g), spec
         assert g.edge_keys.dtype == np.int64 and np.array_equal(g.edge_keys, keys), spec
 
@@ -444,9 +462,60 @@ def test_xor_bfs_matches_the_edge_bfs_on_random_cayley_graphs(k, data):
     assert sub.edge_keys.tolist() == induced_subgraph(given, vs).edge_keys.tolist()
 
 
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_masks_match_the_edges_on_random_twisted_graphs(k, data):
+    """A graph held by random connection sets D_0, D_1 of Z_2^k, k <= 6,
+    that share their odd masks (and are sometimes equal) has the degrees,
+    edge count, neighbours, adjacency, edge keys, BFS distances (a frontier
+    vertex at a time too) and induced subgraphs of the graph given by the
+    edges {x, x ^ d}, d in D_{x_0}."""
+    from unittest import mock
+
+    from cubesym import bitgraph
+
+    nv = 1 << k
+    odd = data.draw(st.sets(st.sampled_from(range(1, nv, 2))))
+    evens = st.sets(st.sampled_from(range(2, nv, 2))) if nv > 2 else st.just(set())
+    even0 = data.draw(evens)
+    even1 = even0 if data.draw(st.booleans()) else data.draw(evens)
+    d0, d1 = sorted(odd | even0), sorted(odd | even1)
+    g = Graph(nv, None, connection=np.array(d0, dtype=np.int64),
+              connection_odd=np.array(d1, dtype=np.int64))
+    assert (g.connection_odd is None) == (d0 == d1) == (g.xor_connection is not None)
+    given = graph_from_edges(nv, [(x, x ^ d) for x in range(nv) for d in (d1 if x & 1 else d0)])
+    assert g.edge_count() == given.edge_count()
+    assert g.degrees.tolist() == given.degrees.tolist()
+    for u in data.draw(st.lists(st.integers(0, nv - 1), min_size=1, max_size=4)):
+        assert g.neighbors(u) == given.neighbors(u)
+        assert [g.has_edge(u, v) for v in range(nv)] == [given.has_edge(u, v) for v in range(nv)]
+        want = distances_from(given, u).tolist()
+        assert distances_from(g, u).tolist() == want
+        with mock.patch.object(bitgraph, "_CHECK_BYTES", 1):
+            assert distances_from(g, u).tolist() == want
+    vs = data.draw(st.permutations(range(nv)))[:data.draw(st.integers(0, nv))]
+    sub = induced_subgraph(g, vs)
+    assert sub.labels == tuple(vs)
+    assert sub.edge_keys.tolist() == induced_subgraph(given, vs).edge_keys.tolist()
+    assert "edge_keys" not in vars(g)
+    assert g.edge_keys.tolist() == given.edge_keys.tolist()
+
+
+def test_connection_sets_that_split_an_odd_mask_are_refused():
+    """An odd mask flips bit 0, so x ~ x ^ d for d in D_{x_0} is symmetric
+    only if it lies in both sets or in neither: the graph refuses D_0 =
+    {1, 2}, D_1 = {2}, and keeps one set where the two are equal."""
+    with pytest.raises(ParameterOutOfRange, match="not symmetric"):
+        Graph(4, None, connection=np.array([1, 2]), connection_odd=np.array([2]))
+    g = Graph(4, None, connection=np.array([1, 2]), connection_odd=np.array([1, 2]))
+    assert g.connection_odd is None and g.masks[0] is g.masks[1]
+    assert np.flatnonzero(g.xor_connection).tolist() == [1, 2]
+
+
 def test_det_dist_and_transitivity_build_no_edge_array(capsys, monkeypatch):
-    """det, dist and transitivity of the Cayley families read their
-    connection set, never an edge array; graph6 output builds one."""
+    """det, dist and transitivity of the Cayley families, and det, dist,
+    cost and aut-order of LTQ_n, read their connection sets, never an edge
+    array; graph6 output builds one."""
     from cubesym import bitgraph
 
     def built(nbrs):
@@ -458,6 +527,9 @@ def test_det_dist_and_transitivity_build_no_edge_array(capsys, monkeypatch):
         for parameter in ("det", "dist", "transitivity"):
             assert main(["param", parameter, *family, "--no-cache"]) == 0
             capsys.readouterr()
+    for parameter in ("det", "dist", "cost", "aut-order"):
+        assert main(["param", parameter, "locally-twisted", "-n", "9", "--no-cache"]) == 0
+        capsys.readouterr()
     with pytest.raises(pytest.fail.Exception):
         main(["gen", "hypercube", "-n", "4", "--format", "graph6"])
 

@@ -409,7 +409,8 @@ def test_det_set_checks_survive_python_O():
     repeated zero-fixing rows or repeated permutations, a structured group
     whose batched generator check fails, for Q_n, for Q_n with a linear
     generator that breaks its edges, for Q_5 held by a connection set
-    that lacks one mask (`param det` exits 3), for a Hamming graph and
+    that lacks one mask (`param det` exits 3), for LTQ_5 with the
+    translation by 1, which swaps its two connection sets, for a Hamming graph and
     for AQ_n built from a base-map table with two entries of a row swapped,
     the d >= 3 dist scan of Q_3 when the table test refuses every coloring
     (K_7, whose group is symmetric, then still answers 7), the class
@@ -529,7 +530,7 @@ def test_det_set_checks_survive_python_O():
         # the row checks: unit images that map every bit to one word give
         # repeated zero-fixing rows, and a generator check that fails
         with mock.patch.object(autgroup.HypercubeModel, "unit_images",
-                               lambda self, pi: [1] * self.n):
+                               lambda self, words: np.ones((len(words), self.n), dtype=np.int64)):
             try:
                 autgroup.HypercubeModel(4).enumerate()
             except AssertionError:
@@ -589,6 +590,25 @@ def test_det_set_checks_survive_python_O():
                     sys.exit(f"structured_group passed {what}")
                 if main(["param", "det", "hypercube", "-n", "5", "--no-cache"]) != 3:
                     sys.exit(f"param det hypercube with {what} did not exit 3")
+        # LTQ_5's translation by 1 flips bit 0, so it must map D_0 into D_1
+        # and D_1 into D_0, which differ in the even masks: a check that
+        # ignored c_0 would pass it
+        real_ltq_affine = autgroup.LtqModel.affine
+
+        def with_odd_translation(self):
+            maps = real_ltq_affine(self)
+            return autgroup.Affine(np.vstack([maps.units, maps.units[:1]]),
+                                   np.append(maps.shifts, 1))
+
+        with mock.patch.object(autgroup.LtqModel, "affine", with_odd_translation):
+            try:
+                autgroup.structured_group(bitgraph.locally_twisted_hypercube(5))
+            except AssertionError:
+                pass
+            else:
+                sys.exit("structured_group passed LTQ_5's translation by 1")
+            if main(["param", "det", "locally-twisted", "-n", "5", "--no-cache"]) != 3:
+                sys.exit("param det locally-twisted with the translation by 1 did not exit 3")
         real_hamming_generators = autgroup.HammingModel.generators
 
         def hamming_row_swapped(self):
@@ -911,7 +931,8 @@ def test_det_set_checks_survive_python_O():
         # Q_5 held by four of its five masks: the model's generators fail
         # the structured check
         real_masks = bitgraph._neighbor_masks
-        with mock.patch.object(bitgraph, "_neighbor_masks", lambda spec: real_masks(spec)[:-1]):
+        with mock.patch.object(bitgraph, "_neighbor_masks",
+                               lambda spec: tuple(d[:-1] for d in real_masks(spec))):
             if main(["param", "det", "hypercube", "-n", "5", "--no-cache"]) != 3:
                 sys.exit("Q_5 without one of its masks did not exit 3")
         with mock.patch.object(autgroup.AugmentedModel, "setwise_stabilizer", two_elements):

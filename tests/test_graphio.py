@@ -3,12 +3,15 @@ from __future__ import annotations
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubesym.bitgraph import (
+    FamilySpec,
     augmented_hypercube,
+    build_family,
     folded_hypercube,
     graph_from_edges,
     hamming_graph,
@@ -17,7 +20,7 @@ from cubesym.bitgraph import (
     same_edges,
 )
 from cubesym.cli import main
-from cubesym.errors import ParameterOutOfRange
+from cubesym.errors import ParameterOutOfRange, SearchBudgetExceeded
 from cubesym.graphio import (
     from_descriptor,
     from_edgelist,
@@ -105,19 +108,92 @@ def _plain_graph6(g):
     return out.decode("ascii")
 
 
+def _matmul_graph6(g):
+    """The encoder as it was before it read the bit positions: the upper
+    triangle scattered into a V(V-1)/2-byte array of bits, packed six to a
+    byte by a uint8 matmul with their weights."""
+    n = g.n_vertices
+    u, v = g.ends
+    bits = np.zeros(-(-(n * (n - 1) // 2) // 6) * 6, dtype=np.uint8)
+    bits[v * (v - 1) // 2 + u] = 1
+    payload = bits.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8) + np.uint8(63)
+    header = [n + 63] if n <= 62 else [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
+    return (bytes(header) + payload.tobytes()).decode("ascii")
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_graph6_matches_plain_encoder(data):
     """On random graphs of 0-130 vertices, so both header forms occur, the
-    encoder equals the bit-loop reference and decodes back."""
+    encoder equals the bit-loop reference and the matmul encoder, and
+    decodes back."""
     n = data.draw(st.integers(0, 130))
     density = data.draw(st.sampled_from([0.0, 0.02, 0.3, 1.0]))
     rnd = random.Random(data.draw(st.integers(0, 2 ** 32)))
     g = graph_from_edges(n, [(u, v) for v in range(n) for u in range(v)
                              if rnd.random() < density])
     s = to_graph6(g)
-    assert s == _plain_graph6(g)
+    assert s == _plain_graph6(g) == _matmul_graph6(g)
     assert same_edges(from_graph6(s), g)
+
+
+def _family_specs_up_to(nv: int) -> list[FamilySpec]:
+    """Every family graph with at most nv vertices, but the complete graphs
+    H(1,m) for 128 < m < nv."""
+    specs = []
+    for n in range(1, nv.bit_length()):
+        specs += [FamilySpec(kind, n) for kind in ("hypercube", "folded", "augmented")]
+        specs += [FamilySpec("power", n, k=k) for k in range(1, n + 2)]
+        specs += [FamilySpec("enhanced", n, k=k) for k in range(1, n)]
+        if n >= 2:
+            specs.append(FamilySpec("locally_twisted", n))
+    for m in range(2, nv + 1):
+        n = 1 if m <= 128 or m == nv else 2
+        while m ** n <= nv:
+            specs.append(FamilySpec("hamming", n, m=m))
+            n += 1
+    return specs
+
+
+def test_graph6_of_every_family_graph_matches_the_matmul_encoder():
+    """Every family graph on at most 2^10 vertices encodes to the matmul
+    encoder's bytes; of the complete graphs H(1,m), which take most of the
+    time, those with m <= 128 and m = 2^10 (the random graphs of density 1
+    are complete too)."""
+    specs = _family_specs_up_to(1 << 10)
+    assert len(specs) > 100
+    for spec in specs:
+        g = build_family(spec)
+        assert to_graph6(g) == _matmul_graph6(g), spec
+
+
+def test_graph6_above_its_byte_bound_is_refused(monkeypatch, capsys):
+    """Q_5's encoding needs 4 bytes for each of its 83 payload bytes and 32
+    for each of its 80 edges, 2,892 bytes: one byte lower it is refused
+    before it is allocated, in-process and from `gen` (exit 2, no
+    traceback), while its 1,280-byte edge keys are not; at the bound it is
+    encoded."""
+    from cubesym import bitgraph
+
+    monkeypatch.setattr(bitgraph, "DEFAULT_ELEMENT_BYTES", 2891)
+    with pytest.raises(SearchBudgetExceeded, match="graph6 encoding of Q_5 .* 2892 bytes"):
+        to_graph6(hypercube(5))
+    assert main(["gen", "hypercube", "-n", "5", "--format", "graph6"]) == 2
+    captured = capsys.readouterr()
+    assert "SearchBudgetExceeded" in captured.err and "graph6 encoding of Q_5" in captured.err
+    assert not captured.out and "Traceback" not in captured.err
+    assert len(hypercube(5).edge_keys) == 80
+    monkeypatch.setattr(bitgraph, "DEFAULT_ELEMENT_BYTES", 2892)
+    assert to_graph6(hypercube(5)) == _matmul_graph6(hypercube(5))
+
+
+def test_gen_hypercube_20_graph6_exits_2(capsys):
+    """`gen hypercube -n 20 --format graph6` would print a 91.6 GB line:
+    its encoding is refused with exit 2, before its edge keys are built."""
+    assert main(["gen", "hypercube", "-n", "20", "--format", "graph6"]) == 2
+    captured = capsys.readouterr()
+    assert "graph6 encoding of Q_20 would need 366839070720 bytes" in captured.err
+    assert not captured.out and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("text", ["", "~", "~~", "~??", "C~~~~~", "C", "B~", "Dh", "Dhc?",

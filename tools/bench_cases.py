@@ -58,6 +58,7 @@ CASES = [
     "param det enhanced -n 8 -k 6",
     "param det augmented -n 14",
     "param det augmented -n 16",
+    "param det locally-twisted -n 20",
     "param det power -n 4 -k 3",
     "param det power -n 19 -k 3",
     "param det hamming -n 10 -m 3",
@@ -95,12 +96,14 @@ CASES = [
     "param transitivity enhanced -n 16 -k 8",
     "param transitivity enhanced -n 15 -k 9",
     "param transitivity locally-twisted -n 16",
+    "param transitivity locally-twisted -n 18",
     "param transitivity hamming -n 8 -m 4",
     "param transitivity folded -n 16",
     "param transitivity power -n 18 -k 3",
     "tables summary --n 8",
     "export hypercube -n 9",
     "gen power -n 20 -k 10 --format graph6",
+    "gen hypercube -n 20 --format graph6",
 ]
 
 
